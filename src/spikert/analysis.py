@@ -197,21 +197,11 @@ class FlushReport:
 
 
 def flush_report(profile) -> FlushReport:
-    """Totals over ProfileRecords (or a ProfileStore); events are per-target
-    synaptic contributions, packets are spike packets."""
-    if hasattr(profile, "totals"):
-        t = profile.totals()
-        return FlushReport(t["processed_events"], t["flushed_events"], t["processed"],
-                           t["flushed"], t["max_flushed_in_timestep"])
-    ev_p = ev_f = pk_p = pk_f = mx = 0
-    for rec in profile:
-        rec.check()
-        ev_p += rec.processed_events
-        ev_f += rec.flushed_events
-        pk_p += rec.processed
-        pk_f += rec.flushed
-        mx = max(mx, rec.flushed)
-    return FlushReport(ev_p, ev_f, pk_p, pk_f, mx)
+    """Totals over a runtime ProfileStore; events are per-target synaptic
+    contributions, packets are spike packets."""
+    t = profile.totals()
+    return FlushReport(t["processed_events"], t["flushed_events"], t["processed"],
+                       t["flushed"], t["max_flushed_in_timestep"])
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,8 @@ from . import analysis, network, oracle, runtime
 from .clocks import ClockConfig
 from .costs import CostModel, load_cost_model
 from .machine import MachineSpec, load_machine_spec, serialize_machine_spec
-from .mapping import (KeyOverflowError, PlacementError, RoutingTableOverflowError,
-                      allocate_keys, build_routing_tables, destination_cores, partition,
-                      place_radial)
+from .mapping import (KeyOverflowError, PlacementError, RoutingError, allocate_keys,
+                      build_routing_tables, destination_cores, partition, place_radial)
 from .network import SpecError, build_network, load_network_spec, scale_network, \
     serialize_network_spec
 
@@ -128,7 +127,7 @@ def main(argv=None) -> int:
     except KeyOverflowError as exc:
         print(f"key allocation error: {exc}", file=sys.stderr)
         return EXIT_KEY
-    except RoutingTableOverflowError as exc:
+    except RoutingError as exc:
         print(f"routing error: {exc}", file=sys.stderr)
         return EXIT_ROUTING
     except OSError as exc:
@@ -283,7 +282,7 @@ def _write_manifest(cfg: RunConfig, costs: CostModel, sim) -> None:
             "correlation_estimator": "pearson-on-binned-counts",
             "weight_bits": 16,
             "min_weight_significant_bits": 14,
-            "ring_slots": 255,
+            "ring_slots": runtime.RING_SLOTS,
             "beacon_interval_s": ClockConfig().beacon_interval_s,
             "warmup_rounds": ClockConfig().warmup_rounds,
         },

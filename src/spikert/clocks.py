@@ -43,15 +43,6 @@ def sample_board_drifts(machine: MachineSpec, cfg: ClockConfig, seed: int) -> np
     return rng.uniform(-cfg.drift_bound_ppm, cfg.drift_bound_ppm, machine.boards())
 
 
-def phase_align(machine: MachineSpec) -> dict[tuple[int, int], float]:
-    """Per-chip start delays (ns): max start-signal transit minus own transit."""
-    origin = (0, 0)
-    transits = {(x, y): machine.transit_ns(origin, (x, y))
-                for x in range(machine.width) for y in range(machine.height)}
-    worst = max(transits.values())
-    return {chip: worst - t for chip, t in transits.items()}
-
-
 def beacon_round(master_rate: float, slave_rates: dict, period_cycles: float,
                  beacon_interval_s: float, clock_hz: float) -> dict:
     """One protocol round: per-slave period correction in (fractional) cycles.

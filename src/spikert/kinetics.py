@@ -166,21 +166,3 @@ def poisson_sample(rate_hz: float, dt_ms: float, stream: np.random.Generator) ->
     if rate_hz < 0:
         raise ValueError("poisson rate must be non-negative")
     return int(stream.poisson(rate_hz * dt_ms * 1e-3))
-
-
-class PoissonSource:
-    """A single background source bound to its own named stream.
-
-    ``counts(n)`` consumes the stream exactly like n sequential
-    ``poisson_sample`` calls (verified by test), so batched and stepwise
-    consumers agree draw for draw.
-    """
-
-    def __init__(self, spec: PoissonSourceSpec, dt_ms: float, seed: int, *scope):
-        spec.validate()
-        self.spec = spec
-        self.lam = spec.rate_hz * dt_ms * 1e-3
-        self._rng = make_rng(seed, *scope)
-
-    def counts(self, n: int) -> np.ndarray:
-        return self._rng.poisson(self.lam, size=n)

@@ -192,9 +192,6 @@ class KeyAllocation:
 
     prefix_of: tuple[int, ...]  # per ensemble
 
-    def key_for(self, ensemble: Ensemble, neuron_in_core: int) -> int:
-        return self.prefix_of[ensemble.index] | neuron_in_core
-
 
 def allocate_keys(placement: Placement) -> KeyAllocation:
     prefixes = []

@@ -2,9 +2,11 @@
 
 Encoding happens once, here: per-projection fixed-point scales, 16-bit word
 magnitudes, and the integer accumulator contributions both simulation paths
-add up.  The oracle consumes a per-source-neuron view, the machine model a
-per-synapse-core view; both views carry the same encoded integers, which is
-what makes their spike-for-spike agreement exact rather than approximate.
+add up.  The oracle consumes a per-source-neuron view; the machine model
+packs the same encoded projections into one CSR of synaptic rows addressed
+by packet key (``runtime.SynapticStore``).  Both views carry the same
+encoded integers, which is what makes their spike-for-spike agreement exact
+rather than approximate.
 """
 
 from __future__ import annotations

@@ -9,13 +9,18 @@ still queued, then write the next timestep's ring-buffer slot (DMA B).
 Packet deliveries carry router transit latencies, and per-board clock drift
 (with beacon correction) shifts every core's local timeline.
 
+A synapse core finds a packet's synaptic row as the machine does: the key's
+routing prefix (the source population) selects a block of rows through the
+core's master population table, and the key's low 15 bits (sub-population
+and neuron id) index the row inside it.  The rows of every synapse core sit
+in one CSR, ``SynapticStore``, built in a single vectorised pass.
+
 The whole machine advances in a single deterministic virtual timeline:
 identical inputs give identical traces and profiles.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +30,12 @@ from .kinetics import advance_state
 from .clocks import ClockConfig, MachineClocks
 from .costs import CostModel
 from .machine import MachineSpec, auto_machine
-from .mapping import (Ensemble, KeyAllocation, Placement, ROLE_NEURON, ROLE_POISSON,
-                      ROLE_SYN_EXC_LOWER, ROLE_SYN_EXC_UPPER, ROLE_SYN_INH, SYNAPSE_ROLES,
-                      allocate_keys, build_routing_tables, delivery_map,
-                      destination_cores, is_lower_half, partition, place_radial,
-                      subpops_per_population, unpack_key)
-from .network import NetworkModel, PoissonInput
+from .mapping import (NEURON_BITS, ROLE_NEURON, ROLE_POISSON, ROLE_SYN_EXC_LOWER,
+                      ROLE_SYN_EXC_UPPER, ROLE_SYN_INH, SUBPOP_BITS, SYNAPSE_ROLES, Ensemble,
+                      Placement, PlacementError, allocate_keys, build_routing_tables,
+                      delivery_map, destination_cores, partition, place_radial,
+                      subpops_per_population)
+from .network import NetworkModel
 
 
 class SchedulingError(RuntimeError):
@@ -38,82 +43,84 @@ class SchedulingError(RuntimeError):
 
 
 RING_SLOTS = 256  # 255 future slots + the one being consumed
-
-
-class RingBuffer:
-    """Per-neuron circular accumulators of future synaptic input.
-
-    Insertion targets an offset of 1..255 timesteps ahead of the current
-    step; the slot for step t+1 is handed over (and zeroed) at the end of
-    step t.  Values are integer accumulator units.
-    """
-
-    def __init__(self, n_neurons: int, data: np.ndarray | None = None):
-        self.data = np.zeros((RING_SLOTS, n_neurons), dtype=np.int64) if data is None else data
-
-    def insert(self, step: int, delays, targets, units) -> None:
-        d = np.asarray(delays)
-        if d.size and (d.min() < 1 or d.max() > 255):
-            raise ValueError("ring buffer delay outside [1, 255]")
-        np.add.at(self.data, ((step + d) & (RING_SLOTS - 1), targets), units)
-
-    def transfer(self, step: int) -> np.ndarray:
-        """Emit and zero the slot holding input for step+1."""
-        idx = (step + 1) & (RING_SLOTS - 1)
-        out = self.data[idx].copy()
-        self.data[idx] = 0
-        return out
-
-
-@dataclass(frozen=True)
-class MptEntry:
-    key: int
-    mask: int
-    source_pop: int
-    base_addr: int
-    row_stride: int
-
-
-class MasterPopulationTable:
-    """Binary-searchable map from a packet key's routing prefix to the
-    source population's synaptic matrix block."""
-
-    ROUTE_MASK = 0xFFFF8000  # the 17 routing bits
-
-    def __init__(self, entries: list[MptEntry]):
-        self.entries = sorted(entries, key=lambda e: e.key)
-        self._keys = [e.key for e in self.entries]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def lookup(self, key: int) -> MptEntry | None:
-        probe = key & self.ROUTE_MASK
-        i = bisect.bisect_right(self._keys, probe) - 1
-        if i >= 0 and self.entries[i].key == probe:
-            return self.entries[i]
-        return None
-
-    def row_address(self, entry: MptEntry, subpop: int, neuron_id: int) -> int:
-        return entry.base_addr + (subpop * 64 + neuron_id) * entry.row_stride
+ROW_BITS = NEURON_BITS + SUBPOP_BITS  # key bits below the routing prefix
+ROW_MASK = (1 << ROW_BITS) - 1
 
 
 @dataclass
-class ProfileRecord:
-    core_id: str
-    timestep: int
-    received: int
-    processed: int
-    flushed: int
-    zero_target: int
-    kickstarts: int
-    busy_us: float
-    processed_events: int = 0
-    flushed_events: int = 0
+class SynapticStore:
+    """Synaptic rows of every synapse core, held as one CSR.
 
-    def check(self) -> None:
-        assert self.received == self.processed + self.flushed
-        assert self.zero_target <= self.processed
+    Row r spans ``row_ptr[r]:row_ptr[r + 1]`` of three parallel arrays:
+    ``targets`` (neuron index on the target core), ``units`` (accumulator
+    units) and ``delays`` (timesteps).  Synapse core c owns one block of
+    ``n_subpops * 64`` rows for every source population routed to it, as the
+    machine's master population table lays them out: ``base[c]`` maps a
+    packet key's routing prefix (``key >> 15``, the source population) to the
+    first row of its block, and the key's low 15 bits (sub-population and
+    neuron id) select the row inside the block.
+    """
+
+    row_ptr: np.ndarray
+    targets: np.ndarray
+    units: np.ndarray
+    delays: np.ndarray
+    base: list[dict[int, int]]
+
+
+def build_synaptic_store(encoded: list[matrices.EncodedProjection],
+                         ensembles: list[Ensemble], placement: Placement,
+                         dmap: dict, npc: int) -> SynapticStore:
+    """Pack the encoded projections into one CSR in a single vectorised pass.
+
+    Synapse core ``3 * ensemble + k`` serves role ``SYNAPSE_ROLES[k]``.  Each
+    source ensemble's role (inhibitory, lower or upper excitatory half) is
+    read off the cores the delivery map sends its packets to, so the split
+    rule stays in ``mapping``.  Rows of one projection keep synapse order, and
+    a row fed by several projections holds them in projection order.
+    """
+    n_cores = 3 * len(ensembles)
+    n_subs = subpops_per_population(ensembles)
+    n_pops = max(n_subs) + 1
+    core_index = {placement.core_ref(e.index, role): 3 * e.index + k
+                  for e in ensembles for k, role in enumerate(SYNAPSE_ROLES)}
+    reach = np.zeros((n_cores, n_pops), dtype=bool)
+    role_of_src = np.full(len(ensembles), -1, dtype=np.int64)
+    for e in ensembles:
+        for chip, core, _ in dmap[e.index]:
+            ci = core_index[(chip, core)]
+            reach[ci, e.pop] = True
+            role_of_src[e.index] = ci % 3
+    block_rows = np.array([n_subs.get(p, 0) for p in range(n_pops)]) << NEURON_BITS
+    sizes = np.where(reach, block_rows, 0)
+    starts = np.where(reach, np.cumsum(sizes).reshape(n_cores, n_pops) - sizes, -1)
+    base: list[dict[int, int]] = [{} for _ in range(n_cores)]
+    for ci, pop in zip(*np.nonzero(reach)):
+        base[ci][int(pop)] = int(starts[ci, pop])
+
+    ens_start = np.zeros(n_pops, dtype=np.int64)
+    for e in reversed(ensembles):
+        ens_start[e.pop] = e.index
+    empty = np.zeros(0, dtype=np.int64)  # keeps concatenate valid with no projections
+    row_ids, targets, units, delays = [empty], [empty], [empty], [empty]
+    for enc in encoded:
+        src_sub, src_nid = np.divmod(enc.pre_local, npc)
+        role = role_of_src[ens_start[enc.source_pop] + src_sub]
+        core = 3 * (ens_start[enc.target_pop] + enc.post_local // npc) + role
+        block = np.where(role >= 0, starts[core, enc.source_pop], -1)
+        if (block < 0).any():
+            raise RuntimeError(f"projection {enc.proj_index}: synapses on a core "
+                               "that no packet of their source reaches")
+        row_ids.append(block + (src_sub << NEURON_BITS) + src_nid)
+        targets.append(enc.post_local % npc)
+        units.append(enc.units)
+        delays.append(enc.delays)
+    row_id = np.concatenate(row_ids)
+    order = np.argsort(row_id, kind="stable")
+    row_ptr = np.zeros(int(sizes.sum()) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_id, minlength=row_ptr.size - 1), out=row_ptr[1:])
+    return SynapticStore(row_ptr, np.concatenate(targets)[order],
+                         np.concatenate(units)[order], np.concatenate(delays)[order], base)
 
 
 class ProfileStore:
@@ -136,18 +143,6 @@ class ProfileStore:
     def label(self, row: int) -> str:
         (x, y), core, _, _ = self.core_meta[row]
         return f"{x},{y},{core}"
-
-    def record(self, row: int, t: int) -> ProfileRecord:
-        return ProfileRecord(self.label(row), t, int(self.received[row, t]),
-                             int(self.processed[row, t]), int(self.flushed[row, t]),
-                             int(self.zero_target[row, t]), int(self.kickstarts[row, t]),
-                             float(self.busy_us[row, t]), int(self.processed_events[row, t]),
-                             int(self.flushed_events[row, t]))
-
-    def iter_records(self):
-        for row in range(len(self.core_meta)):
-            for t in range(self.received.shape[1]):
-                yield self.record(row, t)
 
     def totals(self) -> dict:
         return {
@@ -184,22 +179,24 @@ class ProfileStore:
 
 
 class SynapseCoreState:
-    """Runtime state of one synapse core: input spike buffer, ring buffers,
-    master population table, and the synaptic rows it owns."""
+    """Runtime state of one synapse core: its input spike buffer, its slice of
+    the ring buffers and its master population table (``base``: source
+    population -> first row of that population's block in the shared
+    ``SynapticStore``)."""
 
-    __slots__ = ("ensemble", "role", "chip", "core_id", "rate", "ring", "rows", "mpt",
+    __slots__ = ("ensemble", "role", "chip", "core_id", "rate", "ring", "store", "base",
                  "chip_syn_cores", "pending", "carry", "profile_row", "chip_row")
 
     def __init__(self, ensemble: Ensemble, role: str, chip, core_id: int,
-                 ring: RingBuffer, mpt: MasterPopulationTable, rows: dict,
+                 ring: np.ndarray, store: SynapticStore, base: dict[int, int],
                  chip_syn_cores: int, profile_row: int):
         self.ensemble = ensemble
         self.role = role
         self.chip = chip
         self.core_id = core_id
-        self.ring = ring
-        self.rows = rows          # (source_pop, row_index) -> (targets, units, delays)
-        self.mpt = mpt
+        self.ring = ring          # (RING_SLOTS, neurons) integer accumulators
+        self.store = store
+        self.base = base
         self.chip_syn_cores = chip_syn_cores
         self.pending: list[tuple] = []  # (arrival_us, sx, sy, score, key, emit_step)
         self.carry = 0.0
@@ -207,13 +204,14 @@ class SynapseCoreState:
         self.chip_row = 0
         self.rate = 1.0
 
-    def _row_for(self, key: int):
-        route, sub, nid = unpack_key(key)
-        entry = self.mpt.lookup(key)
-        if entry is None:
+    def _row_span(self, key: int) -> list[int]:
+        """[lo, hi) of the packet's synaptic row in the store."""
+        base = self.base.get(key >> ROW_BITS)
+        if base is None:
             raise RuntimeError(f"core {self.chip}/{self.core_id}: packet key 0x{key:08x} "
                                "has no master population table entry")
-        return self.rows.get((entry.source_pop, sub * 64 + nid))
+        row = base + (key & ROW_MASK)
+        return self.store.row_ptr[row:row + 2].tolist()
 
     def run_window(self, t: int, window_start: float, deadline: float,
                    costs: CostModel) -> tuple:
@@ -221,6 +219,7 @@ class SynapseCoreState:
         the rest, then write the next slot (DMA B).  Times are global us;
         costs are local core us (scaled by the chip's crystal rate)."""
         pend = self.pending
+        targets, units, delays = self.store.targets, self.store.units, self.store.delays
         if len(pend) > 1:
             pend.sort()
         wcost = costs.sdram_write_us(self.chip_syn_cores)
@@ -238,8 +237,8 @@ class SynapseCoreState:
             begin = arr if arr > busy else busy
             if begin >= deadline:
                 break
-            row = self._row_for(pkt[4])
-            words = 0 if row is None else int(row[0].size)
+            lo, hi = self._row_span(pkt[4])
+            words = hi - lo
             cost_local = costs.packet_processing_us(words, self.chip_syn_cores)
             if busy <= arr:
                 kick += 1
@@ -251,14 +250,15 @@ class SynapseCoreState:
             if words == 0:
                 zero += 1
             else:
-                np.add.at(self.ring.data, ((t + row[2]) & (RING_SLOTS - 1), row[0]), row[1])
+                np.add.at(self.ring, ((t + delays[lo:hi]) & (RING_SLOTS - 1), targets[lo:hi]),
+                          units[lo:hi])
             if pkt[5] != t:
                 late += 1
             idx += 1
         j = idx
         while j < n and pend[j][0] < deadline:
-            row = self._row_for(pend[j][4])
-            ev_f += 0 if row is None else int(row[0].size)
+            lo, hi = self._row_span(pend[j][4])
+            ev_f += hi - lo
             flushed += 1
             j += 1
         del pend[:j]
@@ -313,13 +313,12 @@ class HardwareSimulation:
         self.dmap = delivery_map(self.placement, self.keys, self.tables, self.dests)
 
         self.scales = matrices.accumulator_scales(network)
-        self.encoded = matrices.encode_projections(network, self.scales)
-        self._build_state()
+        self._build_state(matrices.encode_projections(network, self.scales))
         self._check_schedule()
 
     # -- construction -------------------------------------------------------
 
-    def _build_state(self) -> None:
+    def _build_state(self, encoded: list[matrices.EncodedProjection]) -> None:
         ens = self.ensembles
         n_ens = len(ens)
         npc = self.npc
@@ -333,12 +332,6 @@ class HardwareSimulation:
             self.global_of_pad[lo:lo + e.count] = np.arange(base, base + e.count)
         self.pop_of_pad = pop_of_pad
         self.consts = matrices.expand_constants(self.network, self.scales, pop_of_pad)
-
-        self.v = np.zeros(n_ens * npc, dtype=np.float64)
-        valid = self.global_of_pad >= 0
-        self.v[valid] = self.network.v_init_mv[self.global_of_pad[valid]]
-        self.i_syn = np.zeros(n_ens * npc, dtype=np.float64)
-        self.ref = np.zeros(n_ens * npc, dtype=np.int64)
 
         # shared-memory images, one 64-wide row per ensemble
         self.sdram = {kind: np.zeros((n_ens, npc), dtype=np.int64)
@@ -356,8 +349,7 @@ class HardwareSimulation:
                           for chip, cores in self.placement.roster.items()}
         self.chip_syn_count = chip_syn_count
 
-        rows_by_core = self._build_synaptic_rows()
-        mpts = self._build_mpts(rows_by_core)
+        self.store = build_synaptic_store(encoded, ens, self.placement, self.dmap, npc)
         self.ring_data = np.zeros((n_ens * 3, RING_SLOTS, npc), dtype=np.int64)
         self.syn_cores: list[SynapseCoreState] = []
         kind_of_role = {ROLE_SYN_EXC_LOWER: "exc_lower", ROLE_SYN_EXC_UPPER: "exc_upper",
@@ -368,11 +360,8 @@ class HardwareSimulation:
             for k, role in enumerate(SYNAPSE_ROLES):
                 chip, core = self.placement.core_ref(e.index, role)
                 ci = e.index * 3 + k
-                ring = RingBuffer(npc, self.ring_data[ci])
-                sc = SynapseCoreState(e, role, chip, core, ring,
-                                      mpts[(e.index, role)],
-                                      rows_by_core.get((e.index, role), {}),
-                                      chip_syn_count[chip],
+                sc = SynapseCoreState(e, role, chip, core, self.ring_data[ci], self.store,
+                                      self.store.base[ci], chip_syn_count[chip],
                                       self._profile_row[(e.index, role)])
                 self.syn_cores.append(sc)
                 kind = kind_of_role[role]
@@ -391,72 +380,6 @@ class HardwareSimulation:
         self._chip_row = {chip: i for i, chip in enumerate(self.chips)}
         self.ens_chip_row = np.array([self._chip_row[self.placement.chip_of[e.index]]
                                       for e in ens], dtype=np.int64)
-
-    def _build_synaptic_rows(self) -> dict:
-        npc = self.npc
-        n_subs = subpops_per_population(self.ensembles)
-        ens_start = {}
-        for e in self.ensembles:
-            ens_start.setdefault(e.pop, e.index)
-        rows: dict[tuple[int, str], dict] = {}
-        for enc in self.encoded:
-            src_pol = self.network.populations[enc.source_pop].polarity
-            src_sub = enc.pre_local // npc
-            row_idx = src_sub * 64 + (enc.pre_local % npc)
-            tgt_ens = ens_start[enc.target_pop] + enc.post_local // npc
-            tgt_in_core = enc.post_local % npc
-            if src_pol == "inh":
-                roles = np.zeros(enc.pre_local.size, dtype=np.int64)  # 0 -> inh
-                role_names = {0: ROLE_SYN_INH}
-            else:
-                half = (n_subs[enc.source_pop] + 1) // 2
-                roles = (src_sub >= half).astype(np.int64)  # 0 lower, 1 upper
-                role_names = {0: ROLE_SYN_EXC_LOWER, 1: ROLE_SYN_EXC_UPPER}
-            order = np.lexsort((row_idx, roles, tgt_ens))
-            te, ro, ri = tgt_ens[order], roles[order], row_idx[order]
-            ti, un, de = tgt_in_core[order], enc.units[order], enc.delays[order]
-            boundaries = np.flatnonzero((np.diff(te) != 0) | (np.diff(ro) != 0)
-                                        | (np.diff(ri) != 0)) + 1
-            for seg in np.split(np.arange(te.size), boundaries):
-                if seg.size == 0:
-                    continue
-                s0 = seg[0]
-                key = (int(te[s0]), role_names[int(ro[s0])])
-                rows.setdefault(key, {})[(enc.source_pop, int(ri[s0]))] = (
-                    ti[seg].copy(), un[seg].copy(), de[seg].copy())
-        return rows
-
-    def _build_mpts(self, rows_by_core: dict) -> dict:
-        """One master population table per synapse core: an entry for every
-        source population whose packets are routed to that core."""
-        core_key_of = {}
-        for chip, cores in self.placement.roster.items():
-            for core_id, e_idx, role in cores:
-                core_key_of[(chip, core_id)] = (e_idx, role)
-        sources_for: dict[tuple[int, str], set[int]] = {}
-        for e in self.ensembles:
-            for chip, core, _ in self.dmap[e.index]:
-                sources_for.setdefault(core_key_of[(chip, core)], set()).add(e.pop)
-        n_subs = subpops_per_population(self.ensembles)
-        mpts = {}
-        addr_cursor: dict[tuple[int, int], int] = {}
-        for e in self.ensembles:
-            chip = self.placement.chip_of[e.index]
-            for role in SYNAPSE_ROLES:
-                key = (e.index, role)
-                rows = rows_by_core.get(key, {})
-                entries = []
-                for src_pop in sorted(sources_for.get(key, ())):
-                    base = addr_cursor.get(chip, 0x6000_0000)
-                    max_words = max((r[0].size for (sp, _), r in rows.items()
-                                     if sp == src_pop), default=0)
-                    stride = 4 * (1 + max_words)  # header word + synaptic words
-                    n_rows = n_subs[src_pop] * 64
-                    entries.append(MptEntry(src_pop << 15, MasterPopulationTable.ROUTE_MASK,
-                                            src_pop, base, stride))
-                    addr_cursor[chip] = base + n_rows * stride
-                mpts[key] = MasterPopulationTable(entries)
-        return mpts
 
     def _check_schedule(self) -> None:
         cm = self.costs
@@ -503,6 +426,11 @@ class HardwareSimulation:
         self.ring_data[:] = 0
         for arr in self.sdram.values():
             arr[:] = 0
+        valid = self.global_of_pad >= 0
+        self.v = np.zeros(valid.size, dtype=np.float64)
+        self.v[valid] = network.v_init_mv[self.global_of_pad[valid]]
+        self.i_syn = np.zeros(valid.size, dtype=np.float64)
+        self.ref = np.zeros(valid.size, dtype=np.int64)
 
         profile = ProfileStore(self.core_meta, n_steps if with_profile else 0)
         ens = self.ensembles
@@ -640,7 +568,7 @@ def _place(ensembles, machine: MachineSpec | None):
         candidate = auto_machine(need)
         try:
             return candidate, place_radial(ensembles, candidate)
-        except Exception:
+        except PlacementError:
             need = candidate.n_chips() + 1
             if need > 4096:
                 raise

@@ -21,9 +21,6 @@ WEIGHT_BITS = 16
 WEIGHT_MAX = (1 << WEIGHT_BITS) - 1
 MIN_SIG_BITS = 14
 
-DELAY_BITS = 8
-TARGET_BITS = 6
-
 # Poisson input buffers accumulate weight * count per timestep into 16-bit
 # saturating slots, so their scale keeps headroom for multi-event counts.
 POISSON_SIG_BITS = 11
@@ -55,23 +52,6 @@ def quantize_magnitudes(weights_pa: np.ndarray, scale_exp: int) -> np.ndarray:
         raise ValueError("quantized weight exceeds 16 bits; scale exponent too fine")
     return q
 
-
-def encode_word(weight_q: int, delay_steps: int, target_index: int, synapse_type: int = 0) -> int:
-    """Pack one synaptic word: 16-bit weight | 8-bit delay | 6-bit target | 2-bit type."""
-    if not 0 <= weight_q <= WEIGHT_MAX:
-        raise ValueError(f"weight field out of range: {weight_q}")
-    if not 1 <= delay_steps <= (1 << DELAY_BITS) - 1:
-        raise ValueError(f"delay field out of range: {delay_steps}")
-    if not 0 <= target_index < (1 << TARGET_BITS):
-        raise ValueError(f"target field out of range: {target_index}")
-    if not 0 <= synapse_type < 4:
-        raise ValueError(f"synapse type out of range: {synapse_type}")
-    return (weight_q << 16) | (delay_steps << 8) | (target_index << 2) | synapse_type
-
-
-def decode_word(word: int) -> tuple[int, int, int, int]:
-    """Unpack (weight_q, delay_steps, target_index, synapse_type)."""
-    return (word >> 16) & WEIGHT_MAX, (word >> 8) & 0xFF, (word >> 2) & 0x3F, word & 0x3
 
 @dataclass(frozen=True)
 class AccumulatorScales:
@@ -106,8 +86,3 @@ def combine_input_pa(exc_units, inh_units, poisson_units,
     """
     return exc_units * exc_factor - inh_units * inh_factor + poisson_units * poisson_factor
 
-
-def saturating_poisson_units(counts, weight_q: int) -> np.ndarray:
-    """weight*count accumulation into a 16-bit unsigned saturating buffer."""
-    raw = counts.astype(np.int64) * int(weight_q)
-    return np.minimum(raw, POISSON_ACC_MAX)
