@@ -81,10 +81,10 @@ def encode_projections(network: NetworkModel,
 
 @dataclass
 class SourceDeliveries:
-    """Oracle view: per source population, row-merged synapse arrays.
+    """Oracle view: the synapses of every source neuron, merged into one CSR.
 
-    Row u (population-local source neuron) spans row_ptr[u]:row_ptr[u+1] of
-    the target/unit/delay arrays; targets are global neuron indices.
+    Row g (global source neuron) spans row_ptr[g]:row_ptr[g+1] of the
+    target/unit/delay arrays; targets are global neuron indices.
     """
 
     row_ptr: np.ndarray
@@ -93,64 +93,75 @@ class SourceDeliveries:
     delays: np.ndarray
 
 
-def source_delivery_index(network: NetworkModel,
-                          encoded: list[EncodedProjection]) -> list[SourceDeliveries]:
-    """Merge each source population's projections into one CSR per population."""
-    n_pops = len(network.populations)
-    by_src: list[list[EncodedProjection]] = [[] for _ in range(n_pops)]
+def source_positions(network: NetworkModel, encoded: list[EncodedProjection],
+                     row_ptr: np.ndarray):
+    """Per projection, the merged-CSR position of each of its synapses: a row
+    holds its projections in projection order, each in synapse order."""
+    n = network.total_neurons
+    cursor = row_ptr[:-1].copy()
     for enc in encoded:
-        by_src[enc.source_pop].append(enc)
-    out = []
-    for p, encs in enumerate(by_src):
-        size = network.populations[p].size
-        lengths = np.zeros(size, dtype=np.int64)
-        for enc in encs:
-            lengths += np.bincount(enc.pre_local, minlength=size)
-        row_ptr = np.concatenate([[0], np.cumsum(lengths)])
-        total = int(row_ptr[-1])
-        tgt = np.empty(total, dtype=np.int64)
-        units = np.empty(total, dtype=np.int64)
-        delays = np.empty(total, dtype=np.int64)
-        cursor = row_ptr[:-1].copy()
-        for enc in encs:
-            n = enc.pre_local.size
-            if n == 0:
-                continue
-            # synapses are stored grouped by ascending pre index
-            counts = np.bincount(enc.pre_local, minlength=size)
-            row_start = np.concatenate([[0], np.cumsum(counts)])[:-1]
-            intra = np.arange(n, dtype=np.int64) - np.repeat(row_start, counts)
-            pos = np.repeat(cursor, counts) + intra
-            tgt[pos] = enc.post_local + int(network.offsets[enc.target_pop])
-            units[pos] = enc.units
-            delays[pos] = enc.delays
-            cursor += counts
-        out.append(SourceDeliveries(row_ptr, tgt, units, delays))
-    return out
+        # synapses are stored grouped by ascending pre index
+        pre = enc.pre_local + network.offsets[enc.source_pop]
+        counts = np.bincount(pre, minlength=n)
+        first = np.cumsum(counts) - counts
+        yield cursor[pre] + np.arange(pre.size) - first[pre]
+        cursor += counts
+
+
+def source_delivery_index(network: NetworkModel,
+                          encoded: list[EncodedProjection]) -> SourceDeliveries:
+    """Merge all projections into one CSR over global source neurons."""
+    n = network.total_neurons
+    lengths = np.zeros(n, dtype=np.int64)
+    for enc in encoded:
+        lengths += np.bincount(enc.pre_local + network.offsets[enc.source_pop], minlength=n)
+    row_ptr = np.concatenate([[0], np.cumsum(lengths)])
+    total = int(row_ptr[-1])
+    tgt = np.empty(total, dtype=np.int64)
+    units = np.empty(total, dtype=np.int64)
+    delays = np.empty(total, dtype=np.int64)
+    for enc, pos in zip(encoded, source_positions(network, encoded, row_ptr)):
+        tgt[pos] = enc.post_local + int(network.offsets[enc.target_pop])
+        units[pos] = enc.units
+        delays[pos] = enc.delays
+    return SourceDeliveries(row_ptr, tgt, units, delays)
 
 
 class PoissonBank:
     """Pre-drawn event counts for every background source, one stream per
-    source so draws never depend on scheduling."""
+    source so draws never depend on scheduling.
+
+    All sources share one ``(sources, n_steps)`` matrix; population p's
+    sources are rows ``row0[p]:row0[p] + size``, also viewed as ``counts[p]``.
+    """
 
     def __init__(self, network: NetworkModel, seed: int, n_steps: int):
         self.network = network
         self.n_steps = n_steps
+        pois = [p for p, pop in enumerate(network.populations)
+                if isinstance(pop.background, PoissonInput)]
+        n_rows = sum(network.populations[p].size for p in pois)
+        self.matrix = np.zeros((n_rows, n_steps), dtype=np.int16)
+        self.w_row = np.zeros(n_rows, dtype=np.int64)  # w_q of each source
         self.counts: dict[int, np.ndarray] = {}
+        self.row0: dict[int, int] = {}
         self.w_q: dict[int, int] = {}
         self.exp: dict[int, int] = {}
-        for p, pop in enumerate(network.populations):
-            if not isinstance(pop.background, PoissonInput):
-                continue
+        row = 0
+        for p in pois:
+            pop = network.populations[p]
             exp = weights.poisson_scale_exp(pop.background.weight_pa)
             self.exp[p] = exp
             self.w_q[p] = int(round(pop.background.weight_pa * 2.0 ** exp))
             lam = pop.background.rate_hz * network.dt_ms * 1e-3
-            mat = np.zeros((pop.size, n_steps), dtype=np.int16)
+            mat = self.matrix[row:row + pop.size]
             for i in range(pop.size):
                 rng = make_rng(seed, "poisson", pop.name, i)
                 mat[i] = rng.poisson(lam, n_steps)
             self.counts[p] = mat
+            self.row0[p] = row
+            self.w_row[row:row + pop.size] = self.w_q[p]
+            row += pop.size
 
     def units_slice(self, pop: int, lo: int, count: int, t: int) -> tuple[np.ndarray, int]:
         """(accumulated units, clipped entries) for one core's sources at step t."""
@@ -161,6 +172,13 @@ class PoissonBank:
         raw = counts.astype(np.int64) * self.w_q[pop]
         units = np.minimum(raw, weights.POISSON_ACC_MAX)
         return units, int(np.count_nonzero(raw > weights.POISSON_ACC_MAX))
+
+    def units_rows(self, rows: np.ndarray, t: int) -> tuple[np.ndarray, int]:
+        """(accumulated units, clipped entries) for the sources at matrix
+        rows ``rows`` at step t, in one gather."""
+        raw = self.matrix[rows, t].astype(np.int64) * self.w_row[rows]
+        return (np.minimum(raw, weights.POISSON_ACC_MAX),
+                int(np.count_nonzero(raw > weights.POISSON_ACC_MAX)))
 
     def units_at(self, t: int) -> np.ndarray:
         """Units for all neurons at step t (zero for DC populations)."""

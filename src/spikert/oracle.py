@@ -30,34 +30,34 @@ def oracle_simulate(network: NetworkModel, duration_ms: float, poisson_seed: int
     bank = matrices.PoissonBank(network, poisson_seed, n_steps)
 
     encoded = matrices.encode_projections(network, scales)
-    deliveries = matrices.source_delivery_index(network, encoded)
-    src_polarity = [p.polarity for p in network.populations]
-
+    rows = matrices.source_delivery_index(network, encoded)
     if not quantize:
         float_acc = np.zeros((RING_SLOTS, n), dtype=np.float64)
-        float_rows = _float_delivery_index(network)
+        float_weights = _float_weights(network, encoded, rows.row_ptr)
+    del encoded  # the merged rows hold all the run needs
 
-    acc_exc = np.zeros((RING_SLOTS, n), dtype=np.int64)
-    acc_inh = np.zeros((RING_SLOTS, n), dtype=np.int64)
+    # integer accumulators: [0] excitatory, [1] inhibitory source input
+    acc = np.zeros((2, RING_SLOTS, n), dtype=np.int64)
+    acc_flat = acc.reshape(-1)
+    inh_of = np.array([p.polarity != "exc" for p in network.populations],
+                      dtype=np.int64)[pop_of]
 
     v = network.v_init_mv.copy()
     i_syn = np.zeros(n, dtype=np.float64)
     ref = np.zeros(n, dtype=np.int64)
 
     zero_units = np.zeros(n, dtype=np.int64)
-    spike_steps: list[int] = []
-    spike_pops: list[int] = []
-    spike_neurons: list[int] = []
+    fired_steps: list[int] = []
+    fired_neurons: list[np.ndarray] = []
 
     for t in range(n_steps):
         slot = t & (RING_SLOTS - 1)
         pois_units = bank.units_at(t - 1) if t > 0 else zero_units
         if quantize:
-            inputs = weights.combine_input_pa(acc_exc[slot], acc_inh[slot], pois_units,
+            inputs = weights.combine_input_pa(acc[0, slot], acc[1, slot], pois_units,
                                               consts.exc_factor, consts.inh_factor,
                                               consts.poisson_factor)
-            acc_exc[slot] = 0
-            acc_inh[slot] = 0
+            acc[:, slot] = 0
         else:
             inputs = float_acc[slot] + _float_poisson(network, bank, t - 1, n)
             float_acc[slot] = 0.0
@@ -70,55 +70,47 @@ def oracle_simulate(network: NetworkModel, duration_ms: float, poisson_seed: int
                                              consts.decay_i, consts.kernel, consts.e_eff,
                                              consts.v_reset, consts.v_theta,
                                              consts.ref_steps)
-        for g in np.flatnonzero(fired):
-            pop = int(pop_of[g])
-            local = int(g - network.offsets[pop])
-            spike_steps.append(t)
-            spike_pops.append(pop)
-            spike_neurons.append(local)
-            if quantize:
-                rows = deliveries[pop]
-                lo, hi = rows.row_ptr[local], rows.row_ptr[local + 1]
+        g = np.flatnonzero(fired)
+        if not g.size:
+            continue
+        fired_steps.append(t)
+        fired_neurons.append(g)
+        if quantize:
+            # the rows of every spike of the step in one np.add.at; integer
+            # sums do not depend on the order
+            lo = rows.row_ptr[g]
+            lens = rows.row_ptr[g + 1] - lo
+            ends = np.cumsum(lens)
+            syn = np.repeat(lo - (ends - lens), lens) + np.arange(int(ends[-1]))
+            slots = (t + rows.delays[syn]) & (RING_SLOTS - 1)
+            np.add.at(acc_flat, (np.repeat(inh_of[g], lens) * RING_SLOTS + slots) * n
+                      + rows.target_global[syn], rows.units[syn])
+        else:
+            for gi in g.tolist():  # float sums depend on the order: one spike at a time
+                lo, hi = rows.row_ptr[gi], rows.row_ptr[gi + 1]
                 if hi > lo:
-                    acc = acc_exc if src_polarity[pop] == "exc" else acc_inh
                     slots = (t + rows.delays[lo:hi]) & (RING_SLOTS - 1)
-                    np.add.at(acc, (slots, rows.target_global[lo:hi]), rows.units[lo:hi])
-            else:
-                rows = float_rows[pop]
-                lo, hi = rows["row_ptr"][local], rows["row_ptr"][local + 1]
-                if hi > lo:
-                    slots = (t + rows["delays"][lo:hi]) & (RING_SLOTS - 1)
-                    np.add.at(float_acc, (slots, rows["targets"][lo:hi]),
-                              rows["weights"][lo:hi])
+                    np.add.at(float_acc, (slots, rows.target_global[lo:hi]),
+                              float_weights[lo:hi])
 
+    g = np.concatenate(fired_neurons or [np.zeros(0, dtype=np.int64)])
+    pops = pop_of[g]
     pop_names = [p.name for p in network.populations]
     pop_sizes = [p.size for p in network.populations]
     pop_pol = [p.polarity for p in network.populations]
-    return trace.from_step_records(spike_steps, spike_pops, spike_neurons, n_steps,
+    return trace.from_step_records(np.repeat(fired_steps, [x.size for x in fired_neurons]),
+                                   pops, g - network.offsets[pops], n_steps,
                                    network.dt_ms, pop_names, pop_sizes, pop_pol,
                                    discard_ms).sorted()
 
 
-def _float_delivery_index(network: NetworkModel):
-    """Unquantized per-source rows (signed float weights, global targets)."""
-    out = []
-    scales = matrices.accumulator_scales(network)
-    encoded = matrices.encode_projections(network, scales)
-    merged = matrices.source_delivery_index(network, encoded)
-    for p, rows in enumerate(merged):
-        out.append({"row_ptr": rows.row_ptr, "targets": rows.target_global,
-                    "delays": rows.delays, "weights": np.zeros(rows.units.size)})
-    # overwrite unit magnitudes with the raw signed weights, projection order
-    cursor = [r.row_ptr[:-1].copy() for r in merged]
-    for enc, proj in zip(encoded, network.projections):
-        p = enc.source_pop
-        size = network.populations[p].size
-        counts = np.bincount(enc.pre_local, minlength=size)
-        row_start = np.concatenate([[0], np.cumsum(counts)])[:-1]
-        intra = np.arange(enc.pre_local.size, dtype=np.int64) - np.repeat(row_start, counts)
-        pos = np.repeat(cursor[p], counts) + intra
-        out[p]["weights"][pos] = proj.weight_pa
-        cursor[p] += counts
+def _float_weights(network: NetworkModel, encoded: list[matrices.EncodedProjection],
+                   row_ptr: np.ndarray) -> np.ndarray:
+    """Unquantized signed weights laid out like the merged delivery CSR."""
+    out = np.zeros(int(row_ptr[-1]))
+    for proj, pos in zip(network.projections,
+                         matrices.source_positions(network, encoded, row_ptr)):
+        out[pos] = proj.weight_pa
     return out
 
 

@@ -15,6 +15,20 @@ core's master population table, and the key's low 15 bits (sub-population
 and neuron id) index the row inside it.  The rows of every synapse core sit
 in one CSR, ``SynapticStore``, built in a single vectorised pass.
 
+A timestep is one array pipeline over the whole machine, not a loop over
+packets:
+
+- fan-out: the fired neurons become packet arrays (target core, arrival,
+  source chip and core, key, emit step), repeated over a per-ensemble CSR
+  of destination cores built once from the delivery map;
+- window: ``SynapseCoreState.run_window`` orders every queued packet with
+  one ``np.lexsort`` on (core, arrival, sx, sy, score, key, emit step) and
+  scans all cores with a queued packet in lockstep, one array operation per
+  queue position, keeping each core's float recurrence (busy time,
+  kick-starts, the deadline cut) in packet order;
+- ring insert: the rows of all processed packets are expanded and added
+  into the ring buffers with a single integer ``np.add.at``.
+
 The whole machine advances in a single deterministic virtual timeline:
 identical inputs give identical traces and profiles.
 """
@@ -30,9 +44,8 @@ from .kinetics import advance_state
 from .clocks import ClockConfig, MachineClocks
 from .costs import CostModel
 from .machine import MachineSpec, auto_machine
-from .mapping import (NEURON_BITS, ROLE_NEURON, ROLE_POISSON, ROLE_SYN_EXC_LOWER,
-                      ROLE_SYN_EXC_UPPER, ROLE_SYN_INH, SUBPOP_BITS, SYNAPSE_ROLES, Ensemble,
-                      Placement, PlacementError, allocate_keys, build_routing_tables,
+from .mapping import (NEURON_BITS, ROLE_NEURON, ROLE_POISSON, SUBPOP_BITS, SYNAPSE_ROLES,
+                      Ensemble, Placement, PlacementError, allocate_keys, build_routing_tables,
                       delivery_map, destination_cores, partition, place_radial,
                       subpops_per_population)
 from .network import NetworkModel
@@ -55,17 +68,18 @@ class SynapticStore:
     ``targets`` (neuron index on the target core), ``units`` (accumulator
     units) and ``delays`` (timesteps).  Synapse core c owns one block of
     ``n_subpops * 64`` rows for every source population routed to it, as the
-    machine's master population table lays them out: ``base[c]`` maps a
-    packet key's routing prefix (``key >> 15``, the source population) to the
-    first row of its block, and the key's low 15 bits (sub-population and
-    neuron id) select the row inside the block.
+    machine's master population table lays them out: ``base[c, p]`` is the
+    first row of the block of source population p (a packet key's routing
+    prefix, ``key >> 15``) on core c, or -1 where the core has no entry, and
+    the key's low 15 bits (sub-population and neuron id) select the row
+    inside the block.
     """
 
     row_ptr: np.ndarray
     targets: np.ndarray
     units: np.ndarray
     delays: np.ndarray
-    base: list[dict[int, int]]
+    base: np.ndarray  # (synapse cores, populations) int64
 
 
 def build_synaptic_store(encoded: list[matrices.EncodedProjection],
@@ -93,10 +107,7 @@ def build_synaptic_store(encoded: list[matrices.EncodedProjection],
             role_of_src[e.index] = ci % 3
     block_rows = np.array([n_subs.get(p, 0) for p in range(n_pops)]) << NEURON_BITS
     sizes = np.where(reach, block_rows, 0)
-    starts = np.where(reach, np.cumsum(sizes).reshape(n_cores, n_pops) - sizes, -1)
-    base: list[dict[int, int]] = [{} for _ in range(n_cores)]
-    for ci, pop in zip(*np.nonzero(reach)):
-        base[ci][int(pop)] = int(starts[ci, pop])
+    base = np.where(reach, np.cumsum(sizes).reshape(n_cores, n_pops) - sizes, -1)
 
     ens_start = np.zeros(n_pops, dtype=np.int64)
     for e in reversed(ensembles):
@@ -107,7 +118,7 @@ def build_synaptic_store(encoded: list[matrices.EncodedProjection],
         src_sub, src_nid = np.divmod(enc.pre_local, npc)
         role = role_of_src[ens_start[enc.source_pop] + src_sub]
         core = 3 * (ens_start[enc.target_pop] + enc.post_local // npc) + role
-        block = np.where(role >= 0, starts[core, enc.source_pop], -1)
+        block = np.where(role >= 0, base[core, enc.source_pop], -1)
         if (block < 0).any():
             raise RuntimeError(f"projection {enc.proj_index}: synapses on a core "
                                "that no packet of their source reaches")
@@ -157,115 +168,178 @@ class ProfileStore:
 
     def serialize(self) -> str:
         lines = ["# core_id timestep received processed flushed zero_target kickstarts busy_us"]
-        n_steps = self.received.shape[1]
+        cols = (self.received, self.processed, self.flushed, self.zero_target, self.kickstarts,
+                self.busy_us)
         for row in range(len(self.core_meta)):
             label = self.label(row)
-            for t in range(n_steps):
-                lines.append(
-                    f"{label} {t} {self.received[row, t]} {self.processed[row, t]} "
-                    f"{self.flushed[row, t]} {self.zero_target[row, t]} "
-                    f"{self.kickstarts[row, t]} {self.busy_us[row, t]:.4f}")
+            lines.extend(f"{label} {t} {r} {p} {f} {z} {k} {b:.4f}" for t, (r, p, f, z, k, b)
+                         in enumerate(zip(*(c[row].tolist() for c in cols))))
         return "\n".join(lines) + "\n"
 
     def serialize_events(self) -> str:
         lines = ["# core_id timestep processed_events flushed_events"]
-        n_steps = self.received.shape[1]
         for row in range(len(self.core_meta)):
             label = self.label(row)
-            for t in range(n_steps):
-                lines.append(f"{label} {t} {self.processed_events[row, t]} "
-                             f"{self.flushed_events[row, t]}")
+            lines.extend(f"{label} {t} {p} {f}" for t, (p, f) in enumerate(
+                zip(self.processed_events[row].tolist(), self.flushed_events[row].tolist())))
         return "\n".join(lines) + "\n"
 
 
 class SynapseCoreState:
-    """Runtime state of one synapse core: its input spike buffer, its slice of
-    the ring buffers and its master population table (``base``: source
-    population -> first row of that population's block in the shared
-    ``SynapticStore``)."""
+    """Runtime state of every synapse core, held as structure-of-arrays.
 
-    __slots__ = ("ensemble", "role", "chip", "core_id", "rate", "ring", "store", "base",
-                 "chip_syn_cores", "pending", "carry", "profile_row", "chip_row")
+    Synapse core ``c = 3 * ensemble + k`` serves role ``SYNAPSE_ROLES[k]``.
+    Per core: its chip row, its ring-buffer write cost and row-fetch
+    overhead (both set by its chip's synapse-core count), its profile row,
+    its slice ``ring[c]`` of the ring buffers, and per run its crystal rate
+    and the busy time carried into the next timestep.  The input spike buffers
+    of all cores are one packet queue of parallel arrays: ``q_arrival``
+    (global us) and ``q_fields``, whose rows are target core, source chip x
+    and y, source core, key and emit step.  A packet finds its synaptic row
+    in the shared ``SynapticStore`` through the core's row of ``store.base``,
+    its master population table.
+    """
 
-    def __init__(self, ensemble: Ensemble, role: str, chip, core_id: int,
-                 ring: np.ndarray, store: SynapticStore, base: dict[int, int],
-                 chip_syn_cores: int, profile_row: int):
-        self.ensemble = ensemble
-        self.role = role
-        self.chip = chip
-        self.core_id = core_id
-        self.ring = ring          # (RING_SLOTS, neurons) integer accumulators
-        self.store = store
-        self.base = base
-        self.chip_syn_cores = chip_syn_cores
-        self.pending: list[tuple] = []  # (arrival_us, sx, sy, score, key, emit_step)
-        self.carry = 0.0
+    def __init__(self, refs: list[tuple[tuple[int, int], int]], chip_row: np.ndarray,
+                 chip_syn_cores: list[int], profile_row: np.ndarray,
+                 store: SynapticStore, costs: CostModel, npc: int):
+        self.refs = refs                  # (chip, core id) per synapse core
+        self.chip_row = chip_row
         self.profile_row = profile_row
-        self.chip_row = 0
-        self.rate = 1.0
+        self.store = store
+        self.costs = costs
+        self.wcost = np.array([costs.sdram_write_us(n) for n in chip_syn_cores])
+        self.fetch_us = np.array([costs.row_fetch_overhead_us(n) for n in chip_syn_cores])
+        self.ring_shape = (len(refs), RING_SLOTS, npc)
+        self.reset(np.ones(len(refs)))
 
-    def _row_span(self, key: int) -> list[int]:
-        """[lo, hi) of the packet's synaptic row in the store."""
-        base = self.base.get(key >> ROW_BITS)
-        if base is None:
-            raise RuntimeError(f"core {self.chip}/{self.core_id}: packet key 0x{key:08x} "
+    def reset(self, rate: np.ndarray) -> None:
+        """Empty queues and fresh ring buffers; ``rate`` is each core's
+        crystal rate."""
+        self.rate = rate
+        self.carry = np.zeros(len(self.refs))
+        self.q_arrival = np.zeros(0)
+        self.q_fields = np.zeros((6, 0), dtype=np.int64)
+        self.ring = np.zeros(self.ring_shape, dtype=np.int64)
+
+    def push(self, arrival: np.ndarray, fields: np.ndarray) -> None:
+        """Queue packets: ``arrival`` (global us) and the six ``q_fields`` rows."""
+        self.q_arrival = np.concatenate((self.q_arrival, arrival))
+        self.q_fields = np.concatenate((self.q_fields, fields), axis=1)
+
+    def _rows(self, core: np.ndarray, key: np.ndarray) -> np.ndarray:
+        """Synaptic row of each packet; a missing table entry is an error."""
+        base = self.store.base[core, key >> ROW_BITS]
+        if (base < 0).any():
+            i = int(np.flatnonzero(base < 0)[0])
+            chip, core_id = self.refs[core[i]]
+            raise RuntimeError(f"core {chip}/{core_id}: packet key 0x{int(key[i]):08x} "
                                "has no master population table entry")
-        row = base + (key & ROW_MASK)
-        return self.store.row_ptr[row:row + 2].tolist()
+        return base + (key & ROW_MASK)
 
-    def run_window(self, t: int, window_start: float, deadline: float,
-                   costs: CostModel) -> tuple:
-        """Process buffered packets until the pre-deadline timer event, flush
-        the rest, then write the next slot (DMA B).  Times are global us;
-        costs are local core us (scaled by the chip's crystal rate)."""
-        pend = self.pending
-        targets, units, delays = self.store.targets, self.store.units, self.store.delays
-        if len(pend) > 1:
-            pend.sort()
-        wcost = costs.sdram_write_us(self.chip_syn_cores)
-        margin_g = costs.second_timer_margin_us / self.rate
-        busy = max(window_start, window_start - margin_g + wcost / self.rate, self.carry)
-        processed = flushed = zero = kick = 0
-        ev_p = ev_f = late = 0
-        busy_us = 0.0
-        idx, n = 0, len(pend)
-        while idx < n:
-            pkt = pend[idx]
-            arr = pkt[0]
-            if arr >= deadline:
+    def run_window(self, t: int, starts: np.ndarray, durations: np.ndarray,
+                   profile: ProfileStore | None = None) -> tuple:
+        """One timestep of every synapse core that has a queued packet.
+
+        Each such core processes its packets in (arrival, sx, sy, score, key,
+        emit step) order until the pre-deadline timer event, flushes the rest
+        that arrived before it, then writes the next slot (DMA B).  Packets
+        arriving at or after the deadline stay queued.  ``starts`` and
+        ``durations`` are each chip's timer period in global us; costs are
+        local core us, scaled by the chip's crystal rate.  The cores run in
+        lockstep, one array operation per queue position, and each keeps the
+        float recurrence of a packet-at-a-time core.  Per-core counters go to
+        ``profile`` column ``t``; the return value is their sum over cores:
+        received, processed, flushed, zero_target, kickstarts, busy_us,
+        processed_events, flushed_events, late.
+        """
+        if not self.q_arrival.size:
+            return 0, 0, 0, 0, 0, 0.0, 0, 0, 0
+        cm = self.costs
+        f = self.q_fields
+        order = np.lexsort((f[5], f[4], f[3], f[2], f[1], self.q_arrival, f[0]))
+        arrival, f = self.q_arrival[order], f[:, order]
+        queued = np.bincount(f[0], minlength=len(self.refs))
+        act = np.flatnonzero(queued)           # the cores that run their window
+        act_of = np.cumsum(queued > 0) - 1     # core -> index into act
+        row = self.chip_row[act]
+        rate, wcost = self.rate[act], self.wcost[act]
+        margin_g = cm.second_timer_margin_us / rate
+        deadline = starts[row] + durations[row] - margin_g
+
+        # in-window packets, processed or flushed this step: a prefix of each
+        # core's queue; the rest arrive at or after the deadline and stay queued
+        a = act_of[f[0]]
+        inwin = arrival < deadline[a]
+        a, key, emit, win_arr = a[inwin], f[4][inwin], f[5][inwin], arrival[inwin]
+        core = act[a]
+        rows = self._rows(core, key)
+        lo = self.store.row_ptr[rows]
+        words = self.store.row_ptr[rows + 1] - lo
+        cost = (cm.spike_single_target_us + cm.extra_target_word_us * np.maximum(words - 1, 0)
+                + self.fetch_us[core])
+        n_in = np.bincount(a, minlength=act.size)
+        pos = np.arange(a.size) - (np.cumsum(n_in) - n_in)[a]
+
+        # lockstep scan, one row per queue position; padding never starts
+        depth = int(n_in.max(initial=0))
+        arr_at = np.full((depth, act.size), np.inf)
+        arr_at[pos, a] = win_arr
+        cost_at = np.zeros((depth, act.size))
+        cost_at[pos, a] = cost
+        busy = np.maximum(np.maximum(starts[row], starts[row] - margin_g + wcost / rate),
+                          self.carry[act])
+        busy_us = np.zeros(act.size)
+        kicks = np.zeros(act.size, dtype=np.int64)
+        processed = np.zeros(act.size, dtype=np.int64)
+        running = np.ones(act.size, dtype=bool)
+        for arr, c in zip(arr_at, cost_at):
+            begin = np.maximum(arr, busy)
+            running &= begin < deadline
+            if not running.any():
                 break
-            begin = arr if arr > busy else busy
-            if begin >= deadline:
-                break
-            lo, hi = self._row_span(pkt[4])
-            words = hi - lo
-            cost_local = costs.packet_processing_us(words, self.chip_syn_cores)
-            if busy <= arr:
-                kick += 1
-                cost_local += costs.pipeline_kickstart_us
-            busy = begin + cost_local / self.rate
-            busy_us += cost_local
-            processed += 1
-            ev_p += words
-            if words == 0:
-                zero += 1
-            else:
-                np.add.at(self.ring, ((t + delays[lo:hi]) & (RING_SLOTS - 1), targets[lo:hi]),
-                          units[lo:hi])
-            if pkt[5] != t:
-                late += 1
-            idx += 1
-        j = idx
-        while j < n and pend[j][0] < deadline:
-            lo, hi = self._row_span(pend[j][4])
-            ev_f += hi - lo
-            flushed += 1
-            j += 1
-        del pend[:j]
+            kick = running & (busy <= arr)
+            c = np.where(kick, c + cm.pipeline_kickstart_us, c)
+            busy = np.where(running, begin + c / rate, busy)
+            busy_us = np.where(running, busy_us + c, busy_us)
+            kicks += kick
+            processed += running
         busy_us += wcost
-        dma_b_end = deadline + wcost / self.rate
-        self.carry = busy if busy > dma_b_end else dma_b_end
-        return processed + flushed, processed, flushed, zero, kick, busy_us, ev_p, ev_f, late
+        dma_b_end = deadline + wcost / rate
+        self.carry[act] = np.where(busy > dma_b_end, busy, dma_b_end)
+
+        done = pos < processed[a]
+        self._insert(t, core[done], lo[done], words[done])
+        flushed = n_in - processed
+        zero = np.bincount(a[done & (words == 0)], minlength=act.size)
+        ev_p = np.bincount(a[done], words[done], minlength=act.size).astype(np.int64)
+        ev_f = np.bincount(a[~done], words[~done], minlength=act.size).astype(np.int64)
+        late = int(np.count_nonzero(done & (emit != t)))
+        if profile is not None:
+            r = self.profile_row[act]
+            profile.received[r, t] = n_in
+            profile.processed[r, t] = processed
+            profile.flushed[r, t] = flushed
+            profile.zero_target[r, t] = zero
+            profile.kickstarts[r, t] = kicks
+            profile.busy_us[r, t] = busy_us
+            profile.processed_events[r, t] = ev_p
+            profile.flushed_events[r, t] = ev_f
+
+        self.q_arrival, self.q_fields = arrival[~inwin], f[:, ~inwin]
+        return (int(n_in.sum()), int(processed.sum()), int(flushed.sum()), int(zero.sum()),
+                int(kicks.sum()), float(busy_us.sum()), int(ev_p.sum()), int(ev_f.sum()), late)
+
+    def _insert(self, t: int, core: np.ndarray, lo: np.ndarray, words: np.ndarray) -> None:
+        """Add the synaptic rows of the processed packets into the ring buffers."""
+        total = int(words.sum())
+        if not total:
+            return
+        ends = np.cumsum(words)
+        syn = np.repeat(lo - (ends - words), words) + np.arange(total)
+        slot = (t + self.store.delays[syn]) & (RING_SLOTS - 1)
+        flat = (np.repeat(core, words) * RING_SLOTS + slot) * self.ring.shape[2]
+        np.add.at(self.ring.reshape(-1), flat + self.store.targets[syn], self.store.units[syn])
 
 
 @dataclass(frozen=True)
@@ -333,53 +407,50 @@ class HardwareSimulation:
         self.pop_of_pad = pop_of_pad
         self.consts = matrices.expand_constants(self.network, self.scales, pop_of_pad)
 
-        # shared-memory images, one 64-wide row per ensemble
-        self.sdram = {kind: np.zeros((n_ens, npc), dtype=np.int64)
-                      for kind in ("exc_lower", "exc_upper", "inh", "poisson")}
+        # shared-memory images, one 64-wide row per ensemble: the three
+        # synapse cores' ring-buffer slots (in SYNAPSE_ROLES order) and the
+        # Poisson core's buffer
+        self.sdram_syn = np.zeros((n_ens, 3, npc), dtype=np.int64)
+        self.sdram_poisson = np.zeros(n_ens * npc, dtype=np.int64)
 
         # profile rows for every modeled core, ordered by (chip, core id)
-        core_meta = []
-        for chip in sorted(self.placement.roster):
-            for core, e_idx, role in sorted(self.placement.roster[chip]):
-                core_meta.append((chip, core, role, e_idx))
-        self.core_meta = core_meta
-        self._profile_row = {(meta[3], meta[2]): i for i, meta in enumerate(core_meta)}
+        self.chips = sorted(self.placement.roster)
+        chip_row = {chip: i for i, chip in enumerate(self.chips)}
+        self.core_meta = [(chip, core, role, e_idx) for chip in self.chips
+                          for core, e_idx, role in sorted(self.placement.roster[chip])]
+        profile_row = {(e_idx, role): i for i, (_, _, role, e_idx) in enumerate(self.core_meta)}
 
         chip_syn_count = {chip: sum(1 for _, _, role in cores if role in SYNAPSE_ROLES)
                           for chip, cores in self.placement.roster.items()}
         self.chip_syn_count = chip_syn_count
+        self.ens_chip_row = np.array([chip_row[self.placement.chip_of[e.index]] for e in ens],
+                                     dtype=np.int64)
 
+        # synapse core 3 * ensemble + k serves SYNAPSE_ROLES[k]
         self.store = build_synaptic_store(encoded, ens, self.placement, self.dmap, npc)
-        self.ring_data = np.zeros((n_ens * 3, RING_SLOTS, npc), dtype=np.int64)
-        self.syn_cores: list[SynapseCoreState] = []
-        kind_of_role = {ROLE_SYN_EXC_LOWER: "exc_lower", ROLE_SYN_EXC_UPPER: "exc_upper",
-                        ROLE_SYN_INH: "inh"}
-        self._ring_kind_rows = {kind: [] for kind in kind_of_role.values()}
-        self._ring_core_ids = {kind: [] for kind in kind_of_role.values()}
-        for e in ens:
-            for k, role in enumerate(SYNAPSE_ROLES):
-                chip, core = self.placement.core_ref(e.index, role)
-                ci = e.index * 3 + k
-                sc = SynapseCoreState(e, role, chip, core, self.ring_data[ci], self.store,
-                                      self.store.base[ci], chip_syn_count[chip],
-                                      self._profile_row[(e.index, role)])
-                self.syn_cores.append(sc)
-                kind = kind_of_role[role]
-                self._ring_kind_rows[kind].append(e.index)
-                self._ring_core_ids[kind].append(ci)
-        for kind in self._ring_kind_rows:
-            self._ring_kind_rows[kind] = np.asarray(self._ring_kind_rows[kind])
-            self._ring_core_ids[kind] = np.asarray(self._ring_core_ids[kind])
-        self._core_by_ref = {(sc.chip, sc.core_id): sc for sc in self.syn_cores}
-        self.dest_cores = {
-            e.index: [(self._core_by_ref[(chip, core)], transit_ns * 1e-3)
-                      for chip, core, transit_ns in self.dmap[e.index]]
-            for e in ens}
+        refs = [self.placement.core_ref(e.index, role) for e in ens for role in SYNAPSE_ROLES]
+        self.syn = SynapseCoreState(
+            refs, np.array([chip_row[chip] for chip, _ in refs], dtype=np.int64),
+            [chip_syn_count[chip] for chip, _ in refs],
+            np.array([profile_row[(e.index, role)] for e in ens for role in SYNAPSE_ROLES]),
+            self.store, self.costs, npc)
 
-        self.chips = sorted(self.placement.roster)
-        self._chip_row = {chip: i for i, chip in enumerate(self.chips)}
-        self.ens_chip_row = np.array([self._chip_row[self.placement.chip_of[e.index]]
-                                      for e in ens], dtype=np.int64)
+        # fan-out: per source ensemble, a CSR of destination cores and transit
+        # times, and the fields every packet of the ensemble carries
+        core_index = {ref: ci for ci, ref in enumerate(refs)}
+        dest_core, dest_transit_us = [], []
+        self.dest_ptr = np.zeros(n_ens + 1, dtype=np.int64)
+        for e in ens:
+            for chip, core, transit_ns in self.dmap[e.index]:
+                dest_core.append(core_index[(chip, core)])
+                dest_transit_us.append(transit_ns * 1e-3)
+            self.dest_ptr[e.index + 1] = len(dest_core)
+        self.dest_core = np.array(dest_core, dtype=np.int64)
+        self.dest_transit_us = np.array(dest_transit_us, dtype=np.float64)
+        # rows: source chip x, source chip y, source (neuron) core, key prefix
+        self.ens_packet = np.array(
+            [(*self.placement.chip_of[e.index], self.placement.core_of[(e.index, ROLE_NEURON)],
+              self.keys.prefix_of[e.index]) for e in ens], dtype=np.int64).reshape(-1, 4).T
 
     def _check_schedule(self) -> None:
         cm = self.costs
@@ -418,14 +489,11 @@ class HardwareSimulation:
         period_local_us = cm.timer_period_us * self.slowdown
         clocks = MachineClocks(self.machine, self.clock_cfg, self.seeds.drift,
                                self.chips, period_local_us, cm.clock_hz)
-        for sc in self.syn_cores:
-            sc.rate = clocks.clocks[sc.chip].rate
-            sc.chip_row = self._chip_row[sc.chip]
-            sc.pending.clear()
-            sc.carry = 0.0
-        self.ring_data[:] = 0
-        for arr in self.sdram.values():
-            arr[:] = 0
+        chip_rates = np.array([clocks.clocks[c].rate for c in self.chips])
+        syn = self.syn
+        syn.reset(chip_rates[syn.chip_row])
+        self.sdram_syn[:] = 0
+        self.sdram_poisson[:] = 0
         valid = self.global_of_pad >= 0
         self.v = np.zeros(valid.size, dtype=np.float64)
         self.v[valid] = network.v_init_mv[self.global_of_pad[valid]]
@@ -433,21 +501,26 @@ class HardwareSimulation:
         self.ref = np.zeros(valid.size, dtype=np.int64)
 
         profile = ProfileStore(self.core_meta, n_steps if with_profile else 0)
+        if with_profile:
+            profile.busy_us[syn.profile_row, :] = syn.wcost[:, None]
         ens = self.ensembles
         npc = self.npc
         consts = self.consts
-        syn_profile_rows = np.array([sc.profile_row for sc in self.syn_cores])
-        syn_wcost = np.array([cm.sdram_write_us(sc.chip_syn_cores) for sc in self.syn_cores])
+
+        # Poisson cores' buffer positions in the padded layout and their bank rows
+        pois = [e for e in ens if e.has_poisson]
+        pois_pad = np.concatenate([e.index * npc + np.arange(e.count) for e in pois]
+                                  or [np.zeros(0, dtype=np.int64)])
+        pois_rows = np.concatenate([bank.row0[e.pop] + e.neuron_lo + np.arange(e.count)
+                                    for e in pois] or [np.zeros(0, dtype=np.int64)])
 
         beacon_steps = max(1, round(self.clock_cfg.beacon_interval_s * 1e6 / period_local_us))
 
-        spike_steps: list[int] = []
-        spike_pops: list[int] = []
-        spike_neurons: list[int] = []
+        fired_steps: list[int] = []
+        fired_pads: list[np.ndarray] = []
         late_packets = 0
         poisson_sat = 0
 
-        chip_rates = np.array([clocks.clocks[c].rate for c in self.chips])
         ens_rate = chip_rates[self.ens_chip_row]
         read_g = cm.neuron_input_read_us / ens_rate
         upd_g = cm.neuron_update_us / ens_rate
@@ -459,10 +532,9 @@ class HardwareSimulation:
                 starts[i], durations[i] = clocks.clocks[chip].advance_period()
 
             # neuron cores: read DMA D image, advance, emit spikes
-            exc_units = (self.sdram["exc_lower"] + self.sdram["exc_upper"]).reshape(-1)
-            inh_units = self.sdram["inh"].reshape(-1)
-            pois_units = self.sdram["poisson"].reshape(-1)
-            inputs = weights.combine_input_pa(exc_units, inh_units, pois_units,
+            exc_units = (self.sdram_syn[:, 0] + self.sdram_syn[:, 1]).reshape(-1)
+            inh_units = self.sdram_syn[:, 2].reshape(-1)
+            inputs = weights.combine_input_pa(exc_units, inh_units, self.sdram_poisson,
                                               consts.exc_factor, consts.inh_factor,
                                               consts.poisson_factor)
             if not np.isfinite(inputs).all():
@@ -471,59 +543,42 @@ class HardwareSimulation:
             self.v, self.i_syn, self.ref, fired = _advance(
                 self.v, self.i_syn, self.ref, inputs, consts)
 
-            for g in np.flatnonzero(fired):
-                e_idx = g // npc
-                local = g - e_idx * npc
-                e = ens[e_idx]
-                spike_steps.append(t)
-                spike_pops.append(e.pop)
-                spike_neurons.append(e.neuron_lo + local)
-                dests = self.dest_cores[e_idx]
-                if not dests:
-                    continue
-                chip_row = self.ens_chip_row[e_idx]
-                send = starts[chip_row] + read_g[e_idx] + (local + 1) * upd_g[e_idx]
-                chip = self.chips[chip_row]
-                score = self.placement.core_of[(e_idx, ROLE_NEURON)]
-                key = self.keys.prefix_of[e_idx] | int(local)
-                for sc, transit_us in dests:
-                    sc.pending.append((send + transit_us, chip[0], chip[1], score, key, t))
+            # fan-out: one packet per fired neuron and destination core
+            g = np.flatnonzero(fired)
+            if g.size:
+                fired_steps.append(t)
+                fired_pads.append(g)
+                e_idx, local = np.divmod(g, npc)
+                n_dest = self.dest_ptr[e_idx + 1] - self.dest_ptr[e_idx]
+                total = int(n_dest.sum())
+                if total:
+                    ends = np.cumsum(n_dest)
+                    d = (np.repeat(self.dest_ptr[e_idx] - (ends - n_dest), n_dest)
+                         + np.arange(total))
+                    send = (starts[self.ens_chip_row[e_idx]] + read_g[e_idx]
+                            + (local + 1) * upd_g[e_idx])
+                    src = self.ens_packet[:, e_idx]
+                    fields = np.empty((6, total), dtype=np.int64)
+                    fields[0] = self.dest_core[d]
+                    fields[1:4] = np.repeat(src[:3], n_dest, axis=1)
+                    fields[4] = np.repeat(src[3] | local, n_dest)
+                    fields[5] = t
+                    syn.push(np.repeat(send, n_dest) + self.dest_transit_us[d], fields)
 
             # poisson cores sample and write the next step's buffer (DMA C)
-            for e in ens:
-                if not e.has_poisson:
-                    continue
-                units, clipped = bank.units_slice(e.pop, e.neuron_lo, e.count, t)
-                self.sdram["poisson"][e.index, :e.count] = units
+            if pois_rows.size:
+                units, clipped = bank.units_rows(pois_rows, t)
+                self.sdram_poisson[pois_pad] = units
                 poisson_sat += clipped
 
             # synapse cores: spike processing window, flush, DMA B accounting
-            if with_profile:
-                profile.busy_us[syn_profile_rows, t] = syn_wcost
-            for sc in self.syn_cores:
-                if not sc.pending:
-                    continue
-                row_chip = sc.chip_row
-                deadline = (starts[row_chip] + durations[row_chip]
-                            - cm.second_timer_margin_us / sc.rate)
-                counters = sc.run_window(t, starts[row_chip], deadline, cm)
-                late_packets += counters[8]
-                if with_profile:
-                    r = sc.profile_row
-                    profile.received[r, t] = counters[0]
-                    profile.processed[r, t] = counters[1]
-                    profile.flushed[r, t] = counters[2]
-                    profile.zero_target[r, t] = counters[3]
-                    profile.kickstarts[r, t] = counters[4]
-                    profile.busy_us[r, t] = counters[5]
-                    profile.processed_events[r, t] = counters[6]
-                    profile.flushed_events[r, t] = counters[7]
+            late_packets += syn.run_window(t, starts, durations,
+                                           profile if with_profile else None)[8]
 
             # ring-buffer handover: slot for t+1 moves to shared memory
-            out = self.ring_data[:, (t + 1) & (RING_SLOTS - 1), :]
-            for kind in ("exc_lower", "exc_upper", "inh"):
-                self.sdram[kind][self._ring_kind_rows[kind]] = out[self._ring_core_ids[kind]]
-            out[:] = 0
+            slot = (t + 1) & (RING_SLOTS - 1)
+            self.sdram_syn[:] = syn.ring[:, slot].reshape(self.sdram_syn.shape)
+            syn.ring[:, slot] = 0
 
             if self.clock_cfg.protocol_enabled and (t + 1) % beacon_steps == 0:
                 clocks.run_round(record=True)
@@ -531,12 +586,15 @@ class HardwareSimulation:
         if with_profile:
             self._fill_constant_busy(profile)
 
+        pads = np.concatenate(fired_pads or [np.zeros(0, dtype=np.int64)])
+        steps = np.repeat(fired_steps, [g.size for g in fired_pads])
+        pops = self.pop_of_pad[pads]
+        neurons = self.global_of_pad[pads] - np.asarray(network.offsets)[pops]
         pop_names = [p.name for p in network.populations]
         pop_sizes = [p.size for p in network.populations]
         pop_pol = [p.polarity for p in network.populations]
-        spike_trace = trace.from_step_records(spike_steps, spike_pops, spike_neurons,
-                                              n_steps, network.dt_ms, pop_names, pop_sizes,
-                                              pop_pol, discard_ms).sorted()
+        spike_trace = trace.from_step_records(steps, pops, neurons, n_steps, network.dt_ms,
+                                              pop_names, pop_sizes, pop_pol, discard_ms).sorted()
         return RunResult(spike_trace, profile, clocks.diagnostics, late_packets, poisson_sat)
 
     def _fill_constant_busy(self, profile: ProfileStore) -> None:

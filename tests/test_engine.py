@@ -1,0 +1,159 @@
+"""The array timestep engine against fixed-seed digests and a packet-at-a-time
+reference of one synapse core's window."""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from conftest import SMALL_SPEC
+from spikert.clocks import ClockConfig
+from spikert.costs import CostModel
+from spikert.mapping import pack_key
+from spikert.matrices import PoissonBank
+from spikert.network import build_network, parse_network_spec
+from spikert.runtime import ROW_BITS, ROW_MASK, HardwareSimulation, ProfileStore, Seeds
+
+# SHA-256 of trace, profile.tsv and profile_events.tsv from the packet-at-a-time
+# engine this one replaced, with its late and flushed packet counts
+LATE_MARGIN_DIGESTS = {
+    "small_network": (
+        952, 64,
+        "20e7c56bcbda01f3c771db7bfd1080f6ce4a3e3c585ca5c4f7e574551fa33d7a",
+        "5fbe62199caf862064be31fe57b290edd4203ae1a2b315a7064142974413bba5",
+        "624f75529658b3f61179e0a97e8bcc4a7c5e0d4006146d2644141c04a2d47cdc"),
+    "small_network_dc": (
+        935, 76,
+        "7180ac18aa7c86358ce11156f28161d0b5c826b21387b9b94128cff674f211b6",
+        "43f19e5b3da2e95284ebe51118bf5933274050bc5204c86f79f0f866c977102b",
+        "d8c4fcde8f8615afcab1a8f838a2f9c295c80240986511c63cb3e0206de372cc"),
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("fixture", sorted(LATE_MARGIN_DIGESTS))
+def test_flush_and_carry_over_digests(fixture, request):
+    """A 95 us pre-deadline margin leaves 5 us per period for packets, so
+    packets arrive late, are carried to the next step and are flushed."""
+    sim = HardwareSimulation(request.getfixturevalue(fixture),
+                             costs=CostModel(second_timer_margin_us=95.0),
+                             clock_cfg=ClockConfig(drift_bound_ppm=20.0),
+                             seeds=Seeds(poisson=2, drift=3))
+    res = sim.run(50.0)
+    late, flushed, trace_sha, profile_sha, events_sha = LATE_MARGIN_DIGESTS[fixture]
+    assert res.late_packets == late > 0
+    assert res.flush_totals()["flushed"] == flushed > 0
+    assert sha256(res.trace.serialize()) == trace_sha
+    assert sha256(res.profile.serialize()) == profile_sha
+    assert sha256(res.profile.serialize_events()) == events_sha
+
+
+def test_poisson_saturations_match_per_population_slices():
+    """The one-gather Poisson buffer write clips and counts exactly the
+    entries the per-population ``units_slice`` does."""
+    spec = SMALL_SPEC.replace("poisson_rate_hz = 12800", "poisson_rate_hz = 900000")
+    net = build_network(parse_network_spec(spec, "poisson"), seed=42)
+    res = HardwareSimulation(net, seeds=Seeds(poisson=2, drift=3), slowdown=10.0).run(5.0)
+    bank = PoissonBank(net, 2, 50)
+    expected = sum(bank.units_slice(p, 0, mat.shape[0], t)[1]
+                   for p, mat in bank.counts.items() for t in range(50))
+    assert res.poisson_saturations == expected > 0
+
+
+def reference_window(sim, c, packets, t, window_start, deadline):
+    """Core c's window, one packet at a time in sorted tuple order.
+    Returns its profile counters, late packets, carry and the packets left
+    queued."""
+    syn, cm = sim.syn, sim.costs
+    rate, wcost, row_ptr = syn.rate[c], syn.wcost[c], syn.store.row_ptr
+    n_syn = sim.chip_syn_count[syn.refs[c][0]]
+
+    def words(key):
+        row = syn.store.base[c, key >> ROW_BITS] + (key & ROW_MASK)
+        return int(row_ptr[row + 1] - row_ptr[row])
+
+    busy = max(window_start, window_start - cm.second_timer_margin_us / rate + wcost / rate,
+               syn.carry[c])
+    processed = zero = kick = ev_p = late = 0
+    busy_us = 0.0
+    packets = sorted(packets)
+    window = [p for p in packets if p[0] < deadline]
+    for arr, _, _, _, key, emit in window:
+        begin = arr if arr > busy else busy
+        if begin >= deadline:
+            break
+        cost = cm.packet_processing_us(words(key), n_syn)
+        if busy <= arr:
+            kick += 1
+            cost += cm.pipeline_kickstart_us
+        busy = begin + cost / rate
+        busy_us += cost
+        processed += 1
+        ev_p += words(key)
+        zero += words(key) == 0
+        late += emit != t
+    flushed = len(window) - processed
+    ev_f = sum(words(p[4]) for p in window[processed:])
+    busy_us += wcost
+    dma_b_end = deadline + wcost / rate
+    carry = busy if busy > dma_b_end else dma_b_end
+    counters = (processed + flushed, processed, flushed, zero, kick, busy_us, ev_p, ev_f)
+    return counters, late, carry, packets[len(window):]
+
+
+def queued_packets(syn):
+    """The array queue as per-core lists of (arrival, sx, sy, score, key, emit)."""
+    out: dict[int, list] = {}
+    for a, col in zip(syn.q_arrival.tolist(), syn.q_fields.T.tolist()):
+        out.setdefault(col[0], []).append((a, *col[1:]))
+    return out
+
+
+def test_lockstep_window_matches_packet_at_a_time_reference(small_network):
+    """Random packets on every synapse core with a table entry, over several
+    steps with drifting rates: per-core counters, busy time, carry and the
+    packets left queued equal the reference bit for bit, and the processed
+    rows land in the ring buffers."""
+    sim = HardwareSimulation(small_network, costs=CostModel(second_timer_margin_us=60.0))
+    syn = sim.syn
+    rng = np.random.default_rng(7)
+    n_chips = len(sim.chips)
+    syn.reset(1.0 + rng.uniform(-2e-5, 2e-5, len(syn.refs)))
+    cores, pops = np.nonzero(syn.store.base >= 0)
+    profile = ProfileStore(sim.core_meta, 4)
+    flushed = late_left = 0
+    for t in range(4):
+        starts = 100.0 * t + rng.uniform(0.0, 1.0, n_chips)
+        durations = np.full(n_chips, 100.0)
+        deadline = starts[syn.chip_row] + durations[syn.chip_row] - 60.0 / syn.rate
+        pick = rng.integers(0, cores.size, 120)
+        arrival = 100.0 * t + rng.uniform(0.0, 60.0, 120)
+        arrival[0] = deadline[cores[pick[0]]]  # arrives at the deadline: stays queued
+        keys = [pack_key(int(p), 0, int(n))
+                for p, n in zip(pops[pick], rng.integers(0, 30, 120))]
+        syn.push(arrival, np.stack([cores[pick], rng.integers(0, 3, 120),
+                                    rng.integers(0, 3, 120), rng.integers(0, 18, 120), keys,
+                                    t - rng.integers(0, 2, 120)]))
+        expected = {c: reference_window(sim, c, packets, t, starts[syn.chip_row[c]],
+                                        deadline[c])
+                    for c, packets in queued_packets(syn).items()}
+        ring_before = syn.ring.sum()
+        totals = syn.run_window(t, starts, durations, profile)
+        assert [type(x) for x in totals] == [int] * 5 + [float] + [int] * 3  # JSON-ready
+        left = queued_packets(syn)
+        for c, (counters, _, carry, queue) in expected.items():
+            r = syn.profile_row[c]
+            assert (profile.received[r, t], profile.processed[r, t], profile.flushed[r, t],
+                    profile.zero_target[r, t], profile.kickstarts[r, t], profile.busy_us[r, t],
+                    profile.processed_events[r, t], profile.flushed_events[r, t]) == counters
+            assert syn.carry[c] == carry
+            assert sorted(left.get(c, [])) == queue
+        assert totals[:5] == tuple(sum(e[0][i] for e in expected.values()) for i in range(5))
+        assert totals[8] == sum(e[1] for e in expected.values())
+        assert syn.ring.sum() > ring_before
+        flushed += totals[2]
+        late_left += sum(map(len, left.values()))
+    assert flushed > 0 and late_left > 0

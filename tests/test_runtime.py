@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 
 from conftest import SMALL_SPEC
 from spikert.clocks import ClockConfig
-from spikert.mapping import ROLE_SYN_INH, pack_key
+from spikert.mapping import ROLE_SYN_INH, SYNAPSE_ROLES, pack_key
 from spikert.network import build_network, load_network_spec, parse_network_spec, scale_network
 from spikert.oracle import oracle_simulate
 from spikert.runtime import HardwareSimulation, Seeds
@@ -72,8 +73,9 @@ def test_packet_without_table_entry_is_rejected(small_network):
     population I and must refuse its packets."""
     sim = HardwareSimulation(small_network)
     i_pop = 1
-    sc = next(sc for sc in sim.syn_cores
-              if sc.ensemble.pop == i_pop and sc.role == ROLE_SYN_INH)
-    sc.pending.append((0.0, 0, 0, 0, pack_key(i_pop, 0, 0), 0))
+    e = next(e for e in sim.ensembles if e.pop == i_pop)
+    core = 3 * e.index + SYNAPSE_ROLES.index(ROLE_SYN_INH)
+    sim.syn.push(np.array([0.0]), np.array([[core], [0], [0], [0], [pack_key(i_pop, 0, 0)], [0]]))
+    n_chips = len(sim.chips)
     with pytest.raises(RuntimeError, match="no master population table entry"):
-        sc.run_window(0, 0.0, 1e9, sim.costs)
+        sim.syn.run_window(0, np.zeros(n_chips), np.full(n_chips, 1e9))
