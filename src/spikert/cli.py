@@ -165,6 +165,7 @@ def run(cfg: RunConfig) -> None:
 
     clock_cfg = ClockConfig(drift_bound_ppm=cfg.drift_bound_ppm)
     results = {}
+    texts = {}  # each trace serialised once, for its file and the comparison
     sim = None
     if cfg.mode in ("hardware", "both"):
         sim = runtime.HardwareSimulation(
@@ -174,7 +175,8 @@ def run(cfg: RunConfig) -> None:
         res = sim.run(cfg.duration_ms, discard_ms=cfg.discard_ms,
                       with_profile=cfg.profile == "full")
         results["hardware"] = res.trace
-        _write(cfg, "trace_hardware.txt", res.trace.serialize())
+        texts["hardware"] = res.trace.serialize()
+        _write(cfg, "trace_hardware.txt", texts["hardware"])
         if cfg.profile == "full":
             _write(cfg, "profile.tsv", res.profile.serialize())
             _write(cfg, "profile_events.tsv", res.profile.serialize_events())
@@ -189,7 +191,8 @@ def run(cfg: RunConfig) -> None:
         tr = oracle.oracle_simulate(net, cfg.duration_ms, cfg.seed_poisson,
                                     quantize=cfg.oracle_quantize, discard_ms=cfg.discard_ms)
         results["oracle"] = tr
-        _write(cfg, "trace_oracle.txt", tr.serialize())
+        texts["oracle"] = tr.serialize()
+        _write(cfg, "trace_oracle.txt", texts["oracle"])
 
     for name, tr in results.items():
         if cfg.discard_ms < cfg.duration_ms and len(tr):
@@ -201,7 +204,7 @@ def run(cfg: RunConfig) -> None:
         _write(cfg, f"counts_{name}.tsv", "\n".join(lines) + "\n")
 
     if cfg.mode == "both":
-        same = results["hardware"].serialize() == results["oracle"].serialize()
+        same = texts["hardware"] == texts["oracle"]
         _write(cfg, "equivalence.txt",
                f"identical_traces {same}\n"
                f"hardware_spikes {len(results['hardware'])}\n"

@@ -17,6 +17,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
+import numpy as np
+
 from .network import SpecError
 
 
@@ -51,30 +53,29 @@ class CostModel:
         if self.second_timer_margin_us >= self.timer_period_us:
             raise SpecError("second timer margin must fall inside the timer period")
 
-    def cycles_per_period(self) -> float:
-        return self.timer_period_us * self.clock_hz / 1e6
-
-    def _contended(self, mean: float, max_: float, writers: int) -> float:
+    def _contended(self, mean: float, max_: float, writers):
         slope = (max_ - mean) / (self.contention_ref_writers - 1)
-        return mean + slope * max(0, writers - 1)
+        return mean + slope * np.maximum(0, writers - 1)
 
-    def sdram_write_us(self, concurrent_writers: int) -> float:
+    def sdram_write_us(self, concurrent_writers):
         """Buffer write (one 128-byte slot slice), inflated linearly between
         the measured mean and the max at the reference writer count."""
         return self._contended(self.sdram_write_mean_us, self.sdram_write_max_us,
                                concurrent_writers)
 
-    def row_fetch_overhead_us(self, concurrent_fetchers: int) -> float:
+    def row_fetch_overhead_us(self, concurrent_fetchers):
         return self._contended(self.row_fetch_contention_mean_us,
                                self.row_fetch_contention_max_us, concurrent_fetchers)
 
-    def packet_processing_us(self, n_words: int, concurrent_fetchers: int = 1) -> float:
-        """Lookup + row fetch + per-word conversion for one spike packet.
+    def packet_processing_us(self, n_words, concurrent_fetchers=1):
+        """Lookup + row fetch + per-word conversion for one spike packet, or
+        elementwise for arrays of packets.
 
         Zero-target rows still pay the full single-target figure: the
         pipeline has done the lookup and fetch before finding nothing.
         """
-        base = self.spike_single_target_us + self.extra_target_word_us * max(0, n_words - 1)
+        base = (self.spike_single_target_us
+                + self.extra_target_word_us * np.maximum(0, n_words - 1))
         return base + self.row_fetch_overhead_us(concurrent_fetchers)
 
 

@@ -61,12 +61,6 @@ def pack_key(route_bits: int, subpop: int, neuron_id: int) -> int:
     return (route_bits << (NEURON_BITS + SUBPOP_BITS)) | (subpop << NEURON_BITS) | neuron_id
 
 
-def unpack_key(key: int) -> tuple[int, int, int]:
-    """(route_bits, subpop, neuron_id) from a packed 32-bit key."""
-    return (key >> (NEURON_BITS + SUBPOP_BITS)) & ((1 << ROUTE_FIELD_BITS) - 1), \
-           (key >> NEURON_BITS) & (MAX_SUBPOPS - 1), key & (NEURONS_PER_CORE - 1)
-
-
 @dataclass(frozen=True)
 class Ensemble:
     index: int

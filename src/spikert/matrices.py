@@ -2,9 +2,11 @@
 
 Encoding happens once, here: per-projection fixed-point scales, 16-bit word
 magnitudes, and the integer accumulator contributions both simulation paths
-add up.  The oracle consumes a per-source-neuron view; the machine model
-packs the same encoded projections into one CSR of synaptic rows addressed
-by packet key (``runtime.SynapticStore``).  Both views carry the same
+add up.  ``encode_projections`` returns them as one ``SynapseTable`` of
+global arrays (source, target, units, delay per synapse).  Each simulator
+indexes that table with one stable argsort: the oracle by source neuron
+(``source_delivery_index``), the machine model by the synaptic row a packet
+key addresses (``runtime.build_synaptic_store``).  Both views carry the same
 encoded integers, which is what makes their spike-for-spike agreement exact
 rather than approximate.
 """
@@ -21,16 +23,22 @@ from .network import NetworkModel, PoissonInput
 
 
 @dataclass
-class EncodedProjection:
-    proj_index: int
-    source_pop: int
-    target_pop: int
-    scale_exp: int            # per-projection word scale
-    pre_local: np.ndarray     # int64 per synapse
-    post_local: np.ndarray
-    w_q: np.ndarray           # int64, 16-bit magnitudes at scale_exp
-    units: np.ndarray         # int64, magnitudes in target accumulator units
-    delays: np.ndarray        # int64 timesteps
+class SynapseTable:
+    """Every encoded synapse of the network, in projection order, then in
+    synapse order (ascending source neuron within a projection).
+
+    ``pre`` and ``post`` are global neuron indices, ``units`` the magnitude in
+    the target's accumulator units and ``delays`` the delay in timesteps, all
+    int64 (the oracle's float path swaps signed float pA weights into
+    ``units``).  The oracle and the machine model each index it with one stable
+    argsort: by ``pre`` for the per-source CSR, by synaptic row for
+    ``runtime.SynapticStore``.
+    """
+
+    pre: np.ndarray
+    post: np.ndarray
+    units: np.ndarray
+    delays: np.ndarray
 
 
 def accumulator_scales(network: NetworkModel) -> weights.AccumulatorScales:
@@ -59,24 +67,28 @@ def accumulator_scales(network: NetworkModel) -> weights.AccumulatorScales:
 
 
 def encode_projections(network: NetworkModel,
-                       scales: weights.AccumulatorScales) -> list[EncodedProjection]:
-    out = []
-    for j, proj in enumerate(network.projections or ()):
+                       scales: weights.AccumulatorScales) -> SynapseTable:
+    projections = network.projections or ()
+    total = sum(proj.count for proj in projections)
+    table = SynapseTable(*(np.empty(total, dtype=np.int64) for _ in range(4)))
+    lo = 0
+    for proj in projections:
+        hi = lo + proj.count
         max_abs = float(np.abs(proj.weight_pa).max()) if proj.count else 0.0
         exp = weights.projection_scale_exp(max_abs)
-        w_q = weights.quantize_magnitudes(proj.weight_pa, exp)
         src_pol = network.populations[proj.source_pop].polarity
         core_exp = (scales.exc_exp if src_pol == "exc" else scales.inh_exp)[proj.target_pop]
         shift = core_exp - exp
         if shift < 0:
             raise AssertionError("accumulator scale coarser than a feeding projection")
-        units = w_q << shift
-        lengths = np.diff(proj.row_ptr)
-        pre = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
-        out.append(EncodedProjection(j, proj.source_pop, proj.target_pop, exp, pre,
-                                     proj.post_local.astype(np.int64), w_q, units,
-                                     proj.delay_steps.astype(np.int64)))
-    return out
+        table.units[lo:hi] = weights.quantize_magnitudes(proj.weight_pa, exp) << shift
+        table.pre[lo:hi] = np.repeat(
+            np.arange(proj.row_ptr.size - 1) + network.offsets[proj.source_pop],
+            np.diff(proj.row_ptr))
+        table.post[lo:hi] = proj.post_local + network.offsets[proj.target_pop]
+        table.delays[lo:hi] = proj.delay_steps
+        lo = hi
+    return table
 
 
 @dataclass
@@ -93,38 +105,15 @@ class SourceDeliveries:
     delays: np.ndarray
 
 
-def source_positions(network: NetworkModel, encoded: list[EncodedProjection],
-                     row_ptr: np.ndarray):
-    """Per projection, the merged-CSR position of each of its synapses: a row
-    holds its projections in projection order, each in synapse order."""
-    n = network.total_neurons
-    cursor = row_ptr[:-1].copy()
-    for enc in encoded:
-        # synapses are stored grouped by ascending pre index
-        pre = enc.pre_local + network.offsets[enc.source_pop]
-        counts = np.bincount(pre, minlength=n)
-        first = np.cumsum(counts) - counts
-        yield cursor[pre] + np.arange(pre.size) - first[pre]
-        cursor += counts
-
-
-def source_delivery_index(network: NetworkModel,
-                          encoded: list[EncodedProjection]) -> SourceDeliveries:
-    """Merge all projections into one CSR over global source neurons."""
-    n = network.total_neurons
-    lengths = np.zeros(n, dtype=np.int64)
-    for enc in encoded:
-        lengths += np.bincount(enc.pre_local + network.offsets[enc.source_pop], minlength=n)
-    row_ptr = np.concatenate([[0], np.cumsum(lengths)])
-    total = int(row_ptr[-1])
-    tgt = np.empty(total, dtype=np.int64)
-    units = np.empty(total, dtype=np.int64)
-    delays = np.empty(total, dtype=np.int64)
-    for enc, pos in zip(encoded, source_positions(network, encoded, row_ptr)):
-        tgt[pos] = enc.post_local + int(network.offsets[enc.target_pop])
-        units[pos] = enc.units
-        delays[pos] = enc.delays
-    return SourceDeliveries(row_ptr, tgt, units, delays)
+def source_delivery_index(network: NetworkModel, table: SynapseTable) -> SourceDeliveries:
+    """The synapse table as one CSR over global source neurons: a stable sort
+    by ``pre``, so a row holds its projections in projection order, each in
+    synapse order."""
+    order = np.argsort(table.pre, kind="stable")
+    row_ptr = np.zeros(network.total_neurons + 1, dtype=np.int64)
+    np.cumsum(np.bincount(table.pre, minlength=network.total_neurons), out=row_ptr[1:])
+    return SourceDeliveries(row_ptr, table.post[order], table.units[order],
+                            table.delays[order])
 
 
 class PoissonBank:
@@ -133,6 +122,8 @@ class PoissonBank:
 
     All sources share one ``(sources, n_steps)`` matrix; population p's
     sources are rows ``row0[p]:row0[p] + size``, also viewed as ``counts[p]``.
+    Row r feeds global neuron ``neuron[r]`` with weight ``w_row[r]``, its
+    population's ``w_q``.
     """
 
     def __init__(self, network: NetworkModel, seed: int, n_steps: int):
@@ -143,15 +134,14 @@ class PoissonBank:
         n_rows = sum(network.populations[p].size for p in pois)
         self.matrix = np.zeros((n_rows, n_steps), dtype=np.int16)
         self.w_row = np.zeros(n_rows, dtype=np.int64)  # w_q of each source
+        self.neuron = np.zeros(n_rows, dtype=np.int64)
         self.counts: dict[int, np.ndarray] = {}
         self.row0: dict[int, int] = {}
         self.w_q: dict[int, int] = {}
-        self.exp: dict[int, int] = {}
         row = 0
         for p in pois:
             pop = network.populations[p]
             exp = weights.poisson_scale_exp(pop.background.weight_pa)
-            self.exp[p] = exp
             self.w_q[p] = int(round(pop.background.weight_pa * 2.0 ** exp))
             lam = pop.background.rate_hz * network.dt_ms * 1e-3
             mat = self.matrix[row:row + pop.size]
@@ -161,6 +151,7 @@ class PoissonBank:
             self.counts[p] = mat
             self.row0[p] = row
             self.w_row[row:row + pop.size] = self.w_q[p]
+            self.neuron[row:row + pop.size] = network.offsets[p] + np.arange(pop.size)
             row += pop.size
 
     def units_slice(self, pop: int, lo: int, count: int, t: int) -> tuple[np.ndarray, int]:
@@ -173,9 +164,9 @@ class PoissonBank:
         units = np.minimum(raw, weights.POISSON_ACC_MAX)
         return units, int(np.count_nonzero(raw > weights.POISSON_ACC_MAX))
 
-    def units_rows(self, rows: np.ndarray, t: int) -> tuple[np.ndarray, int]:
+    def units_rows(self, rows, t: int) -> tuple[np.ndarray, int]:
         """(accumulated units, clipped entries) for the sources at matrix
-        rows ``rows`` at step t, in one gather."""
+        rows ``rows`` (an index array or slice) at step t, in one gather."""
         raw = self.matrix[rows, t].astype(np.int64) * self.w_row[rows]
         return (np.minimum(raw, weights.POISSON_ACC_MAX),
                 int(np.count_nonzero(raw > weights.POISSON_ACC_MAX)))
@@ -183,10 +174,7 @@ class PoissonBank:
     def units_at(self, t: int) -> np.ndarray:
         """Units for all neurons at step t (zero for DC populations)."""
         out = np.zeros(self.network.total_neurons, dtype=np.int64)
-        for p, mat in self.counts.items():
-            lo = int(self.network.offsets[p])
-            units, _ = self.units_slice(p, 0, mat.shape[0], t)
-            out[lo:lo + mat.shape[0]] = units
+        out[self.neuron] = self.units_rows(slice(None), t)[0]
         return out
 
 

@@ -29,12 +29,16 @@ def oracle_simulate(network: NetworkModel, duration_ms: float, poisson_seed: int
     consts = matrices.expand_constants(network, scales, pop_of)
     bank = matrices.PoissonBank(network, poisson_seed, n_steps)
 
-    encoded = matrices.encode_projections(network, scales)
-    rows = matrices.source_delivery_index(network, encoded)
+    table = matrices.encode_projections(network, scales)
     if not quantize:
+        # the unquantized signed weights ride the same sort as the units
+        table.units = np.concatenate([p.weight_pa for p in network.projections]
+                                     or [np.zeros(0)])
         float_acc = np.zeros((RING_SLOTS, n), dtype=np.float64)
-        float_weights = _float_weights(network, encoded, rows.row_ptr)
-    del encoded  # the merged rows hold all the run needs
+        pois_w = np.repeat([network.populations[p].background.weight_pa for p in bank.counts],
+                           [mat.shape[0] for mat in bank.counts.values()])
+    rows = matrices.source_delivery_index(network, table)
+    del table  # the merged rows hold all the run needs
 
     # integer accumulators: [0] excitatory, [1] inhibitory source input
     acc = np.zeros((2, RING_SLOTS, n), dtype=np.int64)
@@ -59,7 +63,7 @@ def oracle_simulate(network: NetworkModel, duration_ms: float, poisson_seed: int
                                               consts.poisson_factor)
             acc[:, slot] = 0
         else:
-            inputs = float_acc[slot] + _float_poisson(network, bank, t - 1, n)
+            inputs = float_acc[slot] + _float_poisson(bank, pois_w, t - 1, n)
             float_acc[slot] = 0.0
         if not np.isfinite(inputs).all():
             bad = int(np.flatnonzero(~np.isfinite(inputs))[0])
@@ -91,7 +95,7 @@ def oracle_simulate(network: NetworkModel, duration_ms: float, poisson_seed: int
                 if hi > lo:
                     slots = (t + rows.delays[lo:hi]) & (RING_SLOTS - 1)
                     np.add.at(float_acc, (slots, rows.target_global[lo:hi]),
-                              float_weights[lo:hi])
+                              rows.units[lo:hi])
 
     g = np.concatenate(fired_neurons or [np.zeros(0, dtype=np.int64)])
     pops = pop_of[g]
@@ -104,22 +108,9 @@ def oracle_simulate(network: NetworkModel, duration_ms: float, poisson_seed: int
                                    discard_ms).sorted()
 
 
-def _float_weights(network: NetworkModel, encoded: list[matrices.EncodedProjection],
-                   row_ptr: np.ndarray) -> np.ndarray:
-    """Unquantized signed weights laid out like the merged delivery CSR."""
-    out = np.zeros(int(row_ptr[-1]))
-    for proj, pos in zip(network.projections,
-                         matrices.source_positions(network, encoded, row_ptr)):
-        out[pos] = proj.weight_pa
-    return out
-
-
-def _float_poisson(network: NetworkModel, bank: matrices.PoissonBank, t: int, n: int):
+def _float_poisson(bank: matrices.PoissonBank, w_pa: np.ndarray, t: int, n: int):
+    """Background input in pA at step t; ``w_pa`` is each bank row's weight."""
     out = np.zeros(n, dtype=np.float64)
-    if t < 0:
-        return out
-    for p, mat in bank.counts.items():
-        lo = int(network.offsets[p])
-        w = network.populations[p].background.weight_pa
-        out[lo:lo + mat.shape[0]] = mat[:, t].astype(np.float64) * w
+    if t >= 0:
+        out[bank.neuron] = bank.matrix[:, t] * w_pa
     return out

@@ -13,7 +13,9 @@ A synapse core finds a packet's synaptic row as the machine does: the key's
 routing prefix (the source population) selects a block of rows through the
 core's master population table, and the key's low 15 bits (sub-population
 and neuron id) index the row inside it.  The rows of every synapse core sit
-in one CSR, ``SynapticStore``, built in a single vectorised pass.
+in one CSR, ``SynapticStore``: one stable sort, by row, of the network's
+encoded synapse table (``matrices.SynapseTable``), the same table the oracle
+sorts by source neuron.
 
 A timestep is one array pipeline over the whole machine, not a loop over
 packets:
@@ -82,16 +84,17 @@ class SynapticStore:
     base: np.ndarray  # (synapse cores, populations) int64
 
 
-def build_synaptic_store(encoded: list[matrices.EncodedProjection],
-                         ensembles: list[Ensemble], placement: Placement,
-                         dmap: dict, npc: int) -> SynapticStore:
-    """Pack the encoded projections into one CSR in a single vectorised pass.
+def build_synaptic_store(table: matrices.SynapseTable, ensembles: list[Ensemble],
+                         placement: Placement, dmap: dict) -> SynapticStore:
+    """The synapse table as one CSR of synaptic rows: a stable sort by row id.
 
     Synapse core ``3 * ensemble + k`` serves role ``SYNAPSE_ROLES[k]``.  Each
     source ensemble's role (inhibitory, lower or upper excitatory half) is
     read off the cores the delivery map sends its packets to, so the split
-    rule stays in ``mapping``.  Rows of one projection keep synapse order, and
-    a row fed by several projections holds them in projection order.
+    rule stays in ``mapping``.  A synapse lands on core ``3 * ens_of[post] +
+    role_of_src[ens_of[pre]]``, in row ``base[core, pop] + row_off[pre]`` of
+    its source population's block, at target ``nid_of[post]``; the stable
+    sort keeps a row's projections in projection order, each in synapse order.
     """
     n_cores = 3 * len(ensembles)
     n_subs = subpops_per_population(ensembles)
@@ -109,29 +112,31 @@ def build_synaptic_store(encoded: list[matrices.EncodedProjection],
     sizes = np.where(reach, block_rows, 0)
     base = np.where(reach, np.cumsum(sizes).reshape(n_cores, n_pops) - sizes, -1)
 
-    ens_start = np.zeros(n_pops, dtype=np.int64)
-    for e in reversed(ensembles):
-        ens_start[e.pop] = e.index
-    empty = np.zeros(0, dtype=np.int64)  # keeps concatenate valid with no projections
-    row_ids, targets, units, delays = [empty], [empty], [empty], [empty]
-    for enc in encoded:
-        src_sub, src_nid = np.divmod(enc.pre_local, npc)
-        role = role_of_src[ens_start[enc.source_pop] + src_sub]
-        core = 3 * (ens_start[enc.target_pop] + enc.post_local // npc) + role
-        block = np.where(role >= 0, base[core, enc.source_pop], -1)
-        if (block < 0).any():
-            raise RuntimeError(f"projection {enc.proj_index}: synapses on a core "
-                               "that no packet of their source reaches")
-        row_ids.append(block + (src_sub << NEURON_BITS) + src_nid)
-        targets.append(enc.post_local % npc)
-        units.append(enc.units)
-        delays.append(enc.delays)
-    row_id = np.concatenate(row_ids)
+    # per global neuron (ensembles cover the neurons in global order)
+    counts = [e.count for e in ensembles]
+    ens_of = np.repeat(np.arange(len(ensembles)), counts)
+    nid_of = np.arange(ens_of.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    pop_of_ens = np.array([e.pop for e in ensembles], dtype=np.int64)
+    sub_of_ens = np.array([e.subpop for e in ensembles], dtype=np.int64)
+    row_off = (sub_of_ens[ens_of] << NEURON_BITS) + nid_of
+
+    src = ens_of[table.pre]
+    role = role_of_src[src]
+    row_id = base[3 * ens_of[table.post] + role, pop_of_ens[src]]
+    row_id[role < 0] = -1
+    bad = np.flatnonzero(row_id < 0)
+    if bad.size:
+        raise RuntimeError(f"{ensembles[src[bad[0]]].pop_name}->"
+                           f"{ensembles[ens_of[table.post[bad[0]]]].pop_name}: synapses on a "
+                           "core that no packet of their source reaches")
+    del src, role
+    row_id += row_off[table.pre]
     order = np.argsort(row_id, kind="stable")
     row_ptr = np.zeros(int(sizes.sum()) + 1, dtype=np.int64)
     np.cumsum(np.bincount(row_id, minlength=row_ptr.size - 1), out=row_ptr[1:])
-    return SynapticStore(row_ptr, np.concatenate(targets)[order],
-                         np.concatenate(units)[order], np.concatenate(delays)[order], base)
+    del row_id
+    return SynapticStore(row_ptr, nid_of[table.post[order]], table.units[order],
+                         table.delays[order], base)
 
 
 class ProfileStore:
@@ -189,8 +194,8 @@ class SynapseCoreState:
     """Runtime state of every synapse core, held as structure-of-arrays.
 
     Synapse core ``c = 3 * ensemble + k`` serves role ``SYNAPSE_ROLES[k]``.
-    Per core: its chip row, its ring-buffer write cost and row-fetch
-    overhead (both set by its chip's synapse-core count), its profile row,
+    Per core: its chip row, its chip's synapse-core count (which sets its
+    ring-buffer write cost and row-fetch contention), its profile row,
     its slice ``ring[c]`` of the ring buffers, and per run its crystal rate
     and the busy time carried into the next timestep.  The input spike buffers
     of all cores are one packet queue of parallel arrays: ``q_arrival``
@@ -208,8 +213,8 @@ class SynapseCoreState:
         self.profile_row = profile_row
         self.store = store
         self.costs = costs
-        self.wcost = np.array([costs.sdram_write_us(n) for n in chip_syn_cores])
-        self.fetch_us = np.array([costs.row_fetch_overhead_us(n) for n in chip_syn_cores])
+        self.n_syn = np.array(chip_syn_cores, dtype=np.int64)
+        self.wcost = costs.sdram_write_us(self.n_syn)
         self.ring_shape = (len(refs), RING_SLOTS, npc)
         self.reset(np.ones(len(refs)))
 
@@ -276,8 +281,7 @@ class SynapseCoreState:
         rows = self._rows(core, key)
         lo = self.store.row_ptr[rows]
         words = self.store.row_ptr[rows + 1] - lo
-        cost = (cm.spike_single_target_us + cm.extra_target_word_us * np.maximum(words - 1, 0)
-                + self.fetch_us[core])
+        cost = cm.packet_processing_us(words, self.n_syn[core])
         n_in = np.bincount(a, minlength=act.size)
         pos = np.arange(a.size) - (np.cumsum(n_in) - n_in)[a]
 
@@ -392,7 +396,7 @@ class HardwareSimulation:
 
     # -- construction -------------------------------------------------------
 
-    def _build_state(self, encoded: list[matrices.EncodedProjection]) -> None:
+    def _build_state(self, table: matrices.SynapseTable) -> None:
         ens = self.ensembles
         n_ens = len(ens)
         npc = self.npc
@@ -427,7 +431,7 @@ class HardwareSimulation:
                                      dtype=np.int64)
 
         # synapse core 3 * ensemble + k serves SYNAPSE_ROLES[k]
-        self.store = build_synaptic_store(encoded, ens, self.placement, self.dmap, npc)
+        self.store = build_synaptic_store(table, ens, self.placement, self.dmap)
         refs = [self.placement.core_ref(e.index, role) for e in ens for role in SYNAPSE_ROLES]
         self.syn = SynapseCoreState(
             refs, np.array([chip_row[chip] for chip, _ in refs], dtype=np.int64),

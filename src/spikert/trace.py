@@ -48,10 +48,6 @@ class SpikeTrace:
             lines.append(f"{time:.4f} {self.pop_names[pop]} {neuron}")
         return "\n".join(lines) + "\n"
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.serialize())
-
 
 def from_step_records(steps, pops, neurons, n_steps: int, dt_ms: float,
                       pop_names, pop_sizes, pop_polarity,

@@ -1,11 +1,15 @@
-"""The benchmark's traced run wraps spikert names by attribute; a rename in
-spikert must fail here rather than in the benchmark."""
+"""The benchmark's traced run wraps spikert names by attribute and measures
+their results; a rename or a changed return shape in spikert must fail here
+rather than in the benchmark."""
 
+import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from conftest import SMALL_SPEC
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -18,3 +22,20 @@ def test_span_hooks_find_every_wrapped_name(install):
                            os.path.join(ROOT, "perfbench")],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_run_measures_every_span(tmp_path):
+    """A traced CLI run through the benchmark's child: every span's measure
+    function accepts what the wrapped call returns."""
+    model = tmp_path / "small.net"
+    model.write_text(SMALL_SPEC)
+    result = tmp_path / "result.json"
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "perfbench", "child.py"),
+                           str(result), "tracing", "--", "--model", str(model),
+                           "--out", str(tmp_path / "out"), "--duration-ms", "5",
+                           "--mode", "both"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    res = json.loads(result.read_text())
+    assert res["error"] is None, res["error"]
+    assert res["exit_code"] == 0
