@@ -11,11 +11,15 @@ population-level projections prescribe.
 Routing entries are generated per source core along deterministic
 minimal-hop paths (diagonal-first), then compressed by default-route
 elision (straight pass-through entries dropped) and mask merging of
-sibling sub-population entries with identical actions.
+sibling sub-population entries with identical actions.  The merged table
+depends on the merge order, which is fixed: always the smallest
+``(key, mask)`` that has a partner with the same action, at its lowest
+mergeable sub-population bit (see ``_merge_entries``).
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .machine import MachineSpec, opposite_link, LINKS
@@ -26,6 +30,7 @@ ROUTE_FIELD_BITS = 17
 NEURONS_PER_CORE = 1 << NEURON_BITS
 MAX_SUBPOPS = 1 << SUBPOP_BITS
 CORE_MASK = 0xFFFFFFFF ^ (NEURONS_PER_CORE - 1)  # match route + subpop fields
+_SUBPOP_FIELD = tuple(1 << b for b in range(NEURON_BITS, NEURON_BITS + SUBPOP_BITS))
 
 ROLE_NEURON = "neuron"
 ROLE_POISSON = "poisson"
@@ -202,7 +207,9 @@ def destination_cores(placement: Placement, projections) -> dict[int, set[tuple[
 
     ``projections`` is any iterable with .source/.target population names.
     Routing is population-level: a packet goes to every target ensemble's
-    matching synapse core whether or not sampled synapses exist there.
+    matching synapse core whether or not sampled synapses exist there, so
+    every ensemble of one (population, synapse role) shares one set; each
+    ensemble gets its own copy of it.
     """
     by_name: dict[str, list[Ensemble]] = {}
     for e in placement.ensembles:
@@ -212,17 +219,20 @@ def destination_cores(placement: Placement, projections) -> dict[int, set[tuple[
         targets_of.setdefault(proj.source, set()).add(proj.target)
     n_subs = subpops_per_population(placement.ensembles)
 
+    shared: dict[tuple[int, str], set[tuple[tuple[int, int], int]]] = {}
     dests: dict[int, set[tuple[tuple[int, int], int]]] = {}
     for e in placement.ensembles:
-        out: set[tuple[tuple[int, int], int]] = set()
         if e.polarity == "inh":
             role = ROLE_SYN_INH
         else:
             role = ROLE_SYN_EXC_LOWER if is_lower_half(e, n_subs[e.pop]) else ROLE_SYN_EXC_UPPER
-        for target_name in targets_of.get(e.pop_name, ()):
-            for f in by_name.get(target_name, ()):
-                out.add(placement.core_ref(f.index, role))
-        dests[e.index] = out
+        out = shared.get((e.pop, role))
+        if out is None:
+            out = shared[(e.pop, role)] = {
+                placement.core_ref(f.index, role)
+                for target_name in targets_of.get(e.pop_name, ())
+                for f in by_name.get(target_name, ())}
+        dests[e.index] = set(out)
     return dests
 
 
@@ -265,8 +275,13 @@ class RoutingTables:
 def build_routing_tables(placement: Placement, keys: KeyAllocation,
                          dests: dict[int, set[tuple[tuple[int, int], int]]]) -> RoutingTables:
     machine = placement.machine
-    # (chip) -> {(key, mask) -> [locals set, links set]}
-    raw: dict[tuple[int, int], dict[tuple[int, int], list[set]]] = {}
+    # (chip) -> {(key, mask) -> (local cores, links)}
+    raw: dict[tuple[int, int], dict[tuple[int, int], tuple[frozenset, frozenset]]] = {}
+    # The route tree of the last ensemble: placement fills chips one after
+    # another, so ensembles sharing a source chip and destination chips are
+    # neighbours in ensemble order.
+    tree_of: tuple | None = None
+    tree: list[tuple[tuple[int, int], frozenset[int]]] = []
 
     for e in placement.ensembles:
         if not dests.get(e.index):
@@ -277,37 +292,18 @@ def build_routing_tables(placement: Placement, keys: KeyAllocation,
         for chip, core in dests[e.index]:
             by_chip.setdefault(chip, set()).add(core)
 
-        # Union of canonical paths from the source; per-chip arrival direction
-        # is unique because every path to a chip shares the same prefix.
-        out_links: dict[tuple[int, int], set[int]] = {src_chip: set()}
-        arrival_dir: dict[tuple[int, int], int] = {}
-        for dchip in by_chip:
-            here = src_chip
-            for link in machine.route_links(src_chip, dchip):
-                nxt = machine.neighbor(here, link)
-                out_links.setdefault(here, set()).add(link)
-                prev = arrival_dir.setdefault(nxt, link)
-                if prev != link:
-                    raise RoutingError(f"route tree conflict at chip {nxt}")
-                out_links.setdefault(nxt, set())
-                here = nxt
-
-        for chip, links in out_links.items():
-            locals_here = by_chip.get(chip, set())
-            if not locals_here and not links:
-                continue
-            if chip != src_chip and not locals_here and \
-                    links == {arrival_dir[chip]}:
-                continue  # straight pass-through: default routing handles it
-            slot = raw.setdefault(chip, {}).setdefault((prefix, CORE_MASK), [set(), set()])
-            slot[0] |= locals_here
-            slot[1] |= links
+        dchips = frozenset(by_chip)
+        if tree_of != (src_chip, dchips):
+            tree_of = (src_chip, dchips)
+            tree = _route_tree(machine, src_chip, dchips)
+        for chip, links in tree:
+            raw.setdefault(chip, {})[(prefix, CORE_MASK)] = (
+                frozenset(by_chip.get(chip, ())), links)
 
     tables = RoutingTables(machine)
-    for chip, slots in raw.items():
-        merged = _merge_entries(slots)
-        rows = [RoutingEntry(k, m, frozenset(c), frozenset(l))
-                for (k, m), (c, l) in merged.items()]
+    for chip in sorted(raw):  # an overflow names the lowest overflowing chip
+        merged = _merge_entries(raw[chip])
+        rows = [RoutingEntry(k, m, c, l) for (k, m), (c, l) in merged.items()]
         rows.sort(key=lambda r: (-bin(r.mask).count("1"), r.key))
         limit = machine.routing_entries_per_chip
         if len(rows) > limit:
@@ -317,28 +313,74 @@ def build_routing_tables(placement: Placement, keys: KeyAllocation,
     return tables
 
 
-def _merge_entries(slots: dict[tuple[int, int], list[set]]):
-    """Merge sibling entries differing in one masked sub-population bit when
-    their actions are identical; repeats to a fixed point."""
-    entries = {km: (frozenset(v[0]), frozenset(v[1])) for km, v in slots.items()}
-    changed = True
-    while changed:
-        changed = False
-        for (key, mask), action in sorted(entries.items()):
-            if (key, mask) not in entries:
+def _route_tree(machine: MachineSpec, src_chip: tuple[int, int],
+                dest_chips: frozenset[tuple[int, int]]
+                ) -> list[tuple[tuple[int, int], frozenset[int]]]:
+    """The chips that need an entry for packets from ``src_chip`` to every
+    chip in ``dest_chips``, with their outgoing links.
+
+    The tree is the union of canonical paths from the source; per-chip
+    arrival direction is unique because every path to a chip shares the same
+    prefix.  Straight pass-through chips are left to default routing.
+    """
+    out_links: dict[tuple[int, int], set[int]] = {src_chip: set()}
+    arrival_dir: dict[tuple[int, int], int] = {}
+    for dchip in dest_chips:
+        here = src_chip
+        for link in machine.route_links(src_chip, dchip):
+            nxt = machine.neighbor(here, link)
+            out_links.setdefault(here, set()).add(link)
+            prev = arrival_dir.setdefault(nxt, link)
+            if prev != link:
+                raise RoutingError(f"route tree conflict at chip {nxt}")
+            out_links.setdefault(nxt, set())
+            here = nxt
+    tree = []
+    for chip, links in out_links.items():
+        if chip not in dest_chips:
+            if not links:
                 continue
-            for bit_pos in range(NEURON_BITS, NEURON_BITS + SUBPOP_BITS):
-                bit = 1 << bit_pos
-                if not mask & bit or key & bit:
-                    continue
-                partner = (key | bit, mask)
-                if entries.get(partner) == action:
-                    del entries[(key, mask)]
-                    del entries[partner]
-                    entries[(key, mask & ~bit)] = action
-                    changed = True
-                    break
-            if changed:
+            if chip != src_chip and links == {arrival_dir[chip]}:
+                continue  # straight pass-through: default routing handles it
+        tree.append((chip, frozenset(links)))
+    return tree
+
+
+def _merge_entries(slots: dict[tuple[int, int], tuple[frozenset, frozenset]]
+                   ) -> dict[tuple[int, int], tuple[frozenset, frozenset]]:
+    """Merge sibling entries differing in one masked sub-population bit when
+    their actions, ``(local cores, links)``, are identical, to a fixed point.
+
+    The merge order is part of the output: each merge takes the smallest
+    ``(key, mask)`` that has a partner with the same action, at its lowest
+    mergeable sub-population bit, and the merged entry goes to the end of the
+    dict (which orders ties in the final row sort).  A min-heap of candidate
+    ``(key, mask)`` pairs keeps that order without rescanning the table: an
+    entry only gains a partner when a merge creates that partner, so after
+    each merge the new entry and the existing entries that may pair with it
+    are pushed, and a popped entry that is gone or has no partner is dropped.
+    """
+    entries = dict(slots)
+    heap = list(entries)
+    heapq.heapify(heap)
+    while heap:
+        key, mask = heapq.heappop(heap)
+        action = entries.get((key, mask))
+        if action is None:
+            continue
+        for bit in _SUBPOP_FIELD:
+            if not mask & bit or key & bit:
+                continue
+            partner = (key | bit, mask)
+            if entries.get(partner) == action:
+                del entries[(key, mask)]
+                del entries[partner]
+                mask &= ~bit
+                entries[(key, mask)] = action
+                heapq.heappush(heap, (key, mask))
+                for b in _SUBPOP_FIELD:
+                    if key & b and (key ^ b, mask) in entries:
+                        heapq.heappush(heap, (key ^ b, mask))
                 break
     return entries
 

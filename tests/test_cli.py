@@ -51,3 +51,14 @@ def test_routing_table_overflow_exits_with_routing_code(tmp_path, model):
     mach = machine_file(tmp_path, routing_entries_per_chip=1)
     assert run_cli(tmp_path, model, "--machine", mach) == cli.EXIT_ROUTING
     assert not os.path.exists(tmp_path / "out" / "trace_hardware.txt")
+
+
+def test_map_only_run_replays_from_its_manifest(tmp_path, benchmark_path, machine_path):
+    out, replay = tmp_path / "out", tmp_path / "replay"
+    assert cli.main(["--model", benchmark_path, "--scale", "0.1", "--map-only",
+                     "--machine", machine_path, "--out", str(out)]) == cli.EXIT_OK
+    assert not os.path.exists(out / "trace_hardware.txt")
+    assert cli.main(["--manifest", str(out / "manifest.json"),
+                     "--out", str(replay)]) == cli.EXIT_OK
+    for name in ("routing_tables.txt", "placement.txt", "placement_summary.txt"):
+        assert (replay / name).read_bytes() == (out / name).read_bytes()
