@@ -3,7 +3,7 @@ machine running spiking networks in real time, plus a direct reference
 simulator and analysis tooling."""
 
 from .costs import CostModel
-from .kinetics import NeuronParams, NeuronState, PoissonSourceSpec, lif_step, poisson_sample
+from .kinetics import NeuronParams, NeuronState, lif_step, poisson_sample
 from .machine import MachineSpec, auto_machine, load_machine_spec
 from .mapping import allocate_keys, build_routing_tables, partition, place_radial
 from .network import (NetworkModel, NetworkSpec, build_network, load_network_spec,
@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CostModel", "HardwareSimulation", "MachineSpec", "NetworkModel", "NetworkSpec",
-    "NeuronParams", "NeuronState", "PoissonSourceSpec", "RunResult", "Seeds",
+    "NeuronParams", "NeuronState", "RunResult", "Seeds",
     "SpikeTrace", "allocate_keys", "auto_machine", "build_network",
     "build_routing_tables", "lif_step", "load_machine_spec", "load_network_spec",
     "load_trace", "oracle_simulate", "partition", "place_radial", "poisson_sample",

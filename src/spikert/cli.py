@@ -16,12 +16,13 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import analysis, network, oracle, runtime
+from . import analysis, oracle, runtime
 from .clocks import ClockConfig
 from .costs import CostModel, load_cost_model
 from .machine import MachineSpec, load_machine_spec, serialize_machine_spec
-from .mapping import (KeyOverflowError, PlacementError, RoutingError, allocate_keys,
-                      build_routing_tables, destination_cores, partition, place_radial)
+from .mapping import (NEURONS_PER_CORE, KeyOverflowError, PlacementError, RoutingError,
+                      allocate_keys, build_routing_tables, destination_cores, partition,
+                      place_radial)
 from .network import SpecError, build_network, load_network_spec, scale_network, \
     serialize_network_spec
 
@@ -67,6 +68,8 @@ class RunConfig:
             raise SpecError("scale must be in (0, 1]")
         if self.discard_ms < 0 or self.discard_ms >= self.duration_ms:
             raise SpecError("discard window must fall inside the run")
+        if not 0.0 <= self.drift_bound_ppm <= ClockConfig.max_abs_drift_ppm:
+            raise SpecError(f"drift bound must be in [0, {ClockConfig.max_abs_drift_ppm}] ppm")
         if self.profile not in ("full", "none"):
             raise SpecError("profile must be 'full' or 'none'")
 
@@ -137,8 +140,14 @@ def main(argv=None) -> int:
 
 def _config_from_manifest(path: str, out_override: str | None = None) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    cfg = RunConfig(**data["run_config"])
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SpecError(f"manifest {path}: not valid JSON: {exc}") from None
+    try:
+        cfg = RunConfig(**data["run_config"])
+    except (KeyError, TypeError) as exc:
+        raise SpecError(f"manifest {path}: bad run_config: {exc}") from None
     if out_override:
         cfg.out = out_override
     cfg.validate()
@@ -150,6 +159,10 @@ def run(cfg: RunConfig) -> None:
     os.makedirs(cfg.out, exist_ok=True)
 
     spec = load_network_spec(cfg.model, cfg.input)
+    steps = cfg.duration_ms / spec.dt_ms
+    if round(steps) < 1 or abs(steps - round(steps)) > 1e-9:
+        raise SpecError(f"duration {cfg.duration_ms} ms is not a positive multiple of "
+                        f"dt={spec.dt_ms} ms")
     if cfg.scale != 1.0:
         spec = scale_network(spec, cfg.scale)
     machine = load_machine_spec(cfg.machine) if cfg.machine else None
@@ -279,7 +292,7 @@ def _write_manifest(cfg: RunConfig, costs: CostModel, sim) -> None:
         "run_config": dataclasses.asdict(replay),
         "cost_model": dataclasses.asdict(costs),
         "defaults": {
-            "neurons_per_core": 64,
+            "neurons_per_core": NEURONS_PER_CORE,
             "correlation_bin_ms": 2.0,
             "correlation_subsample": 200,
             "correlation_estimator": "pearson-on-binned-counts",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import SpecError
+from .network import SpecError, typed_value
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,8 @@ def parse_cost_overrides(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _COST_FIELDS:
             raise SpecError(f"line {lineno}: unknown cost '{key}'")
-        overrides[key] = int(value) if key == "contention_ref_writers" else float(value)
+        overrides[key] = typed_value(int if key == "contention_ref_writers" else float, value,
+                                     f"line {lineno}: {key}")
     return overrides
 
 

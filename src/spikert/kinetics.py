@@ -58,20 +58,6 @@ class NeuronState:
     ref_remaining: int = 0
 
 
-@dataclass(frozen=True)
-class PoissonSourceSpec:
-    """One background event source feeding one neuron through a synapse."""
-
-    rate_hz: float
-    weight_pa: float
-
-    def validate(self) -> None:
-        if self.rate_hz < 0:
-            raise ValueError("poisson rate must be non-negative")
-        if self.weight_pa < 0:
-            raise ValueError("poisson weight must be non-negative")
-
-
 class Propagator:
     """Exact one-timestep update of the (V, I_syn) pair.
 

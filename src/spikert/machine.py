@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .network import SpecError
+from .network import SpecError, typed_value
 
 LINKS = ("E", "NE", "N", "W", "SW", "S")
 LINK_VECTORS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
@@ -183,12 +183,12 @@ def parse_machine_spec(text: str) -> MachineSpec:
             raise SpecError(f"line {lineno}: expected 'key = value' in [machine]")
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "dead_core":
-            parts = value.split()
+            parts = [typed_value(int, v, f"line {lineno}: {key}") for v in value.split()]
             if len(parts) not in (2, 3):
                 raise SpecError(f"line {lineno}: dead_core wants 'x y [count]'")
-            dead.append((int(parts[0]), int(parts[1]), int(parts[2]) if len(parts) == 3 else 1))
+            dead.append((parts[0], parts[1], parts[2] if len(parts) == 3 else 1))
         elif key in _MACHINE_KEYS:
-            kwargs[key] = _MACHINE_KEYS[key](value)
+            kwargs[key] = typed_value(_MACHINE_KEYS[key], value, f"line {lineno}: {key}")
         else:
             raise SpecError(f"line {lineno}: unknown machine key '{key}'")
     if "width" not in kwargs or "height" not in kwargs:

@@ -22,7 +22,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .machine import MachineSpec, opposite_link, LINKS
+import numpy as np
+
+from .machine import MachineSpec, LINKS
 
 NEURON_BITS = 6
 SUBPOP_BITS = 9
@@ -87,26 +89,34 @@ class Ensemble:
         return 5 if self.has_poisson else 4
 
 
-def partition(network, neurons_per_core: int = NEURONS_PER_CORE) -> list[Ensemble]:
-    """Split populations into per-core sub-populations and build ensembles."""
-    if not 1 <= neurons_per_core <= NEURONS_PER_CORE:
-        raise KeyOverflowError(
-            f"neurons per core must be in [1, {NEURONS_PER_CORE}] for the key layout")
+def partition(network) -> list[Ensemble]:
+    """Split populations into ``NEURONS_PER_CORE``-neuron sub-populations and
+    build ensembles; the key layout fixes the core size."""
     from .network import PoissonInput  # local import avoids cycle at module load
     ensembles = []
     for pop_idx, pop in enumerate(network.populations):
-        n_sub = -(-pop.size // neurons_per_core)
+        n_sub = -(-pop.size // NEURONS_PER_CORE)
         if n_sub > MAX_SUBPOPS:
             raise KeyOverflowError(
                 f"population {pop.name} needs {n_sub} sub-populations; "
                 f"key layout allows {MAX_SUBPOPS}")
         has_poisson = isinstance(pop.background, PoissonInput)
         for sub in range(n_sub):
-            lo = sub * neurons_per_core
-            count = min(neurons_per_core, pop.size - lo)
+            lo = sub * NEURONS_PER_CORE
+            count = min(NEURONS_PER_CORE, pop.size - lo)
             ensembles.append(Ensemble(len(ensembles), pop_idx, pop.name, pop.polarity,
                                       sub, lo, count, has_poisson))
     return ensembles
+
+
+def neuron_slots(ensembles: list[Ensemble]) -> tuple[np.ndarray, np.ndarray]:
+    """``(ens_of, nid_of)`` per global neuron: its ensemble and its index on
+    the ensemble's neuron core (the key's neuron id).  The ensembles cover the
+    neurons in global order."""
+    counts = [e.count for e in ensembles]
+    ens_of = np.repeat(np.arange(len(ensembles), dtype=np.int64), counts)
+    nid_of = np.arange(ens_of.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    return ens_of, nid_of
 
 
 def subpops_per_population(ensembles: list[Ensemble]) -> dict[int, int]:

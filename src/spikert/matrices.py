@@ -120,10 +120,11 @@ class PoissonBank:
     """Pre-drawn event counts for every background source, one stream per
     source so draws never depend on scheduling.
 
-    All sources share one ``(sources, n_steps)`` matrix; population p's
-    sources are rows ``row0[p]:row0[p] + size``, also viewed as ``counts[p]``.
-    Row r feeds global neuron ``neuron[r]`` with weight ``w_row[r]``, its
-    population's ``w_q``.
+    All sources share one ``(sources, n_steps)`` matrix, population by
+    population in network order; population p's rows are also viewed as
+    ``counts[p]``.  Row r feeds global neuron ``neuron[r]`` with weight
+    ``w_row[r]``, its population's ``w_q``.  Both simulators read a step's
+    input through ``units_at``, indexed by global neuron.
     """
 
     def __init__(self, network: NetworkModel, seed: int, n_steps: int):
@@ -136,7 +137,6 @@ class PoissonBank:
         self.w_row = np.zeros(n_rows, dtype=np.int64)  # w_q of each source
         self.neuron = np.zeros(n_rows, dtype=np.int64)
         self.counts: dict[int, np.ndarray] = {}
-        self.row0: dict[int, int] = {}
         self.w_q: dict[int, int] = {}
         row = 0
         for p in pois:
@@ -149,7 +149,6 @@ class PoissonBank:
                 rng = make_rng(seed, "poisson", pop.name, i)
                 mat[i] = rng.poisson(lam, n_steps)
             self.counts[p] = mat
-            self.row0[p] = row
             self.w_row[row:row + pop.size] = self.w_q[p]
             self.neuron[row:row + pop.size] = network.offsets[p] + np.arange(pop.size)
             row += pop.size
@@ -164,18 +163,13 @@ class PoissonBank:
         units = np.minimum(raw, weights.POISSON_ACC_MAX)
         return units, int(np.count_nonzero(raw > weights.POISSON_ACC_MAX))
 
-    def units_rows(self, rows, t: int) -> tuple[np.ndarray, int]:
-        """(accumulated units, clipped entries) for the sources at matrix
-        rows ``rows`` (an index array or slice) at step t, in one gather."""
-        raw = self.matrix[rows, t].astype(np.int64) * self.w_row[rows]
-        return (np.minimum(raw, weights.POISSON_ACC_MAX),
-                int(np.count_nonzero(raw > weights.POISSON_ACC_MAX)))
-
-    def units_at(self, t: int) -> np.ndarray:
-        """Units for all neurons at step t (zero for DC populations)."""
+    def units_at(self, t: int) -> tuple[np.ndarray, int]:
+        """(accumulated units per global neuron, clipped entries) at step t,
+        in one gather; DC populations get zero."""
+        raw = self.matrix[:, t].astype(np.int64) * self.w_row
         out = np.zeros(self.network.total_neurons, dtype=np.int64)
-        out[self.neuron] = self.units_rows(slice(None), t)[0]
-        return out
+        out[self.neuron] = np.minimum(raw, weights.POISSON_ACC_MAX)
+        return out, int(np.count_nonzero(raw > weights.POISSON_ACC_MAX))
 
 
 def population_propagators(network: NetworkModel) -> list[Propagator]:
@@ -184,7 +178,7 @@ def population_propagators(network: NetworkModel) -> list[Propagator]:
 
 @dataclass
 class NeuronConstants:
-    """Per-neuron propagator constants expanded over an index layout."""
+    """Per-neuron propagator constants, indexed by global neuron."""
 
     decay_v: np.ndarray
     decay_i: np.ndarray
@@ -198,28 +192,34 @@ class NeuronConstants:
     poisson_factor: np.ndarray
 
 
-def expand_constants(network: NetworkModel, scales: weights.AccumulatorScales,
-                     pop_of_index: np.ndarray) -> NeuronConstants:
-    """Broadcast per-population constants over an arbitrary neuron layout;
-    pop_of_index maps each slot to its population (or -1 for padding)."""
+def expand_constants(network: NetworkModel,
+                     scales: weights.AccumulatorScales) -> NeuronConstants:
+    """Broadcast per-population constants over the global neuron index, the
+    layout both simulators keep their neuron state in."""
     props = population_propagators(network)
-    pops = np.maximum(pop_of_index, 0)
+    sizes = np.diff(network.offsets)
 
-    def gather(values):
-        return np.asarray(values, dtype=np.float64)[pops]
+    def gather(values, dtype=np.float64):
+        return np.repeat(np.asarray(values, dtype=dtype), sizes)
 
-    valid = pop_of_index >= 0
-    v_theta = gather([pr.params.v_theta_mv for pr in props])
-    v_theta = np.where(valid, v_theta, np.inf)  # padding slots never fire
+    pops = range(len(props))
     return NeuronConstants(
         decay_v=gather([pr.decay_v for pr in props]),
         decay_i=gather([pr.decay_i for pr in props]),
         kernel=gather([pr.kernel for pr in props]),
         e_eff=gather([pr.e_eff for pr in props]),
         v_reset=gather([pr.params.v_reset_mv for pr in props]),
-        v_theta=v_theta,
-        ref_steps=np.asarray([pr.ref_steps for pr in props], dtype=np.int64)[pops],
-        exc_factor=gather([scales.exc_factor(p) for p in range(len(props))]),
-        inh_factor=gather([scales.inh_factor(p) for p in range(len(props))]),
-        poisson_factor=gather([scales.poisson_factor(p) for p in range(len(props))]),
+        v_theta=gather([pr.params.v_theta_mv for pr in props]),
+        ref_steps=gather([pr.ref_steps for pr in props], np.int64),
+        exc_factor=gather([scales.exc_factor(p) for p in pops]),
+        inh_factor=gather([scales.inh_factor(p) for p in pops]),
+        poisson_factor=gather([scales.poisson_factor(p) for p in pops]),
     )
+
+
+def check_finite_input(network: NetworkModel, inputs: np.ndarray) -> None:
+    """Refuse a step whose input current is not finite, naming the first
+    such neuron as ``population/neuron``."""
+    if not np.isfinite(inputs).all():
+        pop, local = network.pop_of_global(int(np.flatnonzero(~np.isfinite(inputs))[0]))
+        raise ValueError(f"non-finite input for neuron {network.populations[pop].name}/{local}")

@@ -162,15 +162,20 @@ def _parse_sections(text: str) -> list[tuple[str, dict]]:
     return sections
 
 
+def typed_value(cast, value: str, where: str):
+    """``cast(value)``; a malformed value is a SpecError naming ``where``."""
+    try:
+        return cast(value)
+    except ValueError as exc:
+        raise SpecError(f"{where}: {exc}") from None
+
+
 def _typed(section: str, data: dict, schema: dict) -> dict:
     out = {}
     for key, value in data.items():
         if key not in schema:
             raise SpecError(f"[{section}]: unknown key '{key}'")
-        try:
-            out[key] = schema[key](value)
-        except ValueError as exc:
-            raise SpecError(f"[{section}] {key}: {exc}") from None
+        out[key] = typed_value(schema[key], value, f"[{section}] {key}")
     return out
 
 

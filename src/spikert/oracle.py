@@ -23,10 +23,8 @@ def oracle_simulate(network: NetworkModel, duration_ms: float, poisson_seed: int
         raise ValueError("oracle needs sampled synapses")
     n_steps = int(round(duration_ms / network.dt_ms))
     n = network.total_neurons
-    pop_of = np.repeat(np.arange(len(network.populations), dtype=np.int64),
-                       [p.size for p in network.populations])
     scales = matrices.accumulator_scales(network)
-    consts = matrices.expand_constants(network, scales, pop_of)
+    consts = matrices.expand_constants(network, scales)
     bank = matrices.PoissonBank(network, poisson_seed, n_steps)
 
     table = matrices.encode_projections(network, scales)
@@ -43,8 +41,8 @@ def oracle_simulate(network: NetworkModel, duration_ms: float, poisson_seed: int
     # integer accumulators: [0] excitatory, [1] inhibitory source input
     acc = np.zeros((2, RING_SLOTS, n), dtype=np.int64)
     acc_flat = acc.reshape(-1)
-    inh_of = np.array([p.polarity != "exc" for p in network.populations],
-                      dtype=np.int64)[pop_of]
+    inh_of = np.repeat([p.polarity != "exc" for p in network.populations],
+                       np.diff(network.offsets)).astype(np.int64)
 
     v = network.v_init_mv.copy()
     i_syn = np.zeros(n, dtype=np.float64)
@@ -56,7 +54,7 @@ def oracle_simulate(network: NetworkModel, duration_ms: float, poisson_seed: int
 
     for t in range(n_steps):
         slot = t & (RING_SLOTS - 1)
-        pois_units = bank.units_at(t - 1) if t > 0 else zero_units
+        pois_units = bank.units_at(t - 1)[0] if t > 0 else zero_units
         if quantize:
             inputs = weights.combine_input_pa(acc[0, slot], acc[1, slot], pois_units,
                                               consts.exc_factor, consts.inh_factor,
@@ -65,11 +63,7 @@ def oracle_simulate(network: NetworkModel, duration_ms: float, poisson_seed: int
         else:
             inputs = float_acc[slot] + _float_poisson(bank, pois_w, t - 1, n)
             float_acc[slot] = 0.0
-        if not np.isfinite(inputs).all():
-            bad = int(np.flatnonzero(~np.isfinite(inputs))[0])
-            pop, local = network.pop_of_global(bad)
-            raise ValueError(f"non-finite input for neuron "
-                             f"{network.populations[pop].name}/{local}")
+        matrices.check_finite_input(network, inputs)
         v, i_syn, ref, fired = advance_state(v, i_syn, ref, inputs, consts.decay_v,
                                              consts.decay_i, consts.kernel, consts.e_eff,
                                              consts.v_reset, consts.v_theta,
@@ -97,15 +91,7 @@ def oracle_simulate(network: NetworkModel, duration_ms: float, poisson_seed: int
                     np.add.at(float_acc, (slots, rows.target_global[lo:hi]),
                               rows.units[lo:hi])
 
-    g = np.concatenate(fired_neurons or [np.zeros(0, dtype=np.int64)])
-    pops = pop_of[g]
-    pop_names = [p.name for p in network.populations]
-    pop_sizes = [p.size for p in network.populations]
-    pop_pol = [p.polarity for p in network.populations]
-    return trace.from_step_records(np.repeat(fired_steps, [x.size for x in fired_neurons]),
-                                   pops, g - network.offsets[pops], n_steps,
-                                   network.dt_ms, pop_names, pop_sizes, pop_pol,
-                                   discard_ms).sorted()
+    return trace.from_step_records(network, fired_steps, fired_neurons, n_steps, discard_ms)
 
 
 def _float_poisson(bank: matrices.PoissonBank, w_pa: np.ndarray, t: int, n: int):

@@ -31,6 +31,13 @@ packets:
 - ring insert: the rows of all processed packets are expanded and added
   into the ring buffers with a single integer ``np.add.at``.
 
+Neuron state, constants, input images and fired indices are indexed by
+global neuron, the oracle's layout.  Only the ring buffers keep the
+machine's layout, 64 neurons wide per synapse core, so a synaptic row's
+targets stay core-local: one gather at the ring handover turns the next
+slot into per-neuron excitatory and inhibitory units, through each neuron's
+ensemble and neuron id (``mapping.neuron_slots``).
+
 The whole machine advances in a single deterministic virtual timeline:
 identical inputs give identical traces and profiles.
 """
@@ -46,10 +53,10 @@ from .kinetics import advance_state
 from .clocks import ClockConfig, MachineClocks
 from .costs import CostModel
 from .machine import MachineSpec, auto_machine
-from .mapping import (NEURON_BITS, ROLE_NEURON, ROLE_POISSON, SUBPOP_BITS, SYNAPSE_ROLES,
-                      Ensemble, Placement, PlacementError, allocate_keys, build_routing_tables,
-                      delivery_map, destination_cores, partition, place_radial,
-                      subpops_per_population)
+from .mapping import (NEURON_BITS, NEURONS_PER_CORE, ROLE_NEURON, ROLE_POISSON, SUBPOP_BITS,
+                      SYNAPSE_ROLES, Ensemble, Placement, PlacementError, allocate_keys,
+                      build_routing_tables, delivery_map, destination_cores, neuron_slots,
+                      partition, place_radial, subpops_per_population)
 from .network import NetworkModel
 
 
@@ -112,10 +119,7 @@ def build_synaptic_store(table: matrices.SynapseTable, ensembles: list[Ensemble]
     sizes = np.where(reach, block_rows, 0)
     base = np.where(reach, np.cumsum(sizes).reshape(n_cores, n_pops) - sizes, -1)
 
-    # per global neuron (ensembles cover the neurons in global order)
-    counts = [e.count for e in ensembles]
-    ens_of = np.repeat(np.arange(len(ensembles)), counts)
-    nid_of = np.arange(ens_of.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    ens_of, nid_of = neuron_slots(ensembles)
     pop_of_ens = np.array([e.pop for e in ensembles], dtype=np.int64)
     sub_of_ens = np.array([e.subpop for e in ensembles], dtype=np.int64)
     row_off = (sub_of_ens[ens_of] << NEURON_BITS) + nid_of
@@ -196,18 +200,19 @@ class SynapseCoreState:
     Synapse core ``c = 3 * ensemble + k`` serves role ``SYNAPSE_ROLES[k]``.
     Per core: its chip row, its chip's synapse-core count (which sets its
     ring-buffer write cost and row-fetch contention), its profile row,
-    its slice ``ring[c]`` of the ring buffers, and per run its crystal rate
-    and the busy time carried into the next timestep.  The input spike buffers
-    of all cores are one packet queue of parallel arrays: ``q_arrival``
-    (global us) and ``q_fields``, whose rows are target core, source chip x
-    and y, source core, key and emit step.  A packet finds its synaptic row
-    in the shared ``SynapticStore`` through the core's row of ``store.base``,
-    its master population table.
+    its slice ``ring[c]`` of the ring buffers (``RING_SLOTS`` slots of the
+    ensemble's ``NEURONS_PER_CORE`` neurons, by neuron id), and per run its
+    crystal rate and the busy time carried into the next timestep.  The input
+    spike buffers of all cores are one packet queue of parallel arrays:
+    ``q_arrival`` (global us) and ``q_fields``, whose rows are target core,
+    source chip x and y, source core, key and emit step.  A packet finds its
+    synaptic row in the shared ``SynapticStore`` through the core's row of
+    ``store.base``, its master population table.
     """
 
     def __init__(self, refs: list[tuple[tuple[int, int], int]], chip_row: np.ndarray,
                  chip_syn_cores: list[int], profile_row: np.ndarray,
-                 store: SynapticStore, costs: CostModel, npc: int):
+                 store: SynapticStore, costs: CostModel):
         self.refs = refs                  # (chip, core id) per synapse core
         self.chip_row = chip_row
         self.profile_row = profile_row
@@ -215,7 +220,7 @@ class SynapseCoreState:
         self.costs = costs
         self.n_syn = np.array(chip_syn_cores, dtype=np.int64)
         self.wcost = costs.sdram_write_us(self.n_syn)
-        self.ring_shape = (len(refs), RING_SLOTS, npc)
+        self.ring_shape = (len(refs), RING_SLOTS, NEURONS_PER_CORE)
         self.reset(np.ones(len(refs)))
 
     def reset(self, rate: np.ndarray) -> None:
@@ -365,12 +370,17 @@ class RunResult:
 
 
 class HardwareSimulation:
-    """Build and run the machine model for one network."""
+    """Build and run the machine model for one network.
+
+    The neuron state (``v``, ``i_syn``, ``ref``) and ``consts`` are indexed
+    by global neuron, as in the oracle; ``ens_of`` and ``nid_of`` give each
+    neuron's ensemble and neuron id, its place in the ensemble's ring
+    buffers and packet keys.
+    """
 
     def __init__(self, network: NetworkModel, machine: MachineSpec | None = None,
                  costs: CostModel | None = None, clock_cfg: ClockConfig | None = None,
-                 seeds: Seeds = Seeds(), slowdown: float = 1.0,
-                 neurons_per_core: int = 64):
+                 seeds: Seeds = Seeds(), slowdown: float = 1.0):
         if slowdown < 1.0:
             raise ValueError("slow-down multiplier must be >= 1")
         if network.projections is None:
@@ -381,9 +391,8 @@ class HardwareSimulation:
         self.clock_cfg = clock_cfg or ClockConfig(drift_bound_ppm=0.0)
         self.seeds = seeds
         self.slowdown = float(slowdown)
-        self.npc = neurons_per_core
 
-        self.ensembles = partition(network, neurons_per_core)
+        self.ensembles = partition(network)
         self.machine, self.placement = _place(self.ensembles, machine)
         self.keys = allocate_keys(self.placement)
         self.dests = destination_cores(self.placement, network.spec.projections)
@@ -399,23 +408,12 @@ class HardwareSimulation:
     def _build_state(self, table: matrices.SynapseTable) -> None:
         ens = self.ensembles
         n_ens = len(ens)
-        npc = self.npc
-
-        pop_of_pad = np.full(n_ens * npc, -1, dtype=np.int64)
-        self.global_of_pad = np.full(n_ens * npc, -1, dtype=np.int64)
-        for e in ens:
-            lo = e.index * npc
-            pop_of_pad[lo:lo + e.count] = e.pop
-            base = int(self.network.offsets[e.pop]) + e.neuron_lo
-            self.global_of_pad[lo:lo + e.count] = np.arange(base, base + e.count)
-        self.pop_of_pad = pop_of_pad
-        self.consts = matrices.expand_constants(self.network, self.scales, pop_of_pad)
-
-        # shared-memory images, one 64-wide row per ensemble: the three
-        # synapse cores' ring-buffer slots (in SYNAPSE_ROLES order) and the
-        # Poisson core's buffer
-        self.sdram_syn = np.zeros((n_ens, 3, npc), dtype=np.int64)
-        self.sdram_poisson = np.zeros(n_ens * npc, dtype=np.int64)
+        self.ens_of, self.nid_of = neuron_slots(ens)
+        self.consts = matrices.expand_constants(self.network, self.scales)
+        # each neuron's word in slot 0 of its ensemble's three ring buffers,
+        # shape (SYNAPSE_ROLES, neurons), as indices into the flattened ring
+        self.ring_pos = ((3 * self.ens_of + np.arange(3)[:, None]) * RING_SLOTS
+                         * NEURONS_PER_CORE + self.nid_of)
 
         # profile rows for every modeled core, ordered by (chip, core id)
         self.chips = sorted(self.placement.roster)
@@ -437,7 +435,7 @@ class HardwareSimulation:
             refs, np.array([chip_row[chip] for chip, _ in refs], dtype=np.int64),
             [chip_syn_count[chip] for chip, _ in refs],
             np.array([profile_row[(e.index, role)] for e in ens for role in SYNAPSE_ROLES]),
-            self.store, self.costs, npc)
+            self.store, self.costs)
 
         # fan-out: per source ensemble, a CSR of destination cores and transit
         # times, and the fields every packet of the ensemble carries
@@ -496,32 +494,23 @@ class HardwareSimulation:
         chip_rates = np.array([clocks.clocks[c].rate for c in self.chips])
         syn = self.syn
         syn.reset(chip_rates[syn.chip_row])
-        self.sdram_syn[:] = 0
-        self.sdram_poisson[:] = 0
-        valid = self.global_of_pad >= 0
-        self.v = np.zeros(valid.size, dtype=np.float64)
-        self.v[valid] = network.v_init_mv[self.global_of_pad[valid]]
-        self.i_syn = np.zeros(valid.size, dtype=np.float64)
-        self.ref = np.zeros(valid.size, dtype=np.int64)
+        n = network.total_neurons
+        self.v = network.v_init_mv.copy()
+        self.i_syn = np.zeros(n, dtype=np.float64)
+        self.ref = np.zeros(n, dtype=np.int64)
+        # shared-memory images per neuron: the synapse cores' ring-buffer
+        # slots (excitatory, inhibitory) and the Poisson cores' buffer
+        exc_units = inh_units = pois_units = np.zeros(n, dtype=np.int64)
 
         profile = ProfileStore(self.core_meta, n_steps if with_profile else 0)
         if with_profile:
             profile.busy_us[syn.profile_row, :] = syn.wcost[:, None]
-        ens = self.ensembles
-        npc = self.npc
         consts = self.consts
-
-        # Poisson cores' buffer positions in the padded layout and their bank rows
-        pois = [e for e in ens if e.has_poisson]
-        pois_pad = np.concatenate([e.index * npc + np.arange(e.count) for e in pois]
-                                  or [np.zeros(0, dtype=np.int64)])
-        pois_rows = np.concatenate([bank.row0[e.pop] + e.neuron_lo + np.arange(e.count)
-                                    for e in pois] or [np.zeros(0, dtype=np.int64)])
 
         beacon_steps = max(1, round(self.clock_cfg.beacon_interval_s * 1e6 / period_local_us))
 
         fired_steps: list[int] = []
-        fired_pads: list[np.ndarray] = []
+        fired_neurons: list[np.ndarray] = []
         late_packets = 0
         poisson_sat = 0
 
@@ -536,14 +525,10 @@ class HardwareSimulation:
                 starts[i], durations[i] = clocks.clocks[chip].advance_period()
 
             # neuron cores: read DMA D image, advance, emit spikes
-            exc_units = (self.sdram_syn[:, 0] + self.sdram_syn[:, 1]).reshape(-1)
-            inh_units = self.sdram_syn[:, 2].reshape(-1)
-            inputs = weights.combine_input_pa(exc_units, inh_units, self.sdram_poisson,
+            inputs = weights.combine_input_pa(exc_units, inh_units, pois_units,
                                               consts.exc_factor, consts.inh_factor,
                                               consts.poisson_factor)
-            if not np.isfinite(inputs).all():
-                bad = int(np.flatnonzero(~np.isfinite(inputs))[0])
-                raise ValueError(f"non-finite synaptic input for padded neuron {bad}")
+            matrices.check_finite_input(network, inputs)
             self.v, self.i_syn, self.ref, fired = _advance(
                 self.v, self.i_syn, self.ref, inputs, consts)
 
@@ -551,8 +536,8 @@ class HardwareSimulation:
             g = np.flatnonzero(fired)
             if g.size:
                 fired_steps.append(t)
-                fired_pads.append(g)
-                e_idx, local = np.divmod(g, npc)
+                fired_neurons.append(g)
+                e_idx, local = self.ens_of[g], self.nid_of[g]
                 n_dest = self.dest_ptr[e_idx + 1] - self.dest_ptr[e_idx]
                 total = int(n_dest.sum())
                 if total:
@@ -570,18 +555,18 @@ class HardwareSimulation:
                     syn.push(np.repeat(send, n_dest) + self.dest_transit_us[d], fields)
 
             # poisson cores sample and write the next step's buffer (DMA C)
-            if pois_rows.size:
-                units, clipped = bank.units_rows(pois_rows, t)
-                self.sdram_poisson[pois_pad] = units
-                poisson_sat += clipped
+            pois_units, clipped = bank.units_at(t)
+            poisson_sat += clipped
 
             # synapse cores: spike processing window, flush, DMA B accounting
             late_packets += syn.run_window(t, starts, durations,
                                            profile if with_profile else None)[8]
 
-            # ring-buffer handover: slot for t+1 moves to shared memory
+            # ring-buffer handover: slot for t+1 moves to shared memory in
+            # one gather
             slot = (t + 1) & (RING_SLOTS - 1)
-            self.sdram_syn[:] = syn.ring[:, slot].reshape(self.sdram_syn.shape)
+            units = syn.ring.reshape(-1)[self.ring_pos + slot * NEURONS_PER_CORE]
+            exc_units, inh_units = units[0] + units[1], units[2]
             syn.ring[:, slot] = 0
 
             if self.clock_cfg.protocol_enabled and (t + 1) % beacon_steps == 0:
@@ -590,15 +575,8 @@ class HardwareSimulation:
         if with_profile:
             self._fill_constant_busy(profile)
 
-        pads = np.concatenate(fired_pads or [np.zeros(0, dtype=np.int64)])
-        steps = np.repeat(fired_steps, [g.size for g in fired_pads])
-        pops = self.pop_of_pad[pads]
-        neurons = self.global_of_pad[pads] - np.asarray(network.offsets)[pops]
-        pop_names = [p.name for p in network.populations]
-        pop_sizes = [p.size for p in network.populations]
-        pop_pol = [p.polarity for p in network.populations]
-        spike_trace = trace.from_step_records(steps, pops, neurons, n_steps, network.dt_ms,
-                                              pop_names, pop_sizes, pop_pol, discard_ms).sorted()
+        spike_trace = trace.from_step_records(network, fired_steps, fired_neurons, n_steps,
+                                              discard_ms)
         return RunResult(spike_trace, profile, clocks.diagnostics, late_packets, poisson_sat)
 
     def _fill_constant_busy(self, profile: ProfileStore) -> None:

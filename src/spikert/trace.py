@@ -49,13 +49,19 @@ class SpikeTrace:
         return "\n".join(lines) + "\n"
 
 
-def from_step_records(steps, pops, neurons, n_steps: int, dt_ms: float,
-                      pop_names, pop_sizes, pop_polarity,
+def from_step_records(network, steps, fired, n_steps: int,
                       discard_ms: float = 0.0) -> SpikeTrace:
-    steps = np.asarray(steps, dtype=np.int64)
-    return SpikeTrace(steps * dt_ms, np.asarray(pops, dtype=np.int32),
-                      np.asarray(neurons, dtype=np.int32), n_steps * dt_ms, dt_ms,
-                      discard_ms, tuple(pop_names), tuple(pop_sizes), tuple(pop_polarity))
+    """The sorted trace of a run of ``n_steps`` of ``network``: ``fired[i]``
+    holds the global indices of the neurons that fired at step ``steps[i]``."""
+    g = np.concatenate(fired or [np.zeros(0, dtype=np.int64)])
+    steps = np.repeat(np.asarray(steps, dtype=np.int64), [x.size for x in fired])
+    pops = np.searchsorted(network.offsets, g, side="right") - 1
+    populations = network.populations
+    return SpikeTrace(steps * network.dt_ms, pops.astype(np.int32),
+                      (g - network.offsets[pops]).astype(np.int32),
+                      n_steps * network.dt_ms, network.dt_ms, discard_ms,
+                      tuple(p.name for p in populations), tuple(p.size for p in populations),
+                      tuple(p.polarity for p in populations)).sorted()
 
 
 def load_trace(path) -> SpikeTrace:

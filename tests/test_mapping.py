@@ -117,3 +117,24 @@ def test_routing_tables_are_pinned(benchmark_path, machine_path):
     assert sum(tables.entry_counts().values()) == 1970
     assert hashlib.sha256(tables.serialize().encode()).hexdigest() == \
         "803be29cc9f67c0a322c04ead0cbe4a639f7e84ec5d5cb90b1e49fb793f98d7f"
+
+
+@pytest.mark.parametrize("scale", [None, 0.02], ids=["small_spec", "microcircuit_0.02"])
+def test_neuron_slots_follow_the_ensembles(scale, small_network, benchmark_path):
+    """Each global neuron's ensemble and neuron id agree with the ensemble's
+    population, first neuron and count, and the ring-buffer position
+    ``ens_of * 64 + nid_of`` keeps the global order."""
+    if scale is None:
+        net = small_network
+    else:
+        net = build_network(scale_network(load_network_spec(benchmark_path, "poisson"), scale),
+                            1, sample_synapses=False)
+    ensembles = partition(net)
+    ens_of, nid_of = mapping.neuron_slots(ensembles)
+    assert ens_of.size == nid_of.size == net.total_neurons
+    for e in ensembles:
+        first = int(net.offsets[e.pop]) + e.neuron_lo
+        assert (ens_of[first:first + e.count] == e.index).all()
+        assert (nid_of[first:first + e.count] == range(e.count)).all()
+    slot = ens_of * mapping.NEURONS_PER_CORE + nid_of
+    assert (slot[1:] > slot[:-1]).all()

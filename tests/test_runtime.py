@@ -102,6 +102,16 @@ def test_synapses_no_packet_reaches_are_rejected(small_network):
                              sim.placement, dmap)
 
 
+def test_non_finite_input_names_the_neuron(small_network):
+    """A non-finite input current stops the machine model with the neuron's
+    population and population-local index."""
+    sim = HardwareSimulation(small_network)
+    i0 = int(small_network.offsets[1])
+    sim.consts.exc_factor[i0 + 7] = np.nan
+    with pytest.raises(ValueError, match="non-finite input for neuron I/7$"):
+        sim.run(1.0)
+
+
 def test_float_oracle_with_poisson_input_is_pinned(small_network):
     """The unquantized path with Poisson input, where no trace equals it: its
     fixed-seed SHA-256 (363 spikes against the quantized path's 366)."""
