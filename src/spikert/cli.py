@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from . import analysis, oracle, runtime
+from . import analysis, matrices, oracle, runtime
 from .clocks import ClockConfig
 from .costs import CostModel, load_cost_model
 from .machine import MachineSpec, load_machine_spec, serialize_machine_spec
@@ -148,10 +148,21 @@ def _config_from_manifest(path: str, out_override: str | None = None) -> RunConf
         cfg = RunConfig(**data["run_config"])
     except (KeyError, TypeError) as exc:
         raise SpecError(f"manifest {path}: bad run_config: {exc}") from None
+    for field in dataclasses.fields(RunConfig):
+        value = getattr(cfg, field.name)
+        if isinstance(value, bool) != (field.type == "bool") or not isinstance(
+                value, _MANIFEST_TYPES[field.type]):
+            raise SpecError(f"manifest {path}: bad run_config: {field.name} must be "
+                            f"{field.type}, got {value!r}")
     if out_override:
         cfg.out = out_override
     cfg.validate()
     return cfg
+
+
+# the JSON values each RunConfig annotation accepts
+_MANIFEST_TYPES = {"str": str, "str | None": (str, type(None)), "float": (int, float),
+                   "int": int, "bool": bool}
 
 
 def run(cfg: RunConfig) -> None:
@@ -179,15 +190,27 @@ def run(cfg: RunConfig) -> None:
     clock_cfg = ClockConfig(drift_bound_ppm=cfg.drift_bound_ppm)
     results = {}
     texts = {}  # each trace serialised once, for its file and the comparison
-    sim = None
+    # one encoded synapse table and one Poisson bank, read by both simulators
+    table = matrices.encode_projections(net)
+    sim = res = None
     if cfg.mode in ("hardware", "both"):
         sim = runtime.HardwareSimulation(
-            net, machine=machine, costs=costs, clock_cfg=clock_cfg,
-            seeds=runtime.Seeds(poisson=cfg.seed_poisson, drift=cfg.seed_drift),
-            slowdown=cfg.slowdown)
-        res = sim.run(cfg.duration_ms, discard_ms=cfg.discard_ms,
+            net, table, machine=machine, costs=costs, clock_cfg=clock_cfg,
+            drift_seed=cfg.seed_drift, slowdown=cfg.slowdown)
+    if cfg.mode == "hardware":
+        table = None  # the machine's synaptic store holds what the run reads
+    bank = matrices.PoissonBank(net, cfg.seed_poisson, round(steps))
+    if sim is not None:
+        res = sim.run(cfg.duration_ms, bank, discard_ms=cfg.discard_ms,
                       with_profile=cfg.profile == "full")
         results["hardware"] = res.trace
+    if cfg.mode in ("oracle", "both"):
+        results["oracle"] = oracle.oracle_simulate(
+            net, table, bank, cfg.duration_ms, quantize=cfg.oracle_quantize,
+            discard_ms=cfg.discard_ms)
+    del table, bank  # the outputs need neither
+
+    if res is not None:
         texts["hardware"] = res.trace.serialize()
         _write(cfg, "trace_hardware.txt", texts["hardware"])
         if cfg.profile == "full":
@@ -200,11 +223,8 @@ def run(cfg: RunConfig) -> None:
         _write(cfg, "routing_tables.txt", sim.tables.serialize())
         _write(cfg, "placement_summary.txt", placement_summary(sim))
         _write(cfg, "machine.mach", serialize_machine_spec(sim.machine))
-    if cfg.mode in ("oracle", "both"):
-        tr = oracle.oracle_simulate(net, cfg.duration_ms, cfg.seed_poisson,
-                                    quantize=cfg.oracle_quantize, discard_ms=cfg.discard_ms)
-        results["oracle"] = tr
-        texts["oracle"] = tr.serialize()
+    if "oracle" in results:
+        texts["oracle"] = results["oracle"].serialize()
         _write(cfg, "trace_oracle.txt", texts["oracle"])
 
     for name, tr in results.items():

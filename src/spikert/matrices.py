@@ -1,14 +1,20 @@
 """Synaptic data generation shared by the machine model and the oracle.
 
-Encoding happens once, here: per-projection fixed-point scales, 16-bit word
-magnitudes, and the integer accumulator contributions both simulation paths
-add up.  ``encode_projections`` returns them as one ``SynapseTable`` of
-global arrays (source, target, units, delay per synapse).  Each simulator
-indexes that table with one stable argsort: the oracle by source neuron
-(``source_delivery_index``), the machine model by the synaptic row a packet
-key addresses (``runtime.build_synaptic_store``).  Both views carry the same
-encoded integers, which is what makes their spike-for-spike agreement exact
-rather than approximate.
+Encoding happens once per run, here: ``encode_projections`` turns every
+sampled synapse into per-projection fixed-point scales, 16-bit word
+magnitudes and the integer accumulator contributions both simulation paths
+add up, and returns them as one ``SynapseTable`` of narrow global arrays:
+int32 source and target neurons, units in the narrowest of int32/int64 that
+holds the largest shifted value, uint8 delays.  The caller (``cli.run``)
+encodes once and hands the same table to both simulators, which only read
+it.  Each indexes it with one counting sort (``counting_sort``): the oracle
+by source neuron (``source_delivery_index``), the machine model by the
+synaptic row a packet key addresses (``runtime.build_synaptic_store``).
+Both views carry the same encoded integers, which is what makes their
+spike-for-spike agreement exact rather than approximate.
+
+Background input is drawn once per run as well: one ``PoissonBank``, which
+both simulators read step by step.
 """
 
 from __future__ import annotations
@@ -27,18 +33,21 @@ class SynapseTable:
     """Every encoded synapse of the network, in projection order, then in
     synapse order (ascending source neuron within a projection).
 
-    ``pre`` and ``post`` are global neuron indices, ``units`` the magnitude in
-    the target's accumulator units and ``delays`` the delay in timesteps, all
-    int64 (the oracle's float path swaps signed float pA weights into
-    ``units``).  The oracle and the machine model each index it with one stable
-    argsort: by ``pre`` for the per-source CSR, by synaptic row for
-    ``runtime.SynapticStore``.
+    ``pre`` and ``post`` are int32 global neuron indices, ``units`` the
+    magnitude in the target's accumulator units (int32, or int64 when a
+    shifted value needs it) and ``delays`` the uint8 delay in timesteps.
+    Projection p spans ``bounds[p]:bounds[p + 1]``; within it the synapses of
+    one source neuron, and of one source neuron onto one target core, are
+    contiguous runs, which is what ``counting_sort`` relies on.  ``scales``
+    are the accumulator exponents the units are encoded against.
     """
 
     pre: np.ndarray
     post: np.ndarray
     units: np.ndarray
     delays: np.ndarray
+    bounds: np.ndarray
+    scales: weights.AccumulatorScales
 
 
 def accumulator_scales(network: NetworkModel) -> weights.AccumulatorScales:
@@ -49,8 +58,7 @@ def accumulator_scales(network: NetworkModel) -> weights.AccumulatorScales:
     have_exc = [False] * n_pops
     have_inh = [False] * n_pops
     for proj in network.projections or ():
-        max_abs = float(np.abs(proj.weight_pa).max()) if proj.count else 0.0
-        exp = weights.projection_scale_exp(max_abs)
+        exp = weights.projection_scale_exp(_max_abs(proj.weight_pa))
         src_pol = network.populations[proj.source_pop].polarity
         tp = proj.target_pop
         if src_pol == "exc":
@@ -66,29 +74,82 @@ def accumulator_scales(network: NetworkModel) -> weights.AccumulatorScales:
     return weights.AccumulatorScales(tuple(exc), tuple(inh), tuple(pois))
 
 
-def encode_projections(network: NetworkModel,
-                       scales: weights.AccumulatorScales) -> SynapseTable:
-    projections = network.projections or ()
-    total = sum(proj.count for proj in projections)
-    table = SynapseTable(*(np.empty(total, dtype=np.int64) for _ in range(4)))
-    lo = 0
+def _max_abs(w: np.ndarray) -> float:
+    return float(max(w.max(initial=0.0), -w.min(initial=0.0)))
+
+
+def encode_projections(network: NetworkModel) -> SynapseTable:
+    """The network's synapses as one ``SynapseTable``; encode once per run."""
+    if network.projections is None:
+        raise ValueError("encoding needs sampled synapses")
+    projections = network.projections
+    scales = accumulator_scales(network)
+    exps, shifts, top = [], [], 0
     for proj in projections:
-        hi = lo + proj.count
-        max_abs = float(np.abs(proj.weight_pa).max()) if proj.count else 0.0
+        max_abs = _max_abs(proj.weight_pa)
         exp = weights.projection_scale_exp(max_abs)
         src_pol = network.populations[proj.source_pop].polarity
         core_exp = (scales.exc_exp if src_pol == "exc" else scales.inh_exp)[proj.target_pop]
         shift = core_exp - exp
         if shift < 0:
             raise AssertionError("accumulator scale coarser than a feeding projection")
+        exps.append(exp)
+        shifts.append(shift)
+        top = max(top, round(max_abs * 2.0 ** exp) << shift)
+    units_dtype = np.int32 if top <= np.iinfo(np.int32).max else np.int64
+    bounds = np.zeros(len(projections) + 1, dtype=np.int64)
+    np.cumsum([proj.count for proj in projections], out=bounds[1:])
+    total = int(bounds[-1])
+    if total > np.iinfo(np.int32).max:
+        raise ValueError(f"{total} synapses: the int32 row pointers hold at most 2**31 - 1")
+    table = SynapseTable(np.empty(total, dtype=np.int32), np.empty(total, dtype=np.int32),
+                         np.empty(total, dtype=units_dtype), np.empty(total, dtype=np.uint8),
+                         bounds, scales)
+    for proj, exp, shift, lo, hi in zip(projections, exps, shifts, bounds[:-1], bounds[1:]):
         table.units[lo:hi] = weights.quantize_magnitudes(proj.weight_pa, exp) << shift
         table.pre[lo:hi] = np.repeat(
-            np.arange(proj.row_ptr.size - 1) + network.offsets[proj.source_pop],
-            np.diff(proj.row_ptr))
-        table.post[lo:hi] = proj.post_local + network.offsets[proj.target_pop]
+            np.arange(proj.row_ptr.size - 1, dtype=np.int32)
+            + np.int32(network.offsets[proj.source_pop]), np.diff(proj.row_ptr))
+        np.add(proj.post_local, np.int32(network.offsets[proj.target_pop]),
+               out=table.post[lo:hi])
         table.delays[lo:hi] = proj.delay_steps
-        lo = hi
     return table
+
+
+def counting_sort(table: SynapseTable, n_rows: int, rows_of, fill) -> np.ndarray:
+    """Group the table's synapses into ``n_rows`` CSR rows, keeping table
+    order within a row (projection order, then synapse order), with no
+    comparison sort; returns the int32 ``row_ptr``.
+
+    ``rows_of(lo, hi)`` gives the row of each synapse of ``table[lo:hi]``,
+    one projection.  Within a projection a row's synapses must be one
+    contiguous run, so a synapse's slot is its row's start, plus what
+    earlier projections put in the row, plus its offset in the run.
+    ``fill(slots, lo, hi)`` writes ``table[lo:hi]`` to those slots.
+    """
+    spans = list(zip(table.bounds[:-1].tolist(), table.bounds[1:].tolist()))
+    row_ptr = np.zeros(n_rows + 1, dtype=np.int32)
+    for lo, hi in spans:
+        start, rows, lens = _runs(rows_of(lo, hi))
+        row_ptr[rows + 1] += lens
+    np.cumsum(row_ptr, out=row_ptr)
+    free = row_ptr[:-1].copy()  # next free slot of each row
+    for lo, hi in spans:
+        start, rows, lens = _runs(rows_of(lo, hi))
+        first = free[rows]
+        free[rows] += lens
+        fill(np.repeat(first - start, lens) + np.arange(hi - lo), lo, hi)
+    if not np.array_equal(free, row_ptr[1:]):
+        raise AssertionError("a row's synapses are split within one projection")
+    return row_ptr
+
+
+def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(start, row, length) of each run of equal consecutive values."""
+    if not rows.size:
+        return np.zeros(0, dtype=np.int64), rows, np.zeros(0, dtype=np.int64)
+    start = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+    return start, rows[start], np.diff(start, append=rows.size)
 
 
 @dataclass
@@ -96,7 +157,9 @@ class SourceDeliveries:
     """Oracle view: the synapses of every source neuron, merged into one CSR.
 
     Row g (global source neuron) spans row_ptr[g]:row_ptr[g+1] of the
-    target/unit/delay arrays; targets are global neuron indices.
+    target/unit/delay arrays; targets are global neuron indices.  The dtypes
+    are the table's; ``units`` are float pA weights on the oracle's
+    unquantized path.
     """
 
     row_ptr: np.ndarray
@@ -105,15 +168,24 @@ class SourceDeliveries:
     delays: np.ndarray
 
 
-def source_delivery_index(network: NetworkModel, table: SynapseTable) -> SourceDeliveries:
-    """The synapse table as one CSR over global source neurons: a stable sort
-    by ``pre``, so a row holds its projections in projection order, each in
-    synapse order."""
-    order = np.argsort(table.pre, kind="stable")
-    row_ptr = np.zeros(network.total_neurons + 1, dtype=np.int64)
-    np.cumsum(np.bincount(table.pre, minlength=network.total_neurons), out=row_ptr[1:])
-    return SourceDeliveries(row_ptr, table.post[order], table.units[order],
-                            table.delays[order])
+def source_delivery_index(network: NetworkModel, table: SynapseTable,
+                          units: np.ndarray | None = None) -> SourceDeliveries:
+    """The synapse table as one CSR over global source neurons, a row holding
+    its projections in projection order, each in synapse order.  ``units``,
+    aligned with the table, replaces the table's units in the index (the
+    oracle's float weights); the table is not written."""
+    values = table.units if units is None else units
+    target = np.empty_like(table.post)
+    sorted_units = np.empty_like(values)
+    delays = np.empty_like(table.delays)
+
+    def fill(slots, lo, hi):
+        target[slots] = table.post[lo:hi]
+        sorted_units[slots] = values[lo:hi]
+        delays[slots] = table.delays[lo:hi]
+
+    row_ptr = counting_sort(table, network.total_neurons, lambda lo, hi: table.pre[lo:hi], fill)
+    return SourceDeliveries(row_ptr, target, sorted_units, delays)
 
 
 class PoissonBank:
@@ -123,8 +195,9 @@ class PoissonBank:
     All sources share one ``(sources, n_steps)`` matrix, population by
     population in network order; population p's rows are also viewed as
     ``counts[p]``.  Row r feeds global neuron ``neuron[r]`` with weight
-    ``w_row[r]``, its population's ``w_q``.  Both simulators read a step's
-    input through ``units_at``, indexed by global neuron.
+    ``w_row[r]``, its population's ``w_q``.  A run draws one bank and both
+    simulators read a step's input from it through ``units_at``, indexed by
+    global neuron.
     """
 
     def __init__(self, network: NetworkModel, seed: int, n_steps: int):

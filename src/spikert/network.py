@@ -23,6 +23,7 @@ import numpy as np
 from .kinetics import NeuronParams, make_rng
 
 MAX_DELAY_STEPS = 255
+SAMPLE_BLOCK = 1 << 18  # connectivity draws per sampling block (2 MB of floats)
 
 
 class SpecError(ValueError):
@@ -378,16 +379,22 @@ def _sample_projection(spec: NetworkSpec, proj: ProjectionSpec, index: int,
     rng = make_rng(seed, f"projection:{index}:{proj.name}")
     n_pre, n_post = src.size, tgt.size
 
+    # rows in blocks of B: rng.random((B, n_post)) draws the stream exactly as
+    # B calls of rng.random(n_post) do
     row_ptr = np.zeros(n_pre + 1, dtype=np.int64)
-    rows: list[np.ndarray] = []
+    posts: list[np.ndarray] = []
     if proj.probability > 0.0:
-        for pre in range(n_pre):
-            hits = np.flatnonzero(rng.random(n_post) < proj.probability)
-            rows.append(hits.astype(np.int32))
-            row_ptr[pre + 1] = row_ptr[pre] + hits.size
-    else:
-        row_ptr[:] = 0
-    post = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int32)
+        block = max(1, SAMPLE_BLOCK // n_post)
+        draws = np.empty((min(block, n_pre), n_post))
+        hits = np.empty(draws.shape, dtype=bool)
+        for lo in range(0, n_pre, block):
+            m = min(block, n_pre - lo)
+            rng.random(out=draws[:m])
+            np.less(draws[:m], proj.probability, out=hits[:m])
+            row_ptr[lo + 1:lo + 1 + m] = np.count_nonzero(hits[:m], axis=1)
+            posts.append((np.flatnonzero(hits[:m]) % n_post).astype(np.int32))
+        np.cumsum(row_ptr, out=row_ptr)
+    post = np.concatenate(posts) if posts else np.zeros(0, dtype=np.int32)
     total = int(row_ptr[-1])
 
     sign = 1.0 if src.polarity == "exc" else -1.0

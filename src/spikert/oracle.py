@@ -2,9 +2,17 @@
 
 No hardware, cost, or flush modeling: every spike's contribution is
 delivered after exactly its synaptic delay.  The oracle shares the neuron
-integrator, the Poisson streams and (when quantization is on) the synaptic
-weight encoder with the machine model, so a machine run that never flushes
+integrator, the Poisson bank and (when quantization is on) the encoded
+synapse table with the machine model, so a machine run that never flushes
 and never misses a window must reproduce this trace byte for byte.
+
+The caller encodes the table (``matrices.encode_projections``) and draws the
+bank (``matrices.PoissonBank``) once per run and passes both in; the oracle
+only reads them.  It indexes the table by source neuron with one counting
+sort (``matrices.source_delivery_index``), keeping the table's narrow dtypes
+(int32 targets, int32 or int64 units, uint8 delays) and widening each
+step's gathers to int64 before it adds them up.  The unquantized path builds
+its index from the network's float weights instead of the table's units.
 """
 
 from __future__ import annotations
@@ -17,26 +25,25 @@ from .network import NetworkModel
 from .runtime import RING_SLOTS
 
 
-def oracle_simulate(network: NetworkModel, duration_ms: float, poisson_seed: int,
-                    quantize: bool = True, discard_ms: float = 0.0) -> trace.SpikeTrace:
-    if network.projections is None:
-        raise ValueError("oracle needs sampled synapses")
+def oracle_simulate(network: NetworkModel, table: matrices.SynapseTable,
+                    bank: matrices.PoissonBank, duration_ms: float, quantize: bool = True,
+                    discard_ms: float = 0.0) -> trace.SpikeTrace:
     n_steps = int(round(duration_ms / network.dt_ms))
+    if bank.n_steps != n_steps:
+        raise ValueError(f"Poisson bank holds {bank.n_steps} steps, the run {n_steps}")
     n = network.total_neurons
-    scales = matrices.accumulator_scales(network)
-    consts = matrices.expand_constants(network, scales)
-    bank = matrices.PoissonBank(network, poisson_seed, n_steps)
+    consts = matrices.expand_constants(network, table.scales)
 
-    table = matrices.encode_projections(network, scales)
-    if not quantize:
+    if quantize:
+        rows = matrices.source_delivery_index(network, table)
+    else:
         # the unquantized signed weights ride the same sort as the units
-        table.units = np.concatenate([p.weight_pa for p in network.projections]
-                                     or [np.zeros(0)])
+        rows = matrices.source_delivery_index(
+            network, table, np.concatenate([p.weight_pa for p in network.projections]
+                                           or [np.zeros(0)]))
         float_acc = np.zeros((RING_SLOTS, n), dtype=np.float64)
         pois_w = np.repeat([network.populations[p].background.weight_pa for p in bank.counts],
                            [mat.shape[0] for mat in bank.counts.values()])
-    rows = matrices.source_delivery_index(network, table)
-    del table  # the merged rows hold all the run needs
 
     # integer accumulators: [0] excitatory, [1] inhibitory source input
     acc = np.zeros((2, RING_SLOTS, n), dtype=np.int64)
@@ -80,14 +87,14 @@ def oracle_simulate(network: NetworkModel, duration_ms: float, poisson_seed: int
             lens = rows.row_ptr[g + 1] - lo
             ends = np.cumsum(lens)
             syn = np.repeat(lo - (ends - lens), lens) + np.arange(int(ends[-1]))
-            slots = (t + rows.delays[syn]) & (RING_SLOTS - 1)
+            slots = (t + rows.delays[syn].astype(np.int64)) & (RING_SLOTS - 1)
             np.add.at(acc_flat, (np.repeat(inh_of[g], lens) * RING_SLOTS + slots) * n
-                      + rows.target_global[syn], rows.units[syn])
+                      + rows.target_global[syn], rows.units[syn].astype(np.int64))
         else:
             for gi in g.tolist():  # float sums depend on the order: one spike at a time
                 lo, hi = rows.row_ptr[gi], rows.row_ptr[gi + 1]
                 if hi > lo:
-                    slots = (t + rows.delays[lo:hi]) & (RING_SLOTS - 1)
+                    slots = (t + rows.delays[lo:hi].astype(np.int64)) & (RING_SLOTS - 1)
                     np.add.at(float_acc, (slots, rows.target_global[lo:hi]),
                               rows.units[lo:hi])
 

@@ -13,9 +13,14 @@ A synapse core finds a packet's synaptic row as the machine does: the key's
 routing prefix (the source population) selects a block of rows through the
 core's master population table, and the key's low 15 bits (sub-population
 and neuron id) index the row inside it.  The rows of every synapse core sit
-in one CSR, ``SynapticStore``: one stable sort, by row, of the network's
+in one CSR, ``SynapticStore``: one counting sort, by row, of the network's
 encoded synapse table (``matrices.SynapseTable``), the same table the oracle
-sorts by source neuron.
+sorts by source neuron.  The caller encodes that table once per run and
+passes it to ``HardwareSimulation``; the store keeps the machine's narrow
+words (uint8 targets and delays, int32 units unless a shifted weight needs
+int64, an int32 ``row_ptr``), and every gather from it is widened to int64
+before it is added into the int64 ring buffers.  The background input is
+the run's one ``matrices.PoissonBank``, passed to ``HardwareSimulation.run``.
 
 A timestep is one array pipeline over the whole machine, not a loop over
 packets:
@@ -24,7 +29,9 @@ packets:
   source chip and core, key, emit step), repeated over a per-ensemble CSR
   of destination cores built once from the delivery map;
 - window: ``SynapseCoreState.run_window`` orders every queued packet with
-  one ``np.lexsort`` on (core, arrival, sx, sy, score, key, emit step) and
+  one ``np.lexsort`` on (core, arrival, source, emit step), where the source
+  is the sending ensemble's rank in (sx, sy, score, key prefix) order times
+  64 plus the neuron id, the machine's (sx, sy, score, key) order, and
   scans all cores with a queued packet in lockstep, one array operation per
   queue position, keeping each core's float recurrence (busy time,
   kick-starts, the deadline cut) in packet order;
@@ -73,9 +80,10 @@ ROW_MASK = (1 << ROW_BITS) - 1
 class SynapticStore:
     """Synaptic rows of every synapse core, held as one CSR.
 
-    Row r spans ``row_ptr[r]:row_ptr[r + 1]`` of three parallel arrays:
-    ``targets`` (neuron index on the target core), ``units`` (accumulator
-    units) and ``delays`` (timesteps).  Synapse core c owns one block of
+    Row r spans ``row_ptr[r]:row_ptr[r + 1]`` (int32) of three parallel
+    arrays: ``targets`` (uint8 neuron index on the target core), ``units``
+    (accumulator units, the table's int32 or int64) and ``delays`` (uint8
+    timesteps).  Synapse core c owns one block of
     ``n_subpops * 64`` rows for every source population routed to it, as the
     machine's master population table lays them out: ``base[c, p]`` is the
     first row of the block of source population p (a packet key's routing
@@ -93,15 +101,15 @@ class SynapticStore:
 
 def build_synaptic_store(table: matrices.SynapseTable, ensembles: list[Ensemble],
                          placement: Placement, dmap: dict) -> SynapticStore:
-    """The synapse table as one CSR of synaptic rows: a stable sort by row id.
+    """The synapse table as one CSR of synaptic rows: a counting sort by row id.
 
     Synapse core ``3 * ensemble + k`` serves role ``SYNAPSE_ROLES[k]``.  Each
     source ensemble's role (inhibitory, lower or upper excitatory half) is
     read off the cores the delivery map sends its packets to, so the split
     rule stays in ``mapping``.  A synapse lands on core ``3 * ens_of[post] +
     role_of_src[ens_of[pre]]``, in row ``base[core, pop] + row_off[pre]`` of
-    its source population's block, at target ``nid_of[post]``; the stable
-    sort keeps a row's projections in projection order, each in synapse order.
+    its source population's block, at target ``nid_of[post]``; a row keeps
+    its projections in projection order, each in synapse order.
     """
     n_cores = 3 * len(ensembles)
     n_subs = subpops_per_population(ensembles)
@@ -119,28 +127,41 @@ def build_synaptic_store(table: matrices.SynapseTable, ensembles: list[Ensemble]
     sizes = np.where(reach, block_rows, 0)
     base = np.where(reach, np.cumsum(sizes).reshape(n_cores, n_pops) - sizes, -1)
 
+    # int32 per-neuron lookups, so that the per-synapse gathers stay narrow:
+    # a synapse's entry of ``lookup`` (``base`` plus a column of -1, where
+    # sources whose packets reach no core point) is ``dst_at[post] +
+    # src_at[pre]``, and ``row_off[pre]`` is its row within the block
     ens_of, nid_of = neuron_slots(ensembles)
-    pop_of_ens = np.array([e.pop for e in ensembles], dtype=np.int64)
-    sub_of_ens = np.array([e.subpop for e in ensembles], dtype=np.int64)
-    row_off = (sub_of_ens[ens_of] << NEURON_BITS) + nid_of
+    lookup = np.pad(base, ((0, 0), (0, 1)), constant_values=-1).astype(np.int32).reshape(-1)
+    role_of = role_of_src[ens_of]
+    dst_at = (3 * (n_pops + 1) * ens_of).astype(np.int32)
+    src_at = np.where(role_of < 0, n_pops, role_of * (n_pops + 1) + np.array(
+        [e.pop for e in ensembles])[ens_of]).astype(np.int32)
+    row_off = ((np.array([e.subpop for e in ensembles])[ens_of] << NEURON_BITS)
+               + nid_of).astype(np.int32)
+    nid8 = nid_of.astype(np.uint8)
 
-    src = ens_of[table.pre]
-    role = role_of_src[src]
-    row_id = base[3 * ens_of[table.post] + role, pop_of_ens[src]]
-    row_id[role < 0] = -1
-    bad = np.flatnonzero(row_id < 0)
-    if bad.size:
-        raise RuntimeError(f"{ensembles[src[bad[0]]].pop_name}->"
-                           f"{ensembles[ens_of[table.post[bad[0]]]].pop_name}: synapses on a "
-                           "core that no packet of their source reaches")
-    del src, role
-    row_id += row_off[table.pre]
-    order = np.argsort(row_id, kind="stable")
-    row_ptr = np.zeros(int(sizes.sum()) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row_id, minlength=row_ptr.size - 1), out=row_ptr[1:])
-    del row_id
-    return SynapticStore(row_ptr, nid_of[table.post[order]], table.units[order],
-                         table.delays[order], base)
+    def rows_of(lo, hi):
+        pre, post = table.pre[lo:hi], table.post[lo:hi]
+        row = lookup[dst_at[post] + src_at[pre]]
+        if row.min(initial=0) < 0:
+            i = int(np.argmax(row < 0))
+            raise RuntimeError(f"{ensembles[ens_of[pre[i]]].pop_name}->"
+                               f"{ensembles[ens_of[post[i]]].pop_name}: synapses on a "
+                               "core that no packet of their source reaches")
+        return row + row_off[pre]
+
+    targets = np.empty(table.post.size, dtype=np.uint8)
+    units = np.empty_like(table.units)
+    delays = np.empty_like(table.delays)
+
+    def fill(slots, lo, hi):
+        targets[slots] = nid8[table.post[lo:hi]]
+        units[slots] = table.units[lo:hi]
+        delays[slots] = table.delays[lo:hi]
+
+    row_ptr = matrices.counting_sort(table, int(sizes.sum()), rows_of, fill)
+    return SynapticStore(row_ptr, targets, units, delays, base)
 
 
 class ProfileStore:
@@ -207,17 +228,21 @@ class SynapseCoreState:
     ``q_arrival`` (global us) and ``q_fields``, whose rows are target core,
     source chip x and y, source core, key and emit step.  A packet finds its
     synaptic row in the shared ``SynapticStore`` through the core's row of
-    ``store.base``, its master population table.
+    ``store.base``, its master population table.  ``source_rank[key >>
+    NEURON_BITS]`` is 64 times the sending ensemble's rank in (source chip x,
+    y, source core, key prefix) order, so adding the neuron id orders
+    packets as (sx, sy, score, key) does.
     """
 
     def __init__(self, refs: list[tuple[tuple[int, int], int]], chip_row: np.ndarray,
                  chip_syn_cores: list[int], profile_row: np.ndarray,
-                 store: SynapticStore, costs: CostModel):
+                 store: SynapticStore, costs: CostModel, source_rank: np.ndarray):
         self.refs = refs                  # (chip, core id) per synapse core
         self.chip_row = chip_row
         self.profile_row = profile_row
         self.store = store
         self.costs = costs
+        self.source_rank = source_rank
         self.n_syn = np.array(chip_syn_cores, dtype=np.int64)
         self.wcost = costs.sdram_write_us(self.n_syn)
         self.ring_shape = (len(refs), RING_SLOTS, NEURONS_PER_CORE)
@@ -267,7 +292,8 @@ class SynapseCoreState:
             return 0, 0, 0, 0, 0, 0.0, 0, 0, 0
         cm = self.costs
         f = self.q_fields
-        order = np.lexsort((f[5], f[4], f[3], f[2], f[1], self.q_arrival, f[0]))
+        source = self.source_rank[f[4] >> NEURON_BITS] | (f[4] & (NEURONS_PER_CORE - 1))
+        order = np.lexsort((f[5], source, self.q_arrival, f[0]))
         arrival, f = self.q_arrival[order], f[:, order]
         queued = np.bincount(f[0], minlength=len(self.refs))
         act = np.flatnonzero(queued)           # the cores that run their window
@@ -346,15 +372,10 @@ class SynapseCoreState:
             return
         ends = np.cumsum(words)
         syn = np.repeat(lo - (ends - words), words) + np.arange(total)
-        slot = (t + self.store.delays[syn]) & (RING_SLOTS - 1)
+        slot = (t + self.store.delays[syn].astype(np.int64)) & (RING_SLOTS - 1)
         flat = (np.repeat(core, words) * RING_SLOTS + slot) * self.ring.shape[2]
-        np.add.at(self.ring.reshape(-1), flat + self.store.targets[syn], self.store.units[syn])
-
-
-@dataclass(frozen=True)
-class Seeds:
-    poisson: int = 1
-    drift: int = 2
+        np.add.at(self.ring.reshape(-1), flat + self.store.targets[syn],
+                  self.store.units[syn].astype(np.int64))
 
 
 @dataclass
@@ -372,24 +393,25 @@ class RunResult:
 class HardwareSimulation:
     """Build and run the machine model for one network.
 
-    The neuron state (``v``, ``i_syn``, ``ref``) and ``consts`` are indexed
-    by global neuron, as in the oracle; ``ens_of`` and ``nid_of`` give each
-    neuron's ensemble and neuron id, its place in the ensemble's ring
-    buffers and packet keys.
+    ``table`` is the run's encoded synapse table, which the synaptic rows
+    are built from and which is not written; ``run`` reads its background
+    input from the run's ``matrices.PoissonBank``.  The neuron state (``v``,
+    ``i_syn``, ``ref``) and ``consts`` are indexed by global neuron, as in
+    the oracle; ``ens_of`` and ``nid_of`` give each neuron's ensemble and
+    neuron id, its place in the ensemble's ring buffers and packet keys.
     """
 
-    def __init__(self, network: NetworkModel, machine: MachineSpec | None = None,
-                 costs: CostModel | None = None, clock_cfg: ClockConfig | None = None,
-                 seeds: Seeds = Seeds(), slowdown: float = 1.0):
+    def __init__(self, network: NetworkModel, table: matrices.SynapseTable,
+                 machine: MachineSpec | None = None, costs: CostModel | None = None,
+                 clock_cfg: ClockConfig | None = None, drift_seed: int = 2,
+                 slowdown: float = 1.0):
         if slowdown < 1.0:
             raise ValueError("slow-down multiplier must be >= 1")
-        if network.projections is None:
-            raise ValueError("hardware simulation needs sampled synapses")
         self.network = network
         self.costs = costs or CostModel()
         self.costs.validate()
         self.clock_cfg = clock_cfg or ClockConfig(drift_bound_ppm=0.0)
-        self.seeds = seeds
+        self.drift_seed = drift_seed
         self.slowdown = float(slowdown)
 
         self.ensembles = partition(network)
@@ -399,8 +421,7 @@ class HardwareSimulation:
         self.tables = build_routing_tables(self.placement, self.keys, self.dests)
         self.dmap = delivery_map(self.placement, self.keys, self.tables, self.dests)
 
-        self.scales = matrices.accumulator_scales(network)
-        self._build_state(matrices.encode_projections(network, self.scales))
+        self._build_state(table)
         self._check_schedule()
 
     # -- construction -------------------------------------------------------
@@ -409,7 +430,7 @@ class HardwareSimulation:
         ens = self.ensembles
         n_ens = len(ens)
         self.ens_of, self.nid_of = neuron_slots(ens)
-        self.consts = matrices.expand_constants(self.network, self.scales)
+        self.consts = matrices.expand_constants(self.network, table.scales)
         # each neuron's word in slot 0 of its ensemble's three ring buffers,
         # shape (SYNAPSE_ROLES, neurons), as indices into the flattened ring
         self.ring_pos = ((3 * self.ens_of + np.arange(3)[:, None]) * RING_SLOTS
@@ -428,6 +449,17 @@ class HardwareSimulation:
         self.ens_chip_row = np.array([chip_row[self.placement.chip_of[e.index]] for e in ens],
                                      dtype=np.int64)
 
+        # the fields every packet of an ensemble carries, by row: source chip
+        # x, source chip y, source (neuron) core, key prefix; and 64 times each
+        # ensemble's rank in that order, by key prefix >> NEURON_BITS
+        self.ens_packet = np.array(
+            [(*self.placement.chip_of[e.index], self.placement.core_of[(e.index, ROLE_NEURON)],
+              self.keys.prefix_of[e.index]) for e in ens], dtype=np.int64).reshape(-1, 4).T
+        prefix = self.ens_packet[3] >> NEURON_BITS
+        source_rank = np.zeros(int(prefix.max()) + 1, dtype=np.int64)
+        source_rank[prefix[np.lexsort(self.ens_packet[::-1])]] = (
+            np.arange(n_ens) << NEURON_BITS)
+
         # synapse core 3 * ensemble + k serves SYNAPSE_ROLES[k]
         self.store = build_synaptic_store(table, ens, self.placement, self.dmap)
         refs = [self.placement.core_ref(e.index, role) for e in ens for role in SYNAPSE_ROLES]
@@ -435,10 +467,10 @@ class HardwareSimulation:
             refs, np.array([chip_row[chip] for chip, _ in refs], dtype=np.int64),
             [chip_syn_count[chip] for chip, _ in refs],
             np.array([profile_row[(e.index, role)] for e in ens for role in SYNAPSE_ROLES]),
-            self.store, self.costs)
+            self.store, self.costs, source_rank)
 
         # fan-out: per source ensemble, a CSR of destination cores and transit
-        # times, and the fields every packet of the ensemble carries
+        # times
         core_index = {ref: ci for ci, ref in enumerate(refs)}
         dest_core, dest_transit_us = [], []
         self.dest_ptr = np.zeros(n_ens + 1, dtype=np.int64)
@@ -449,10 +481,6 @@ class HardwareSimulation:
             self.dest_ptr[e.index + 1] = len(dest_core)
         self.dest_core = np.array(dest_core, dtype=np.int64)
         self.dest_transit_us = np.array(dest_transit_us, dtype=np.float64)
-        # rows: source chip x, source chip y, source (neuron) core, key prefix
-        self.ens_packet = np.array(
-            [(*self.placement.chip_of[e.index], self.placement.core_of[(e.index, ROLE_NEURON)],
-              self.keys.prefix_of[e.index]) for e in ens], dtype=np.int64).reshape(-1, 4).T
 
     def _check_schedule(self) -> None:
         cm = self.costs
@@ -481,15 +509,16 @@ class HardwareSimulation:
 
     # -- execution -----------------------------------------------------------
 
-    def run(self, duration_ms: float, discard_ms: float = 0.0,
+    def run(self, duration_ms: float, bank: matrices.PoissonBank, discard_ms: float = 0.0,
             with_profile: bool = True) -> RunResult:
         network = self.network
         cm = self.costs
         n_steps = int(round(duration_ms / network.dt_ms))
-        bank = matrices.PoissonBank(network, self.seeds.poisson, n_steps)
+        if bank.n_steps != n_steps:
+            raise ValueError(f"Poisson bank holds {bank.n_steps} steps, the run {n_steps}")
 
         period_local_us = cm.timer_period_us * self.slowdown
-        clocks = MachineClocks(self.machine, self.clock_cfg, self.seeds.drift,
+        clocks = MachineClocks(self.machine, self.clock_cfg, self.drift_seed,
                                self.chips, period_local_us, cm.clock_hz)
         chip_rates = np.array([clocks.clocks[c].rate for c in self.chips])
         syn = self.syn
@@ -572,6 +601,7 @@ class HardwareSimulation:
             if self.clock_cfg.protocol_enabled and (t + 1) % beacon_steps == 0:
                 clocks.run_round(record=True)
 
+        syn.ring = None  # run state: the next run's reset makes fresh rings
         if with_profile:
             self._fill_constant_busy(profile)
 

@@ -3,7 +3,7 @@ import os
 import pytest
 
 from spikert.kinetics import NeuronParams
-from spikert.network import build_network, parse_network_spec
+from spikert.network import build_network, load_network_spec, parse_network_spec, scale_network
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "spikert", "data")
 
@@ -95,3 +95,9 @@ def small_network():
 def small_network_dc():
     spec = parse_network_spec(SMALL_SPEC, "dc")
     return build_network(spec, seed=42)
+
+
+@pytest.fixture(scope="session")
+def microcircuit_dc_01(benchmark_path):
+    """The benchmark model at scale 0.1 with DC input, network seed 1."""
+    return build_network(scale_network(load_network_spec(benchmark_path, "dc"), 0.1), seed=1)

@@ -1,10 +1,12 @@
+import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 
 from conftest import SMALL_SPEC
-from spikert import cli, runtime
+from spikert import cli, matrices, runtime
 from spikert.mapping import NEURONS_PER_CORE
 
 
@@ -51,8 +53,10 @@ def bad_input_args(tmp_path, model, case):
         return ["--costs", write(tmp_path, "bad.cfg", "[costs]\nneuron_update_us = fast\n")]
     if case == "manifest_json":
         return ["--manifest", write(tmp_path, "manifest.json", "{not json")]
-    if case == "manifest_key":
-        config = {"model": model, "out": str(tmp_path / "out"), "neurons_per_core": 32}
+    if case in ("manifest_key", "manifest_type"):
+        config = {"model": model, "out": str(tmp_path / "out"),
+                  **({"neurons_per_core": 32} if case == "manifest_key" else
+                     {"duration_ms": "5"})}
         return ["--manifest", write(tmp_path, "manifest.json",
                                     json.dumps({"run_config": config}))]
     return case.split()
@@ -74,6 +78,8 @@ def bad_input_args(tmp_path, model, case):
     pytest.param("manifest_json", "not valid JSON", id="manifest_json"),
     pytest.param("manifest_key", "unexpected keyword argument 'neurons_per_core'",
                  id="manifest_key"),
+    pytest.param("manifest_type", "bad run_config: duration_ms must be float, got '5'",
+                 id="manifest_type"),
 ])
 def test_bad_input_exits_with_spec_code(tmp_path, model, capsys, case, message):
     """Malformed options and input files end in a spec error that names the
@@ -103,3 +109,45 @@ def test_map_only_run_replays_from_its_manifest(tmp_path, benchmark_path, machin
                      "--out", str(replay)]) == cli.EXIT_OK
     for name in ("routing_tables.txt", "placement.txt", "placement_summary.txt"):
         assert (replay / name).read_bytes() == (out / name).read_bytes()
+
+
+def record_calls(monkeypatch, owner, attr) -> list:
+    """Wrap ``owner.attr``; the returned list gets each call's first
+    argument and result."""
+    func, calls = getattr(owner, attr), []
+
+    def wrapper(*args, **kwargs):
+        result = func(*args, **kwargs)
+        calls.append((args[0], result))
+        return result
+
+    monkeypatch.setattr(owner, attr, wrapper)
+    return calls
+
+
+def test_both_modes_share_one_table_and_one_bank(tmp_path, model, monkeypatch):
+    """A --mode both run encodes the synapses once and draws the Poisson
+    input once."""
+    encodes = record_calls(monkeypatch, matrices, "encode_projections")
+    banks = record_calls(monkeypatch, matrices.PoissonBank, "__init__")
+    assert run_cli(tmp_path, model, "--mode", "both") == cli.EXIT_OK
+    assert (len(encodes), len(banks)) == (1, 1)
+
+
+def test_float_oracle_leaves_the_shared_table_alone(tmp_path, model, monkeypatch):
+    """The oracle's unquantized path indexes float weights without writing
+    into the table the machine model reads; both traces keep the SHA-256s
+    they had when each simulator encoded its own table."""
+    encode = matrices.encode_projections
+    encodes = record_calls(monkeypatch, matrices, "encode_projections")
+    cli.run(cli.RunConfig(model=model, out=str(tmp_path / "out"), duration_ms=20.0,
+                          oracle_quantize=False))
+    ((net, table),) = encodes
+    assert table.units.dtype == np.int32
+    assert np.array_equal(table.units, encode(net).units)
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+               for name in ("trace_hardware.txt", "trace_oracle.txt")}
+    assert digests == {
+        "trace_hardware.txt": "f8c8d3a6c796f86f3c4e5f45d6a0588e2bee06f4b3c31ea686e33826120de0a1",
+        "trace_oracle.txt": "01f4d4128e22d504d618f1f3058bbc05e159e182b9deb47fb3fdedf97e169d09",
+    }

@@ -10,9 +10,9 @@ from conftest import SMALL_SPEC
 from spikert.clocks import ClockConfig
 from spikert.costs import CostModel
 from spikert.mapping import pack_key
-from spikert.matrices import PoissonBank
-from spikert.network import build_network, parse_network_spec
-from spikert.runtime import ROW_BITS, ROW_MASK, HardwareSimulation, ProfileStore, Seeds
+from spikert.matrices import PoissonBank, encode_projections
+from spikert.network import build_network, load_network_spec, parse_network_spec, scale_network
+from spikert.runtime import ROW_BITS, ROW_MASK, HardwareSimulation, ProfileStore
 
 # SHA-256 of trace, profile.tsv and profile_events.tsv from the packet-at-a-time
 # engine this one replaced, with its late and flushed packet counts
@@ -38,11 +38,11 @@ def sha256(text: str) -> str:
 def test_flush_and_carry_over_digests(fixture, request):
     """A 95 us pre-deadline margin leaves 5 us per period for packets, so
     packets arrive late, are carried to the next step and are flushed."""
-    sim = HardwareSimulation(request.getfixturevalue(fixture),
+    net = request.getfixturevalue(fixture)
+    sim = HardwareSimulation(net, encode_projections(net),
                              costs=CostModel(second_timer_margin_us=95.0),
-                             clock_cfg=ClockConfig(drift_bound_ppm=20.0),
-                             seeds=Seeds(poisson=2, drift=3))
-    res = sim.run(50.0)
+                             clock_cfg=ClockConfig(drift_bound_ppm=20.0), drift_seed=3)
+    res = sim.run(50.0, PoissonBank(net, 2, 500))
     late, flushed, trace_sha, profile_sha, events_sha = LATE_MARGIN_DIGESTS[fixture]
     assert res.late_packets == late > 0
     assert res.flush_totals()["flushed"] == flushed > 0
@@ -56,8 +56,9 @@ def test_poisson_saturations_match_per_population_slices():
     entries the per-population ``units_slice`` does."""
     spec = SMALL_SPEC.replace("poisson_rate_hz = 12800", "poisson_rate_hz = 900000")
     net = build_network(parse_network_spec(spec, "poisson"), seed=42)
-    res = HardwareSimulation(net, seeds=Seeds(poisson=2, drift=3), slowdown=10.0).run(5.0)
     bank = PoissonBank(net, 2, 50)
+    res = HardwareSimulation(net, encode_projections(net), drift_seed=3,
+                             slowdown=10.0).run(5.0, bank)
     expected = sum(bank.units_slice(p, 0, mat.shape[0], t)[1]
                    for p, mat in bank.counts.items() for t in range(50))
     assert res.poisson_saturations == expected > 0
@@ -117,7 +118,8 @@ def test_lockstep_window_matches_packet_at_a_time_reference(small_network):
     steps with drifting rates: per-core counters, busy time, carry and the
     packets left queued equal the reference bit for bit, and the processed
     rows land in the ring buffers."""
-    sim = HardwareSimulation(small_network, costs=CostModel(second_timer_margin_us=60.0))
+    sim = HardwareSimulation(small_network, encode_projections(small_network),
+                             costs=CostModel(second_timer_margin_us=60.0))
     syn = sim.syn
     rng = np.random.default_rng(7)
     n_chips = len(sim.chips)
@@ -157,3 +159,35 @@ def test_lockstep_window_matches_packet_at_a_time_reference(small_network):
         flushed += totals[2]
         late_left += sum(map(len, left.values()))
     assert flushed > 0 and late_left > 0
+
+
+def test_arrival_ties_follow_the_machine_order(benchmark_path):
+    """Packets that reach a core at the same time are taken in (sx, sy,
+    score, key, emit step) order, which the engine gets from one rank per
+    source ensemble.  At microcircuit scale a core hears from several
+    ensembles; with every packet arriving at once and the deadline inside
+    the queue, the order shows in the counters."""
+    net = build_network(scale_network(load_network_spec(benchmark_path, "dc"), 0.02), seed=1)
+    sim = HardwareSimulation(net, encode_projections(net),
+                             costs=CostModel(second_timer_margin_us=60.0))
+    syn = sim.syn
+    c = int(np.bincount(sim.dest_core).argmax())
+    senders = [e for e in range(len(sim.ensembles))
+               if c in sim.dest_core[sim.dest_ptr[e]:sim.dest_ptr[e + 1]]]
+    assert len(senders) > 1
+    packets = [(c, *sim.ens_packet[:3, e], sim.ens_packet[3, e] | nid, emit)
+               for e in senders for nid in range(4) for emit in (0, 1)]
+    order = np.random.default_rng(3).permutation(len(packets))
+    syn.push(np.full(len(packets), 1.0), np.array(packets, dtype=np.int64)[order].T)
+    n_chips = len(sim.chips)
+    starts, durations = np.zeros(n_chips), np.full(n_chips, 100.0)
+    expected, late, carry, left = reference_window(
+        sim, c, queued_packets(syn)[c], 1, 0.0, 100.0 - 60.0 / syn.rate[c])
+    profile = ProfileStore(sim.core_meta, 2)
+    totals = syn.run_window(1, starts, durations, profile)
+    r = syn.profile_row[c]
+    assert (profile.received[r, 1], profile.processed[r, 1], profile.flushed[r, 1],
+            profile.zero_target[r, 1], profile.kickstarts[r, 1], profile.busy_us[r, 1],
+            profile.processed_events[r, 1], profile.flushed_events[r, 1]) == expected
+    assert (totals[8], syn.carry[c], left) == (late, carry, [])
+    assert 0 < expected[1] < expected[0]

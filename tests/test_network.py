@@ -125,6 +125,21 @@ def test_build_determinism_digest(small_network):
     assert other.digest() != small_network.digest()
 
 
+# NetworkModel.digest() of fixed-seed builds, recorded when connectivity was
+# drawn with one rng.random(n_post) call per source neuron; a change in how
+# the random stream is consumed changes them
+PINNED_DIGESTS = {
+    "small_network": "230392d22f7ccc13e335e9dde08ad676263a3b773cae7917d8b4692038c8b222",
+    "small_network_dc": "48cc8f5c76e3805c422e7ee21a14c227f610261cd90b98eb19124f073134f5b6",
+    "microcircuit_dc_01": "fca8a7d671ebda988aed1d7ea1ed2f66d4d18aa428749b6b68bb12f147d3de29",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(PINNED_DIGESTS))
+def test_network_digest_is_pinned(fixture, request):
+    assert request.getfixturevalue(fixture).digest() == PINNED_DIGESTS[fixture]
+
+
 def test_dales_law_over_materialized_synapses(small_network):
     for proj in small_network.projections:
         pol = small_network.populations[proj.source_pop].polarity

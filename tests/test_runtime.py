@@ -6,12 +6,13 @@ import pytest
 from conftest import SMALL_SPEC
 from spikert.clocks import ClockConfig
 from spikert.mapping import ROLE_SYN_INH, SYNAPSE_ROLES, pack_key
-from spikert.matrices import encode_projections
+from spikert.matrices import PoissonBank, encode_projections, source_delivery_index
 from spikert.network import build_network, load_network_spec, parse_network_spec, scale_network
 from spikert.oracle import oracle_simulate
-from spikert.runtime import HardwareSimulation, Seeds, build_synaptic_store
+from spikert.runtime import HardwareSimulation, build_synaptic_store
 
 DURATION_MS = 50.0
+STEPS = 500
 
 SECOND_EE_BLOCK = """
 [projection]
@@ -26,11 +27,13 @@ delay_sd_ms = 0.75
 
 
 def run_both(net, drift_ppm=0.0, quantize=True):
-    """Hardware run at slowdown 10 (no flushes) and the oracle, same seeds."""
-    sim = HardwareSimulation(net, clock_cfg=ClockConfig(drift_bound_ppm=drift_ppm),
-                             seeds=Seeds(poisson=2, drift=3), slowdown=10.0)
-    res = sim.run(DURATION_MS)
-    return res, oracle_simulate(net, DURATION_MS, poisson_seed=2, quantize=quantize)
+    """Hardware run at slowdown 10 (no flushes) and the oracle, from one
+    synapse table and one Poisson bank."""
+    table, bank = encode_projections(net), PoissonBank(net, 2, STEPS)
+    sim = HardwareSimulation(net, table, clock_cfg=ClockConfig(drift_bound_ppm=drift_ppm),
+                             drift_seed=3, slowdown=10.0)
+    res = sim.run(DURATION_MS, bank)
+    return res, oracle_simulate(net, table, bank, DURATION_MS, quantize=quantize)
 
 
 def assert_equivalent(res, ref):
@@ -65,13 +68,57 @@ def test_repeated_projection_keeps_every_synapse():
     blocks' synapses must reach the targets."""
     net = build_network(parse_network_spec(SMALL_SPEC + SECOND_EE_BLOCK, "dc"), seed=42)
     assert_equivalent(*run_both(net))
-    assert HardwareSimulation(net).store.row_ptr[-1] == net.synapse_count()
+    assert HardwareSimulation(net, encode_projections(net)).store.row_ptr[-1] == \
+        net.synapse_count()
+
+
+def int64_digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+def test_narrow_table_and_store_at_microcircuit_scale(microcircuit_dc_01):
+    """The shared table and the machine store keep narrow dtypes, the store
+    stays within 9 B per synapse, and both indexes hold the values (widened
+    to int64) that the int64 argsort-built indexes held."""
+    net = microcircuit_dc_01
+    table = encode_projections(net)
+    assert [a.dtype for a in (table.pre, table.post, table.units, table.delays)] == \
+        [np.int32, np.int32, np.int32, np.uint8]
+    assert int(table.units.max()) == 113120  # 17 bits: int32 units
+    store = HardwareSimulation(net, table).store
+    assert [a.dtype for a in (store.row_ptr, store.targets, store.units, store.delays)] == \
+        [np.int32, np.uint8, np.int32, np.uint8]
+    resident = sum(a.nbytes for a in (store.row_ptr, store.targets, store.units, store.delays,
+                                      store.base))
+    assert resident <= 9 * net.synapse_count()
+    assert int64_digest(store.row_ptr, store.targets, store.units, store.delays, store.base) == (
+        "8dcdb82807d08b7d0d52a317f7deb8cbb8e06777dfb0f8b2fd872c98cafb1ab3")
+    rows = source_delivery_index(net, table)
+    assert int64_digest(rows.row_ptr, rows.target_global, rows.units, rows.delays) == (
+        "b0855ad4bfb9d6696a974bc47f53d09d1f7a21441b72cbbab70fc362bede7e4f")
+
+
+def test_wide_weight_spread_takes_int64_units():
+    """A projection of tiny weights makes the E -> E accumulator scale so
+    fine that the regular projection's shifted units pass 31 bits: the table
+    takes int64 units and the machine still equals the oracle."""
+    tiny = SECOND_EE_BLOCK.replace("weight_pa = 87.8", "weight_pa = 0.0005").replace(
+        "weight_sd_pa = 8.78", "weight_sd_pa = 0.00005")
+    net = build_network(parse_network_spec(SMALL_SPEC + tiny, "dc"), seed=42)
+    table = encode_projections(net)
+    assert table.units.dtype == np.int64
+    assert int(table.units.max()) > np.iinfo(np.int32).max
+    assert_equivalent(*run_both(net))
 
 
 def test_rerun_is_deterministic(small_network):
-    sim = HardwareSimulation(small_network, clock_cfg=ClockConfig(drift_bound_ppm=20.0),
-                             seeds=Seeds(poisson=2, drift=3))
-    first, second = sim.run(DURATION_MS), sim.run(DURATION_MS)
+    sim = HardwareSimulation(small_network, encode_projections(small_network),
+                             clock_cfg=ClockConfig(drift_bound_ppm=20.0), drift_seed=3)
+    bank = PoissonBank(small_network, 2, STEPS)
+    first, second = sim.run(DURATION_MS, bank), sim.run(DURATION_MS, bank)
     assert len(first.trace) > 0
     assert second.trace.serialize() == first.trace.serialize()
     assert second.profile.serialize() == first.profile.serialize()
@@ -81,7 +128,7 @@ def test_rerun_is_deterministic(small_network):
 def test_packet_without_table_entry_is_rejected(small_network):
     """No I -> I projection exists, so inhibitory cores of I have no entry for
     population I and must refuse its packets."""
-    sim = HardwareSimulation(small_network)
+    sim = HardwareSimulation(small_network, encode_projections(small_network))
     i_pop = 1
     e = next(e for e in sim.ensembles if e.pop == i_pop)
     core = 3 * e.index + SYNAPSE_ROLES.index(ROLE_SYN_INH)
@@ -94,28 +141,29 @@ def test_packet_without_table_entry_is_rejected(small_network):
 def test_synapses_no_packet_reaches_are_rejected(small_network):
     """A source ensemble whose packets reach no core leaves its synapses
     without a row; the error names the projection's populations."""
-    sim = HardwareSimulation(small_network)
+    sim = HardwareSimulation(small_network, encode_projections(small_network))
     i0 = next(e.index for e in sim.ensembles if e.pop == 1)
     dmap = {**sim.dmap, i0: []}
     with pytest.raises(RuntimeError, match="I->E: synapses on a core that no packet"):
-        build_synaptic_store(encode_projections(small_network, sim.scales), sim.ensembles,
+        build_synaptic_store(encode_projections(small_network), sim.ensembles,
                              sim.placement, dmap)
 
 
 def test_non_finite_input_names_the_neuron(small_network):
     """A non-finite input current stops the machine model with the neuron's
     population and population-local index."""
-    sim = HardwareSimulation(small_network)
+    sim = HardwareSimulation(small_network, encode_projections(small_network))
     i0 = int(small_network.offsets[1])
     sim.consts.exc_factor[i0 + 7] = np.nan
     with pytest.raises(ValueError, match="non-finite input for neuron I/7$"):
-        sim.run(1.0)
+        sim.run(1.0, PoissonBank(small_network, 2, 10))
 
 
 def test_float_oracle_with_poisson_input_is_pinned(small_network):
     """The unquantized path with Poisson input, where no trace equals it: its
     fixed-seed SHA-256 (363 spikes against the quantized path's 366)."""
-    tr = oracle_simulate(small_network, DURATION_MS, poisson_seed=2, quantize=False)
+    tr = oracle_simulate(small_network, encode_projections(small_network),
+                         PoissonBank(small_network, 2, STEPS), DURATION_MS, quantize=False)
     assert len(tr) == 363
     assert hashlib.sha256(tr.serialize().encode()).hexdigest() == (
         "1bd7dd87f2e9bc396c6322376099ec363b698c0fa21e0e9a18e6ad2c1fb25c11")
