@@ -130,11 +130,9 @@ def firing_stats(trace: SpikeTrace, corr_bin_ms: float = 2.0, corr_subsample: in
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([corr_seed, p])))
         chosen = np.sort(rng.choice(size, size=min(corr_subsample, size), replace=False))
         binned = np.zeros((chosen.size, n_corr_bins), dtype=np.int64)
-        idx_of = {n: i for i, n in enumerate(chosen)}
         mask = np.isin(n_p, chosen)
         bins = np.minimum(((t_p[mask] - t0) / corr_bin_ms).astype(np.int64), n_corr_bins - 1)
-        for n, b in zip(n_p[mask], bins):
-            binned[idx_of[int(n)], b] += 1
+        np.add.at(binned, (np.searchsorted(chosen, n_p[mask]), bins), 1)
         active = binned.std(axis=1) > 0
         corr_excluded = int(np.count_nonzero(~active))
         coeffs = np.zeros(0)

@@ -74,12 +74,6 @@ class ChipClock:
         self.next_edge_us = start_us
         self.cycles_per_us = clock_hz * 1e-6
 
-    def local_us(self, local_cycles: float) -> float:
-        return local_cycles / self.cycles_per_us
-
-    def global_duration_us(self, local_cycles: float) -> float:
-        return local_cycles / (self.cycles_per_us * self.rate)
-
     def advance_period(self) -> tuple[float, float]:
         """Consume one timer period; returns (start_us, duration_us) in
         global time.  Fractional corrections accumulate and apply in whole
@@ -88,7 +82,7 @@ class ChipClock:
         self.acc += self.corr_cycles
         applied = math.trunc(self.acc)
         self.acc -= applied
-        duration = self.global_duration_us(self.base_cycles + applied)
+        duration = (self.base_cycles + applied) / (self.cycles_per_us * self.rate)
         self.next_edge_us = start + duration
         return start, duration
 
@@ -134,11 +128,7 @@ class MachineClocks:
         self.master_rate = 1.0 + self.board_drift_ppm[machine.board_index(self.master_chip)] * 1e-6
         self.diagnostics = SyncDiagnostics()
         self.rounds_run = 0
-        if cfg.protocol_enabled:
-            self.warmup(cfg.warmup_rounds)
-
-    def warmup(self, rounds: int) -> None:
-        for _ in range(rounds):
+        for _ in range(cfg.warmup_rounds if cfg.protocol_enabled else 0):
             self.run_round(record=False)
 
     def run_round(self, record: bool = True) -> None:

@@ -26,8 +26,8 @@ A timestep is one array pipeline over the whole machine, not a loop over
 packets:
 
 - fan-out: the fired neurons become packet arrays (target core, arrival,
-  source chip and core, key, emit step), repeated over a per-ensemble CSR
-  of destination cores built once from the delivery map;
+  key, emit step), repeated over a per-ensemble CSR of destination cores,
+  the delivery map's one array form (``fan_out``);
 - window: ``SynapseCoreState.run_window`` orders every queued packet with
   one ``np.lexsort`` on (core, arrival, source, emit step), where the source
   is the sending ensemble's rank in (sx, sy, score, key prefix) order times
@@ -44,6 +44,11 @@ machine's layout, 64 neurons wide per synapse core, so a synaptic row's
 targets stay core-local: one gather at the ring handover turns the next
 slot into per-neuron excitatory and inhibitory units, through each neuron's
 ensemble and neuron id (``mapping.neuron_slots``).
+
+Only a synapse core's work varies with the spike load.  Set-up computes
+the fixed busy time per step of every modelled core once, in (chip, core
+id) order, and checks it against the timer period; the profile counts per
+step for the synapse cores alone (``ProfileStore``).
 
 The whole machine advances in a single deterministic virtual timeline:
 identical inputs give identical traces and profiles.
@@ -99,30 +104,43 @@ class SynapticStore:
     base: np.ndarray  # (synapse cores, populations) int64
 
 
+def fan_out(placement: Placement, dmap: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The delivery map as a CSR over source ensembles: the packets of
+    ensemble e reach synapse cores ``dest_core[dest_ptr[e]:dest_ptr[e + 1]]``
+    (core ``3 * ensemble + k`` serves ``SYNAPSE_ROLES[k]``) after
+    ``dest_transit_us`` of router transit."""
+    core_index = {placement.core_ref(e.index, role): 3 * e.index + k
+                  for e in placement.ensembles for k, role in enumerate(SYNAPSE_ROLES)}
+    rows = [dmap[e.index] for e in placement.ensembles]
+    dest_ptr = np.cumsum([0] + [len(r) for r in rows], dtype=np.int64)
+    dest_core = np.array([core_index[(chip, core)] for r in rows for chip, core, _ in r],
+                         dtype=np.int64)
+    dest_transit_us = np.array([t * 1e-3 for r in rows for _, _, t in r], dtype=np.float64)
+    return dest_ptr, dest_core, dest_transit_us
+
+
 def build_synaptic_store(table: matrices.SynapseTable, ensembles: list[Ensemble],
-                         placement: Placement, dmap: dict) -> SynapticStore:
+                         dest_ptr: np.ndarray, dest_core: np.ndarray) -> SynapticStore:
     """The synapse table as one CSR of synaptic rows: a counting sort by row id.
 
     Synapse core ``3 * ensemble + k`` serves role ``SYNAPSE_ROLES[k]``.  Each
     source ensemble's role (inhibitory, lower or upper excitatory half) is
-    read off the cores the delivery map sends its packets to, so the split
-    rule stays in ``mapping``.  A synapse lands on core ``3 * ens_of[post] +
-    role_of_src[ens_of[pre]]``, in row ``base[core, pop] + row_off[pre]`` of
-    its source population's block, at target ``nid_of[post]``; a row keeps
-    its projections in projection order, each in synapse order.
+    read off the cores its packets reach in the fan-out CSR (``fan_out``), so
+    the split rule stays in ``mapping``.  A synapse lands on core ``3 *
+    ens_of[post] + role_of_src[ens_of[pre]]``, in row ``base[core, pop] +
+    row_off[pre]`` of its source population's block, at target
+    ``nid_of[post]``; a row keeps its projections in projection order, each
+    in synapse order.
     """
     n_cores = 3 * len(ensembles)
     n_subs = subpops_per_population(ensembles)
     n_pops = max(n_subs) + 1
-    core_index = {placement.core_ref(e.index, role): 3 * e.index + k
-                  for e in ensembles for k, role in enumerate(SYNAPSE_ROLES)}
+    pop = np.array([e.pop for e in ensembles])
+    src = np.repeat(np.arange(len(ensembles)), np.diff(dest_ptr))
     reach = np.zeros((n_cores, n_pops), dtype=bool)
+    reach[dest_core, pop[src]] = True
     role_of_src = np.full(len(ensembles), -1, dtype=np.int64)
-    for e in ensembles:
-        for chip, core, _ in dmap[e.index]:
-            ci = core_index[(chip, core)]
-            reach[ci, e.pop] = True
-            role_of_src[e.index] = ci % 3
+    role_of_src[src] = dest_core % 3
     block_rows = np.array([n_subs.get(p, 0) for p in range(n_pops)]) << NEURON_BITS
     sizes = np.where(reach, block_rows, 0)
     base = np.where(reach, np.cumsum(sizes).reshape(n_cores, n_pops) - sizes, -1)
@@ -135,8 +153,8 @@ def build_synaptic_store(table: matrices.SynapseTable, ensembles: list[Ensemble]
     lookup = np.pad(base, ((0, 0), (0, 1)), constant_values=-1).astype(np.int32).reshape(-1)
     role_of = role_of_src[ens_of]
     dst_at = (3 * (n_pops + 1) * ens_of).astype(np.int32)
-    src_at = np.where(role_of < 0, n_pops, role_of * (n_pops + 1) + np.array(
-        [e.pop for e in ensembles])[ens_of]).astype(np.int32)
+    src_at = np.where(role_of < 0, n_pops,
+                      role_of * (n_pops + 1) + pop[ens_of]).astype(np.int32)
     row_off = ((np.array([e.subpop for e in ensembles])[ens_of] << NEURON_BITS)
                + nid_of).astype(np.int32)
     nid8 = nid_of.astype(np.uint8)
@@ -165,54 +183,72 @@ def build_synaptic_store(table: matrices.SynapseTable, ensembles: list[Ensemble]
 
 
 class ProfileStore:
-    """Per-core per-timestep accounting as column arrays."""
+    """Per-step counters of the synapse cores, shape ``(3 * ensembles,
+    steps)`` and indexed like ``SynapseCoreState``, and ``fixed_busy_us``,
+    the busy time per step of every modelled core in ``core_meta`` ((chip,
+    core id, role, ensemble) in (chip, core id) order, the profile files'
+    order) when no packet arrives.  A neuron or Poisson core's rows are
+    written as zero counters and its fixed busy time; a synapse core's
+    ``busy_us`` starts from its entry, the ring-buffer write, and each step
+    it runs a window replaces it.
+    """
 
-    COLUMNS = ("received", "processed", "flushed", "zero_target", "kickstarts", "busy_us")
+    # the counters, in the order ``SynapseCoreState.run_window`` returns them
+    COUNTERS = ("received", "processed", "flushed", "zero_target", "kickstarts", "busy_us",
+                "processed_events", "flushed_events")
 
-    def __init__(self, core_meta: list[tuple[tuple[int, int], int, str, int]], n_steps: int):
+    def __init__(self, core_meta: list[tuple[tuple[int, int], int, str, int]],
+                 fixed_busy_us: np.ndarray, n_steps: int):
         self.core_meta = core_meta
-        n = len(core_meta)
-        self.received = np.zeros((n, n_steps), dtype=np.int32)
-        self.processed = np.zeros((n, n_steps), dtype=np.int32)
-        self.flushed = np.zeros((n, n_steps), dtype=np.int32)
-        self.zero_target = np.zeros((n, n_steps), dtype=np.int32)
-        self.kickstarts = np.zeros((n, n_steps), dtype=np.int32)
-        self.busy_us = np.zeros((n, n_steps), dtype=np.float64)
-        self.processed_events = np.zeros((n, n_steps), dtype=np.int64)
-        self.flushed_events = np.zeros((n, n_steps), dtype=np.int64)
-
-    def label(self, row: int) -> str:
-        (x, y), core, _, _ = self.core_meta[row]
-        return f"{x},{y},{core}"
+        self.fixed_busy_us = fixed_busy_us
+        # each row's synapse core, or -1 for a neuron or Poisson core
+        self.syn_core = np.array([3 * e + SYNAPSE_ROLES.index(role) if role in SYNAPSE_ROLES
+                                  else -1 for _, _, role, e in core_meta], dtype=np.int64)
+        syn_rows = np.flatnonzero(self.syn_core >= 0)
+        n = syn_rows.size
+        self.n_steps = n_steps
+        self.received, self.processed, self.flushed, self.zero_target, self.kickstarts = (
+            np.zeros((n, n_steps), dtype=np.int32) for _ in range(5))
+        self.processed_events, self.flushed_events = (
+            np.zeros((n, n_steps), dtype=np.int64) for _ in range(2))
+        self.busy_us = np.empty((n, n_steps), dtype=np.float64)
+        self.busy_us[self.syn_core[syn_rows]] = fixed_busy_us[syn_rows, None]
 
     def totals(self) -> dict:
-        return {
-            "received": int(self.received.sum()),
-            "processed": int(self.processed.sum()),
-            "flushed": int(self.flushed.sum()),
-            "zero_target": int(self.zero_target.sum()),
-            "processed_events": int(self.processed_events.sum()),
-            "flushed_events": int(self.flushed_events.sum()),
-            "max_flushed_in_timestep": int(self.flushed.max()) if self.flushed.size else 0,
-        }
+        out = {name: int(getattr(self, name).sum()) for name in self.COUNTERS
+               if name not in ("kickstarts", "busy_us")}
+        out["max_flushed_in_timestep"] = int(self.flushed.max()) if self.flushed.size else 0
+        return out
+
+    def _cores(self):
+        """(label, synapse core or -1, fixed busy us) of every modelled core."""
+        for (chip, core, _, _), c, busy in zip(self.core_meta, self.syn_core.tolist(),
+                                               self.fixed_busy_us.tolist()):
+            yield f"{chip[0]},{chip[1]},{core}", c, busy
 
     def serialize(self) -> str:
-        lines = ["# core_id timestep received processed flushed zero_target kickstarts busy_us"]
         cols = (self.received, self.processed, self.flushed, self.zero_target, self.kickstarts,
                 self.busy_us)
-        for row in range(len(self.core_meta)):
-            label = self.label(row)
-            lines.extend(f"{label} {t} {r} {p} {f} {z} {k} {b:.4f}" for t, (r, p, f, z, k, b)
-                         in enumerate(zip(*(c[row].tolist() for c in cols))))
-        return "\n".join(lines) + "\n"
+        chunks = ["# core_id timestep received processed flushed zero_target kickstarts busy_us\n"]
+        for label, c, busy in self._cores():
+            if c < 0:
+                tail = f" 0 0 0 0 0 {busy:.4f}\n"
+                chunks.append("".join(f"{label} {t}{tail}" for t in range(self.n_steps)))
+            else:
+                chunks.append("".join(
+                    f"{label} {t} {r} {p} {f} {z} {k} {b:.4f}\n" for t, (r, p, f, z, k, b)
+                    in enumerate(zip(*(col[c].tolist() for col in cols)))))
+        return "".join(chunks)
 
     def serialize_events(self) -> str:
-        lines = ["# core_id timestep processed_events flushed_events"]
-        for row in range(len(self.core_meta)):
-            label = self.label(row)
-            lines.extend(f"{label} {t} {p} {f}" for t, (p, f) in enumerate(
-                zip(self.processed_events[row].tolist(), self.flushed_events[row].tolist())))
-        return "\n".join(lines) + "\n"
+        chunks = ["# core_id timestep processed_events flushed_events\n"]
+        for label, c, _ in self._cores():
+            if c < 0:
+                chunks.append("".join(f"{label} {t} 0 0\n" for t in range(self.n_steps)))
+            else:
+                chunks.append("".join(f"{label} {t} {p} {f}\n" for t, (p, f) in enumerate(
+                    zip(self.processed_events[c].tolist(), self.flushed_events[c].tolist()))))
+        return "".join(chunks)
 
 
 class SynapseCoreState:
@@ -220,13 +256,13 @@ class SynapseCoreState:
 
     Synapse core ``c = 3 * ensemble + k`` serves role ``SYNAPSE_ROLES[k]``.
     Per core: its chip row, its chip's synapse-core count (which sets its
-    ring-buffer write cost and row-fetch contention), its profile row,
-    its slice ``ring[c]`` of the ring buffers (``RING_SLOTS`` slots of the
-    ensemble's ``NEURONS_PER_CORE`` neurons, by neuron id), and per run its
-    crystal rate and the busy time carried into the next timestep.  The input
-    spike buffers of all cores are one packet queue of parallel arrays:
-    ``q_arrival`` (global us) and ``q_fields``, whose rows are target core,
-    source chip x and y, source core, key and emit step.  A packet finds its
+    ring-buffer write cost and row-fetch contention), its slice ``ring[c]`` of
+    the ring buffers (``RING_SLOTS`` slots of the ensemble's
+    ``NEURONS_PER_CORE`` neurons, by neuron id), and per run its crystal rate
+    and the busy time carried into the next timestep; row c of the profile
+    counters is its own.  The input spike buffers of all cores are one packet
+    queue of parallel arrays: ``q_arrival`` (global us) and ``q_fields``,
+    whose rows are target core, key and emit step.  A packet finds its
     synaptic row in the shared ``SynapticStore`` through the core's row of
     ``store.base``, its master population table.  ``source_rank[key >>
     NEURON_BITS]`` is 64 times the sending ensemble's rank in (source chip x,
@@ -235,11 +271,10 @@ class SynapseCoreState:
     """
 
     def __init__(self, refs: list[tuple[tuple[int, int], int]], chip_row: np.ndarray,
-                 chip_syn_cores: list[int], profile_row: np.ndarray,
-                 store: SynapticStore, costs: CostModel, source_rank: np.ndarray):
+                 chip_syn_cores: list[int], store: SynapticStore, costs: CostModel,
+                 source_rank: np.ndarray):
         self.refs = refs                  # (chip, core id) per synapse core
         self.chip_row = chip_row
-        self.profile_row = profile_row
         self.store = store
         self.costs = costs
         self.source_rank = source_rank
@@ -254,11 +289,11 @@ class SynapseCoreState:
         self.rate = rate
         self.carry = np.zeros(len(self.refs))
         self.q_arrival = np.zeros(0)
-        self.q_fields = np.zeros((6, 0), dtype=np.int64)
+        self.q_fields = np.zeros((3, 0), dtype=np.int64)
         self.ring = np.zeros(self.ring_shape, dtype=np.int64)
 
     def push(self, arrival: np.ndarray, fields: np.ndarray) -> None:
-        """Queue packets: ``arrival`` (global us) and the six ``q_fields`` rows."""
+        """Queue packets: ``arrival`` (global us) and the three ``q_fields`` rows."""
         self.q_arrival = np.concatenate((self.q_arrival, arrival))
         self.q_fields = np.concatenate((self.q_fields, fields), axis=1)
 
@@ -292,8 +327,8 @@ class SynapseCoreState:
             return 0, 0, 0, 0, 0, 0.0, 0, 0, 0
         cm = self.costs
         f = self.q_fields
-        source = self.source_rank[f[4] >> NEURON_BITS] | (f[4] & (NEURONS_PER_CORE - 1))
-        order = np.lexsort((f[5], source, self.q_arrival, f[0]))
+        source = self.source_rank[f[1] >> NEURON_BITS] | (f[1] & (NEURONS_PER_CORE - 1))
+        order = np.lexsort((f[2], source, self.q_arrival, f[0]))
         arrival, f = self.q_arrival[order], f[:, order]
         queued = np.bincount(f[0], minlength=len(self.refs))
         act = np.flatnonzero(queued)           # the cores that run their window
@@ -307,7 +342,7 @@ class SynapseCoreState:
         # core's queue; the rest arrive at or after the deadline and stay queued
         a = act_of[f[0]]
         inwin = arrival < deadline[a]
-        a, key, emit, win_arr = a[inwin], f[4][inwin], f[5][inwin], arrival[inwin]
+        a, key, emit, win_arr = a[inwin], f[1][inwin], f[2][inwin], arrival[inwin]
         core = act[a]
         rows = self._rows(core, key)
         lo = self.store.row_ptr[rows]
@@ -350,20 +385,13 @@ class SynapseCoreState:
         ev_p = np.bincount(a[done], words[done], minlength=act.size).astype(np.int64)
         ev_f = np.bincount(a[~done], words[~done], minlength=act.size).astype(np.int64)
         late = int(np.count_nonzero(done & (emit != t)))
+        counters = (n_in, processed, flushed, zero, kicks, busy_us, ev_p, ev_f)
         if profile is not None:
-            r = self.profile_row[act]
-            profile.received[r, t] = n_in
-            profile.processed[r, t] = processed
-            profile.flushed[r, t] = flushed
-            profile.zero_target[r, t] = zero
-            profile.kickstarts[r, t] = kicks
-            profile.busy_us[r, t] = busy_us
-            profile.processed_events[r, t] = ev_p
-            profile.flushed_events[r, t] = ev_f
+            for name, value in zip(ProfileStore.COUNTERS, counters):
+                getattr(profile, name)[act, t] = value
 
         self.q_arrival, self.q_fields = arrival[~inwin], f[:, ~inwin]
-        return (int(n_in.sum()), int(processed.sum()), int(flushed.sum()), int(zero.sum()),
-                int(kicks.sum()), float(busy_us.sum()), int(ev_p.sum()), int(ev_f.sum()), late)
+        return (*(c.sum().item() for c in counters), late)
 
     def _insert(self, t: int, core: np.ndarray, lo: np.ndarray, words: np.ndarray) -> None:
         """Add the synaptic rows of the processed packets into the ring buffers."""
@@ -419,7 +447,8 @@ class HardwareSimulation:
         self.keys = allocate_keys(self.placement)
         self.dests = destination_cores(self.placement, network.spec.projections)
         self.tables = build_routing_tables(self.placement, self.keys, self.dests)
-        self.dmap = delivery_map(self.placement, self.keys, self.tables, self.dests)
+        self.dest_ptr, self.dest_core, self.dest_transit_us = fan_out(
+            self.placement, delivery_map(self.placement, self.keys, self.tables, self.dests))
 
         self._build_state(table)
         self._check_schedule()
@@ -428,7 +457,6 @@ class HardwareSimulation:
 
     def _build_state(self, table: matrices.SynapseTable) -> None:
         ens = self.ensembles
-        n_ens = len(ens)
         self.ens_of, self.nid_of = neuron_slots(ens)
         self.consts = matrices.expand_constants(self.network, table.scales)
         # each neuron's word in slot 0 of its ensemble's three ring buffers,
@@ -436,76 +464,75 @@ class HardwareSimulation:
         self.ring_pos = ((3 * self.ens_of + np.arange(3)[:, None]) * RING_SLOTS
                          * NEURONS_PER_CORE + self.nid_of)
 
-        # profile rows for every modeled core, ordered by (chip, core id)
+        # every modelled core in (chip, core id) order, the profile's rows,
+        # and its fixed busy time per step
         self.chips = sorted(self.placement.roster)
         chip_row = {chip: i for i, chip in enumerate(self.chips)}
         self.core_meta = [(chip, core, role, e_idx) for chip in self.chips
                           for core, e_idx, role in sorted(self.placement.roster[chip])]
-        profile_row = {(e_idx, role): i for i, (_, _, role, e_idx) in enumerate(self.core_meta)}
-
-        chip_syn_count = {chip: sum(1 for _, _, role in cores if role in SYNAPSE_ROLES)
-                          for chip, cores in self.placement.roster.items()}
-        self.chip_syn_count = chip_syn_count
+        self.chip_syn_count = {chip: sum(1 for _, _, role in cores if role in SYNAPSE_ROLES)
+                               for chip, cores in self.placement.roster.items()}
+        self.fixed_busy_us = self._fixed_busy()
         self.ens_chip_row = np.array([chip_row[self.placement.chip_of[e.index]] for e in ens],
                                      dtype=np.int64)
 
-        # the fields every packet of an ensemble carries, by row: source chip
-        # x, source chip y, source (neuron) core, key prefix; and 64 times each
-        # ensemble's rank in that order, by key prefix >> NEURON_BITS
+        # each ensemble's source chip x, source chip y, source (neuron) core
+        # and key prefix, by row; and 64 times its rank in that order, by key
+        # prefix >> NEURON_BITS, the order packets that arrive together take
         self.ens_packet = np.array(
             [(*self.placement.chip_of[e.index], self.placement.core_of[(e.index, ROLE_NEURON)],
               self.keys.prefix_of[e.index]) for e in ens], dtype=np.int64).reshape(-1, 4).T
         prefix = self.ens_packet[3] >> NEURON_BITS
         source_rank = np.zeros(int(prefix.max()) + 1, dtype=np.int64)
         source_rank[prefix[np.lexsort(self.ens_packet[::-1])]] = (
-            np.arange(n_ens) << NEURON_BITS)
+            np.arange(len(ens)) << NEURON_BITS)
 
         # synapse core 3 * ensemble + k serves SYNAPSE_ROLES[k]
-        self.store = build_synaptic_store(table, ens, self.placement, self.dmap)
+        self.store = build_synaptic_store(table, ens, self.dest_ptr, self.dest_core)
         refs = [self.placement.core_ref(e.index, role) for e in ens for role in SYNAPSE_ROLES]
         self.syn = SynapseCoreState(
-            refs, np.array([chip_row[chip] for chip, _ in refs], dtype=np.int64),
-            [chip_syn_count[chip] for chip, _ in refs],
-            np.array([profile_row[(e.index, role)] for e in ens for role in SYNAPSE_ROLES]),
+            refs, np.repeat(self.ens_chip_row, 3), [self.chip_syn_count[chip] for chip, _ in refs],
             self.store, self.costs, source_rank)
 
-        # fan-out: per source ensemble, a CSR of destination cores and transit
-        # times
-        core_index = {ref: ci for ci, ref in enumerate(refs)}
-        dest_core, dest_transit_us = [], []
-        self.dest_ptr = np.zeros(n_ens + 1, dtype=np.int64)
-        for e in ens:
-            for chip, core, transit_ns in self.dmap[e.index]:
-                dest_core.append(core_index[(chip, core)])
-                dest_transit_us.append(transit_ns * 1e-3)
-            self.dest_ptr[e.index + 1] = len(dest_core)
-        self.dest_core = np.array(dest_core, dtype=np.int64)
-        self.dest_transit_us = np.array(dest_transit_us, dtype=np.float64)
+    def _fixed_busy(self) -> np.ndarray:
+        """Local busy us per step of every core in ``core_meta`` when no
+        packet arrives: a neuron core's input read, neuron updates and buffer
+        write, a Poisson core's update and transfer, a synapse core's
+        ring-buffer write; each chip's core counts set its write contention."""
+        cm = self.costs
+        busy = []
+        for chip in self.chips:
+            cores = sorted(self.placement.roster[chip])
+            neuron_write = cm.sdram_write_us(sum(1 for _, _, r in cores if r == ROLE_NEURON))
+            ring_write = cm.sdram_write_us(self.chip_syn_count[chip])
+            busy += [cm.neuron_input_read_us + self.ensembles[e].count * cm.neuron_update_us
+                     + neuron_write if role == ROLE_NEURON
+                     else cm.poisson_update_and_transfer_us if role == ROLE_POISSON
+                     else ring_write for _, e, role in cores]
+        return np.array(busy, dtype=np.float64)
 
     def _check_schedule(self) -> None:
+        """Raise on the first core whose fixed work misses its deadline: the
+        timer period for a neuron or Poisson core, the pre-deadline margin for
+        a chip's ring-buffer writes.  Chips go in placement order, and on
+        each its neuron and Poisson cores, in core order, before its
+        ring-buffer write."""
         cm = self.costs
         period_local = cm.timer_period_us * self.slowdown
-        margin = cm.second_timer_margin_us
-        for chip, cores in self.placement.roster.items():
-            n_neuron = sum(1 for _, _, r in cores if r == ROLE_NEURON)
-            n_syn = self.chip_syn_count[chip]
-            for core, e_idx, role in cores:
-                e = self.ensembles[e_idx]
-                if role == ROLE_NEURON:
-                    busy = (cm.neuron_input_read_us + e.count * cm.neuron_update_us
-                            + cm.sdram_write_us(n_neuron))
-                    if busy > period_local:
-                        raise SchedulingError(
-                            f"neuron core {chip}/{core}: update ({busy:.2f} us) overruns "
-                            f"the {period_local:.2f} us timer period")
-                elif role == ROLE_POISSON:
-                    if cm.poisson_update_and_transfer_us > period_local:
-                        raise SchedulingError(
-                            f"poisson core {chip}/{core}: update exceeds the timer period")
-            if cm.sdram_write_us(n_syn) > margin:
-                raise SchedulingError(
-                    f"chip {chip}: ring-buffer write ({cm.sdram_write_us(n_syn):.2f} us) "
-                    f"exceeds the pre-deadline margin")
+        rank = {chip: i for i, chip in enumerate(self.placement.roster)}
+        over = [(rank[chip], role in SYNAPSE_ROLES, core, chip, role, busy)
+                for (chip, core, role, _), busy in zip(self.core_meta, self.fixed_busy_us.tolist())
+                if busy > (cm.second_timer_margin_us if role in SYNAPSE_ROLES else period_local)]
+        if not over:
+            return
+        _, _, core, chip, role, busy = min(over)
+        if role == ROLE_NEURON:
+            raise SchedulingError(f"neuron core {chip}/{core}: update ({busy:.2f} us) overruns "
+                                  f"the {period_local:.2f} us timer period")
+        if role == ROLE_POISSON:
+            raise SchedulingError(f"poisson core {chip}/{core}: update exceeds the timer period")
+        raise SchedulingError(f"chip {chip}: ring-buffer write ({busy:.2f} us) exceeds the "
+                              "pre-deadline margin")
 
     # -- execution -----------------------------------------------------------
 
@@ -531,9 +558,7 @@ class HardwareSimulation:
         # slots (excitatory, inhibitory) and the Poisson cores' buffer
         exc_units = inh_units = pois_units = np.zeros(n, dtype=np.int64)
 
-        profile = ProfileStore(self.core_meta, n_steps if with_profile else 0)
-        if with_profile:
-            profile.busy_us[syn.profile_row, :] = syn.wcost[:, None]
+        profile = ProfileStore(self.core_meta, self.fixed_busy_us, n_steps if with_profile else 0)
         consts = self.consts
 
         beacon_steps = max(1, round(self.clock_cfg.beacon_interval_s * 1e6 / period_local_us))
@@ -548,10 +573,8 @@ class HardwareSimulation:
         upd_g = cm.neuron_update_us / ens_rate
 
         for t in range(n_steps):
-            starts = np.empty(len(self.chips))
-            durations = np.empty(len(self.chips))
-            for i, chip in enumerate(self.chips):
-                starts[i], durations[i] = clocks.clocks[chip].advance_period()
+            starts, durations = np.array(
+                [clocks.clocks[chip].advance_period() for chip in self.chips]).T
 
             # neuron cores: read DMA D image, advance, emit spikes
             inputs = weights.combine_input_pa(exc_units, inh_units, pois_units,
@@ -575,12 +598,10 @@ class HardwareSimulation:
                          + np.arange(total))
                     send = (starts[self.ens_chip_row[e_idx]] + read_g[e_idx]
                             + (local + 1) * upd_g[e_idx])
-                    src = self.ens_packet[:, e_idx]
-                    fields = np.empty((6, total), dtype=np.int64)
+                    fields = np.empty((3, total), dtype=np.int64)
                     fields[0] = self.dest_core[d]
-                    fields[1:4] = np.repeat(src[:3], n_dest, axis=1)
-                    fields[4] = np.repeat(src[3] | local, n_dest)
-                    fields[5] = t
+                    fields[1] = np.repeat(self.ens_packet[3, e_idx] | local, n_dest)
+                    fields[2] = t
                     syn.push(np.repeat(send, n_dest) + self.dest_transit_us[d], fields)
 
             # poisson cores sample and write the next step's buffer (DMA C)
@@ -602,25 +623,10 @@ class HardwareSimulation:
                 clocks.run_round(record=True)
 
         syn.ring = None  # run state: the next run's reset makes fresh rings
-        if with_profile:
-            self._fill_constant_busy(profile)
 
         spike_trace = trace.from_step_records(network, fired_steps, fired_neurons, n_steps,
                                               discard_ms)
         return RunResult(spike_trace, profile, clocks.diagnostics, late_packets, poisson_sat)
-
-    def _fill_constant_busy(self, profile: ProfileStore) -> None:
-        cm = self.costs
-        for row, (chip, core, role, e_idx) in enumerate(self.core_meta):
-            e = self.ensembles[e_idx]
-            n_neuron = sum(1 for _, _, r in self.placement.roster[chip] if r == ROLE_NEURON)
-            n_pois = sum(1 for _, _, r in self.placement.roster[chip] if r == ROLE_POISSON)
-            if role == ROLE_NEURON:
-                profile.busy_us[row, :] = (cm.neuron_input_read_us
-                                           + e.count * cm.neuron_update_us
-                                           + cm.sdram_write_us(n_neuron))
-            elif role == ROLE_POISSON:
-                profile.busy_us[row, :] = cm.poisson_update_and_transfer_us
 
 
 def _advance(v, i_syn, ref, inputs, consts: matrices.NeuronConstants):

@@ -151,3 +151,35 @@ def test_float_oracle_leaves_the_shared_table_alone(tmp_path, model, monkeypatch
         "trace_hardware.txt": "f8c8d3a6c796f86f3c4e5f45d6a0588e2bee06f4b3c31ea686e33826120de0a1",
         "trace_oracle.txt": "01f4d4128e22d504d618f1f3058bbc05e159e182b9deb47fb3fdedf97e169d09",
     }
+
+
+@pytest.mark.parametrize("costs,message", [
+    pytest.param("neuron_update_us = 2.0",
+                 "neuron core (0, 0)/2: update (136.23 us) overruns the 100.00 us timer period",
+                 id="neuron"),
+    pytest.param("poisson_update_and_transfer_us = 150",
+                 "poisson core (0, 0)/3: update exceeds the timer period", id="poisson"),
+    pytest.param("sdram_write_mean_us = 12\nsdram_write_max_us = 12",
+                 "chip (0, 0): ring-buffer write (12.00 us) exceeds the pre-deadline margin",
+                 id="ring_write"),
+])
+def test_fixed_work_past_its_deadline_exits_with_placement_code(tmp_path, model, capsys, costs,
+                                                                message):
+    """A core whose fixed work cannot fit its timer period (neuron and
+    Poisson cores) or the pre-deadline margin (the ring-buffer write) stops
+    the run before it starts, naming the first such core."""
+    path = write(tmp_path, "slow.cfg", f"[costs]\n{costs}\n")
+    assert run_cli(tmp_path, model, "--costs", path) == cli.EXIT_PLACEMENT
+    assert capsys.readouterr().err == f"placement error: {message}\n"
+    assert not os.path.exists(tmp_path / "out" / "trace_hardware.txt")
+
+
+def test_firing_statistics_are_pinned(tmp_path, model):
+    """The statistics files of a 100 ms run keep their SHA-256s; with no
+    flush the two traces, and so their statistics, are the same."""
+    assert run_cli(tmp_path, model, "--duration-ms", "100") == cli.EXIT_OK
+    out = tmp_path / "out"
+    assert (out / "equivalence.txt").read_text().startswith("identical_traces True")
+    for name in ("stats_hardware.txt", "stats_oracle.txt"):
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == (
+            "b782e7a8174bc02a044beb51c44036cb3291fc0b9c3f995cfe336073da898799")

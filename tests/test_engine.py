@@ -9,7 +9,7 @@ import pytest
 from conftest import SMALL_SPEC
 from spikert.clocks import ClockConfig
 from spikert.costs import CostModel
-from spikert.mapping import pack_key
+from spikert.mapping import NEURON_BITS, pack_key
 from spikert.matrices import PoissonBank, encode_projections
 from spikert.network import build_network, load_network_spec, parse_network_spec, scale_network
 from spikert.runtime import ROW_BITS, ROW_MASK, HardwareSimulation, ProfileStore
@@ -105,11 +105,14 @@ def reference_window(sim, c, packets, t, window_start, deadline):
     return counters, late, carry, packets[len(window):]
 
 
-def queued_packets(syn):
-    """The array queue as per-core lists of (arrival, sx, sy, score, key, emit)."""
+def queued_packets(sim):
+    """The array queue as per-core lists of (arrival, sx, sy, score, key,
+    emit), with the source chip and core of the ensemble whose key prefix
+    the packet carries."""
+    source = {p >> NEURON_BITS: (sx, sy, score) for sx, sy, score, p in sim.ens_packet.T.tolist()}
     out: dict[int, list] = {}
-    for a, col in zip(syn.q_arrival.tolist(), syn.q_fields.T.tolist()):
-        out.setdefault(col[0], []).append((a, *col[1:]))
+    for a, (core, key, emit) in zip(sim.syn.q_arrival.tolist(), sim.syn.q_fields.T.tolist()):
+        out.setdefault(core, []).append((a, *source[key >> NEURON_BITS], key, emit))
     return out
 
 
@@ -125,7 +128,7 @@ def test_lockstep_window_matches_packet_at_a_time_reference(small_network):
     n_chips = len(sim.chips)
     syn.reset(1.0 + rng.uniform(-2e-5, 2e-5, len(syn.refs)))
     cores, pops = np.nonzero(syn.store.base >= 0)
-    profile = ProfileStore(sim.core_meta, 4)
+    profile = ProfileStore(sim.core_meta, sim.fixed_busy_us, 4)
     flushed = late_left = 0
     for t in range(4):
         starts = 100.0 * t + rng.uniform(0.0, 1.0, n_chips)
@@ -136,21 +139,18 @@ def test_lockstep_window_matches_packet_at_a_time_reference(small_network):
         arrival[0] = deadline[cores[pick[0]]]  # arrives at the deadline: stays queued
         keys = [pack_key(int(p), 0, int(n))
                 for p, n in zip(pops[pick], rng.integers(0, 30, 120))]
-        syn.push(arrival, np.stack([cores[pick], rng.integers(0, 3, 120),
-                                    rng.integers(0, 3, 120), rng.integers(0, 18, 120), keys,
-                                    t - rng.integers(0, 2, 120)]))
+        syn.push(arrival, np.stack([cores[pick], keys, t - rng.integers(0, 2, 120)]))
         expected = {c: reference_window(sim, c, packets, t, starts[syn.chip_row[c]],
                                         deadline[c])
-                    for c, packets in queued_packets(syn).items()}
+                    for c, packets in queued_packets(sim).items()}
         ring_before = syn.ring.sum()
         totals = syn.run_window(t, starts, durations, profile)
         assert [type(x) for x in totals] == [int] * 5 + [float] + [int] * 3  # JSON-ready
-        left = queued_packets(syn)
+        left = queued_packets(sim)
         for c, (counters, _, carry, queue) in expected.items():
-            r = syn.profile_row[c]
-            assert (profile.received[r, t], profile.processed[r, t], profile.flushed[r, t],
-                    profile.zero_target[r, t], profile.kickstarts[r, t], profile.busy_us[r, t],
-                    profile.processed_events[r, t], profile.flushed_events[r, t]) == counters
+            assert (profile.received[c, t], profile.processed[c, t], profile.flushed[c, t],
+                    profile.zero_target[c, t], profile.kickstarts[c, t], profile.busy_us[c, t],
+                    profile.processed_events[c, t], profile.flushed_events[c, t]) == counters
             assert syn.carry[c] == carry
             assert sorted(left.get(c, [])) == queue
         assert totals[:5] == tuple(sum(e[0][i] for e in expected.values()) for i in range(5))
@@ -175,19 +175,18 @@ def test_arrival_ties_follow_the_machine_order(benchmark_path):
     senders = [e for e in range(len(sim.ensembles))
                if c in sim.dest_core[sim.dest_ptr[e]:sim.dest_ptr[e + 1]]]
     assert len(senders) > 1
-    packets = [(c, *sim.ens_packet[:3, e], sim.ens_packet[3, e] | nid, emit)
+    packets = [(c, sim.ens_packet[3, e] | nid, emit)
                for e in senders for nid in range(4) for emit in (0, 1)]
     order = np.random.default_rng(3).permutation(len(packets))
     syn.push(np.full(len(packets), 1.0), np.array(packets, dtype=np.int64)[order].T)
     n_chips = len(sim.chips)
     starts, durations = np.zeros(n_chips), np.full(n_chips, 100.0)
     expected, late, carry, left = reference_window(
-        sim, c, queued_packets(syn)[c], 1, 0.0, 100.0 - 60.0 / syn.rate[c])
-    profile = ProfileStore(sim.core_meta, 2)
+        sim, c, queued_packets(sim)[c], 1, 0.0, 100.0 - 60.0 / syn.rate[c])
+    profile = ProfileStore(sim.core_meta, sim.fixed_busy_us, 2)
     totals = syn.run_window(1, starts, durations, profile)
-    r = syn.profile_row[c]
-    assert (profile.received[r, 1], profile.processed[r, 1], profile.flushed[r, 1],
-            profile.zero_target[r, 1], profile.kickstarts[r, 1], profile.busy_us[r, 1],
-            profile.processed_events[r, 1], profile.flushed_events[r, 1]) == expected
+    assert (profile.received[c, 1], profile.processed[c, 1], profile.flushed[c, 1],
+            profile.zero_target[c, 1], profile.kickstarts[c, 1], profile.busy_us[c, 1],
+            profile.processed_events[c, 1], profile.flushed_events[c, 1]) == expected
     assert (totals[8], syn.carry[c], left) == (late, carry, [])
     assert 0 < expected[1] < expected[0]

@@ -5,11 +5,12 @@ import pytest
 
 from conftest import SMALL_SPEC
 from spikert.clocks import ClockConfig
-from spikert.mapping import ROLE_SYN_INH, SYNAPSE_ROLES, pack_key
+from spikert.mapping import (ROLE_NEURON, ROLE_POISSON, ROLE_SYN_INH, SYNAPSE_ROLES, delivery_map,
+                             pack_key)
 from spikert.matrices import PoissonBank, encode_projections, source_delivery_index
 from spikert.network import build_network, load_network_spec, parse_network_spec, scale_network
 from spikert.oracle import oracle_simulate
-from spikert.runtime import HardwareSimulation, build_synaptic_store
+from spikert.runtime import HardwareSimulation, build_synaptic_store, fan_out
 
 DURATION_MS = 50.0
 STEPS = 500
@@ -125,6 +126,38 @@ def test_rerun_is_deterministic(small_network):
     assert second.profile.serialize_events() == first.profile.serialize_events()
 
 
+def test_profile_counts_synapse_cores_only(benchmark_path):
+    """At microcircuit scale 0.02 with Poisson input, 27 ensembles take 135
+    cores; the per-step counters cover only the 81 synapse cores, and every
+    neuron and Poisson core's rows of profile.tsv are zero counters and its
+    fixed busy time."""
+    net = build_network(scale_network(load_network_spec(benchmark_path, "poisson"), 0.02), seed=1)
+    sim = HardwareSimulation(net, encode_projections(net))
+    profile = sim.run(1.0, PoissonBank(net, 2, 10)).profile
+    assert (len(sim.core_meta), len(sim.ensembles)) == (135, 27)
+    for col in (profile.received, profile.processed, profile.flushed, profile.zero_target,
+                profile.kickstarts, profile.busy_us, profile.processed_events,
+                profile.flushed_events):
+        assert col.shape == (81, 10)
+    cm = sim.costs
+    lines = profile.serialize().splitlines()[1:]
+    assert len(lines) == 135 * 10
+    fixed = 0
+    for i, (chip, core, role, e) in enumerate(sim.core_meta):
+        if role == ROLE_NEURON:
+            n_neuron = sum(r == ROLE_NEURON for _, _, r in sim.placement.roster[chip])
+            busy = (cm.neuron_input_read_us + sim.ensembles[e].count * cm.neuron_update_us
+                    + cm.sdram_write_us(n_neuron))
+        elif role == ROLE_POISSON:
+            busy = cm.poisson_update_and_transfer_us
+        else:
+            continue
+        assert lines[10 * i:10 * i + 10] == [f"{chip[0]},{chip[1]},{core} {t} 0 0 0 0 0 {busy:.4f}"
+                                             for t in range(10)]
+        fixed += 1
+    assert fixed == 135 - 81
+
+
 def test_packet_without_table_entry_is_rejected(small_network):
     """No I -> I projection exists, so inhibitory cores of I have no entry for
     population I and must refuse its packets."""
@@ -132,7 +165,7 @@ def test_packet_without_table_entry_is_rejected(small_network):
     i_pop = 1
     e = next(e for e in sim.ensembles if e.pop == i_pop)
     core = 3 * e.index + SYNAPSE_ROLES.index(ROLE_SYN_INH)
-    sim.syn.push(np.array([0.0]), np.array([[core], [0], [0], [0], [pack_key(i_pop, 0, 0)], [0]]))
+    sim.syn.push(np.array([0.0]), np.array([[core], [pack_key(i_pop, 0, 0)], [0]]))
     n_chips = len(sim.chips)
     with pytest.raises(RuntimeError, match="no master population table entry"):
         sim.syn.run_window(0, np.zeros(n_chips), np.full(n_chips, 1e9))
@@ -143,10 +176,10 @@ def test_synapses_no_packet_reaches_are_rejected(small_network):
     without a row; the error names the projection's populations."""
     sim = HardwareSimulation(small_network, encode_projections(small_network))
     i0 = next(e.index for e in sim.ensembles if e.pop == 1)
-    dmap = {**sim.dmap, i0: []}
+    dmap = {**delivery_map(sim.placement, sim.keys, sim.tables, sim.dests), i0: []}
     with pytest.raises(RuntimeError, match="I->E: synapses on a core that no packet"):
         build_synaptic_store(encode_projections(small_network), sim.ensembles,
-                             sim.placement, dmap)
+                             *fan_out(sim.placement, dmap)[:2])
 
 
 def test_non_finite_input_names_the_neuron(small_network):
