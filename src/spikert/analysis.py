@@ -20,12 +20,9 @@ from .trace import SpikeTrace
 KWH_TO_UJ = 3.6e12  # 1 kWh = 3.6e6 J = 3.6e12 uJ
 
 
-def per_timestep_counts(trace: SpikeTrace, polarity=None):
-    """Exact spike counts per timestep: (t_index, total, excitatory, inhibitory).
-
-    ``polarity`` overrides the trace's population polarity list when given.
-    """
-    pol = tuple(polarity) if polarity is not None else trace.pop_polarity
+def per_timestep_counts(trace: SpikeTrace):
+    """Exact spike counts per timestep: (t_index, total, excitatory, inhibitory)."""
+    pol = trace.pop_polarity
     n_bins = int(round(trace.duration_ms / trace.dt_ms))
     steps = np.rint(trace.times_ms / trace.dt_ms).astype(np.int64)
     if steps.size and (steps.min() < 0 or steps.max() >= max(n_bins, 1)):

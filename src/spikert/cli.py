@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 
 from . import analysis, matrices, oracle, runtime
-from .clocks import ClockConfig
+from .clocks import BEACON_INTERVAL_S, WARMUP_ROUNDS, ClockConfig
 from .costs import CostModel, load_cost_model
 from .machine import MachineSpec, load_machine_spec, serialize_machine_spec
 from .mapping import (NEURONS_PER_CORE, KeyOverflowError, PlacementError, RoutingError,
@@ -68,8 +68,7 @@ class RunConfig:
             raise SpecError("scale must be in (0, 1]")
         if self.discard_ms < 0 or self.discard_ms >= self.duration_ms:
             raise SpecError("discard window must fall inside the run")
-        if not 0.0 <= self.drift_bound_ppm <= ClockConfig.max_abs_drift_ppm:
-            raise SpecError(f"drift bound must be in [0, {ClockConfig.max_abs_drift_ppm}] ppm")
+        ClockConfig(drift_bound_ppm=self.drift_bound_ppm).validate()
         if self.profile not in ("full", "none"):
             raise SpecError("profile must be 'full' or 'none'")
 
@@ -228,7 +227,7 @@ def run(cfg: RunConfig) -> None:
         _write(cfg, "trace_oracle.txt", texts["oracle"])
 
     for name, tr in results.items():
-        if cfg.discard_ms < cfg.duration_ms and len(tr):
+        if len(tr):
             stats = analysis.firing_stats(tr)
             _write(cfg, f"stats_{name}.txt", analysis.stats_document(stats))
         t, total, exc, inh = analysis.per_timestep_counts(tr)
@@ -319,8 +318,8 @@ def _write_manifest(cfg: RunConfig, costs: CostModel, sim) -> None:
             "weight_bits": 16,
             "min_weight_significant_bits": 14,
             "ring_slots": runtime.RING_SLOTS,
-            "beacon_interval_s": ClockConfig().beacon_interval_s,
-            "warmup_rounds": ClockConfig().warmup_rounds,
+            "beacon_interval_s": BEACON_INTERVAL_S,
+            "warmup_rounds": WARMUP_ROUNDS,
         },
     }
     if sim is not None:

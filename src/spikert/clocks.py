@@ -7,6 +7,10 @@ received inter-beacon interval against its own elapsed cycles and derives a
 per-timer-period correction in clock cycles.  Corrections are fractional,
 so they accumulate across periods and are applied in whole cycles.
 
+The timers of a run's chips are one set of arrays (``ChipClock``), one
+entry per chip: a step advances all of them in one call, and a beacon
+round sets all their corrections in one array expression.
+
 Phase alignment models the start signal: each chip delays its first timer
 event by (largest start-signal transit anywhere) - (own transit), so all
 first edges coincide; the farthest chip starts immediately on arrival.
@@ -14,77 +18,61 @@ first edges coincide; the farthest chip starts immediately on arrival.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .kinetics import make_rng
 from .machine import MachineSpec
+from .network import SpecError
+
+BEACON_INTERVAL_S = 2.0  # master beacon period, in its local time
+WARMUP_ROUNDS = 3  # boot-time protocol rounds before the first timestep
+MAX_ABS_DRIFT_PPM = 100.0  # the largest supported crystal drift bound
 
 
 @dataclass(frozen=True)
 class ClockConfig:
     drift_bound_ppm: float = 20.0
-    beacon_interval_s: float = 2.0
-    warmup_rounds: int = 3
     protocol_enabled: bool = True
-    max_abs_drift_ppm: float = 100.0
 
     def validate(self) -> None:
-        if self.drift_bound_ppm > self.max_abs_drift_ppm:
-            raise ValueError("drift bound exceeds the supported ppm range")
+        if not 0.0 <= self.drift_bound_ppm <= MAX_ABS_DRIFT_PPM:
+            raise SpecError(f"drift bound must be in [0, {MAX_ABS_DRIFT_PPM}] ppm")
 
 
 def sample_board_drifts(machine: MachineSpec, cfg: ClockConfig, seed: int) -> np.ndarray:
     """One drift (ppm) per board, from a bounded uniform distribution."""
-    cfg.validate()
     rng = make_rng(seed, "board-drift")
     return rng.uniform(-cfg.drift_bound_ppm, cfg.drift_bound_ppm, machine.boards())
 
 
-def beacon_round(master_rate: float, slave_rates: dict, period_cycles: float,
-                 beacon_interval_s: float, clock_hz: float) -> dict:
-    """One protocol round: per-slave period correction in (fractional) cycles.
-
-    A slave counts interval_cycles * (slave_rate / master_rate) of its own
-    cycles between beacons; the excess over the nominal interval, spread over
-    the timer periods in the interval, is the per-period correction.
-    """
-    interval_cycles = beacon_interval_s * clock_hz
-    n_periods = interval_cycles / period_cycles
-    corrections = {}
-    for chip, rate in slave_rates.items():
-        divergence = interval_cycles * (rate / master_rate - 1.0)
-        corrections[chip] = divergence / n_periods
-    return corrections
-
-
 class ChipClock:
-    """Timer of one chip: drifting crystal plus accumulated corrections."""
+    """Timers of a run's chips: drifting crystals plus accumulated
+    corrections, as float64 arrays with one entry per chip."""
 
     __slots__ = ("rate", "base_cycles", "corr_cycles", "acc", "next_edge_us",
                  "cycles_per_us")
 
-    def __init__(self, rate: float, base_cycles: float, clock_hz: float, start_us: float):
+    def __init__(self, rate: np.ndarray, base_cycles: float, clock_hz: float, start_us: float):
         self.rate = rate
         self.base_cycles = base_cycles
-        self.corr_cycles = 0.0
-        self.acc = 0.0
-        self.next_edge_us = start_us
+        self.corr_cycles = np.zeros_like(rate)
+        self.acc = np.zeros_like(rate)
+        self.next_edge_us = np.full_like(rate, start_us)
         self.cycles_per_us = clock_hz * 1e-6
 
-    def advance_period(self) -> tuple[float, float]:
-        """Consume one timer period; returns (start_us, duration_us) in
-        global time.  Fractional corrections accumulate and apply in whole
-        cycles to mimic an integer-cycle timer register."""
-        start = self.next_edge_us
+    def advance_period(self) -> tuple[np.ndarray, np.ndarray]:
+        """Consume one timer period on every chip; returns (starts_us,
+        durations_us) in global time.  Fractional corrections accumulate
+        and apply in whole cycles to mimic an integer-cycle timer register."""
+        starts = self.next_edge_us
         self.acc += self.corr_cycles
-        applied = math.trunc(self.acc)
+        applied = np.trunc(self.acc)
         self.acc -= applied
-        duration = (self.base_cycles + applied) / (self.cycles_per_us * self.rate)
-        self.next_edge_us = start + duration
-        return start, duration
+        durations = (self.base_cycles + applied) / (self.cycles_per_us * self.rate)
+        self.next_edge_us = starts + durations
+        return starts, durations
 
 
 @dataclass
@@ -100,7 +88,8 @@ class SyncDiagnostics:
 
 
 class MachineClocks:
-    """Clock state for the chips a simulation actually uses.
+    """Clock state for the chips a simulation actually uses, in the order
+    of ``chips``.
 
     Drifts are sampled per board; corrections start in the converged state
     the boot-time warmup rounds would reach, and later rounds re-derive
@@ -110,79 +99,43 @@ class MachineClocks:
     def __init__(self, machine: MachineSpec, cfg: ClockConfig, seed: int,
                  chips: list[tuple[int, int]], period_us: float, clock_hz: float):
         cfg.validate()
-        self.machine = machine
-        self.cfg = cfg
-        self.clock_hz = clock_hz
-        self.period_cycles = period_us * clock_hz * 1e-6
-        self.board_drift_ppm = sample_board_drifts(machine, cfg, seed)
+        self.chips = chips
+        period_cycles = period_us * clock_hz * 1e-6
+        self.interval_cycles = BEACON_INTERVAL_S * clock_hz
+        self.n_periods = self.interval_cycles / period_cycles
+        drift_ppm = sample_board_drifts(machine, cfg, seed)
         # every chip starts at own transit + programmed delay = the worst
         # start-signal transit anywhere, so all first edges coincide
         aligned_us = max(machine.transit_ns((0, 0), (x, y))
                          for x in range(machine.width)
                          for y in range(machine.height)) * 1e-3
-        self.clocks: dict[tuple[int, int], ChipClock] = {}
-        for chip in chips:
-            rate = 1.0 + self.board_drift_ppm[machine.board_index(chip)] * 1e-6
-            self.clocks[chip] = ChipClock(rate, self.period_cycles, clock_hz, aligned_us)
-        self.master_chip = (0, 0)
-        self.master_rate = 1.0 + self.board_drift_ppm[machine.board_index(self.master_chip)] * 1e-6
+        boards = np.array([machine.board_index(chip) for chip in chips], dtype=np.int64)
+        self.timers = ChipClock(1.0 + drift_ppm[boards] * 1e-6, period_cycles,
+                                clock_hz, aligned_us)
+        # the master chip (0, 0) sets the reference edge; without it, the
+        # earliest edge among the chips does
+        self.master_row = chips.index((0, 0)) if (0, 0) in chips else None
+        self.master_rate = 1.0 + drift_ppm[machine.board_index((0, 0))] * 1e-6
         self.diagnostics = SyncDiagnostics()
         self.rounds_run = 0
-        for _ in range(cfg.warmup_rounds if cfg.protocol_enabled else 0):
+        for _ in range(WARMUP_ROUNDS if cfg.protocol_enabled else 0):
             self.run_round(record=False)
 
     def run_round(self, record: bool = True) -> None:
         """Apply one beacon round; with static drifts this converges after
-        the first round and later rounds confirm the correction."""
+        the first round and later rounds confirm the correction.
+
+        A chip counts interval_cycles * (rate / master_rate) of its own
+        cycles between beacons; the excess over the nominal interval, spread
+        over the timer periods in the interval, is its per-period correction.
+        """
         self.rounds_run += 1
-        slave_rates = {chip: clk.rate for chip, clk in self.clocks.items()}
-        corr = beacon_round(self.master_rate, slave_rates, self.period_cycles,
-                            self.cfg.beacon_interval_s, self.clock_hz)
-        master_edge = self.clocks.get(self.master_chip)
-        ref_edge = master_edge.next_edge_us if master_edge else \
-            min((c.next_edge_us for c in self.clocks.values()), default=0.0)
-        for chip, clk in self.clocks.items():
-            clk.corr_cycles = corr[chip]
-            if record:
-                skew_ns = (clk.next_edge_us - ref_edge) * 1e3
-                self.diagnostics.rows.append(
-                    (chip[0], chip[1], self.rounds_run, corr[chip], skew_ns))
-
-
-# ---------------------------------------------------------------------------
-# Standalone skew study (no neural workload)
-
-@dataclass
-class SkewReport:
-    sample_times_s: np.ndarray
-    skew_us: np.ndarray
-    max_skew_us: float
-    drift_ppm: np.ndarray  # per board
-
-
-def simulate_skew(machine: MachineSpec, cfg: ClockConfig, seed: int, duration_s: float,
-                  period_us: float = 100.0, clock_hz: float = 200e6,
-                  samples: int = 241) -> SkewReport:
-    """Max pairwise timer-edge skew over a run, computed analytically.
-
-    Edge k of a chip lies at (k*P + trunc(k*c)) / (f*rate) after alignment,
-    where c is the per-period correction; trunc-accumulation matches the
-    integer-cycle timer model to within one clock cycle.
-    """
-    drifts = sample_board_drifts(machine, cfg, seed)
-    rates = np.array([1.0 + drifts[machine.board_index((x, y))] * 1e-6
-                      for x in range(machine.width) for y in range(machine.height)])
-    master_rate = rates[0] if rates.size else 1.0
-    period_cycles = period_us * clock_hz * 1e-6
-    if cfg.protocol_enabled:
-        corr = period_cycles * (rates / master_rate - 1.0)
-    else:
-        corr = np.zeros_like(rates)
-
-    t_samples = np.linspace(0.0, duration_s, samples)
-    ks = np.rint(t_samples * 1e6 / period_us).astype(np.int64)
-    # edges [chips, samples]
-    cycles = period_cycles * ks[None, :] + np.trunc(corr[:, None] * ks[None, :])
-    edges_us = cycles / (clock_hz * 1e-6 * rates[:, None])
-    skew = edges_us.max(axis=0) - edges_us.min(axis=0)
-    return SkewReport(t_samples, skew, float(skew.max()), drifts)
+        timers = self.timers
+        timers.corr_cycles = (self.interval_cycles * (timers.rate / self.master_rate - 1.0)
+                              / self.n_periods)
+        if record:
+            edges = timers.next_edge_us
+            ref_edge = edges[self.master_row] if self.master_row is not None else edges.min()
+            self.diagnostics.rows += [
+                (x, y, self.rounds_run, corr, skew_ns) for (x, y), corr, skew_ns in zip(
+                    self.chips, timers.corr_cycles.tolist(), ((edges - ref_edge) * 1e3).tolist())]

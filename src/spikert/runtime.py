@@ -7,7 +7,9 @@ their buffers (DMA C); synapse cores process buffered spike packets until a
 second timer event a fixed margin before the period end, flush whatever is
 still queued, then write the next timestep's ring-buffer slot (DMA B).
 Packet deliveries carry router transit latencies, and per-board clock drift
-(with beacon correction) shifts every core's local timeline.
+(with beacon correction) shifts every core's local timeline.  The timers of
+all the run's chips are one ``clocks.ChipClock``, arrays in ``chips`` order:
+each step advances every chip's timer with one call.
 
 A synapse core finds a packet's synaptic row as the machine does: the key's
 routing prefix (the source population) selects a block of rows through the
@@ -62,7 +64,7 @@ import numpy as np
 
 from . import matrices, trace, weights
 from .kinetics import advance_state
-from .clocks import ClockConfig, MachineClocks
+from .clocks import BEACON_INTERVAL_S, ClockConfig, MachineClocks, SyncDiagnostics
 from .costs import CostModel
 from .machine import MachineSpec, auto_machine
 from .mapping import (NEURON_BITS, NEURONS_PER_CORE, ROLE_NEURON, ROLE_POISSON, SUBPOP_BITS,
@@ -410,7 +412,7 @@ class SynapseCoreState:
 class RunResult:
     trace: trace.SpikeTrace
     profile: ProfileStore
-    sync_diagnostics: "object"
+    sync_diagnostics: SyncDiagnostics
     late_packets: int
     poisson_saturations: int
 
@@ -439,6 +441,7 @@ class HardwareSimulation:
         self.costs = costs or CostModel()
         self.costs.validate()
         self.clock_cfg = clock_cfg or ClockConfig(drift_bound_ppm=0.0)
+        self.clock_cfg.validate()
         self.drift_seed = drift_seed
         self.slowdown = float(slowdown)
 
@@ -547,7 +550,7 @@ class HardwareSimulation:
         period_local_us = cm.timer_period_us * self.slowdown
         clocks = MachineClocks(self.machine, self.clock_cfg, self.drift_seed,
                                self.chips, period_local_us, cm.clock_hz)
-        chip_rates = np.array([clocks.clocks[c].rate for c in self.chips])
+        chip_rates = clocks.timers.rate
         syn = self.syn
         syn.reset(chip_rates[syn.chip_row])
         n = network.total_neurons
@@ -561,7 +564,7 @@ class HardwareSimulation:
         profile = ProfileStore(self.core_meta, self.fixed_busy_us, n_steps if with_profile else 0)
         consts = self.consts
 
-        beacon_steps = max(1, round(self.clock_cfg.beacon_interval_s * 1e6 / period_local_us))
+        beacon_steps = max(1, round(BEACON_INTERVAL_S * 1e6 / period_local_us))
 
         fired_steps: list[int] = []
         fired_neurons: list[np.ndarray] = []
@@ -573,8 +576,7 @@ class HardwareSimulation:
         upd_g = cm.neuron_update_us / ens_rate
 
         for t in range(n_steps):
-            starts, durations = np.array(
-                [clocks.clocks[chip].advance_period() for chip in self.chips]).T
+            starts, durations = clocks.timers.advance_period()
 
             # neuron cores: read DMA D image, advance, emit spikes
             inputs = weights.combine_input_pa(exc_units, inh_units, pois_units,

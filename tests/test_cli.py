@@ -183,3 +183,21 @@ def test_firing_statistics_are_pinned(tmp_path, model):
     for name in ("stats_hardware.txt", "stats_oracle.txt"):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == (
             "b782e7a8174bc02a044beb51c44036cb3291fc0b9c3f995cfe336073da898799")
+
+
+def test_beacon_rounds_are_pinned(tmp_path, benchmark_path, machine_path):
+    """At slow-down 100 a beacon round falls every 200 steps: a 45 ms run
+    on the 12-board machine records two rounds of nine chips, and its sync
+    diagnostics and trace keep their SHA-256s."""
+    out = tmp_path / "out"
+    assert cli.main(["--model", benchmark_path, "--out", str(out), "--scale", "0.02",
+                     "--input", "poisson", "--duration-ms", "45", "--slowdown", "100",
+                     "--drift-bound-ppm", "20", "--machine", machine_path,
+                     "--mode", "hardware", "--profile", "none"]) == cli.EXIT_OK
+    assert len((out / "sync.tsv").read_text().splitlines()) == 1 + 18
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("sync.tsv", "trace_hardware.txt")}
+    assert digests == {
+        "sync.tsv": "c36e984ad289fa432fbd2818899073622175c3c223e7f76e0e3853bd30c087d7",
+        "trace_hardware.txt": "359f0882849b0456c7caf055869779ebcc72aa34e19e8821197f9488eb97f1cd",
+    }

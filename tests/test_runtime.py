@@ -8,7 +8,8 @@ from spikert.clocks import ClockConfig
 from spikert.mapping import (ROLE_NEURON, ROLE_POISSON, ROLE_SYN_INH, SYNAPSE_ROLES, delivery_map,
                              pack_key)
 from spikert.matrices import PoissonBank, encode_projections, source_delivery_index
-from spikert.network import build_network, load_network_spec, parse_network_spec, scale_network
+from spikert.network import (SpecError, build_network, load_network_spec, parse_network_spec,
+                             scale_network)
 from spikert.oracle import oracle_simulate
 from spikert.runtime import HardwareSimulation, build_synaptic_store, fan_out
 
@@ -124,6 +125,15 @@ def test_rerun_is_deterministic(small_network):
     assert second.trace.serialize() == first.trace.serialize()
     assert second.profile.serialize() == first.profile.serialize()
     assert second.profile.serialize_events() == first.profile.serialize_events()
+
+
+@pytest.mark.parametrize("bound", [-5.0, 150.0, float("nan")])
+def test_out_of_range_drift_bound_fails_at_set_up(small_network, bound):
+    """A drift bound outside [0, 100] ppm is a spec error that names it when
+    the simulation is built, not a numpy error when it runs."""
+    with pytest.raises(SpecError, match=r"drift bound must be in \[0, 100.0\] ppm"):
+        HardwareSimulation(small_network, encode_projections(small_network),
+                           clock_cfg=ClockConfig(drift_bound_ppm=bound))
 
 
 def test_profile_counts_synapse_cores_only(benchmark_path):
