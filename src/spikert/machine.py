@@ -46,6 +46,12 @@ class MachineSpec:
             raise SpecError("usable cores must leave room for monitor + system cores")
         if self.router_hop_latency_ns <= 0 or self.board_link_latency_ns <= 0:
             raise SpecError("latencies must be positive")
+        for name in ("board_tile_width", "board_tile_height"):
+            if getattr(self, name) < 1:
+                raise SpecError(f"{name} must be at least 1")
+        if self.cores_per_chip > 63:
+            raise SpecError("cores_per_chip must be at most 63: a routing entry holds one bit "
+                            "per core in an int64")
 
     # -- geometry ----------------------------------------------------------
 

@@ -14,17 +14,20 @@ elision (straight pass-through entries dropped) and mask merging of
 sibling sub-population entries with identical actions.  The merged table
 depends on the merge order, which is fixed: always the smallest
 ``(key, mask)`` that has a partner with the same action, at its lowest
-mergeable sub-population bit (see ``_merge_entries``).
+mergeable sub-population bit (see ``_merge_entries``).  Every chip's table
+is held as parallel arrays (``RoutingTables``); ``walk_packet`` walks all
+packets through them at once, and ``delivery_map`` turns that one walk into
+the fan-out CSR the runtime reads.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .machine import MachineSpec, LINKS
+from .machine import LINK_VECTORS, LINKS, MachineSpec
 
 NEURON_BITS = 6
 SUBPOP_BITS = 9
@@ -150,7 +153,7 @@ class Placement:
 
     def ensembles_per_chip(self) -> dict[tuple[int, int], int]:
         out: dict[tuple[int, int], int] = {}
-        for e_idx, chip in enumerate(self.chip_of):
+        for chip in self.chip_of:
             out[chip] = out.get(chip, 0) + 1
         return out
 
@@ -168,9 +171,7 @@ class Placement:
 def place_radial(ensembles: list[Ensemble], machine: MachineSpec) -> Placement:
     """Fill chips with whole ensembles along the outward spiral from (0, 0)."""
     machine.validate()
-    order = machine.radial_order()
-    chip_iter = iter(order)
-    chip = None
+    chip_iter = iter(machine.radial_order())
     free = 0
     next_core = 2  # 0 = monitor, 1 = system
     chip_of: list[tuple[int, int]] = []
@@ -203,10 +204,7 @@ class KeyAllocation:
 
 
 def allocate_keys(placement: Placement) -> KeyAllocation:
-    prefixes = []
-    for e in placement.ensembles:
-        prefixes.append(pack_key(e.pop, e.subpop, 0))
-    return KeyAllocation(tuple(prefixes))
+    return KeyAllocation(tuple(pack_key(e.pop, e.subpop, 0) for e in placement.ensembles))
 
 
 # ---------------------------------------------------------------------------
@@ -249,110 +247,106 @@ def destination_cores(placement: Placement, projections) -> dict[int, set[tuple[
 # ---------------------------------------------------------------------------
 # Routing tables
 
-@dataclass(frozen=True)
-class RoutingEntry:
-    key: int
-    mask: int
-    cores: frozenset[int]   # local delivery
-    links: frozenset[int]   # outgoing links
-
-    def matches(self, key: int) -> bool:
-        return (key & self.mask) == self.key
-
-    def describe(self) -> str:
-        targets = [f"core:{c}" for c in sorted(self.cores)]
-        targets += [f"link:{LINKS[l]}" for l in sorted(self.links)]
-        return ",".join(targets) if targets else "-"
-
-
 @dataclass
 class RoutingTables:
+    """Every chip's routing table as parallel int64 arrays, one row per
+    entry: ``chip`` (``x * height + y``), ``key`` and ``mask`` (a packet key
+    k matches when ``k & mask == key``), ``cores`` (bit c delivers to core c)
+    and ``links`` (bit l forwards on ``LINKS[l]``).  Chips go in (x, y)
+    order, each chip's rows in table order."""
+
     machine: MachineSpec
-    entries: dict[tuple[int, int], list[RoutingEntry]] = field(default_factory=dict)
+    chip: np.ndarray
+    key: np.ndarray
+    mask: np.ndarray
+    cores: np.ndarray
+    links: np.ndarray
 
     def entry_counts(self) -> dict[tuple[int, int], int]:
-        return {chip: len(rows) for chip, rows in self.entries.items()}
+        chips, counts = np.unique(self.chip, return_counts=True)
+        return {divmod(c, self.machine.height): n
+                for c, n in zip(chips.tolist(), counts.tolist())}
 
     def serialize(self) -> str:
         lines = ["# chip_x chip_y index key mask targets"]
-        for chip in sorted(self.entries):
-            for i, e in enumerate(self.entries[chip]):
-                lines.append(f"{chip[0]} {chip[1]} {i} 0x{e.key:08x} 0x{e.mask:08x} "
-                             f"{e.describe()}")
+        index = np.arange(self.chip.size) - np.searchsorted(self.chip, self.chip)
+        for chip, i, key, mask, cores, links in zip(*(a.tolist() for a in (
+                self.chip, index, self.key, self.mask, self.cores, self.links))):
+            x, y = divmod(chip, self.machine.height)
+            targets = [f"core:{c}" for c in range(cores.bit_length()) if cores >> c & 1]
+            targets += [f"link:{name}" for l, name in enumerate(LINKS) if links >> l & 1]
+            lines.append(f"{x} {y} {i} 0x{key:08x} 0x{mask:08x} {','.join(targets) or '-'}")
         return "\n".join(lines) + "\n"
 
 
 def build_routing_tables(placement: Placement, keys: KeyAllocation,
                          dests: dict[int, set[tuple[tuple[int, int], int]]]) -> RoutingTables:
     machine = placement.machine
-    # (chip) -> {(key, mask) -> (local cores, links)}
-    raw: dict[tuple[int, int], dict[tuple[int, int], tuple[frozenset, frozenset]]] = {}
+    # (chip) -> {(key, mask) -> (core bits, link bits)}
+    raw: dict[tuple[int, int], dict[tuple[int, int], tuple[int, int]]] = {}
     # The route tree of the last ensemble: placement fills chips one after
     # another, so ensembles sharing a source chip and destination chips are
     # neighbours in ensemble order.
     tree_of: tuple | None = None
-    tree: list[tuple[tuple[int, int], frozenset[int]]] = []
 
     for e in placement.ensembles:
         if not dests.get(e.index):
             continue  # population with no outgoing projections sends nothing
         src_chip = placement.chip_of[e.index]
         prefix = keys.prefix_of[e.index]
-        by_chip: dict[tuple[int, int], set[int]] = {}
+        by_chip: dict[tuple[int, int], int] = {}
         for chip, core in dests[e.index]:
-            by_chip.setdefault(chip, set()).add(core)
+            by_chip[chip] = by_chip.get(chip, 0) | 1 << core
 
         dchips = frozenset(by_chip)
         if tree_of != (src_chip, dchips):
             tree_of = (src_chip, dchips)
             tree = _route_tree(machine, src_chip, dchips)
         for chip, links in tree:
-            raw.setdefault(chip, {})[(prefix, CORE_MASK)] = (
-                frozenset(by_chip.get(chip, ())), links)
+            raw.setdefault(chip, {})[(prefix, CORE_MASK)] = (by_chip.get(chip, 0), links)
 
-    tables = RoutingTables(machine)
+    rows: list[tuple[int, int, int, int, int]] = []  # chip, key, mask, cores, links
     for chip in sorted(raw):  # an overflow names the lowest overflowing chip
-        merged = _merge_entries(raw[chip])
-        rows = [RoutingEntry(k, m, c, l) for (k, m), (c, l) in merged.items()]
-        rows.sort(key=lambda r: (-bin(r.mask).count("1"), r.key))
+        merged = sorted(_merge_entries(raw[chip]).items(),
+                        key=lambda r: (-bin(r[0][1]).count("1"), r[0][0]))
         limit = machine.routing_entries_per_chip
-        if len(rows) > limit:
+        if len(merged) > limit:
             raise RoutingTableOverflowError(
-                f"chip {chip}: {len(rows)} routing entries exceed the limit of {limit}")
-        tables.entries[chip] = rows
-    return tables
+                f"chip {chip}: {len(merged)} routing entries exceed the limit of {limit}")
+        code = chip[0] * machine.height + chip[1]
+        rows += [(code, key, mask, cores, links) for (key, mask), (cores, links) in merged]
+    return RoutingTables(machine, *np.array(rows, dtype=np.int64).reshape(-1, 5).T)
 
 
 def _route_tree(machine: MachineSpec, src_chip: tuple[int, int],
-                dest_chips: frozenset[tuple[int, int]]
-                ) -> list[tuple[tuple[int, int], frozenset[int]]]:
+                dest_chips: frozenset[tuple[int, int]]) -> list[tuple[tuple[int, int], int]]:
     """The chips that need an entry for packets from ``src_chip`` to every
-    chip in ``dest_chips``, with their outgoing links.
+    chip in ``dest_chips``, with their outgoing links as bits.
 
     The tree is the union of canonical paths from the source; per-chip
     arrival direction is unique because every path to a chip shares the same
     prefix.  Straight pass-through chips are left to default routing.
     """
-    out_links: dict[tuple[int, int], set[int]] = {src_chip: set()}
+    out_links: dict[tuple[int, int], int] = {src_chip: 0}
     arrival_dir: dict[tuple[int, int], int] = {}
     for dchip in dest_chips:
         here = src_chip
         for link in machine.route_links(src_chip, dchip):
             nxt = machine.neighbor(here, link)
-            out_links.setdefault(here, set()).add(link)
+            out_links[here] |= 1 << link
             prev = arrival_dir.setdefault(nxt, link)
             if prev != link:
                 raise RoutingError(f"route tree conflict at chip {nxt}")
-            out_links.setdefault(nxt, set())
+            out_links.setdefault(nxt, 0)
             here = nxt
     tree = []
     for chip, links in out_links.items():
         if chip not in dest_chips:
             if not links:
                 continue
-            if chip != src_chip and links == {arrival_dir[chip]}:
+            if chip != src_chip and links == 1 << arrival_dir[chip]:
                 continue  # straight pass-through: default routing handles it
-        tree.append((chip, frozenset(links)))
+        tree.append((chip, links))
     return tree
 
 
@@ -395,57 +389,87 @@ def _merge_entries(slots: dict[tuple[int, int], tuple[frozenset, frozenset]]
     return entries
 
 
-def walk_packet(tables: RoutingTables, src_chip: tuple[int, int], key: int
-                ) -> dict[tuple[tuple[int, int], int], float]:
-    """Simulate the router table walk for one injected packet.
+def walk_packet(tables: RoutingTables, src_chip: np.ndarray, key: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Walk every packet through the routers at once, one hop per round.
 
-    Returns {(chip, core): transit_ns}.  Raises RoutingError on ambiguous
-    matches, unroutable injection, falling off the mesh, or loops.
+    Packet i carries ``key[i]`` from chip ``src_chip[i]`` (``x * height +
+    y``).  At each chip it takes the action of the one entry it matches,
+    found with one ``searchsorted`` per distinct mask, or goes straight on
+    when none matches (default route).  Returns ``(packet, chip, core id,
+    transit_ns)`` per delivery.  Raises RoutingError on ambiguous matches,
+    unroutable injection, falling off the mesh, or loops: a packet still
+    travelling after ``n_chips`` hops, which no route tree path takes.
     """
-    machine = tables.machine
-    deliveries: dict[tuple[tuple[int, int], int], float] = {}
-    frontier = [(src_chip, None, 0.0)]
-    seen: set[tuple[tuple[int, int], int | None]] = set()
-    while frontier:
-        chip, in_dir, transit = frontier.pop()
-        if (chip, in_dir) in seen:
-            raise RoutingError(f"routing loop at chip {chip} for key 0x{key:08x}")
-        seen.add((chip, in_dir))
-        matches = [e for e in tables.entries.get(chip, ()) if e.matches(key)]
-        if len(matches) > 1:
-            raise RoutingError(f"chip {chip}: {len(matches)} entries match key 0x{key:08x}")
-        if matches:
-            entry = matches[0]
-            for core in entry.cores:
-                deliveries[(chip, core)] = transit
-            links = entry.links
-        elif in_dir is not None:
-            links = frozenset((in_dir,))  # default route: continue straight
-        else:
-            raise RoutingError(f"key 0x{key:08x} injected at {chip} matches no entry")
-        for link in links:
-            nxt = machine.neighbor(chip, link)
-            if nxt is None:
-                raise RoutingError(f"key 0x{key:08x} fell off the mesh at {chip}")
-            frontier.append((nxt, link, transit + machine.hop_latency_ns(chip, nxt)))
-    return deliveries
+    machine, height, n_chips = tables.machine, tables.machine.height, tables.machine.n_chips()
+    # per distinct mask: the rows of its entries and their codes, in code order
+    code = tables.chip << 32 | tables.key
+    order = np.lexsort((code, tables.mask))
+    masks, first = np.unique(tables.mask[order], return_index=True)
+    lookups = list(zip(masks.tolist(), np.split(order, first[1:]),
+                       np.split(code[order], first[1:])))
+    packet, chip, in_dir, transit = np.arange(key.size), src_chip, -1, np.zeros(key.size)
+    out = []
+
+    def check(bad, message):
+        """Raise for the first packet where ``bad`` is nonzero, its value ``{n}``."""
+        if bad.any():
+            i = int(np.argmax(bad != 0))
+            raise RoutingError(message.format(key=int(key[packet[i]]), n=int(bad[i]),
+                                              chip=divmod(int(chip[i]), height)))
+
+    for _ in range(n_chips):
+        row, n_match = np.full(packet.size, -1), np.zeros(packet.size, dtype=np.int64)
+        for mask, rows, codes in lookups:
+            query = chip << 32 | key[packet] & mask
+            at = rows[np.minimum(np.searchsorted(codes, query), rows.size - 1)]
+            hit = code[at] == query
+            row, n_match = np.where(hit, at, row), n_match + hit
+        check(np.where(n_match > 1, n_match, 0), "chip {chip}: {n} entries match key 0x{key:08x}")
+        check((row < 0) & (in_dir < 0), "key 0x{key:08x} injected at {chip} matches no entry")
+        cores = np.where(row >= 0, tables.cores[row], 0)
+        p, core = np.nonzero(cores[:, None] >> np.arange(machine.cores_per_chip) & 1)
+        out.append((packet[p], chip[p], core, transit[p]))
+
+        links = np.where(row >= 0, tables.links[row], 1 << np.maximum(in_dir, 0))
+        p, link = np.nonzero(links[:, None] >> np.arange(len(LINKS)) & 1)
+        packet, chip, in_dir = packet[p], chip[p], link
+        x, y = np.divmod(chip, height)
+        nx, ny = np.stack((x, y)) + np.array(LINK_VECTORS).T[:, link]
+        ny = ny % height if machine.wrap_vertical else ny
+        check((nx < 0) | (nx >= machine.width) | (ny < 0) | (ny >= height),
+              "key 0x{key:08x} fell off the mesh at {chip}")
+        board_hop = machine.board_index((x, y)) != machine.board_index((nx, ny))
+        transit = transit[p] + (machine.router_hop_latency_ns
+                                + np.where(board_hop, machine.board_link_latency_ns, 0.0))
+        chip = nx * height + ny
+        if not packet.size:
+            return tuple(np.concatenate(col) for col in zip(*out))
+    check(packet >= 0, "routing loop at chip {chip} for key 0x{key:08x}")
 
 
 def delivery_map(placement: Placement, keys: KeyAllocation, tables: RoutingTables,
-                 dests: dict[int, set] | None = None
-                 ) -> dict[int, list[tuple[tuple[int, int], int, float]]]:
-    """Per source ensemble: [(chip, core, transit_ns)] from the table walk.
-
-    One walk per source core suffices: no mask covers neuron-id bits, so all
-    keys of a core follow identical routes.
+                 dests: dict[int, set]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fan-out CSR over source ensembles, from one walk of all their
+    packets: the packets of ensemble e reach synapse cores
+    ``dest_core[dest_ptr[e]:dest_ptr[e + 1]]`` (core ``3 * ensemble + k``
+    serves ``SYNAPSE_ROLES[k]``), in (chip, core id) order, after
+    ``dest_transit_us`` of router transit.  One packet per source core
+    suffices: no mask covers neuron-id bits, so all keys of a core follow
+    identical routes.
     """
-    out: dict[int, list[tuple[tuple[int, int], int, float]]] = {}
-    for e in placement.ensembles:
-        if dests is not None and not dests.get(e.index):
-            out[e.index] = []
-            continue
-        src_chip = placement.chip_of[e.index]
-        delivered = walk_packet(tables, src_chip, keys.prefix_of[e.index])
-        rows = [(chip, core, t) for (chip, core), t in sorted(delivered.items())]
-        out[e.index] = rows
-    return out
+    machine, ensembles = placement.machine, placement.ensembles
+    stride = machine.cores_per_chip
+    chip_code = np.array([x * machine.height + y for x, y in placement.chip_of], dtype=np.int64)
+    sends = np.array([e.index for e in ensembles if dests.get(e.index)], dtype=np.int64)
+    packet, chip, core, transit_ns = walk_packet(
+        tables, chip_code[sends], np.array(keys.prefix_of, dtype=np.int64)[sends])
+    # (chip, core id) -> synapse core, as one lookup array
+    slots = [chip_code[e.index] * stride + placement.core_of[(e.index, role)]
+             for e in ensembles for role in SYNAPSE_ROLES]
+    syn_core = np.full(machine.n_chips() * stride, -1, dtype=np.int64)
+    syn_core[slots] = np.arange(len(slots))
+    src = sends[packet]
+    order = np.lexsort((core, chip, src))
+    dest_ptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=len(ensembles)))))
+    return dest_ptr, syn_core[chip * stride + core][order], transit_ns[order] * 1e-3

@@ -11,32 +11,23 @@ Packet deliveries carry router transit latencies, and per-board clock drift
 all the run's chips are one ``clocks.ChipClock``, arrays in ``chips`` order:
 each step advances every chip's timer with one call.
 
-A synapse core finds a packet's synaptic row as the machine does: the key's
-routing prefix (the source population) selects a block of rows through the
-core's master population table, and the key's low 15 bits (sub-population
-and neuron id) index the row inside it.  The rows of every synapse core sit
-in one CSR, ``SynapticStore``: one counting sort, by row, of the network's
-encoded synapse table (``matrices.SynapseTable``), the same table the oracle
-sorts by source neuron.  The caller encodes that table once per run and
-passes it to ``HardwareSimulation``; the store keeps the machine's narrow
-words (uint8 targets and delays, int32 units unless a shifted weight needs
-int64, an int32 ``row_ptr``), and every gather from it is widened to int64
-before it is added into the int64 ring buffers.  The background input is
-the run's one ``matrices.PoissonBank``, passed to ``HardwareSimulation.run``.
+A synapse core finds a packet's synaptic row as the machine does, through
+its master population table.  The rows of every synapse core sit in one
+CSR of the machine's narrow words, ``SynapticStore``: one counting sort, by
+row, of the run's encoded synapse table (``matrices.SynapseTable``), which
+the oracle sorts by source neuron.  The background input is the run's one
+``matrices.PoissonBank``, passed to ``HardwareSimulation.run``.
 
 A timestep is one array pipeline over the whole machine, not a loop over
 packets:
 
 - fan-out: the fired neurons become packet arrays (target core, arrival,
-  key, emit step), repeated over a per-ensemble CSR of destination cores,
-  the delivery map's one array form (``fan_out``);
+  key, emit step), repeated over ``mapping.delivery_map``'s per-ensemble
+  CSR of destination cores;
 - window: ``SynapseCoreState.run_window`` orders every queued packet with
-  one ``np.lexsort`` on (core, arrival, source, emit step), where the source
-  is the sending ensemble's rank in (sx, sy, score, key prefix) order times
-  64 plus the neuron id, the machine's (sx, sy, score, key) order, and
-  scans all cores with a queued packet in lockstep, one array operation per
-  queue position, keeping each core's float recurrence (busy time,
-  kick-starts, the deadline cut) in packet order;
+  one ``np.lexsort``, the machine's (core, arrival, sx, sy, score, key) order,
+  and scans all cores with a queued packet in lockstep, one array operation
+  per queue position, keeping each core's float recurrence in packet order;
 - ring insert: the rows of all processed packets are expanded and added
   into the ring buffers with a single integer ``np.add.at``.
 
@@ -68,9 +59,9 @@ from .clocks import BEACON_INTERVAL_S, ClockConfig, MachineClocks, SyncDiagnosti
 from .costs import CostModel
 from .machine import MachineSpec, auto_machine
 from .mapping import (NEURON_BITS, NEURONS_PER_CORE, ROLE_NEURON, ROLE_POISSON, SUBPOP_BITS,
-                      SYNAPSE_ROLES, Ensemble, Placement, PlacementError, allocate_keys,
-                      build_routing_tables, delivery_map, destination_cores, neuron_slots,
-                      partition, place_radial, subpops_per_population)
+                      SYNAPSE_ROLES, Ensemble, PlacementError, allocate_keys, build_routing_tables,
+                      delivery_map, destination_cores, neuron_slots, partition, place_radial,
+                      subpops_per_population)
 from .network import NetworkModel
 
 
@@ -106,29 +97,14 @@ class SynapticStore:
     base: np.ndarray  # (synapse cores, populations) int64
 
 
-def fan_out(placement: Placement, dmap: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The delivery map as a CSR over source ensembles: the packets of
-    ensemble e reach synapse cores ``dest_core[dest_ptr[e]:dest_ptr[e + 1]]``
-    (core ``3 * ensemble + k`` serves ``SYNAPSE_ROLES[k]``) after
-    ``dest_transit_us`` of router transit."""
-    core_index = {placement.core_ref(e.index, role): 3 * e.index + k
-                  for e in placement.ensembles for k, role in enumerate(SYNAPSE_ROLES)}
-    rows = [dmap[e.index] for e in placement.ensembles]
-    dest_ptr = np.cumsum([0] + [len(r) for r in rows], dtype=np.int64)
-    dest_core = np.array([core_index[(chip, core)] for r in rows for chip, core, _ in r],
-                         dtype=np.int64)
-    dest_transit_us = np.array([t * 1e-3 for r in rows for _, _, t in r], dtype=np.float64)
-    return dest_ptr, dest_core, dest_transit_us
-
-
 def build_synaptic_store(table: matrices.SynapseTable, ensembles: list[Ensemble],
                          dest_ptr: np.ndarray, dest_core: np.ndarray) -> SynapticStore:
     """The synapse table as one CSR of synaptic rows: a counting sort by row id.
 
     Synapse core ``3 * ensemble + k`` serves role ``SYNAPSE_ROLES[k]``.  Each
     source ensemble's role (inhibitory, lower or upper excitatory half) is
-    read off the cores its packets reach in the fan-out CSR (``fan_out``), so
-    the split rule stays in ``mapping``.  A synapse lands on core ``3 *
+    read off the cores its packets reach in the fan-out CSR
+    (``mapping.delivery_map``), so the split rule stays in ``mapping``.  A synapse lands on core ``3 *
     ens_of[post] + role_of_src[ens_of[pre]]``, in row ``base[core, pop] +
     row_off[pre]`` of its source population's block, at target
     ``nid_of[post]``; a row keeps its projections in projection order, each
@@ -450,8 +426,8 @@ class HardwareSimulation:
         self.keys = allocate_keys(self.placement)
         self.dests = destination_cores(self.placement, network.spec.projections)
         self.tables = build_routing_tables(self.placement, self.keys, self.dests)
-        self.dest_ptr, self.dest_core, self.dest_transit_us = fan_out(
-            self.placement, delivery_map(self.placement, self.keys, self.tables, self.dests))
+        self.dest_ptr, self.dest_core, self.dest_transit_us = delivery_map(
+            self.placement, self.keys, self.tables, self.dests)
 
         self._build_state(table)
         self._check_schedule()

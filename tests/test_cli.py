@@ -59,6 +59,9 @@ def bad_input_args(tmp_path, model, case):
                      {"duration_ms": "5"})}
         return ["--manifest", write(tmp_path, "manifest.json",
                                     json.dumps({"run_config": config}))]
+    if case.startswith("machine "):
+        field, value = case.split()[1].split("=")
+        return ["--machine", machine_file(tmp_path, **{field: value})]
     return case.split()
 
 
@@ -73,6 +76,12 @@ def bad_input_args(tmp_path, model, case):
                  id="duration_between_steps"),
     pytest.param("machine_value", "line 2: width: invalid literal for int()",
                  id="machine_value"),
+    pytest.param("machine board_tile_width=0", "board_tile_width must be at least 1",
+                 id="board_tile_width"),
+    pytest.param("machine board_tile_height=-1", "board_tile_height must be at least 1",
+                 id="board_tile_height"),
+    pytest.param("machine cores_per_chip=64", "cores_per_chip must be at most 63",
+                 id="cores_per_chip"),
     pytest.param("costs_value", "line 2: neuron_update_us: could not convert string to float",
                  id="costs_value"),
     pytest.param("manifest_json", "not valid JSON", id="manifest_json"),

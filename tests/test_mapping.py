@@ -2,13 +2,15 @@ import dataclasses
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from spikert import mapping, runtime
-from spikert.machine import load_machine_spec
-from spikert.mapping import (CORE_MASK, NEURON_BITS, SUBPOP_BITS, RoutingTableOverflowError,
-                             allocate_keys, build_routing_tables, delivery_map,
-                             destination_cores, pack_key, partition, place_radial)
+from spikert.machine import LINKS, MachineSpec, load_machine_spec
+from spikert.mapping import (CORE_MASK, NEURON_BITS, SUBPOP_BITS, SYNAPSE_ROLES, RoutingError,
+                             RoutingTableOverflowError, RoutingTables, allocate_keys,
+                             build_routing_tables, delivery_map, destination_cores, pack_key,
+                             partition, place_radial)
 from spikert.network import build_network, load_network_spec, scale_network
 
 
@@ -86,18 +88,117 @@ def microcircuit_mapping(benchmark_path, scale, machine_file=None):
     return placement, keys, destination_cores(placement, net.spec.projections)
 
 
+def reference_walk(tables, src_chip, key):
+    """Reference: the per-packet depth-first walk that ``walk_packet``
+    replaced, reading each chip's rows from the arrays.  Returns
+    {(chip, core id): transit_ns}."""
+    machine = tables.machine
+    deliveries = {}
+    frontier = [(src_chip, None, 0.0)]
+    seen = set()
+    while frontier:
+        chip, in_dir, transit = frontier.pop()
+        assert (chip, in_dir) not in seen
+        seen.add((chip, in_dir))
+        rows = np.flatnonzero(tables.chip == chip[0] * machine.height + chip[1])
+        matches = [int(r) for r in rows if key & int(tables.mask[r]) == int(tables.key[r])]
+        assert len(matches) <= 1
+        if matches:
+            cores, links = int(tables.cores[matches[0]]), int(tables.links[matches[0]])
+            for core in range(machine.cores_per_chip):
+                if cores >> core & 1:
+                    deliveries[(chip, core)] = transit
+            links = [link for link in range(len(LINKS)) if links >> link & 1]
+        else:
+            assert in_dir is not None
+            links = [in_dir]  # default route: continue straight
+        for link in links:
+            nxt = machine.neighbor(chip, link)
+            assert nxt is not None
+            frontier.append((nxt, link, transit + machine.hop_latency_ns(chip, nxt)))
+    return deliveries
+
+
+def csr_row(csr, e):
+    lo, hi = csr[0][e], csr[0][e + 1]
+    return list(zip(csr[1][lo:hi].tolist(), csr[2][lo:hi].tolist()))
+
+
 @pytest.mark.parametrize("on_12_boards", [False, True], ids=["default", "12board"])
 def test_delivery_map_reaches_exactly_the_destination_cores(
         benchmark_path, machine_path, on_12_boards):
     placement, keys, dests = microcircuit_mapping(
         benchmark_path, 0.05, machine_path if on_12_boards else None)
     tables = build_routing_tables(placement, keys, dests)
-    dmap = delivery_map(placement, keys, tables, dests)
+    csr = delivery_map(placement, keys, tables, dests)
     assert any(dests.values())
     for e in placement.ensembles:
-        delivered = [(chip, core) for chip, core, _ in dmap[e.index]]
-        assert len(delivered) == len(set(delivered))
-        assert set(delivered) == dests[e.index]
+        cores = [core for core, _ in csr_row(csr, e.index)]
+        assert len(cores) == len(set(cores))
+        assert {placement.core_ref(c // 3, SYNAPSE_ROLES[c % 3]) for c in cores} == \
+            dests[e.index]
+
+
+@pytest.mark.parametrize("on_12_boards", [False, True], ids=["default", "12board"])
+def test_delivery_map_matches_the_reference_walk(benchmark_path, machine_path, on_12_boards):
+    """Each ensemble's row of the CSR holds the reference walk's deliveries,
+    in (chip, core id) order, with bit-identical transit times."""
+    placement, keys, dests = microcircuit_mapping(
+        benchmark_path, 0.05, machine_path if on_12_boards else None)
+    tables = build_routing_tables(placement, keys, dests)
+    csr = delivery_map(placement, keys, tables, dests)
+    syn_core = {placement.core_ref(e.index, role): 3 * e.index + k
+                for e in placement.ensembles for k, role in enumerate(SYNAPSE_ROLES)}
+    for e in placement.ensembles:
+        walked = reference_walk(tables, placement.chip_of[e.index], keys.prefix_of[e.index]) \
+            if dests[e.index] else {}
+        assert csr_row(csr, e.index) == [(syn_core[ref], t * 1e-3)
+                                         for ref, t in sorted(walked.items())]
+
+
+def test_delivery_map_is_pinned(benchmark_path, machine_path):
+    # At microcircuit 0.1 on the 12-board machine: the bytes of dest_ptr,
+    # dest_core (int64) and dest_transit_us (float64), concatenated.
+    placement, keys, dests = microcircuit_mapping(benchmark_path, 0.1, machine_path)
+    csr = delivery_map(placement, keys, build_routing_tables(placement, keys, dests), dests)
+    assert [a.dtype for a in csr] == [np.int64, np.int64, np.float64]
+    assert csr[1].size == 15036
+    assert hashlib.sha256(b"".join(a.tobytes() for a in csr)).hexdigest() == \
+        "6b9299838f94620d7b8759e555c4e02883a1038e0297210d395b8103cc1946e0"
+
+
+MESH = MachineSpec(width=3, height=3, wrap_vertical=False)
+KEY = pack_key(1, 0, 0)
+E, N, SW = (LINKS.index(name) for name in ("E", "N", "SW"))
+
+
+def hand_tables(*rows):
+    """Tables on a 3x3 mesh without wrap from (x, y, mask, cores, links)
+    rows, each an entry for ``KEY``."""
+    return RoutingTables(MESH, *np.array(
+        [(x * MESH.height + y, KEY & mask, mask, cores, links)
+         for x, y, mask, cores, links in rows], dtype=np.int64).reshape(-1, 5).T)
+
+
+@pytest.mark.parametrize("rows,src,message", [
+    pytest.param([(1, 1, CORE_MASK, 1 << 2, 0), (1, 1, CORE_MASK & ~(1 << NEURON_BITS), 0, 0)],
+                 (1, 1), "chip (1, 1): 2 entries match key 0x00008000", id="ambiguous"),
+    pytest.param([(0, 0, CORE_MASK, 1 << 2, 0)], (1, 1),
+                 "key 0x00008000 injected at (1, 1) matches no entry", id="unroutable"),
+    pytest.param([(1, 1, CORE_MASK, 0, 1 << E)], (1, 1),
+                 "key 0x00008000 fell off the mesh at (2, 1)", id="off_mesh"),
+    pytest.param([(0, 0, CORE_MASK, 0, 1 << E), (1, 0, CORE_MASK, 0, 1 << N),
+                  (1, 1, CORE_MASK, 1 << 2, 1 << SW)], (0, 0),
+                 "routing loop at chip (0, 0) for key 0x00008000", id="loop"),
+])
+def test_walk_errors_name_the_key_and_chip(rows, src, message):
+    """Two entries matching one key, no entry at the injection chip, a link
+    off the mesh edge (after a default-routed hop) and a cycle each stop
+    the walk with a RoutingError naming the key and the chip."""
+    with pytest.raises(RoutingError) as err:
+        mapping.walk_packet(hand_tables(*rows), np.array([src[0] * MESH.height + src[1]]),
+                            np.array([KEY]))
+    assert str(err.value) == message
 
 
 def test_too_small_entry_limit_raises_overflow(benchmark_path):

@@ -5,13 +5,12 @@ import pytest
 
 from conftest import SMALL_SPEC
 from spikert.clocks import ClockConfig
-from spikert.mapping import (ROLE_NEURON, ROLE_POISSON, ROLE_SYN_INH, SYNAPSE_ROLES, delivery_map,
-                             pack_key)
+from spikert.mapping import ROLE_NEURON, ROLE_POISSON, ROLE_SYN_INH, SYNAPSE_ROLES, pack_key
 from spikert.matrices import PoissonBank, encode_projections, source_delivery_index
 from spikert.network import (SpecError, build_network, load_network_spec, parse_network_spec,
                              scale_network)
 from spikert.oracle import oracle_simulate
-from spikert.runtime import HardwareSimulation, build_synaptic_store, fan_out
+from spikert.runtime import HardwareSimulation, build_synaptic_store
 
 DURATION_MS = 50.0
 STEPS = 500
@@ -186,10 +185,12 @@ def test_synapses_no_packet_reaches_are_rejected(small_network):
     without a row; the error names the projection's populations."""
     sim = HardwareSimulation(small_network, encode_projections(small_network))
     i0 = next(e.index for e in sim.ensembles if e.pop == 1)
-    dmap = {**delivery_map(sim.placement, sim.keys, sim.tables, sim.dests), i0: []}
+    lo, hi = sim.dest_ptr[i0], sim.dest_ptr[i0 + 1]
+    assert hi > lo
+    dest_ptr = np.where(np.arange(sim.dest_ptr.size) > i0, sim.dest_ptr - (hi - lo), sim.dest_ptr)
     with pytest.raises(RuntimeError, match="I->E: synapses on a core that no packet"):
-        build_synaptic_store(encode_projections(small_network), sim.ensembles,
-                             *fan_out(sim.placement, dmap)[:2])
+        build_synaptic_store(encode_projections(small_network), sim.ensembles, dest_ptr,
+                             np.delete(sim.dest_core, np.s_[lo:hi]))
 
 
 def test_non_finite_input_names_the_neuron(small_network):
