@@ -190,7 +190,7 @@ def run(cfg: RunConfig) -> None:
     results = {}
     texts = {}  # each trace serialised once, for its file and the comparison
     # one encoded synapse table and one Poisson bank, read by both simulators
-    table = matrices.encode_projections(net)
+    table = matrices.encode_projections(net, keep_weights=not cfg.oracle_quantize)
     sim = res = None
     if cfg.mode in ("hardware", "both"):
         sim = runtime.HardwareSimulation(

@@ -106,9 +106,7 @@ class MachineClocks:
         drift_ppm = sample_board_drifts(machine, cfg, seed)
         # every chip starts at own transit + programmed delay = the worst
         # start-signal transit anywhere, so all first edges coincide
-        aligned_us = max(machine.transit_ns((0, 0), (x, y))
-                         for x in range(machine.width)
-                         for y in range(machine.height)) * 1e-3
+        aligned_us = float(machine.transits_from_origin_ns().max()) * 1e-3
         boards = np.array([machine.board_index(chip) for chip in chips], dtype=np.int64)
         self.timers = ChipClock(1.0 + drift_ppm[boards] * 1e-6, period_cycles,
                                 clock_hz, aligned_us)

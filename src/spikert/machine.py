@@ -13,14 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .network import SpecError, typed_value
 
 LINKS = ("E", "NE", "N", "W", "SW", "S")
 LINK_VECTORS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
-
-
-def opposite_link(link: int) -> int:
-    return (link + 3) % 6
 
 
 @dataclass(frozen=True)
@@ -87,10 +85,6 @@ class MachineSpec:
                 best = (key, dy)
         return dx, best[1]
 
-    def hex_distance(self, src: tuple[int, int], dst: tuple[int, int]) -> int:
-        dx, dy = self.delta(src, dst)
-        return _hex_dist(dx, dy)
-
     def neighbor(self, chip: tuple[int, int], link: int):
         """Chip reached over a link, or None off the mesh edge."""
         vx, vy = LINK_VECTORS[link]
@@ -135,6 +129,35 @@ class MachineSpec:
         path = self.route_path(src, dst)
         return sum(self.hop_latency_ns(a, b) for a, b in zip(path, path[1:]))
 
+    def transits_from_origin_ns(self) -> np.ndarray:
+        """``transit_ns((0, 0), chip)`` of every chip, x-major, for all chips
+        at once.  From the origin dx >= 0, so s hops along a canonical route
+        reach x = min(s, dx) and, with a diagonal of m = min(dx, dy) hops when
+        dy > 0 (none otherwise), y = sign(dy) * (min(s, m) + max(0, s - dx));
+        hop s pays the router, plus the board link where the board changes,
+        added in route order as ``transit_ns`` adds them."""
+        x, y = np.divmod(np.arange(self.n_chips()), self.height)
+        dy, hops = y, _hex_dists(x, y)
+        for rep in (y - self.height, y + self.height) if self.wrap_vertical else ():
+            d = _hex_dists(x, rep)  # ``delta``'s choice: fewest hops, then |dy|, then dy > 0
+            take = (d < hops) | ((d == hops) & ((abs(rep) < abs(dy))
+                                                | ((abs(rep) == abs(dy)) & (rep > dy))))
+            dy, hops = np.where(take, rep, dy), np.where(take, d, hops)
+        diag = np.where(dy > 0, np.minimum(x, dy), 0)
+        boards_x = -(-self.width // self.board_tile_width)
+        total = np.zeros(x.size)
+        board = np.zeros(x.size, dtype=np.int64)  # the origin's board
+        for s in range(1, int(hops.max(initial=0)) + 1):
+            at = np.minimum(s, hops)
+            px = np.minimum(at, x)
+            py = np.sign(dy) * (np.minimum(at, diag) + np.maximum(0, at - x)) % self.height
+            prev, board = board, (px // self.board_tile_width
+                                  + boards_x * (py // self.board_tile_height))
+            total += np.where(s > hops, 0.0, np.where(
+                board != prev, self.router_hop_latency_ns + self.board_link_latency_ns,
+                self.router_hop_latency_ns))
+        return total
+
     # -- capacity ----------------------------------------------------------
 
     def usable_cores(self, chip: tuple[int, int]) -> int:
@@ -157,6 +180,11 @@ def _hex_dist(dx: int, dy: int) -> int:
     if (dx >= 0) == (dy >= 0):
         return max(abs(dx), abs(dy))
     return abs(dx) + abs(dy)
+
+
+def _hex_dists(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """``_hex_dist`` over arrays."""
+    return np.where((dx >= 0) == (dy >= 0), np.maximum(abs(dx), abs(dy)), abs(dx) + abs(dy))
 
 
 # ---------------------------------------------------------------------------

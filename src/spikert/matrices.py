@@ -4,14 +4,18 @@ Encoding happens once per run, here: ``encode_projections`` turns every
 sampled synapse into per-projection fixed-point scales, 16-bit word
 magnitudes and the integer accumulator contributions both simulation paths
 add up, and returns them as one ``SynapseTable`` of narrow global arrays:
-int32 source and target neurons, units in the narrowest of int32/int64 that
-holds the largest shifted value, uint8 delays.  The caller (``cli.run``)
-encodes once and hands the same table to both simulators, which only read
-it.  Each indexes it with one counting sort (``counting_sort``): the oracle
-by source neuron (``source_delivery_index``), the machine model by the
-synaptic row a packet key addresses (``runtime.build_synaptic_store``).
-Both views carry the same encoded integers, which is what makes their
-spike-for-spike agreement exact rather than approximate.
+int32 target neurons, units in the narrowest of int32/int64 that holds the
+largest shifted value, uint8 delays.  A synapse's source neuron is not
+stored: each projection's ``row_ptr`` gives it (``SynapseTable.blocks``).
+The caller (``cli.run``) encodes once, each projection releasing its sampled
+arrays as soon as it is encoded, and hands the same table to both
+simulators, which only read it.  The oracle reads it in place, through each
+source neuron's spans into it (``source_delivery_index``); the machine model
+copies it once into synaptic rows with one counting sort, block by block
+(``counting_sort``, ``runtime.build_synaptic_store``).  Both views carry the
+same encoded integers, which is what makes their spike-for-spike agreement
+exact rather than approximate.  Both size their delay rings from the table,
+to the smallest power of two above its longest delay (``ring_slots``).
 
 Background input is drawn once per run as well: one ``PoissonBank``, which
 both simulators read step by step.
@@ -27,27 +31,61 @@ from . import weights
 from .kinetics import Propagator, make_rng
 from .network import NetworkModel, PoissonInput
 
+BLOCK = 1 << 18  # synapses per block of encoding and sorting work: bounds its temporaries
+
 
 @dataclass
 class SynapseTable:
     """Every encoded synapse of the network, in projection order, then in
     synapse order (ascending source neuron within a projection).
 
-    ``pre`` and ``post`` are int32 global neuron indices, ``units`` the
-    magnitude in the target's accumulator units (int32, or int64 when a
-    shifted value needs it) and ``delays`` the uint8 delay in timesteps.
-    Projection p spans ``bounds[p]:bounds[p + 1]``; within it the synapses of
-    one source neuron, and of one source neuron onto one target core, are
-    contiguous runs, which is what ``counting_sort`` relies on.  ``scales``
-    are the accumulator exponents the units are encoded against.
+    ``post`` are int32 global target neurons, ``units`` the magnitude in the
+    target's accumulator units (int32, or int64 when a shifted value needs
+    it) and ``delays`` the uint8 delay in timesteps.  Projection p spans
+    ``bounds[p]:bounds[p + 1]``; its source neuron i (global neuron
+    ``pre_base[p] + i``) owns ``row_ptrs[p][i]:row_ptrs[p][i + 1]`` of that
+    span, the projection's own ``row_ptr``.  Within a projection the synapses
+    of one source neuron, and of one source neuron onto one target core, are
+    contiguous runs, which is what ``blocks`` and ``counting_sort`` rely on.
+    ``scales`` are the accumulator exponents the units are encoded against.
     """
 
-    pre: np.ndarray
     post: np.ndarray
     units: np.ndarray
     delays: np.ndarray
     bounds: np.ndarray
+    row_ptrs: list[np.ndarray]
+    pre_base: np.ndarray
     scales: weights.AccumulatorScales
+
+    def blocks(self):
+        """(lo, hi, pre) of each block of the table, in table order: the
+        synapses ``table[lo:hi]`` of whole source neurons of one projection,
+        about ``BLOCK`` of them (more when one neuron has more), and the
+        global source neuron (intp) of each."""
+        for start, row_ptr, base in zip(self.bounds.tolist(), self.row_ptrs,
+                                        self.pre_base.tolist()):
+            # a block starts at each neuron whose first synapse opens a new
+            # BLOCK-aligned window of the projection
+            window = row_ptr[:-1] // BLOCK
+            cuts = [0, *(np.flatnonzero(window[1:] != window[:-1]) + 1).tolist(),
+                    row_ptr.size - 1]
+            for a, b in zip(cuts, cuts[1:]):
+                pre = np.repeat(np.arange(base + a, base + b, dtype=np.intp),
+                                row_ptr[a + 1:b + 1] - row_ptr[a:b])
+                yield start + int(row_ptr[a]), start + int(row_ptr[b]), pre
+
+
+def ring_slots(delays: np.ndarray) -> int:
+    """Delay-ring depth for these delays: the smallest power of two above the
+    longest, so that no slot is written again before it has been read."""
+    return 1 << int(delays.max(initial=0)).bit_length()
+
+
+def ranges(lo: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``lo[i], lo[i] + 1, ..., lo[i] + lens[i] - 1`` for every i, concatenated."""
+    ends = np.cumsum(lens)
+    return np.repeat(lo - (ends - lens), lens) + np.arange(int(ends[-1]) if ends.size else 0)
 
 
 def accumulator_scales(network: NetworkModel) -> weights.AccumulatorScales:
@@ -78,11 +116,20 @@ def _max_abs(w: np.ndarray) -> float:
     return float(max(w.max(initial=0.0), -w.min(initial=0.0)))
 
 
-def encode_projections(network: NetworkModel) -> SynapseTable:
-    """The network's synapses as one ``SynapseTable``; encode once per run."""
+def encode_projections(network: NetworkModel, keep_weights: bool = False) -> SynapseTable:
+    """The network's synapses as one ``SynapseTable``; encode once per run.
+
+    Encoding moves the synapses into the table: each projection releases
+    its post, delay and (unless ``keep_weights``, which the oracle's
+    unquantized path needs) weight arrays as soon as it is encoded, so that
+    the network's synapses and the table are never held whole at once.  Its
+    ``row_ptr`` stays, shared with the table.
+    """
     if network.projections is None:
         raise ValueError("encoding needs sampled synapses")
     projections = network.projections
+    if any(proj.post_local is None for proj in projections):
+        raise ValueError("the network's synapses were already encoded and released")
     scales = accumulator_scales(network)
     exps, shifts, top = [], [], 0
     for proj in projections:
@@ -99,21 +146,28 @@ def encode_projections(network: NetworkModel) -> SynapseTable:
     units_dtype = np.int32 if top <= np.iinfo(np.int32).max else np.int64
     bounds = np.zeros(len(projections) + 1, dtype=np.int64)
     np.cumsum([proj.count for proj in projections], out=bounds[1:])
-    total = int(bounds[-1])
-    if total > np.iinfo(np.int32).max:
-        raise ValueError(f"{total} synapses: the int32 row pointers hold at most 2**31 - 1")
-    table = SynapseTable(np.empty(total, dtype=np.int32), np.empty(total, dtype=np.int32),
-                         np.empty(total, dtype=units_dtype), np.empty(total, dtype=np.uint8),
-                         bounds, scales)
-    for proj, exp, shift, lo, hi in zip(projections, exps, shifts, bounds[:-1], bounds[1:]):
-        table.units[lo:hi] = weights.quantize_magnitudes(proj.weight_pa, exp) << shift
-        table.pre[lo:hi] = np.repeat(
-            np.arange(proj.row_ptr.size - 1, dtype=np.int32)
-            + np.int32(network.offsets[proj.source_pop]), np.diff(proj.row_ptr))
-        np.add(proj.post_local, np.int32(network.offsets[proj.target_pop]),
-               out=table.post[lo:hi])
-        table.delays[lo:hi] = proj.delay_steps
-    return table
+    if bounds[-1] > np.iinfo(np.int32).max:
+        raise ValueError(f"{bounds[-1]} synapses: the int32 row pointers hold at most 2**31 - 1")
+    # each projection narrowed into pieces of the table's dtypes as its
+    # sampled arrays go, then the pieces joined field by field
+    posts, units, delays = ([np.zeros(0, dtype)] for dtype in (np.int32, units_dtype, np.uint8))
+    for proj, exp, shift in zip(projections, exps, shifts):
+        piece = np.empty(proj.count, dtype=units_dtype)
+        for lo in range(0, proj.count, BLOCK):
+            piece[lo:lo + BLOCK] = weights.quantize_magnitudes(
+                proj.weight_pa[lo:lo + BLOCK], exp) << shift
+        units.append(piece)
+        posts.append(proj.post_local + np.int32(network.offsets[proj.target_pop]))
+        delays.append(proj.delay_steps.astype(np.uint8))
+        proj.post_local = proj.delay_steps = None
+        if not keep_weights:
+            proj.weight_pa = None
+    fields = []
+    for pieces in (posts, units, delays):
+        fields.append(np.concatenate(pieces))
+        pieces.clear()
+    return SynapseTable(*fields, bounds, [proj.row_ptr for proj in projections],
+                        network.offsets[[proj.source_pop for proj in projections]], scales)
 
 
 def counting_sort(table: SynapseTable, n_rows: int, rows_of, fill) -> np.ndarray:
@@ -121,71 +175,67 @@ def counting_sort(table: SynapseTable, n_rows: int, rows_of, fill) -> np.ndarray
     order within a row (projection order, then synapse order), with no
     comparison sort; returns the int32 ``row_ptr``.
 
-    ``rows_of(lo, hi)`` gives the row of each synapse of ``table[lo:hi]``,
-    one projection.  Within a projection a row's synapses must be one
+    The table goes by ``SynapseTable.blocks``: ``rows_of(pre, lo, hi)`` gives
+    the row of each synapse of the block ``table[lo:hi]``, whose source
+    neurons are ``pre``.  Within a block a row's synapses must be one
     contiguous run, so a synapse's slot is its row's start, plus what
-    earlier projections put in the row, plus its offset in the run.
+    earlier blocks put in the row, plus its offset in the run.
     ``fill(slots, lo, hi)`` writes ``table[lo:hi]`` to those slots.
     """
-    spans = list(zip(table.bounds[:-1].tolist(), table.bounds[1:].tolist()))
     row_ptr = np.zeros(n_rows + 1, dtype=np.int32)
-    for lo, hi in spans:
-        start, rows, lens = _runs(rows_of(lo, hi))
+    for lo, hi, pre in table.blocks():
+        rows, lens = _runs(rows_of(pre, lo, hi))
         row_ptr[rows + 1] += lens
     np.cumsum(row_ptr, out=row_ptr)
     free = row_ptr[:-1].copy()  # next free slot of each row
-    for lo, hi in spans:
-        start, rows, lens = _runs(rows_of(lo, hi))
+    for lo, hi, pre in table.blocks():
+        rows, lens = _runs(rows_of(pre, lo, hi))
         first = free[rows]
         free[rows] += lens
-        fill(np.repeat(first - start, lens) + np.arange(hi - lo), lo, hi)
+        fill(ranges(first, lens), lo, hi)
     if not np.array_equal(free, row_ptr[1:]):
-        raise AssertionError("a row's synapses are split within one projection")
+        raise AssertionError("a row's synapses are split within one block")
     return row_ptr
 
 
-def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(start, row, length) of each run of equal consecutive values."""
+def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(value, length) of each run of equal consecutive values."""
     if not rows.size:
-        return np.zeros(0, dtype=np.int64), rows, np.zeros(0, dtype=np.int64)
+        return rows, np.zeros(0, dtype=np.int64)
     start = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
-    return start, rows[start], np.diff(start, append=rows.size)
+    return rows[start], np.diff(start, append=rows.size)
 
 
 @dataclass
-class SourceDeliveries:
-    """Oracle view: the synapses of every source neuron, merged into one CSR.
+class SourceSpans:
+    """Oracle view of the synapse table, read in place: source neuron g's
+    synapses are ``table[lo[s]:hi[s]]`` for the spans s in
+    ``span_ptr[g]:span_ptr[g + 1]``, one span per projection from g's
+    population, in projection order, each the neuron's row of that
+    projection in synapse order."""
 
-    Row g (global source neuron) spans row_ptr[g]:row_ptr[g+1] of the
-    target/unit/delay arrays; targets are global neuron indices.  The dtypes
-    are the table's; ``units`` are float pA weights on the oracle's
-    unquantized path.
-    """
-
-    row_ptr: np.ndarray
-    target_global: np.ndarray
-    units: np.ndarray
-    delays: np.ndarray
+    span_ptr: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
 
-def source_delivery_index(network: NetworkModel, table: SynapseTable,
-                          units: np.ndarray | None = None) -> SourceDeliveries:
-    """The synapse table as one CSR over global source neurons, a row holding
-    its projections in projection order, each in synapse order.  ``units``,
-    aligned with the table, replaces the table's units in the index (the
-    oracle's float weights); the table is not written."""
-    values = table.units if units is None else units
-    target = np.empty_like(table.post)
-    sorted_units = np.empty_like(values)
-    delays = np.empty_like(table.delays)
-
-    def fill(slots, lo, hi):
-        target[slots] = table.post[lo:hi]
-        sorted_units[slots] = values[lo:hi]
-        delays[slots] = table.delays[lo:hi]
-
-    row_ptr = counting_sort(table, network.total_neurons, lambda lo, hi: table.pre[lo:hi], fill)
-    return SourceDeliveries(row_ptr, target, sorted_units, delays)
+def source_delivery_index(network: NetworkModel, table: SynapseTable) -> SourceSpans:
+    """Each source neuron's spans into the table, from the projections'
+    ``row_ptr``s; nothing per synapse is copied."""
+    span_ptr = np.zeros(network.total_neurons + 1, dtype=np.int64)
+    for base, row_ptr in zip(table.pre_base.tolist(), table.row_ptrs):
+        span_ptr[base + 1:base + row_ptr.size] += 1
+    np.cumsum(span_ptr, out=span_ptr)
+    lo = np.empty(int(span_ptr[-1]), dtype=np.int64)
+    hi = np.empty_like(lo)
+    free = span_ptr[:-1].copy()  # next free span of each source neuron
+    for base, row_ptr, start in zip(table.pre_base.tolist(), table.row_ptrs,
+                                    table.bounds.tolist()):
+        at = free[base:base + row_ptr.size - 1]
+        lo[at] = start + row_ptr[:-1]
+        hi[at] = start + row_ptr[1:]
+        at += 1
+    return SourceSpans(span_ptr, lo, hi)
 
 
 class PoissonBank:

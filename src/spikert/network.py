@@ -286,17 +286,14 @@ class SampledProjection:
     source_pop: int
     target_pop: int
     row_ptr: np.ndarray    # int64[n_pre + 1]
-    post_local: np.ndarray  # int32, target-local neuron index
-    weight_pa: np.ndarray  # float64, signed
-    delay_steps: np.ndarray  # int16, [1, 255]
+    # the per-synapse arrays; None once released (``matrices.encode_projections``)
+    post_local: np.ndarray | None  # int32, target-local neuron index
+    weight_pa: np.ndarray | None  # float64, signed
+    delay_steps: np.ndarray | None  # int16, [1, 255]
 
     @property
     def count(self) -> int:
-        return int(self.post_local.size)
-
-    def row(self, pre_local: int):
-        lo, hi = self.row_ptr[pre_local], self.row_ptr[pre_local + 1]
-        return self.post_local[lo:hi], self.weight_pa[lo:hi], self.delay_steps[lo:hi]
+        return int(self.row_ptr[-1])
 
 
 @dataclass
@@ -328,22 +325,16 @@ class NetworkModel:
         pop = int(np.searchsorted(self.offsets, idx, side="right")) - 1
         return pop, idx - int(self.offsets[pop])
 
-    def synapses_from(self, global_idx: int):
-        """All synapses of one source neuron as (target_global, w_pa, delay) rows."""
-        pop, local = self.pop_of_global(global_idx)
-        for proj in self.projections or ():
-            if proj.source_pop != pop:
-                continue
-            tl, w, d = proj.row(local)
-            yield proj, tl + int(self.offsets[proj.target_pop]), w, d
-
     def digest(self) -> str:
         h = hashlib.sha256()
         h.update(serialize_network_spec(self.spec).encode())
         h.update(str(self.seed).encode())
         h.update(np.ascontiguousarray(self.v_init_mv).tobytes())
         for proj in self.projections or ():
-            for arr in (proj.row_ptr, proj.post_local, proj.weight_pa, proj.delay_steps):
+            arrays = (proj.row_ptr, proj.post_local, proj.weight_pa, proj.delay_steps)
+            if any(arr is None for arr in arrays):
+                raise ValueError(f"projection {proj.spec.name}: synapses released")
+            for arr in arrays:
                 h.update(np.ascontiguousarray(arr).tobytes())
         return h.hexdigest()
 
@@ -397,13 +388,17 @@ def _sample_projection(spec: NetworkSpec, proj: ProjectionSpec, index: int,
     post = np.concatenate(posts) if posts else np.zeros(0, dtype=np.int32)
     total = int(row_ptr[-1])
 
+    # in place, so that sampling holds few temporaries the size of the projection
     sign = 1.0 if src.polarity == "exc" else -1.0
     w = rng.normal(sign * proj.weight_pa, proj.weight_sd_pa, total)
-    w = np.maximum(w, 0.0) if sign > 0 else np.minimum(w, 0.0)
+    (np.maximum if sign > 0 else np.minimum)(w, 0.0, out=w)
 
     d = rng.normal(proj.delay_ms, proj.delay_sd_ms, total)
-    steps = np.floor(d / spec.dt_ms + 0.5).astype(np.int64)
-    steps = np.clip(steps, 1, MAX_DELAY_STEPS).astype(np.int16)
+    d /= spec.dt_ms
+    d += 0.5
+    steps = np.floor(d, out=d).astype(np.int64)
+    del d
+    np.clip(steps, 1, MAX_DELAY_STEPS, out=steps)
 
     return SampledProjection(proj, pop_index[proj.source], pop_index[proj.target],
-                             row_ptr, post, w, steps)
+                             row_ptr, post, w, steps.astype(np.int16))

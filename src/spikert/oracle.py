@@ -8,11 +8,15 @@ and never misses a window must reproduce this trace byte for byte.
 
 The caller encodes the table (``matrices.encode_projections``) and draws the
 bank (``matrices.PoissonBank``) once per run and passes both in; the oracle
-only reads them.  It indexes the table by source neuron with one counting
-sort (``matrices.source_delivery_index``), keeping the table's narrow dtypes
-(int32 targets, int32 or int64 units, uint8 delays) and widening each
-step's gathers to int64 before it adds them up.  The unquantized path builds
-its index from the network's float weights instead of the table's units.
+only reads them.  It reads the table in place: a spike's synapses are its
+source neuron's spans into the table (``matrices.source_delivery_index``),
+one per projection from its population, gathered in the table's narrow
+dtypes (int32 targets, int32 or int64 units, uint8 delays) and widened to
+int64 before they are added up.  The unquantized path reads the network's
+float weights, aligned with the table, through the same spans, spike by
+spike and in projection then synapse order, since float sums depend on the
+order.  The delay rings hold ``matrices.ring_slots`` slots, the smallest
+power of two above the table's longest delay.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import numpy as np
 from . import matrices, trace, weights
 from .kinetics import advance_state
 from .network import NetworkModel
-from .runtime import RING_SLOTS
 
 
 def oracle_simulate(network: NetworkModel, table: matrices.SynapseTable,
@@ -33,23 +36,25 @@ def oracle_simulate(network: NetworkModel, table: matrices.SynapseTable,
         raise ValueError(f"Poisson bank holds {bank.n_steps} steps, the run {n_steps}")
     n = network.total_neurons
     consts = matrices.expand_constants(network, table.scales)
+    spans = matrices.source_delivery_index(network, table)
+    n_spans = np.diff(spans.span_ptr)
+    n_slots = matrices.ring_slots(table.delays)
 
-    if quantize:
-        rows = matrices.source_delivery_index(network, table)
-    else:
-        # the unquantized signed weights ride the same sort as the units
-        rows = matrices.source_delivery_index(
-            network, table, np.concatenate([p.weight_pa for p in network.projections]
-                                           or [np.zeros(0)]))
-        float_acc = np.zeros((RING_SLOTS, n), dtype=np.float64)
+    if not quantize:
+        if any(p.weight_pa is None for p in network.projections):
+            raise ValueError("the unquantized oracle reads the float weights: "
+                             "encode with keep_weights=True")
+        w_pa = np.concatenate([p.weight_pa for p in network.projections] or [np.zeros(0)])
+        float_acc = np.zeros((n_slots, n), dtype=np.float64)
         pois_w = np.repeat([network.populations[p].background.weight_pa for p in bank.counts],
                            [mat.shape[0] for mat in bank.counts.values()])
 
     # integer accumulators: [0] excitatory, [1] inhibitory source input
-    acc = np.zeros((2, RING_SLOTS, n), dtype=np.int64)
+    acc = np.zeros((2, n_slots, n), dtype=np.int64)
     acc_flat = acc.reshape(-1)
     inh_of = np.repeat([p.polarity != "exc" for p in network.populations],
                        np.diff(network.offsets)).astype(np.int64)
+    span_inh = np.repeat(inh_of, n_spans)
 
     v = network.v_init_mv.copy()
     i_syn = np.zeros(n, dtype=np.float64)
@@ -60,7 +65,7 @@ def oracle_simulate(network: NetworkModel, table: matrices.SynapseTable,
     fired_neurons: list[np.ndarray] = []
 
     for t in range(n_steps):
-        slot = t & (RING_SLOTS - 1)
+        slot = t & (n_slots - 1)
         pois_units = bank.units_at(t - 1)[0] if t > 0 else zero_units
         if quantize:
             inputs = weights.combine_input_pa(acc[0, slot], acc[1, slot], pois_units,
@@ -81,22 +86,22 @@ def oracle_simulate(network: NetworkModel, table: matrices.SynapseTable,
         fired_steps.append(t)
         fired_neurons.append(g)
         if quantize:
-            # the rows of every spike of the step in one np.add.at; integer
+            # the spans of every spike of the step in one np.add.at; integer
             # sums do not depend on the order
-            lo = rows.row_ptr[g]
-            lens = rows.row_ptr[g + 1] - lo
-            ends = np.cumsum(lens)
-            syn = np.repeat(lo - (ends - lens), lens) + np.arange(int(ends[-1]))
-            slots = (t + rows.delays[syn].astype(np.int64)) & (RING_SLOTS - 1)
-            np.add.at(acc_flat, (np.repeat(inh_of[g], lens) * RING_SLOTS + slots) * n
-                      + rows.target_global[syn], rows.units[syn].astype(np.int64))
+            s = matrices.ranges(spans.span_ptr[g], n_spans[g])
+            lo = spans.lo[s]
+            lens = spans.hi[s] - lo
+            syn = matrices.ranges(lo, lens)
+            slots = (t + table.delays[syn].astype(np.int64)) & (n_slots - 1)
+            np.add.at(acc_flat, (np.repeat(span_inh[s], lens) * n_slots + slots) * n
+                      + table.post[syn], table.units[syn].astype(np.int64))
         else:
             for gi in g.tolist():  # float sums depend on the order: one spike at a time
-                lo, hi = rows.row_ptr[gi], rows.row_ptr[gi + 1]
-                if hi > lo:
-                    slots = (t + rows.delays[lo:hi].astype(np.int64)) & (RING_SLOTS - 1)
-                    np.add.at(float_acc, (slots, rows.target_global[lo:hi]),
-                              rows.units[lo:hi])
+                s = slice(spans.span_ptr[gi], spans.span_ptr[gi + 1])
+                syn = matrices.ranges(spans.lo[s], spans.hi[s] - spans.lo[s])
+                if syn.size:
+                    slots = (t + table.delays[syn].astype(np.int64)) & (n_slots - 1)
+                    np.add.at(float_acc, (slots, table.post[syn]), w_pa[syn])
 
     return trace.from_step_records(network, fired_steps, fired_neurons, n_steps, discard_ms)
 

@@ -15,7 +15,7 @@ A synapse core finds a packet's synaptic row as the machine does, through
 its master population table.  The rows of every synapse core sit in one
 CSR of the machine's narrow words, ``SynapticStore``: one counting sort, by
 row, of the run's encoded synapse table (``matrices.SynapseTable``), which
-the oracle sorts by source neuron.  The background input is the run's one
+the oracle reads in place.  The background input is the run's one
 ``matrices.PoissonBank``, passed to ``HardwareSimulation.run``.
 
 A timestep is one array pipeline over the whole machine, not a loop over
@@ -36,7 +36,9 @@ global neuron, the oracle's layout.  Only the ring buffers keep the
 machine's layout, 64 neurons wide per synapse core, so a synaptic row's
 targets stay core-local: one gather at the ring handover turns the next
 slot into per-neuron excitatory and inhibitory units, through each neuron's
-ensemble and neuron id (``mapping.neuron_slots``).
+ensemble and neuron id (``mapping.neuron_slots``).  A ring is as deep as
+the run's delays need, ``matrices.ring_slots`` of the store's longest
+delay, at most ``RING_SLOTS``.
 
 Only a synapse core's work varies with the spike load.  Set-up computes
 the fixed busy time per step of every modelled core once, in (chip, core
@@ -69,7 +71,7 @@ class SchedulingError(RuntimeError):
     """A core's fixed work cannot fit its timer period."""
 
 
-RING_SLOTS = 256  # 255 future slots + the one being consumed
+RING_SLOTS = 256  # delay capacity: 255 future slots + the one being consumed
 ROW_BITS = NEURON_BITS + SUBPOP_BITS  # key bits below the routing prefix
 ROW_MASK = (1 << ROW_BITS) - 1
 
@@ -108,7 +110,8 @@ def build_synaptic_store(table: matrices.SynapseTable, ensembles: list[Ensemble]
     ens_of[post] + role_of_src[ens_of[pre]]``, in row ``base[core, pop] +
     row_off[pre]`` of its source population's block, at target
     ``nid_of[post]``; a row keeps its projections in projection order, each
-    in synapse order.
+    in synapse order.  ``pre`` is derived from the projections' ``row_ptr``s
+    block by block (``SynapseTable.blocks``).
     """
     n_cores = 3 * len(ensembles)
     n_subs = subpops_per_population(ensembles)
@@ -126,7 +129,9 @@ def build_synaptic_store(table: matrices.SynapseTable, ensembles: list[Ensemble]
     # int32 per-neuron lookups, so that the per-synapse gathers stay narrow:
     # a synapse's entry of ``lookup`` (``base`` plus a column of -1, where
     # sources whose packets reach no core point) is ``dst_at[post] +
-    # src_at[pre]``, and ``row_off[pre]`` is its row within the block
+    # src_at[pre]``, and ``row_off[pre]`` is its row within the block; the
+    # gathers index by intp ``pre`` and ``post``, which numpy runs about
+    # twice as fast as int32 indices
     ens_of, nid_of = neuron_slots(ensembles)
     lookup = np.pad(base, ((0, 0), (0, 1)), constant_values=-1).astype(np.int32).reshape(-1)
     role_of = role_of_src[ens_of]
@@ -137,8 +142,8 @@ def build_synaptic_store(table: matrices.SynapseTable, ensembles: list[Ensemble]
                + nid_of).astype(np.int32)
     nid8 = nid_of.astype(np.uint8)
 
-    def rows_of(lo, hi):
-        pre, post = table.pre[lo:hi], table.post[lo:hi]
+    def rows_of(pre, lo, hi):
+        post = table.post[lo:hi].astype(np.intp)
         row = lookup[dst_at[post] + src_at[pre]]
         if row.min(initial=0) < 0:
             i = int(np.argmax(row < 0))
@@ -235,8 +240,9 @@ class SynapseCoreState:
     Synapse core ``c = 3 * ensemble + k`` serves role ``SYNAPSE_ROLES[k]``.
     Per core: its chip row, its chip's synapse-core count (which sets its
     ring-buffer write cost and row-fetch contention), its slice ``ring[c]`` of
-    the ring buffers (``RING_SLOTS`` slots of the ensemble's
-    ``NEURONS_PER_CORE`` neurons, by neuron id), and per run its crystal rate
+    the ring buffers (``slots`` slots, the ring depth of the store's delays,
+    of the ensemble's ``NEURONS_PER_CORE`` neurons, by neuron id), and per
+    run its crystal rate
     and the busy time carried into the next timestep; row c of the profile
     counters is its own.  The input spike buffers of all cores are one packet
     queue of parallel arrays: ``q_arrival`` (global us) and ``q_fields``,
@@ -258,7 +264,8 @@ class SynapseCoreState:
         self.source_rank = source_rank
         self.n_syn = np.array(chip_syn_cores, dtype=np.int64)
         self.wcost = costs.sdram_write_us(self.n_syn)
-        self.ring_shape = (len(refs), RING_SLOTS, NEURONS_PER_CORE)
+        self.slots = matrices.ring_slots(store.delays)
+        self.ring_shape = (len(refs), self.slots, NEURONS_PER_CORE)
         self.reset(np.ones(len(refs)))
 
     def reset(self, rate: np.ndarray) -> None:
@@ -373,13 +380,11 @@ class SynapseCoreState:
 
     def _insert(self, t: int, core: np.ndarray, lo: np.ndarray, words: np.ndarray) -> None:
         """Add the synaptic rows of the processed packets into the ring buffers."""
-        total = int(words.sum())
-        if not total:
+        syn = matrices.ranges(lo, words)
+        if not syn.size:
             return
-        ends = np.cumsum(words)
-        syn = np.repeat(lo - (ends - words), words) + np.arange(total)
-        slot = (t + self.store.delays[syn].astype(np.int64)) & (RING_SLOTS - 1)
-        flat = (np.repeat(core, words) * RING_SLOTS + slot) * self.ring.shape[2]
+        slot = (t + self.store.delays[syn].astype(np.int64)) & (self.slots - 1)
+        flat = (np.repeat(core, words) * self.slots + slot) * self.ring.shape[2]
         np.add.at(self.ring.reshape(-1), flat + self.store.targets[syn],
                   self.store.units[syn].astype(np.int64))
 
@@ -391,9 +396,6 @@ class RunResult:
     sync_diagnostics: SyncDiagnostics
     late_packets: int
     poisson_saturations: int
-
-    def flush_totals(self) -> dict:
-        return self.profile.totals()
 
 
 class HardwareSimulation:
@@ -438,10 +440,6 @@ class HardwareSimulation:
         ens = self.ensembles
         self.ens_of, self.nid_of = neuron_slots(ens)
         self.consts = matrices.expand_constants(self.network, table.scales)
-        # each neuron's word in slot 0 of its ensemble's three ring buffers,
-        # shape (SYNAPSE_ROLES, neurons), as indices into the flattened ring
-        self.ring_pos = ((3 * self.ens_of + np.arange(3)[:, None]) * RING_SLOTS
-                         * NEURONS_PER_CORE + self.nid_of)
 
         # every modelled core in (chip, core id) order, the profile's rows,
         # and its fixed busy time per step
@@ -472,6 +470,10 @@ class HardwareSimulation:
         self.syn = SynapseCoreState(
             refs, np.repeat(self.ens_chip_row, 3), [self.chip_syn_count[chip] for chip, _ in refs],
             self.store, self.costs, source_rank)
+        # each neuron's word in slot 0 of its ensemble's three ring buffers,
+        # shape (SYNAPSE_ROLES, neurons), as indices into the flattened ring
+        self.ring_pos = ((3 * self.ens_of + np.arange(3)[:, None]) * self.syn.slots
+                         * NEURONS_PER_CORE + self.nid_of)
 
     def _fixed_busy(self) -> np.ndarray:
         """Local busy us per step of every core in ``core_meta`` when no
@@ -571,9 +573,7 @@ class HardwareSimulation:
                 n_dest = self.dest_ptr[e_idx + 1] - self.dest_ptr[e_idx]
                 total = int(n_dest.sum())
                 if total:
-                    ends = np.cumsum(n_dest)
-                    d = (np.repeat(self.dest_ptr[e_idx] - (ends - n_dest), n_dest)
-                         + np.arange(total))
+                    d = matrices.ranges(self.dest_ptr[e_idx], n_dest)
                     send = (starts[self.ens_chip_row[e_idx]] + read_g[e_idx]
                             + (local + 1) * upd_g[e_idx])
                     fields = np.empty((3, total), dtype=np.int64)
@@ -592,7 +592,7 @@ class HardwareSimulation:
 
             # ring-buffer handover: slot for t+1 moves to shared memory in
             # one gather
-            slot = (t + 1) & (RING_SLOTS - 1)
+            slot = (t + 1) & (syn.slots - 1)
             units = syn.ring.reshape(-1)[self.ring_pos + slot * NEURONS_PER_CORE]
             exc_units, inh_units = units[0] + units[1], units[2]
             syn.ring[:, slot] = 0

@@ -85,19 +85,21 @@ def machine_path():
     return os.path.join(DATA_DIR, "machine_12board.mach")
 
 
-@pytest.fixture(scope="session")
+# The networks are built per test: encoding moves a network's synapses into
+# the table, so each test that encodes needs a network of its own.
+@pytest.fixture
 def small_network():
     spec = parse_network_spec(SMALL_SPEC, "poisson")
     return build_network(spec, seed=42)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def small_network_dc():
     spec = parse_network_spec(SMALL_SPEC, "dc")
     return build_network(spec, seed=42)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def microcircuit_dc_01(benchmark_path):
     """The benchmark model at scale 0.1 with DC input, network seed 1."""
     return build_network(scale_network(load_network_spec(benchmark_path, "dc"), 0.1), seed=1)

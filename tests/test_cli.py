@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from conftest import SMALL_SPEC
 from spikert import cli, matrices, runtime
 from spikert.mapping import NEURONS_PER_CORE
+from spikert.network import build_network
 
 
 def write(tmp_path, name, text):
@@ -144,22 +146,42 @@ def test_both_modes_share_one_table_and_one_bank(tmp_path, model, monkeypatch):
 
 
 def test_float_oracle_leaves_the_shared_table_alone(tmp_path, model, monkeypatch):
-    """The oracle's unquantized path indexes float weights without writing
-    into the table the machine model reads; both traces keep the SHA-256s
-    they had when each simulator encoded its own table."""
+    """The oracle's unquantized path reads the float weights, which the
+    network keeps while it releases the rest of its synapses, without
+    writing into the table the machine model reads; both traces keep the
+    SHA-256s they had when each simulator encoded its own table."""
     encode = matrices.encode_projections
     encodes = record_calls(monkeypatch, matrices, "encode_projections")
     cli.run(cli.RunConfig(model=model, out=str(tmp_path / "out"), duration_ms=20.0,
                           oracle_quantize=False))
     ((net, table),) = encodes
+    assert all(p.post_local is None and p.delay_steps is None and p.weight_pa is not None
+               for p in net.projections)
     assert table.units.dtype == np.int32
-    assert np.array_equal(table.units, encode(net).units)
+    assert np.array_equal(table.units, encode(build_network(net.spec, net.seed)).units)
     digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
                for name in ("trace_hardware.txt", "trace_oracle.txt")}
     assert digests == {
         "trace_hardware.txt": "f8c8d3a6c796f86f3c4e5f45d6a0588e2bee06f4b3c31ea686e33826120de0a1",
         "trace_oracle.txt": "01f4d4128e22d504d618f1f3058bbc05e159e182b9deb47fb3fdedf97e169d09",
     }
+
+
+def test_hardware_run_memory_per_synapse(tmp_path, benchmark_path, microcircuit_dc_01):
+    """Everything a ``--mode hardware`` run allocates, traced by tracemalloc
+    (numpy reports its buffers to it), peaks within 30 B per synapse at
+    microcircuit 0.1 with DC input: the network releases each projection
+    once it is encoded, the table goes once the machine store is built, and
+    the rings hold 64 slots, the smallest power of two above the longest
+    delay, not 256."""
+    tracemalloc.start()
+    try:
+        cli.run(cli.RunConfig(model=benchmark_path, out=str(tmp_path / "out"), scale=0.1,
+                              input="dc", mode="hardware", duration_ms=1.0, profile="none"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30 * microcircuit_dc_01.synapse_count()
 
 
 @pytest.mark.parametrize("costs,message", [

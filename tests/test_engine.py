@@ -45,7 +45,7 @@ def test_flush_and_carry_over_digests(fixture, request):
     res = sim.run(50.0, PoissonBank(net, 2, 500))
     late, flushed, trace_sha, profile_sha, events_sha = LATE_MARGIN_DIGESTS[fixture]
     assert res.late_packets == late > 0
-    assert res.flush_totals()["flushed"] == flushed > 0
+    assert res.profile.totals()["flushed"] == flushed > 0
     assert sha256(res.trace.serialize()) == trace_sha
     assert sha256(res.profile.serialize()) == profile_sha
     assert sha256(res.profile.serialize_events()) == events_sha

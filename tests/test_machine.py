@@ -1,8 +1,15 @@
 import pytest
 
-from spikert.machine import (LINKS, MachineSpec, auto_machine, load_machine_spec,
-                             opposite_link, parse_machine_spec, serialize_machine_spec)
+from spikert.machine import (LINK_VECTORS, LINKS, MachineSpec, auto_machine, load_machine_spec,
+                             parse_machine_spec, serialize_machine_spec)
 from spikert.network import SpecError
+
+
+def hex_distance(machine, src, dst) -> int:
+    """Hops between two chips: a diagonal hop covers one step of x and one
+    of y when both go the same way."""
+    dx, dy = machine.delta(src, dst)
+    return max(abs(dx), abs(dy)) if (dx >= 0) == (dy >= 0) else abs(dx) + abs(dy)
 
 
 @pytest.fixture
@@ -17,8 +24,8 @@ def wrapped():
 
 def test_link_geometry(grid):
     assert LINKS == ("E", "NE", "N", "W", "SW", "S")
-    for l in range(6):
-        assert opposite_link(opposite_link(l)) == l
+    for l in range(6):  # link l + 3 runs back along link l
+        assert LINK_VECTORS[(l + 3) % 6] == tuple(-v for v in LINK_VECTORS[l])
     assert grid.neighbor((0, 0), 0) == (1, 0)
     assert grid.neighbor((0, 0), 1) == (1, 1)
     assert grid.neighbor((0, 0), 3) is None  # west edge
@@ -26,23 +33,23 @@ def test_link_geometry(grid):
 
 
 def test_hex_distance_diagonal_counts_once(grid):
-    assert grid.hex_distance((0, 0), (3, 3)) == 3     # pure NE moves
-    assert grid.hex_distance((0, 0), (5, 2)) == 5     # NE then E
-    assert grid.hex_distance((0, 0), (2, 3)) == 3
-    assert grid.hex_distance((3, 0), (0, 3)) == 6     # opposite signs: no diagonal
+    assert hex_distance(grid, (0, 0), (3, 3)) == 3     # pure NE moves
+    assert hex_distance(grid, (0, 0), (5, 2)) == 5     # NE then E
+    assert hex_distance(grid, (0, 0), (2, 3)) == 3
+    assert hex_distance(grid, (3, 0), (0, 3)) == 6     # opposite signs: no diagonal
 
 
 def test_vertical_wrap_shortens_paths(wrapped):
-    assert wrapped.hex_distance((0, 0), (0, 23)) == 1
-    assert wrapped.hex_distance((0, 0), (0, 12)) == 12  # tie resolves northward
-    assert wrapped.hex_distance((0, 0), (2, 22)) == 4   # (2,-2): SW diagonal
+    assert hex_distance(wrapped, (0, 0), (0, 23)) == 1
+    assert hex_distance(wrapped, (0, 0), (0, 12)) == 12  # tie resolves northward
+    assert hex_distance(wrapped, (0, 0), (2, 22)) == 4   # (2,-2): SW diagonal
 
 
 def test_route_path_is_minimal_and_connected(wrapped):
     for dst in [(5, 3), (3, 5), (0, 23), (23, 0), (10, 20), (23, 23)]:
         path = wrapped.route_path((0, 0), dst)
         assert path[0] == (0, 0) and path[-1] == dst
-        assert len(path) - 1 == wrapped.hex_distance((0, 0), dst)
+        assert len(path) - 1 == hex_distance(wrapped, (0, 0), dst)
 
 
 def test_transit_arithmetic_example():
@@ -53,6 +60,26 @@ def test_transit_arithmetic_example():
     assert m.transit_ns((6, 0), (9, 0)) == 3 * 500.0 + 900.0
     assert m.transit_ns((0, 0), (0, 0)) == 0.0
     assert m.transit_ns((0, 0), (1, 0)) == 500.0
+
+
+@pytest.mark.parametrize("machine", [
+    pytest.param(MachineSpec(width=24, height=24), id="12board"),
+    pytest.param(MachineSpec(width=16, height=6, wrap_vertical=False), id="flat"),
+    pytest.param(MachineSpec(width=7, height=5, board_tile_width=3, board_tile_height=2,
+                             router_hop_latency_ns=333.3, board_link_latency_ns=123.45),
+                 id="odd-tiles"),
+    pytest.param(MachineSpec(width=5, height=13, wrap_vertical=False, board_tile_width=2,
+                             board_tile_height=3, router_hop_latency_ns=0.1,
+                             board_link_latency_ns=0.7), id="inexact-sums"),
+    pytest.param(MachineSpec(width=1, height=1), id="one-chip"),
+])
+def test_transits_from_origin_equal_transit_ns(machine):
+    """The array form adds the same hop latencies in the same order as the
+    route walk, so even sums that float rounding makes inexact agree bit
+    for bit."""
+    assert machine.transits_from_origin_ns().tolist() == [
+        machine.transit_ns((0, 0), (x, y)) for x in range(machine.width)
+        for y in range(machine.height)]
 
 
 def test_board_tiling_and_count(wrapped):
@@ -66,7 +93,7 @@ def test_board_tiling_and_count(wrapped):
 def test_radial_order_starts_at_origin_and_respects_rings(wrapped):
     order = wrapped.radial_order()
     assert order[0] == (0, 0)
-    dists = [wrapped.hex_distance((0, 0), c) for c in order]
+    dists = [hex_distance(wrapped, (0, 0), c) for c in order]
     assert dists == sorted(dists)
     assert len(order) == 576
     # with vertical wrap, both (0,1) and (0,23) sit on the first ring

