@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -56,6 +57,9 @@ class RunConfig:
     oracle_quantize: bool = True
 
     def validate(self) -> None:
+        for name in ("duration_ms", "slowdown", "discard_ms"):
+            if not math.isfinite(getattr(self, name)):
+                raise SpecError(f"{name} must be a finite number, got {getattr(self, name)}")
         if self.duration_ms <= 0:
             raise SpecError("duration must be positive")
         if self.slowdown < 1.0:

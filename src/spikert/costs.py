@@ -15,6 +15,7 @@ experiments need no code changes.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,8 @@ class CostModel:
 
     def validate(self) -> None:
         for f in dataclasses.fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise SpecError(f"cost {f.name} must be a finite number")
             if f.name.endswith("_us") and getattr(self, f.name) < 0:
                 raise SpecError(f"cost {f.name} must be non-negative")
         for name in ("neuron_update_us", "spike_single_target_us", "timer_period_us",

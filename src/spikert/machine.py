@@ -42,8 +42,9 @@ class MachineSpec:
             raise SpecError("machine dimensions must be positive")
         if self.usable_cores_per_chip > self.cores_per_chip - 2:
             raise SpecError("usable cores must leave room for monitor + system cores")
-        if self.router_hop_latency_ns <= 0 or self.board_link_latency_ns <= 0:
-            raise SpecError("latencies must be positive")
+        for name in ("router_hop_latency_ns", "board_link_latency_ns"):
+            if not math.isfinite(getattr(self, name)) or getattr(self, name) <= 0:
+                raise SpecError(f"{name} must be a positive finite number")
         for name in ("board_tile_width", "board_tile_height"):
             if getattr(self, name) < 1:
                 raise SpecError(f"{name} must be at least 1")
@@ -129,28 +130,30 @@ class MachineSpec:
         path = self.route_path(src, dst)
         return sum(self.hop_latency_ns(a, b) for a, b in zip(path, path[1:]))
 
-    def transits_from_origin_ns(self) -> np.ndarray:
-        """``transit_ns((0, 0), chip)`` of every chip, x-major, for all chips
-        at once.  From the origin dx >= 0, so s hops along a canonical route
-        reach x = min(s, dx) and, with a diagonal of m = min(dx, dy) hops when
-        dy > 0 (none otherwise), y = sign(dy) * (min(s, m) + max(0, s - dx));
-        hop s pays the router, plus the board link where the board changes,
-        added in route order as ``transit_ns`` adds them."""
-        x, y = np.divmod(np.arange(self.n_chips()), self.height)
-        dy, hops = y, _hex_dists(x, y)
-        for rep in (y - self.height, y + self.height) if self.wrap_vertical else ():
-            d = _hex_dists(x, rep)  # ``delta``'s choice: fewest hops, then |dy|, then dy > 0
+    def canonical_deltas(self, dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``delta``'s dy and the hop count of the canonical route, over arrays
+        of (dx, dy): through the vertical wrap the fewest hops win, then the
+        smallest |dy|, then dy > 0."""
+        hops = _hex_dists(dx, dy)
+        for rep in (dy - self.height, dy + self.height) if self.wrap_vertical else ():
+            d = _hex_dists(dx, rep)
             take = (d < hops) | ((d == hops) & ((abs(rep) < abs(dy))
                                                 | ((abs(rep) == abs(dy)) & (rep > dy))))
             dy, hops = np.where(take, rep, dy), np.where(take, d, hops)
-        diag = np.where(dy > 0, np.minimum(x, dy), 0)
+        return dy, hops
+
+    def transits_from_origin_ns(self) -> np.ndarray:
+        """``transit_ns((0, 0), chip)`` of every chip, x-major, for all chips
+        at once: hop s pays the router, plus the board link where the board
+        changes, added in route order as ``transit_ns`` adds them."""
+        x, y = np.divmod(np.arange(self.n_chips()), self.height)
+        dy, hops = self.canonical_deltas(x, y)
         boards_x = -(-self.width // self.board_tile_width)
         total = np.zeros(x.size)
         board = np.zeros(x.size, dtype=np.int64)  # the origin's board
         for s in range(1, int(hops.max(initial=0)) + 1):
-            at = np.minimum(s, hops)
-            px = np.minimum(at, x)
-            py = np.sign(dy) * (np.minimum(at, diag) + np.maximum(0, at - x)) % self.height
+            px, py = hop_offsets(x, dy, np.minimum(s, hops))
+            py %= self.height
             prev, board = board, (px // self.board_tile_width
                                   + boards_x * (py // self.board_tile_height))
             total += np.where(s > hops, 0.0, np.where(
@@ -185,6 +188,18 @@ def _hex_dist(dx: int, dy: int) -> int:
 def _hex_dists(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """``_hex_dist`` over arrays."""
     return np.where((dx >= 0) == (dy >= 0), np.maximum(abs(dx), abs(dy)), abs(dx) + abs(dy))
+
+
+def hop_offsets(dx: np.ndarray, dy: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
+    """Offset from the source after s hops (0 <= s <= hops) of the canonical
+    route to (dx, dy) (``route_links``), over arrays: a diagonal of
+    m = min(|dx|, |dy|) hops when dx and dy share a sign (none otherwise),
+    then E/W, then N/S, so x = sign(dx) * min(s, |dx|) and
+    y = sign(dy) * (min(s, m) + max(0, s - |dx|))."""
+    ax = abs(dx)
+    diag = np.where(dx * dy > 0, np.minimum(ax, abs(dy)), 0)
+    return (np.sign(dx) * np.minimum(s, ax),
+            np.sign(dy) * (np.minimum(s, diag) + np.maximum(0, s - ax)))
 
 
 # ---------------------------------------------------------------------------

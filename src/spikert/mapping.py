@@ -8,16 +8,20 @@ carry a 32-bit source key (6-bit neuron id | 9-bit sub-population | 17
 routing bits); routers deliver each key to exactly the synapse cores its
 population-level projections prescribe.
 
-Routing entries are generated per source core along deterministic
-minimal-hop paths (diagonal-first), then compressed by default-route
-elision (straight pass-through entries dropped) and mask merging of
-sibling sub-population entries with identical actions.  The merged table
-depends on the merge order, which is fixed: always the smallest
-``(key, mask)`` that has a partner with the same action, at its lowest
-mergeable sub-population bit (see ``_merge_entries``).  Every chip's table
-is held as parallel arrays (``RoutingTables``); ``walk_packet`` walks all
-packets through them at once, and ``delivery_map`` turns that one walk into
-the fan-out CSR the runtime reads.
+Routing entries come from route trees, each the union of the deterministic
+minimal-hop (diagonal-first) paths from one source chip to its destination
+chips, all walked at once as arrays (``_route_trees``).  Straight
+pass-through chips get no entry (default routing), and sibling
+sub-population entries with identical actions merge under a mask.  The
+merged table depends on the merge order, which is fixed: always the
+smallest ``(key, mask)`` that has a partner with the same action, at its
+lowest mergeable sub-population bit (see ``_merge_entries``).  Since a merge
+pairs only entries of one chip with equal route bits and action, and its
+result depends only on their set of sub-populations, each distinct set is
+merged once.  Every chip's table is held as parallel arrays
+(``RoutingTables``); ``walk_packet`` walks all packets through them at
+once, and ``delivery_map`` turns that one walk into the fan-out CSR the
+runtime reads.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .machine import LINK_VECTORS, LINKS, MachineSpec
+from .machine import LINK_VECTORS, LINKS, MachineSpec, hop_offsets
+from .matrices import ranges
 
 NEURON_BITS = 6
 SUBPOP_BITS = 9
@@ -36,6 +41,10 @@ NEURONS_PER_CORE = 1 << NEURON_BITS
 MAX_SUBPOPS = 1 << SUBPOP_BITS
 CORE_MASK = 0xFFFFFFFF ^ (NEURONS_PER_CORE - 1)  # match route + subpop fields
 _SUBPOP_FIELD = tuple(1 << b for b in range(NEURON_BITS, NEURON_BITS + SUBPOP_BITS))
+_SUBPOP_MASK = sum(_SUBPOP_FIELD)
+# the bit of the link that moves a chip by (vx, vy), at [vx + 1, vy + 1]
+_HOP_BIT = np.zeros((3, 3), dtype=np.int8)
+_HOP_BIT[tuple(np.array(LINK_VECTORS).T + 1)] = 1 << np.arange(len(LINKS))
 
 ROLE_NEURON = "neuron"
 ROLE_POISSON = "poisson"
@@ -270,84 +279,157 @@ class RoutingTables:
     def serialize(self) -> str:
         lines = ["# chip_x chip_y index key mask targets"]
         index = np.arange(self.chip.size) - np.searchsorted(self.chip, self.chip)
-        for chip, i, key, mask, cores, links in zip(*(a.tolist() for a in (
-                self.chip, index, self.key, self.mask, self.cores, self.links))):
-            x, y = divmod(chip, self.machine.height)
-            targets = [f"core:{c}" for c in range(cores.bit_length()) if cores >> c & 1]
-            targets += [f"link:{name}" for l, name in enumerate(LINKS) if links >> l & 1]
-            lines.append(f"{x} {y} {i} 0x{key:08x} 0x{mask:08x} {','.join(targets) or '-'}")
+        x, y = np.divmod(self.chip, self.machine.height)
+        cores, links = self.cores.tolist(), self.links.tolist()
+        targets = {pair: _targets(*pair) for pair in set(zip(cores, links))}
+        lines += [f"{x} {y} {i} 0x{key:08x} 0x{mask:08x} {targets[c, l]}"
+                  for x, y, i, key, mask, c, l in zip(*(a.tolist() for a in (
+                      x, y, index, self.key, self.mask)), cores, links)]
         return "\n".join(lines) + "\n"
+
+
+def _targets(cores: int, links: int) -> str:
+    """An entry's action as ``routing_tables.txt`` spells it."""
+    names = [f"core:{c}" for c in range(cores.bit_length()) if cores >> c & 1]
+    names += [f"link:{name}" for link, name in enumerate(LINKS) if links >> link & 1]
+    return ",".join(names) or "-"
 
 
 def build_routing_tables(placement: Placement, keys: KeyAllocation,
                          dests: dict[int, set[tuple[tuple[int, int], int]]]) -> RoutingTables:
-    machine = placement.machine
-    # (chip) -> {(key, mask) -> (core bits, link bits)}
-    raw: dict[tuple[int, int], dict[tuple[int, int], tuple[int, int]]] = {}
-    # The route tree of the last ensemble: placement fills chips one after
-    # another, so ensembles sharing a source chip and destination chips are
-    # neighbours in ensemble order.
-    tree_of: tuple | None = None
+    """Every chip's merged routing table.
 
-    for e in placement.ensembles:
-        if not dests.get(e.index):
-            continue  # population with no outgoing projections sends nothing
-        src_chip = placement.chip_of[e.index]
-        prefix = keys.prefix_of[e.index]
-        by_chip: dict[tuple[int, int], int] = {}
-        for chip, core in dests[e.index]:
-            by_chip[chip] = by_chip.get(chip, 0) | 1 << core
-
-        dchips = frozenset(by_chip)
-        if tree_of != (src_chip, dchips):
-            tree_of = (src_chip, dchips)
-            tree = _route_tree(machine, src_chip, dchips)
-        for chip, links in tree:
-            raw.setdefault(chip, {})[(prefix, CORE_MASK)] = (by_chip.get(chip, 0), links)
-
-    rows: list[tuple[int, int, int, int, int]] = []  # chip, key, mask, cores, links
-    for chip in sorted(raw):  # an overflow names the lowest overflowing chip
-        merged = sorted(_merge_entries(raw[chip]).items(),
-                        key=lambda r: (-bin(r[0][1]).count("1"), r[0][0]))
-        limit = machine.routing_entries_per_chip
-        if len(merged) > limit:
-            raise RoutingTableOverflowError(
-                f"chip {chip}: {len(merged)} routing entries exceed the limit of {limit}")
-        code = chip[0] * machine.height + chip[1]
-        rows += [(code, key, mask, cores, links) for (key, mask), (cores, links) in merged]
-    return RoutingTables(machine, *np.array(rows, dtype=np.int64).reshape(-1, 5).T)
-
-
-def _route_tree(machine: MachineSpec, src_chip: tuple[int, int],
-                dest_chips: frozenset[tuple[int, int]]) -> list[tuple[tuple[int, int], int]]:
-    """The chips that need an entry for packets from ``src_chip`` to every
-    chip in ``dest_chips``, with their outgoing links as bits.
-
-    The tree is the union of canonical paths from the source; per-chip
-    arrival direction is unique because every path to a chip shares the same
-    prefix.  Straight pass-through chips are left to default routing.
+    An ensemble's packets need an entry ``(prefix, CORE_MASK) -> (cores,
+    links)`` at every chip of its route tree: ``cores`` are its destination
+    cores on that chip, ``links`` the tree's out-links there.  The ensembles
+    of one destination set (all of a (population, synapse role), neighbours
+    in ensemble order) share its cores, and those among them on one chip
+    share a tree.  The raw entries then merge group by group: a group is the
+    entries of one chip that agree in all key bits outside the
+    sub-population field and in their action, and its merged entries
+    depend only on its set of sub-populations (``_merge_entries``), so each
+    distinct set is merged once.
     """
-    out_links: dict[tuple[int, int], int] = {src_chip: 0}
-    arrival_dir: dict[tuple[int, int], int] = {}
-    for dchip in dest_chips:
-        here = src_chip
-        for link in machine.route_links(src_chip, dchip):
-            nxt = machine.neighbor(here, link)
-            out_links[here] |= 1 << link
-            prev = arrival_dir.setdefault(nxt, link)
-            if prev != link:
-                raise RoutingError(f"route tree conflict at chip {nxt}")
-            out_links.setdefault(nxt, 0)
-            here = nxt
-    tree = []
-    for chip, links in out_links.items():
-        if chip not in dest_chips:
-            if not links:
-                continue
-            if chip != src_chip and links == 1 << arrival_dir[chip]:
-                continue  # straight pass-through: default routing handles it
-        tree.append((chip, links))
-    return tree
+    machine = placement.machine
+    height, n_chips = machine.height, machine.n_chips()
+
+    # per destination set: the core bits it reaches on each chip
+    sends: list[int] = []
+    set_of: list[int] = []
+    set_cores: list[np.ndarray] = []
+    for e in placement.ensembles:
+        out = dests.get(e.index)
+        if not out:
+            continue  # population with no outgoing projections sends nothing
+        if not set_cores or out != dests[sends[-1]]:
+            pairs = np.array([(x * height + y, core) for (x, y), core in out], dtype=np.int64)
+            set_cores.append(np.zeros(n_chips, dtype=np.int64))
+            np.bitwise_or.at(set_cores[-1], pairs[:, 0], 1 << pairs[:, 1])
+        sends.append(e.index)
+        set_of.append(len(set_cores) - 1)
+    if not sends:
+        return RoutingTables(machine, *np.zeros((5, 0), dtype=np.int64))
+
+    # one route tree per distinct (destination chips, source chip)
+    chips_id: dict[bytes, int] = {}
+    chips_of = [chips_id.setdefault(np.flatnonzero(c).tobytes(), len(chips_id))
+                for c in set_cores]
+    tree_id: dict[tuple[int, int], int] = {}
+    tree_of = np.array([tree_id.setdefault((chips_of[d], x * height + y), len(tree_id))
+                        for d, (x, y) in zip(set_of, (placement.chip_of[e] for e in sends))])
+    dest_chips = [np.frombuffer(b, dtype=np.intp) for b in chips_id]
+    paths = [dest_chips[c] for c, _ in tree_id]
+    tree, chip, links = _route_trees(
+        machine, np.array([src for _, src in tree_id], dtype=np.int64),
+        np.repeat(np.arange(len(paths)), [p.size for p in paths]), np.concatenate(paths))
+
+    # raw entries: each sending ensemble's tree, with its destination cores
+    first = np.searchsorted(tree, np.arange(len(paths) + 1))
+    n_rows = np.diff(first)[tree_of]
+    rows = ranges(first[tree_of], n_rows)
+    sender = np.repeat(np.arange(len(sends)), n_rows)
+    chip, links = chip[rows], links[rows]
+    cores = np.stack(set_cores)[np.array(set_of)[sender], chip]
+    prefix = np.array(keys.prefix_of, dtype=np.int64)[sends][sender]
+    base, sub = prefix & ~_SUBPOP_MASK, prefix >> NEURON_BITS & (MAX_SUBPOPS - 1)
+
+    # the groups, each with its sorted sub-populations, merged once per set
+    order = np.lexsort((sub, links, cores, base, chip))
+    chip, base, cores, links, sub = (a[order] for a in (chip, base, cores, links, sub))
+    starts = np.flatnonzero(np.concatenate(([True], (chip[1:] != chip[:-1])
+                                            | (base[1:] != base[:-1])
+                                            | (cores[1:] != cores[:-1])
+                                            | (links[1:] != links[:-1]))))
+    subs = sub.astype(np.int16).tobytes()
+    subs_id: dict[bytes, int] = {}
+    set_id = np.array([subs_id.setdefault(subs[2 * lo:2 * hi], len(subs_id))
+                       for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [sub.size])])
+    # each set merged alone: key bits outside the sub-population field zero
+    merged = [list(_merge_entries({(sub << NEURON_BITS, CORE_MASK): True for sub in
+                                   np.frombuffer(b, dtype=np.int16).tolist()})) for b in subs_id]
+    lens = np.array([len(m) for m in merged], dtype=np.int64)
+    merged_key, merged_mask, width = np.array(
+        [(k, mk, bin(mk).count("1")) for m in merged for k, mk in m], dtype=np.int64).T
+    rows = ranges((np.cumsum(lens) - lens)[set_id], lens[set_id])
+    group = np.repeat(starts, lens[set_id])
+    chip, key, mask = chip[group], base[group] | merged_key[rows], merged_mask[rows]
+
+    counts = np.bincount(chip, minlength=n_chips)
+    limit = machine.routing_entries_per_chip
+    over = np.flatnonzero(counts > limit)
+    if over.size:  # the lowest overflowing chip
+        raise RoutingTableOverflowError(
+            f"chip {divmod(int(over[0]), height)}: {counts[over[0]]} routing entries exceed "
+            f"the limit of {limit}")
+    # each chip's rows by descending mask bit count, then key
+    order = np.lexsort((key, -width[rows], chip))
+    return RoutingTables(machine, *(a[order] for a in (chip, key, mask, cores[group],
+                                                       links[group])))
+
+
+def _route_trees(machine: MachineSpec, src: np.ndarray, path_tree: np.ndarray,
+                 path_dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Route tree t carries packets from chip ``src[t]`` to the chips
+    ``path_dst[path_tree == t]`` (chip codes ``x * height + y``).  Returns
+    ``(tree, chip, links)`` of every chip that needs an entry, in (tree,
+    chip) order, with the tree's outgoing links there as bits.
+
+    A tree is the union of the canonical paths from its source, walked for
+    all paths at once, one hop per round (``hop_offsets``).  The arrival
+    direction at each chip must be unique, since every path to a chip shares
+    the same prefix; a conflict raises RoutingError.  Straight pass-through
+    chips are left to default routing.
+    """
+    height, n_chips = machine.height, machine.n_chips()
+    sx, sy = np.divmod(src[path_tree], height)
+    dx, dy = np.divmod(path_dst, height)
+    dx = dx - sx
+    dy, hops = machine.canonical_deltas(dx, dy - sy)
+    order = np.argsort(-hops, kind="stable")  # the paths still travelling lead
+    base, sx, sy, dx, dy, hops = (a[order] for a in (path_tree * n_chips, sx, sy, dx, dy, hops))
+    out = np.zeros(src.size * n_chips, dtype=np.int8)  # out-link bits per (tree, chip)
+    arrival = np.zeros(src.size * n_chips, dtype=np.int8)  # arrival link's bit
+    ox = oy = np.zeros(hops.size, dtype=np.int64)
+    for s in range(1, int(hops.max(initial=0)) + 1):
+        n = np.count_nonzero(hops >= s)
+        base, sx, sy, dx, dy, ox, oy = (a[:n] for a in (base, sx, sy, dx, dy, ox, oy))
+        nx, ny = hop_offsets(dx, dy, s)
+        bit = _HOP_BIT[nx - ox + 1, ny - oy + 1]
+        here = base + (sx + ox) * height + (sy + oy) % height
+        there = base + (sx + nx) * height + (sy + ny) % height
+        np.bitwise_or.at(out, here, bit)
+        seen = arrival[there]
+        arrival[there] = np.where(seen == 0, bit, seen)
+        conflict = arrival[there] != bit
+        if conflict.any():
+            chip = int(there[np.argmax(conflict)]) % n_chips
+            raise RoutingError(f"route tree conflict at chip {divmod(chip, height)}")
+        ox, oy = nx, ny
+    need = out != arrival  # forks, turns, and the source (nothing arrives there)
+    need &= out != 0
+    need[path_tree * n_chips + path_dst] = True
+    at = np.flatnonzero(need)
+    return at // n_chips, at % n_chips, out[at].astype(np.int64)
 
 
 def _merge_entries(slots: dict[tuple[int, int], tuple[frozenset, frozenset]]
@@ -358,11 +440,20 @@ def _merge_entries(slots: dict[tuple[int, int], tuple[frozenset, frozenset]]
     The merge order is part of the output: each merge takes the smallest
     ``(key, mask)`` that has a partner with the same action, at its lowest
     mergeable sub-population bit, and the merged entry goes to the end of the
-    dict (which orders ties in the final row sort).  A min-heap of candidate
-    ``(key, mask)`` pairs keeps that order without rescanning the table: an
-    entry only gains a partner when a merge creates that partner, so after
-    each merge the new entry and the existing entries that may pair with it
-    are pushed, and a popped entry that is gone or has no partner is dropped.
+    dict.  A min-heap of candidate ``(key, mask)`` pairs keeps that order
+    without rescanning the table: an entry only gains a partner when a merge
+    creates that partner, so after each merge the new entry and the existing
+    entries that may pair with it are pushed, and a popped entry that is gone
+    or has no partner is dropped.
+
+    ``build_routing_tables`` relies on two properties.  A merge pairs only
+    entries with equal key bits outside the sub-population field, equal mask
+    and equal action, so the entries that agree in these merge as a group of
+    their own, whatever else the table holds.  Within such a group the
+    ``(key, mask)`` order is the order of the sub-population fields, so the
+    group's merged entries depend only on its set of sub-populations.  The
+    merged entries of a table cover disjoint blocks of its keys, each keyed
+    by its block's lowest key, so no two share a key.
     """
     entries = dict(slots)
     heap = list(entries)

@@ -51,14 +51,16 @@ def test_bad_spec_exits_with_spec_code(tmp_path):
 def bad_input_args(tmp_path, model, case):
     if case == "machine_value":
         return ["--machine", machine_file(tmp_path, width="wide")]
-    if case == "costs_value":
-        return ["--costs", write(tmp_path, "bad.cfg", "[costs]\nneuron_update_us = fast\n")]
+    if case in ("costs_value", "costs_nan"):
+        value = "fast" if case == "costs_value" else "nan"
+        return ["--costs", write(tmp_path, "bad.cfg", f"[costs]\nneuron_update_us = {value}\n")]
     if case == "manifest_json":
         return ["--manifest", write(tmp_path, "manifest.json", "{not json")]
-    if case in ("manifest_key", "manifest_type"):
+    if case in ("manifest_key", "manifest_type", "manifest_nan"):
         config = {"model": model, "out": str(tmp_path / "out"),
-                  **({"neurons_per_core": 32} if case == "manifest_key" else
-                     {"duration_ms": "5"})}
+                  **{"manifest_key": {"neurons_per_core": 32},
+                     "manifest_type": {"duration_ms": "5"},
+                     "manifest_nan": {"duration_ms": float("nan")}}[case]}
         return ["--manifest", write(tmp_path, "manifest.json",
                                     json.dumps({"run_config": config}))]
     if case.startswith("machine "):
@@ -91,6 +93,21 @@ def bad_input_args(tmp_path, model, case):
                  id="manifest_key"),
     pytest.param("manifest_type", "bad run_config: duration_ms must be float, got '5'",
                  id="manifest_type"),
+    pytest.param("--duration-ms nan", "duration_ms must be a finite number, got nan",
+                 id="duration_nan"),
+    pytest.param("--duration-ms inf", "duration_ms must be a finite number, got inf",
+                 id="duration_inf"),
+    pytest.param("--slowdown nan", "slowdown must be a finite number, got nan", id="slowdown_nan"),
+    pytest.param("--slowdown inf", "slowdown must be a finite number, got inf", id="slowdown_inf"),
+    pytest.param("--discard-ms nan", "discard_ms must be a finite number, got nan",
+                 id="discard_nan"),
+    pytest.param("machine router_hop_latency_ns=nan",
+                 "router_hop_latency_ns must be a positive finite number", id="hop_latency_nan"),
+    pytest.param("machine board_link_latency_ns=inf",
+                 "board_link_latency_ns must be a positive finite number", id="board_latency_inf"),
+    pytest.param("costs_nan", "cost neuron_update_us must be a finite number", id="costs_nan"),
+    pytest.param("manifest_nan", "duration_ms must be a finite number, got nan",
+                 id="manifest_nan"),
 ])
 def test_bad_input_exits_with_spec_code(tmp_path, model, capsys, case, message):
     """Malformed options and input files end in a spec error that names the

@@ -1,6 +1,6 @@
-"""No module of the package imports a name it never uses.  No linter is
-installed, so the check walks each module's syntax tree: every name an
-import binds must be read somewhere in that module."""
+"""No module of the package or its tests imports a name it never uses.  No
+linter is installed, so the check walks each module's syntax tree: every
+name an import binds must be read somewhere in that module."""
 
 import ast
 import glob
@@ -8,9 +8,13 @@ import os
 
 import pytest
 
-PACKAGE = os.path.join(os.path.dirname(__file__), "..", "src", "spikert")
-MODULES = sorted(p for p in glob.glob(os.path.join(PACKAGE, "*.py"))
-                 if os.path.basename(p) != "__init__.py")
+TESTS = os.path.dirname(__file__)
+PACKAGE = os.path.join(TESTS, "..", "src", "spikert")
+MODULES = [pytest.param(p, id=os.path.basename(p))
+           for p in sorted(glob.glob(os.path.join(PACKAGE, "*.py")))
+           if os.path.basename(p) != "__init__.py"]
+MODULES += [pytest.param(p, id="tests/" + os.path.basename(p))
+            for p in sorted(glob.glob(os.path.join(TESTS, "*.py")))]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,7 +36,7 @@ def test_the_walker_finds_an_unused_import():
     assert unused_imports("import os\nimport sys\nprint(sys.argv)\n") == ["line 1: os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+@pytest.mark.parametrize("path", MODULES)
 def test_module_uses_every_import(path):
     with open(path, encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []

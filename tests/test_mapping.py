@@ -76,16 +76,163 @@ def test_merge_takes_smallest_entry_at_lowest_bit_first():
     ]
 
 
-def microcircuit_mapping(benchmark_path, scale, machine_file=None):
+def microcircuit_mapping(benchmark_path, scale, machine=None):
+    """Placement, keys and destination sets of the microcircuit at ``scale``
+    on ``machine`` (a spec file, a MachineSpec, or None for the smallest
+    fitting machine)."""
     spec = scale_network(load_network_spec(benchmark_path, "poisson"), scale)
     net = build_network(spec, 1, sample_synapses=False)
     ensembles = partition(net)
-    if machine_file is None:
+    if machine is None:
         _, placement = runtime._place(ensembles, None)
     else:
-        placement = place_radial(ensembles, load_machine_spec(machine_file))
+        if not isinstance(machine, MachineSpec):
+            machine = load_machine_spec(machine)
+        placement = place_radial(ensembles, machine)
     keys = allocate_keys(placement)
     return placement, keys, destination_cores(placement, net.spec.projections)
+
+
+def reference_route_tree(machine, src_chip, dest_chips):
+    """Reference: the per-hop route tree that ``_route_trees`` replaced.  It
+    walks every canonical path link by link and returns [(chip, link bits)]
+    of the chips that need an entry."""
+    out_links = {src_chip: 0}
+    arrival_dir = {}
+    for dchip in dest_chips:
+        here = src_chip
+        for link in machine.route_links(src_chip, dchip):
+            nxt = machine.neighbor(here, link)
+            out_links[here] |= 1 << link
+            prev = arrival_dir.setdefault(nxt, link)
+            if prev != link:
+                raise RoutingError(f"route tree conflict at chip {nxt}")
+            out_links.setdefault(nxt, 0)
+            here = nxt
+    tree = []
+    for chip, links in out_links.items():
+        if chip not in dest_chips:
+            if not links:
+                continue
+            if chip != src_chip and links == 1 << arrival_dir[chip]:
+                continue  # straight pass-through: default routing handles it
+        tree.append((chip, links))
+    return tree
+
+
+def reference_tables(placement, keys, dests):
+    """Reference: the per-ensemble dict assembly and per-chip merge that
+    ``build_routing_tables`` replaced.  Returns the rows (chip code, key,
+    mask, cores, links) in table order."""
+    machine = placement.machine
+    raw = {}  # chip -> {(key, mask) -> (core bits, link bits)}
+    for e in placement.ensembles:
+        if not dests.get(e.index):
+            continue
+        by_chip = {}
+        for chip, core in dests[e.index]:
+            by_chip[chip] = by_chip.get(chip, 0) | 1 << core
+        for chip, links in reference_route_tree(machine, placement.chip_of[e.index],
+                                                frozenset(by_chip)):
+            raw.setdefault(chip, {})[(keys.prefix_of[e.index], CORE_MASK)] = \
+                (by_chip.get(chip, 0), links)
+    rows = []
+    for chip in sorted(raw):
+        merged = sorted(mapping._merge_entries(raw[chip]).items(),
+                        key=lambda r: (-bin(r[0][1]).count("1"), r[0][0]))
+        rows += [(chip[0] * machine.height + chip[1], key, mask, cores, links)
+                 for (key, mask), (cores, links) in merged]
+    return rows
+
+
+def table_rows(tables):
+    return list(zip(*(a.tolist() for a in (tables.chip, tables.key, tables.mask,
+                                           tables.cores, tables.links))))
+
+
+@pytest.mark.parametrize("scale,machine", [
+    pytest.param(0.05, None, id="default_0.05"),
+    pytest.param(0.1, "12board", id="12board_0.1"),
+    pytest.param(0.05, MachineSpec(width=16, height=12, wrap_vertical=False), id="flat_0.05"),
+])
+def test_build_matches_the_reference(benchmark_path, machine_path, scale, machine):
+    """The array build gives the reference's rows, row for row."""
+    placement, keys, dests = microcircuit_mapping(
+        benchmark_path, scale, machine_path if machine == "12board" else machine)
+    tables = build_routing_tables(placement, keys, dests)
+    assert tables.chip.size > 0
+    assert table_rows(tables) == reference_tables(placement, keys, dests)
+
+
+@pytest.mark.parametrize("wrap", [False, True], ids=["flat", "wrapped"])
+def test_route_trees_match_the_reference(wrap):
+    """Random trees on small meshes, several per call, give the chips and
+    out-links of the per-hop reference."""
+    rng = random.Random(int(wrap))
+    for _ in range(40):
+        machine = MachineSpec(width=rng.randint(1, 9), height=rng.randint(1, 9),
+                              wrap_vertical=wrap)
+        chips = [(x, y) for x in range(machine.width) for y in range(machine.height)]
+        trees = [(rng.choice(chips), rng.sample(chips, rng.randint(1, len(chips))))
+                 for _ in range(rng.randint(1, 4))]
+        code = [x * machine.height + y for x, y in chips]
+        tree, chip, links = mapping._route_trees(
+            machine, np.array([code[chips.index(src)] for src, _ in trees]),
+            np.repeat(np.arange(len(trees)), [len(d) for _, d in trees]),
+            np.array([code[chips.index(c)] for _, d in trees for c in d]))
+        got = list(zip(tree.tolist(), chip.tolist(), links.tolist()))
+        assert got == sorted((t, x * machine.height + y, bits) for t, (src, d) in enumerate(trees)
+                             for (x, y), bits in reference_route_tree(machine, src, frozenset(d)))
+
+
+MESH = MachineSpec(width=3, height=3, wrap_vertical=False)
+KEY = pack_key(1, 0, 0)
+E, N, SW = (LINKS.index(name) for name in ("E", "N", "SW"))
+
+
+def hand_tables(*rows):
+    """Tables on a 3x3 mesh without wrap from (x, y, mask, cores, links)
+    rows, each an entry for ``KEY``."""
+    return RoutingTables(MESH, *np.array(
+        [(x * MESH.height + y, KEY & mask, mask, cores, links)
+         for x, y, mask, cores, links in rows], dtype=np.int64).reshape(-1, 5).T)
+
+
+@pytest.mark.parametrize("rows,src,message", [
+    pytest.param([(1, 1, CORE_MASK, 1 << 2, 0), (1, 1, CORE_MASK & ~(1 << NEURON_BITS), 0, 0)],
+                 (1, 1), "chip (1, 1): 2 entries match key 0x00008000", id="ambiguous"),
+    pytest.param([(0, 0, CORE_MASK, 1 << 2, 0)], (1, 1),
+                 "key 0x00008000 injected at (1, 1) matches no entry", id="unroutable"),
+    pytest.param([(1, 1, CORE_MASK, 0, 1 << E)], (1, 1),
+                 "key 0x00008000 fell off the mesh at (2, 1)", id="off_mesh"),
+    pytest.param([(0, 0, CORE_MASK, 0, 1 << E), (1, 0, CORE_MASK, 0, 1 << N),
+                  (1, 1, CORE_MASK, 1 << 2, 1 << SW)], (0, 0),
+                 "routing loop at chip (0, 0) for key 0x00008000", id="loop"),
+])
+def test_walk_errors_name_the_key_and_chip(rows, src, message):
+    """Two entries matching one key, no entry at the injection chip, a link
+    off the mesh edge (after a default-routed hop) and a cycle each stop
+    the walk with a RoutingError naming the key and the chip."""
+    with pytest.raises(RoutingError) as err:
+        mapping.walk_packet(hand_tables(*rows), np.array([src[0] * MESH.height + src[1]]),
+                            np.array([KEY]))
+    assert str(err.value) == message
+
+
+def test_route_tree_conflict_raises(monkeypatch):
+    """Two paths that reach a chip over different links stop the build.
+    Canonical paths never do, so the paths here turn at odd dy first."""
+    def mixed_offsets(dx, dy, s):
+        y_first = dy % 2 == 1
+        ax, ay = abs(dx), abs(dy)
+        return (np.sign(dx) * np.where(y_first, np.maximum(0, s - ay), np.minimum(s, ax)),
+                np.sign(dy) * np.where(y_first, np.minimum(s, ay), np.maximum(0, s - ax)))
+
+    monkeypatch.setattr(mapping, "hop_offsets", mixed_offsets)
+    # from (0, 2): (1, 1) by S then E, (1, 0) by E then S, S
+    with pytest.raises(RoutingError, match=r"route tree conflict at chip \(1, 1\)"):
+        mapping._route_trees(MESH, np.array([2]), np.array([0, 0]),
+                             np.array([1 * MESH.height + 1, 1 * MESH.height + 0]))
 
 
 def reference_walk(tables, src_chip, key):
@@ -167,47 +314,18 @@ def test_delivery_map_is_pinned(benchmark_path, machine_path):
         "6b9299838f94620d7b8759e555c4e02883a1038e0297210d395b8103cc1946e0"
 
 
-MESH = MachineSpec(width=3, height=3, wrap_vertical=False)
-KEY = pack_key(1, 0, 0)
-E, N, SW = (LINKS.index(name) for name in ("E", "N", "SW"))
-
-
-def hand_tables(*rows):
-    """Tables on a 3x3 mesh without wrap from (x, y, mask, cores, links)
-    rows, each an entry for ``KEY``."""
-    return RoutingTables(MESH, *np.array(
-        [(x * MESH.height + y, KEY & mask, mask, cores, links)
-         for x, y, mask, cores, links in rows], dtype=np.int64).reshape(-1, 5).T)
-
-
-@pytest.mark.parametrize("rows,src,message", [
-    pytest.param([(1, 1, CORE_MASK, 1 << 2, 0), (1, 1, CORE_MASK & ~(1 << NEURON_BITS), 0, 0)],
-                 (1, 1), "chip (1, 1): 2 entries match key 0x00008000", id="ambiguous"),
-    pytest.param([(0, 0, CORE_MASK, 1 << 2, 0)], (1, 1),
-                 "key 0x00008000 injected at (1, 1) matches no entry", id="unroutable"),
-    pytest.param([(1, 1, CORE_MASK, 0, 1 << E)], (1, 1),
-                 "key 0x00008000 fell off the mesh at (2, 1)", id="off_mesh"),
-    pytest.param([(0, 0, CORE_MASK, 0, 1 << E), (1, 0, CORE_MASK, 0, 1 << N),
-                  (1, 1, CORE_MASK, 1 << 2, 1 << SW)], (0, 0),
-                 "routing loop at chip (0, 0) for key 0x00008000", id="loop"),
-])
-def test_walk_errors_name_the_key_and_chip(rows, src, message):
-    """Two entries matching one key, no entry at the injection chip, a link
-    off the mesh edge (after a default-routed hop) and a cycle each stop
-    the walk with a RoutingError naming the key and the chip."""
-    with pytest.raises(RoutingError) as err:
-        mapping.walk_packet(hand_tables(*rows), np.array([src[0] * MESH.height + src[1]]),
-                            np.array([KEY]))
-    assert str(err.value) == message
-
-
 def test_too_small_entry_limit_raises_overflow(benchmark_path):
+    """The error names the lowest overflowing chip and its entry count."""
     placement, keys, dests = microcircuit_mapping(benchmark_path, 0.05)
-    needed = max(build_routing_tables(placement, keys, dests).entry_counts().values())
+    counts = build_routing_tables(placement, keys, dests).entry_counts()
+    needed = max(counts.values())
+    lowest = min(chip for chip, n in counts.items() if n == needed)
     small = dataclasses.replace(placement, machine=dataclasses.replace(
         placement.machine, routing_entries_per_chip=needed - 1))
-    with pytest.raises(RoutingTableOverflowError, match=f"{needed} routing entries"):
+    with pytest.raises(RoutingTableOverflowError) as err:
         build_routing_tables(small, keys, dests)
+    assert str(err.value) == \
+        f"chip {lowest}: {needed} routing entries exceed the limit of {needed - 1}"
 
 
 def test_routing_tables_are_pinned(benchmark_path, machine_path):
