@@ -200,8 +200,6 @@ def run(cfg: RunConfig) -> None:
         sim = runtime.HardwareSimulation(
             net, table, machine=machine, costs=costs, clock_cfg=clock_cfg,
             drift_seed=cfg.seed_drift, slowdown=cfg.slowdown)
-    if cfg.mode == "hardware":
-        table = None  # the machine's synaptic store holds what the run reads
     bank = matrices.PoissonBank(net, cfg.seed_poisson, round(steps))
     if sim is not None:
         res = sim.run(cfg.duration_ms, bank, discard_ms=cfg.discard_ms,

@@ -86,50 +86,6 @@ class MachineSpec:
                 best = (key, dy)
         return dx, best[1]
 
-    def neighbor(self, chip: tuple[int, int], link: int):
-        """Chip reached over a link, or None off the mesh edge."""
-        vx, vy = LINK_VECTORS[link]
-        x, y = chip[0] + vx, chip[1] + vy
-        if self.wrap_vertical:
-            y %= self.height
-        if not (0 <= x < self.width and 0 <= y < self.height):
-            return None
-        return (x, y)
-
-    def route_links(self, src: tuple[int, int], dst: tuple[int, int]) -> list[int]:
-        """Deterministic minimal-hop link sequence: diagonal first, then straight."""
-        dx, dy = self.delta(src, dst)
-        links = []
-        while dx > 0 and dy > 0:
-            links.append(1)  # NE
-            dx -= 1
-            dy -= 1
-        while dx < 0 and dy < 0:
-            links.append(4)  # SW
-            dx += 1
-            dy += 1
-        links.extend([0 if dx > 0 else 3] * abs(dx))  # E / W
-        links.extend([2 if dy > 0 else 5] * abs(dy))  # N / S
-        return links
-
-    def route_path(self, src: tuple[int, int], dst: tuple[int, int]) -> list[tuple[int, int]]:
-        path = [src]
-        for link in self.route_links(src, dst):
-            path.append(self.neighbor(path[-1], link))
-        assert path[-1] == dst
-        return path
-
-    def hop_latency_ns(self, a: tuple[int, int], b: tuple[int, int]) -> float:
-        latency = self.router_hop_latency_ns
-        if self.board_of(a) != self.board_of(b):
-            latency += self.board_link_latency_ns
-        return latency
-
-    def transit_ns(self, src: tuple[int, int], dst: tuple[int, int]) -> float:
-        """Latency along the canonical route: one router per hop plus board links."""
-        path = self.route_path(src, dst)
-        return sum(self.hop_latency_ns(a, b) for a, b in zip(path, path[1:]))
-
     def canonical_deltas(self, dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``delta``'s dy and the hop count of the canonical route, over arrays
         of (dx, dy): through the vertical wrap the fewest hops win, then the
@@ -143,9 +99,9 @@ class MachineSpec:
         return dy, hops
 
     def transits_from_origin_ns(self) -> np.ndarray:
-        """``transit_ns((0, 0), chip)`` of every chip, x-major, for all chips
-        at once: hop s pays the router, plus the board link where the board
-        changes, added in route order as ``transit_ns`` adds them."""
+        """Latency from chip (0, 0) to every chip along the canonical route,
+        x-major, for all chips at once: hop s pays the router, plus the board
+        link where the board changes, added in route order."""
         x, y = np.divmod(np.arange(self.n_chips()), self.height)
         dy, hops = self.canonical_deltas(x, y)
         boards_x = -(-self.width // self.board_tile_width)
@@ -192,7 +148,7 @@ def _hex_dists(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 def hop_offsets(dx: np.ndarray, dy: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
     """Offset from the source after s hops (0 <= s <= hops) of the canonical
-    route to (dx, dy) (``route_links``), over arrays: a diagonal of
+    minimal route to (dx, dy), diagonal first, over arrays: a diagonal of
     m = min(|dx|, |dy|) hops when dx and dy share a sign (none otherwise),
     then E/W, then N/S, so x = sign(dx) * min(s, |dx|) and
     y = sign(dy) * (min(s, m) + max(0, s - |dx|))."""

@@ -9,12 +9,13 @@ largest shifted value, uint8 delays.  A synapse's source neuron is not
 stored: each projection's ``row_ptr`` gives it (``SynapseTable.blocks``).
 The caller (``cli.run``) encodes once, each projection releasing its sampled
 arrays as soon as it is encoded, and hands the same table to both
-simulators, which only read it.  The oracle reads it in place, through each
-source neuron's spans into it (``source_delivery_index``); the machine model
-copies it once into synaptic rows with one counting sort, block by block
-(``counting_sort``, ``runtime.build_synaptic_store``).  Both views carry the
-same encoded integers, which is what makes their spike-for-spike agreement
-exact rather than approximate.  Both size their delay rings from the table,
+simulators, which only read it in place, each through its own index of spans
+into it: the oracle through each source neuron's spans
+(``source_delivery_index``), the machine model through each synaptic row's
+spans, one per source neuron, target ensemble and projection
+(``runtime.build_synaptic_store``).  Both read the same encoded integers,
+which is what makes their spike-for-spike agreement exact rather than
+approximate.  Both size their delay rings from the table,
 to the smallest power of two above its longest delay (``ring_slots``).
 
 Background input is drawn once per run as well: one ``PoissonBank``, which
@@ -31,7 +32,7 @@ from . import weights
 from .kinetics import Propagator, make_rng
 from .network import NetworkModel, PoissonInput
 
-BLOCK = 1 << 18  # synapses per block of encoding and sorting work: bounds its temporaries
+BLOCK = 1 << 18  # synapses per block of encoding and indexing work: bounds its temporaries
 
 
 @dataclass
@@ -46,7 +47,7 @@ class SynapseTable:
     ``pre_base[p] + i``) owns ``row_ptrs[p][i]:row_ptrs[p][i + 1]`` of that
     span, the projection's own ``row_ptr``.  Within a projection the synapses
     of one source neuron, and of one source neuron onto one target core, are
-    contiguous runs, which is what ``blocks`` and ``counting_sort`` rely on.
+    contiguous runs, which is what ``blocks`` and the machine's spans rely on.
     ``scales`` are the accumulator exponents the units are encoded against.
     """
 
@@ -168,42 +169,6 @@ def encode_projections(network: NetworkModel, keep_weights: bool = False) -> Syn
         pieces.clear()
     return SynapseTable(*fields, bounds, [proj.row_ptr for proj in projections],
                         network.offsets[[proj.source_pop for proj in projections]], scales)
-
-
-def counting_sort(table: SynapseTable, n_rows: int, rows_of, fill) -> np.ndarray:
-    """Group the table's synapses into ``n_rows`` CSR rows, keeping table
-    order within a row (projection order, then synapse order), with no
-    comparison sort; returns the int32 ``row_ptr``.
-
-    The table goes by ``SynapseTable.blocks``: ``rows_of(pre, lo, hi)`` gives
-    the row of each synapse of the block ``table[lo:hi]``, whose source
-    neurons are ``pre``.  Within a block a row's synapses must be one
-    contiguous run, so a synapse's slot is its row's start, plus what
-    earlier blocks put in the row, plus its offset in the run.
-    ``fill(slots, lo, hi)`` writes ``table[lo:hi]`` to those slots.
-    """
-    row_ptr = np.zeros(n_rows + 1, dtype=np.int32)
-    for lo, hi, pre in table.blocks():
-        rows, lens = _runs(rows_of(pre, lo, hi))
-        row_ptr[rows + 1] += lens
-    np.cumsum(row_ptr, out=row_ptr)
-    free = row_ptr[:-1].copy()  # next free slot of each row
-    for lo, hi, pre in table.blocks():
-        rows, lens = _runs(rows_of(pre, lo, hi))
-        first = free[rows]
-        free[rows] += lens
-        fill(ranges(first, lens), lo, hi)
-    if not np.array_equal(free, row_ptr[1:]):
-        raise AssertionError("a row's synapses are split within one block")
-    return row_ptr
-
-
-def _runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(value, length) of each run of equal consecutive values."""
-    if not rows.size:
-        return rows, np.zeros(0, dtype=np.int64)
-    start = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
-    return rows[start], np.diff(start, append=rows.size)
 
 
 @dataclass

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import io
-from dataclasses import dataclass, replace
+import math
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -28,6 +29,14 @@ SAMPLE_BLOCK = 1 << 18  # connectivity draws per sampling block (2 MB of floats)
 
 class SpecError(ValueError):
     """Raised when a spec file fails to parse or validate."""
+
+
+def _require_finite(where: str, values: dict) -> None:
+    """Raise a SpecError on the first of ``values`` (spec-file key -> number)
+    that is not finite."""
+    for key, value in values.items():
+        if not math.isfinite(value):
+            raise SpecError(f"{where}: {key} must be a finite number, got {value}")
 
 
 @dataclass(frozen=True)
@@ -50,6 +59,11 @@ class PopulationSpec:
     params: NeuronParams
 
     def validate(self) -> None:
+        bg = self.background
+        _require_finite(f"population {self.name}", {
+            **{k: v for k, v in asdict(self.params).items() if k != "i_dc_pa"},
+            **({"poisson_rate_hz": bg.rate_hz, "poisson_weight_pa": bg.weight_pa}
+               if isinstance(bg, PoissonInput) else {"dc_current_pa": bg.i_dc_pa})})
         if self.size < 1:
             raise SpecError(f"population {self.name}: size must be >= 1")
         if self.polarity not in ("exc", "inh"):
@@ -89,16 +103,27 @@ class NetworkSpec:
     scale: float = 1.0
 
     def validate(self) -> None:
+        _require_finite("[simulation]", {"dt_ms": self.dt_ms, "scale": self.scale,
+                                         "v_init_mean_mv": self.v_init.mean_mv,
+                                         "v_init_sd_mv": self.v_init.sd_mv})
         if self.dt_ms <= 0:
             raise SpecError("dt_ms must be positive")
+        if self.v_init.sd_mv < 0:
+            raise SpecError(f"[simulation]: v_init_sd_mv must be >= 0, got {self.v_init.sd_mv}")
         names = [p.name for p in self.populations]
         if len(set(names)) != len(names):
             raise SpecError("duplicate population names")
         for p in self.populations:
             p.validate()
-            p.params.validate(self.dt_ms)
+            try:
+                p.params.validate(self.dt_ms)
+            except ValueError as exc:
+                raise SpecError(f"population {p.name}: {exc}") from None
         known = set(names)
         for pr in self.projections:
+            _require_finite(f"projection {pr.name}", {
+                k: getattr(pr, k) for k in ("probability", "weight_pa", "weight_sd_pa",
+                                            "delay_ms", "delay_sd_ms")})
             if pr.source not in known or pr.target not in known:
                 raise SpecError(f"projection {pr.name}: unknown population")
             if not 0.0 <= pr.probability <= 1.0:

@@ -12,11 +12,13 @@ all the run's chips are one ``clocks.ChipClock``, arrays in ``chips`` order:
 each step advances every chip's timer with one call.
 
 A synapse core finds a packet's synaptic row as the machine does, through
-its master population table.  The rows of every synapse core sit in one
-CSR of the machine's narrow words, ``SynapticStore``: one counting sort, by
-row, of the run's encoded synapse table (``matrices.SynapseTable``), which
-the oracle reads in place.  The background input is the run's one
-``matrices.PoissonBank``, passed to ``HardwareSimulation.run``.
+its master population table.  The rows of every synapse core are spans into
+the run's encoded synapse table (``matrices.SynapseTable``), which the
+machine model reads in place, as the oracle does: ``SynapticStore`` holds
+only each row's spans, one per projection from the row's source neuron onto
+the core's ensemble, so every synapse is held once.  The background input
+is the run's one ``matrices.PoissonBank``, passed to
+``HardwareSimulation.run``.
 
 A timestep is one array pipeline over the whole machine, not a loop over
 packets:
@@ -28,17 +30,16 @@ packets:
   one ``np.lexsort``, the machine's (core, arrival, sx, sy, score, key) order,
   and scans all cores with a queued packet in lockstep, one array operation
   per queue position, keeping each core's float recurrence in packet order;
-- ring insert: the rows of all processed packets are expanded and added
-  into the ring buffers with a single integer ``np.add.at``.
+- ring insert: the spans of all processed packets' rows are expanded and
+  their synapses added into the ring buffers with a single integer
+  ``np.add.at``.
 
-Neuron state, constants, input images and fired indices are indexed by
-global neuron, the oracle's layout.  Only the ring buffers keep the
-machine's layout, 64 neurons wide per synapse core, so a synaptic row's
-targets stay core-local: one gather at the ring handover turns the next
-slot into per-neuron excitatory and inhibitory units, through each neuron's
-ensemble and neuron id (``mapping.neuron_slots``).  A ring is as deep as
-the run's delays need, ``matrices.ring_slots`` of the store's longest
-delay, at most ``RING_SLOTS``.
+Neuron state, constants, input images, fired indices and the ring buffers
+are indexed by global neuron, the oracle's layout: the rings are one array
+per synapse role, so a synapse lands at its table target and the ring
+handover hands the next slot on as per-neuron excitatory and inhibitory
+units.  A ring is as deep as the run's delays need, ``matrices.ring_slots``
+of the table's longest delay, at most ``RING_SLOTS``.
 
 Only a synapse core's work varies with the spike load.  Set-up computes
 the fixed busy time per step of every modelled core once, in (chip, core
@@ -78,12 +79,14 @@ ROW_MASK = (1 << ROW_BITS) - 1
 
 @dataclass
 class SynapticStore:
-    """Synaptic rows of every synapse core, held as one CSR.
+    """Synaptic rows of every synapse core, as spans into the run's synapse
+    table, which the store reads in place.
 
-    Row r spans ``row_ptr[r]:row_ptr[r + 1]`` (int32) of three parallel
-    arrays: ``targets`` (uint8 neuron index on the target core), ``units``
-    (accumulator units, the table's int32 or int64) and ``delays`` (uint8
-    timesteps).  Synapse core c owns one block of
+    A span is one source neuron's synapses onto one target ensemble in one
+    projection: ``table[lo[s]:lo[s] + n[s]]``, with int32 ``lo`` and uint8
+    ``n`` (at most the ensemble's ``NEURONS_PER_CORE`` synapses).  Row r is
+    the spans ``span_ptr[r]:span_ptr[r + 1]`` (int32), in projection order,
+    each in synapse order.  Synapse core c owns one block of
     ``n_subpops * 64`` rows for every source population routed to it, as the
     machine's master population table lays them out: ``base[c, p]`` is the
     first row of the block of source population p (a packet key's routing
@@ -92,26 +95,28 @@ class SynapticStore:
     inside the block.
     """
 
-    row_ptr: np.ndarray
-    targets: np.ndarray
-    units: np.ndarray
-    delays: np.ndarray
+    table: matrices.SynapseTable
+    span_ptr: np.ndarray
+    lo: np.ndarray
+    n: np.ndarray
     base: np.ndarray  # (synapse cores, populations) int64
 
 
 def build_synaptic_store(table: matrices.SynapseTable, ensembles: list[Ensemble],
                          dest_ptr: np.ndarray, dest_core: np.ndarray) -> SynapticStore:
-    """The synapse table as one CSR of synaptic rows: a counting sort by row id.
+    """The synaptic rows over the synapse table: each run of a source
+    neuron's synapses onto one row becomes a span, and one stable argsort
+    puts the spans in row order.
 
     Synapse core ``3 * ensemble + k`` serves role ``SYNAPSE_ROLES[k]``.  Each
     source ensemble's role (inhibitory, lower or upper excitatory half) is
     read off the cores its packets reach in the fan-out CSR
-    (``mapping.delivery_map``), so the split rule stays in ``mapping``.  A synapse lands on core ``3 *
-    ens_of[post] + role_of_src[ens_of[pre]]``, in row ``base[core, pop] +
-    row_off[pre]`` of its source population's block, at target
-    ``nid_of[post]``; a row keeps its projections in projection order, each
-    in synapse order.  ``pre`` is derived from the projections' ``row_ptr``s
-    block by block (``SynapseTable.blocks``).
+    (``mapping.delivery_map``), so the split rule stays in ``mapping``.  A
+    synapse lands on core ``3 * ens_of[post] + role_of_src[ens_of[pre]]``, in
+    row ``base[core, pop] + row_off[pre]`` of its source population's block;
+    a row keeps its projections in projection order, each in synapse order.
+    ``pre`` is derived from the projections' ``row_ptr``s block by block
+    (``SynapseTable.blocks``), and each block's rows are computed once.
     """
     n_cores = 3 * len(ensembles)
     n_subs = subpops_per_population(ensembles)
@@ -140,9 +145,13 @@ def build_synaptic_store(table: matrices.SynapseTable, ensembles: list[Ensemble]
                       role_of * (n_pops + 1) + pop[ens_of]).astype(np.int32)
     row_off = ((np.array([e.subpop for e in ensembles])[ens_of] << NEURON_BITS)
                + nid_of).astype(np.int32)
-    nid8 = nid_of.astype(np.uint8)
 
-    def rows_of(pre, lo, hi):
+    # a block's synapses of one source neuron onto one row are one run of
+    # equal rows: one span each, in table order
+    rows, los, lens = ([np.zeros(0, dtype)] for dtype in (np.int32, np.int32, np.uint8))
+    for lo, hi, pre in table.blocks():
+        if lo == hi:
+            continue
         post = table.post[lo:hi].astype(np.intp)
         row = lookup[dst_at[post] + src_at[pre]]
         if row.min(initial=0) < 0:
@@ -150,19 +159,23 @@ def build_synaptic_store(table: matrices.SynapseTable, ensembles: list[Ensemble]
             raise RuntimeError(f"{ensembles[ens_of[pre[i]]].pop_name}->"
                                f"{ensembles[ens_of[post[i]]].pop_name}: synapses on a "
                                "core that no packet of their source reaches")
-        return row + row_off[pre]
-
-    targets = np.empty(table.post.size, dtype=np.uint8)
-    units = np.empty_like(table.units)
-    delays = np.empty_like(table.delays)
-
-    def fill(slots, lo, hi):
-        targets[slots] = nid8[table.post[lo:hi]]
-        units[slots] = table.units[lo:hi]
-        delays[slots] = table.delays[lo:hi]
-
-    row_ptr = matrices.counting_sort(table, int(sizes.sum()), rows_of, fill)
-    return SynapticStore(row_ptr, targets, units, delays, base)
+        row += row_off[pre]
+        start = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
+        rows.append(row[start])
+        los.append((lo + start).astype(np.int32))
+        lens.append(np.diff(start, append=row.size).astype(np.uint8))
+    # each list of pieces goes as soon as it is joined, so that the set-up
+    # peak holds few per-span temporaries at once
+    span_row = np.concatenate(rows)
+    del rows
+    order = np.argsort(span_row, kind="stable")
+    span_ptr = np.zeros(int(sizes.sum()) + 1, dtype=np.int32)
+    np.add.at(span_ptr[1:], span_row, 1)
+    np.cumsum(span_ptr, out=span_ptr)
+    del span_row
+    lo = np.concatenate(los)[order]
+    del los
+    return SynapticStore(table, span_ptr, lo, np.concatenate(lens)[order], base)
 
 
 class ProfileStore:
@@ -239,14 +252,15 @@ class SynapseCoreState:
 
     Synapse core ``c = 3 * ensemble + k`` serves role ``SYNAPSE_ROLES[k]``.
     Per core: its chip row, its chip's synapse-core count (which sets its
-    ring-buffer write cost and row-fetch contention), its slice ``ring[c]`` of
-    the ring buffers (``slots`` slots, the ring depth of the store's delays,
-    of the ensemble's ``NEURONS_PER_CORE`` neurons, by neuron id), and per
-    run its crystal rate
-    and the busy time carried into the next timestep; row c of the profile
-    counters is its own.  The input spike buffers of all cores are one packet
-    queue of parallel arrays: ``q_arrival`` (global us) and ``q_fields``,
-    whose rows are target core, key and emit step.  A packet finds its
+    ring-buffer write cost and row-fetch contention), and per run its crystal
+    rate and the busy time carried into the next timestep; row c of the
+    profile counters is its own.  The ring buffers of all cores are one array
+    ``ring`` of shape ``(SYNAPSE_ROLES, slots, neurons)``, indexed like the
+    oracle's by global neuron: core c's buffers are ``ring[k]`` at its
+    ensemble's neurons, ``slots`` deep, the ring depth of the table's
+    delays.  The input spike buffers of all cores are one packet queue of
+    parallel arrays: ``q_arrival`` (global us) and ``q_fields``, whose rows
+    are target core, key and emit step.  A packet finds its
     synaptic row in the shared ``SynapticStore`` through the core's row of
     ``store.base``, its master population table.  ``source_rank[key >>
     NEURON_BITS]`` is 64 times the sending ensemble's rank in (source chip x,
@@ -256,7 +270,7 @@ class SynapseCoreState:
 
     def __init__(self, refs: list[tuple[tuple[int, int], int]], chip_row: np.ndarray,
                  chip_syn_cores: list[int], store: SynapticStore, costs: CostModel,
-                 source_rank: np.ndarray):
+                 source_rank: np.ndarray, n_neurons: int):
         self.refs = refs                  # (chip, core id) per synapse core
         self.chip_row = chip_row
         self.store = store
@@ -264,8 +278,8 @@ class SynapseCoreState:
         self.source_rank = source_rank
         self.n_syn = np.array(chip_syn_cores, dtype=np.int64)
         self.wcost = costs.sdram_write_us(self.n_syn)
-        self.slots = matrices.ring_slots(store.delays)
-        self.ring_shape = (len(refs), self.slots, NEURONS_PER_CORE)
+        self.slots = matrices.ring_slots(store.table.delays)
+        self.ring_shape = (len(SYNAPSE_ROLES), self.slots, n_neurons)
         self.reset(np.ones(len(refs)))
 
     def reset(self, rate: np.ndarray) -> None:
@@ -329,9 +343,15 @@ class SynapseCoreState:
         inwin = arrival < deadline[a]
         a, key, emit, win_arr = a[inwin], f[1][inwin], f[2][inwin], arrival[inwin]
         core = act[a]
+        # a packet's words are the lengths of its row's spans, added up
         rows = self._rows(core, key)
-        lo = self.store.row_ptr[rows]
-        words = self.store.row_ptr[rows + 1] - lo
+        first = self.store.span_ptr[rows]
+        n_spans = self.store.span_ptr[rows + 1] - first
+        spans = matrices.ranges(first, n_spans)
+        lens = self.store.n[spans].astype(np.int64)  # uint8 mixed with int32 would give floats
+        upto = np.concatenate(([0], np.cumsum(lens)))
+        end = np.cumsum(n_spans)
+        words = upto[end] - upto[end - n_spans]
         cost = cm.packet_processing_us(words, self.n_syn[core])
         n_in = np.bincount(a, minlength=act.size)
         pos = np.arange(a.size) - (np.cumsum(n_in) - n_in)[a]
@@ -364,7 +384,8 @@ class SynapseCoreState:
         self.carry[act] = np.where(busy > dma_b_end, busy, dma_b_end)
 
         done = pos < processed[a]
-        self._insert(t, core[done], lo[done], words[done])
+        kept = np.repeat(done, n_spans)
+        self._insert(t, np.repeat(core[done] % 3, n_spans[done]), spans[kept], lens[kept])
         flushed = n_in - processed
         zero = np.bincount(a[done & (words == 0)], minlength=act.size)
         ev_p = np.bincount(a[done], words[done], minlength=act.size).astype(np.int64)
@@ -378,15 +399,16 @@ class SynapseCoreState:
         self.q_arrival, self.q_fields = arrival[~inwin], f[:, ~inwin]
         return (*(c.sum().item() for c in counters), late)
 
-    def _insert(self, t: int, core: np.ndarray, lo: np.ndarray, words: np.ndarray) -> None:
-        """Add the synaptic rows of the processed packets into the ring buffers."""
-        syn = matrices.ranges(lo, words)
+    def _insert(self, t: int, role: np.ndarray, spans: np.ndarray, lens: np.ndarray) -> None:
+        """Add the spans of the processed packets' rows into the ring buffers;
+        ``role`` is each span's core role and ``lens`` its length."""
+        syn = matrices.ranges(self.store.lo[spans], lens)
         if not syn.size:
             return
-        slot = (t + self.store.delays[syn].astype(np.int64)) & (self.slots - 1)
-        flat = (np.repeat(core, words) * self.slots + slot) * self.ring.shape[2]
-        np.add.at(self.ring.reshape(-1), flat + self.store.targets[syn],
-                  self.store.units[syn].astype(np.int64))
+        table = self.store.table
+        slot = (t + table.delays[syn].astype(np.int64)) & (self.slots - 1)
+        flat = (np.repeat(role, lens) * self.slots + slot) * self.ring.shape[2]
+        np.add.at(self.ring.reshape(-1), flat + table.post[syn], table.units[syn].astype(np.int64))
 
 
 @dataclass
@@ -402,11 +424,11 @@ class HardwareSimulation:
     """Build and run the machine model for one network.
 
     ``table`` is the run's encoded synapse table, which the synaptic rows
-    are built from and which is not written; ``run`` reads its background
+    read in place and which is not written; ``run`` reads its background
     input from the run's ``matrices.PoissonBank``.  The neuron state (``v``,
     ``i_syn``, ``ref``) and ``consts`` are indexed by global neuron, as in
     the oracle; ``ens_of`` and ``nid_of`` give each neuron's ensemble and
-    neuron id, its place in the ensemble's ring buffers and packet keys.
+    neuron id, its place in the ensemble's packet keys.
     """
 
     def __init__(self, network: NetworkModel, table: matrices.SynapseTable,
@@ -469,11 +491,7 @@ class HardwareSimulation:
         refs = [self.placement.core_ref(e.index, role) for e in ens for role in SYNAPSE_ROLES]
         self.syn = SynapseCoreState(
             refs, np.repeat(self.ens_chip_row, 3), [self.chip_syn_count[chip] for chip, _ in refs],
-            self.store, self.costs, source_rank)
-        # each neuron's word in slot 0 of its ensemble's three ring buffers,
-        # shape (SYNAPSE_ROLES, neurons), as indices into the flattened ring
-        self.ring_pos = ((3 * self.ens_of + np.arange(3)[:, None]) * self.syn.slots
-                         * NEURONS_PER_CORE + self.nid_of)
+            self.store, self.costs, source_rank, self.network.total_neurons)
 
     def _fixed_busy(self) -> np.ndarray:
         """Local busy us per step of every core in ``core_meta`` when no
@@ -590,11 +608,10 @@ class HardwareSimulation:
             late_packets += syn.run_window(t, starts, durations,
                                            profile if with_profile else None)[8]
 
-            # ring-buffer handover: slot for t+1 moves to shared memory in
-            # one gather
+            # ring-buffer handover: slot for t+1 moves to shared memory
             slot = (t + 1) & (syn.slots - 1)
-            units = syn.ring.reshape(-1)[self.ring_pos + slot * NEURONS_PER_CORE]
-            exc_units, inh_units = units[0] + units[1], units[2]
+            exc_units = syn.ring[0, slot] + syn.ring[1, slot]
+            inh_units = syn.ring[2, slot].copy()
             syn.ring[:, slot] = 0
 
             if self.clock_cfg.protocol_enabled and (t + 1) % beacon_steps == 0:

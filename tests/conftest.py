@@ -1,8 +1,12 @@
 import os
 
+import numpy as np
 import pytest
 
 from spikert.kinetics import NeuronParams
+from spikert.machine import LINK_VECTORS
+from spikert.mapping import neuron_slots
+from spikert.matrices import ranges
 from spikert.network import build_network, load_network_spec, parse_network_spec, scale_network
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "spikert", "data")
@@ -103,3 +107,70 @@ def small_network_dc():
 def microcircuit_dc_01(benchmark_path):
     """The benchmark model at scale 0.1 with DC input, network seed 1."""
     return build_network(scale_network(load_network_spec(benchmark_path, "dc"), 0.1), seed=1)
+
+
+def store_rows(sim):
+    """The machine's synaptic rows expanded span by span into one CSR of
+    the row's words: ``(row_ptr, targets, units, delays)``, with int32 row
+    pointers, uint8 neuron ids on the target core and the table's units and
+    delays."""
+    store = sim.store
+    lens = store.n.astype(np.int64)
+    syn = ranges(store.lo, lens)
+    row_ptr = np.concatenate(([0], np.cumsum(lens)))[store.span_ptr].astype(np.int32)
+    nid_of = neuron_slots(sim.ensembles)[1]
+    return (row_ptr, nid_of[store.table.post[syn]].astype(np.uint8), store.table.units[syn],
+            store.table.delays[syn])
+
+
+# Reference routes: a packet's canonical route walked hop by hop, which
+# ``spikert.machine`` (``hop_offsets``, ``transits_from_origin_ns``) and
+# ``spikert.mapping`` compute over arrays.
+
+def neighbor(machine, chip, link):
+    """Chip reached over a link, or None off the mesh edge."""
+    vx, vy = LINK_VECTORS[link]
+    x, y = chip[0] + vx, chip[1] + vy
+    if machine.wrap_vertical:
+        y %= machine.height
+    if not (0 <= x < machine.width and 0 <= y < machine.height):
+        return None
+    return (x, y)
+
+
+def route_links(machine, src, dst) -> list[int]:
+    """Deterministic minimal-hop link sequence: diagonal first, then straight."""
+    dx, dy = machine.delta(src, dst)
+    links = []
+    while dx > 0 and dy > 0:
+        links.append(1)  # NE
+        dx -= 1
+        dy -= 1
+    while dx < 0 and dy < 0:
+        links.append(4)  # SW
+        dx += 1
+        dy += 1
+    links.extend([0 if dx > 0 else 3] * abs(dx))  # E / W
+    links.extend([2 if dy > 0 else 5] * abs(dy))  # N / S
+    return links
+
+
+def route_path(machine, src, dst) -> list[tuple[int, int]]:
+    path = [src]
+    for link in route_links(machine, src, dst):
+        path.append(neighbor(machine, path[-1], link))
+    assert path[-1] == dst
+    return path
+
+
+def hop_latency_ns(machine, a, b) -> float:
+    latency = machine.router_hop_latency_ns
+    if machine.board_of(a) != machine.board_of(b):
+        latency += machine.board_link_latency_ns
+    return latency
+
+
+def transit_ns(machine, src, dst) -> float:
+    """Latency along the canonical route: one router per hop plus board links."""
+    path = route_path(machine, src, dst)
+    return sum(hop_latency_ns(machine, a, b) for a, b in zip(path, path[1:]))

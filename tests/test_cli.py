@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -66,6 +67,10 @@ def bad_input_args(tmp_path, model, case):
     if case.startswith("machine "):
         field, value = case.split()[1].split("=")
         return ["--machine", machine_file(tmp_path, **{field: value})]
+    if case.startswith("model "):  # the first line setting the key, rewritten
+        key, value = case.split()[1].split("=")
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", SMALL_SPEC, count=1, flags=re.M)
+        return ["--model", write(tmp_path, "bad.net", text)]
     return case.split()
 
 
@@ -108,6 +113,27 @@ def bad_input_args(tmp_path, model, case):
     pytest.param("costs_nan", "cost neuron_update_us must be a finite number", id="costs_nan"),
     pytest.param("manifest_nan", "duration_ms must be a finite number, got nan",
                  id="manifest_nan"),
+    pytest.param("model tau_m_ms=0", "population E: time constants must be positive",
+                 id="model_tau_m_zero"),
+    pytest.param("model t_ref_ms=0.05",
+                 "population E: t_ref=0.05 ms is not a multiple of dt=0.1 ms", id="model_t_ref"),
+    pytest.param("model dt_ms=nan", "[simulation]: dt_ms must be a finite number, got nan",
+                 id="model_dt_nan"),
+    pytest.param("model weight_pa=inf",
+                 "projection E->E: weight_pa must be a finite number, got inf",
+                 id="model_weight_inf"),
+    pytest.param("model poisson_rate_hz=inf",
+                 "population E: poisson_rate_hz must be a finite number, got inf",
+                 id="model_poisson_rate_inf"),
+    pytest.param("model v_init_sd_mv=-5", "[simulation]: v_init_sd_mv must be >= 0, got -5.0",
+                 id="model_v_init_sd_negative"),
+    pytest.param("model e_rest_mv=nan", "population E: e_rest_mv must be a finite number, got nan",
+                 id="model_e_rest_nan"),
+    pytest.param("model r_mohm=inf", "population E: r_mohm must be a finite number, got inf",
+                 id="model_r_inf"),
+    pytest.param("model delay_ms=nan",
+                 "projection E->E: delay_ms must be a finite number, got nan",
+                 id="model_delay_nan"),
 ])
 def test_bad_input_exits_with_spec_code(tmp_path, model, capsys, case, message):
     """Malformed options and input files end in a spec error that names the
@@ -184,13 +210,33 @@ def test_float_oracle_leaves_the_shared_table_alone(tmp_path, model, monkeypatch
     }
 
 
+@pytest.mark.parametrize("rewrite", [
+    pytest.param(lambda text: text[:text.index("[projection]")], id="no_projection"),
+    pytest.param(lambda text: re.sub(r"^probability = .*$", "probability = 0.0", text,
+                                     flags=re.M), id="every_probability_zero"),
+])
+def test_network_without_synapses_runs_on_both_paths(tmp_path, benchmark_path, rewrite):
+    """A microcircuit 0.02 model with no projection, or with every
+    connection probability 0, has no synapse to route or store; both paths
+    still run it, on background input alone, to identical traces."""
+    with open(benchmark_path, encoding="utf-8") as fh:
+        model = write(tmp_path, "unconnected.net", rewrite(fh.read()))
+    out = tmp_path / "out"
+    assert cli.main(["--model", model, "--out", str(out), "--scale", "0.02",
+                     "--duration-ms", "10", "--mode", "both"]) == cli.EXIT_OK
+    assert (out / "equivalence.txt").read_text().startswith("identical_traces True")
+    spikes = [line for line in (out / "trace_oracle.txt").read_text().splitlines()
+              if not line.startswith("#")]
+    assert spikes
+
+
 def test_hardware_run_memory_per_synapse(tmp_path, benchmark_path, microcircuit_dc_01):
     """Everything a ``--mode hardware`` run allocates, traced by tracemalloc
     (numpy reports its buffers to it), peaks within 30 B per synapse at
     microcircuit 0.1 with DC input: the network releases each projection
-    once it is encoded, the table goes once the machine store is built, and
-    the rings hold 64 slots, the smallest power of two above the longest
-    delay, not 256."""
+    once it is encoded, the machine store indexes the table in place
+    instead of copying it, and the rings hold 64 slots, the smallest power
+    of two above the longest delay, not 256."""
     tracemalloc.start()
     try:
         cli.run(cli.RunConfig(model=benchmark_path, out=str(tmp_path / "out"), scale=0.1,

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import transit_ns
 from spikert.clocks import (BEACON_INTERVAL_S, WARMUP_ROUNDS, ClockConfig, MachineClocks,
                             sample_board_drifts)
 from spikert.machine import load_machine_spec
@@ -64,7 +65,7 @@ class ScalarClocks:
 
     def __init__(self, machine, cfg, seed, chips, period_us, clock_hz):
         drift = sample_board_drifts(machine, cfg, seed)
-        aligned_us = max(machine.transit_ns((0, 0), (x, y)) for x in range(machine.width)
+        aligned_us = max(transit_ns(machine, (0, 0), (x, y)) for x in range(machine.width)
                          for y in range(machine.height)) * 1e-3
         self.period_cycles = period_us * clock_hz * 1e-6
         self.clock_hz = clock_hz

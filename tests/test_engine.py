@@ -6,11 +6,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import SMALL_SPEC
+from conftest import SMALL_SPEC, store_rows
 from spikert.clocks import ClockConfig
 from spikert.costs import CostModel
 from spikert.mapping import NEURON_BITS, pack_key
-from spikert.matrices import PoissonBank, encode_projections
+from spikert.matrices import PoissonBank, encode_projections, source_delivery_index
 from spikert.network import build_network, load_network_spec, parse_network_spec, scale_network
 from spikert.runtime import ROW_BITS, ROW_MASK, HardwareSimulation, ProfileStore
 
@@ -69,7 +69,7 @@ def reference_window(sim, c, packets, t, window_start, deadline):
     Returns its profile counters, late packets, carry and the packets left
     queued."""
     syn, cm = sim.syn, sim.costs
-    rate, wcost, row_ptr = syn.rate[c], syn.wcost[c], syn.store.row_ptr
+    rate, wcost, row_ptr = syn.rate[c], syn.wcost[c], store_rows(sim)[0]
     n_syn = sim.chip_syn_count[syn.refs[c][0]]
 
     def words(key):
@@ -116,19 +116,41 @@ def queued_packets(sim):
     return out
 
 
+def ring_additions(sim, table, spans, ring, c, packets, t):
+    """Add into ``ring`` what core c's processed ``packets`` deliver, read
+    from ``spans``, the oracle's index of each source neuron's synapses:
+    those onto core c's ensemble, when c is one of the cores the source's
+    packets reach, each adding its units at (role, arrival slot, target)."""
+    neuron_of_key = dict(zip((sim.ens_packet[3, sim.ens_of] | sim.nid_of).tolist(),
+                             range(sim.ens_of.size)))
+    for *_, key, _ in packets:
+        g = neuron_of_key[key]
+        e = sim.ens_of[g]
+        if c not in sim.dest_core[sim.dest_ptr[e]:sim.dest_ptr[e + 1]]:
+            continue
+        for s in range(spans.span_ptr[g], spans.span_ptr[g + 1]):
+            syn = np.arange(spans.lo[s], spans.hi[s])
+            syn = syn[sim.ens_of[table.post[syn]] == c // 3]
+            slot = (t + table.delays[syn].astype(np.int64)) & (sim.syn.slots - 1)
+            np.add.at(ring, (c % 3, slot, table.post[syn]), table.units[syn].astype(np.int64))
+
+
 def test_lockstep_window_matches_packet_at_a_time_reference(small_network):
     """Random packets on every synapse core with a table entry, over several
     steps with drifting rates: per-core counters, busy time, carry and the
-    packets left queued equal the reference bit for bit, and the processed
-    rows land in the ring buffers."""
-    sim = HardwareSimulation(small_network, encode_projections(small_network),
-                             costs=CostModel(second_timer_margin_us=60.0))
+    packets left queued equal the reference bit for bit, and after every
+    step the ring buffers hold exactly what the processed packets' synapses
+    deliver."""
+    table = encode_projections(small_network)
+    sim = HardwareSimulation(small_network, table, costs=CostModel(second_timer_margin_us=60.0))
     syn = sim.syn
     rng = np.random.default_rng(7)
     n_chips = len(sim.chips)
     syn.reset(1.0 + rng.uniform(-2e-5, 2e-5, len(syn.refs)))
     cores, pops = np.nonzero(syn.store.base >= 0)
     profile = ProfileStore(sim.core_meta, sim.fixed_busy_us, 4)
+    spans = source_delivery_index(small_network, table)
+    ring = np.zeros_like(syn.ring)
     flushed = late_left = 0
     for t in range(4):
         starts = 100.0 * t + rng.uniform(0.0, 1.0, n_chips)
@@ -140,10 +162,13 @@ def test_lockstep_window_matches_packet_at_a_time_reference(small_network):
         keys = [pack_key(int(p), 0, int(n))
                 for p, n in zip(pops[pick], rng.integers(0, 30, 120))]
         syn.push(arrival, np.stack([cores[pick], keys, t - rng.integers(0, 2, 120)]))
+        queued = queued_packets(sim)
         expected = {c: reference_window(sim, c, packets, t, starts[syn.chip_row[c]],
                                         deadline[c])
-                    for c, packets in queued_packets(sim).items()}
-        ring_before = syn.ring.sum()
+                    for c, packets in queued.items()}
+        for c, packets in queued.items():
+            window = sorted(p for p in packets if p[0] < deadline[c])
+            ring_additions(sim, table, spans, ring, c, window[:expected[c][0][1]], t)
         totals = syn.run_window(t, starts, durations, profile)
         assert [type(x) for x in totals] == [int] * 5 + [float] + [int] * 3  # JSON-ready
         left = queued_packets(sim)
@@ -155,10 +180,10 @@ def test_lockstep_window_matches_packet_at_a_time_reference(small_network):
             assert sorted(left.get(c, [])) == queue
         assert totals[:5] == tuple(sum(e[0][i] for e in expected.values()) for i in range(5))
         assert totals[8] == sum(e[1] for e in expected.values())
-        assert syn.ring.sum() > ring_before
+        assert np.array_equal(syn.ring, ring)
         flushed += totals[2]
         late_left += sum(map(len, left.values()))
-    assert flushed > 0 and late_left > 0
+    assert flushed > 0 and late_left > 0 and ring.any()
 
 
 def test_arrival_ties_follow_the_machine_order(benchmark_path):

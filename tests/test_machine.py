@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import neighbor, route_path, transit_ns
 from spikert.machine import (LINK_VECTORS, LINKS, MachineSpec, auto_machine, load_machine_spec,
                              parse_machine_spec, serialize_machine_spec)
 from spikert.network import SpecError
@@ -26,10 +27,10 @@ def test_link_geometry(grid):
     assert LINKS == ("E", "NE", "N", "W", "SW", "S")
     for l in range(6):  # link l + 3 runs back along link l
         assert LINK_VECTORS[(l + 3) % 6] == tuple(-v for v in LINK_VECTORS[l])
-    assert grid.neighbor((0, 0), 0) == (1, 0)
-    assert grid.neighbor((0, 0), 1) == (1, 1)
-    assert grid.neighbor((0, 0), 3) is None  # west edge
-    assert grid.neighbor((0, 0), 5) is None  # no wrap
+    assert neighbor(grid, (0, 0), 0) == (1, 0)
+    assert neighbor(grid, (0, 0), 1) == (1, 1)
+    assert neighbor(grid, (0, 0), 3) is None  # west edge
+    assert neighbor(grid, (0, 0), 5) is None  # no wrap
 
 
 def test_hex_distance_diagonal_counts_once(grid):
@@ -47,7 +48,7 @@ def test_vertical_wrap_shortens_paths(wrapped):
 
 def test_route_path_is_minimal_and_connected(wrapped):
     for dst in [(5, 3), (3, 5), (0, 23), (23, 0), (10, 20), (23, 23)]:
-        path = wrapped.route_path((0, 0), dst)
+        path = route_path(wrapped, (0, 0), dst)
         assert path[0] == (0, 0) and path[-1] == dst
         assert len(path) - 1 == hex_distance(wrapped, (0, 0), dst)
 
@@ -57,9 +58,9 @@ def test_transit_arithmetic_example():
     m = MachineSpec(width=16, height=6, wrap_vertical=False,
                     board_tile_width=8, board_tile_height=6)
     # (6,0) -> (9,0): hops 7,8,9; the 7->8 hop crosses the x=8 tile boundary
-    assert m.transit_ns((6, 0), (9, 0)) == 3 * 500.0 + 900.0
-    assert m.transit_ns((0, 0), (0, 0)) == 0.0
-    assert m.transit_ns((0, 0), (1, 0)) == 500.0
+    assert transit_ns(m, (6, 0), (9, 0)) == 3 * 500.0 + 900.0
+    assert transit_ns(m, (0, 0), (0, 0)) == 0.0
+    assert transit_ns(m, (0, 0), (1, 0)) == 500.0
 
 
 @pytest.mark.parametrize("machine", [
@@ -78,7 +79,7 @@ def test_transits_from_origin_equal_transit_ns(machine):
     route walk, so even sums that float rounding makes inexact agree bit
     for bit."""
     assert machine.transits_from_origin_ns().tolist() == [
-        machine.transit_ns((0, 0), (x, y)) for x in range(machine.width)
+        transit_ns(machine, (0, 0), (x, y)) for x in range(machine.width)
         for y in range(machine.height)]
 
 

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import hop_latency_ns, neighbor, route_links
 from spikert import mapping, runtime
 from spikert.machine import LINKS, MachineSpec, load_machine_spec
 from spikert.mapping import (CORE_MASK, NEURON_BITS, SUBPOP_BITS, SYNAPSE_ROLES, RoutingError,
@@ -101,8 +102,8 @@ def reference_route_tree(machine, src_chip, dest_chips):
     arrival_dir = {}
     for dchip in dest_chips:
         here = src_chip
-        for link in machine.route_links(src_chip, dchip):
-            nxt = machine.neighbor(here, link)
+        for link in route_links(machine, src_chip, dchip):
+            nxt = neighbor(machine, here, link)
             out_links[here] |= 1 << link
             prev = arrival_dir.setdefault(nxt, link)
             if prev != link:
@@ -260,9 +261,9 @@ def reference_walk(tables, src_chip, key):
             assert in_dir is not None
             links = [in_dir]  # default route: continue straight
         for link in links:
-            nxt = machine.neighbor(chip, link)
+            nxt = neighbor(machine, chip, link)
             assert nxt is not None
-            frontier.append((nxt, link, transit + machine.hop_latency_ns(chip, nxt)))
+            frontier.append((nxt, link, transit + hop_latency_ns(machine, chip, nxt)))
     return deliveries
 
 

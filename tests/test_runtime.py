@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import SMALL_SPEC
+from conftest import SMALL_SPEC, store_rows
 from spikert import matrices
 from spikert.clocks import ClockConfig
 from spikert.mapping import ROLE_NEURON, ROLE_POISSON, ROLE_SYN_INH, SYNAPSE_ROLES, pack_key
@@ -69,12 +69,13 @@ def test_microcircuit_dc_hardware_equals_oracle(benchmark_path, drift_ppm, quant
 
 
 def test_repeated_projection_keeps_every_synapse():
-    """Two blocks for one (source, target) pair share synaptic rows; both
-    blocks' synapses must reach the targets."""
+    """Two blocks for one (source, target) pair share synaptic rows, as rows
+    of two spans; both blocks' synapses must reach the targets."""
     spec = parse_network_spec(SMALL_SPEC + SECOND_EE_BLOCK, "dc")
     net = build_network(spec, seed=42)
-    assert HardwareSimulation(net, encode_projections(net)).store.row_ptr[-1] == \
-        net.synapse_count()
+    sim = HardwareSimulation(net, encode_projections(net))
+    assert np.diff(sim.store.span_ptr).max() == 2
+    assert store_rows(sim)[0][-1] == net.synapse_count()
     assert_equivalent(*run_both(build_network(spec, seed=42)))
 
 
@@ -106,10 +107,11 @@ def int64_digest(*arrays) -> str:
 def test_narrow_table_and_store_at_microcircuit_scale(microcircuit_dc_01):
     """Encoding releases the network's per-synapse arrays (its digest and a
     second encoding then refuse what is gone); the shared table and the
-    machine store keep narrow dtypes, the store stays within 9 B per
-    synapse, and both views hold the values (widened to int64) that the
-    int64 argsort-built indexes held: the store itself, and the oracle's
-    spans expanded in source order into the by-source CSR."""
+    machine store's spans keep narrow dtypes, the store reads the table in
+    place and stays within 4 B per synapse, and both views hold the values
+    (widened to int64) that the int64 argsort-built indexes held: the
+    store's spans expanded row by row into the CSR of synaptic rows, and the
+    oracle's spans expanded in source order into the by-source CSR."""
     net = microcircuit_dc_01
     table = encode_projections(net)
     assert all(p.post_local is None and p.weight_pa is None and p.delay_steps is None
@@ -121,13 +123,15 @@ def test_narrow_table_and_store_at_microcircuit_scale(microcircuit_dc_01):
     assert [a.dtype for a in (table.post, table.units, table.delays)] == \
         [np.int32, np.int32, np.uint8]
     assert int(table.units.max()) == 113120  # 17 bits: int32 units
-    store = HardwareSimulation(net, table).store
-    assert [a.dtype for a in (store.row_ptr, store.targets, store.units, store.delays)] == \
-        [np.int32, np.uint8, np.int32, np.uint8]
-    resident = sum(a.nbytes for a in (store.row_ptr, store.targets, store.units, store.delays,
-                                      store.base))
-    assert resident <= 9 * net.synapse_count()
-    assert int64_digest(store.row_ptr, store.targets, store.units, store.delays, store.base) == (
+    sim = HardwareSimulation(net, table)
+    store = sim.store
+    assert store.table is table
+    assert [a.dtype for a in (store.span_ptr, store.lo, store.n)] == [np.int32, np.int32, np.uint8]
+    resident = sum(a.nbytes for a in (store.span_ptr, store.lo, store.n, store.base))
+    assert resident <= 4 * net.synapse_count()
+    rows = store_rows(sim)
+    assert [a.dtype for a in rows] == [np.int32, np.uint8, np.int32, np.uint8]
+    assert int64_digest(*rows, store.base) == (
         "8dcdb82807d08b7d0d52a317f7deb8cbb8e06777dfb0f8b2fd872c98cafb1ab3")
     spans = source_delivery_index(net, table)
     lens = spans.hi - spans.lo
@@ -139,18 +143,17 @@ def test_narrow_table_and_store_at_microcircuit_scale(microcircuit_dc_01):
 
 
 def test_small_blocks_encode_and_sort_alike(monkeypatch):
-    """Encoding and the store's counting sort work in blocks of whole source
+    """Encoding and the store's spans work in blocks of whole source
     neurons; blocks far smaller than a projection, down to single neurons,
-    give the same table and store."""
+    give the same table and synaptic rows."""
     spec = parse_network_spec(SMALL_SPEC, "dc")
     views = []
     for block in (matrices.BLOCK, 7, 1):
         monkeypatch.setattr(matrices, "BLOCK", block)
         net = build_network(spec, seed=42)
         table = encode_projections(net)
-        store = HardwareSimulation(net, table).store
-        views.append(int64_digest(table.post, table.units, table.delays, store.row_ptr,
-                                  store.targets, store.units, store.delays))
+        views.append(int64_digest(table.post, table.units, table.delays,
+                                  *store_rows(HardwareSimulation(net, table))))
     assert views[1] == views[0] and views[2] == views[0]
 
 
