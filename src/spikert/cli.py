@@ -72,6 +72,9 @@ class RunConfig:
             raise SpecError("scale must be in (0, 1]")
         if self.discard_ms < 0 or self.discard_ms >= self.duration_ms:
             raise SpecError("discard window must fall inside the run")
+        for name in ("seed_network", "seed_poisson", "seed_drift"):
+            if getattr(self, name) < 0:
+                raise SpecError(f"{name} must be >= 0, got {getattr(self, name)}")
         ClockConfig(drift_bound_ppm=self.drift_bound_ppm).validate()
         if self.profile not in ("full", "none"):
             raise SpecError("profile must be 'full' or 'none'")

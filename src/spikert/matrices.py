@@ -11,8 +11,9 @@ The caller (``cli.run``) encodes once, each projection releasing its sampled
 arrays as soon as it is encoded, and hands the same table to both
 simulators, which only read it in place, each through its own index of spans
 into it: the oracle through each source neuron's spans
-(``source_delivery_index``), the machine model through each synaptic row's
-spans, one per source neuron, target ensemble and projection
+(``source_delivery_index``), the machine model through synaptic rows, one
+per packet the fan-out can send (a source neuron and one of its destination
+cores), holding a span per projection onto the core's ensemble
 (``runtime.build_synaptic_store``).  Both read the same encoded integers,
 which is what makes their spike-for-spike agreement exact rather than
 approximate.  Both size their delay rings from the table,
@@ -60,12 +61,12 @@ class SynapseTable:
     scales: weights.AccumulatorScales
 
     def blocks(self):
-        """(lo, hi, pre) of each block of the table, in table order: the
-        synapses ``table[lo:hi]`` of whole source neurons of one projection,
-        about ``BLOCK`` of them (more when one neuron has more), and the
-        global source neuron (intp) of each."""
-        for start, row_ptr, base in zip(self.bounds.tolist(), self.row_ptrs,
-                                        self.pre_base.tolist()):
+        """(projection, lo, hi, pre) of each block of the table, in table
+        order: the synapses ``table[lo:hi]`` of whole source neurons of one
+        projection, about ``BLOCK`` of them (more when one neuron has more),
+        and the global source neuron (intp) of each."""
+        for p, (start, row_ptr, base) in enumerate(zip(self.bounds.tolist(), self.row_ptrs,
+                                                       self.pre_base.tolist())):
             # a block starts at each neuron whose first synapse opens a new
             # BLOCK-aligned window of the projection
             window = row_ptr[:-1] // BLOCK
@@ -74,7 +75,7 @@ class SynapseTable:
             for a, b in zip(cuts, cuts[1:]):
                 pre = np.repeat(np.arange(base + a, base + b, dtype=np.intp),
                                 row_ptr[a + 1:b + 1] - row_ptr[a:b])
-                yield start + int(row_ptr[a]), start + int(row_ptr[b]), pre
+                yield p, start + int(row_ptr[a]), start + int(row_ptr[b]), pre
 
 
 def ring_slots(delays: np.ndarray) -> int:

@@ -11,21 +11,24 @@ Packet deliveries carry router transit latencies, and per-board clock drift
 all the run's chips are one ``clocks.ChipClock``, arrays in ``chips`` order:
 each step advances every chip's timer with one call.
 
-A synapse core finds a packet's synaptic row as the machine does, through
-its master population table.  The rows of every synapse core are spans into
-the run's encoded synapse table (``matrices.SynapseTable``), which the
-machine model reads in place, as the oracle does: ``SynapticStore`` holds
-only each row's spans, one per projection from the row's source neuron onto
-the core's ensemble, so every synapse is held once.  The background input
-is the run's one ``matrices.PoissonBank``, passed to
-``HardwareSimulation.run``.
+A packet carries its synaptic row.  The machine finds a packet's row
+through its synapse core's master population table, by key; the fan-out CSR
+(``mapping.delivery_map``) already lists every (source neuron, destination
+core) pair a packet can have, so the model gives each pair its row and each
+packet that row at fan-out, which reaches the same synapses.  The rows are
+spans into the run's encoded synapse table (``matrices.SynapseTable``),
+which the machine model reads in place, as the oracle does:
+``SynapticStore`` holds only each row's spans, one per projection from the
+row's source neuron onto the core's ensemble, so every synapse is held
+once.  The background input is the run's one ``matrices.PoissonBank``,
+passed to ``HardwareSimulation.run``.
 
 A timestep is one array pipeline over the whole machine, not a loop over
 packets:
 
 - fan-out: the fired neurons become packet arrays (target core, arrival,
-  key, emit step), repeated over ``mapping.delivery_map``'s per-ensemble
-  CSR of destination cores;
+  source order, emit step, synaptic row), repeated over
+  ``mapping.delivery_map``'s per-ensemble CSR of destination cores;
 - window: ``SynapseCoreState.run_window`` orders every queued packet with
   one ``np.lexsort``, the machine's (core, arrival, sx, sy, score, key) order,
   and scans all cores with a queued packet in lockstep, one array operation
@@ -35,11 +38,13 @@ packets:
   ``np.add.at``.
 
 Neuron state, constants, input images, fired indices and the ring buffers
-are indexed by global neuron, the oracle's layout: the rings are one array
-per synapse role, so a synapse lands at its table target and the ring
-handover hands the next slot on as per-neuron excitatory and inhibitory
-units.  A ring is as deep as the run's delays need, ``matrices.ring_slots``
-of the table's longest delay, at most ``RING_SLOTS``.
+are indexed by global neuron, the oracle's layout: as the oracle's
+accumulators, the rings are one excitatory and one inhibitory array, both
+excitatory synapse roles adding into the first, so a synapse lands at its
+table target and the ring handover hands the next slot on as per-neuron
+excitatory and inhibitory units.  A ring is as deep as the run's delays
+need, ``matrices.ring_slots`` of the table's longest delay, at most
+``RING_SLOTS``.
 
 Only a synapse core's work varies with the spike load.  Set-up computes
 the fixed busy time per step of every modelled core once, in (chip, core
@@ -61,10 +66,9 @@ from .kinetics import advance_state
 from .clocks import BEACON_INTERVAL_S, ClockConfig, MachineClocks, SyncDiagnostics
 from .costs import CostModel
 from .machine import MachineSpec, auto_machine
-from .mapping import (NEURON_BITS, NEURONS_PER_CORE, ROLE_NEURON, ROLE_POISSON, SUBPOP_BITS,
-                      SYNAPSE_ROLES, Ensemble, PlacementError, allocate_keys, build_routing_tables,
-                      delivery_map, destination_cores, neuron_slots, partition, place_radial,
-                      subpops_per_population)
+from .mapping import (NEURON_BITS, ROLE_NEURON, ROLE_POISSON, SYNAPSE_ROLES, Ensemble,
+                      PlacementError, allocate_keys, build_routing_tables, delivery_map,
+                      destination_cores, neuron_slots, partition, place_radial)
 from .network import NetworkModel
 
 
@@ -73,8 +77,6 @@ class SchedulingError(RuntimeError):
 
 
 RING_SLOTS = 256  # delay capacity: 255 future slots + the one being consumed
-ROW_BITS = NEURON_BITS + SUBPOP_BITS  # key bits below the routing prefix
-ROW_MASK = (1 << ROW_BITS) - 1
 
 
 @dataclass
@@ -82,100 +84,71 @@ class SynapticStore:
     """Synaptic rows of every synapse core, as spans into the run's synapse
     table, which the store reads in place.
 
-    A span is one source neuron's synapses onto one target ensemble in one
-    projection: ``table[lo[s]:lo[s] + n[s]]``, with int32 ``lo`` and uint8
-    ``n`` (at most the ensemble's ``NEURONS_PER_CORE`` synapses).  Row r is
-    the spans ``span_ptr[r]:span_ptr[r + 1]`` (int32), in projection order,
-    each in synapse order.  Synapse core c owns one block of
-    ``n_subpops * 64`` rows for every source population routed to it, as the
-    machine's master population table lays them out: ``base[c, p]`` is the
-    first row of the block of source population p (a packet key's routing
-    prefix, ``key >> 15``) on core c, or -1 where the core has no entry, and
-    the key's low 15 bits (sub-population and neuron id) select the row
-    inside the block.
+    A row is one (source neuron, destination core) pair of the fan-out CSR
+    (``mapping.delivery_map``): neuron g of ensemble e sends to the cores
+    ``dest_core[dest_ptr[e]:dest_ptr[e + 1]]``, and its packet to the i-th
+    of them reads row ``row_base[g] + i`` (int64 ``row_base``, one entry per
+    neuron).  Column j of row r is the span of the j-th projection between
+    the two populations, in projection order: ``table[lo[r, j]:lo[r, j] +
+    n[r, j]]``, the source neuron's synapses onto the core's ensemble in
+    synapse order, with int32 ``lo`` and uint8 ``n`` (at most the
+    ensemble's ``NEURONS_PER_CORE`` synapses) of shape ``(rows, k)``, k the
+    most projections any pair of populations has.
     """
 
     table: matrices.SynapseTable
-    span_ptr: np.ndarray
     lo: np.ndarray
     n: np.ndarray
-    base: np.ndarray  # (synapse cores, populations) int64
+    row_base: np.ndarray
 
 
 def build_synaptic_store(table: matrices.SynapseTable, ensembles: list[Ensemble],
                          dest_ptr: np.ndarray, dest_core: np.ndarray) -> SynapticStore:
     """The synaptic rows over the synapse table: each run of a source
-    neuron's synapses onto one row becomes a span, and one stable argsort
-    puts the spans in row order.
+    neuron's synapses onto one row is written into its row's column.
 
-    Synapse core ``3 * ensemble + k`` serves role ``SYNAPSE_ROLES[k]``.  Each
-    source ensemble's role (inhibitory, lower or upper excitatory half) is
-    read off the cores its packets reach in the fan-out CSR
-    (``mapping.delivery_map``), so the split rule stays in ``mapping``.  A
-    synapse lands on core ``3 * ens_of[post] + role_of_src[ens_of[pre]]``, in
-    row ``base[core, pop] + row_off[pre]`` of its source population's block;
-    a row keeps its projections in projection order, each in synapse order.
-    ``pre`` is derived from the projections' ``row_ptr``s block by block
-    (``SynapseTable.blocks``), and each block's rows are computed once.
+    A source ensemble's packets reach at most one core of each target
+    ensemble, the core of its synapse role, so a synapse's row is
+    ``row_base[pre] + pos_of[ens_of[pre], ens_of[post]]``, ``pos_of`` being
+    the position of that core among the source's destinations (-1 where no
+    packet goes).  ``pre`` is derived from the projections' ``row_ptr``s
+    block by block (``SynapseTable.blocks``), and a projection's column is
+    the number of earlier projections between the same two populations.
     """
-    n_cores = 3 * len(ensembles)
-    n_subs = subpops_per_population(ensembles)
-    n_pops = max(n_subs) + 1
-    pop = np.array([e.pop for e in ensembles])
-    src = np.repeat(np.arange(len(ensembles)), np.diff(dest_ptr))
-    reach = np.zeros((n_cores, n_pops), dtype=bool)
-    reach[dest_core, pop[src]] = True
-    role_of_src = np.full(len(ensembles), -1, dtype=np.int64)
-    role_of_src[src] = dest_core % 3
-    block_rows = np.array([n_subs.get(p, 0) for p in range(n_pops)]) << NEURON_BITS
-    sizes = np.where(reach, block_rows, 0)
-    base = np.where(reach, np.cumsum(sizes).reshape(n_cores, n_pops) - sizes, -1)
+    n_ens = len(ensembles)
+    ens_of = neuron_slots(ensembles)[0]
+    n_dest = np.diff(dest_ptr)[ens_of]
+    row_base = np.cumsum(n_dest) - n_dest
+    src = np.repeat(np.arange(n_ens), np.diff(dest_ptr))
+    pos_of = np.full((n_ens, n_ens), -1, dtype=np.int32)
+    pos_of[src, dest_core // 3] = np.arange(dest_core.size) - dest_ptr[src]
 
-    # int32 per-neuron lookups, so that the per-synapse gathers stay narrow:
-    # a synapse's entry of ``lookup`` (``base`` plus a column of -1, where
-    # sources whose packets reach no core point) is ``dst_at[post] +
-    # src_at[pre]``, and ``row_off[pre]`` is its row within the block; the
-    # gathers index by intp ``pre`` and ``post``, which numpy runs about
-    # twice as fast as int32 indices
-    ens_of, nid_of = neuron_slots(ensembles)
-    lookup = np.pad(base, ((0, 0), (0, 1)), constant_values=-1).astype(np.int32).reshape(-1)
-    role_of = role_of_src[ens_of]
-    dst_at = (3 * (n_pops + 1) * ens_of).astype(np.int32)
-    src_at = np.where(role_of < 0, n_pops,
-                      role_of * (n_pops + 1) + pop[ens_of]).astype(np.int32)
-    row_off = ((np.array([e.subpop for e in ensembles])[ens_of] << NEURON_BITS)
-               + nid_of).astype(np.int32)
+    # a projection's column: how many earlier projections join its populations
+    pop_of = np.array([e.pop for e in ensembles])[ens_of]
+    ends = table.bounds.tolist()
+    pairs = [(pop_of[base], pop_of[table.post[lo]]) if lo < hi else None
+             for base, lo, hi in zip(table.pre_base.tolist(), ends, ends[1:])]
+    col = [pairs[:p].count(pair) if pair else 0 for p, pair in enumerate(pairs)]
+    lo = np.zeros((int(n_dest.sum()), max(col, default=-1) + 1), dtype=np.int32)
+    n = np.zeros(lo.shape, dtype=np.uint8)
 
     # a block's synapses of one source neuron onto one row are one run of
-    # equal rows: one span each, in table order
-    rows, los, lens = ([np.zeros(0, dtype)] for dtype in (np.int32, np.int32, np.uint8))
-    for lo, hi, pre in table.blocks():
-        if lo == hi:
+    # equal rows, written in place as the row's span of the block's projection
+    for p, start, end, pre in table.blocks():
+        if start == end:
             continue
-        post = table.post[lo:hi].astype(np.intp)
-        row = lookup[dst_at[post] + src_at[pre]]
-        if row.min(initial=0) < 0:
-            i = int(np.argmax(row < 0))
+        post = table.post[start:end].astype(np.intp)
+        pos = pos_of[ens_of[pre], ens_of[post]]
+        if pos.min() < 0:
+            i = int(np.argmax(pos < 0))
             raise RuntimeError(f"{ensembles[ens_of[pre[i]]].pop_name}->"
                                f"{ensembles[ens_of[post[i]]].pop_name}: synapses on a "
                                "core that no packet of their source reaches")
-        row += row_off[pre]
-        start = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
-        rows.append(row[start])
-        los.append((lo + start).astype(np.int32))
-        lens.append(np.diff(start, append=row.size).astype(np.uint8))
-    # each list of pieces goes as soon as it is joined, so that the set-up
-    # peak holds few per-span temporaries at once
-    span_row = np.concatenate(rows)
-    del rows
-    order = np.argsort(span_row, kind="stable")
-    span_ptr = np.zeros(int(sizes.sum()) + 1, dtype=np.int32)
-    np.add.at(span_ptr[1:], span_row, 1)
-    np.cumsum(span_ptr, out=span_ptr)
-    del span_row
-    lo = np.concatenate(los)[order]
-    del los
-    return SynapticStore(table, span_ptr, lo, np.concatenate(lens)[order], base)
+        row = row_base[pre] + pos
+        cut = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
+        lo[row[cut], col[p]] = start + cut
+        n[row[cut], col[p]] = np.diff(cut, append=row.size)
+    return SynapticStore(table, lo, n, row_base)
 
 
 class ProfileStore:
@@ -255,31 +228,29 @@ class SynapseCoreState:
     ring-buffer write cost and row-fetch contention), and per run its crystal
     rate and the busy time carried into the next timestep; row c of the
     profile counters is its own.  The ring buffers of all cores are one array
-    ``ring`` of shape ``(SYNAPSE_ROLES, slots, neurons)``, indexed like the
-    oracle's by global neuron: core c's buffers are ``ring[k]`` at its
-    ensemble's neurons, ``slots`` deep, the ring depth of the table's
-    delays.  The input spike buffers of all cores are one packet queue of
-    parallel arrays: ``q_arrival`` (global us) and ``q_fields``, whose rows
-    are target core, key and emit step.  A packet finds its
-    synaptic row in the shared ``SynapticStore`` through the core's row of
-    ``store.base``, its master population table.  ``source_rank[key >>
-    NEURON_BITS]`` is 64 times the sending ensemble's rank in (source chip x,
-    y, source core, key prefix) order, so adding the neuron id orders
-    packets as (sx, sy, score, key) does.
+    ``ring`` of shape ``(2, slots, neurons)``, indexed like the oracle's
+    accumulators by global neuron: core c adds into ``ring[k >> 1]`` (both
+    excitatory roles into the one excitatory ring, the inhibitory role into
+    the other) at its ensemble's neurons, ``slots`` deep, the ring depth of
+    the table's delays.  The input spike buffers of all cores are one packet
+    queue of parallel arrays: ``q_arrival`` (global us) and ``q_fields``,
+    whose rows are target core, source order, emit step and synaptic row in
+    the shared ``SynapticStore``.  The source order is 64 times the sending
+    ensemble's rank in (source chip x, y, source core, key prefix) order
+    plus the neuron id, so it orders packets as (sx, sy, score, key) does.
     """
 
     def __init__(self, refs: list[tuple[tuple[int, int], int]], chip_row: np.ndarray,
                  chip_syn_cores: list[int], store: SynapticStore, costs: CostModel,
-                 source_rank: np.ndarray, n_neurons: int):
+                 n_neurons: int):
         self.refs = refs                  # (chip, core id) per synapse core
         self.chip_row = chip_row
         self.store = store
         self.costs = costs
-        self.source_rank = source_rank
         self.n_syn = np.array(chip_syn_cores, dtype=np.int64)
         self.wcost = costs.sdram_write_us(self.n_syn)
         self.slots = matrices.ring_slots(store.table.delays)
-        self.ring_shape = (len(SYNAPSE_ROLES), self.slots, n_neurons)
+        self.ring_shape = (2, self.slots, n_neurons)
         self.reset(np.ones(len(refs)))
 
     def reset(self, rate: np.ndarray) -> None:
@@ -288,23 +259,13 @@ class SynapseCoreState:
         self.rate = rate
         self.carry = np.zeros(len(self.refs))
         self.q_arrival = np.zeros(0)
-        self.q_fields = np.zeros((3, 0), dtype=np.int64)
+        self.q_fields = np.zeros((4, 0), dtype=np.int64)
         self.ring = np.zeros(self.ring_shape, dtype=np.int64)
 
     def push(self, arrival: np.ndarray, fields: np.ndarray) -> None:
-        """Queue packets: ``arrival`` (global us) and the three ``q_fields`` rows."""
+        """Queue packets: ``arrival`` (global us) and the four ``q_fields`` rows."""
         self.q_arrival = np.concatenate((self.q_arrival, arrival))
         self.q_fields = np.concatenate((self.q_fields, fields), axis=1)
-
-    def _rows(self, core: np.ndarray, key: np.ndarray) -> np.ndarray:
-        """Synaptic row of each packet; a missing table entry is an error."""
-        base = self.store.base[core, key >> ROW_BITS]
-        if (base < 0).any():
-            i = int(np.flatnonzero(base < 0)[0])
-            chip, core_id = self.refs[core[i]]
-            raise RuntimeError(f"core {chip}/{core_id}: packet key 0x{int(key[i]):08x} "
-                               "has no master population table entry")
-        return base + (key & ROW_MASK)
 
     def run_window(self, t: int, starts: np.ndarray, durations: np.ndarray,
                    profile: ProfileStore | None = None) -> tuple:
@@ -326,8 +287,7 @@ class SynapseCoreState:
             return 0, 0, 0, 0, 0, 0.0, 0, 0, 0
         cm = self.costs
         f = self.q_fields
-        source = self.source_rank[f[1] >> NEURON_BITS] | (f[1] & (NEURONS_PER_CORE - 1))
-        order = np.lexsort((f[2], source, self.q_arrival, f[0]))
+        order = np.lexsort((f[2], f[1], self.q_arrival, f[0]))
         arrival, f = self.q_arrival[order], f[:, order]
         queued = np.bincount(f[0], minlength=len(self.refs))
         act = np.flatnonzero(queued)           # the cores that run their window
@@ -341,17 +301,11 @@ class SynapseCoreState:
         # core's queue; the rest arrive at or after the deadline and stay queued
         a = act_of[f[0]]
         inwin = arrival < deadline[a]
-        a, key, emit, win_arr = a[inwin], f[1][inwin], f[2][inwin], arrival[inwin]
+        a, emit, rows, win_arr = a[inwin], f[2][inwin], f[3][inwin], arrival[inwin]
         core = act[a]
         # a packet's words are the lengths of its row's spans, added up
-        rows = self._rows(core, key)
-        first = self.store.span_ptr[rows]
-        n_spans = self.store.span_ptr[rows + 1] - first
-        spans = matrices.ranges(first, n_spans)
-        lens = self.store.n[spans].astype(np.int64)  # uint8 mixed with int32 would give floats
-        upto = np.concatenate(([0], np.cumsum(lens)))
-        end = np.cumsum(n_spans)
-        words = upto[end] - upto[end - n_spans]
+        lens = self.store.n[rows].astype(np.int64)  # uint8 mixed with int32 would give floats
+        words = lens.sum(axis=1)
         cost = cm.packet_processing_us(words, self.n_syn[core])
         n_in = np.bincount(a, minlength=act.size)
         pos = np.arange(a.size) - (np.cumsum(n_in) - n_in)[a]
@@ -384,8 +338,8 @@ class SynapseCoreState:
         self.carry[act] = np.where(busy > dma_b_end, busy, dma_b_end)
 
         done = pos < processed[a]
-        kept = np.repeat(done, n_spans)
-        self._insert(t, np.repeat(core[done] % 3, n_spans[done]), spans[kept], lens[kept])
+        self._insert(t, np.repeat((core[done] % 3) >> 1, lens.shape[1]),
+                     self.store.lo[rows[done]].reshape(-1), lens[done].reshape(-1))
         flushed = n_in - processed
         zero = np.bincount(a[done & (words == 0)], minlength=act.size)
         ev_p = np.bincount(a[done], words[done], minlength=act.size).astype(np.int64)
@@ -399,15 +353,15 @@ class SynapseCoreState:
         self.q_arrival, self.q_fields = arrival[~inwin], f[:, ~inwin]
         return (*(c.sum().item() for c in counters), late)
 
-    def _insert(self, t: int, role: np.ndarray, spans: np.ndarray, lens: np.ndarray) -> None:
-        """Add the spans of the processed packets' rows into the ring buffers;
-        ``role`` is each span's core role and ``lens`` its length."""
-        syn = matrices.ranges(self.store.lo[spans], lens)
+    def _insert(self, t: int, inh: np.ndarray, lo: np.ndarray, lens: np.ndarray) -> None:
+        """Add the spans of the processed packets' rows into the ring buffers:
+        span i is ``table[lo[i]:lo[i] + lens[i]]`` and adds into ``ring[inh[i]]``."""
+        syn = matrices.ranges(lo, lens)
         if not syn.size:
             return
         table = self.store.table
         slot = (t + table.delays[syn].astype(np.int64)) & (self.slots - 1)
-        flat = (np.repeat(role, lens) * self.slots + slot) * self.ring.shape[2]
+        flat = (np.repeat(inh, lens) * self.slots + slot) * self.ring.shape[2]
         np.add.at(self.ring.reshape(-1), flat + table.post[syn], table.units[syn].astype(np.int64))
 
 
@@ -475,23 +429,22 @@ class HardwareSimulation:
         self.ens_chip_row = np.array([chip_row[self.placement.chip_of[e.index]] for e in ens],
                                      dtype=np.int64)
 
-        # each ensemble's source chip x, source chip y, source (neuron) core
-        # and key prefix, by row; and 64 times its rank in that order, by key
-        # prefix >> NEURON_BITS, the order packets that arrive together take
-        self.ens_packet = np.array(
-            [(*self.placement.chip_of[e.index], self.placement.core_of[(e.index, ROLE_NEURON)],
-              self.keys.prefix_of[e.index]) for e in ens], dtype=np.int64).reshape(-1, 4).T
-        prefix = self.ens_packet[3] >> NEURON_BITS
-        source_rank = np.zeros(int(prefix.max()) + 1, dtype=np.int64)
-        source_rank[prefix[np.lexsort(self.ens_packet[::-1])]] = (
-            np.arange(len(ens)) << NEURON_BITS)
+        # each neuron's source order: 64 times its ensemble's rank in (source
+        # chip x, source chip y, source (neuron) core, key prefix) order, the
+        # order packets that arrive together take, plus its neuron id
+        sender = np.array([(*self.placement.chip_of[e.index],
+                            self.placement.core_of[(e.index, ROLE_NEURON)],
+                            self.keys.prefix_of[e.index]) for e in ens], dtype=np.int64)
+        rank = np.empty(len(ens), dtype=np.int64)
+        rank[np.lexsort(sender.T[::-1])] = np.arange(len(ens))
+        self.source_order = rank[self.ens_of] << NEURON_BITS | self.nid_of
 
         # synapse core 3 * ensemble + k serves SYNAPSE_ROLES[k]
         self.store = build_synaptic_store(table, ens, self.dest_ptr, self.dest_core)
         refs = [self.placement.core_ref(e.index, role) for e in ens for role in SYNAPSE_ROLES]
         self.syn = SynapseCoreState(
             refs, np.repeat(self.ens_chip_row, 3), [self.chip_syn_count[chip] for chip, _ in refs],
-            self.store, self.costs, source_rank, self.network.total_neurons)
+            self.store, self.costs, self.network.total_neurons)
 
     def _fixed_busy(self) -> np.ndarray:
         """Local busy us per step of every core in ``core_meta`` when no
@@ -594,10 +547,12 @@ class HardwareSimulation:
                     d = matrices.ranges(self.dest_ptr[e_idx], n_dest)
                     send = (starts[self.ens_chip_row[e_idx]] + read_g[e_idx]
                             + (local + 1) * upd_g[e_idx])
-                    fields = np.empty((3, total), dtype=np.int64)
+                    fields = np.empty((4, total), dtype=np.int64)
                     fields[0] = self.dest_core[d]
-                    fields[1] = np.repeat(self.ens_packet[3, e_idx] | local, n_dest)
+                    fields[1] = np.repeat(self.source_order[g], n_dest)
                     fields[2] = t
+                    # row_base[g] + i for the i-th destination core of g's ensemble
+                    fields[3] = np.repeat(self.store.row_base[g] - self.dest_ptr[e_idx], n_dest) + d
                     syn.push(np.repeat(send, n_dest) + self.dest_transit_us[d], fields)
 
             # poisson cores sample and write the next step's buffer (DMA C)
@@ -610,8 +565,7 @@ class HardwareSimulation:
 
             # ring-buffer handover: slot for t+1 moves to shared memory
             slot = (t + 1) & (syn.slots - 1)
-            exc_units = syn.ring[0, slot] + syn.ring[1, slot]
-            inh_units = syn.ring[2, slot].copy()
+            exc_units, inh_units = syn.ring[:, slot].copy()
             syn.ring[:, slot] = 0
 
             if self.clock_cfg.protocol_enabled and (t + 1) % beacon_steps == 0:

@@ -5,7 +5,6 @@ import pytest
 
 from spikert.kinetics import NeuronParams
 from spikert.machine import LINK_VECTORS
-from spikert.mapping import neuron_slots
 from spikert.matrices import ranges
 from spikert.network import build_network, load_network_spec, parse_network_spec, scale_network
 
@@ -110,17 +109,24 @@ def microcircuit_dc_01(benchmark_path):
 
 
 def store_rows(sim):
-    """The machine's synaptic rows expanded span by span into one CSR of
-    the row's words: ``(row_ptr, targets, units, delays)``, with int32 row
-    pointers, uint8 neuron ids on the target core and the table's units and
-    delays."""
+    """The machine's synaptic rows expanded in row order, each row's columns
+    in projection order, into one CSR of the row's words: ``(row_ptr,
+    targets, units, delays)``, with int64 row pointers and the table's
+    global targets, units and delays."""
     store = sim.store
-    lens = store.n.astype(np.int64)
-    syn = ranges(store.lo, lens)
-    row_ptr = np.concatenate(([0], np.cumsum(lens)))[store.span_ptr].astype(np.int32)
-    nid_of = neuron_slots(sim.ensembles)[1]
-    return (row_ptr, nid_of[store.table.post[syn]].astype(np.uint8), store.table.units[syn],
-            store.table.delays[syn])
+    syn = ranges(store.lo.reshape(-1), store.n.reshape(-1).astype(np.int64))
+    row_ptr = np.concatenate(([0], np.cumsum(store.n.sum(axis=1, dtype=np.int64))))
+    return row_ptr, store.table.post[syn], store.table.units[syn], store.table.delays[syn]
+
+
+def row_senders(sim):
+    """``(neuron, core)`` of every synaptic row: row ``row_base[g] + i`` is
+    what neuron g's packet to the i-th destination core of its ensemble in
+    the fan-out CSR reads."""
+    row_base = sim.store.row_base
+    row = np.arange(sim.store.lo.shape[0])
+    g = np.searchsorted(row_base, row, side="right") - 1
+    return g, sim.dest_core[sim.dest_ptr[sim.ens_of[g]] + row - row_base[g]]
 
 
 # Reference routes: a packet's canonical route walked hop by hop, which

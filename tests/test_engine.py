@@ -6,13 +6,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import SMALL_SPEC, store_rows
+from conftest import SMALL_SPEC, row_senders, store_rows
 from spikert.clocks import ClockConfig
 from spikert.costs import CostModel
-from spikert.mapping import NEURON_BITS, pack_key
+from spikert.mapping import ROLE_NEURON
 from spikert.matrices import PoissonBank, encode_projections, source_delivery_index
 from spikert.network import build_network, load_network_spec, parse_network_spec, scale_network
-from spikert.runtime import ROW_BITS, ROW_MASK, HardwareSimulation, ProfileStore
+from spikert.runtime import HardwareSimulation, ProfileStore
 
 # SHA-256 of trace, profile.tsv and profile_events.tsv from the packet-at-a-time
 # engine this one replaced, with its late and flushed packet counts
@@ -72,8 +72,7 @@ def reference_window(sim, c, packets, t, window_start, deadline):
     rate, wcost, row_ptr = syn.rate[c], syn.wcost[c], store_rows(sim)[0]
     n_syn = sim.chip_syn_count[syn.refs[c][0]]
 
-    def words(key):
-        row = syn.store.base[c, key >> ROW_BITS] + (key & ROW_MASK)
+    def words(row):
         return int(row_ptr[row + 1] - row_ptr[row])
 
     busy = max(window_start, window_start - cm.second_timer_margin_us / rate + wcost / rate,
@@ -82,22 +81,22 @@ def reference_window(sim, c, packets, t, window_start, deadline):
     busy_us = 0.0
     packets = sorted(packets)
     window = [p for p in packets if p[0] < deadline]
-    for arr, _, _, _, key, emit in window:
+    for arr, _, _, _, _, emit, row in window:
         begin = arr if arr > busy else busy
         if begin >= deadline:
             break
-        cost = cm.packet_processing_us(words(key), n_syn)
+        cost = cm.packet_processing_us(words(row), n_syn)
         if busy <= arr:
             kick += 1
             cost += cm.pipeline_kickstart_us
         busy = begin + cost / rate
         busy_us += cost
         processed += 1
-        ev_p += words(key)
-        zero += words(key) == 0
+        ev_p += words(row)
+        zero += words(row) == 0
         late += emit != t
     flushed = len(window) - processed
-    ev_f = sum(words(p[4]) for p in window[processed:])
+    ev_f = sum(words(p[6]) for p in window[processed:])
     busy_us += wcost
     dma_b_end = deadline + wcost / rate
     carry = busy if busy > dma_b_end else dma_b_end
@@ -107,47 +106,49 @@ def reference_window(sim, c, packets, t, window_start, deadline):
 
 def queued_packets(sim):
     """The array queue as per-core lists of (arrival, sx, sy, score, key,
-    emit), with the source chip and core of the ensemble whose key prefix
-    the packet carries."""
-    source = {p >> NEURON_BITS: (sx, sy, score) for sx, sy, score, p in sim.ens_packet.T.tolist()}
+    emit, row): the source chip, core and key of the neuron whose synaptic
+    row the packet carries, read off the placement and key allocation."""
+    neuron, row_core = row_senders(sim)
     out: dict[int, list] = {}
-    for a, (core, key, emit) in zip(sim.syn.q_arrival.tolist(), sim.syn.q_fields.T.tolist()):
-        out.setdefault(core, []).append((a, *source[key >> NEURON_BITS], key, emit))
+    for a, (core, _, emit, row) in zip(sim.syn.q_arrival.tolist(), sim.syn.q_fields.T.tolist()):
+        assert row_core[row] == core
+        g = int(neuron[row])
+        e = int(sim.ens_of[g])
+        out.setdefault(core, []).append((a, *sim.placement.chip_of[e],
+                                         sim.placement.core_of[(e, ROLE_NEURON)],
+                                         sim.keys.prefix_of[e] | int(sim.nid_of[g]), emit, row))
     return out
 
 
 def ring_additions(sim, table, spans, ring, c, packets, t):
     """Add into ``ring`` what core c's processed ``packets`` deliver, read
     from ``spans``, the oracle's index of each source neuron's synapses:
-    those onto core c's ensemble, when c is one of the cores the source's
-    packets reach, each adding its units at (role, arrival slot, target)."""
-    neuron_of_key = dict(zip((sim.ens_packet[3, sim.ens_of] | sim.nid_of).tolist(),
-                             range(sim.ens_of.size)))
-    for *_, key, _ in packets:
-        g = neuron_of_key[key]
-        e = sim.ens_of[g]
-        if c not in sim.dest_core[sim.dest_ptr[e]:sim.dest_ptr[e + 1]]:
-            continue
+    those of the packet's source neuron onto core c's ensemble, each adding
+    its units at (excitatory or inhibitory ring, arrival slot, target)."""
+    neuron = row_senders(sim)[0]
+    for *_, row in packets:
+        g = neuron[row]
         for s in range(spans.span_ptr[g], spans.span_ptr[g + 1]):
             syn = np.arange(spans.lo[s], spans.hi[s])
             syn = syn[sim.ens_of[table.post[syn]] == c // 3]
             slot = (t + table.delays[syn].astype(np.int64)) & (sim.syn.slots - 1)
-            np.add.at(ring, (c % 3, slot, table.post[syn]), table.units[syn].astype(np.int64))
+            np.add.at(ring, (c % 3 >> 1, slot, table.post[syn]),
+                      table.units[syn].astype(np.int64))
 
 
 def test_lockstep_window_matches_packet_at_a_time_reference(small_network):
-    """Random packets on every synapse core with a table entry, over several
-    steps with drifting rates: per-core counters, busy time, carry and the
-    packets left queued equal the reference bit for bit, and after every
-    step the ring buffers hold exactly what the processed packets' synapses
-    deliver."""
+    """Random packets, each carrying a random synaptic row to that row's
+    core, over several steps with drifting rates: per-core counters, busy
+    time, carry and the packets left queued equal the reference bit for
+    bit, and after every step the ring buffers hold exactly what the
+    processed packets' synapses deliver."""
     table = encode_projections(small_network)
     sim = HardwareSimulation(small_network, table, costs=CostModel(second_timer_margin_us=60.0))
     syn = sim.syn
     rng = np.random.default_rng(7)
     n_chips = len(sim.chips)
     syn.reset(1.0 + rng.uniform(-2e-5, 2e-5, len(syn.refs)))
-    cores, pops = np.nonzero(syn.store.base >= 0)
+    neuron, row_core = row_senders(sim)
     profile = ProfileStore(sim.core_meta, sim.fixed_busy_us, 4)
     spans = source_delivery_index(small_network, table)
     ring = np.zeros_like(syn.ring)
@@ -156,12 +157,11 @@ def test_lockstep_window_matches_packet_at_a_time_reference(small_network):
         starts = 100.0 * t + rng.uniform(0.0, 1.0, n_chips)
         durations = np.full(n_chips, 100.0)
         deadline = starts[syn.chip_row] + durations[syn.chip_row] - 60.0 / syn.rate
-        pick = rng.integers(0, cores.size, 120)
+        rows = rng.integers(0, neuron.size, 120)
         arrival = 100.0 * t + rng.uniform(0.0, 60.0, 120)
-        arrival[0] = deadline[cores[pick[0]]]  # arrives at the deadline: stays queued
-        keys = [pack_key(int(p), 0, int(n))
-                for p, n in zip(pops[pick], rng.integers(0, 30, 120))]
-        syn.push(arrival, np.stack([cores[pick], keys, t - rng.integers(0, 2, 120)]))
+        arrival[0] = deadline[row_core[rows[0]]]  # arrives at the deadline: stays queued
+        syn.push(arrival, np.stack([row_core[rows], sim.source_order[neuron[rows]],
+                                    t - rng.integers(0, 2, 120), rows]))
         queued = queued_packets(sim)
         expected = {c: reference_window(sim, c, packets, t, starts[syn.chip_row[c]],
                                         deadline[c])
@@ -197,11 +197,10 @@ def test_arrival_ties_follow_the_machine_order(benchmark_path):
                              costs=CostModel(second_timer_margin_us=60.0))
     syn = sim.syn
     c = int(np.bincount(sim.dest_core).argmax())
-    senders = [e for e in range(len(sim.ensembles))
-               if c in sim.dest_core[sim.dest_ptr[e]:sim.dest_ptr[e + 1]]]
-    assert len(senders) > 1
-    packets = [(c, sim.ens_packet[3, e] | nid, emit)
-               for e in senders for nid in range(4) for emit in (0, 1)]
+    neuron, row_core = row_senders(sim)
+    rows = np.flatnonzero((row_core == c) & (sim.nid_of[neuron] < 4))
+    assert np.unique(sim.ens_of[neuron[rows]]).size > 1
+    packets = [(c, sim.source_order[neuron[r]], emit, r) for r in rows for emit in (0, 1)]
     order = np.random.default_rng(3).permutation(len(packets))
     syn.push(np.full(len(packets), 1.0), np.array(packets, dtype=np.int64)[order].T)
     n_chips = len(sim.chips)

@@ -4,10 +4,10 @@ import re
 import numpy as np
 import pytest
 
-from conftest import SMALL_SPEC, store_rows
+from conftest import SMALL_SPEC, row_senders, store_rows
 from spikert import matrices
 from spikert.clocks import ClockConfig
-from spikert.mapping import ROLE_NEURON, ROLE_POISSON, ROLE_SYN_INH, SYNAPSE_ROLES, pack_key
+from spikert.mapping import ROLE_NEURON, ROLE_POISSON
 from spikert.matrices import (PoissonBank, encode_projections, ranges, ring_slots,
                               source_delivery_index)
 from spikert.network import (SpecError, build_network, load_network_spec, parse_network_spec,
@@ -70,11 +70,11 @@ def test_microcircuit_dc_hardware_equals_oracle(benchmark_path, drift_ppm, quant
 
 def test_repeated_projection_keeps_every_synapse():
     """Two blocks for one (source, target) pair share synaptic rows, as rows
-    of two spans; both blocks' synapses must reach the targets."""
+    of two columns; both blocks' synapses must reach the targets."""
     spec = parse_network_spec(SMALL_SPEC + SECOND_EE_BLOCK, "dc")
     net = build_network(spec, seed=42)
     sim = HardwareSimulation(net, encode_projections(net))
-    assert np.diff(sim.store.span_ptr).max() == 2
+    assert sim.store.n.shape[1] == 2 and (sim.store.n > 0).all(axis=1).any()
     assert store_rows(sim)[0][-1] == net.synapse_count()
     assert_equivalent(*run_both(build_network(spec, seed=42)))
 
@@ -104,14 +104,26 @@ def int64_digest(*arrays) -> str:
     return h.hexdigest()
 
 
+def row_digest(core, source, row_ptr, post, units, delays) -> str:
+    """Digest of the non-empty synaptic rows, whatever their numbering: each
+    as (synapse core, source neuron, words, targets, units, delays), sorted
+    by (core, source)."""
+    lens = np.diff(row_ptr)
+    keep = np.flatnonzero(lens)
+    keep = keep[np.lexsort((source[keep], core[keep]))]
+    syn = ranges(row_ptr[keep], lens[keep])
+    return int64_digest(core[keep], source[keep], lens[keep], post[syn], units[syn], delays[syn])
+
+
 def test_narrow_table_and_store_at_microcircuit_scale(microcircuit_dc_01):
     """Encoding releases the network's per-synapse arrays (its digest and a
     second encoding then refuse what is gone); the shared table and the
-    machine store's spans keep narrow dtypes, the store reads the table in
-    place and stays within 4 B per synapse, and both views hold the values
-    (widened to int64) that the int64 argsort-built indexes held: the
-    store's spans expanded row by row into the CSR of synaptic rows, and the
-    oracle's spans expanded in source order into the by-source CSR."""
+    machine store keep narrow dtypes, the store reads the table in place
+    and stays within 2 B per synapse.  Every synaptic row holds exactly the
+    oracle's synapses of its source neuron onto its core's ensemble, in
+    projection then synapse order; the rows keep the digest of the master
+    population table layout they replaced, and the oracle's spans expanded
+    in source order keep theirs."""
     net = microcircuit_dc_01
     table = encode_projections(net)
     assert all(p.post_local is None and p.weight_pa is None and p.delay_steps is None
@@ -126,16 +138,32 @@ def test_narrow_table_and_store_at_microcircuit_scale(microcircuit_dc_01):
     sim = HardwareSimulation(net, table)
     store = sim.store
     assert store.table is table
-    assert [a.dtype for a in (store.span_ptr, store.lo, store.n)] == [np.int32, np.int32, np.uint8]
-    resident = sum(a.nbytes for a in (store.span_ptr, store.lo, store.n, store.base))
-    assert resident <= 4 * net.synapse_count()
-    rows = store_rows(sim)
-    assert [a.dtype for a in rows] == [np.int32, np.uint8, np.int32, np.uint8]
-    assert int64_digest(*rows, store.base) == (
-        "8dcdb82807d08b7d0d52a317f7deb8cbb8e06777dfb0f8b2fd872c98cafb1ab3")
+    assert [a.dtype for a in (store.lo, store.n, store.row_base)] == [np.int32, np.uint8, np.int64]
+    assert store.lo.shape == store.n.shape == (store.lo.shape[0], 1)
+    assert sum(a.nbytes for a in (store.lo, store.n, store.row_base)) <= 2 * net.synapse_count()
+
+    # the oracle's synapses of each source neuron, each put in the row of
+    # its neuron and target ensemble, then ordered by row (stably)
     spans = source_delivery_index(net, table)
     lens = spans.hi - spans.lo
     syn = ranges(spans.lo, lens)
+    source = np.repeat(np.repeat(np.arange(net.total_neurons), np.diff(spans.span_ptr)), lens)
+    key = source * len(sim.ensembles) + sim.ens_of[table.post[syn]]
+    neuron, core = row_senders(sim)
+    row_key = neuron * len(sim.ensembles) + core // 3
+    assert np.unique(row_key).size == row_key.size
+    by_key = np.argsort(row_key)
+    at = by_key[np.searchsorted(row_key[by_key], key)]
+    assert np.array_equal(row_key[at], key)
+    order = np.argsort(at, kind="stable")
+    row_ptr, post, units, delays = store_rows(sim)
+    assert np.array_equal(np.repeat(np.arange(neuron.size), np.diff(row_ptr)), at[order])
+    assert np.array_equal(post, table.post[syn[order]])
+    assert np.array_equal(units, table.units[syn[order]])
+    assert np.array_equal(delays, table.delays[syn[order]])
+    assert row_digest(core, neuron, row_ptr, post, units, delays) == (
+        "296c4869aea203f44bdeb89c7c2157d25f96cf7263e582ae71bc090be3bb802a")
+
     row_ptr = np.concatenate(([0], np.cumsum(lens)))[spans.span_ptr]
     assert np.array_equal(np.sort(syn), np.arange(table.post.size))
     assert int64_digest(row_ptr, table.post[syn], table.units[syn], table.delays[syn]) == (
@@ -220,19 +248,6 @@ def test_profile_counts_synapse_cores_only(benchmark_path):
                                              for t in range(10)]
         fixed += 1
     assert fixed == 135 - 81
-
-
-def test_packet_without_table_entry_is_rejected(small_network):
-    """No I -> I projection exists, so inhibitory cores of I have no entry for
-    population I and must refuse its packets."""
-    sim = HardwareSimulation(small_network, encode_projections(small_network))
-    i_pop = 1
-    e = next(e for e in sim.ensembles if e.pop == i_pop)
-    core = 3 * e.index + SYNAPSE_ROLES.index(ROLE_SYN_INH)
-    sim.syn.push(np.array([0.0]), np.array([[core], [pack_key(i_pop, 0, 0)], [0]]))
-    n_chips = len(sim.chips)
-    with pytest.raises(RuntimeError, match="no master population table entry"):
-        sim.syn.run_window(0, np.zeros(n_chips), np.full(n_chips, 1e9))
 
 
 def test_synapses_no_packet_reaches_are_rejected(small_network):
