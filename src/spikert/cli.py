@@ -17,6 +17,8 @@ import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import analysis, matrices, oracle, runtime
 from .clocks import BEACON_INTERVAL_S, WARMUP_ROUNDS, ClockConfig
 from .costs import CostModel, load_cost_model
@@ -259,8 +261,8 @@ def _run_map_only(cfg: RunConfig, net, machine: MachineSpec | None) -> None:
     else:
         sim_machine, placement = machine, place_radial(ensembles, machine)
     keys = allocate_keys(placement)
-    dests = destination_cores(placement, net.spec.projections)
-    tables = build_routing_tables(placement, keys, dests)
+    dest_ptr, dest_core = destination_cores(placement, net.spec.projections)
+    tables = build_routing_tables(placement, keys, dest_ptr, dest_core)
     _write(cfg, "placement.txt", placement.serialize())
     _write(cfg, "routing_tables.txt", tables.serialize())
     _write(cfg, "machine.mach", serialize_machine_spec(sim_machine))
@@ -275,15 +277,14 @@ def placement_summary(sim: runtime.HardwareSimulation) -> str:
 
 
 def _summary_text(placement, tables, ensembles) -> str:
-    per_chip = placement.ensembles_per_chip()
-    counts = sorted(per_chip.values())
+    counts = np.unique(placement.chip, return_counts=True)[1]
     entry_counts = tables.entry_counts()
     lines = [
         f"ensembles {len(ensembles)}",
-        f"cores_used {placement.cores_used()}",
-        f"chips_used {len(placement.chips_used())}",
-        f"ensembles_per_chip_min {counts[0] if counts else 0}",
-        f"ensembles_per_chip_max {counts[-1] if counts else 0}",
+        f"cores_used {sum(e.n_cores for e in ensembles)}",
+        f"chips_used {counts.size}",
+        f"ensembles_per_chip_min {counts.min() if counts.size else 0}",
+        f"ensembles_per_chip_max {counts.max(initial=0)}",
         f"routing_entries_total {sum(entry_counts.values())}",
         f"routing_entries_max_per_chip {max(entry_counts.values()) if entry_counts else 0}",
     ]
@@ -322,7 +323,6 @@ def _write_manifest(cfg: RunConfig, costs: CostModel, sim) -> None:
             "correlation_estimator": "pearson-on-binned-counts",
             "weight_bits": 16,
             "min_weight_significant_bits": 14,
-            "ring_slots": runtime.RING_SLOTS,
             "beacon_interval_s": BEACON_INTERVAL_S,
             "warmup_rounds": WARMUP_ROUNDS,
         },

@@ -55,6 +55,12 @@ class CostModel:
                 raise SpecError(f"cost {name} must be positive")
         if self.second_timer_margin_us >= self.timer_period_us:
             raise SpecError("second timer margin must fall inside the timer period")
+        if self.clock_hz <= 0:
+            raise SpecError(f"cost clock_hz must be positive, got {self.clock_hz}")
+        if self.contention_ref_writers < 2:
+            # the contention slope spreads max - mean over writers - 1
+            raise SpecError(f"cost contention_ref_writers must be >= 2, got "
+                            f"{self.contention_ref_writers}")
 
     def _contended(self, mean: float, max_: float, writers):
         slope = (max_ - mean) / (self.contention_ref_writers - 1)

@@ -51,6 +51,12 @@ class MachineSpec:
         if self.cores_per_chip > 63:
             raise SpecError("cores_per_chip must be at most 63: a routing entry holds one bit "
                             "per core in an int64")
+        for x, y, n in self.dead_cores:
+            if not (0 <= x < self.width and 0 <= y < self.height):
+                raise SpecError(f"dead_core chip ({x}, {y}) lies outside the "
+                                f"{self.width}x{self.height} mesh")
+            if n < 0:
+                raise SpecError(f"dead_core count {n} on chip ({x}, {y}) must be >= 0")
 
     # -- geometry ----------------------------------------------------------
 
@@ -161,8 +167,14 @@ def hop_offsets(dx: np.ndarray, dy: np.ndarray, s) -> tuple[np.ndarray, np.ndarr
 # ---------------------------------------------------------------------------
 # Machine spec file
 
+def _flag(value: str) -> bool:
+    if value.lower() not in ("true", "false", "yes", "no", "1", "0"):
+        raise ValueError(f"expected one of true/false/yes/no/1/0, got '{value}'")
+    return value.lower() in ("true", "yes", "1")
+
+
 _MACHINE_KEYS = {
-    "width": int, "height": int, "wrap_vertical": lambda v: v.lower() in ("true", "1", "yes"),
+    "width": int, "height": int, "wrap_vertical": _flag,
     "cores_per_chip": int, "usable_cores_per_chip": int,
     "router_hop_latency_ns": float, "board_link_latency_ns": float,
     "sdram_bytes": int, "dtcm_bytes": int,

@@ -8,6 +8,11 @@ carry a 32-bit source key (6-bit neuron id | 9-bit sub-population | 17
 routing bits); routers deliver each key to exactly the synapse cores its
 population-level projections prescribe.
 
+A placement is two arrays, each ensemble's chip and neuron core, and every
+other core id is arithmetic on them.  Synapse core ``3 * e + k`` serves
+``SYNAPSE_ROLES[k]`` of ensemble e; the planned destinations, the fan-out
+the runtime reads, are a CSR of these over source ensembles.
+
 Routing entries come from route trees, each the union of the deterministic
 minimal-hop (diagonal-first) paths from one source chip to its destination
 chips, all walked at once as arrays (``_route_trees``).  Straight
@@ -20,8 +25,8 @@ pairs only entries of one chip with equal route bits and action, and its
 result depends only on their set of sub-populations, each distinct set is
 merged once.  Every chip's table is held as parallel arrays
 (``RoutingTables``); ``walk_packet`` walks all packets through them at
-once, and ``delivery_map`` turns that one walk into the fan-out CSR the
-runtime reads.
+once, and ``delivery_map`` checks that this one walk delivers exactly the
+planned destinations and gives each its router transit time.
 """
 
 from __future__ import annotations
@@ -131,49 +136,27 @@ def neuron_slots(ensembles: list[Ensemble]) -> tuple[np.ndarray, np.ndarray]:
     return ens_of, nid_of
 
 
-def subpops_per_population(ensembles: list[Ensemble]) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for e in ensembles:
-        counts[e.pop] = max(counts.get(e.pop, 0), e.subpop + 1)
-    return counts
-
-
-def is_lower_half(ensemble: Ensemble, n_subpops: int) -> bool:
-    """Lower-half sub-populations feed the lower excitatory synapse core."""
-    return ensemble.subpop < (n_subpops + 1) // 2
-
-
 @dataclass
 class Placement:
+    """Ensemble e sits on chip ``chip[e]`` (``x * height + y``) at cores
+    ``core[e]``, ``core[e] + 1``, ... in ``Ensemble.roles`` order."""
+
     machine: MachineSpec
     ensembles: list[Ensemble]
-    chip_of: list[tuple[int, int]]                  # per ensemble
-    core_of: dict[tuple[int, str], int]             # (ensemble index, role) -> core id
-    roster: dict[tuple[int, int], list[tuple[int, int, str]]]  # chip -> (core, ens, role)
+    chip: np.ndarray
+    core: np.ndarray
 
-    def chips_used(self) -> list[tuple[int, int]]:
-        return sorted(self.roster)
-
-    def cores_used(self) -> int:
-        return sum(len(v) for v in self.roster.values())
-
-    def core_ref(self, ensemble: int, role: str) -> tuple[tuple[int, int], int]:
-        return self.chip_of[ensemble], self.core_of[(ensemble, role)]
-
-    def ensembles_per_chip(self) -> dict[tuple[int, int], int]:
-        out: dict[tuple[int, int], int] = {}
-        for chip in self.chip_of:
-            out[chip] = out.get(chip, 0) + 1
-        return out
+    def synapse_core_ids(self) -> np.ndarray:
+        """The core id of synapse core ``3 * e + k``: ensemble e's last three cores."""
+        first = self.core + np.array([e.n_cores - 3 for e in self.ensembles], dtype=np.int64)
+        return (first[:, None] + np.arange(3)).reshape(-1)
 
     def serialize(self) -> str:
         lines = ["# ensemble pop subpop chip_x chip_y core role"]
-        for e in self.ensembles:
-            chip = self.chip_of[e.index]
-            for role in e.roles:
-                core = self.core_of[(e.index, role)]
-                lines.append(f"{e.index} {e.pop_name} {e.subpop} "
-                             f"{chip[0]} {chip[1]} {core} {role}")
+        for e, chip, core in zip(self.ensembles, self.chip.tolist(), self.core.tolist()):
+            x, y = divmod(chip, self.machine.height)
+            lines += [f"{e.index} {e.pop_name} {e.subpop} {x} {y} {core + i} {role}"
+                      for i, role in enumerate(e.roles)]
         return "\n".join(lines) + "\n"
 
 
@@ -181,27 +164,22 @@ def place_radial(ensembles: list[Ensemble], machine: MachineSpec) -> Placement:
     """Fill chips with whole ensembles along the outward spiral from (0, 0)."""
     machine.validate()
     chip_iter = iter(machine.radial_order())
-    free = 0
+    chip, core = (np.empty(len(ensembles), dtype=np.int64) for _ in range(2))
+    free = here = 0
     next_core = 2  # 0 = monitor, 1 = system
-    chip_of: list[tuple[int, int]] = []
-    core_of: dict[tuple[int, str], int] = {}
-    roster: dict[tuple[int, int], list[tuple[int, int, str]]] = {}
     for e in ensembles:
         while free < e.n_cores:
-            chip = next(chip_iter, None)
-            if chip is None:
+            xy = next(chip_iter, None)
+            if xy is None:
                 raise PlacementError(
                     f"machine capacity exhausted before placing ensemble "
                     f"{e.pop_name}/{e.subpop}")
-            free = machine.usable_cores(chip)
-            next_core = 2
-        chip_of.append(chip)
-        for role in e.roles:
-            core_of[(e.index, role)] = next_core
-            roster.setdefault(chip, []).append((next_core, e.index, role))
-            next_core += 1
+            free = machine.usable_cores(xy)
+            here, next_core = xy[0] * machine.height + xy[1], 2
+        chip[e.index], core[e.index] = here, next_core
+        next_core += e.n_cores
         free -= e.n_cores
-    return Placement(machine, ensembles, chip_of, core_of, roster)
+    return Placement(machine, ensembles, chip, core)
 
 
 @dataclass(frozen=True)
@@ -217,40 +195,36 @@ def allocate_keys(placement: Placement) -> KeyAllocation:
 
 
 # ---------------------------------------------------------------------------
-# Destination sets (population-level projections + the lower/upper split)
+# Destinations (population-level projections + the lower/upper split)
 
-def destination_cores(placement: Placement, projections) -> dict[int, set[tuple[tuple[int, int], int]]]:
-    """Per source ensemble: the synapse cores its spike packets must reach.
+def destination_cores(placement: Placement, projections) -> tuple[np.ndarray, np.ndarray]:
+    """The planned fan-out, a CSR over source ensembles: the packets of
+    ensemble e must reach synapse cores ``dest_core[dest_ptr[e]:dest_ptr[e +
+    1]]`` (core ``3 * f + k`` serves ``SYNAPSE_ROLES[k]`` of ensemble f), in
+    (chip, core id) order.
 
     ``projections`` is any iterable with .source/.target population names.
-    Routing is population-level: a packet goes to every target ensemble's
-    matching synapse core whether or not sampled synapses exist there, so
-    every ensemble of one (population, synapse role) shares one set; each
-    ensemble gets its own copy of it.
+    Routing is population-level: a packet goes to every ensemble of a target
+    population, whether or not sampled synapses exist there, at the core of
+    its source's role: inhibitory, or lower or upper excitatory for the
+    lower or upper half of the source population's sub-populations.
     """
-    by_name: dict[str, list[Ensemble]] = {}
-    for e in placement.ensembles:
-        by_name.setdefault(e.pop_name, []).append(e)
-    targets_of: dict[str, set[str]] = {}
+    ensembles = placement.ensembles
+    pops = {e.pop_name: e.pop for e in ensembles}
+    pop = np.array([e.pop for e in ensembles], dtype=np.int64)
+    n_subs = np.bincount(pop)
+    subpop = np.array([e.subpop for e in ensembles], dtype=np.int64)
+    role = np.where([e.polarity == "inh" for e in ensembles], 2, subpop >= (n_subs[pop] + 1) // 2)
+    targets = np.zeros((n_subs.size, n_subs.size), dtype=bool)
     for proj in projections:
-        targets_of.setdefault(proj.source, set()).add(proj.target)
-    n_subs = subpops_per_population(placement.ensembles)
-
-    shared: dict[tuple[int, str], set[tuple[tuple[int, int], int]]] = {}
-    dests: dict[int, set[tuple[tuple[int, int], int]]] = {}
-    for e in placement.ensembles:
-        if e.polarity == "inh":
-            role = ROLE_SYN_INH
-        else:
-            role = ROLE_SYN_EXC_LOWER if is_lower_half(e, n_subs[e.pop]) else ROLE_SYN_EXC_UPPER
-        out = shared.get((e.pop, role))
-        if out is None:
-            out = shared[(e.pop, role)] = {
-                placement.core_ref(f.index, role)
-                for target_name in targets_of.get(e.pop_name, ())
-                for f in by_name.get(target_name, ())}
-        dests[e.index] = set(out)
-    return dests
+        targets[pops[proj.source], pops[proj.target]] = True
+    # every ensemble of one (population, role) shares one row
+    by_chip = np.lexsort((placement.core, placement.chip))
+    groups = list(zip(pop.tolist(), role.tolist()))
+    shared = {(p, k): 3 * by_chip[targets[p, pop[by_chip]]] + k for p, k in set(groups)}
+    rows = [shared[group] for group in groups]
+    dest_ptr = np.concatenate(([0], np.cumsum([r.size for r in rows], dtype=np.int64)))
+    return dest_ptr, np.concatenate(rows or [np.zeros(0, dtype=np.int64)])
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +269,9 @@ def _targets(cores: int, links: int) -> str:
     return ",".join(names) or "-"
 
 
-def build_routing_tables(placement: Placement, keys: KeyAllocation,
-                         dests: dict[int, set[tuple[tuple[int, int], int]]]) -> RoutingTables:
-    """Every chip's merged routing table.
+def build_routing_tables(placement: Placement, keys: KeyAllocation, dest_ptr: np.ndarray,
+                         dest_core: np.ndarray) -> RoutingTables:
+    """Every chip's merged routing table for the fan-out ``destination_cores`` plans.
 
     An ensemble's packets need an entry ``(prefix, CORE_MASK) -> (cores,
     links)`` at every chip of its route tree: ``cores`` are its destination
@@ -313,21 +287,21 @@ def build_routing_tables(placement: Placement, keys: KeyAllocation,
     machine = placement.machine
     height, n_chips = machine.height, machine.n_chips()
 
-    # per destination set: the core bits it reaches on each chip
-    sends: list[int] = []
+    # per destination set: the core bits it reaches on each chip; a
+    # population with no outgoing projections sends nothing
+    sends = np.flatnonzero(np.diff(dest_ptr))
+    core_id = placement.synapse_core_ids()
     set_of: list[int] = []
     set_cores: list[np.ndarray] = []
-    for e in placement.ensembles:
-        out = dests.get(e.index)
-        if not out:
-            continue  # population with no outgoing projections sends nothing
-        if not set_cores or out != dests[sends[-1]]:
-            pairs = np.array([(x * height + y, core) for (x, y), core in out], dtype=np.int64)
+    prev = None
+    for lo, hi in zip(dest_ptr[sends].tolist(), dest_ptr[sends + 1].tolist()):
+        row = dest_core[lo:hi]
+        if prev is None or not np.array_equal(row, prev):
             set_cores.append(np.zeros(n_chips, dtype=np.int64))
-            np.bitwise_or.at(set_cores[-1], pairs[:, 0], 1 << pairs[:, 1])
-        sends.append(e.index)
+            np.bitwise_or.at(set_cores[-1], placement.chip[row // 3], 1 << core_id[row])
+        prev = row
         set_of.append(len(set_cores) - 1)
-    if not sends:
+    if not sends.size:
         return RoutingTables(machine, *np.zeros((5, 0), dtype=np.int64))
 
     # one route tree per distinct (destination chips, source chip)
@@ -335,8 +309,8 @@ def build_routing_tables(placement: Placement, keys: KeyAllocation,
     chips_of = [chips_id.setdefault(np.flatnonzero(c).tobytes(), len(chips_id))
                 for c in set_cores]
     tree_id: dict[tuple[int, int], int] = {}
-    tree_of = np.array([tree_id.setdefault((chips_of[d], x * height + y), len(tree_id))
-                        for d, (x, y) in zip(set_of, (placement.chip_of[e] for e in sends))])
+    tree_of = np.array([tree_id.setdefault((chips_of[d], src), len(tree_id))
+                        for d, src in zip(set_of, placement.chip[sends].tolist())])
     dest_chips = [np.frombuffer(b, dtype=np.intp) for b in chips_id]
     paths = [dest_chips[c] for c, _ in tree_id]
     tree, chip, links = _route_trees(
@@ -540,27 +514,26 @@ def walk_packet(tables: RoutingTables, src_chip: np.ndarray, key: np.ndarray
 
 
 def delivery_map(placement: Placement, keys: KeyAllocation, tables: RoutingTables,
-                 dests: dict[int, set]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The fan-out CSR over source ensembles, from one walk of all their
-    packets: the packets of ensemble e reach synapse cores
-    ``dest_core[dest_ptr[e]:dest_ptr[e + 1]]`` (core ``3 * ensemble + k``
-    serves ``SYNAPSE_ROLES[k]``), in (chip, core id) order, after
-    ``dest_transit_us`` of router transit.  One packet per source core
-    suffices: no mask covers neuron-id bits, so all keys of a core follow
-    identical routes.
+                 dest_ptr: np.ndarray, dest_core: np.ndarray) -> np.ndarray:
+    """The router transit ``dest_transit_us[i]`` to each planned synapse
+    core ``dest_core[i]`` (``destination_cores``), from one walk of all the
+    source ensembles' packets.  One packet per source core suffices: no mask
+    covers neuron-id bits, so all keys of a core follow identical routes.
+    Unless the walk delivers exactly the plan, raises RoutingError naming
+    the key of the first ensemble whose deliveries differ.
     """
-    machine, ensembles = placement.machine, placement.ensembles
-    stride = machine.cores_per_chip
-    chip_code = np.array([x * machine.height + y for x, y in placement.chip_of], dtype=np.int64)
-    sends = np.array([e.index for e in ensembles if dests.get(e.index)], dtype=np.int64)
-    packet, chip, core, transit_ns = walk_packet(
-        tables, chip_code[sends], np.array(keys.prefix_of, dtype=np.int64)[sends])
-    # (chip, core id) -> synapse core, as one lookup array
-    slots = [chip_code[e.index] * stride + placement.core_of[(e.index, role)]
-             for e in ensembles for role in SYNAPSE_ROLES]
-    syn_core = np.full(machine.n_chips() * stride, -1, dtype=np.int64)
-    syn_core[slots] = np.arange(len(slots))
+    stride = placement.machine.cores_per_chip
+    sends = np.flatnonzero(np.diff(dest_ptr))
+    prefix = np.array(keys.prefix_of, dtype=np.int64)
+    packet, chip, core, transit_ns = walk_packet(tables, placement.chip[sends], prefix[sends])
     src = sends[packet]
     order = np.lexsort((core, chip, src))
-    dest_ptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=len(ensembles)))))
-    return dest_ptr, syn_core[chip * stride + core][order], transit_ns[order] * 1e-3
+    got_ptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=dest_ptr.size - 1))))
+    got = (chip * stride + core)[order]
+    plan = placement.chip[dest_core // 3] * stride + placement.synapse_core_ids()[dest_core]
+    if not (np.array_equal(got_ptr, dest_ptr) and np.array_equal(got, plan)):
+        e = next(e for e in range(dest_ptr.size - 1) if not np.array_equal(
+            got[got_ptr[e]:got_ptr[e + 1]], plan[dest_ptr[e]:dest_ptr[e + 1]]))
+        raise RoutingError(f"key 0x{prefix[e]:08x}: the routers do not deliver exactly its "
+                           f"{dest_ptr[e + 1] - dest_ptr[e]} planned synapse cores")
+    return transit_ns[order] * 1e-3

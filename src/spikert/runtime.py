@@ -12,23 +12,24 @@ all the run's chips are one ``clocks.ChipClock``, arrays in ``chips`` order:
 each step advances every chip's timer with one call.
 
 A packet carries its synaptic row.  The machine finds a packet's row
-through its synapse core's master population table, by key; the fan-out CSR
-(``mapping.delivery_map``) already lists every (source neuron, destination
-core) pair a packet can have, so the model gives each pair its row and each
-packet that row at fan-out, which reaches the same synapses.  The rows are
-spans into the run's encoded synapse table (``matrices.SynapseTable``),
-which the machine model reads in place, as the oracle does:
-``SynapticStore`` holds only each row's spans, one per projection from the
-row's source neuron onto the core's ensemble, so every synapse is held
-once.  The background input is the run's one ``matrices.PoissonBank``,
-passed to ``HardwareSimulation.run``.
+through its synapse core's master population table, by key; the planned
+fan-out CSR (``mapping.destination_cores``, which the routers deliver
+exactly) already lists every (source neuron, destination core) pair a
+packet can have, so the model gives each pair its row and each packet that
+row at fan-out, which reaches the same synapses.  The rows are spans into
+the run's encoded synapse table (``matrices.SynapseTable``), which the
+machine model reads in place, as the oracle does: ``SynapticStore`` holds
+only each row's spans, one per projection from the row's source neuron
+onto the core's ensemble, so every synapse is held once.  The background
+input is the run's one ``matrices.PoissonBank``, passed to
+``HardwareSimulation.run``.
 
 A timestep is one array pipeline over the whole machine, not a loop over
 packets:
 
 - fan-out: the fired neurons become packet arrays (target core, arrival,
-  source order, emit step, synaptic row), repeated over
-  ``mapping.delivery_map``'s per-ensemble CSR of destination cores;
+  source order, emit step, synaptic row), repeated over the per-ensemble
+  CSR of destination cores and their ``mapping.delivery_map`` transits;
 - window: ``SynapseCoreState.run_window`` orders every queued packet with
   one ``np.lexsort``, the machine's (core, arrival, sx, sy, score, key) order,
   and scans all cores with a queued packet in lockstep, one array operation
@@ -43,13 +44,13 @@ accumulators, the rings are one excitatory and one inhibitory array, both
 excitatory synapse roles adding into the first, so a synapse lands at its
 table target and the ring handover hands the next slot on as per-neuron
 excitatory and inhibitory units.  A ring is as deep as the run's delays
-need, ``matrices.ring_slots`` of the table's longest delay, at most
-``RING_SLOTS``.
+need, ``matrices.ring_slots`` of the table's longest delay.
 
 Only a synapse core's work varies with the spike load.  Set-up computes
-the fixed busy time per step of every modelled core once, in (chip, core
-id) order, and checks it against the timer period; the profile counts per
-step for the synapse cores alone (``ProfileStore``).
+the fixed busy time per step of every modelled core once, over the core
+table (arrays in (chip, core id) order), and checks it against the timer
+period; the profile counts per step for the synapse cores alone
+(``ProfileStore``).
 
 The whole machine advances in a single deterministic virtual timeline:
 identical inputs give identical traces and profiles.
@@ -66,17 +67,14 @@ from .kinetics import advance_state
 from .clocks import BEACON_INTERVAL_S, ClockConfig, MachineClocks, SyncDiagnostics
 from .costs import CostModel
 from .machine import MachineSpec, auto_machine
-from .mapping import (NEURON_BITS, ROLE_NEURON, ROLE_POISSON, SYNAPSE_ROLES, Ensemble,
-                      PlacementError, allocate_keys, build_routing_tables, delivery_map,
-                      destination_cores, neuron_slots, partition, place_radial)
+from .mapping import (NEURON_BITS, Ensemble, PlacementError, allocate_keys,
+                      build_routing_tables, delivery_map, destination_cores, neuron_slots,
+                      partition, place_radial)
 from .network import NetworkModel
 
 
 class SchedulingError(RuntimeError):
     """A core's fixed work cannot fit its timer period."""
-
-
-RING_SLOTS = 256  # delay capacity: 255 future slots + the one being consumed
 
 
 @dataclass
@@ -85,7 +83,7 @@ class SynapticStore:
     table, which the store reads in place.
 
     A row is one (source neuron, destination core) pair of the fan-out CSR
-    (``mapping.delivery_map``): neuron g of ensemble e sends to the cores
+    (``mapping.destination_cores``): neuron g of ensemble e sends to the cores
     ``dest_core[dest_ptr[e]:dest_ptr[e + 1]]``, and its packet to the i-th
     of them reads row ``row_base[g] + i`` (int64 ``row_base``, one entry per
     neuron).  Column j of row r is the span of the j-th projection between
@@ -154,25 +152,23 @@ def build_synaptic_store(table: matrices.SynapseTable, ensembles: list[Ensemble]
 class ProfileStore:
     """Per-step counters of the synapse cores, shape ``(3 * ensembles,
     steps)`` and indexed like ``SynapseCoreState``, and ``fixed_busy_us``,
-    the busy time per step of every modelled core in ``core_meta`` ((chip,
-    core id, role, ensemble) in (chip, core id) order, the profile files'
-    order) when no packet arrives.  A neuron or Poisson core's rows are
-    written as zero counters and its fixed busy time; a synapse core's
-    ``busy_us`` starts from its entry, the ring-buffer write, and each step
-    it runs a window replaces it.
+    the busy time per step of every modelled core when no packet arrives,
+    in core-table order, the profile files' order: ``labels`` names each
+    core and ``syn_core`` is its synapse core, or -1.  A neuron or Poisson
+    core's rows are written as zero counters and its fixed busy time; a
+    synapse core's ``busy_us`` starts from its entry, the ring-buffer write,
+    and each step it runs a window replaces it.
     """
 
     # the counters, in the order ``SynapseCoreState.run_window`` returns them
     COUNTERS = ("received", "processed", "flushed", "zero_target", "kickstarts", "busy_us",
                 "processed_events", "flushed_events")
 
-    def __init__(self, core_meta: list[tuple[tuple[int, int], int, str, int]],
-                 fixed_busy_us: np.ndarray, n_steps: int):
-        self.core_meta = core_meta
+    def __init__(self, labels: list[str], syn_core: np.ndarray, fixed_busy_us: np.ndarray,
+                 n_steps: int):
+        self.labels = labels
+        self.syn_core = syn_core
         self.fixed_busy_us = fixed_busy_us
-        # each row's synapse core, or -1 for a neuron or Poisson core
-        self.syn_core = np.array([3 * e + SYNAPSE_ROLES.index(role) if role in SYNAPSE_ROLES
-                                  else -1 for _, _, role, e in core_meta], dtype=np.int64)
         syn_rows = np.flatnonzero(self.syn_core >= 0)
         n = syn_rows.size
         self.n_steps = n_steps
@@ -191,9 +187,7 @@ class ProfileStore:
 
     def _cores(self):
         """(label, synapse core or -1, fixed busy us) of every modelled core."""
-        for (chip, core, _, _), c, busy in zip(self.core_meta, self.syn_core.tolist(),
-                                               self.fixed_busy_us.tolist()):
-            yield f"{chip[0]},{chip[1]},{core}", c, busy
+        return zip(self.labels, self.syn_core.tolist(), self.fixed_busy_us.tolist())
 
     def serialize(self) -> str:
         cols = (self.received, self.processed, self.flushed, self.zero_target, self.kickstarts,
@@ -224,10 +218,10 @@ class SynapseCoreState:
     """Runtime state of every synapse core, held as structure-of-arrays.
 
     Synapse core ``c = 3 * ensemble + k`` serves role ``SYNAPSE_ROLES[k]``.
-    Per core: its chip row, its chip's synapse-core count (which sets its
-    ring-buffer write cost and row-fetch contention), and per run its crystal
-    rate and the busy time carried into the next timestep; row c of the
-    profile counters is its own.  The ring buffers of all cores are one array
+    Per core: its chip row, its chip's synapse-core count ``n_syn`` (which
+    sets its ring-buffer write cost and row-fetch contention), and per run
+    its crystal rate and the busy time carried into the next timestep; row c
+    of the profile counters is its own.  The ring buffers of all cores are one array
     ``ring`` of shape ``(2, slots, neurons)``, indexed like the oracle's
     accumulators by global neuron: core c adds into ``ring[k >> 1]`` (both
     excitatory roles into the one excitatory ring, the inhibitory role into
@@ -240,24 +234,22 @@ class SynapseCoreState:
     plus the neuron id, so it orders packets as (sx, sy, score, key) does.
     """
 
-    def __init__(self, refs: list[tuple[tuple[int, int], int]], chip_row: np.ndarray,
-                 chip_syn_cores: list[int], store: SynapticStore, costs: CostModel,
-                 n_neurons: int):
-        self.refs = refs                  # (chip, core id) per synapse core
+    def __init__(self, chip_row: np.ndarray, n_syn: np.ndarray, store: SynapticStore,
+                 costs: CostModel, n_neurons: int):
         self.chip_row = chip_row
+        self.n_syn = n_syn
         self.store = store
         self.costs = costs
-        self.n_syn = np.array(chip_syn_cores, dtype=np.int64)
-        self.wcost = costs.sdram_write_us(self.n_syn)
+        self.wcost = costs.sdram_write_us(n_syn)
         self.slots = matrices.ring_slots(store.table.delays)
         self.ring_shape = (2, self.slots, n_neurons)
-        self.reset(np.ones(len(refs)))
+        self.reset(np.ones(chip_row.size))
 
     def reset(self, rate: np.ndarray) -> None:
         """Empty queues and fresh ring buffers; ``rate`` is each core's
         crystal rate."""
         self.rate = rate
-        self.carry = np.zeros(len(self.refs))
+        self.carry = np.zeros(self.chip_row.size)
         self.q_arrival = np.zeros(0)
         self.q_fields = np.zeros((4, 0), dtype=np.int64)
         self.ring = np.zeros(self.ring_shape, dtype=np.int64)
@@ -289,7 +281,7 @@ class SynapseCoreState:
         f = self.q_fields
         order = np.lexsort((f[2], f[1], self.q_arrival, f[0]))
         arrival, f = self.q_arrival[order], f[:, order]
-        queued = np.bincount(f[0], minlength=len(self.refs))
+        queued = np.bincount(f[0], minlength=self.chip_row.size)
         act = np.flatnonzero(queued)           # the cores that run their window
         act_of = np.cumsum(queued > 0) - 1     # core -> index into act
         row = self.chip_row[act]
@@ -402,10 +394,10 @@ class HardwareSimulation:
         self.ensembles = partition(network)
         self.machine, self.placement = _place(self.ensembles, machine)
         self.keys = allocate_keys(self.placement)
-        self.dests = destination_cores(self.placement, network.spec.projections)
-        self.tables = build_routing_tables(self.placement, self.keys, self.dests)
-        self.dest_ptr, self.dest_core, self.dest_transit_us = delivery_map(
-            self.placement, self.keys, self.tables, self.dests)
+        plan = self.dest_ptr, self.dest_core = destination_cores(self.placement,
+                                                                 network.spec.projections)
+        self.tables = build_routing_tables(self.placement, self.keys, *plan)
+        self.dest_transit_us = delivery_map(self.placement, self.keys, self.tables, *plan)
 
         self._build_state(table)
         self._check_schedule()
@@ -413,78 +405,88 @@ class HardwareSimulation:
     # -- construction -------------------------------------------------------
 
     def _build_state(self, table: matrices.SynapseTable) -> None:
-        ens = self.ensembles
+        ens, placement = self.ensembles, self.placement
         self.ens_of, self.nid_of = neuron_slots(ens)
         self.consts = matrices.expand_constants(self.network, table.scales)
 
-        # every modelled core in (chip, core id) order, the profile's rows,
-        # and its fixed busy time per step
-        self.chips = sorted(self.placement.roster)
-        chip_row = {chip: i for i, chip in enumerate(self.chips)}
-        self.core_meta = [(chip, core, role, e_idx) for chip in self.chips
-                          for core, e_idx, role in sorted(self.placement.roster[chip])]
-        self.chip_syn_count = {chip: sum(1 for _, _, role in cores if role in SYNAPSE_ROLES)
-                               for chip, cores in self.placement.roster.items()}
-        self.fixed_busy_us = self._fixed_busy()
-        self.ens_chip_row = np.array([chip_row[self.placement.chip_of[e.index]] for e in ens],
-                                     dtype=np.int64)
+        # the core table, every modelled core in (chip, core id) order: its
+        # row of ``chips``, core id, role (0 neuron, 1 Poisson, 2 + k synapse
+        # role k; the cores follow the neuron core in role order) and ensemble
+        n_cores = np.array([e.n_cores for e in ens], dtype=np.int64)
+        core_ens = np.repeat(np.arange(len(ens)), n_cores)
+        offset = matrices.ranges(np.zeros_like(n_cores), n_cores)
+        core_role = offset + ((offset > 0) & (n_cores[core_ens] == 4))  # no Poisson core
+        core_id = placement.core[core_ens] + offset
+        order = np.lexsort((core_id, placement.chip[core_ens]))
+        codes, self.core_chip = np.unique(placement.chip[core_ens[order]], return_inverse=True)
+        self.core_id, self.core_role, self.core_ens = (a[order] for a in (core_id, core_role,
+                                                                          core_ens))
+        self.chips = [divmod(c, self.machine.height) for c in codes.tolist()]
+        self.ens_chip_row = np.searchsorted(codes, placement.chip)
+        # each ensemble adds a neuron core and three synapse cores to its
+        # chip's memory contention
+        ens_per_chip = np.bincount(self.ens_chip_row)[self.ens_chip_row]
+        self.fixed_busy_us = self._fixed_busy(ens_per_chip)
 
         # each neuron's source order: 64 times its ensemble's rank in (source
         # chip x, source chip y, source (neuron) core, key prefix) order, the
         # order packets that arrive together take, plus its neuron id
-        sender = np.array([(*self.placement.chip_of[e.index],
-                            self.placement.core_of[(e.index, ROLE_NEURON)],
-                            self.keys.prefix_of[e.index]) for e in ens], dtype=np.int64)
         rank = np.empty(len(ens), dtype=np.int64)
-        rank[np.lexsort(sender.T[::-1])] = np.arange(len(ens))
+        rank[np.lexsort((self.keys.prefix_of, placement.core, placement.chip))] = \
+            np.arange(len(ens))
         self.source_order = rank[self.ens_of] << NEURON_BITS | self.nid_of
 
         # synapse core 3 * ensemble + k serves SYNAPSE_ROLES[k]
         self.store = build_synaptic_store(table, ens, self.dest_ptr, self.dest_core)
-        refs = [self.placement.core_ref(e.index, role) for e in ens for role in SYNAPSE_ROLES]
-        self.syn = SynapseCoreState(
-            refs, np.repeat(self.ens_chip_row, 3), [self.chip_syn_count[chip] for chip, _ in refs],
-            self.store, self.costs, self.network.total_neurons)
+        self.syn = SynapseCoreState(np.repeat(self.ens_chip_row, 3),
+                                    np.repeat(3 * ens_per_chip, 3), self.store, self.costs,
+                                    self.network.total_neurons)
 
-    def _fixed_busy(self) -> np.ndarray:
-        """Local busy us per step of every core in ``core_meta`` when no
+    def _fixed_busy(self, ens_per_chip: np.ndarray) -> np.ndarray:
+        """Local busy us per step of every core of the core table when no
         packet arrives: a neuron core's input read, neuron updates and buffer
         write, a Poisson core's update and transfer, a synapse core's
-        ring-buffer write; each chip's core counts set its write contention."""
+        ring-buffer write; ``ens_per_chip``, per ensemble, sets the write
+        contention."""
         cm = self.costs
-        busy = []
-        for chip in self.chips:
-            cores = sorted(self.placement.roster[chip])
-            neuron_write = cm.sdram_write_us(sum(1 for _, _, r in cores if r == ROLE_NEURON))
-            ring_write = cm.sdram_write_us(self.chip_syn_count[chip])
-            busy += [cm.neuron_input_read_us + self.ensembles[e].count * cm.neuron_update_us
-                     + neuron_write if role == ROLE_NEURON
-                     else cm.poisson_update_and_transfer_us if role == ROLE_POISSON
-                     else ring_write for _, e, role in cores]
-        return np.array(busy, dtype=np.float64)
+        count = np.array([e.count for e in self.ensembles], dtype=np.int64)
+        neuron = (cm.neuron_input_read_us + count * cm.neuron_update_us
+                  + cm.sdram_write_us(ens_per_chip))
+        ring = cm.sdram_write_us(3 * ens_per_chip)
+        e, role = self.core_ens, self.core_role
+        return np.where(role == 0, neuron[e],
+                        np.where(role == 1, cm.poisson_update_and_transfer_us, ring[e]))
 
     def _check_schedule(self) -> None:
         """Raise on the first core whose fixed work misses its deadline: the
         timer period for a neuron or Poisson core, the pre-deadline margin for
-        a chip's ring-buffer writes.  Chips go in placement order, and on
-        each its neuron and Poisson cores, in core order, before its
-        ring-buffer write."""
+        a chip's ring-buffer writes.  Chips go in placement order (of their
+        first ensemble), and on each its neuron and Poisson cores, in core
+        order, before its ring-buffer write."""
         cm = self.costs
         period_local = cm.timer_period_us * self.slowdown
-        rank = {chip: i for i, chip in enumerate(self.placement.roster)}
-        over = [(rank[chip], role in SYNAPSE_ROLES, core, chip, role, busy)
-                for (chip, core, role, _), busy in zip(self.core_meta, self.fixed_busy_us.tolist())
-                if busy > (cm.second_timer_margin_us if role in SYNAPSE_ROLES else period_local)]
-        if not over:
+        syn = self.core_role >= 2
+        over = np.flatnonzero(self.fixed_busy_us
+                              > np.where(syn, cm.second_timer_margin_us, period_local))
+        if not over.size:
             return
-        _, _, core, chip, role, busy = min(over)
-        if role == ROLE_NEURON:
+        first_ens = np.unique(self.ens_chip_row, return_index=True)[1]
+        i = over[np.lexsort((self.core_id[over], syn[over], first_ens[self.core_chip[over]]))[0]]
+        chip, core, busy = self.chips[self.core_chip[i]], self.core_id[i], self.fixed_busy_us[i]
+        if self.core_role[i] == 0:
             raise SchedulingError(f"neuron core {chip}/{core}: update ({busy:.2f} us) overruns "
                                   f"the {period_local:.2f} us timer period")
-        if role == ROLE_POISSON:
+        if self.core_role[i] == 1:
             raise SchedulingError(f"poisson core {chip}/{core}: update exceeds the timer period")
         raise SchedulingError(f"chip {chip}: ring-buffer write ({busy:.2f} us) exceeds the "
                               "pre-deadline margin")
+
+    def profile_rows(self) -> tuple[list[str], np.ndarray]:
+        """The core table as ``ProfileStore`` reads it: each core's
+        ``x,y,core`` label and its synapse core, or -1."""
+        labels = [f"{x},{y},{core}" for (x, y), core in
+                  zip((self.chips[r] for r in self.core_chip.tolist()), self.core_id.tolist())]
+        return labels, np.where(self.core_role >= 2, 3 * self.core_ens + self.core_role - 2, -1)
 
     # -- execution -----------------------------------------------------------
 
@@ -510,7 +512,8 @@ class HardwareSimulation:
         # slots (excitatory, inhibitory) and the Poisson cores' buffer
         exc_units = inh_units = pois_units = np.zeros(n, dtype=np.int64)
 
-        profile = ProfileStore(self.core_meta, self.fixed_busy_us, n_steps if with_profile else 0)
+        profile = ProfileStore(*self.profile_rows(), self.fixed_busy_us,
+                               n_steps if with_profile else 0)
         consts = self.consts
 
         beacon_steps = max(1, round(BEACON_INTERVAL_S * 1e6 / period_local_us))

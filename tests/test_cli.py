@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import SMALL_SPEC
-from spikert import analysis, cli, matrices, runtime, trace
+from spikert import analysis, cli, matrices, trace
 from spikert.mapping import NEURONS_PER_CORE
 from spikert.network import build_network
 
@@ -40,7 +40,7 @@ def test_run_writes_outputs_and_manifest(tmp_path, model):
     out = tmp_path / "out"
     assert (out / "equivalence.txt").read_text().startswith("identical_traces True")
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["defaults"]["ring_slots"] == runtime.RING_SLOTS
+    assert "ring_slots" not in manifest["defaults"]  # the rings are as deep as the delays need
     assert manifest["defaults"]["neurons_per_core"] == NEURONS_PER_CORE == 64
 
 
@@ -78,8 +78,10 @@ def bad_input_args(tmp_path, model, case):
         return ["--manifest", write(tmp_path, "manifest.json",
                                     json.dumps({"run_config": config}))]
     if case.startswith("machine "):
-        field, value = case.split()[1].split("=")
+        field, value = case.split(" ", 1)[1].split("=")
         return ["--machine", machine_file(tmp_path, **{field: value})]
+    if case.startswith("costs "):
+        return ["--costs", write(tmp_path, "bad.cfg", f"[costs]\n{case.split()[1]}\n")]
     if case.startswith("model "):  # the first line setting the key, rewritten
         key, value = case.split()[1].split("=")
         text = re.sub(rf"^{key} = .*$", f"{key} = {value}", SMALL_SPEC, count=1, flags=re.M)
@@ -143,6 +145,19 @@ def bad_input_args(tmp_path, model, case):
     pytest.param("model poisson_rate_hz=inf",
                  "population E: poisson_rate_hz must be a finite number, got inf",
                  id="model_poisson_rate_inf"),
+    pytest.param("costs contention_ref_writers=1", "cost contention_ref_writers must be >= 2",
+                 id="contention_ref_writers_one"),
+    pytest.param("costs contention_ref_writers=0", "cost contention_ref_writers must be >= 2",
+                 id="contention_ref_writers_zero"),
+    pytest.param("costs clock_hz=0", "cost clock_hz must be positive", id="clock_hz_zero"),
+    pytest.param("costs clock_hz=-2e8", "cost clock_hz must be positive", id="clock_hz_negative"),
+    pytest.param("machine dead_core=0 0 -6", "dead_core count -6 on chip (0, 0) must be >= 0",
+                 id="dead_core_negative"),
+    pytest.param("machine dead_core=99 99 3", "dead_core chip (99, 99) lies outside the 8x6 mesh",
+                 id="dead_core_outside"),
+    pytest.param("machine wrap_vertical=ture",
+                 "line 4: wrap_vertical: expected one of true/false/yes/no/1/0, got 'ture'",
+                 id="wrap_vertical_typo"),
     pytest.param("model v_init_sd_mv=-5", "[simulation]: v_init_sd_mv must be >= 0, got -5.0",
                  id="model_v_init_sd_negative"),
     pytest.param("model e_rest_mv=nan", "population E: e_rest_mv must be a finite number, got nan",

@@ -9,7 +9,6 @@ import pytest
 from conftest import SMALL_SPEC, row_senders, store_rows
 from spikert.clocks import ClockConfig
 from spikert.costs import CostModel
-from spikert.mapping import ROLE_NEURON
 from spikert.matrices import PoissonBank, encode_projections, source_delivery_index
 from spikert.network import build_network, load_network_spec, parse_network_spec, scale_network
 from spikert.runtime import HardwareSimulation, ProfileStore
@@ -70,7 +69,8 @@ def reference_window(sim, c, packets, t, window_start, deadline):
     queued."""
     syn, cm = sim.syn, sim.costs
     rate, wcost, row_ptr = syn.rate[c], syn.wcost[c], store_rows(sim)[0]
-    n_syn = sim.chip_syn_count[syn.refs[c][0]]
+    # three synapse cores per ensemble on the core's chip
+    n_syn = 3 * np.count_nonzero(sim.placement.chip == sim.placement.chip[c // 3])
 
     def words(row):
         return int(row_ptr[row + 1] - row_ptr[row])
@@ -109,13 +109,15 @@ def queued_packets(sim):
     emit, row): the source chip, core and key of the neuron whose synaptic
     row the packet carries, read off the placement and key allocation."""
     neuron, row_core = row_senders(sim)
+    placement = sim.placement
     out: dict[int, list] = {}
     for a, (core, _, emit, row) in zip(sim.syn.q_arrival.tolist(), sim.syn.q_fields.T.tolist()):
         assert row_core[row] == core
         g = int(neuron[row])
         e = int(sim.ens_of[g])
-        out.setdefault(core, []).append((a, *sim.placement.chip_of[e],
-                                         sim.placement.core_of[(e, ROLE_NEURON)],
+        out.setdefault(core, []).append((a, *divmod(int(placement.chip[e]),
+                                                    placement.machine.height),
+                                         int(placement.core[e]),
                                          sim.keys.prefix_of[e] | int(sim.nid_of[g]), emit, row))
     return out
 
@@ -147,9 +149,9 @@ def test_lockstep_window_matches_packet_at_a_time_reference(small_network):
     syn = sim.syn
     rng = np.random.default_rng(7)
     n_chips = len(sim.chips)
-    syn.reset(1.0 + rng.uniform(-2e-5, 2e-5, len(syn.refs)))
+    syn.reset(1.0 + rng.uniform(-2e-5, 2e-5, syn.chip_row.size))
     neuron, row_core = row_senders(sim)
-    profile = ProfileStore(sim.core_meta, sim.fixed_busy_us, 4)
+    profile = ProfileStore(*sim.profile_rows(), sim.fixed_busy_us, 4)
     spans = source_delivery_index(small_network, table)
     ring = np.zeros_like(syn.ring)
     flushed = late_left = 0
@@ -207,7 +209,7 @@ def test_arrival_ties_follow_the_machine_order(benchmark_path):
     starts, durations = np.zeros(n_chips), np.full(n_chips, 100.0)
     expected, late, carry, left = reference_window(
         sim, c, queued_packets(sim)[c], 1, 0.0, 100.0 - 60.0 / syn.rate[c])
-    profile = ProfileStore(sim.core_meta, sim.fixed_busy_us, 2)
+    profile = ProfileStore(*sim.profile_rows(), sim.fixed_busy_us, 2)
     totals = syn.run_window(1, starts, durations, profile)
     assert (profile.received[c, 1], profile.processed[c, 1], profile.flushed[c, 1],
             profile.zero_target[c, 1], profile.kickstarts[c, 1], profile.busy_us[c, 1],

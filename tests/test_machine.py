@@ -119,6 +119,15 @@ def test_dead_core_parsing():
     assert spec.usable_cores((0, 0)) == 16
 
 
+@pytest.mark.parametrize("value,wrap", [("TRUE", True), ("Yes", True), ("1", True),
+                                        ("False", False), ("no", False), ("0", False)])
+def test_wrap_vertical_reads_any_case(value, wrap):
+    """``serialize_machine_spec`` writes True/False; a file may also say
+    yes/no or 1/0, in any case."""
+    spec = parse_machine_spec(f"[machine]\nwidth = 2\nheight = 2\nwrap_vertical = {value}\n")
+    assert spec.wrap_vertical is wrap
+
+
 def test_validation_errors():
     with pytest.raises(SpecError):
         MachineSpec(width=0, height=2).validate()

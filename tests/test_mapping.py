@@ -8,7 +8,8 @@ import pytest
 from conftest import hop_latency_ns, neighbor, route_links
 from spikert import mapping, runtime
 from spikert.machine import LINKS, MachineSpec, load_machine_spec
-from spikert.mapping import (CORE_MASK, NEURON_BITS, SUBPOP_BITS, SYNAPSE_ROLES, RoutingError,
+from spikert.mapping import (CORE_MASK, NEURON_BITS, ROLE_SYN_EXC_LOWER, ROLE_SYN_EXC_UPPER,
+                             ROLE_SYN_INH, SUBPOP_BITS, SYNAPSE_ROLES, RoutingError,
                              RoutingTableOverflowError, RoutingTables, allocate_keys,
                              build_routing_tables, delivery_map, destination_cores, pack_key,
                              partition, place_radial)
@@ -78,9 +79,9 @@ def test_merge_takes_smallest_entry_at_lowest_bit_first():
 
 
 def microcircuit_mapping(benchmark_path, scale, machine=None):
-    """Placement, keys and destination sets of the microcircuit at ``scale``
-    on ``machine`` (a spec file, a MachineSpec, or None for the smallest
-    fitting machine)."""
+    """Placement, keys, planned destinations ``(dest_ptr, dest_core)`` and
+    projections of the microcircuit at ``scale`` on ``machine`` (a spec
+    file, a MachineSpec, or None for the smallest fitting machine)."""
     spec = scale_network(load_network_spec(benchmark_path, "poisson"), scale)
     net = build_network(spec, 1, sample_synapses=False)
     ensembles = partition(net)
@@ -91,7 +92,43 @@ def microcircuit_mapping(benchmark_path, scale, machine=None):
             machine = load_machine_spec(machine)
         placement = place_radial(ensembles, machine)
     keys = allocate_keys(placement)
-    return placement, keys, destination_cores(placement, net.spec.projections)
+    projections = net.spec.projections
+    return placement, keys, destination_cores(placement, projections), projections
+
+
+def chip_xy(placement, e):
+    return divmod(int(placement.chip[e]), placement.machine.height)
+
+
+def core_ref(placement, e, role):
+    """(chip, core id) of ensemble e's core of ``role``: its cores follow its
+    neuron core in ``Ensemble.roles`` order."""
+    return chip_xy(placement, e), int(placement.core[e]) + placement.ensembles[e].roles.index(role)
+
+
+def reference_destinations(placement, projections):
+    """Reference: the per-ensemble destination sets that
+    ``destination_cores`` replaced, {ensemble: {(chip, core id)}}.  A packet
+    goes to every ensemble of each target population, at its core of the
+    source's synapse role: the inhibitory core for an inhibitory source,
+    else the lower excitatory core for the lower half of the source
+    population's sub-populations and the upper one for the rest."""
+    n_subs: dict[int, int] = {}
+    for e in placement.ensembles:
+        n_subs[e.pop] = max(n_subs.get(e.pop, 0), e.subpop + 1)
+    targets_of: dict[str, set[str]] = {}
+    for proj in projections:
+        targets_of.setdefault(proj.source, set()).add(proj.target)
+    dests = {}
+    for e in placement.ensembles:
+        if e.polarity == "inh":
+            role = ROLE_SYN_INH
+        else:
+            role = ROLE_SYN_EXC_LOWER if e.subpop < (n_subs[e.pop] + 1) // 2 else \
+                ROLE_SYN_EXC_UPPER
+        dests[e.index] = {core_ref(placement, f.index, role) for f in placement.ensembles
+                          if f.pop_name in targets_of.get(e.pop_name, ())}
+    return dests
 
 
 def reference_route_tree(machine, src_chip, dest_chips):
@@ -133,7 +170,7 @@ def reference_tables(placement, keys, dests):
         by_chip = {}
         for chip, core in dests[e.index]:
             by_chip[chip] = by_chip.get(chip, 0) | 1 << core
-        for chip, links in reference_route_tree(machine, placement.chip_of[e.index],
+        for chip, links in reference_route_tree(machine, chip_xy(placement, e.index),
                                                 frozenset(by_chip)):
             raw.setdefault(chip, {})[(keys.prefix_of[e.index], CORE_MASK)] = \
                 (by_chip.get(chip, 0), links)
@@ -158,11 +195,12 @@ def table_rows(tables):
 ])
 def test_build_matches_the_reference(benchmark_path, machine_path, scale, machine):
     """The array build gives the reference's rows, row for row."""
-    placement, keys, dests = microcircuit_mapping(
+    placement, keys, plan, projections = microcircuit_mapping(
         benchmark_path, scale, machine_path if machine == "12board" else machine)
-    tables = build_routing_tables(placement, keys, dests)
+    tables = build_routing_tables(placement, keys, *plan)
     assert tables.chip.size > 0
-    assert table_rows(tables) == reference_tables(placement, keys, dests)
+    assert table_rows(tables) == reference_tables(
+        placement, keys, reference_destinations(placement, projections))
 
 
 @pytest.mark.parametrize("wrap", [False, True], ids=["flat", "wrapped"])
@@ -269,37 +307,58 @@ def reference_walk(tables, src_chip, key):
 
 def csr_row(csr, e):
     lo, hi = csr[0][e], csr[0][e + 1]
-    return list(zip(csr[1][lo:hi].tolist(), csr[2][lo:hi].tolist()))
+    return list(zip(*(col[lo:hi].tolist() for col in csr[1:])))
+
+
+def synapse_cores(placement):
+    """{(chip, core id): synapse core} of every synapse core ``3 * e + k``."""
+    return {core_ref(placement, e.index, role): 3 * e.index + k
+            for e in placement.ensembles for k, role in enumerate(SYNAPSE_ROLES)}
 
 
 @pytest.mark.parametrize("on_12_boards", [False, True], ids=["default", "12board"])
 def test_delivery_map_reaches_exactly_the_destination_cores(
         benchmark_path, machine_path, on_12_boards):
-    placement, keys, dests = microcircuit_mapping(
+    """The planned CSR holds each ensemble's reference destination set in
+    (chip, core id) order, and the routers deliver exactly it."""
+    placement, keys, (dest_ptr, dest_core), projections = microcircuit_mapping(
         benchmark_path, 0.05, machine_path if on_12_boards else None)
-    tables = build_routing_tables(placement, keys, dests)
-    csr = delivery_map(placement, keys, tables, dests)
-    assert any(dests.values())
+    expected = reference_destinations(placement, projections)
+    assert any(expected.values())
+    syn_core = synapse_cores(placement)
     for e in placement.ensembles:
-        cores = [core for core, _ in csr_row(csr, e.index)]
-        assert len(cores) == len(set(cores))
-        assert {placement.core_ref(c // 3, SYNAPSE_ROLES[c % 3]) for c in cores} == \
-            dests[e.index]
+        assert dest_core[dest_ptr[e.index]:dest_ptr[e.index + 1]].tolist() == \
+            [syn_core[ref] for ref in sorted(expected[e.index])]
+    tables = build_routing_tables(placement, keys, dest_ptr, dest_core)
+    assert delivery_map(placement, keys, tables, dest_ptr, dest_core).size == dest_core.size
+
+
+def test_delivery_map_rejects_a_missed_core(benchmark_path):
+    """One core bit cleared in one routing entry leaves a planned core
+    unreached; the walk's check names the key of the entry's ensemble."""
+    placement, keys, plan, _ = microcircuit_mapping(benchmark_path, 0.05)
+    tables = build_routing_tables(placement, keys, *plan)
+    i = int(np.flatnonzero((tables.mask == CORE_MASK) & (tables.cores != 0))[0])
+    cores = tables.cores.copy()
+    cores[i] &= cores[i] - 1
+    broken = dataclasses.replace(tables, cores=cores)
+    key = int(tables.key[i])
+    with pytest.raises(RoutingError, match=f"^key 0x{key:08x}: the routers do not deliver"):
+        delivery_map(placement, keys, broken, *plan)
 
 
 @pytest.mark.parametrize("on_12_boards", [False, True], ids=["default", "12board"])
 def test_delivery_map_matches_the_reference_walk(benchmark_path, machine_path, on_12_boards):
     """Each ensemble's row of the CSR holds the reference walk's deliveries,
     in (chip, core id) order, with bit-identical transit times."""
-    placement, keys, dests = microcircuit_mapping(
+    placement, keys, plan, _ = microcircuit_mapping(
         benchmark_path, 0.05, machine_path if on_12_boards else None)
-    tables = build_routing_tables(placement, keys, dests)
-    csr = delivery_map(placement, keys, tables, dests)
-    syn_core = {placement.core_ref(e.index, role): 3 * e.index + k
-                for e in placement.ensembles for k, role in enumerate(SYNAPSE_ROLES)}
+    tables = build_routing_tables(placement, keys, *plan)
+    csr = (*plan, delivery_map(placement, keys, tables, *plan))
+    syn_core = synapse_cores(placement)
     for e in placement.ensembles:
-        walked = reference_walk(tables, placement.chip_of[e.index], keys.prefix_of[e.index]) \
-            if dests[e.index] else {}
+        walked = reference_walk(tables, chip_xy(placement, e.index), keys.prefix_of[e.index]) \
+            if plan[0][e.index + 1] > plan[0][e.index] else {}
         assert csr_row(csr, e.index) == [(syn_core[ref], t * 1e-3)
                                          for ref, t in sorted(walked.items())]
 
@@ -307,8 +366,9 @@ def test_delivery_map_matches_the_reference_walk(benchmark_path, machine_path, o
 def test_delivery_map_is_pinned(benchmark_path, machine_path):
     # At microcircuit 0.1 on the 12-board machine: the bytes of dest_ptr,
     # dest_core (int64) and dest_transit_us (float64), concatenated.
-    placement, keys, dests = microcircuit_mapping(benchmark_path, 0.1, machine_path)
-    csr = delivery_map(placement, keys, build_routing_tables(placement, keys, dests), dests)
+    placement, keys, plan, _ = microcircuit_mapping(benchmark_path, 0.1, machine_path)
+    csr = (*plan, delivery_map(placement, keys, build_routing_tables(placement, keys, *plan),
+                               *plan))
     assert [a.dtype for a in csr] == [np.int64, np.int64, np.float64]
     assert csr[1].size == 15036
     assert hashlib.sha256(b"".join(a.tobytes() for a in csr)).hexdigest() == \
@@ -317,14 +377,14 @@ def test_delivery_map_is_pinned(benchmark_path, machine_path):
 
 def test_too_small_entry_limit_raises_overflow(benchmark_path):
     """The error names the lowest overflowing chip and its entry count."""
-    placement, keys, dests = microcircuit_mapping(benchmark_path, 0.05)
-    counts = build_routing_tables(placement, keys, dests).entry_counts()
+    placement, keys, plan, _ = microcircuit_mapping(benchmark_path, 0.05)
+    counts = build_routing_tables(placement, keys, *plan).entry_counts()
     needed = max(counts.values())
     lowest = min(chip for chip, n in counts.items() if n == needed)
     small = dataclasses.replace(placement, machine=dataclasses.replace(
         placement.machine, routing_entries_per_chip=needed - 1))
     with pytest.raises(RoutingTableOverflowError) as err:
-        build_routing_tables(small, keys, dests)
+        build_routing_tables(small, keys, *plan)
     assert str(err.value) == \
         f"chip {lowest}: {needed} routing entries exceed the limit of {needed - 1}"
 
@@ -332,8 +392,8 @@ def test_too_small_entry_limit_raises_overflow(benchmark_path):
 def test_routing_tables_are_pinned(benchmark_path, machine_path):
     # The routing_tables.txt of a --map-only CLI run at scale 0.1 on the
     # 12-board machine; any change to the merge order shows here.
-    placement, keys, dests = microcircuit_mapping(benchmark_path, 0.1, machine_path)
-    tables = build_routing_tables(placement, keys, dests)
+    placement, keys, plan, _ = microcircuit_mapping(benchmark_path, 0.1, machine_path)
+    tables = build_routing_tables(placement, keys, *plan)
     assert sum(tables.entry_counts().values()) == 1970
     assert hashlib.sha256(tables.serialize().encode()).hexdigest() == \
         "803be29cc9f67c0a322c04ead0cbe4a639f7e84ec5d5cb90b1e49fb793f98d7f"

@@ -226,27 +226,33 @@ def test_profile_counts_synapse_cores_only(benchmark_path):
     net = build_network(scale_network(load_network_spec(benchmark_path, "poisson"), 0.02), seed=1)
     sim = HardwareSimulation(net, encode_projections(net))
     profile = sim.run(1.0, PoissonBank(net, 2, 10)).profile
-    assert (len(sim.core_meta), len(sim.ensembles)) == (135, 27)
+    assert len(sim.ensembles) == 27
     for col in (profile.received, profile.processed, profile.flushed, profile.zero_target,
                 profile.kickstarts, profile.busy_us, profile.processed_events,
                 profile.flushed_events):
         assert col.shape == (81, 10)
-    cm = sim.costs
-    lines = profile.serialize().splitlines()[1:]
-    assert len(lines) == 135 * 10
+    rows: dict[str, list[str]] = {}
+    for line in profile.serialize().splitlines()[1:]:
+        rows.setdefault(line.split()[0], []).append(line)
+    assert len(rows) == 135
+    assert list(rows) == sorted(rows, key=lambda label: tuple(map(int, label.split(","))))
+    cm, placement = sim.costs, sim.placement
     fixed = 0
-    for i, (chip, core, role, e) in enumerate(sim.core_meta):
-        if role == ROLE_NEURON:
-            n_neuron = sum(r == ROLE_NEURON for _, _, r in sim.placement.roster[chip])
-            busy = (cm.neuron_input_read_us + sim.ensembles[e].count * cm.neuron_update_us
-                    + cm.sdram_write_us(n_neuron))
-        elif role == ROLE_POISSON:
-            busy = cm.poisson_update_and_transfer_us
-        else:
-            continue
-        assert lines[10 * i:10 * i + 10] == [f"{chip[0]},{chip[1]},{core} {t} 0 0 0 0 0 {busy:.4f}"
-                                             for t in range(10)]
-        fixed += 1
+    for e in sim.ensembles:
+        x, y = divmod(int(placement.chip[e.index]), placement.machine.height)
+        # every ensemble on the chip has one neuron core writing its buffer
+        n_neuron = np.count_nonzero(placement.chip == placement.chip[e.index])
+        for i, role in enumerate(e.roles):
+            if role == ROLE_NEURON:
+                busy = (cm.neuron_input_read_us + e.count * cm.neuron_update_us
+                        + cm.sdram_write_us(n_neuron))
+            elif role == ROLE_POISSON:
+                busy = cm.poisson_update_and_transfer_us
+            else:
+                continue
+            label = f"{x},{y},{placement.core[e.index] + i}"
+            assert rows[label] == [f"{label} {t} 0 0 0 0 0 {busy:.4f}" for t in range(10)]
+            fixed += 1
     assert fixed == 135 - 81
 
 
