@@ -10,6 +10,7 @@ reproduce every output byte for byte.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import math
@@ -112,6 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # A C allocation of 1 MiB or more gets its own mapping, unmapped when
+    # freed, and each phase hands its freed heap pages back (malloc_trim in
+    # ``run``): glibc otherwise raises the threshold to each large block freed,
+    # so the released synapse arrays stay resident in its heap, and whether
+    # later arrays reuse them depends on allocation order, which moved the
+    # peak RSS of one run by 7 MB from start to start.
+    _libc("mallopt", -3, 1 << 20)  # M_MMAP_THRESHOLD
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -144,6 +152,18 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
+
+
+try:
+    _LIBC = ctypes.CDLL(None)  # the process's own symbols: the C library's on Linux
+except (OSError, TypeError):  # no handle to load on Windows
+    _LIBC = None
+
+
+def _libc(name: str, *args) -> None:
+    """Call the C library's ``name`` where the process has one (glibc)."""
+    if hasattr(_LIBC, name):
+        getattr(_LIBC, name)(*args)
 
 
 def _config_from_manifest(path: str, out_override: str | None = None) -> RunConfig:
@@ -200,11 +220,13 @@ def run(cfg: RunConfig) -> None:
     texts = {}  # each trace serialised once, for its file and the comparison
     # one encoded synapse table and one Poisson bank, read by both simulators
     table = matrices.encode_projections(net, keep_weights=not cfg.oracle_quantize)
+    _libc("malloc_trim", 0)
     sim = res = None
     if cfg.mode in ("hardware", "both"):
         sim = runtime.HardwareSimulation(
             net, table, machine=machine, costs=costs, clock_cfg=clock_cfg,
             drift_seed=cfg.seed_drift, slowdown=cfg.slowdown)
+        _libc("malloc_trim", 0)
     bank = matrices.PoissonBank(net, cfg.seed_poisson, round(steps))
     if sim is not None:
         res = sim.run(cfg.duration_ms, bank, discard_ms=cfg.discard_ms,

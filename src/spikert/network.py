@@ -382,14 +382,18 @@ def build_network(spec: NetworkSpec, seed: int, sample_synapses: bool = True) ->
     projections = None
     if sample_synapses:
         pop_index = {p.name: i for i, p in enumerate(spec.populations)}
+        # the draws of every projection's sampling blocks, and their hits
+        draws = np.empty(max(SAMPLE_BLOCK, *(p.size for p in spec.populations)))
+        hits = np.empty(draws.size, dtype=bool)
         projections = []
         for j, proj in enumerate(spec.projections):
-            projections.append(_sample_projection(spec, proj, j, pop_index, seed))
+            projections.append(_sample_projection(spec, proj, j, pop_index, seed, draws, hits))
     return NetworkModel(spec, seed, offsets, v_init, projections)
 
 
 def _sample_projection(spec: NetworkSpec, proj: ProjectionSpec, index: int,
-                       pop_index: dict, seed: int) -> SampledProjection:
+                       pop_index: dict, seed: int, draw_buf: np.ndarray,
+                       hit_buf: np.ndarray) -> SampledProjection:
     src = spec.population(proj.source)
     tgt = spec.population(proj.target)
     rng = make_rng(seed, f"projection:{index}:{proj.name}")
@@ -401,8 +405,8 @@ def _sample_projection(spec: NetworkSpec, proj: ProjectionSpec, index: int,
     posts: list[np.ndarray] = []
     if proj.probability > 0.0:
         block = max(1, SAMPLE_BLOCK // n_post)
-        draws = np.empty((min(block, n_pre), n_post))
-        hits = np.empty(draws.shape, dtype=bool)
+        draws = draw_buf[:min(block, n_pre) * n_post].reshape(-1, n_post)
+        hits = hit_buf[:draws.size].reshape(draws.shape)
         for lo in range(0, n_pre, block):
             m = min(block, n_pre - lo)
             rng.random(out=draws[:m])
@@ -418,12 +422,17 @@ def _sample_projection(spec: NetworkSpec, proj: ProjectionSpec, index: int,
     w = rng.normal(sign * proj.weight_pa, proj.weight_sd_pa, total)
     (np.maximum if sign > 0 else np.minimum)(w, 0.0, out=w)
 
-    d = rng.normal(proj.delay_ms, proj.delay_sd_ms, total)
-    d /= spec.dt_ms
-    d += 0.5
-    steps = np.floor(d, out=d).astype(np.int64)
-    del d
-    np.clip(steps, 1, MAX_DELAY_STEPS, out=steps)
+    # delays block by block in the draw buffer: normal(mu, sd) is mu + sd *
+    # standard_normal, and the blocks draw the stream of one call
+    steps = np.empty(total, dtype=np.int16)
+    for lo in range(0, total, draw_buf.size):
+        d = draw_buf[:min(draw_buf.size, total - lo)]
+        rng.standard_normal(out=d)
+        d *= proj.delay_sd_ms
+        d += proj.delay_ms
+        d /= spec.dt_ms
+        d += 0.5
+        steps[lo:lo + d.size] = np.clip(np.floor(d, out=d), 1, MAX_DELAY_STEPS, out=d)
 
     return SampledProjection(proj, pop_index[proj.source], pop_index[proj.target],
-                             row_ptr, post, w, steps.astype(np.int16))
+                             row_ptr, post, w, steps)
