@@ -3,7 +3,7 @@ machine running spiking networks in real time, plus a direct reference
 simulator and analysis tooling."""
 
 from .costs import CostModel
-from .kinetics import NeuronParams, NeuronState, lif_step, poisson_sample
+from .kinetics import NeuronParams, NeuronState, lif_step
 from .machine import MachineSpec, auto_machine, load_machine_spec
 from .mapping import allocate_keys, build_routing_tables, partition, place_radial
 from .matrices import PoissonBank, encode_projections
@@ -20,5 +20,5 @@ __all__ = [
     "NeuronParams", "NeuronState", "PoissonBank", "RunResult", "SpikeTrace", "allocate_keys",
     "auto_machine", "build_network", "build_routing_tables", "encode_projections", "lif_step",
     "load_machine_spec", "load_network_spec", "load_trace", "oracle_simulate", "partition",
-    "place_radial", "poisson_sample", "scale_network",
+    "place_radial", "scale_network",
 ]

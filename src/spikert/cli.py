@@ -5,11 +5,19 @@ places the network, executes the machine model and/or the reference
 simulator, and writes traces, profiles, sync diagnostics, statistics and a
 manifest.  The manifest plus the copied resolved spec files are enough to
 reproduce every output byte for byte.
+
+A run's memory does not grow with its simulated duration, apart from the
+spike record that the traces and statistics are made from: the Poisson bank
+holds one chunk of steps at a time, the profile counters are spilled to
+``SPILL_FILE`` in the output directory as the run goes (and the file is
+removed once the profile files are written), and the traces and profiles are
+written to their files in pieces, never built as one string.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import dataclasses
 import json
@@ -37,6 +45,8 @@ EXIT_PLACEMENT = 4
 EXIT_KEY = 5
 EXIT_ROUTING = 6
 EXIT_IO = 7
+
+SPILL_FILE = "profile_counters.bin"  # scratch file of a run, removed before it ends
 
 
 @dataclass
@@ -217,7 +227,6 @@ def run(cfg: RunConfig) -> None:
 
     clock_cfg = ClockConfig(drift_bound_ppm=cfg.drift_bound_ppm)
     results = {}
-    texts = {}  # each trace serialised once, for its file and the comparison
     # one encoded synapse table and one Poisson bank, read by both simulators
     table = matrices.encode_projections(net, keep_weights=not cfg.oracle_quantize)
     _libc("malloc_trim", 0)
@@ -228,22 +237,25 @@ def run(cfg: RunConfig) -> None:
             drift_seed=cfg.seed_drift, slowdown=cfg.slowdown)
         _libc("malloc_trim", 0)
     bank = matrices.PoissonBank(net, cfg.seed_poisson, round(steps))
-    if sim is not None:
-        res = sim.run(cfg.duration_ms, bank, discard_ms=cfg.discard_ms,
-                      with_profile=cfg.profile == "full")
-        results["hardware"] = res.trace
-    if cfg.mode in ("oracle", "both"):
-        results["oracle"] = oracle.oracle_simulate(
-            net, table, bank, cfg.duration_ms, quantize=cfg.oracle_quantize,
-            discard_ms=cfg.discard_ms)
-    del table, bank  # the outputs need neither
+    # the profile counters are spilled to the output directory as the run
+    # goes, and read back from there when their files are written
+    with _scratch_file(os.path.join(cfg.out, SPILL_FILE)) as spill:
+        if sim is not None:
+            res = sim.run(cfg.duration_ms, bank, discard_ms=cfg.discard_ms,
+                          with_profile=cfg.profile == "full", spill=spill)
+            results["hardware"] = res.trace
+        if cfg.mode in ("oracle", "both"):
+            results["oracle"] = oracle.oracle_simulate(
+                net, table, bank, cfg.duration_ms, quantize=cfg.oracle_quantize,
+                discard_ms=cfg.discard_ms)
+        del table, bank  # the outputs need neither
+        if res is not None and cfg.profile == "full":
+            _write(cfg, "profile.tsv", res.profile.serialize)
+            _write(cfg, "profile_events.tsv", res.profile.serialize_events)
 
     if res is not None:
-        texts["hardware"] = res.trace.serialize()
-        _write(cfg, "trace_hardware.txt", texts["hardware"])
+        _write(cfg, "trace_hardware.txt", res.trace.serialize)
         if cfg.profile == "full":
-            _write(cfg, "profile.tsv", res.profile.serialize())
-            _write(cfg, "profile_events.tsv", res.profile.serialize_events())
             rep = analysis.flush_report(res.profile)
             _write(cfg, "flush_report.txt", _flush_text(rep, res))
         _write(cfg, "sync.tsv", res.sync_diagnostics.serialize())
@@ -252,8 +264,7 @@ def run(cfg: RunConfig) -> None:
         _write(cfg, "placement_summary.txt", placement_summary(sim))
         _write(cfg, "machine.mach", serialize_machine_spec(sim.machine))
     if "oracle" in results:
-        texts["oracle"] = results["oracle"].serialize()
-        _write(cfg, "trace_oracle.txt", texts["oracle"])
+        _write(cfg, "trace_oracle.txt", results["oracle"].serialize)
 
     for name, tr in results.items():
         if len(tr):
@@ -265,7 +276,7 @@ def run(cfg: RunConfig) -> None:
         _write(cfg, f"counts_{name}.tsv", "\n".join(lines) + "\n")
 
     if cfg.mode == "both":
-        same = texts["hardware"] == texts["oracle"]
+        same = results["hardware"] == results["oracle"]
         _write(cfg, "equivalence.txt",
                f"identical_traces {same}\n"
                f"hardware_spikes {len(results['hardware'])}\n"
@@ -354,9 +365,27 @@ def _write_manifest(cfg: RunConfig, costs: CostModel, sim) -> None:
     _write(cfg, "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _write(cfg: RunConfig, name: str, text: str) -> None:
+@contextlib.contextmanager
+def _scratch_file(path: str):
+    """A new binary file at ``path``, open for writing and reading, closed
+    and removed when the block ends."""
+    fh = open(path, "w+b")
+    try:
+        with fh:
+            yield fh
+    finally:
+        os.remove(path)
+
+
+def _write(cfg: RunConfig, name: str, content) -> None:
+    """Write the output file ``name``: ``content`` is its text, or a function
+    that writes the text to the open file, so that a large file is written
+    in pieces."""
     with open(os.path.join(cfg.out, name), "w", encoding="utf-8") as fh:
-        fh.write(text)
+        if callable(content):
+            content(fh)
+        else:
+            fh.write(content)
 
 
 if __name__ == "__main__":

@@ -145,10 +145,3 @@ def make_rng(seed: int, *scope) -> np.random.Generator:
     for part in scope:
         entropy.append(_label_key(part) if isinstance(part, str) else int(part))
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-
-
-def poisson_sample(rate_hz: float, dt_ms: float, stream: np.random.Generator) -> int:
-    """One Poisson event-count draw for a window of dt at the given rate."""
-    if rate_hz < 0:
-        raise ValueError("poisson rate must be non-negative")
-    return int(stream.poisson(rate_hz * dt_ms * 1e-3))

@@ -19,8 +19,10 @@ which is what makes their spike-for-spike agreement exact rather than
 approximate.  Both size their delay rings from the table,
 to the smallest power of two above its longest delay (``ring_slots``).
 
-Background input is drawn once per run as well: one ``PoissonBank``, which
-both simulators read step by step.
+Background input comes from one ``PoissonBank`` per run, which both
+simulators read step by step.  It holds one chunk of ``CHUNK_STEPS`` steps
+at a time and draws the next when a simulator reads past it, so its memory
+does not grow with the simulated duration.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from .kinetics import Propagator, make_rng
 from .network import NetworkModel, PoissonInput
 
 BLOCK = 1 << 18  # synapses per block of encoding and indexing work: bounds its temporaries
+# steps per chunk of background input and of profile counters held in memory
+CHUNK_STEPS = 256
 
 
 @dataclass
@@ -59,6 +63,12 @@ class SynapseTable:
     row_ptrs: list[np.ndarray]
     pre_base: np.ndarray
     scales: weights.AccumulatorScales
+
+    def max_block(self) -> int:
+        """The most synapses one block of ``blocks`` can hold: its last
+        source neuron starts in its first one's BLOCK-aligned window."""
+        longest = max((int(np.diff(r).max(initial=0)) for r in self.row_ptrs), default=0)
+        return min(self.post.size, BLOCK + longest)
 
     def blocks(self):
         """(projection, lo, hi, pre) of each block of the table, in table
@@ -205,15 +215,21 @@ def source_delivery_index(network: NetworkModel, table: SynapseTable) -> SourceS
 
 
 class PoissonBank:
-    """Pre-drawn event counts for every background source, one stream per
-    source so draws never depend on scheduling.
+    """Event counts of every background source, drawn ``CHUNK_STEPS`` steps
+    at a time from one stream per source, so draws never depend on
+    scheduling or on the chunk length (chunked ``Generator.poisson`` draws
+    equal one-shot draws).
 
-    All sources share one ``(sources, n_steps)`` matrix, population by
-    population in network order; population p's rows are also viewed as
-    ``counts[p]``.  Row r feeds global neuron ``neuron[r]`` with weight
-    ``w_row[r]``, its population's ``w_q``.  A run draws one bank and both
-    simulators read a step's input from it through ``units_at``, indexed by
-    global neuron.
+    Source r, population by population in network order, feeds global
+    neuron ``neuron[r]`` with weight ``w_row[r]``, its population's ``w_q``.
+    The chunk in hand is one step-major ``(CHUNK_STEPS, sources)`` int16
+    array, so a step's counts are one contiguous row (``counts_at``);
+    ``counts[p]`` views population p's sources in it, one row per source and
+    one column per step of the chunk.  A run builds one bank, and both
+    simulators read it from step 0 through ``units_at``.  Reading a step
+    before the chunk in hand restores every generator to its state when the
+    bank was built and draws again from step 0, so the second simulator
+    reads the same counts as the first.
     """
 
     def __init__(self, network: NetworkModel, seed: int, n_steps: int):
@@ -222,32 +238,53 @@ class PoissonBank:
         pois = [p for p, pop in enumerate(network.populations)
                 if isinstance(pop.background, PoissonInput)]
         n_rows = sum(network.populations[p].size for p in pois)
-        self.matrix = np.zeros((n_rows, n_steps), dtype=np.int16)
+        self.chunk = np.zeros((min(CHUNK_STEPS, n_steps), n_rows), dtype=np.int16)
         self.w_row = np.zeros(n_rows, dtype=np.int64)  # w_q of each source
         self.neuron = np.zeros(n_rows, dtype=np.int64)
         self.counts: dict[int, np.ndarray] = {}
         self.w_q: dict[int, int] = {}
+        self._rngs: list[np.random.Generator] = []
+        self._lam: list[float] = []  # events per step of each source
         row = 0
         for p in pois:
             pop = network.populations[p]
             exp = weights.poisson_scale_exp(pop.background.weight_pa)
             self.w_q[p] = int(round(pop.background.weight_pa * 2.0 ** exp))
-            lam = pop.background.rate_hz * network.dt_ms * 1e-3
-            mat = self.matrix[row:row + pop.size]
-            for i in range(pop.size):
-                rng = make_rng(seed, "poisson", pop.name, i)
-                mat[i] = rng.poisson(lam, n_steps)
-            self.counts[p] = mat
+            self._rngs += [make_rng(seed, "poisson", pop.name, i) for i in range(pop.size)]
+            self._lam += [pop.background.rate_hz * network.dt_ms * 1e-3] * pop.size
+            self.counts[p] = self.chunk[:, row:row + pop.size].T
             self.w_row[row:row + pop.size] = self.w_q[p]
             self.neuron[row:row + pop.size] = network.offsets[p] + np.arange(pop.size)
             row += pop.size
+        self._start = [rng.bit_generator.state for rng in self._rngs]
+        self._at = -1  # the chunk in hand; none before the first read
+
+    def _seek(self, t: int) -> int:
+        """Make the chunk holding step t the one in hand; returns t's column."""
+        if not 0 <= t < self.n_steps:
+            raise IndexError(f"step {t} outside the bank's {self.n_steps} steps")
+        k = t // CHUNK_STEPS
+        if k < self._at:  # a new reader: every stream starts again
+            for rng, state in zip(self._rngs, self._start):
+                rng.bit_generator.state = state
+            self._at = -1
+        while self._at < k:
+            self._at += 1
+            steps = min(CHUNK_STEPS, self.n_steps - self._at * CHUNK_STEPS)
+            for r, (rng, lam) in enumerate(zip(self._rngs, self._lam)):
+                self.chunk[:steps, r] = rng.poisson(lam, steps)
+        return t - k * CHUNK_STEPS
+
+    def counts_at(self, t: int) -> np.ndarray:
+        """Event counts of every source at step t."""
+        return self.chunk[self._seek(t)]
 
     def units_slice(self, pop: int, lo: int, count: int, t: int) -> tuple[np.ndarray, int]:
         """(accumulated units, clipped entries) for one core's sources at step t."""
         mat = self.counts.get(pop)
         if mat is None:
             return np.zeros(count, dtype=np.int64), 0
-        counts = mat[lo:lo + count, t]
+        counts = mat[lo:lo + count, self._seek(t)]
         raw = counts.astype(np.int64) * self.w_q[pop]
         units = np.minimum(raw, weights.POISSON_ACC_MAX)
         return units, int(np.count_nonzero(raw > weights.POISSON_ACC_MAX))
@@ -255,7 +292,7 @@ class PoissonBank:
     def units_at(self, t: int) -> tuple[np.ndarray, int]:
         """(accumulated units per global neuron, clipped entries) at step t,
         in one gather; DC populations get zero."""
-        raw = self.matrix[:, t].astype(np.int64) * self.w_row
+        raw = self.counts_at(t).astype(np.int64) * self.w_row
         out = np.zeros(self.network.total_neurons, dtype=np.int64)
         out[self.neuron] = np.minimum(raw, weights.POISSON_ACC_MAX)
         return out, int(np.count_nonzero(raw > weights.POISSON_ACC_MAX))

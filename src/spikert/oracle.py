@@ -6,11 +6,15 @@ integrator, the Poisson bank and (when quantization is on) the encoded
 synapse table with the machine model, so a machine run that never flushes
 and never misses a window must reproduce this trace byte for byte.
 
-The caller encodes the table (``matrices.encode_projections``) and draws the
+The caller encodes the table (``matrices.encode_projections``) and builds the
 bank (``matrices.PoissonBank``) once per run and passes both in; the oracle
-only reads them.  It reads the table in place: a spike's synapses are its
-source neuron's spans into the table (``matrices.source_delivery_index``),
-one per projection from its population, gathered in the table's narrow
+only reads them.  It reads the bank step by step from step 0, one chunk of
+steps in memory at a time; when the machine model has read the bank first,
+the bank starts its streams again, so both see the same counts, the
+unquantized path included.  It reads the table in place: a spike's
+synapses are its source neuron's spans into the table
+(``matrices.source_delivery_index``), one per projection from its
+population, gathered in the table's narrow
 dtypes (int32 targets, int32 or int64 units, uint8 delays) and widened to
 int64 before they are added up.  The unquantized path reads the network's
 float weights, aligned with the table, through the same spans, spike by
@@ -110,5 +114,5 @@ def _float_poisson(bank: matrices.PoissonBank, w_pa: np.ndarray, t: int, n: int)
     """Background input in pA at step t; ``w_pa`` is each bank row's weight."""
     out = np.zeros(n, dtype=np.float64)
     if t >= 0:
-        out[bank.neuron] = bank.matrix[:, t] * w_pa
+        out[bank.neuron] = bank.counts_at(t) * w_pa
     return out

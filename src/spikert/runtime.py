@@ -50,7 +50,8 @@ Only a synapse core's work varies with the spike load.  Set-up computes
 the fixed busy time per step of every modelled core once, over the core
 table (arrays in (chip, core id) order), and checks it against the timer
 period; the profile counts per step for the synapse cores alone
-(``ProfileStore``).
+(``ProfileStore``), one chunk of steps in memory and the rest spilled to a
+file.
 
 The whole machine advances in a single deterministic virtual timeline:
 identical inputs give identical traces and profiles.
@@ -58,6 +59,7 @@ identical inputs give identical traces and profiles.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,88 +132,169 @@ def build_synaptic_store(table: matrices.SynapseTable, ensembles: list[Ensemble]
     lo = np.zeros((int(n_dest.sum()), max(col, default=-1) + 1), dtype=np.int32)
     n = np.zeros(lo.shape, dtype=np.uint8)
 
+    # the working arrays of a block, allocated once; ``take`` with
+    # mode="clip" writes into them unbuffered (every index is in range)
+    cap = table.max_block()
+    post_buf, ens_buf, pair_buf, row_buf = (np.empty(cap, dtype=np.intp) for _ in range(4))
+    pos_buf = np.empty(cap, dtype=np.int32)
+    new_buf = np.empty(cap, dtype=bool)
+    pos_flat = pos_of.reshape(-1)
+    src_key = ens_of * n_ens  # a source neuron's row of pos_of, flattened
+
     # a block's synapses of one source neuron onto one row are one run of
     # equal rows, written in place as the row's span of the block's projection
     for p, start, end, pre in table.blocks():
-        if start == end:
+        m = end - start
+        if not m:
             continue
-        post = table.post[start:end].astype(np.intp)
-        pos = pos_of[ens_of[pre], ens_of[post]]
+        post, ens, pair, pos, row, new = (b[:m] for b in (post_buf, ens_buf, pair_buf, pos_buf,
+                                                          row_buf, new_buf))
+        post[:] = table.post[start:end]
+        np.take(src_key, pre, out=pair, mode="clip")
+        pair += np.take(ens_of, post, out=ens, mode="clip")
+        np.take(pos_flat, pair, out=pos, mode="clip")
         if pos.min() < 0:
             i = int(np.argmax(pos < 0))
             raise RuntimeError(f"{ensembles[ens_of[pre[i]]].pop_name}->"
-                               f"{ensembles[ens_of[post[i]]].pop_name}: synapses on a "
+                               f"{ensembles[ens[i]].pop_name}: synapses on a "
                                "core that no packet of their source reaches")
-        row = row_base[pre] + pos
-        cut = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
+        np.take(row_base, pre, out=row, mode="clip")
+        row += pos
+        new[0] = True
+        np.not_equal(row[1:], row[:-1], out=new[1:])
+        cut = np.flatnonzero(new)
         lo[row[cut], col[p]] = start + cut
-        n[row[cut], col[p]] = np.diff(cut, append=row.size)
+        n[row[cut], col[p]] = np.diff(cut, append=m)
     return SynapticStore(table, lo, n, row_base)
 
 
 class ProfileStore:
-    """Per-step counters of the synapse cores, shape ``(3 * ensembles,
-    steps)`` and indexed like ``SynapseCoreState``, and ``fixed_busy_us``,
-    the busy time per step of every modelled core when no packet arrives,
-    in core-table order, the profile files' order: ``labels`` names each
-    core and ``syn_core`` is its synapse core, or -1.  A neuron or Poisson
-    core's rows are written as zero counters and its fixed busy time; a
-    synapse core's ``busy_us`` starts from its entry, the ring-buffer write,
-    and each step it runs a window replaces it.
+    """Per-step counters of the synapse cores, one chunk of steps in memory
+    and the rest in a spill file, and ``fixed_busy_us``, the busy time per
+    step of every modelled core when no packet arrives, in core-table order,
+    the profile files' order: ``labels`` names each core and ``syn_core`` is
+    its synapse core, or -1.  A neuron or Poisson core's rows are written as
+    zero counters and its fixed busy time; a synapse core's ``busy_us``
+    starts from its entry, the ring-buffer write, and each step it runs a
+    window replaces it.
+
+    The chunk in hand is eight arrays of shape ``(3 * ensembles,
+    matrices.CHUNK_STEPS)``, indexed like ``SynapseCoreState``; column
+    ``t - t0`` holds step t.  ``spill`` appends the chunk to ``file``, a
+    binary file object, as one block per counter whose rows are the synapse
+    cores in core-table order, adds it to the running totals and starts the
+    next chunk.  ``serialize`` and ``serialize_events`` read the spilled
+    counters back a group of cores at a time and write the profile files to
+    a text file object.
     """
 
     # the counters, in the order ``SynapseCoreState.run_window`` returns them
     COUNTERS = ("received", "processed", "flushed", "zero_target", "kickstarts", "busy_us",
                 "processed_events", "flushed_events")
+    DTYPES = (np.int32,) * 5 + (np.float64, np.int64, np.int64)
+    SUMMED = ("received", "processed", "flushed", "zero_target", "processed_events",
+              "flushed_events")  # the counters ``totals`` adds up
+    GROUP_CELLS = 1 << 13  # (core, step) cells read back at once when writing a profile file
 
     def __init__(self, labels: list[str], syn_core: np.ndarray, fixed_busy_us: np.ndarray,
-                 n_steps: int):
+                 n_steps: int, file=None):
         self.labels = labels
         self.syn_core = syn_core
         self.fixed_busy_us = fixed_busy_us
-        syn_rows = np.flatnonzero(self.syn_core >= 0)
-        n = syn_rows.size
         self.n_steps = n_steps
-        self.received, self.processed, self.flushed, self.zero_target, self.kickstarts = (
-            np.zeros((n, n_steps), dtype=np.int32) for _ in range(5))
-        self.processed_events, self.flushed_events = (
-            np.zeros((n, n_steps), dtype=np.int64) for _ in range(2))
-        self.busy_us = np.empty((n, n_steps), dtype=np.float64)
-        self.busy_us[self.syn_core[syn_rows]] = fixed_busy_us[syn_rows, None]
+        self.file = io.BytesIO() if file is None else file
+        syn_rows = np.flatnonzero(syn_core >= 0)
+        self._order = syn_core[syn_rows]  # the synapse core of each spilled row
+        self._fixed = np.empty(syn_rows.size)
+        self._fixed[self._order] = fixed_busy_us[syn_rows]
+        shape = (syn_rows.size, min(matrices.CHUNK_STEPS, n_steps))
+        for name, dtype in zip(self.COUNTERS, self.DTYPES):
+            setattr(self, name, np.empty(shape, dtype=dtype))
+        self._step_bytes = syn_rows.size * sum(np.dtype(d).itemsize for d in self.DTYPES)
+        self._sums = dict.fromkeys(self.SUMMED, 0)
+        self._max_flushed = 0
+        self.t0 = 0
+        self._clear()
+
+    def _clear(self) -> None:
+        for name in self.COUNTERS:
+            getattr(self, name)[:] = 0
+        self.busy_us[:] = self._fixed[:, None]
+
+    def spill(self) -> None:
+        """Append the chunk in hand to the spill file, add it to the running
+        totals and start the next chunk."""
+        k = min(self.received.shape[1], self.n_steps - self.t0)
+        self.file.seek(self.t0 * self._step_bytes)
+        for name in self.COUNTERS:
+            self.file.write(np.ascontiguousarray(getattr(self, name)[self._order, :k]))
+        for name in self.SUMMED:
+            self._sums[name] += int(getattr(self, name)[:, :k].sum())
+        self._max_flushed = max(self._max_flushed, int(self.flushed[:, :k].max(initial=0)))
+        self.t0 += k
+        self._clear()
 
     def totals(self) -> dict:
-        out = {name: int(getattr(self, name).sum()) for name in self.COUNTERS
-               if name not in ("kickstarts", "busy_us")}
-        out["max_flushed_in_timestep"] = int(self.flushed.max()) if self.flushed.size else 0
-        return out
+        """Sums of the counters over the spilled steps, and the most packets
+        one core flushed in one step."""
+        return {**self._sums, "max_flushed_in_timestep": self._max_flushed}
 
-    def _cores(self):
-        """(label, synapse core or -1, fixed busy us) of every modelled core."""
-        return zip(self.labels, self.syn_core.tolist(), self.fixed_busy_us.tolist())
+    def _read(self, names: tuple[str, ...], r0: int, r1: int) -> np.ndarray:
+        """Spilled rows ``r0:r1`` of the counters ``names``, every step, as
+        Python numbers in an object array ``(rows, steps, 1 + len(names))``
+        whose column 0 is the step."""
+        vals = np.empty((r1 - r0, self.n_steps, 1 + len(names)), dtype=object)
+        vals[:, :, 0] = range(self.n_steps)
+        n_rows, width = self.received.shape
+        for t0 in range(0, self.n_steps, width):
+            k = min(width, self.n_steps - t0)
+            offset = t0 * self._step_bytes
+            for name, dtype in zip(self.COUNTERS, self.DTYPES):
+                size = np.dtype(dtype).itemsize
+                if name in names:
+                    block = np.empty((r1 - r0, k), dtype=dtype)
+                    self.file.seek(offset + r0 * k * size)
+                    if self.file.readinto(block) != block.nbytes:
+                        raise EOFError("the profile spill file ends before the run's steps")
+                    vals[:, t0:t0 + k, 1 + names.index(name)] = block
+                offset += n_rows * k * size
+        return vals
 
-    def serialize(self) -> str:
-        cols = (self.received, self.processed, self.flushed, self.zero_target, self.kickstarts,
-                self.busy_us)
-        chunks = ["# core_id timestep received processed flushed zero_target kickstarts busy_us\n"]
-        for label, c, busy in self._cores():
+    def _write(self, fh, names: tuple[str, ...], fmt: str, idle: str) -> None:
+        """Each core's rows, one ``%``-format per chunk of steps: ``label +
+        fmt`` of the step and the counters ``names`` for a synapse core, and
+        the step followed by ``idle`` of its fixed busy time for a neuron or
+        Poisson core."""
+        n, chunk = self.n_steps, matrices.CHUNK_STEPS
+        per_group = max(1, self.GROUP_CELLS // max(n, 1))
+        r = r0 = 0
+        vals = None
+        for label, c, busy in zip(self.labels, self.syn_core.tolist(),
+                                  self.fixed_busy_us.tolist()):
             if c < 0:
-                tail = f" 0 0 0 0 0 {busy:.4f}\n"
-                chunks.append("".join(f"{label} {t}{tail}" for t in range(self.n_steps)))
-            else:
-                chunks.append("".join(
-                    f"{label} {t} {r} {p} {f} {z} {k} {b:.4f}\n" for t, (r, p, f, z, k, b)
-                    in enumerate(zip(*(col[c].tolist() for col in cols)))))
-        return "".join(chunks)
+                row = label + " %s" + idle.format(busy)
+                for a in range(0, n, chunk):
+                    steps = range(a, min(a + chunk, n))
+                    fh.write(row * len(steps) % tuple(steps))
+                continue
+            if vals is None or r - r0 == len(vals):
+                r0, vals = r, self._read(names, r, min(r + per_group, self._order.size))
+            v = vals[r - r0]
+            r += 1
+            for a in range(0, n, chunk):
+                piece = v[a:a + chunk]
+                fh.write((label + fmt) * len(piece) % tuple(piece.ravel().tolist()))
 
-    def serialize_events(self) -> str:
-        chunks = ["# core_id timestep processed_events flushed_events\n"]
-        for label, c, _ in self._cores():
-            if c < 0:
-                chunks.append("".join(f"{label} {t} 0 0\n" for t in range(self.n_steps)))
-            else:
-                chunks.append("".join(f"{label} {t} {p} {f}\n" for t, (p, f) in enumerate(
-                    zip(self.processed_events[c].tolist(), self.flushed_events[c].tolist()))))
-        return "".join(chunks)
+    def serialize(self, fh) -> None:
+        """Write ``profile.tsv`` to the text file ``fh``."""
+        fh.write("# core_id timestep received processed flushed zero_target kickstarts busy_us\n")
+        self._write(fh, self.COUNTERS[:6], " %s %s %s %s %s %s %.4f\n",
+                    " 0 0 0 0 0 {:.4f}\n")
+
+    def serialize_events(self, fh) -> None:
+        """Write ``profile_events.tsv`` to the text file ``fh``."""
+        fh.write("# core_id timestep processed_events flushed_events\n")
+        self._write(fh, self.COUNTERS[6:], " %s %s %s\n", " 0 0\n")
 
 
 class SynapseCoreState:
@@ -271,7 +354,7 @@ class SynapseCoreState:
         local core us, scaled by the chip's crystal rate.  The cores run in
         lockstep, one array operation per queue position, and each keeps the
         float recurrence of a packet-at-a-time core.  Per-core counters go to
-        ``profile`` column ``t``; the return value is their sum over cores:
+        ``profile``'s column of step ``t``; the return value is their sum over cores:
         received, processed, flushed, zero_target, kickstarts, busy_us,
         processed_events, flushed_events, late.
         """
@@ -340,7 +423,7 @@ class SynapseCoreState:
         counters = (n_in, processed, flushed, zero, kicks, busy_us, ev_p, ev_f)
         if profile is not None:
             for name, value in zip(ProfileStore.COUNTERS, counters):
-                getattr(profile, name)[act, t] = value
+                getattr(profile, name)[act, t - profile.t0] = value
 
         self.q_arrival, self.q_fields = arrival[~inwin], f[:, ~inwin]
         return (*(c.sum().item() for c in counters), late)
@@ -491,7 +574,17 @@ class HardwareSimulation:
     # -- execution -----------------------------------------------------------
 
     def run(self, duration_ms: float, bank: matrices.PoissonBank, discard_ms: float = 0.0,
-            with_profile: bool = True) -> RunResult:
+            with_profile: bool = True, spill=None) -> RunResult:
+        """Simulate ``duration_ms`` from the initial state, reading the
+        background input from ``bank``, step 0 on.
+
+        With ``with_profile``, the profile counters go to ``spill``, a
+        binary file object (an in-memory one if None), a chunk of
+        ``matrices.CHUNK_STEPS`` steps at a time, and the result's
+        ``ProfileStore`` reads them back from it; memory then holds one
+        chunk of counters and of background input whatever the duration.
+        Only the spike record grows with it.
+        """
         network = self.network
         cm = self.costs
         n_steps = int(round(duration_ms / network.dt_ms))
@@ -513,7 +606,7 @@ class HardwareSimulation:
         exc_units = inh_units = pois_units = np.zeros(n, dtype=np.int64)
 
         profile = ProfileStore(*self.profile_rows(), self.fixed_busy_us,
-                               n_steps if with_profile else 0)
+                               n_steps if with_profile else 0, spill)
         consts = self.consts
 
         beacon_steps = max(1, round(BEACON_INTERVAL_S * 1e6 / period_local_us))
@@ -565,6 +658,8 @@ class HardwareSimulation:
             # synapse cores: spike processing window, flush, DMA B accounting
             late_packets += syn.run_window(t, starts, durations,
                                            profile if with_profile else None)[8]
+            if with_profile and ((t + 1) % matrices.CHUNK_STEPS == 0 or t + 1 == n_steps):
+                profile.spill()
 
             # ring-buffer handover: slot for t+1 moves to shared memory
             slot = (t + 1) & (syn.slots - 1)

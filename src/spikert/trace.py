@@ -3,14 +3,17 @@
 One line per spike, ``time_ms population neuron_index``, sorted by time then
 population order then neuron; header comments carry run metadata and the
 population roster.  Both simulation paths write through the same code, so
-equal spike sets produce byte-identical files.
+equal spike sets produce byte-identical files.  A trace is written straight
+to its file, ``LINES`` spikes at a time, never built as one string.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+LINES = 1 << 14  # spikes formatted per write
 
 
 @dataclass
@@ -34,7 +37,13 @@ class SpikeTrace:
                           self.duration_ms, self.dt_ms, self.discard_ms,
                           self.pop_names, self.pop_sizes, self.pop_polarity)
 
-    def serialize(self) -> str:
+    def __eq__(self, other) -> bool:
+        """Equal traces serialize to the same bytes."""
+        return isinstance(other, SpikeTrace) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+    def serialize(self, fh) -> None:
+        """Write the trace's text to the text file ``fh``."""
         t = self.sorted()
         lines = [
             "# spike trace",
@@ -44,24 +53,32 @@ class SpikeTrace:
         ]
         for name, size, pol in zip(self.pop_names, self.pop_sizes, self.pop_polarity):
             lines.append(f"# population {name} {size} {pol}")
-        for time, pop, neuron in zip(t.times_ms, t.pops, t.neurons):
-            lines.append(f"{time:.4f} {self.pop_names[pop]} {neuron}")
-        return "\n".join(lines) + "\n"
+        fh.write("\n".join(lines) + "\n")
+        names = np.array(self.pop_names, dtype=object)
+        for a in range(0, len(t), LINES):
+            rows = np.empty((min(LINES, len(t) - a), 3), dtype=object)
+            rows[:, 0] = t.times_ms[a:a + LINES]
+            rows[:, 1] = names[t.pops[a:a + LINES]]
+            rows[:, 2] = t.neurons[a:a + LINES]
+            fh.write("%.4f %s %s\n" * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def from_step_records(network, steps, fired, n_steps: int,
                       discard_ms: float = 0.0) -> SpikeTrace:
     """The sorted trace of a run of ``n_steps`` of ``network``: ``fired[i]``
-    holds the global indices of the neurons that fired at step ``steps[i]``."""
+    holds the global indices of the neurons that fired at step ``steps[i]``.
+    Both are ascending, and global order is population then neuron order,
+    so the spikes come out sorted without a sort."""
     g = np.concatenate(fired or [np.zeros(0, dtype=np.int64)])
-    steps = np.repeat(np.asarray(steps, dtype=np.int64), [x.size for x in fired])
-    pops = np.searchsorted(network.offsets, g, side="right") - 1
+    pops = np.searchsorted(network.offsets, g, side="right").astype(np.int32)
+    pops -= 1
+    g -= network.offsets[pops]  # population-local
+    times = np.repeat(np.asarray(steps, dtype=np.int64) * network.dt_ms, [x.size for x in fired])
     populations = network.populations
-    return SpikeTrace(steps * network.dt_ms, pops.astype(np.int32),
-                      (g - network.offsets[pops]).astype(np.int32),
+    return SpikeTrace(times, pops, g.astype(np.int32),
                       n_steps * network.dt_ms, network.dt_ms, discard_ms,
                       tuple(p.name for p in populations), tuple(p.size for p in populations),
-                      tuple(p.polarity for p in populations)).sorted()
+                      tuple(p.polarity for p in populations))
 
 
 def load_trace(path) -> SpikeTrace:

@@ -1,3 +1,4 @@
+import io
 import os
 
 import numpy as np
@@ -180,3 +181,10 @@ def transit_ns(machine, src, dst) -> float:
     """Latency along the canonical route: one router per hop plus board links."""
     path = route_path(machine, src, dst)
     return sum(hop_latency_ns(machine, a, b) for a, b in zip(path, path[1:]))
+
+
+def written(serialize) -> str:
+    """The text ``serialize(fh)`` writes to a text file."""
+    fh = io.StringIO()
+    serialize(fh)
+    return fh.getvalue()

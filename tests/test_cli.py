@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import SMALL_SPEC
-from spikert import analysis, cli, matrices, trace
+from conftest import SMALL_SPEC, written
+from spikert import analysis, cli, matrices, runtime, trace
 from spikert.mapping import NEURONS_PER_CORE
 from spikert.network import build_network
 
@@ -52,7 +52,7 @@ def test_loaded_trace_reproduces_its_file_and_stats(tmp_path, model):
     out = tmp_path / "out"
     loaded = trace.load_trace(out / "trace_hardware.txt")
     assert len(loaded) > 0
-    assert loaded.serialize() == (out / "trace_hardware.txt").read_text()
+    assert written(loaded.serialize) == (out / "trace_hardware.txt").read_text()
     assert analysis.stats_document(analysis.firing_stats(loaded)) == (
         out / "stats_hardware.txt").read_text()
 
@@ -213,12 +213,70 @@ def record_calls(monkeypatch, owner, attr) -> list:
 
 
 def test_both_modes_share_one_table_and_one_bank(tmp_path, model, monkeypatch):
-    """A --mode both run encodes the synapses once and draws the Poisson
-    input once."""
+    """A --mode both run encodes the synapses once and builds one Poisson
+    bank, which both simulators read."""
     encodes = record_calls(monkeypatch, matrices, "encode_projections")
     banks = record_calls(monkeypatch, matrices.PoissonBank, "__init__")
     assert run_cli(tmp_path, model, "--mode", "both") == cli.EXIT_OK
     assert (len(encodes), len(banks)) == (1, 1)
+
+
+def line_by_line_profile(profile: runtime.ProfileStore, counters: dict) -> tuple[str, str]:
+    """profile.tsv and profile_events.tsv formatted one line at a time from
+    whole counter arrays in memory, ``(synapse cores, steps)``."""
+    rows = ["# core_id timestep received processed flushed zero_target kickstarts busy_us\n"]
+    events = ["# core_id timestep processed_events flushed_events\n"]
+    for label, c, busy in zip(profile.labels, profile.syn_core.tolist(),
+                              profile.fixed_busy_us.tolist()):
+        for t in range(profile.n_steps):
+            if c < 0:
+                rows.append(f"{label} {t} 0 0 0 0 0 {busy:.4f}\n")
+                events.append(f"{label} {t} 0 0\n")
+            else:
+                r, p, f, z, k, b, pe, fe = (counters[name][c, t].item()
+                                            for name in runtime.ProfileStore.COUNTERS)
+                rows.append(f"{label} {t} {r} {p} {f} {z} {k} {b:.4f}\n")
+                events.append(f"{label} {t} {pe} {fe}\n")
+    return "".join(rows), "".join(events)
+
+
+@pytest.mark.parametrize("group_cells", [runtime.ProfileStore.GROUP_CELLS, 2 * 798])
+def test_spilled_profile_equals_line_by_line_formatting(tmp_path, model, monkeypatch,
+                                                        group_cells):
+    """A --profile full run of three chunks of steps and part of a fourth,
+    with a margin that flushes packets, writes profile.tsv and
+    profile_events.tsv byte for byte as formatting the whole counters in
+    memory line by line does, also when the counters are read back two
+    synapse cores at a time.  The flush report's totals are the counters'
+    sums, and no spill file is left in the output directory."""
+    held = []
+    spill = runtime.ProfileStore.spill
+
+    def capture(profile):
+        k = min(profile.received.shape[1], profile.n_steps - profile.t0)
+        held.append((profile, {name: getattr(profile, name)[:, :k].copy()
+                               for name in profile.COUNTERS}))
+        spill(profile)
+
+    monkeypatch.setattr(runtime.ProfileStore, "spill", capture)
+    monkeypatch.setattr(runtime.ProfileStore, "GROUP_CELLS", group_cells)
+    costs = write(tmp_path, "margin.cfg", "[costs]\nsecond_timer_margin_us = 95.0\n")
+    assert run_cli(tmp_path, model, "--mode", "hardware", "--duration-ms", "79.8",
+                   "--costs", costs) == cli.EXIT_OK
+    profile = held[0][0]
+    assert profile.n_steps == 798 == 3 * matrices.CHUNK_STEPS + 30
+    assert [p for p, _ in held] == [profile] * 4
+    counters = {name: np.concatenate([c[name] for _, c in held], axis=1)
+                for name in runtime.ProfileStore.COUNTERS}
+    out = tmp_path / "out"
+    assert ((out / "profile.tsv").read_text(), (out / "profile_events.tsv").read_text()) == \
+        line_by_line_profile(profile, counters)
+    flushed = counters["flushed"]
+    report = (out / "flush_report.txt").read_text()
+    assert flushed.max() > 0
+    assert f"flushed_packets {flushed.sum()}\n" in report
+    assert f"max_flushed_in_timestep {flushed.max()}\n" in report
+    assert not (out / cli.SPILL_FILE).exists()
 
 
 def test_float_oracle_leaves_the_shared_table_alone(tmp_path, model, monkeypatch):

@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import SMALL_SPEC, row_senders, store_rows
+from conftest import SMALL_SPEC, row_senders, store_rows, written
 from spikert.clocks import ClockConfig
 from spikert.costs import CostModel
 from spikert.matrices import PoissonBank, encode_projections, source_delivery_index
@@ -45,9 +45,9 @@ def test_flush_and_carry_over_digests(fixture, request):
     late, flushed, trace_sha, profile_sha, events_sha = LATE_MARGIN_DIGESTS[fixture]
     assert res.late_packets == late > 0
     assert res.profile.totals()["flushed"] == flushed > 0
-    assert sha256(res.trace.serialize()) == trace_sha
-    assert sha256(res.profile.serialize()) == profile_sha
-    assert sha256(res.profile.serialize_events()) == events_sha
+    assert sha256(written(res.trace.serialize)) == trace_sha
+    assert sha256(written(res.profile.serialize)) == profile_sha
+    assert sha256(written(res.profile.serialize_events)) == events_sha
 
 
 def test_poisson_saturations_match_per_population_slices():

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikert.kinetics import (NeuronParams, NeuronState, Propagator, lif_step, make_rng,
-                              poisson_sample)
+from conftest import SMALL_SPEC
+from spikert import weights
+from spikert.kinetics import NeuronParams, NeuronState, Propagator, lif_step, make_rng
+from spikert.matrices import CHUNK_STEPS, PoissonBank
+from spikert.network import SpecError, build_network, parse_network_spec
 
 DT = 0.1
 
@@ -166,22 +169,44 @@ def test_params_validation():
 
 
 # ---------------------------------------------------------------------------
-# Poisson sampling
+# Poisson sampling: the run's PoissonBank, drawn CHUNK_STEPS steps at a time
+
+def poisson_network(e_rate_hz=12800.0, i_rate_hz=12000.0):
+    """The small test network's populations (E 100, I 30) with these
+    background rates; no synapses are sampled."""
+    spec = SMALL_SPEC.replace("poisson_rate_hz = 12800", f"poisson_rate_hz = {e_rate_hz}")
+    spec = spec.replace("poisson_rate_hz = 12000", f"poisson_rate_hz = {i_rate_hz}")
+    return build_network(parse_network_spec(spec, "poisson"), seed=42, sample_synapses=False)
+
+
+def bank_counts(bank: PoissonBank) -> np.ndarray:
+    """Every step's counts, read in order: ``(steps, sources)``."""
+    return np.array([bank.counts_at(t) for t in range(bank.n_steps)])
+
 
 def test_poisson_zero_rate_always_zero():
-    rng = make_rng(1, "z")
-    assert all(poisson_sample(0.0, DT, rng) == 0 for _ in range(100))
+    """A population with a zero rate draws zeros at every step, across
+    chunks, while its neighbour's streams are untouched."""
+    bank = PoissonBank(poisson_network(e_rate_hz=0.0), 5, 2 * CHUNK_STEPS + 10)
+    counts = bank_counts(bank)
+    assert not counts[:, :100].any()
+    assert counts[:, 100:].any()
+    assert np.array_equal(counts[:, 100:],
+                          bank_counts(PoissonBank(poisson_network(), 5, bank.n_steps))[:, 100:])
 
 
 def test_poisson_negative_rate_rejected():
-    with pytest.raises(ValueError):
-        poisson_sample(-1.0, DT, make_rng(1))
+    with pytest.raises(SpecError, match="population E: negative poisson rate"):
+        parse_network_spec(SMALL_SPEC.replace("poisson_rate_hz = 12800",
+                                              "poisson_rate_hz = -1"), "poisson")
 
 
 def test_poisson_bit_reproducible():
-    a = [poisson_sample(15000.0, DT, make_rng(9, "s", 3)) for _ in range(50)]
-    b = [poisson_sample(15000.0, DT, make_rng(9, "s", 3)) for _ in range(50)]
-    assert a == b
+    """The same seed draws the same counts, another seed others."""
+    net = poisson_network()
+    first = bank_counts(PoissonBank(net, 9, CHUNK_STEPS + 50))
+    assert np.array_equal(first, bank_counts(PoissonBank(net, 9, CHUNK_STEPS + 50)))
+    assert not np.array_equal(first, bank_counts(PoissonBank(net, 10, CHUNK_STEPS + 50)))
 
 
 def test_poisson_batch_equals_sequential_draws():
@@ -193,10 +218,36 @@ def test_poisson_batch_equals_sequential_draws():
 
 
 def test_poisson_sample_mean_at_peak_rate():
-    # rate 23.2 kHz, dt 0.1 ms -> lambda 2.32; band is +/- 3 sigma of the mean
-    rng = make_rng(11, "mean")
-    draws = rng.poisson(23200.0 * DT * 1e-3, size=1_000_000)
-    assert 2.315 <= draws.mean() <= 2.325
+    # rate 23.2 kHz, dt 0.1 ms -> lambda 2.32 over 130 sources x 7,700 steps;
+    # band is +/- 3 sigma of the mean
+    bank = PoissonBank(poisson_network(23200.0, 23200.0), 11, 7700)
+    assert 2.315 <= bank_counts(bank).mean() <= 2.325
+
+
+def test_bank_streams_equal_one_shot_draws_across_chunks():
+    """``units_at`` and its clipped count equal what one-shot draws of each
+    source's stream give, at every step of a run that crosses three chunk
+    boundaries and ends inside a chunk, and again on a second pass, which
+    starts every stream over.  E saturates the accumulator, I does not."""
+    net = poisson_network(e_rate_hz=900000.0)
+    n_steps = 3 * CHUNK_STEPS + 77
+    bank = PoissonBank(net, 2, n_steps)
+    draws, w_q = [], []
+    for pop in net.populations:
+        lam = pop.background.rate_hz * net.dt_ms * 1e-3
+        draws += [make_rng(2, "poisson", pop.name, i).poisson(lam, n_steps)
+                  for i in range(pop.size)]
+        exp = weights.poisson_scale_exp(pop.background.weight_pa)
+        w_q += [round(pop.background.weight_pa * 2.0 ** exp)] * pop.size
+    raw = np.array(draws).T * np.array(w_q)  # (steps, neurons)
+    assert (raw > weights.POISSON_ACC_MAX).any() and (raw[:, 100:] <= weights.POISSON_ACC_MAX).all()
+    for _ in range(2):
+        for t in range(n_steps):
+            units, clipped = bank.units_at(t)
+            assert np.array_equal(units, np.minimum(raw[t], weights.POISSON_ACC_MAX))
+            assert clipped == np.count_nonzero(raw[t] > weights.POISSON_ACC_MAX)
+    with pytest.raises(IndexError):
+        bank.units_at(n_steps)
 
 
 def test_poisson_distribution_chi_squared():

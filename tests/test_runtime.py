@@ -1,15 +1,16 @@
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import SMALL_SPEC, row_senders, store_rows
+from conftest import SMALL_SPEC, row_senders, store_rows, written
 from spikert import matrices
 from spikert.clocks import ClockConfig
 from spikert.mapping import ROLE_NEURON, ROLE_POISSON
-from spikert.matrices import (PoissonBank, encode_projections, ranges, ring_slots,
-                              source_delivery_index)
+from spikert.matrices import (CHUNK_STEPS, PoissonBank, encode_projections, ranges,
+                              ring_slots, source_delivery_index)
 from spikert.network import (SpecError, build_network, load_network_spec, parse_network_spec,
                              scale_network)
 from spikert.oracle import oracle_simulate
@@ -45,7 +46,8 @@ def assert_equivalent(res, ref):
     assert res.profile.totals()["flushed"] == 0
     assert res.late_packets == 0
     assert len(ref) > 0
-    assert res.trace.serialize() == ref.serialize()
+    assert res.trace == ref
+    assert written(res.trace.serialize) == written(ref.serialize)
 
 
 # With DC input the oracle's unquantized float path gives the same trace as well.
@@ -204,9 +206,42 @@ def test_rerun_is_deterministic(small_network):
     bank = PoissonBank(small_network, 2, STEPS)
     first, second = sim.run(DURATION_MS, bank), sim.run(DURATION_MS, bank)
     assert len(first.trace) > 0
-    assert second.trace.serialize() == first.trace.serialize()
-    assert second.profile.serialize() == first.profile.serialize()
-    assert second.profile.serialize_events() == first.profile.serialize_events()
+    assert written(second.trace.serialize) == written(first.trace.serialize)
+    assert written(second.profile.serialize) == written(first.profile.serialize)
+    assert written(second.profile.serialize_events) == written(first.profile.serialize_events)
+
+
+def test_bank_and_profile_memory_stay_flat_with_steps(small_network, tmp_path):
+    """Neither the Poisson bank nor the profile counters grow with the
+    number of steps.  Between runs of N and 4N steps, whole arrays would
+    grow by 2 B per source and step (the bank) and 44 B per synapse core
+    and step (the counters); the tracemalloc peaks of reading a bank
+    through, and the profile's share of a hardware run's peak, grow by
+    less than a tenth of that."""
+    sim = HardwareSimulation(small_network, encode_projections(small_network), drift_seed=3)
+
+    def peaks(n_steps):
+        tracemalloc.start()
+        bank = PoissonBank(small_network, 2, n_steps)
+        for t in range(n_steps):
+            bank.units_at(t)
+        bank_peak = tracemalloc.get_traced_memory()[1]
+        run_peak = []
+        for with_profile in (False, True):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            with open(tmp_path / "spill", "w+b") as spill:
+                sim.run(n_steps * small_network.dt_ms, bank, with_profile=with_profile,
+                        spill=spill)
+            run_peak.append(tracemalloc.get_traced_memory()[1] - base)
+        tracemalloc.stop()
+        return bank_peak, run_peak[1] - run_peak[0]
+
+    n = 2 * CHUNK_STEPS
+    (bank_n, profile_n), (bank_4n, profile_4n) = peaks(n), peaks(4 * n)
+    sources, cores = small_network.total_neurons, 3 * len(sim.ensembles)
+    assert bank_4n - bank_n < 0.1 * 2 * sources * 3 * n
+    assert profile_4n - profile_n < 0.1 * 44 * cores * 3 * n
 
 
 @pytest.mark.parametrize("bound", [-5.0, 150.0, float("nan")])
@@ -232,7 +267,7 @@ def test_profile_counts_synapse_cores_only(benchmark_path):
                 profile.flushed_events):
         assert col.shape == (81, 10)
     rows: dict[str, list[str]] = {}
-    for line in profile.serialize().splitlines()[1:]:
+    for line in written(profile.serialize).splitlines()[1:]:
         rows.setdefault(line.split()[0], []).append(line)
     assert len(rows) == 135
     assert list(rows) == sorted(rows, key=lambda label: tuple(map(int, label.split(","))))
@@ -286,5 +321,5 @@ def test_float_oracle_with_poisson_input_is_pinned(small_network):
     tr = oracle_simulate(small_network, encode_projections(small_network, keep_weights=True),
                          PoissonBank(small_network, 2, STEPS), DURATION_MS, quantize=False)
     assert len(tr) == 363
-    assert hashlib.sha256(tr.serialize().encode()).hexdigest() == (
+    assert hashlib.sha256(written(tr.serialize).encode()).hexdigest() == (
         "1bd7dd87f2e9bc396c6322376099ec363b698c0fa21e0e9a18e6ad2c1fb25c11")
