@@ -7,11 +7,20 @@ manifest.  The manifest plus the copied resolved spec files are enough to
 reproduce every output byte for byte.
 
 A run's memory does not grow with its simulated duration, apart from the
-spike record that the traces and statistics are made from: the Poisson bank
-holds one chunk of steps at a time, the profile counters are spilled to
-``SPILL_FILE`` in the output directory as the run goes (and the file is
-removed once the profile files are written), and the traces and profiles are
-written to their files in pieces, never built as one string.
+spike record that the traces and statistics are made from (about 4 B per
+spike): the Poisson bank holds one chunk of steps at a time, the profile
+counters are spilled to a file as the run goes, and the traces and profiles
+are written to their files in pieces, never built as one string.
+
+The cost moves to disk, into two scratch files in the output directory,
+which are removed before the run ends, so they are never among its outputs:
+
+- ``SPILL_FILE``, the profile counters, 36 B per synapse core and step
+  (about 1.3 GB per simulated second at full scale);
+- ``POISSON_FILE``, in ``--mode both`` only, every chunk of background counts
+  the bank draws, which the oracle reads back instead of drawing them again:
+  2 B per Poisson source and step (6.2 MB for 200 ms at scale 0.02, about
+  1.5 GB per simulated second at full scale).
 """
 
 from __future__ import annotations
@@ -46,7 +55,9 @@ EXIT_KEY = 5
 EXIT_ROUTING = 6
 EXIT_IO = 7
 
-SPILL_FILE = "profile_counters.bin"  # scratch file of a run, removed before it ends
+# scratch files of a run, in its output directory, removed before it ends
+SPILL_FILE = "profile_counters.bin"  # the profile counters
+POISSON_FILE = "poisson_counts.bin"  # the Poisson counts, in --mode both
 
 
 @dataclass
@@ -236,10 +247,14 @@ def run(cfg: RunConfig) -> None:
             net, table, machine=machine, costs=costs, clock_cfg=clock_cfg,
             drift_seed=cfg.seed_drift, slowdown=cfg.slowdown)
         _libc("malloc_trim", 0)
-    bank = matrices.PoissonBank(net, cfg.seed_poisson, round(steps))
     # the profile counters are spilled to the output directory as the run
-    # goes, and read back from there when their files are written
-    with _scratch_file(os.path.join(cfg.out, SPILL_FILE)) as spill:
+    # goes, and read back from there when their files are written; in --mode
+    # both, so are the Poisson counts, which the oracle reads back
+    with contextlib.ExitStack() as scratch:
+        spill = scratch.enter_context(_scratch_file(os.path.join(cfg.out, SPILL_FILE)))
+        draws = (scratch.enter_context(_scratch_file(os.path.join(cfg.out, POISSON_FILE)))
+                 if cfg.mode == "both" else None)
+        bank = matrices.PoissonBank(net, cfg.seed_poisson, round(steps), draws)
         if sim is not None:
             res = sim.run(cfg.duration_ms, bank, discard_ms=cfg.discard_ms,
                           with_profile=cfg.profile == "full", spill=spill)

@@ -83,9 +83,12 @@ class CostModel:
         Zero-target rows still pay the full single-target figure: the
         pipeline has done the lookup and fetch before finding nothing.
         """
-        base = (self.spike_single_target_us
+        return self.packet_base_us(n_words) + self.row_fetch_overhead_us(concurrent_fetchers)
+
+    def packet_base_us(self, n_words):
+        """``packet_processing_us`` without the row-fetch contention."""
+        return (self.spike_single_target_us
                 + self.extra_target_word_us * np.maximum(0, n_words - 1))
-        return base + self.row_fetch_overhead_us(concurrent_fetchers)
 
 
 _COST_FIELDS = {f.name: f.type for f in dataclasses.fields(CostModel)}

@@ -17,12 +17,16 @@ cores), holding a span per projection onto the core's ensemble
 (``runtime.build_synaptic_store``).  Both read the same encoded integers,
 which is what makes their spike-for-spike agreement exact rather than
 approximate.  Both size their delay rings from the table,
-to the smallest power of two above its longest delay (``ring_slots``).
+to the smallest power of two above its longest delay (``ring_slots``), and
+deliver into them through ``ring_insert``.
 
 Background input comes from one ``PoissonBank`` per run, which both
 simulators read step by step.  It holds one chunk of ``CHUNK_STEPS`` steps
 at a time and draws the next when a simulator reads past it, so its memory
-does not grow with the simulated duration.
+does not grow with the simulated duration.  Each chunk is drawn once per
+run: the bank writes what it draws to a file it is given, and the second
+simulator's reads come back from that file instead of drawing the streams
+again.
 """
 
 from __future__ import annotations
@@ -96,8 +100,30 @@ def ring_slots(delays: np.ndarray) -> int:
 
 def ranges(lo: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """``lo[i], lo[i] + 1, ..., lo[i] + lens[i] - 1`` for every i, concatenated."""
-    ends = np.cumsum(lens)
-    return np.repeat(lo - (ends - lens), lens) + np.arange(int(ends[-1]) if ends.size else 0)
+    ends = np.add.accumulate(lens, dtype=np.int64)
+    out = (lo - (ends - lens)).repeat(lens)
+    out += np.arange(out.size)
+    return out
+
+
+def ring_insert(ring: np.ndarray, table: SynapseTable, t: int, inh: np.ndarray,
+                lo: np.ndarray, lens: np.ndarray) -> None:
+    """Add the synapses of the spans ``table[lo[i]:lo[i] + lens[i]]``, sent
+    at step t, into the delay rings ``ring``, int64 of shape ``(2, slots,
+    neurons)``: span i adds into ``ring[inh[i]]``, each synapse its units at
+    its target in the slot of its arrival step.  Both simulators deliver
+    this way, with one ``np.add.at``; integer sums do not depend on the
+    order."""
+    syn = ranges(lo, lens)
+    if not syn.size:
+        return
+    _, slots, n = ring.shape
+    flat = np.add(table.delays[syn], t, dtype=np.int64)
+    flat &= slots - 1
+    flat += (inh * slots).repeat(lens)
+    flat *= n
+    flat += table.post[syn]
+    np.add.at(ring.reshape(-1), flat, table.units[syn].astype(np.int64))
 
 
 def accumulator_scales(network: NetworkModel) -> weights.AccumulatorScales:
@@ -226,15 +252,19 @@ class PoissonBank:
     array, so a step's counts are one contiguous row (``counts_at``);
     ``counts[p]`` views population p's sources in it, one row per source and
     one column per step of the chunk.  A run builds one bank, and both
-    simulators read it from step 0 through ``units_at``.  Reading a step
-    before the chunk in hand restores every generator to its state when the
-    bank was built and draws again from step 0, so the second simulator
-    reads the same counts as the first.
+    simulators read it from step 0 through ``units_at``.
+
+    Each chunk is drawn once.  With ``file``, a binary file object, the bank
+    writes every chunk it draws there (2 B per source and step), and a read
+    of a chunk drawn before, such as the second simulator's from step 0,
+    reads it back from the file: both simulators read the same counts and
+    no stream is drawn twice.  Without a file such a read is an error.
     """
 
-    def __init__(self, network: NetworkModel, seed: int, n_steps: int):
+    def __init__(self, network: NetworkModel, seed: int, n_steps: int, file=None):
         self.network = network
         self.n_steps = n_steps
+        self.file = file
         pois = [p for p, pop in enumerate(network.populations)
                 if isinstance(pop.background, PoissonInput)]
         n_rows = sum(network.populations[p].size for p in pois)
@@ -256,7 +286,7 @@ class PoissonBank:
             self.w_row[row:row + pop.size] = self.w_q[p]
             self.neuron[row:row + pop.size] = network.offsets[p] + np.arange(pop.size)
             row += pop.size
-        self._start = [rng.bit_generator.state for rng in self._rngs]
+        self._drawn = 0  # chunks drawn so far
         self._at = -1  # the chunk in hand; none before the first read
 
     def _seek(self, t: int) -> int:
@@ -264,16 +294,37 @@ class PoissonBank:
         if not 0 <= t < self.n_steps:
             raise IndexError(f"step {t} outside the bank's {self.n_steps} steps")
         k = t // CHUNK_STEPS
-        if k < self._at:  # a new reader: every stream starts again
-            for rng, state in zip(self._rngs, self._start):
-                rng.bit_generator.state = state
-            self._at = -1
-        while self._at < k:
-            self._at += 1
-            steps = min(CHUNK_STEPS, self.n_steps - self._at * CHUNK_STEPS)
-            for r, (rng, lam) in enumerate(zip(self._rngs, self._lam)):
-                self.chunk[:steps, r] = rng.poisson(lam, steps)
+        if k != self._at:
+            if k < self._drawn:
+                self._read_back(k, t)
+            while self._drawn <= k:
+                self._draw()
+            self._at = k
         return t - k * CHUNK_STEPS
+
+    def _steps_of(self, k: int) -> np.ndarray:
+        """The rows of the chunk in hand that chunk k's steps fill."""
+        return self.chunk[:min(CHUNK_STEPS, self.n_steps - k * CHUNK_STEPS)]
+
+    def _draw(self) -> None:
+        """Draw the next chunk into the chunk in hand, and save it to the file."""
+        held = self._steps_of(self._drawn)
+        for r, (rng, lam) in enumerate(zip(self._rngs, self._lam)):
+            held[:, r] = rng.poisson(lam, held.shape[0])
+        if self.file is not None:
+            self.file.seek(self._drawn * self.chunk.nbytes)
+            self.file.write(held)
+        self._drawn += 1
+
+    def _read_back(self, k: int, t: int) -> None:
+        """Read chunk k, drawn before, back from the file into the chunk in hand."""
+        if self.file is None:
+            raise RuntimeError(f"Poisson bank: step {t} was drawn and dropped; a bank read "
+                               "more than once from the start needs a file to read it back from")
+        held = self._steps_of(k)
+        self.file.seek(k * self.chunk.nbytes)
+        if self.file.readinto(held) != held.nbytes:
+            raise EOFError("the Poisson bank's file ends before the chunks it drew")
 
     def counts_at(self, t: int) -> np.ndarray:
         """Event counts of every source at step t."""

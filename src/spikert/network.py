@@ -24,6 +24,10 @@ import numpy as np
 from .kinetics import NeuronParams, make_rng
 
 MAX_DELAY_STEPS = 255
+# the most background events per step a Poisson source may average: the run's
+# Poisson bank keeps int16 counts, and at this mean a draw stays far below
+# 32,767 (the mean plus ten standard deviations is 17,664)
+MAX_POISSON_MEAN = 1 << 14
 SAMPLE_BLOCK = 1 << 18  # connectivity draws per sampling block (2 MB of floats)
 
 
@@ -115,6 +119,12 @@ class NetworkSpec:
             raise SpecError("duplicate population names")
         for p in self.populations:
             p.validate()
+            if (isinstance(p.background, PoissonInput)
+                    and p.background.rate_hz * self.dt_ms * 1e-3 > MAX_POISSON_MEAN):
+                raise SpecError(
+                    f"population {p.name}: poisson rate {p.background.rate_hz} Hz gives "
+                    f"{p.background.rate_hz * self.dt_ms * 1e-3:g} events per step of "
+                    f"{self.dt_ms} ms, above the {MAX_POISSON_MEAN} the 16-bit counts allow")
             try:
                 p.params.validate(self.dt_ms)
             except ValueError as exc:

@@ -9,14 +9,16 @@ and never misses a window must reproduce this trace byte for byte.
 The caller encodes the table (``matrices.encode_projections``) and builds the
 bank (``matrices.PoissonBank``) once per run and passes both in; the oracle
 only reads them.  It reads the bank step by step from step 0, one chunk of
-steps in memory at a time; when the machine model has read the bank first,
-the bank starts its streams again, so both see the same counts, the
+steps in memory at a time.  Each chunk is drawn once per run: when the
+machine model has read the bank first, the oracle reads the chunks back
+from the file the bank wrote them to, so both see the same counts, the
 unquantized path included.  It reads the table in place: a spike's
 synapses are its source neuron's spans into the table
 (``matrices.source_delivery_index``), one per projection from its
-population, gathered in the table's narrow
-dtypes (int32 targets, int32 or int64 units, uint8 delays) and widened to
-int64 before they are added up.  The unquantized path reads the network's
+population, delivered through ``matrices.ring_insert`` as the machine
+model's are, in the table's narrow dtypes (int32 targets, int32 or int64
+units, uint8 delays) widened to int64 before they are added up.  The
+unquantized path reads the network's
 float weights, aligned with the table, through the same spans, spike by
 spike and in projection then synapse order, since float sums depend on the
 order.  The delay rings hold ``matrices.ring_slots`` slots, the smallest
@@ -55,7 +57,6 @@ def oracle_simulate(network: NetworkModel, table: matrices.SynapseTable,
 
     # integer accumulators: [0] excitatory, [1] inhibitory source input
     acc = np.zeros((2, n_slots, n), dtype=np.int64)
-    acc_flat = acc.reshape(-1)
     inh_of = np.repeat([p.polarity != "exc" for p in network.populations],
                        np.diff(network.offsets)).astype(np.int64)
     span_inh = np.repeat(inh_of, n_spans)
@@ -65,8 +66,7 @@ def oracle_simulate(network: NetworkModel, table: matrices.SynapseTable,
     ref = np.zeros(n, dtype=np.int64)
 
     zero_units = np.zeros(n, dtype=np.int64)
-    fired_steps: list[int] = []
-    fired_neurons: list[np.ndarray] = []
+    spikes = trace.SpikeRecord(n_steps)
 
     for t in range(n_steps):
         slot = t & (n_slots - 1)
@@ -84,21 +84,15 @@ def oracle_simulate(network: NetworkModel, table: matrices.SynapseTable,
                                              consts.decay_i, consts.kernel, consts.e_eff,
                                              consts.v_reset, consts.v_theta,
                                              consts.ref_steps)
-        g = np.flatnonzero(fired)
+        g = fired.nonzero()[0]
         if not g.size:
             continue
-        fired_steps.append(t)
-        fired_neurons.append(g)
+        spikes.add(t, g)
         if quantize:
-            # the spans of every spike of the step in one np.add.at; integer
-            # sums do not depend on the order
+            # the spans of every spike of the step, delivered at once
             s = matrices.ranges(spans.span_ptr[g], n_spans[g])
             lo = spans.lo[s]
-            lens = spans.hi[s] - lo
-            syn = matrices.ranges(lo, lens)
-            slots = (t + table.delays[syn].astype(np.int64)) & (n_slots - 1)
-            np.add.at(acc_flat, (np.repeat(span_inh[s], lens) * n_slots + slots) * n
-                      + table.post[syn], table.units[syn].astype(np.int64))
+            matrices.ring_insert(acc, table, t, span_inh[s], lo, spans.hi[s] - lo)
         else:
             for gi in g.tolist():  # float sums depend on the order: one spike at a time
                 s = slice(spans.span_ptr[gi], spans.span_ptr[gi + 1])
@@ -107,7 +101,7 @@ def oracle_simulate(network: NetworkModel, table: matrices.SynapseTable,
                     slots = (t + table.delays[syn].astype(np.int64)) & (n_slots - 1)
                     np.add.at(float_acc, (slots, table.post[syn]), w_pa[syn])
 
-    return trace.from_step_records(network, fired_steps, fired_neurons, n_steps, discard_ms)
+    return trace.from_step_records(network, spikes, discard_ms)
 
 
 def _float_poisson(bank: matrices.PoissonBank, w_pa: np.ndarray, t: int, n: int):

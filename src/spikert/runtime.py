@@ -31,12 +31,19 @@ packets:
   source order, emit step, synaptic row), repeated over the per-ensemble
   CSR of destination cores and their ``mapping.delivery_map`` transits;
 - window: ``SynapseCoreState.run_window`` orders every queued packet with
-  one ``np.lexsort``, the machine's (core, arrival, sx, sy, score, key) order,
-  and scans all cores with a queued packet in lockstep, one array operation
-  per queue position, keeping each core's float recurrence in packet order;
-- ring insert: the spans of all processed packets' rows are expanded and
-  their synapses added into the ring buffers with a single integer
-  ``np.add.at``.
+  one three-key ``np.lexsort`` on (core, arrival, tie), the tie packing the
+  source order and the emit step into one int64, which is the machine's
+  (core, arrival, sx, sy, score, key, emit step) order.  It then scans all
+  cores with a queued packet in lockstep, four array operations per queue
+  position, keeping each core's float recurrence in packet order.  The scan
+  reads the in-window packets laid out position by position, the cores by
+  falling queue length, so each position's cores are a prefix of them: its
+  working set is a few arrays of one entry per packet, never the longest
+  queue times the cores.  The per-core counters are counted afterwards and
+  written to the profile with two writes;
+- ring insert: ``matrices.ring_insert``, which the oracle delivers through
+  as well, expands the spans of all processed packets' rows and adds their
+  synapses into the ring buffers with a single integer ``np.add.at``.
 
 Neuron state, constants, input images, fired indices and the ring buffers
 are indexed by global neuron, the oracle's layout: as the oracle's
@@ -72,7 +79,10 @@ from .machine import MachineSpec, auto_machine
 from .mapping import (NEURON_BITS, Ensemble, PlacementError, allocate_keys,
                       build_routing_tables, delivery_map, destination_cores, neuron_slots,
                       partition, place_radial)
-from .network import NetworkModel
+from .network import NetworkModel, SpecError
+
+
+MAX_STEPS = 1 << 32  # the queue orders a packet's emit step in 32 bits
 
 
 class SchedulingError(RuntimeError):
@@ -178,20 +188,24 @@ class ProfileStore:
     starts from its entry, the ring-buffer write, and each step it runs a
     window replaces it.
 
-    The chunk in hand is eight arrays of shape ``(3 * ensembles,
-    matrices.CHUNK_STEPS)``, indexed like ``SynapseCoreState``; column
-    ``t - t0`` holds step t.  ``spill`` appends the chunk to ``file``, a
-    binary file object, as one block per counter whose rows are the synapse
-    cores in core-table order, adds it to the running totals and starts the
-    next chunk.  ``serialize`` and ``serialize_events`` read the spilled
-    counters back a group of cores at a time and write the profile files to
-    a text file object.
+    The chunk in hand is the int32 block ``counts`` of the seven integer
+    counters (``INTS``), shape ``(7, 3 * ensembles, matrices.CHUNK_STEPS)``,
+    and the float64 ``busy_us``, indexed like ``SynapseCoreState``; column
+    ``t - t0`` holds step t, and each counter is also an attribute, a view
+    of its row of the block.  ``spill`` appends the chunk to ``file``, a
+    binary file object, as one block per counter (``SPILLED`` order) whose
+    rows are the synapse cores in core-table order, adds it to the running
+    totals and starts the next chunk.  ``serialize`` and
+    ``serialize_events`` read the spilled counters back a group of cores at
+    a time and write the profile files to a text file object.
     """
 
     # the counters, in the order ``SynapseCoreState.run_window`` returns them
     COUNTERS = ("received", "processed", "flushed", "zero_target", "kickstarts", "busy_us",
                 "processed_events", "flushed_events")
-    DTYPES = (np.int32,) * 5 + (np.float64, np.int64, np.int64)
+    INTS = tuple(name for name in COUNTERS if name != "busy_us")  # the rows of ``counts``
+    SPILLED = INTS + ("busy_us",)  # the counters in spill-file order, and their dtypes
+    DTYPES = (np.int32,) * len(INTS) + (np.float64,)
     SUMMED = ("received", "processed", "flushed", "zero_target", "processed_events",
               "flushed_events")  # the counters ``totals`` adds up
     GROUP_CELLS = 1 << 13  # (core, step) cells read back at once when writing a profile file
@@ -208,17 +222,19 @@ class ProfileStore:
         self._fixed = np.empty(syn_rows.size)
         self._fixed[self._order] = fixed_busy_us[syn_rows]
         shape = (syn_rows.size, min(matrices.CHUNK_STEPS, n_steps))
-        for name, dtype in zip(self.COUNTERS, self.DTYPES):
-            setattr(self, name, np.empty(shape, dtype=dtype))
+        self.counts = np.empty((len(self.INTS), *shape), dtype=np.int32)
+        for name, block in zip(self.INTS, self.counts):
+            setattr(self, name, block)
+        self.busy_us = np.empty(shape)
         self._step_bytes = syn_rows.size * sum(np.dtype(d).itemsize for d in self.DTYPES)
+        self._summed = [self.INTS.index(name) for name in self.SUMMED]
         self._sums = dict.fromkeys(self.SUMMED, 0)
         self._max_flushed = 0
         self.t0 = 0
         self._clear()
 
     def _clear(self) -> None:
-        for name in self.COUNTERS:
-            getattr(self, name)[:] = 0
+        self.counts[:] = 0
         self.busy_us[:] = self._fixed[:, None]
 
     def spill(self) -> None:
@@ -226,10 +242,11 @@ class ProfileStore:
         totals and start the next chunk."""
         k = min(self.received.shape[1], self.n_steps - self.t0)
         self.file.seek(self.t0 * self._step_bytes)
-        for name in self.COUNTERS:
-            self.file.write(np.ascontiguousarray(getattr(self, name)[self._order, :k]))
-        for name in self.SUMMED:
-            self._sums[name] += int(getattr(self, name)[:, :k].sum())
+        self.file.write(np.ascontiguousarray(self.counts[:, self._order, :k]))
+        self.file.write(np.ascontiguousarray(self.busy_us[self._order, :k]))
+        sums = self.counts[self._summed, :, :k].sum(axis=(1, 2)).tolist()
+        for name, value in zip(self.SUMMED, sums):
+            self._sums[name] += value
         self._max_flushed = max(self._max_flushed, int(self.flushed[:, :k].max(initial=0)))
         self.t0 += k
         self._clear()
@@ -249,7 +266,7 @@ class ProfileStore:
         for t0 in range(0, self.n_steps, width):
             k = min(width, self.n_steps - t0)
             offset = t0 * self._step_bytes
-            for name, dtype in zip(self.COUNTERS, self.DTYPES):
+            for name, dtype in zip(self.SPILLED, self.DTYPES):
                 size = np.dtype(dtype).itemsize
                 if name in names:
                     block = np.empty((r1 - r0, k), dtype=dtype)
@@ -324,6 +341,12 @@ class SynapseCoreState:
         self.store = store
         self.costs = costs
         self.wcost = costs.sdram_write_us(n_syn)
+        self.fetch_us = costs.row_fetch_overhead_us(n_syn)  # row-fetch overhead per packet
+        # a packet's cost without the fetch overhead, by its row's words
+        self.base_us = costs.packet_base_us(np.arange(np.iinfo(store.n.dtype).max
+                                                      * store.n.shape[1] + 1))
+        self.core_key = np.min_scalar_type(chip_row.size)  # the queue's sort key for cores
+        self.inh = (np.arange(chip_row.size) % 3) >> 1  # the ring each core adds into
         self.slots = matrices.ring_slots(store.table.delays)
         self.ring_shape = (2, self.slots, n_neurons)
         self.reset(np.ones(chip_row.size))
@@ -332,6 +355,8 @@ class SynapseCoreState:
         """Empty queues and fresh ring buffers; ``rate`` is each core's
         crystal rate."""
         self.rate = rate
+        self.margin_g = self.costs.second_timer_margin_us / rate  # in global us
+        self.wcost_g = self.wcost / rate
         self.carry = np.zeros(self.chip_row.size)
         self.q_arrival = np.zeros(0)
         self.q_fields = np.zeros((4, 0), dtype=np.int64)
@@ -352,92 +377,120 @@ class SynapseCoreState:
         arriving at or after the deadline stay queued.  ``starts`` and
         ``durations`` are each chip's timer period in global us; costs are
         local core us, scaled by the chip's crystal rate.  The cores run in
-        lockstep, one array operation per queue position, and each keeps the
-        float recurrence of a packet-at-a-time core.  Per-core counters go to
+        lockstep, four array operations per queue position, and each keeps
+        the float recurrence of a packet-at-a-time core.  Per-core counters go to
         ``profile``'s column of step ``t``; the return value is their sum over cores:
         received, processed, flushed, zero_target, kickstarts, busy_us,
         processed_events, flushed_events, late.
         """
         if not self.q_arrival.size:
             return 0, 0, 0, 0, 0, 0.0, 0, 0, 0
-        cm = self.costs
         f = self.q_fields
-        order = np.lexsort((f[2], f[1], self.q_arrival, f[0]))
-        arrival, f = self.q_arrival[order], f[:, order]
-        queued = np.bincount(f[0], minlength=self.chip_row.size)
-        act = np.flatnonzero(queued)           # the cores that run their window
-        act_of = np.cumsum(queued > 0) - 1     # core -> index into act
+        tie = f[1] << 32  # source order, then emit step (below 2**32 steps)
+        tie |= f[2]
+        order = np.lexsort((tie, self.q_arrival, f[0].astype(self.core_key)))
+        arrival, core = self.q_arrival[order], f[0, order]
+        # the active cores, those with a queued packet, and each packet's index a among them
+        new = np.empty(order.size, dtype=bool)
+        new[0] = True
+        np.not_equal(core[1:], core[:-1], out=new[1:])
+        act = core[new]
+        a = np.add.accumulate(new, dtype=np.intp)
+        a -= 1
         row = self.chip_row[act]
-        rate, wcost = self.rate[act], self.wcost[act]
-        margin_g = cm.second_timer_margin_us / rate
-        deadline = starts[row] + durations[row] - margin_g
+        start, margin = starts[row], self.margin_g[act]
+        deadline = start + durations[row] - margin
+        busy = np.maximum(np.maximum(start, start - margin + self.wcost_g[act]), self.carry[act])
 
         # in-window packets, processed or flushed this step: a prefix of each
         # core's queue; the rest arrive at or after the deadline and stay queued
-        a = act_of[f[0]]
         inwin = arrival < deadline[a]
-        a, emit, rows, win_arr = a[inwin], f[2][inwin], f[3][inwin], arrival[inwin]
-        core = act[a]
-        # a packet's words are the lengths of its row's spans, added up
-        lens = self.store.n[rows].astype(np.int64)  # uint8 mixed with int32 would give floats
-        words = lens.sum(axis=1)
-        cost = cm.packet_processing_us(words, self.n_syn[core])
+        if inwin.all():
+            self.q_arrival, self.q_fields = arrival[:0], f[:, :0]
+        else:
+            self.q_arrival, self.q_fields = arrival[~inwin], f[:, order[~inwin]]
+            a, arrival, core, order = a[inwin], arrival[inwin], core[inwin], order[inwin]
+        rows, emit = f[3, order], f[2, order]
         n_in = np.bincount(a, minlength=act.size)
-        pos = np.arange(a.size) - (np.cumsum(n_in) - n_in)[a]
+        first = np.add.accumulate(n_in)
+        first -= n_in  # each core's first in-window packet
+        # a packet's words are the lengths of its row's spans, added up
+        lens = self.store.n[rows].astype(np.intp)
+        words = np.add.reduce(lens, axis=1)
+        cost = self.base_us[words]
+        cost += self.fetch_us[core]
+        costk = cost + self.costs.pipeline_kickstart_us
+        rate = self.rate[core]
 
-        # lockstep scan, one row per queue position; padding never starts
-        depth = int(n_in.max(initial=0))
-        arr_at = np.full((depth, act.size), np.inf)
-        arr_at[pos, a] = win_arr
-        cost_at = np.zeros((depth, act.size))
-        cost_at[pos, a] = cost
-        busy = np.maximum(np.maximum(starts[row], starts[row] - margin_g + wcost / rate),
-                          self.carry[act])
-        busy_us = np.zeros(act.size)
-        kicks = np.zeros(act.size, dtype=np.int64)
-        processed = np.zeros(act.size, dtype=np.int64)
-        running = np.ones(act.size, dtype=bool)
-        for arr, c in zip(arr_at, cost_at):
-            begin = np.maximum(arr, busy)
-            running &= begin < deadline
-            if not running.any():
-                break
-            kick = running & (busy <= arr)
-            c = np.where(kick, c + cm.pipeline_kickstart_us, c)
-            busy = np.where(running, begin + c / rate, busy)
-            busy_us = np.where(running, busy_us + c, busy_us)
-            kicks += kick
-            processed += running
-        busy_us += wcost
-        dma_b_end = deadline + wcost / rate
-        self.carry[act] = np.where(busy > dma_b_end, busy, dma_b_end)
+        # lockstep scan, one queue position at a time.  The packets are laid
+        # out position by position, the cores by falling queue length, so the
+        # cores with a packet at position p are the first m[p] of them.  A
+        # core's packets arrive in order, and each arrives before the
+        # deadline, so a packet goes (is processed) while its core's busy
+        # time is before the deadline, and once one cannot go no later one
+        # can; a packet kicks the pipeline when the core is idle at its
+        # arrival, and then ends at arrival + dk, or else at busy + d
+        by_len = n_in.argsort()[::-1]
+        rank = np.empty_like(by_len)
+        rank[by_len] = np.arange(by_len.size)
+        depth = int(n_in[by_len[0]])
+        m = act.size - np.add.accumulate(np.bincount(n_in, minlength=depth + 1))[:depth]
+        pos0 = np.add.accumulate(m)
+        pos0 -= m  # the layout's first index of each position
+        at = np.arange(a.size) - first[a]  # each packet's queue position
+        at = pos0[at]
+        at += rank[a]  # each packet's index in the layout
+        arr_l, d_l, end_l, arrdk_l = (np.empty(a.size) for _ in range(4))
+        arr_l[at] = arrival
+        d_l[at] = cost / rate
+        arrdk_l[at] = arrival + costk / rate
+        kick_l, go_l = np.empty(a.size, dtype=bool), np.empty(a.size, dtype=bool)
+        dl, b = deadline[by_len], busy[by_len]
+        for lo, k in zip(pos0.tolist(), m.tolist()):
+            hi = lo + k
+            b = b[:k]
+            np.less(b, dl[:k], out=go_l[lo:hi])
+            kick = np.less_equal(b, arr_l[lo:hi], out=kick_l[lo:hi])
+            b = np.add(b, d_l[lo:hi], out=end_l[lo:hi])
+            np.copyto(b, arrdk_l[lo:hi], where=kick)
 
-        done = pos < processed[a]
-        self._insert(t, np.repeat((core[done] % 3) >> 1, lens.shape[1]),
-                     self.store.lo[rows[done]].reshape(-1), lens[done].reshape(-1))
-        flushed = n_in - processed
-        zero = np.bincount(a[done & (words == 0)], minlength=act.size)
-        ev_p = np.bincount(a[done], words[done], minlength=act.size).astype(np.int64)
-        ev_f = np.bincount(a[~done], words[~done], minlength=act.size).astype(np.int64)
-        late = int(np.count_nonzero(done & (emit != t)))
-        counters = (n_in, processed, flushed, zero, kicks, busy_us, ev_p, ev_f)
+        # the counters, rows in ``ProfileStore.INTS`` order
+        cnt = np.zeros((len(ProfileStore.INTS), act.size), dtype=np.int64)
+        cnt[0] = n_in
+        kick = kick_l[at]
+        if go_l.all():  # nothing flushed: every in-window packet is processed
+            done, a_done, w_done = slice(None), a, words
+        else:
+            done = go_l[at]
+            out = ~done
+            a_done, w_done, kick = a[done], words[done], kick[done]
+            cnt[2] = np.bincount(a[out], minlength=act.size)
+            cnt[6] = np.bincount(a[out], words[out], minlength=act.size)
+        cnt[1] = n_in - cnt[2]
+        zero = w_done == 0
+        if zero.any():
+            cnt[3] = np.bincount(a_done[zero], minlength=act.size)
+        cnt[4] = np.bincount(a_done[kick], minlength=act.size)
+        cnt[5] = np.bincount(a_done, w_done, minlength=act.size)
+        # each core's busy time, added up in packet order, then its ring write
+        busy_us = self.wcost[act] + np.bincount(a_done, np.where(kick, costk[done], cost[done]),
+                                                minlength=act.size)
+        late = int(np.count_nonzero(emit[done] != t))
         if profile is not None:
-            for name, value in zip(ProfileStore.COUNTERS, counters):
-                getattr(profile, name)[act, t - profile.t0] = value
+            col = t - profile.t0
+            profile.counts[:, act, col] = cnt
+            profile.busy_us[:, col][act] = busy_us
 
-        self.q_arrival, self.q_fields = arrival[~inwin], f[:, ~inwin]
-        return (*(c.sum().item() for c in counters), late)
+        # a core's busy time is the end of its last processed packet
+        ran = cnt[1].nonzero()[0]
+        busy[ran] = end_l[at[first[ran] + cnt[1, ran] - 1]]
+        self.carry[act] = np.maximum(busy, deadline + self.wcost_g[act])
 
-    def _insert(self, t: int, inh: np.ndarray, lo: np.ndarray, lens: np.ndarray) -> None:
-        """Add the spans of the processed packets' rows into the ring buffers:
-        span i is ``table[lo[i]:lo[i] + lens[i]]`` and adds into ``ring[inh[i]]``."""
-        syn = matrices.ranges(lo, lens)
-        if not syn.size:
-            return
-        table = self.store.table
-        slot = (t + table.delays[syn].astype(np.int64)) & (self.slots - 1)
-        flat = (np.repeat(inh, lens) * self.slots + slot) * self.ring.shape[2]
-        np.add.at(self.ring.reshape(-1), flat + table.post[syn], table.units[syn].astype(np.int64))
+        matrices.ring_insert(self.ring, self.store.table, t,
+                             self.inh[core[done]].repeat(lens.shape[1]),
+                             self.store.lo[rows[done]].reshape(-1), lens[done].reshape(-1))
+        total = cnt.sum(axis=1).tolist()
+        return (*total[:5], busy_us.sum().item(), *total[5:], late)
 
 
 @dataclass
@@ -583,11 +636,15 @@ class HardwareSimulation:
         ``matrices.CHUNK_STEPS`` steps at a time, and the result's
         ``ProfileStore`` reads them back from it; memory then holds one
         chunk of counters and of background input whatever the duration.
-        Only the spike record grows with it.
+        Only the spike record grows with it, by about 4 B per spike
+        (``trace.SpikeRecord``).
         """
         network = self.network
         cm = self.costs
         n_steps = int(round(duration_ms / network.dt_ms))
+        if n_steps > MAX_STEPS:
+            raise SpecError(f"{n_steps} steps: the machine model runs at most {MAX_STEPS} "
+                            "(2**32) steps")
         if bank.n_steps != n_steps:
             raise ValueError(f"Poisson bank holds {bank.n_steps} steps, the run {n_steps}")
 
@@ -611,8 +668,7 @@ class HardwareSimulation:
 
         beacon_steps = max(1, round(BEACON_INTERVAL_S * 1e6 / period_local_us))
 
-        fired_steps: list[int] = []
-        fired_neurons: list[np.ndarray] = []
+        spikes = trace.SpikeRecord(n_steps)
         late_packets = 0
         poisson_sat = 0
 
@@ -632,10 +688,9 @@ class HardwareSimulation:
                 self.v, self.i_syn, self.ref, inputs, consts)
 
             # fan-out: one packet per fired neuron and destination core
-            g = np.flatnonzero(fired)
+            g = fired.nonzero()[0]
             if g.size:
-                fired_steps.append(t)
-                fired_neurons.append(g)
+                spikes.add(t, g)
                 e_idx, local = self.ens_of[g], self.nid_of[g]
                 n_dest = self.dest_ptr[e_idx + 1] - self.dest_ptr[e_idx]
                 total = int(n_dest.sum())
@@ -645,11 +700,11 @@ class HardwareSimulation:
                             + (local + 1) * upd_g[e_idx])
                     fields = np.empty((4, total), dtype=np.int64)
                     fields[0] = self.dest_core[d]
-                    fields[1] = np.repeat(self.source_order[g], n_dest)
+                    fields[1] = self.source_order[g].repeat(n_dest)
                     fields[2] = t
                     # row_base[g] + i for the i-th destination core of g's ensemble
-                    fields[3] = np.repeat(self.store.row_base[g] - self.dest_ptr[e_idx], n_dest) + d
-                    syn.push(np.repeat(send, n_dest) + self.dest_transit_us[d], fields)
+                    fields[3] = (self.store.row_base[g] - self.dest_ptr[e_idx]).repeat(n_dest) + d
+                    syn.push(send.repeat(n_dest) + self.dest_transit_us[d], fields)
 
             # poisson cores sample and write the next step's buffer (DMA C)
             pois_units, clipped = bank.units_at(t)
@@ -671,8 +726,7 @@ class HardwareSimulation:
 
         syn.ring = None  # run state: the next run's reset makes fresh rings
 
-        spike_trace = trace.from_step_records(network, fired_steps, fired_neurons, n_steps,
-                                              discard_ms)
+        spike_trace = trace.from_step_records(network, spikes, discard_ms)
         return RunResult(spike_trace, profile, clocks.diagnostics, late_packets, poisson_sat)
 
 

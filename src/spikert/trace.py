@@ -63,20 +63,51 @@ class SpikeTrace:
             fh.write("%.4f %s %s\n" * len(rows) % tuple(rows.ravel().tolist()))
 
 
-def from_step_records(network, steps, fired, n_steps: int,
-                      discard_ms: float = 0.0) -> SpikeTrace:
-    """The sorted trace of a run of ``n_steps`` of ``network``: ``fired[i]``
-    holds the global indices of the neurons that fired at step ``steps[i]``.
-    Both are ascending, and global order is population then neuron order,
-    so the spikes come out sorted without a sort."""
-    g = np.concatenate(fired or [np.zeros(0, dtype=np.int64)])
+class SpikeRecord:
+    """The spikes of a run of ``n_steps`` as it goes: the number that fired
+    at each step (int32 ``counts``) and the global indices of the neurons
+    that fired, step after step, as int32 in pieces of ``PIECE`` entries,
+    so that the record costs about 4 B per spike and grows a piece at a
+    time."""
+
+    PIECE = 1 << 16
+
+    def __init__(self, n_steps: int):
+        self.counts = np.zeros(n_steps, dtype=np.int32)
+        self._pieces = [np.empty(self.PIECE, dtype=np.int32)]
+        self._used = 0  # entries filled in the last piece
+
+    def add(self, t: int, fired: np.ndarray) -> None:
+        """Record the neurons ``fired`` (ascending global indices) at step t."""
+        self.counts[t] = fired.size
+        while fired.size:
+            piece = self._pieces[-1]
+            k = min(fired.size, piece.size - self._used)
+            piece[self._used:self._used + k] = fired[:k]
+            fired = fired[k:]
+            self._used += k
+            if self._used == piece.size:
+                self._pieces.append(np.empty(self.PIECE, dtype=np.int32))
+                self._used = 0
+
+    def neurons(self) -> np.ndarray:
+        """Every recorded neuron index, in record order, as one int32 array."""
+        return np.concatenate([*self._pieces[:-1], self._pieces[-1][:self._used]])
+
+
+def from_step_records(network, record: SpikeRecord, discard_ms: float = 0.0) -> SpikeTrace:
+    """The sorted trace of a run of ``network`` from its spike record.  Its
+    steps are ascending and each step's neurons ascending global indices,
+    and global order is population then neuron order, so the spikes come
+    out sorted without a sort."""
+    g = record.neurons()
     pops = np.searchsorted(network.offsets, g, side="right").astype(np.int32)
     pops -= 1
     g -= network.offsets[pops]  # population-local
-    times = np.repeat(np.asarray(steps, dtype=np.int64) * network.dt_ms, [x.size for x in fired])
+    n_steps = record.counts.size
+    times = np.repeat(np.arange(n_steps, dtype=np.int64) * network.dt_ms, record.counts)
     populations = network.populations
-    return SpikeTrace(times, pops, g.astype(np.int32),
-                      n_steps * network.dt_ms, network.dt_ms, discard_ms,
+    return SpikeTrace(times, pops, g, n_steps * network.dt_ms, network.dt_ms, discard_ms,
                       tuple(p.name for p in populations), tuple(p.size for p in populations),
                       tuple(p.polarity for p in populations))
 

@@ -145,6 +145,9 @@ def bad_input_args(tmp_path, model, case):
     pytest.param("model poisson_rate_hz=inf",
                  "population E: poisson_rate_hz must be a finite number, got inf",
                  id="model_poisson_rate_inf"),
+    pytest.param("model poisson_rate_hz=4e8",
+                 "population E: poisson rate 400000000.0 Hz gives 40000 events per step of "
+                 "0.1 ms, above the 16384", id="model_poisson_rate_past_int16"),
     pytest.param("costs contention_ref_writers=1", "cost contention_ref_writers must be >= 2",
                  id="contention_ref_writers_one"),
     pytest.param("costs contention_ref_writers=0", "cost contention_ref_writers must be >= 2",
@@ -214,11 +217,14 @@ def record_calls(monkeypatch, owner, attr) -> list:
 
 def test_both_modes_share_one_table_and_one_bank(tmp_path, model, monkeypatch):
     """A --mode both run encodes the synapses once and builds one Poisson
-    bank, which both simulators read."""
+    bank, which both simulators read: the oracle reads the counts back from
+    the bank's scratch file, which the run then removes."""
     encodes = record_calls(monkeypatch, matrices, "encode_projections")
     banks = record_calls(monkeypatch, matrices.PoissonBank, "__init__")
     assert run_cli(tmp_path, model, "--mode", "both") == cli.EXIT_OK
     assert (len(encodes), len(banks)) == (1, 1)
+    assert banks[0][0].file.name == str(tmp_path / "out" / cli.POISSON_FILE)
+    assert not (tmp_path / "out" / cli.POISSON_FILE).exists()
 
 
 def line_by_line_profile(profile: runtime.ProfileStore, counters: dict) -> tuple[str, str]:

@@ -216,3 +216,72 @@ def test_arrival_ties_follow_the_machine_order(benchmark_path):
             profile.processed_events[c, 1], profile.flushed_events[c, 1]) == expected
     assert (totals[8], syn.carry[c], left) == (late, carry, [])
     assert 0 < expected[1] < expected[0]
+
+
+def one_core(net):
+    """The machine model of ``net`` at crystal rate 1, one of its synapse
+    cores c, a synaptic row r of c with synapses, the row's words and its
+    source order.  Windows of periods that start at 0 us and last 100 us
+    end at c's deadline, 100 us less the pre-deadline margin."""
+    sim = HardwareSimulation(net, encode_projections(net))
+    neuron, row_core = row_senders(sim)
+    words = np.diff(store_rows(sim)[0])
+    r = int(np.flatnonzero(words)[0])
+    return sim, int(row_core[r]), r, int(words[r]), int(sim.source_order[neuron[r]])
+
+
+def run_one_window(sim, t, packets):
+    """Queue ``packets`` (arrival, core, source order, emit step, row) and
+    run step t's window; returns the totals and the profile."""
+    arrival, *fields = zip(*packets)
+    sim.syn.push(np.array(arrival), np.array(fields, dtype=np.int64))
+    n_chips = len(sim.chips)
+    profile = ProfileStore(*sim.profile_rows(), sim.fixed_busy_us, t + 1)
+    return sim.syn.run_window(t, np.zeros(n_chips), np.full(n_chips, 100.0), profile), profile
+
+
+def test_packet_arriving_as_its_core_frees_counts_a_kickstart(small_network):
+    """A packet that arrives exactly when its core becomes free, at the end
+    of the last step's work or of the packet before it, kicks the pipeline;
+    one that arrives while the core is busy does not."""
+    sim, c, r, words, src = one_core(small_network)
+    cm, syn = sim.costs, sim.syn
+    cost = cm.packet_processing_us(words, syn.n_syn[c])
+    kicked = cost + cm.pipeline_kickstart_us
+    syn.carry[c] = 5.0
+    first_end = 5.0 + kicked
+    totals, profile = run_one_window(sim, 0, [(5.0, c, src, 0, r), (first_end, c, src, 0, r),
+                                              (first_end + 1e-3, c, src, 0, r)])
+    assert (profile.processed[c, 0], profile.kickstarts[c, 0]) == (3, 2)
+    assert profile.busy_us[c, 0] == kicked + kicked + cost + syn.wcost[c]
+    assert totals[:5] == (3, 3, 0, 0, 2)
+
+
+def test_core_busy_until_its_deadline_flushes_its_window(small_network):
+    """A core whose first in-window packet can begin only at the deadline
+    flushes every in-window packet, adds nothing to the rings and keeps its
+    busy time: only the ring-buffer write follows it."""
+    sim, c, r, words, src = one_core(small_network)
+    syn = sim.syn
+    deadline = 100.0 - sim.costs.second_timer_margin_us
+    syn.carry[c] = deadline
+    totals, profile = run_one_window(sim, 0, [(10.0, c, src, 0, r), (20.0, c, src, 0, r)])
+    assert (profile.received[c, 0], profile.processed[c, 0], profile.flushed[c, 0],
+            profile.kickstarts[c, 0]) == (2, 0, 2, 0)
+    assert (profile.processed_events[c, 0], profile.flushed_events[c, 0]) == (0, 2 * words)
+    assert profile.busy_us[c, 0] == syn.wcost[c]
+    assert syn.carry[c] == deadline + syn.wcost[c]
+    assert not syn.ring.any() and totals[2] == 2 and not syn.q_arrival.size
+
+
+def test_equal_arrivals_from_one_source_go_in_emit_step_order(small_network):
+    """Two packets for one core with the same arrival and source order are
+    taken in emit-step order, whatever their queue order: with the deadline
+    between them, the earlier step's packet is processed (a late packet)
+    and the current step's is flushed."""
+    sim, c, r, words, src = one_core(small_network)
+    cost = sim.costs.packet_processing_us(words, sim.syn.n_syn[c])
+    arrival = 100.0 - sim.costs.second_timer_margin_us - cost / 2
+    totals, profile = run_one_window(sim, 1, [(arrival, c, src, 1, r), (arrival, c, src, 0, r)])
+    assert (profile.processed[c, 1], profile.flushed[c, 1]) == (1, 1)
+    assert totals[8] == 1

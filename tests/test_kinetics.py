@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -201,6 +202,21 @@ def test_poisson_negative_rate_rejected():
                                               "poisson_rate_hz = -1"), "poisson")
 
 
+@pytest.mark.parametrize("rate_hz,ok", [(163840000.0, True), (163850000.0, False),
+                                        (4e8, False)])
+def test_poisson_rate_beyond_the_int16_counts_rejected(rate_hz, ok):
+    """The bank keeps int16 counts: a rate averaging more than 2**14 events
+    per 0.1 ms step is a spec error naming the population, where 4e8 Hz
+    (40,000 per step) used to wrap to negative counts."""
+    text = SMALL_SPEC.replace("poisson_rate_hz = 12800", f"poisson_rate_hz = {rate_hz}")
+    if ok:
+        parse_network_spec(text, "poisson")
+        return
+    with pytest.raises(SpecError, match=r"population E: poisson rate .* Hz gives .* events "
+                                        r"per step of 0.1 ms, above the 16384"):
+        parse_network_spec(text, "poisson")
+
+
 def test_poisson_bit_reproducible():
     """The same seed draws the same counts, another seed others."""
     net = poisson_network()
@@ -228,10 +244,13 @@ def test_bank_streams_equal_one_shot_draws_across_chunks():
     """``units_at`` and its clipped count equal what one-shot draws of each
     source's stream give, at every step of a run that crosses three chunk
     boundaries and ends inside a chunk, and again on a second pass, which
-    starts every stream over.  E saturates the accumulator, I does not."""
+    reads the counts back from the bank's file: after the first pass the
+    file holds every step's counts.  E saturates the accumulator, I does
+    not."""
     net = poisson_network(e_rate_hz=900000.0)
     n_steps = 3 * CHUNK_STEPS + 77
-    bank = PoissonBank(net, 2, n_steps)
+    file = io.BytesIO()
+    bank = PoissonBank(net, 2, n_steps, file)
     draws, w_q = [], []
     for pop in net.populations:
         lam = pop.background.rate_hz * net.dt_ms * 1e-3
@@ -241,11 +260,13 @@ def test_bank_streams_equal_one_shot_draws_across_chunks():
         w_q += [round(pop.background.weight_pa * 2.0 ** exp)] * pop.size
     raw = np.array(draws).T * np.array(w_q)  # (steps, neurons)
     assert (raw > weights.POISSON_ACC_MAX).any() and (raw[:, 100:] <= weights.POISSON_ACC_MAX).all()
-    for _ in range(2):
+    for i in range(2):
         for t in range(n_steps):
             units, clipped = bank.units_at(t)
             assert np.array_equal(units, np.minimum(raw[t], weights.POISSON_ACC_MAX))
             assert clipped == np.count_nonzero(raw[t] > weights.POISSON_ACC_MAX)
+        if i == 0:  # the file holds the counts, step-major
+            assert file.getvalue() == np.array(draws, dtype=np.int16).T.tobytes()
     with pytest.raises(IndexError):
         bank.units_at(n_steps)
 
@@ -261,3 +282,34 @@ def test_poisson_distribution_chi_squared():
     probs = np.concatenate([pmf, [1.0 - pmf.sum()]])
     chi2, p = stats.chisquare(observed, probs * draws.size)
     assert p > 0.01
+
+
+def test_bank_read_by_two_readers_draws_each_chunk_once(monkeypatch):
+    """A bank with a file draws each chunk once, however often it is read:
+    a second reader from step 0, and a third that jumps between chunks,
+    read back the units and clipped counts the first reader got."""
+    drawn = []
+    draw = PoissonBank._draw
+    monkeypatch.setattr(PoissonBank, "_draw", lambda bank: drawn.append(bank._drawn) or draw(bank))
+    net = poisson_network(e_rate_hz=900000.0)
+    n_steps = 2 * CHUNK_STEPS + 40
+    bank = PoissonBank(net, 2, n_steps, io.BytesIO())
+    first = [bank.units_at(t) for t in range(n_steps)]
+    assert drawn == [0, 1, 2]
+    second = [bank.units_at(t) for t in range(n_steps)]
+    jumps = [n_steps - 1, 3, CHUNK_STEPS + 5, 0]
+    third = [bank.units_at(t) for t in jumps]
+    assert drawn == [0, 1, 2]
+    assert any(clipped for _, clipped in first)
+    for t, (units, clipped) in [*enumerate(second), *zip(jumps, third)]:
+        assert np.array_equal(units, first[t][0]) and clipped == first[t][1]
+
+
+def test_bank_without_file_refuses_to_read_back():
+    """A bank without a file keeps only the chunk in hand: reading a step of
+    a chunk it has dropped is an error, not a second draw."""
+    bank = PoissonBank(poisson_network(), 2, CHUNK_STEPS + 10)
+    bank.units_at(CHUNK_STEPS)
+    bank.units_at(CHUNK_STEPS + 9)
+    with pytest.raises(RuntimeError, match="step 0 was drawn and dropped; .* needs a file"):
+        bank.units_at(0)

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import re
 import tracemalloc
 
@@ -14,7 +15,8 @@ from spikert.matrices import (CHUNK_STEPS, PoissonBank, encode_projections, rang
 from spikert.network import (SpecError, build_network, load_network_spec, parse_network_spec,
                              scale_network)
 from spikert.oracle import oracle_simulate
-from spikert.runtime import HardwareSimulation, build_synaptic_store
+from spikert.runtime import MAX_STEPS, HardwareSimulation, build_synaptic_store
+from spikert.trace import SpikeRecord
 
 DURATION_MS = 50.0
 STEPS = 500
@@ -35,7 +37,7 @@ def run_both(net, drift_ppm=0.0, quantize=True):
     """Hardware run at slowdown 10 (no flushes) and the oracle, from one
     synapse table and one Poisson bank."""
     table = encode_projections(net, keep_weights=not quantize)
-    bank = PoissonBank(net, 2, STEPS)
+    bank = PoissonBank(net, 2, STEPS, io.BytesIO())
     sim = HardwareSimulation(net, table, clock_cfg=ClockConfig(drift_bound_ppm=drift_ppm),
                              drift_seed=3, slowdown=10.0)
     res = sim.run(DURATION_MS, bank)
@@ -203,7 +205,7 @@ def test_wide_weight_spread_takes_int64_units():
 def test_rerun_is_deterministic(small_network):
     sim = HardwareSimulation(small_network, encode_projections(small_network),
                              clock_cfg=ClockConfig(drift_bound_ppm=20.0), drift_seed=3)
-    bank = PoissonBank(small_network, 2, STEPS)
+    bank = PoissonBank(small_network, 2, STEPS, io.BytesIO())
     first, second = sim.run(DURATION_MS, bank), sim.run(DURATION_MS, bank)
     assert len(first.trace) > 0
     assert written(second.trace.serialize) == written(first.trace.serialize)
@@ -222,18 +224,19 @@ def test_bank_and_profile_memory_stay_flat_with_steps(small_network, tmp_path):
 
     def peaks(n_steps):
         tracemalloc.start()
-        bank = PoissonBank(small_network, 2, n_steps)
-        for t in range(n_steps):
-            bank.units_at(t)
-        bank_peak = tracemalloc.get_traced_memory()[1]
-        run_peak = []
-        for with_profile in (False, True):
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            with open(tmp_path / "spill", "w+b") as spill:
-                sim.run(n_steps * small_network.dt_ms, bank, with_profile=with_profile,
-                        spill=spill)
-            run_peak.append(tracemalloc.get_traced_memory()[1] - base)
+        with open(tmp_path / "draws", "w+b") as draws:
+            bank = PoissonBank(small_network, 2, n_steps, draws)
+            for t in range(n_steps):
+                bank.units_at(t)
+            bank_peak = tracemalloc.get_traced_memory()[1]
+            run_peak = []
+            for with_profile in (False, True):
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                with open(tmp_path / "spill", "w+b") as spill:
+                    sim.run(n_steps * small_network.dt_ms, bank, with_profile=with_profile,
+                            spill=spill)
+                run_peak.append(tracemalloc.get_traced_memory()[1] - base)
         tracemalloc.stop()
         return bank_peak, run_peak[1] - run_peak[0]
 
@@ -323,3 +326,33 @@ def test_float_oracle_with_poisson_input_is_pinned(small_network):
     assert len(tr) == 363
     assert hashlib.sha256(written(tr.serialize).encode()).hexdigest() == (
         "1bd7dd87f2e9bc396c6322376099ec363b698c0fa21e0e9a18e6ad2c1fb25c11")
+
+
+def test_spike_record_costs_four_bytes_per_spike():
+    """The spike record keeps the neurons as int32 in pieces: 20,000 steps
+    of about 15 spikes each, handed over as the simulators do (one int64
+    array per step), cost about 4 B per spike and 4 B per step, where one
+    array per step took more than 12."""
+    rng = np.random.default_rng(1)
+    n_steps = 20000
+    fired = [np.flatnonzero(rng.random(1544) < 0.01) for _ in range(n_steps)]
+    tracemalloc.start()
+    record = SpikeRecord(n_steps)
+    for t, g in enumerate(fired):
+        record.add(t, g)
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    spikes = sum(g.size for g in fired)
+    assert spikes > 4 * SpikeRecord.PIECE
+    assert held < 4 * (spikes + n_steps + SpikeRecord.PIECE) + 4096
+    assert np.array_equal(record.neurons(), np.concatenate(fired))
+    assert record.counts.tolist() == [g.size for g in fired]
+
+
+def test_runs_past_the_emit_step_key_are_refused(small_network):
+    """The queue orders a packet's emit step in 32 bits: a run of more than
+    2**32 steps is refused before it starts."""
+    sim = HardwareSimulation(small_network, encode_projections(small_network))
+    with pytest.raises(SpecError, match=r"4294967297 steps: the machine model runs at most "
+                                        r"4294967296 \(2\*\*32\) steps"):
+        sim.run((MAX_STEPS + 1) * small_network.dt_ms, PoissonBank(small_network, 2, 10))
