@@ -2,10 +2,13 @@
 
 Firing statistics follow the usual comparison battery: per-neuron rates,
 coefficient of variation of inter-spike intervals, and Pearson correlation
-between binned spike trains of a seeded neuron subsample.  Histogram bin
-widths use the Freedman-Diaconis rule.  Energy reporting converts measured
-energy-to-solution into energy per synaptic event and rescales long-window
-measurements assuming constant power draw.
+between binned spike trains of a seeded neuron subsample.  The CV ISI of
+all neurons with the same spike count is computed in one array pass, bit
+for bit as each neuron's own intervals give it; the subsample's trains are
+binned as int32, so their transients cost about 17 B per (neuron, bin).
+Histogram bin widths use the Freedman-Diaconis rule.  Energy reporting
+converts measured energy-to-solution into energy per synaptic event and
+rescales long-window measurements assuming constant power draw.
 """
 
 from __future__ import annotations
@@ -99,56 +102,62 @@ def firing_stats(trace: SpikeTrace, corr_bin_ms: float = 2.0, corr_subsample: in
         raise ValueError("empty analysis window after the discard interval")
     window_s = (t1 - t0) * 1e-3
     keep = trace.times_ms >= t0
-    times = trace.times_ms[keep]
-    pops = trace.pops[keep]
-    neurons = trace.neurons[keep]
 
     n_corr_bins = max(1, int(math.ceil((t1 - t0) / corr_bin_ms)))
     out = []
     for p, (name, size) in enumerate(zip(trace.pop_names, trace.pop_sizes)):
-        sel = pops == p
-        t_p = times[sel]
-        n_p = neurons[sel]
-        rates = np.bincount(n_p, minlength=size) / window_s
-
-        cvs = []
-        excluded = 0
-        order = np.lexsort((t_p, n_p))
-        t_sorted, n_sorted = t_p[order], n_p[order]
-        for lo, hi in _neuron_segments(n_sorted):
-            isi = np.diff(t_sorted[lo:hi])
-            if isi.size < 2:
-                excluded += 1
-                continue
-            mean = isi.mean()
-            cvs.append(isi.std() / mean if mean > 0 else 0.0)
-        excluded += size - len(np.unique(n_p))  # silent neurons have no ISIs at all
+        sel = keep & (trace.pops == p)  # copied one population at a time
+        t_p = trace.times_ms[sel]
+        n_p = trace.neurons[sel]
+        counts = np.bincount(n_p, minlength=size)
+        rates = counts / window_s
+        cvs = _cv_isi(t_p, n_p, counts)
 
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([corr_seed, p])))
         chosen = np.sort(rng.choice(size, size=min(corr_subsample, size), replace=False))
-        binned = np.zeros((chosen.size, n_corr_bins), dtype=np.int64)
         mask = np.isin(n_p, chosen)
         bins = np.minimum(((t_p[mask] - t0) / corr_bin_ms).astype(np.int64), n_corr_bins - 1)
-        np.add.at(binned, (np.searchsorted(chosen, n_p[mask]), bins), 1)
-        active = binned.std(axis=1) > 0
+        cells = np.searchsorted(chosen, n_p[mask]) * n_corr_bins + bins
+        binned = np.bincount(cells, minlength=chosen.size * n_corr_bins).astype(np.int32)
+        binned = binned.reshape(chosen.size, n_corr_bins)
+        active = binned.max(axis=1) > binned.min(axis=1)  # not flat
         corr_excluded = int(np.count_nonzero(~active))
         coeffs = np.zeros(0)
         if np.count_nonzero(active) >= 2:
             cm = np.corrcoef(binned[active])
             iu = np.triu_indices(cm.shape[0], k=1)
             coeffs = cm[iu]
-        out.append(PopulationStats(name, size, rates, np.asarray(cvs), excluded,
+        out.append(PopulationStats(name, size, rates, cvs, size - cvs.size,
                                    coeffs, corr_excluded))
     return FiringStats(out, (t0, t1), corr_bin_ms, corr_subsample, corr_seed)
 
 
-def _neuron_segments(sorted_ids: np.ndarray):
-    if sorted_ids.size == 0:
-        return
-    boundaries = np.flatnonzero(np.diff(sorted_ids) != 0) + 1
-    edges = np.concatenate([[0], boundaries, [sorted_ids.size]])
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        yield int(lo), int(hi)
+def _cv_isi(times: np.ndarray, neurons: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The CV of the inter-spike intervals of each neuron with at least two,
+    in neuron order, from the spikes ``times`` of ``neurons``, whose spike
+    counts are ``counts``.
+
+    The spikes are sorted by the spike count of their neuron, then neuron,
+    then time, so the neurons with c spikes are a (neurons, c) block of the
+    sorted times.  Each block's rows are reduced at once: numpy sums each
+    row of a C-contiguous array as it sums that row alone, so a row's mean
+    and standard deviation are bit for bit those of the neuron's own
+    intervals.
+    """
+    per_spike = counts[neurons]
+    order = np.lexsort((times, neurons, per_spike))
+    t = times[order]
+    cv = np.zeros(counts.size)
+    a = int(np.count_nonzero(per_spike < 3))  # the spikes of neurons without a CV
+    hist = np.bincount(counts)
+    for c in (np.flatnonzero(hist[3:]) + 3).tolist():
+        b = a + int(hist[c]) * c
+        isi = np.diff(t[a:b].reshape(-1, c), axis=1)
+        mean = isi.mean(axis=1)
+        cv[neurons[order[a:b:c]]] = np.divide(isi.std(axis=1), mean, where=mean > 0,
+                                              out=np.zeros_like(mean))
+        a = b
+    return cv[counts >= 3]
 
 
 def stats_document(stats: FiringStats) -> str:

@@ -285,10 +285,9 @@ def run(cfg: RunConfig) -> None:
         if len(tr):
             stats = analysis.firing_stats(tr)
             _write(cfg, f"stats_{name}.txt", analysis.stats_document(stats))
-        t, total, exc, inh = analysis.per_timestep_counts(tr)
-        lines = ["# timestep total excitatory inhibitory"]
-        lines += [f"{a} {b} {c} {d}" for a, b, c, d in zip(t, total, exc, inh)]
-        _write(cfg, f"counts_{name}.tsv", "\n".join(lines) + "\n")
+        counts = np.stack(analysis.per_timestep_counts(tr), axis=1)
+        _write(cfg, f"counts_{name}.tsv", "# timestep total excitatory inhibitory\n"
+               + "%d %d %d %d\n" * len(counts) % tuple(counts.ravel().tolist()))
 
     if cfg.mode == "both":
         same = results["hardware"] == results["oracle"]

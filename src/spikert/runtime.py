@@ -196,8 +196,13 @@ class ProfileStore:
     binary file object, as one block per counter (``SPILLED`` order) whose
     rows are the synapse cores in core-table order, adds it to the running
     totals and starts the next chunk.  ``serialize`` and
-    ``serialize_events`` read the spilled counters back a group of cores at
-    a time and write the profile files to a text file object.
+    ``serialize_events`` read the spilled counters back as numeric arrays,
+    a group of (core, step) cells at a time, and write the profile files to
+    a text file object, formatting each step, each distinct tuple of
+    integer counters and each distinct busy time of a group once and
+    joining the pieces of each line, so a file is written at about the
+    speed of joining strings, with a working set that does not grow with
+    the run's length (``_write``).
     """
 
     # the counters, in the order ``SynapseCoreState.run_window`` returns them
@@ -208,7 +213,8 @@ class ProfileStore:
     DTYPES = (np.int32,) * len(INTS) + (np.float64,)
     SUMMED = ("received", "processed", "flushed", "zero_target", "processed_events",
               "flushed_events")  # the counters ``totals`` adds up
-    GROUP_CELLS = 1 << 13  # (core, step) cells read back at once when writing a profile file
+    GROUP_CELLS = 1 << 14  # (core, step) cells read back at once when writing a profile file
+    STEP_SPAN = 1 << 16  # steps whose strings are held at once when writing a profile file
 
     def __init__(self, labels: list[str], syn_core: np.ndarray, fixed_busy_us: np.ndarray,
                  n_steps: int, file=None):
@@ -256,62 +262,103 @@ class ProfileStore:
         one core flushed in one step."""
         return {**self._sums, "max_flushed_in_timestep": self._max_flushed}
 
-    def _read(self, names: tuple[str, ...], r0: int, r1: int) -> np.ndarray:
-        """Spilled rows ``r0:r1`` of the counters ``names``, every step, as
-        Python numbers in an object array ``(rows, steps, 1 + len(names))``
-        whose column 0 is the step."""
-        vals = np.empty((r1 - r0, self.n_steps, 1 + len(names)), dtype=object)
-        vals[:, :, 0] = range(self.n_steps)
+    def _read(self, names: tuple[str, ...], r0: int, r1: int, s0: int, s1: int) -> list:
+        """Spilled rows ``r0:r1`` of the counters ``names`` at steps
+        ``s0:s1``, each as its numeric ``(rows, steps)`` array: int32, or
+        float64 for busy_us."""
         n_rows, width = self.received.shape
-        for t0 in range(0, self.n_steps, width):
-            k = min(width, self.n_steps - t0)
-            offset = t0 * self._step_bytes
-            for name, dtype in zip(self.SPILLED, self.DTYPES):
-                size = np.dtype(dtype).itemsize
-                if name in names:
-                    block = np.empty((r1 - r0, k), dtype=dtype)
-                    self.file.seek(offset + r0 * k * size)
-                    if self.file.readinto(block) != block.nbytes:
-                        raise EOFError("the profile spill file ends before the run's steps")
-                    vals[:, t0:t0 + k, 1 + names.index(name)] = block
-                offset += n_rows * k * size
-        return vals
+        out = []
+        for name in names:
+            i = self.SPILLED.index(name)
+            dtype = np.dtype(self.DTYPES[i])
+            # bytes per step of a chunk before row r0 of this counter
+            ahead = (n_rows * sum(np.dtype(d).itemsize for d in self.DTYPES[:i])
+                     + r0 * dtype.itemsize)
+            values = np.empty((r1 - r0, s1 - s0), dtype=dtype)
+            for t0 in range(s0 - s0 % width, s1, width):
+                k = min(width, self.n_steps - t0)
+                a, b = max(s0, t0), min(s1, t0 + k)
+                block = np.empty((r1 - r0, k), dtype)
+                self.file.seek(t0 * self._step_bytes + ahead * k)
+                if self.file.readinto(block) != block.nbytes:
+                    raise EOFError("the profile spill file ends before the run's steps")
+                values[:, a - s0:b - s0] = block[:, a - t0:b - t0]
+            out.append(values)
+        return out
 
-    def _write(self, fh, names: tuple[str, ...], fmt: str, idle: str) -> None:
-        """Each core's rows, one ``%``-format per chunk of steps: ``label +
-        fmt`` of the step and the counters ``names`` for a synapse core, and
-        the step followed by ``idle`` of its fixed busy time for a neuron or
-        Poisson core."""
-        n, chunk = self.n_steps, matrices.CHUNK_STEPS
-        per_group = max(1, self.GROUP_CELLS // max(n, 1))
-        r = r0 = 0
-        vals = None
-        for label, c, busy in zip(self.labels, self.syn_core.tolist(),
-                                  self.fixed_busy_us.tolist()):
-            if c < 0:
-                row = label + " %s" + idle.format(busy)
-                for a in range(0, n, chunk):
-                    steps = range(a, min(a + chunk, n))
-                    fh.write(row * len(steps) % tuple(steps))
-                continue
-            if vals is None or r - r0 == len(vals):
-                r0, vals = r, self._read(names, r, min(r + per_group, self._order.size))
-            v = vals[r - r0]
-            r += 1
-            for a in range(0, n, chunk):
-                piece = v[a:a + chunk]
-                fh.write((label + fmt) * len(piece) % tuple(piece.ravel().tolist()))
+    def _write(self, fh, names: tuple[str, ...], idle: str) -> None:
+        """Each core's rows: for a synapse core its label, the step and the
+        counters ``names``, busy_us last if at all, as `` %.4f``; for a
+        neuron or Poisson core its label, the step and ``idle`` of its fixed
+        busy time.
+
+        The step strings are formatted once for ``STEP_SPAN`` steps at a
+        time, all of a run's steps unless it is longer, and held, about 60 B
+        per step.  A neuron or Poisson core's rows are joins of them.  The
+        synapse cores' counters are read back a group of at most
+        ``GROUP_CELLS`` (core, step) cells at a time: several cores at every
+        step of a span, or, when a span has more steps than that, one core
+        at a part of the span.  In a group, each distinct tuple of integer
+        counters and each distinct busy time is formatted once
+        (``trace.distinct_strings``), and a row is the join of its label,
+        step, tuple and busy time.  The working set is bounded by the two
+        constants, not by the run's length: about 130 B per cell of a group
+        and 60 B per distinct string in it, and the span's step strings.
+        """
+        n, width, cells = self.n_steps, self.received.shape[1], self.GROUP_CELLS
+        span = min(n, self.STEP_SPAN) or 1
+        part = span if span <= cells else max(width, cells // width * width)
+        per_group = max(1, cells // part)
+        g0 = g1 = gs = st = -1  # the group in hand: rows g0:g1 from step gs
+        r = 0
+        for label, c, fixed in zip(self.labels, self.syn_core.tolist(),
+                                   self.fixed_busy_us.tolist()):
+            for s0 in range(0, n, span):
+                s1 = min(s0 + span, n)
+                if st != s0:
+                    st, steps = s0, [" %d" % t for t in range(s0, s1)]
+                    step_col = np.array(steps, dtype=object)
+                if c < 0:
+                    tail = idle.format(fixed)
+                    for a in range(0, s1 - s0, cells):
+                        fh.write(label + (tail + label).join(steps[a:a + cells]) + tail)
+                    continue
+                for p0 in range(s0, s1, part):
+                    p1 = min(p0 + part, s1)
+                    if not (g0 <= r < g1 and gs == p0):
+                        g0, g1, gs = r, min(r + per_group, self._order.size), p0
+                        columns = self._columns(names, g0, g1, p0, p1)
+                    pieces = np.empty((p1 - p0, 2 + len(columns)), dtype=object)
+                    pieces[:, 0] = label
+                    pieces[:, 1] = step_col[p0 - s0:p1 - s0]
+                    for j, (strings, index) in enumerate(columns, 2):
+                        pieces[:, j] = strings[index[r - g0]]
+                    fh.write("".join(pieces.ravel().tolist()))
+            r += c >= 0
+
+    def _columns(self, names: tuple[str, ...], r0: int, r1: int, s0: int, s1: int) -> list:
+        """The text of the counters ``names`` for the group of spilled rows
+        ``r0:r1`` at steps ``s0:s1``: a list of columns, each its distinct
+        strings and a ``(rows, steps)`` index into them, the first for the
+        tuples of integer counters and, if ``names`` ends with busy_us, one
+        for it; the last column ends the line."""
+        values = self._read(names, r0, r1, s0, s1)
+        busy = names[-1] == "busy_us"
+        ints = np.stack([v.reshape(-1) for v in values[:len(names) - busy]])
+        columns = [trace.distinct_strings(ints, " %s" * len(ints) + "\n" * (not busy))]
+        if busy:
+            columns.append(trace.distinct_strings(values[-1].reshape(-1), " %.4f\n"))
+        return [(strings, index.reshape(values[0].shape)) for strings, index in columns]
 
     def serialize(self, fh) -> None:
         """Write ``profile.tsv`` to the text file ``fh``."""
         fh.write("# core_id timestep received processed flushed zero_target kickstarts busy_us\n")
-        self._write(fh, self.COUNTERS[:6], " %s %s %s %s %s %s %.4f\n",
-                    " 0 0 0 0 0 {:.4f}\n")
+        self._write(fh, self.COUNTERS[:6], " 0 0 0 0 0 {:.4f}\n")
 
     def serialize_events(self, fh) -> None:
         """Write ``profile_events.tsv`` to the text file ``fh``."""
         fh.write("# core_id timestep processed_events flushed_events\n")
-        self._write(fh, self.COUNTERS[6:], " %s %s %s\n", " 0 0\n")
+        self._write(fh, self.COUNTERS[6:], " 0 0\n")
 
 
 class SynapseCoreState:

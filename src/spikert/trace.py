@@ -4,11 +4,17 @@ One line per spike, ``time_ms population neuron_index``, sorted by time then
 population order then neuron; header comments carry run metadata and the
 population roster.  Both simulation paths write through the same code, so
 equal spike sets produce byte-identical files.  A trace is written straight
-to its file, ``LINES`` spikes at a time, never built as one string.
+to its file, ``LINES`` spikes at a time, never built as one string: in each
+block every distinct time and every distinct neuron id is formatted once
+(``distinct_strings``, which the profile writer shares), and a line is the
+join of its time, its pre-spaced population name and its neuron id.  A
+trace already in that order, as ``from_step_records`` and ``load_trace``
+make it, is written without a sort.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -31,6 +37,13 @@ class SpikeTrace:
     def __len__(self) -> int:
         return int(self.times_ms.size)
 
+    def _in_order(self) -> bool:
+        """Whether the spikes are in trace order: by time, then population,
+        then neuron."""
+        t, p, n = self.times_ms, self.pops, self.neurons
+        later_p = (p[1:] > p[:-1]) | ((p[1:] == p[:-1]) & (n[1:] >= n[:-1]))
+        return bool(((t[1:] > t[:-1]) | ((t[1:] == t[:-1]) & later_p)).all())
+
     def sorted(self) -> "SpikeTrace":
         order = np.lexsort((self.neurons, self.pops, self.times_ms))
         return SpikeTrace(self.times_ms[order], self.pops[order], self.neurons[order],
@@ -44,7 +57,7 @@ class SpikeTrace:
 
     def serialize(self, fh) -> None:
         """Write the trace's text to the text file ``fh``."""
-        t = self.sorted()
+        t = self if self._in_order() else self.sorted()
         lines = [
             "# spike trace",
             f"# duration_ms {self.duration_ms!r}",
@@ -54,13 +67,56 @@ class SpikeTrace:
         for name, size, pol in zip(self.pop_names, self.pop_sizes, self.pop_polarity):
             lines.append(f"# population {name} {size} {pol}")
         fh.write("\n".join(lines) + "\n")
-        names = np.array(self.pop_names, dtype=object)
+        names = np.array([name + " " for name in self.pop_names], dtype=object)
         for a in range(0, len(t), LINES):
-            rows = np.empty((min(LINES, len(t) - a), 3), dtype=object)
-            rows[:, 0] = t.times_ms[a:a + LINES]
+            times, time_of = distinct_strings(t.times_ms[a:a + LINES], "%.4f ")
+            ids, id_of = distinct_strings(t.neurons[a:a + LINES], "%s\n")
+            rows = np.empty((time_of.size, 3), dtype=object)
+            rows[:, 0] = times[time_of]
             rows[:, 1] = names[t.pops[a:a + LINES]]
-            rows[:, 2] = t.neurons[a:a + LINES]
-            fh.write("%.4f %s %s\n" * len(rows) % tuple(rows.ravel().tolist()))
+            rows[:, 2] = ids[id_of]
+            fh.write("".join(rows.ravel().tolist()))
+
+
+def distinct_strings(values: np.ndarray, fmt: str) -> tuple[np.ndarray, np.ndarray]:
+    """The strings of an array's distinct values, each formatted once.
+
+    ``values`` is 1-D, or a 2-D integer array whose columns are tuples.
+    Returns an object array of ``fmt % v`` for each distinct value v (``fmt
+    % tuple(column)`` for each distinct column) and the index of each
+    value's (each column's) string.  Floats are told apart by their bits,
+    and ``%`` formats equal floats alike, so every string is the one
+    formatting that value would give.  Columns are packed into one int64
+    key each, a mixed radix whose base is a row's range; when the key would
+    not fit in 63 bits, columns are compared whole, which is much slower.
+    """
+    if values.ndim == 2:
+        lo = values.min(axis=1).tolist()
+        bases = [hi - low + 1 for hi, low in zip(values.max(axis=1).tolist(), lo)]
+        if math.prod(bases) > 1 << 63:
+            uniq, inverse = np.unique(values, axis=1, return_inverse=True)
+            return _formatted(fmt, map(tuple, uniq.T.tolist())), inverse.reshape(-1)
+        key = np.zeros(values.shape[1], dtype=np.int64)
+        for row, low, base in zip(values, lo, bases):
+            key *= base
+            key += np.subtract(row, low, dtype=np.int64)
+        uniq, inverse = np.unique(key, return_inverse=True)
+        digits = np.empty((len(bases), uniq.size), dtype=np.int64)
+        for j in range(len(bases) - 1, -1, -1):
+            uniq, digits[j] = np.divmod(uniq, bases[j])
+        digits += np.array(lo, dtype=np.int64)[:, None]
+        return _formatted(fmt, map(tuple, digits.T.tolist())), inverse
+    if values.dtype.kind == "f":
+        uniq, inverse = np.unique(values.view(f"i{values.itemsize}"), return_inverse=True)
+        uniq = uniq.view(values.dtype)
+    else:
+        uniq, inverse = np.unique(values, return_inverse=True)
+    return _formatted(fmt, uniq.tolist()), inverse
+
+
+def _formatted(fmt: str, values) -> np.ndarray:
+    """``fmt % v`` for each of ``values``, as an object array."""
+    return np.array([fmt % v for v in values], dtype=object)
 
 
 class SpikeRecord:

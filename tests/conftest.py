@@ -188,3 +188,22 @@ def written(serialize) -> str:
     fh = io.StringIO()
     serialize(fh)
     return fh.getvalue()
+
+
+def line_by_line_profile(profile, counters: dict) -> tuple[str, str]:
+    """profile.tsv and profile_events.tsv formatted one line at a time from
+    whole counter arrays in memory, ``(synapse cores, steps)``."""
+    rows = ["# core_id timestep received processed flushed zero_target kickstarts busy_us\n"]
+    events = ["# core_id timestep processed_events flushed_events\n"]
+    for label, c, busy in zip(profile.labels, profile.syn_core.tolist(),
+                              profile.fixed_busy_us.tolist()):
+        for t in range(profile.n_steps):
+            if c < 0:
+                rows.append(f"{label} {t} 0 0 0 0 0 {busy:.4f}\n")
+                events.append(f"{label} {t} 0 0\n")
+            else:
+                r, p, f, z, k, b, pe, fe = (counters[name][c, t].item()
+                                            for name in profile.COUNTERS)
+                rows.append(f"{label} {t} {r} {p} {f} {z} {k} {b:.4f}\n")
+                events.append(f"{label} {t} {pe} {fe}\n")
+    return "".join(rows), "".join(events)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import SMALL_SPEC, written
+from conftest import SMALL_SPEC, line_by_line_profile, written
 from spikert import analysis, cli, matrices, runtime, trace
 from spikert.mapping import NEURONS_PER_CORE
 from spikert.network import build_network
@@ -225,25 +225,6 @@ def test_both_modes_share_one_table_and_one_bank(tmp_path, model, monkeypatch):
     assert (len(encodes), len(banks)) == (1, 1)
     assert banks[0][0].file.name == str(tmp_path / "out" / cli.POISSON_FILE)
     assert not (tmp_path / "out" / cli.POISSON_FILE).exists()
-
-
-def line_by_line_profile(profile: runtime.ProfileStore, counters: dict) -> tuple[str, str]:
-    """profile.tsv and profile_events.tsv formatted one line at a time from
-    whole counter arrays in memory, ``(synapse cores, steps)``."""
-    rows = ["# core_id timestep received processed flushed zero_target kickstarts busy_us\n"]
-    events = ["# core_id timestep processed_events flushed_events\n"]
-    for label, c, busy in zip(profile.labels, profile.syn_core.tolist(),
-                              profile.fixed_busy_us.tolist()):
-        for t in range(profile.n_steps):
-            if c < 0:
-                rows.append(f"{label} {t} 0 0 0 0 0 {busy:.4f}\n")
-                events.append(f"{label} {t} 0 0\n")
-            else:
-                r, p, f, z, k, b, pe, fe = (counters[name][c, t].item()
-                                            for name in runtime.ProfileStore.COUNTERS)
-                rows.append(f"{label} {t} {r} {p} {f} {z} {k} {b:.4f}\n")
-                events.append(f"{label} {t} {pe} {fe}\n")
-    return "".join(rows), "".join(events)
 
 
 @pytest.mark.parametrize("group_cells", [runtime.ProfileStore.GROUP_CELLS, 2 * 798])
