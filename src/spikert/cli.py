@@ -12,13 +12,14 @@ spike): the Poisson bank holds one chunk of steps at a time, the profile
 counters are spilled to a file as the run goes, and the traces and profiles
 are written to their files in pieces, never built as one string.
 
-The cost moves to disk, into two scratch files in the output directory,
-which are removed before the run ends, so they are never among its outputs:
+The cost moves to disk, into two unnamed scratch files in the output
+directory (``tempfile.TemporaryFile``), which the system frees when the run
+closes them or ends, however it ends, so they are never among its outputs:
 
-- ``SPILL_FILE``, the profile counters, 36 B per synapse core and step
-  (about 1.3 GB per simulated second at full scale);
-- ``POISSON_FILE``, in ``--mode both`` only, every chunk of background counts
-  the bank draws, which the oracle reads back instead of drawing them again:
+- the profile counters, when a hardware run writes a profile: 36 B per
+  synapse core and step (about 1.3 GB per simulated second at full scale);
+- in ``--mode both`` only, every chunk of background counts the Poisson
+  bank draws, which the oracle reads back instead of drawing them again:
   2 B per Poisson source and step (6.2 MB for 200 ms at scale 0.02, about
   1.5 GB per simulated second at full scale).
 """
@@ -33,6 +34,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +56,6 @@ EXIT_PLACEMENT = 4
 EXIT_KEY = 5
 EXIT_ROUTING = 6
 EXIT_IO = 7
-
-# scratch files of a run, in its output directory, removed before it ends
-SPILL_FILE = "profile_counters.bin"  # the profile counters
-POISSON_FILE = "poisson_counts.bin"  # the Poisson counts, in --mode both
 
 
 @dataclass
@@ -247,13 +245,16 @@ def run(cfg: RunConfig) -> None:
             net, table, machine=machine, costs=costs, clock_cfg=clock_cfg,
             drift_seed=cfg.seed_drift, slowdown=cfg.slowdown)
         _libc("malloc_trim", 0)
-    # the profile counters are spilled to the output directory as the run
-    # goes, and read back from there when their files are written; in --mode
-    # both, so are the Poisson counts, which the oracle reads back
+    # the profile counters are spilled to an unnamed file in the output
+    # directory as the run goes, and read back from it when their files are
+    # written; in --mode both, so are the Poisson counts, which the oracle
+    # reads back
     with contextlib.ExitStack() as scratch:
-        spill = scratch.enter_context(_scratch_file(os.path.join(cfg.out, SPILL_FILE)))
-        draws = (scratch.enter_context(_scratch_file(os.path.join(cfg.out, POISSON_FILE)))
-                 if cfg.mode == "both" else None)
+        def scratch_file():
+            return scratch.enter_context(tempfile.TemporaryFile(dir=cfg.out))
+
+        spill = scratch_file() if sim is not None and cfg.profile == "full" else None
+        draws = scratch_file() if cfg.mode == "both" else None
         bank = matrices.PoissonBank(net, cfg.seed_poisson, round(steps), draws)
         if sim is not None:
             res = sim.run(cfg.duration_ms, bank, discard_ms=cfg.discard_ms,
@@ -276,7 +277,8 @@ def run(cfg: RunConfig) -> None:
         _write(cfg, "sync.tsv", res.sync_diagnostics.serialize())
         _write(cfg, "placement.txt", sim.placement.serialize())
         _write(cfg, "routing_tables.txt", sim.tables.serialize())
-        _write(cfg, "placement_summary.txt", placement_summary(sim))
+        _write(cfg, "placement_summary.txt",
+               _summary_text(sim.placement, sim.tables, sim.ensembles))
         _write(cfg, "machine.mach", serialize_machine_spec(sim.machine))
     if "oracle" in results:
         _write(cfg, "trace_oracle.txt", results["oracle"].serialize)
@@ -317,10 +319,6 @@ def _run_map_only(cfg: RunConfig, net, machine: MachineSpec | None) -> None:
     _write(cfg, "placement_summary.txt", summary)
     _write_manifest(cfg, load_cost_model(cfg.costs), None)
     print(summary)
-
-
-def placement_summary(sim: runtime.HardwareSimulation) -> str:
-    return _summary_text(sim.placement, sim.tables, sim.ensembles)
 
 
 def _summary_text(placement, tables, ensembles) -> str:
@@ -377,18 +375,6 @@ def _write_manifest(cfg: RunConfig, costs: CostModel, sim) -> None:
     if sim is not None:
         manifest["machine"] = dataclasses.asdict(sim.machine)
     _write(cfg, "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-@contextlib.contextmanager
-def _scratch_file(path: str):
-    """A new binary file at ``path``, open for writing and reading, closed
-    and removed when the block ends."""
-    fh = open(path, "w+b")
-    try:
-        with fh:
-            yield fh
-    finally:
-        os.remove(path)
 
 
 def _write(cfg: RunConfig, name: str, content) -> None:

@@ -75,27 +75,10 @@ class MachineSpec:
         bx, by = self.board_of(chip)
         return by * (-(-self.width // self.board_tile_width)) + bx
 
-    def _dy_reps(self, dy: int):
-        if not self.wrap_vertical:
-            return (dy,)
-        return (dy, dy - self.height, dy + self.height)
-
-    def delta(self, src: tuple[int, int], dst: tuple[int, int]) -> tuple[int, int]:
-        """(dx, dy) with dy reduced through the vertical wrap to the shortest rep."""
-        dx = dst[0] - src[0]
-        dy0 = dst[1] - src[1]
-        best = None
-        for dy in self._dy_reps(dy0):
-            d = _hex_dist(dx, dy)
-            key = (d, abs(dy), -dy)  # deterministic tie-break, prefer non-wrapped
-            if best is None or key < best[0]:
-                best = (key, dy)
-        return dx, best[1]
-
     def canonical_deltas(self, dx: np.ndarray, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``delta``'s dy and the hop count of the canonical route, over arrays
-        of (dx, dy): through the vertical wrap the fewest hops win, then the
-        smallest |dy|, then dy > 0."""
+        """The canonical route's dy and hop count for arrays of offsets (dx,
+        dy): of dy and, through the vertical wrap, dy -/+ height, the fewest
+        hops win, then the smallest |dy|, then dy > 0."""
         hops = _hex_dists(dx, dy)
         for rep in (dy - self.height, dy + self.height) if self.wrap_vertical else ():
             d = _hex_dists(dx, rep)
@@ -134,21 +117,16 @@ class MachineSpec:
     def radial_order(self) -> list[tuple[int, int]]:
         """Chips sorted by an outward spiral from (0, 0): distance rings first,
         counter-clockwise from +x within a ring, honoring the vertical wrap."""
-        def key(chip):
-            dx, dy = self.delta((0, 0), chip)
-            ang = math.atan2(dy, dx) % (2.0 * math.pi)
-            return (_hex_dist(dx, dy), ang, chip[0], chip[1])
-        return sorted(((x, y) for x in range(self.width) for y in range(self.height)), key=key)
-
-
-def _hex_dist(dx: int, dy: int) -> int:
-    if (dx >= 0) == (dy >= 0):
-        return max(abs(dx), abs(dy))
-    return abs(dx) + abs(dy)
+        x, y = np.divmod(np.arange(self.n_chips()), self.height)
+        dy, hops = self.canonical_deltas(x, y)
+        angle = np.arctan2(dy, x) % (2.0 * math.pi)
+        order = np.lexsort((y, x, angle, hops))
+        return list(zip(x[order].tolist(), y[order].tolist()))
 
 
 def _hex_dists(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """``_hex_dist`` over arrays."""
+    """Hops between chips (dx, dy) apart, over arrays: a diagonal hop covers
+    one step of x and one of y when both go the same way."""
     return np.where((dx >= 0) == (dy >= 0), np.maximum(abs(dx), abs(dy)), abs(dx) + abs(dy))
 
 

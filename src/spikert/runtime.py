@@ -192,25 +192,29 @@ class ProfileStore:
     counters (``INTS``), shape ``(7, 3 * ensembles, matrices.CHUNK_STEPS)``,
     and the float64 ``busy_us``, indexed like ``SynapseCoreState``; column
     ``t - t0`` holds step t, and each counter is also an attribute, a view
-    of its row of the block.  ``spill`` appends the chunk to ``file``, a
-    binary file object, as one block per counter (``SPILLED`` order) whose
-    rows are the synapse cores in core-table order, adds it to the running
-    totals and starts the next chunk.  ``serialize`` and
-    ``serialize_events`` read the spilled counters back as numeric arrays,
-    a group of (core, step) cells at a time, and write the profile files to
-    a text file object, formatting each step, each distinct tuple of
-    integer counters and each distinct busy time of a group once and
-    joining the pieces of each line, so a file is written at about the
-    speed of joining strings, with a working set that does not grow with
-    the run's length (``_write``).
+    of its row of the block.  ``spill`` writes the chunk to ``file``, a
+    binary file object, adds it to the running totals and starts the next
+    chunk.  The file is laid out in the order the profile files are
+    written: one packed 36-byte ``RECORD`` per (synapse core, step), the
+    synapse cores in core-table order and each core's steps contiguous, so
+    cell (r, t) sits at byte ``(r * n_steps + t) * 36``.  A spill writes
+    each core's steps of the chunk at their place, so a file on disk stays
+    sparse until the last chunk is written, and the in-memory
+    ``io.BytesIO`` that library runs default to, which cannot be sparse,
+    grows at the first spill to about its size at the end of the run.  ``serialize`` and ``serialize_events`` read the
+    records back a group of (core, step) cells at a time, one read per
+    group, and write the profile files to a text file object, formatting
+    each step, each distinct tuple of integer counters and each distinct
+    busy time of a group once and joining the pieces of each line, so a
+    file is written at about the speed of joining strings, with a working
+    set that does not grow with the run's length (``_write``).
     """
 
     # the counters, in the order ``SynapseCoreState.run_window`` returns them
     COUNTERS = ("received", "processed", "flushed", "zero_target", "kickstarts", "busy_us",
                 "processed_events", "flushed_events")
     INTS = tuple(name for name in COUNTERS if name != "busy_us")  # the rows of ``counts``
-    SPILLED = INTS + ("busy_us",)  # the counters in spill-file order, and their dtypes
-    DTYPES = (np.int32,) * len(INTS) + (np.float64,)
+    RECORD = np.dtype([(name, np.int32) for name in INTS] + [("busy_us", np.float64)])
     SUMMED = ("received", "processed", "flushed", "zero_target", "processed_events",
               "flushed_events")  # the counters ``totals`` adds up
     GROUP_CELLS = 1 << 14  # (core, step) cells read back at once when writing a profile file
@@ -232,7 +236,6 @@ class ProfileStore:
         for name, block in zip(self.INTS, self.counts):
             setattr(self, name, block)
         self.busy_us = np.empty(shape)
-        self._step_bytes = syn_rows.size * sum(np.dtype(d).itemsize for d in self.DTYPES)
         self._summed = [self.INTS.index(name) for name in self.SUMMED]
         self._sums = dict.fromkeys(self.SUMMED, 0)
         self._max_flushed = 0
@@ -244,12 +247,16 @@ class ProfileStore:
         self.busy_us[:] = self._fixed[:, None]
 
     def spill(self) -> None:
-        """Append the chunk in hand to the spill file, add it to the running
-        totals and start the next chunk."""
+        """Write the chunk in hand to the spill file, each core's steps at
+        their place, add it to the running totals and start the next chunk."""
         k = min(self.received.shape[1], self.n_steps - self.t0)
-        self.file.seek(self.t0 * self._step_bytes)
-        self.file.write(np.ascontiguousarray(self.counts[:, self._order, :k]))
-        self.file.write(np.ascontiguousarray(self.busy_us[self._order, :k]))
+        records = np.empty((self._order.size, k), self.RECORD)
+        for name, block in zip(self.INTS, self.counts):
+            records[name] = block[self._order, :k]
+        records["busy_us"] = self.busy_us[self._order, :k]
+        for r, row in enumerate(records):
+            self.file.seek((r * self.n_steps + self.t0) * self.RECORD.itemsize)
+            self.file.write(row)
         sums = self.counts[self._summed, :, :k].sum(axis=(1, 2)).tolist()
         for name, value in zip(self.SUMMED, sums):
             self._sums[name] += value
@@ -262,29 +269,15 @@ class ProfileStore:
         one core flushed in one step."""
         return {**self._sums, "max_flushed_in_timestep": self._max_flushed}
 
-    def _read(self, names: tuple[str, ...], r0: int, r1: int, s0: int, s1: int) -> list:
-        """Spilled rows ``r0:r1`` of the counters ``names`` at steps
-        ``s0:s1``, each as its numeric ``(rows, steps)`` array: int32, or
-        float64 for busy_us."""
-        n_rows, width = self.received.shape
-        out = []
-        for name in names:
-            i = self.SPILLED.index(name)
-            dtype = np.dtype(self.DTYPES[i])
-            # bytes per step of a chunk before row r0 of this counter
-            ahead = (n_rows * sum(np.dtype(d).itemsize for d in self.DTYPES[:i])
-                     + r0 * dtype.itemsize)
-            values = np.empty((r1 - r0, s1 - s0), dtype=dtype)
-            for t0 in range(s0 - s0 % width, s1, width):
-                k = min(width, self.n_steps - t0)
-                a, b = max(s0, t0), min(s1, t0 + k)
-                block = np.empty((r1 - r0, k), dtype)
-                self.file.seek(t0 * self._step_bytes + ahead * k)
-                if self.file.readinto(block) != block.nbytes:
-                    raise EOFError("the profile spill file ends before the run's steps")
-                values[:, a - s0:b - s0] = block[:, a - t0:b - t0]
-            out.append(values)
-        return out
+    def _read(self, r0: int, r1: int, s0: int, s1: int) -> np.ndarray:
+        """The ``(rows, steps)`` records of spilled rows ``r0:r1`` at steps
+        ``s0:s1``, one contiguous stretch of the file: one row, or every
+        step."""
+        records = np.empty((r1 - r0, s1 - s0), self.RECORD)
+        self.file.seek((r0 * self.n_steps + s0) * self.RECORD.itemsize)
+        if self.file.readinto(records) != records.nbytes:
+            raise EOFError("the profile spill file ends before the run's steps")
+        return records
 
     def _write(self, fh, names: tuple[str, ...], idle: str) -> None:
         """Each core's rows: for a synapse core its label, the step and the
@@ -296,19 +289,20 @@ class ProfileStore:
         time, all of a run's steps unless it is longer, and held, about 60 B
         per step.  A neuron or Poisson core's rows are joins of them.  The
         synapse cores' counters are read back a group of at most
-        ``GROUP_CELLS`` (core, step) cells at a time: several cores at every
-        step of a span, or, when a span has more steps than that, one core
-        at a part of the span.  In a group, each distinct tuple of integer
-        counters and each distinct busy time is formatted once
-        (``trace.distinct_strings``), and a row is the join of its label,
-        step, tuple and busy time.  The working set is bounded by the two
-        constants, not by the run's length: about 130 B per cell of a group
-        and 60 B per distinct string in it, and the span's step strings.
+        ``GROUP_CELLS`` (core, step) cells at a time, each group one read of
+        the spill file: several cores at every step of the run, or, when the
+        run has more steps than a group holds, one core at a part of a span.
+        In a group, each distinct tuple of integer counters and each
+        distinct busy time is formatted once (``trace.distinct_strings``),
+        and a row is the join of its label, step, tuple and busy time.  The
+        working set is bounded by the two constants, not by the run's
+        length: about 130 B per cell of a group and 60 B per distinct string
+        in it, and the span's step strings.
         """
-        n, width, cells = self.n_steps, self.received.shape[1], self.GROUP_CELLS
+        n, cells = self.n_steps, self.GROUP_CELLS
         span = min(n, self.STEP_SPAN) or 1
-        part = span if span <= cells else max(width, cells // width * width)
-        per_group = max(1, cells // part)
+        part = min(span, cells)
+        per_group = cells // part if part == n else 1
         g0 = g1 = gs = st = -1  # the group in hand: rows g0:g1 from step gs
         r = 0
         for label, c, fixed in zip(self.labels, self.syn_core.tolist(),
@@ -342,13 +336,13 @@ class ProfileStore:
         strings and a ``(rows, steps)`` index into them, the first for the
         tuples of integer counters and, if ``names`` ends with busy_us, one
         for it; the last column ends the line."""
-        values = self._read(names, r0, r1, s0, s1)
+        records = self._read(r0, r1, s0, s1)
         busy = names[-1] == "busy_us"
-        ints = np.stack([v.reshape(-1) for v in values[:len(names) - busy]])
+        ints = np.stack([records[name].reshape(-1) for name in names[:len(names) - busy]])
         columns = [trace.distinct_strings(ints, " %s" * len(ints) + "\n" * (not busy))]
         if busy:
-            columns.append(trace.distinct_strings(values[-1].reshape(-1), " %.4f\n"))
-        return [(strings, index.reshape(values[0].shape)) for strings, index in columns]
+            columns.append(trace.distinct_strings(records["busy_us"].reshape(-1), " %.4f\n"))
+        return [(strings, index.reshape(records.shape)) for strings, index in columns]
 
     def serialize(self, fh) -> None:
         """Write ``profile.tsv`` to the text file ``fh``."""

@@ -131,8 +131,25 @@ def row_senders(sim):
 
 
 # Reference routes: a packet's canonical route walked hop by hop, which
-# ``spikert.machine`` (``hop_offsets``, ``transits_from_origin_ns``) and
-# ``spikert.mapping`` compute over arrays.
+# ``spikert.machine`` (``canonical_deltas``, ``hop_offsets``,
+# ``transits_from_origin_ns``, ``radial_order``) and ``spikert.mapping``
+# compute over arrays.
+
+def hex_dist(dx: int, dy: int) -> int:
+    """Hops between chips (dx, dy) apart: a diagonal hop covers one step of
+    x and one of y when both go the same way."""
+    if (dx >= 0) == (dy >= 0):
+        return max(abs(dx), abs(dy))
+    return abs(dx) + abs(dy)
+
+
+def delta(machine, src, dst) -> tuple[int, int]:
+    """(dx, dy) with dy reduced through the vertical wrap to the shortest rep."""
+    dx, dy0 = dst[0] - src[0], dst[1] - src[1]
+    reps = (dy0, dy0 - machine.height, dy0 + machine.height) if machine.wrap_vertical else (dy0,)
+    # deterministic tie-break: fewest hops, then the smallest |dy|, then dy > 0
+    return dx, min(reps, key=lambda dy: (hex_dist(dx, dy), abs(dy), -dy))
+
 
 def neighbor(machine, chip, link):
     """Chip reached over a link, or None off the mesh edge."""
@@ -147,7 +164,7 @@ def neighbor(machine, chip, link):
 
 def route_links(machine, src, dst) -> list[int]:
     """Deterministic minimal-hop link sequence: diagonal first, then straight."""
-    dx, dy = machine.delta(src, dst)
+    dx, dy = delta(machine, src, dst)
     links = []
     while dx > 0 and dy > 0:
         links.append(1)  # NE

@@ -30,6 +30,16 @@ def model(tmp_path):
     return write(tmp_path, "small.net", SMALL_SPEC)
 
 
+# the files a run writes to its output directory
+HARDWARE_OUTPUTS = {"resolved_model.net", "profile.tsv", "profile_events.tsv",
+                    "trace_hardware.txt", "flush_report.txt", "sync.tsv", "placement.txt",
+                    "routing_tables.txt", "placement_summary.txt", "machine.mach",
+                    "stats_hardware.txt", "counts_hardware.tsv", "costs_resolved.cfg",
+                    "manifest.json"}
+BOTH_OUTPUTS = HARDWARE_OUTPUTS | {"trace_oracle.txt", "stats_oracle.txt", "counts_oracle.tsv",
+                                   "equivalence.txt"}
+
+
 def run_cli(tmp_path, model, *extra):
     return cli.main(["--model", model, "--out", str(tmp_path / "out"),
                      "--duration-ms", "5", *extra])
@@ -218,13 +228,30 @@ def record_calls(monkeypatch, owner, attr) -> list:
 def test_both_modes_share_one_table_and_one_bank(tmp_path, model, monkeypatch):
     """A --mode both run encodes the synapses once and builds one Poisson
     bank, which both simulators read: the oracle reads the counts back from
-    the bank's scratch file, which the run then removes."""
+    the bank's scratch file, which the run then closes."""
     encodes = record_calls(monkeypatch, matrices, "encode_projections")
     banks = record_calls(monkeypatch, matrices.PoissonBank, "__init__")
     assert run_cli(tmp_path, model, "--mode", "both") == cli.EXIT_OK
     assert (len(encodes), len(banks)) == (1, 1)
-    assert banks[0][0].file.name == str(tmp_path / "out" / cli.POISSON_FILE)
-    assert not (tmp_path / "out" / cli.POISSON_FILE).exists()
+    assert banks[0][0].file.closed
+
+
+def test_scratch_files_are_never_in_the_output_directory(tmp_path, model, monkeypatch):
+    """A --mode both run's scratch files, the profile spill and the Poisson
+    draws, have no name in the output directory: while the machine model
+    runs, the directory lists only output files, so a run that a signal
+    ends leaves no scratch file behind."""
+    out, listed = tmp_path / "out", []
+    run = runtime.HardwareSimulation.run
+
+    def listing_run(sim, *args, **kwargs):
+        listed.append(set(os.listdir(out)))
+        return run(sim, *args, **kwargs)
+
+    monkeypatch.setattr(runtime.HardwareSimulation, "run", listing_run)
+    assert run_cli(tmp_path, model, "--mode", "both", "--duration-ms", "50") == cli.EXIT_OK
+    assert set(os.listdir(out)) == BOTH_OUTPUTS
+    assert len(listed) == 1 and listed[0] <= BOTH_OUTPUTS
 
 
 @pytest.mark.parametrize("group_cells", [runtime.ProfileStore.GROUP_CELLS, 2 * 798])
@@ -235,7 +262,7 @@ def test_spilled_profile_equals_line_by_line_formatting(tmp_path, model, monkeyp
     profile_events.tsv byte for byte as formatting the whole counters in
     memory line by line does, also when the counters are read back two
     synapse cores at a time.  The flush report's totals are the counters'
-    sums, and no spill file is left in the output directory."""
+    sums, and the output directory holds only the run's outputs."""
     held = []
     spill = runtime.ProfileStore.spill
 
@@ -263,7 +290,7 @@ def test_spilled_profile_equals_line_by_line_formatting(tmp_path, model, monkeyp
     assert flushed.max() > 0
     assert f"flushed_packets {flushed.sum()}\n" in report
     assert f"max_flushed_in_timestep {flushed.max()}\n" in report
-    assert not (out / cli.SPILL_FILE).exists()
+    assert set(os.listdir(out)) == HARDWARE_OUTPUTS
 
 
 def test_float_oracle_leaves_the_shared_table_alone(tmp_path, model, monkeypatch):

@@ -313,3 +313,15 @@ def test_bank_without_file_refuses_to_read_back():
     bank.units_at(CHUNK_STEPS + 9)
     with pytest.raises(RuntimeError, match="step 0 was drawn and dropped; .* needs a file"):
         bank.units_at(0)
+
+
+def test_bank_with_a_truncated_file_refuses_to_read_back():
+    """A second reader of a bank whose file has lost counts since the first
+    pass gets an EOFError, not counts the file does not hold."""
+    file = io.BytesIO()
+    bank = PoissonBank(poisson_network(), 2, CHUNK_STEPS + 10, file)
+    for t in range(bank.n_steps):
+        bank.units_at(t)
+    file.truncate(bank.chunk.nbytes - 1)
+    with pytest.raises(EOFError, match="the Poisson bank's file ends before the chunks it drew"):
+        bank.units_at(0)

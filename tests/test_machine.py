@@ -1,16 +1,17 @@
+import math
+import os
+
 import pytest
 
-from conftest import neighbor, route_path, transit_ns
+from conftest import DATA_DIR, delta, hex_dist, neighbor, route_path, transit_ns
 from spikert.machine import (LINK_VECTORS, LINKS, MachineSpec, auto_machine, load_machine_spec,
                              parse_machine_spec, serialize_machine_spec)
 from spikert.network import SpecError
 
 
 def hex_distance(machine, src, dst) -> int:
-    """Hops between two chips: a diagonal hop covers one step of x and one
-    of y when both go the same way."""
-    dx, dy = machine.delta(src, dst)
-    return max(abs(dx), abs(dy)) if (dx >= 0) == (dy >= 0) else abs(dx) + abs(dy)
+    """Hops between two chips along the canonical route."""
+    return hex_dist(*delta(machine, src, dst))
 
 
 @pytest.fixture
@@ -100,6 +101,25 @@ def test_radial_order_starts_at_origin_and_respects_rings(wrapped):
     # with vertical wrap, both (0,1) and (0,23) sit on the first ring
     first_ring = {c for c, d in zip(order, dists) if d == 1}
     assert (0, 1) in first_ring and (0, 23) in first_ring
+
+
+@pytest.mark.parametrize("machine", [
+    MachineSpec(width=8, height=6, wrap_vertical=False),
+    MachineSpec(width=24, height=24),
+    MachineSpec(width=7, height=5),
+    MachineSpec(width=40, height=30, wrap_vertical=False),
+    MachineSpec(width=48, height=36),
+    load_machine_spec(os.path.join(DATA_DIR, "machine_12board.mach")),
+], ids=["8x6_unwrapped", "24x24", "7x5", "40x30_unwrapped", "48x36", "machine_12board"])
+def test_radial_order_equals_the_scalar_sort(machine):
+    """``radial_order`` orders the chips over arrays as sorting them one by
+    one on (ring, angle counter-clockwise from +x, x, y) does."""
+    def key(chip):
+        dx, dy = delta(machine, (0, 0), chip)
+        return hex_dist(dx, dy), math.atan2(dy, dx) % (2.0 * math.pi), chip[0], chip[1]
+
+    chips = [(x, y) for x in range(machine.width) for y in range(machine.height)]
+    assert machine.radial_order() == sorted(chips, key=key)
 
 
 def test_machine_file_round_trip(machine_path):

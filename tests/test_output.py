@@ -17,11 +17,13 @@ BUSY_EDGES = [0.03125, 0.15625, 0.0, -0.0, 2.5e-5, 1.00005, 0.30000000000000004,
               12345.67895, 1e-9, 99.99995]
 
 
-def spilled_profile(labels, syn_core, fixed, counters, n_steps) -> runtime.ProfileStore:
+def spilled_profile(labels, syn_core, fixed, counters, n_steps,
+                    file=None) -> runtime.ProfileStore:
     """A ProfileStore that has spilled ``counters``, ``(synapse cores,
-    steps)`` arrays by name, chunk by chunk as a run does."""
+    steps)`` arrays by name, chunk by chunk as a run does, to ``file`` (a
+    new ``io.BytesIO`` if None)."""
     profile = runtime.ProfileStore(labels, np.asarray(syn_core), np.asarray(fixed), n_steps,
-                                   io.BytesIO())
+                                   io.BytesIO() if file is None else file)
     width = profile.received.shape[1]
     for t0 in range(0, n_steps, width):
         k = min(width, n_steps - t0)
@@ -86,6 +88,44 @@ def test_profile_equals_python_formatting(monkeypatch, kind, n_steps, group_cell
     assert (written(profile.serialize), written(profile.serialize_events)) == \
         line_by_line_profile(profile, counters)
     assert any(whole_columns) == (kind == "int32_max")
+
+
+class CountedReads(io.BytesIO):
+    """An in-memory file that counts its ``readinto`` calls."""
+    reads = 0
+
+    def readinto(self, buffer):
+        self.reads += 1
+        return super().readinto(buffer)
+
+
+@pytest.mark.parametrize("n_steps, group_cells, reads", [
+    (300, 700, 2),  # two cores at every step, then the third
+    (1000, 300, 12),  # one core at a part of 300 steps: four parts per core
+])
+def test_profile_reads_each_group_back_in_one_call(monkeypatch, n_steps, group_cells, reads):
+    """Writing either profile file reads the spill file once per group of
+    (core, step) cells: several cores at every step when the run fits a
+    group, else one core at a part of its steps."""
+    monkeypatch.setattr(runtime.ProfileStore, "GROUP_CELLS", group_cells)
+    file = CountedReads()
+    counters = synthetic_counters("random", 3, n_steps)
+    profile = spilled_profile(["s_0", "n_1", "s_2", "s_3"], [1, -1, 0, 2], [1.5, 0.5, 2.5, 3.5],
+                              counters, n_steps, file)
+    for serialize in (profile.serialize, profile.serialize_events):
+        file.reads = 0
+        written(serialize)
+        assert file.reads == reads
+
+
+def test_truncated_spill_file_refuses_to_serialize():
+    """A profile whose spill file ends before the run's last record raises
+    EOFError rather than writing counters the file does not hold."""
+    counters = synthetic_counters("random", 2, 300)
+    profile = spilled_profile(["s_0", "s_1"], [0, 1], [1.5, 2.5], counters, 300)
+    profile.file.truncate(2 * 300 * profile.RECORD.itemsize - 1)
+    with pytest.raises(EOFError, match="the profile spill file ends before the run's steps"):
+        written(profile.serialize)
 
 
 @pytest.mark.parametrize("values, fmt", [
