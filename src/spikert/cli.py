@@ -6,6 +6,15 @@ simulator, and writes traces, profiles, sync diagnostics, statistics and a
 manifest.  The manifest plus the copied resolved spec files are enough to
 reproduce every output byte for byte.
 
+A run's set-up is one streaming pass: ``build_network`` samples one
+projection at a time straight into the synapse table's fields (a
+``matrices.TableSink``), encoding its weights as soon as it is drawn, and
+``encode_projections`` shifts them to the accumulator scales once the last
+one is in.  The sampled network is never held whole: the set-up peaks at the
+table (9 B per synapse) plus the float weights of the largest projection.
+Every run writes ``timings.json``, the seconds and peak RSS of each of its
+phases.
+
 A run's memory does not grow with its simulated duration, apart from the
 spike record that the traces and statistics are made from (about 4 B per
 spike): the Poisson bank holds one chunk of steps at a time, the profile
@@ -35,7 +44,13 @@ import math
 import os
 import sys
 import tempfile
+import time
 from dataclasses import dataclass
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 import numpy as np
 
@@ -215,6 +230,7 @@ _MANIFEST_TYPES = {"str": str, "str | None": (str, type(None)), "float": (int, f
 def run(cfg: RunConfig) -> None:
     cfg.validate()
     os.makedirs(cfg.out, exist_ok=True)
+    timings = _Timings()
 
     spec = load_network_spec(cfg.model, cfg.input)
     steps = cfg.duration_ms / spec.dt_ms
@@ -225,26 +241,33 @@ def run(cfg: RunConfig) -> None:
         spec = scale_network(spec, cfg.scale)
     machine = load_machine_spec(cfg.machine) if cfg.machine else None
     costs = load_cost_model(cfg.costs)
-
-    net = build_network(spec, cfg.seed_network, sample_synapses=not cfg.map_only)
-
-    _write(cfg, "resolved_model.net", serialize_network_spec(spec))
+    timings.mark("spec")
 
     if cfg.map_only:
-        _run_map_only(cfg, net, machine)
+        net = build_network(spec, cfg.seed_network, sample_synapses=False)
+        _write(cfg, "resolved_model.net", serialize_network_spec(spec))
+        timings.mark("neurons")
+        _run_map_only(cfg, net, machine, timings)
         return
+
+    # one encoded synapse table and one Poisson bank, read by both simulators:
+    # each projection is sampled straight into the table's fields
+    sink = matrices.TableSink(spec, keep_weights=not cfg.oracle_quantize)
+    net = build_network(spec, cfg.seed_network, sink=sink)
+    _write(cfg, "resolved_model.net", serialize_network_spec(spec))
+    table = matrices.encode_projections(net, sink=sink)
+    _libc("malloc_trim", 0)
+    timings.mark("sample_encode")
 
     clock_cfg = ClockConfig(drift_bound_ppm=cfg.drift_bound_ppm)
     results = {}
-    # one encoded synapse table and one Poisson bank, read by both simulators
-    table = matrices.encode_projections(net, keep_weights=not cfg.oracle_quantize)
-    _libc("malloc_trim", 0)
     sim = res = None
     if cfg.mode in ("hardware", "both"):
         sim = runtime.HardwareSimulation(
             net, table, machine=machine, costs=costs, clock_cfg=clock_cfg,
             drift_seed=cfg.seed_drift, slowdown=cfg.slowdown)
         _libc("malloc_trim", 0)
+        timings.mark("hardware_setup")
     # the profile counters are spilled to an unnamed file in the output
     # directory as the run goes, and read back from it when their files are
     # written; in --mode both, so are the Poisson counts, which the oracle
@@ -256,14 +279,17 @@ def run(cfg: RunConfig) -> None:
         spill = scratch_file() if sim is not None and cfg.profile == "full" else None
         draws = scratch_file() if cfg.mode == "both" else None
         bank = matrices.PoissonBank(net, cfg.seed_poisson, round(steps), draws)
+        timings.mark("poisson_bank")
         if sim is not None:
             res = sim.run(cfg.duration_ms, bank, discard_ms=cfg.discard_ms,
                           with_profile=cfg.profile == "full", spill=spill)
             results["hardware"] = res.trace
+            timings.mark("hardware_run")
         if cfg.mode in ("oracle", "both"):
             results["oracle"] = oracle.oracle_simulate(
                 net, table, bank, cfg.duration_ms, quantize=cfg.oracle_quantize,
                 discard_ms=cfg.discard_ms)
+            timings.mark("oracle")
         del table, bank  # the outputs need neither
         if res is not None and cfg.profile == "full":
             _write(cfg, "profile.tsv", res.profile.serialize)
@@ -300,10 +326,13 @@ def run(cfg: RunConfig) -> None:
         print(f"equivalence: identical_traces={same}")
 
     _write_manifest(cfg, costs, sim)
+    timings.mark("outputs")
+    _write(cfg, "timings.json", timings.document())
     print(f"run complete: outputs in {cfg.out}")
 
 
-def _run_map_only(cfg: RunConfig, net, machine: MachineSpec | None) -> None:
+def _run_map_only(cfg: RunConfig, net, machine: MachineSpec | None,
+                  timings: _Timings) -> None:
     ensembles = partition(net)
     if machine is None:
         sim_machine, placement = runtime._place(ensembles, None)
@@ -312,13 +341,38 @@ def _run_map_only(cfg: RunConfig, net, machine: MachineSpec | None) -> None:
     keys = allocate_keys(placement)
     dest_ptr, dest_core = destination_cores(placement, net.spec.projections)
     tables = build_routing_tables(placement, keys, dest_ptr, dest_core)
+    timings.mark("mapping")
     _write(cfg, "placement.txt", placement.serialize())
     _write(cfg, "routing_tables.txt", tables.serialize())
     _write(cfg, "machine.mach", serialize_machine_spec(sim_machine))
     summary = _summary_text(placement, tables, ensembles)
     _write(cfg, "placement_summary.txt", summary)
     _write_manifest(cfg, load_cost_model(cfg.costs), None)
+    timings.mark("outputs")
+    _write(cfg, "timings.json", timings.document())
     print(summary)
+
+
+class _Timings:
+    """Wall time (``perf_counter``) and peak RSS (``ru_maxrss``, where the
+    system reports it) at the phase boundaries of a run, for
+    ``timings.json``: each phase's seconds and the peak RSS at its end."""
+
+    def __init__(self):
+        self.phases: list[dict] = []
+        self._last = time.perf_counter()
+
+    def mark(self, phase: str) -> None:
+        now = time.perf_counter()
+        maxrss = (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+                  if resource is not None else None)  # KiB on Linux
+        self.phases.append({"phase": phase, "seconds": round(now - self._last, 6),
+                            "maxrss_mib": None if maxrss is None else round(maxrss, 1)})
+        self._last = now
+
+    def document(self) -> str:
+        return json.dumps({"seconds": round(sum(p["seconds"] for p in self.phases), 6),
+                           "phases": self.phases}, indent=2) + "\n"
 
 
 def _summary_text(placement, tables, ensembles) -> str:

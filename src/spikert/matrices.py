@@ -1,19 +1,22 @@
 """Synaptic data generation shared by the machine model and the oracle.
 
-Encoding happens once per run, here: ``encode_projections`` turns every
-sampled synapse into per-projection fixed-point scales, 16-bit word
-magnitudes and the integer accumulator contributions both simulation paths
-add up, and returns them as one ``SynapseTable`` of narrow global arrays:
-int32 target neurons, units in the narrowest of int32/int64 that holds the
-largest shifted value, uint8 delays.  A synapse's source neuron is not
-stored: each projection's ``row_ptr`` gives it (``SynapseTable.blocks``).
-The caller (``cli.run``) encodes once, each projection releasing its sampled
-arrays as soon as it is encoded, and hands the same table to both
-simulators, which only read it in place, each through its own index of spans
-into it: the oracle through each source neuron's spans
-(``source_delivery_index``), the machine model through synaptic rows, one
-per packet the fan-out can send (a source neuron and one of its destination
-cores), holding a span per projection onto the core's ensemble
+Encoding happens once per run, here: every sampled synapse becomes a
+16-bit word magnitude under its projection's fixed-point scale, then the
+integer accumulator contribution both simulation paths add up, in one
+``SynapseTable`` of narrow global arrays: int32 target neurons, units in
+the narrowest of int32/int64 that holds the largest shifted value, uint8
+delays.  A synapse's source neuron is not stored: each projection's
+``row_ptr`` gives it (``SynapseTable.blocks``).  The fields are a
+``TableSink``: a run (``cli.run``) samples each projection straight into
+them and rounds its weights into words as soon as it is drawn, and
+``encode_projections`` then shifts the words to the accumulator scales,
+which need every projection's largest weight; a materialised network is
+copied into a sink one projection at a time instead.  The run hands the
+same table to both simulators, which only read it in place, each through
+its own index of spans into it: the oracle through each source neuron's
+spans (``source_delivery_index``), the machine model through synaptic rows,
+one per packet the fan-out can send (a source neuron and one of its
+destination cores), holding a span per projection onto the core's ensemble
 (``runtime.build_synaptic_store``).  Both read the same encoded integers,
 which is what makes their spike-for-spike agreement exact rather than
 approximate.  Both size their delay rings from the table,
@@ -37,7 +40,7 @@ import numpy as np
 
 from . import weights
 from .kinetics import Propagator, make_rng
-from .network import NetworkModel, PoissonInput
+from .network import NetworkModel, NetworkSpec, PoissonInput, SampledProjection, SynapseSink
 
 BLOCK = 1 << 18  # synapses per block of encoding and indexing work: bounds its temporaries
 # steps per chunk of background input and of profile counters held in memory
@@ -78,7 +81,9 @@ class SynapseTable:
         """(projection, lo, hi, pre) of each block of the table, in table
         order: the synapses ``table[lo:hi]`` of whole source neurons of one
         projection, about ``BLOCK`` of them (more when one neuron has more),
-        and the global source neuron (intp) of each."""
+        and the global source neuron (intp) of each, in a buffer that the
+        next block overwrites."""
+        buf = np.empty(self.max_block(), dtype=np.intp)
         for p, (start, row_ptr, base) in enumerate(zip(self.bounds.tolist(), self.row_ptrs,
                                                        self.pre_base.tolist())):
             # a block starts at each neuron whose first synapse opens a new
@@ -87,9 +92,15 @@ class SynapseTable:
             cuts = [0, *(np.flatnonzero(window[1:] != window[:-1]) + 1).tolist(),
                     row_ptr.size - 1]
             for a, b in zip(cuts, cuts[1:]):
-                pre = np.repeat(np.arange(base + a, base + b, dtype=np.intp),
-                                row_ptr[a + 1:b + 1] - row_ptr[a:b])
-                yield p, start + int(row_ptr[a]), start + int(row_ptr[b]), pre
+                lo, hi = int(row_ptr[a]), int(row_ptr[b])
+                # each neuron's index, counted up at the first synapse of each later one
+                pre = buf[:hi - lo]
+                pre.fill(0)
+                firsts = row_ptr[a + 1:b] - lo
+                np.add.at(pre, firsts[firsts < pre.size], 1)
+                np.cumsum(pre, out=pre)
+                pre += base + a
+                yield p, start + lo, start + hi, pre
 
 
 def ring_slots(delays: np.ndarray) -> int:
@@ -126,15 +137,15 @@ def ring_insert(ring: np.ndarray, table: SynapseTable, t: int, inh: np.ndarray,
     np.add.at(ring.reshape(-1), flat, table.units[syn].astype(np.int64))
 
 
-def accumulator_scales(network: NetworkModel) -> weights.AccumulatorScales:
-    """Target-side accumulator exponents: the finest feeding projection wins."""
+def accumulator_scales(network: NetworkModel, exps: list[int]) -> weights.AccumulatorScales:
+    """Target-side accumulator exponents from each projection's scale
+    exponent ``exps[p]``: the finest feeding projection wins."""
     n_pops = len(network.populations)
     exc = [weights.MIN_SIG_BITS] * n_pops
     inh = [weights.MIN_SIG_BITS] * n_pops
     have_exc = [False] * n_pops
     have_inh = [False] * n_pops
-    for proj in network.projections or ():
-        exp = weights.projection_scale_exp(_max_abs(proj.weight_pa))
+    for proj, exp in zip(network.projections or (), exps):
         src_pol = network.populations[proj.source_pop].polarity
         tp = proj.target_pop
         if src_pol == "exc":
@@ -150,62 +161,117 @@ def accumulator_scales(network: NetworkModel) -> weights.AccumulatorScales:
     return weights.AccumulatorScales(tuple(exc), tuple(inh), tuple(pois))
 
 
-def _max_abs(w: np.ndarray) -> float:
-    return float(max(w.max(initial=0.0), -w.min(initial=0.0)))
+class TableSink(SynapseSink):
+    """The synapse table's fields, as the sink ``build_network`` samples
+    into: each projection's global target neurons and uint8 delays are
+    written straight into ``post`` and ``delays``, and its weights, drawn
+    into one float64 buffer reused from projection to projection, are
+    rounded into ``units`` as 16-bit words of the projection's own scale as
+    soon as it is sampled.  Only the float weights of the projection being
+    sampled are held, unless ``keep_weights`` (the oracle's unquantized path
+    reads them), when each projection keeps its own.
+
+    ``encode_projections(network, sink=...)`` makes the table from it.
+    """
+
+    FIELDS = ("post", "units", "delays")
+    DELAY_DTYPE = np.uint8
+
+    def __init__(self, spec: NetworkSpec, keep_weights: bool = False):
+        super().__init__(spec)
+        self.units = np.empty(self.capacity, dtype=np.int32)
+        self.post_base = np.cumsum([0] + [p.size for p in spec.populations],
+                                   dtype=np.int32)[:-1]
+        self.keep_weights = keep_weights
+        self.words: list[tuple[int, int]] = []  # (scale exponent, largest word) per projection
+        self._weights = np.empty(0)
+        self._scratch = np.empty(BLOCK)
+
+    def weights(self, n: int) -> np.ndarray:
+        if self.keep_weights:
+            return np.empty(n)
+        if self._weights.size < n:
+            self._weights = None  # freed before the larger one is made
+            self._weights = np.empty(n)
+        return self._weights[:n]
+
+    def keep(self, proj: SampledProjection) -> SampledProjection:
+        w, lo = proj.weight_pa, self.size - proj.count
+        max_abs = float(max(w.max(initial=0.0), -w.min(initial=0.0)))
+        exp = weights.projection_scale_exp(max_abs)
+        for b in range(0, w.size, BLOCK):
+            n = min(BLOCK, w.size - b)
+            weights.quantize_magnitudes(w[b:b + n], exp, self.units[lo + b:lo + b + n],
+                                        self._scratch[:n])
+        self.words.append((exp, round(max_abs * 2.0 ** exp)))
+        proj.post_local = proj.delay_steps = None
+        if not self.keep_weights:
+            proj.weight_pa = None
+        return proj
+
+    def table(self, network: NetworkModel) -> SynapseTable:
+        """The network's synapse table, from the fields; the sink lets go
+        of them.  Each projection's units are shifted in place from its own
+        scale to its target's accumulator scale, widened first to int64
+        when a shifted value needs it."""
+        projections = network.projections
+        exps = [exp for exp, _ in self.words]
+        scales = accumulator_scales(network, exps)
+        shifts = []
+        for proj, exp in zip(projections, exps):
+            src_pol = network.populations[proj.source_pop].polarity
+            shift = (scales.exc_exp if src_pol == "exc" else scales.inh_exp)[proj.target_pop] - exp
+            if shift < 0:
+                raise AssertionError("accumulator scale coarser than a feeding projection")
+            shifts.append(shift)
+        bounds = np.zeros(len(projections) + 1, dtype=np.int64)
+        np.cumsum([proj.count for proj in projections], out=bounds[1:])
+        if bounds[-1] != self.size:
+            raise ValueError("the network's projections are not the ones sampled into the sink")
+        top = max((word << shift for (_, word), shift in zip(self.words, shifts)), default=0)
+        for name in self.FIELDS:  # hand the reserve never written back, without a copy
+            getattr(self, name).resize(self.size)
+        units = self.units
+        if top > np.iinfo(np.int32).max:
+            units = units.astype(np.int64)
+        for lo, hi, shift in zip(bounds[:-1].tolist(), bounds[1:].tolist(), shifts):
+            if shift:
+                units[lo:hi] <<= shift
+        table = SynapseTable(self.post, units, self.delays, bounds,
+                             [proj.row_ptr for proj in projections],
+                             network.offsets[[proj.source_pop for proj in projections]], scales)
+        self.post = self.units = self.delays = self._weights = self._scratch = None
+        return table
 
 
-def encode_projections(network: NetworkModel, keep_weights: bool = False) -> SynapseTable:
+def encode_projections(network: NetworkModel, keep_weights: bool = False,
+                       sink: TableSink | None = None) -> SynapseTable:
     """The network's synapses as one ``SynapseTable``; encode once per run.
 
-    Encoding moves the synapses into the table: each projection releases
-    its post, delay and (unless ``keep_weights``, which the oracle's
-    unquantized path needs) weight arrays as soon as it is encoded, so that
-    the network's synapses and the table are never held whole at once.  Its
-    ``row_ptr`` stays, shared with the table.
+    With ``sink``, the ``TableSink`` the network was sampled into
+    (``build_network(spec, seed, sink=sink)``, as ``cli.run`` does), the
+    synapses are in the table's fields already, and encoding is what had to
+    wait for the last projection: the accumulator exponents, which need
+    every projection's largest weight, and the shift of each projection's
+    units to them.  ``keep_weights`` is then the sink's.
+
+    Without one, the network's materialised projections are copied into a
+    new ``TableSink`` one at a time, each releasing its post, delay and
+    (unless ``keep_weights``) weight arrays as it goes.  Its ``row_ptr``
+    stays, shared with the table.
     """
-    if network.projections is None:
-        raise ValueError("encoding needs sampled synapses")
-    projections = network.projections
-    if any(proj.post_local is None for proj in projections):
-        raise ValueError("the network's synapses were already encoded and released")
-    scales = accumulator_scales(network)
-    exps, shifts, top = [], [], 0
-    for proj in projections:
-        max_abs = _max_abs(proj.weight_pa)
-        exp = weights.projection_scale_exp(max_abs)
-        src_pol = network.populations[proj.source_pop].polarity
-        core_exp = (scales.exc_exp if src_pol == "exc" else scales.inh_exp)[proj.target_pop]
-        shift = core_exp - exp
-        if shift < 0:
-            raise AssertionError("accumulator scale coarser than a feeding projection")
-        exps.append(exp)
-        shifts.append(shift)
-        top = max(top, round(max_abs * 2.0 ** exp) << shift)
-    units_dtype = np.int32 if top <= np.iinfo(np.int32).max else np.int64
-    bounds = np.zeros(len(projections) + 1, dtype=np.int64)
-    np.cumsum([proj.count for proj in projections], out=bounds[1:])
-    if bounds[-1] > np.iinfo(np.int32).max:
-        raise ValueError(f"{bounds[-1]} synapses: the int32 row pointers hold at most 2**31 - 1")
-    # each projection narrowed into pieces of the table's dtypes as its
-    # sampled arrays go, then the pieces joined field by field
-    posts, units, delays = ([np.zeros(0, dtype)] for dtype in (np.int32, units_dtype, np.uint8))
-    for proj, exp, shift in zip(projections, exps, shifts):
-        piece = np.empty(proj.count, dtype=units_dtype)
-        for lo in range(0, proj.count, BLOCK):
-            piece[lo:lo + BLOCK] = weights.quantize_magnitudes(
-                proj.weight_pa[lo:lo + BLOCK], exp) << shift
-        units.append(piece)
-        posts.append(proj.post_local + np.int32(network.offsets[proj.target_pop]))
-        delays.append(proj.delay_steps.astype(np.uint8))
-        proj.post_local = proj.delay_steps = None
-        if not keep_weights:
-            proj.weight_pa = None
-    fields = []
-    for pieces in (posts, units, delays):
-        fields.append(np.concatenate(pieces))
-        pieces.clear()
-    return SynapseTable(*fields, bounds, [proj.row_ptr for proj in projections],
-                        network.offsets[[proj.source_pop for proj in projections]], scales)
+    if sink is None:
+        if network.projections is None:
+            raise ValueError("encoding needs sampled synapses")
+        if any(proj.post_local is None for proj in network.projections):
+            raise ValueError("the network's synapses were already encoded and released")
+        sink = TableSink(network.spec, keep_weights)
+        for proj in network.projections:
+            np.add(proj.post_local, sink.post_base[proj.target_pop], out=sink.room(proj.count))
+            sink.delays[sink.size:sink.size + proj.count] = proj.delay_steps
+            sink.size += proj.count
+            sink.keep(proj)
+    return sink.table(network)
 
 
 @dataclass

@@ -8,6 +8,12 @@ normal-distributed then sign-clamped toward the source polarity (Dale's
 law), and delays are normal-distributed, rounded to the nearest timestep
 and clamped to the representable [1, 255] step range.
 
+One sampler (``_sample_projection``) draws one projection at a time and
+writes its synapses into the arrays of a sink.  The default ``SynapseSink``
+materialises the network, for the tests and ``NetworkModel.digest``; a run
+samples into ``matrices.TableSink``, the synapse table's own fields, so the
+draws and both simulators' view of the synapses are the same either way.
+
 Everything is driven by named substreams of one seed, so a (spec, seed)
 pair always produces the same network, byte for byte.
 """
@@ -315,13 +321,20 @@ def serialize_network_spec(spec: NetworkSpec) -> str:
 @dataclass
 class SampledProjection:
     """CSR-style synapse store for one projection: row r holds the synapses
-    of source neuron r (local index) onto the target population."""
+    of source neuron r (local index) onto the target population.
+
+    In a network that ``build_network`` materialises, the per-synapse arrays
+    are views of its sink's shared arrays (targets and delays) and an array
+    of the projection's own (weights).  Sampled into ``matrices.TableSink``,
+    or once encoded, they are None: the synapses live in the synapse table,
+    and only the float weights stay, when the sink was asked to keep them.
+    """
 
     spec: ProjectionSpec
     source_pop: int
     target_pop: int
     row_ptr: np.ndarray    # int64[n_pre + 1]
-    # the per-synapse arrays; None once released (``matrices.encode_projections``)
+    # the per-synapse arrays; None once in the synapse table
     post_local: np.ndarray | None  # int32, target-local neuron index
     weight_pa: np.ndarray | None  # float64, signed
     delay_steps: np.ndarray | None  # int16, [1, 255]
@@ -374,8 +387,83 @@ class NetworkModel:
         return h.hexdigest()
 
 
-def build_network(spec: NetworkSpec, seed: int, sample_synapses: bool = True) -> NetworkModel:
-    """Materialize a NetworkSpec into neurons and sampled synapses."""
+def synapse_bound(n_pairs: int, probability: float) -> int:
+    """A deterministic upper bound on a projection's synapse count, a
+    binomial count of ``n_pairs`` trials: the expected count plus six
+    standard deviations (passed with odds of about one in 10**9), at most
+    ``n_pairs``."""
+    mean = n_pairs * probability
+    return min(n_pairs, math.ceil(mean + 6.0 * math.sqrt(mean * (1.0 - probability))))
+
+
+class SynapseSink:
+    """Where ``build_network`` samples synapses to, projection after
+    projection: an int32 target neuron and a delay per synapse, appended to
+    arrays reserved once, at the sum of every projection's ``synapse_bound``,
+    and grown by copying in the rare case a projection passes its bound.
+    Pages never written never become resident.
+
+    This sink materialises the network: each projection keeps views of the
+    shared arrays, holding target-local neurons and int16 delays, and its
+    float weights in an array of its own.  ``matrices.TableSink`` writes the
+    synapse table's fields instead and encodes each projection's weights as
+    soon as it is sampled.
+    """
+
+    FIELDS = ("post", "delays")  # the per-synapse arrays, grown together
+    DELAY_DTYPE = np.int16
+    MAX_SYNAPSES = (1 << 31) - 1  # the synapse table indexes synapses with int32
+
+    def __init__(self, spec: NetworkSpec):
+        self.capacity = sum(
+            synapse_bound(spec.population(p.source).size * spec.population(p.target).size,
+                          p.probability) for p in spec.projections)
+        self._refuse_past_limit(self.capacity, "may hold up to")
+        self.post = np.empty(self.capacity, dtype=np.int32)
+        self.delays = np.empty(self.capacity, dtype=self.DELAY_DTYPE)
+        self.size = 0  # synapses written
+        # added to every target-local neuron, per target population
+        self.post_base = np.zeros(len(spec.populations), dtype=np.int32)
+
+    def _refuse_past_limit(self, count: int, holds: str) -> None:
+        if count > self.MAX_SYNAPSES:
+            raise SpecError(f"the network {holds} {count:,} synapses, more than the "
+                            f"{self.MAX_SYNAPSES:,} synapses the table's int32 indices can hold")
+
+    def room(self, k: int) -> np.ndarray:
+        """``post[size:size + k]``, the targets of the next k synapses,
+        growing every field by copying when the arrays hold fewer."""
+        need = self.size + k
+        if need > self.capacity:
+            self._refuse_past_limit(need, "holds at least")
+            self.capacity = min(max(need, self.capacity + self.capacity // 4), self.MAX_SYNAPSES)
+            for name in self.FIELDS:
+                grown = np.empty(self.capacity, dtype=getattr(self, name).dtype)
+                grown[:self.size] = getattr(self, name)[:self.size]
+                setattr(self, name, grown)
+        return self.post[self.size:need]
+
+    def weights(self, n: int) -> np.ndarray:
+        """A float64 array for the n weights of the projection being sampled."""
+        return np.empty(n)
+
+    def keep(self, proj: SampledProjection) -> SampledProjection:
+        """What the network keeps of ``proj``, whose synapses are the last
+        ``proj.count`` written and whose weights are ``proj.weight_pa``."""
+        lo = self.size - proj.count
+        proj.post_local = self.post[lo:self.size]
+        proj.delay_steps = self.delays[lo:self.size]
+        return proj
+
+
+def build_network(spec: NetworkSpec, seed: int, sample_synapses: bool = True,
+                  sink: SynapseSink | None = None) -> NetworkModel:
+    """Materialize a NetworkSpec into neurons and sampled synapses.
+
+    The synapses are sampled one projection at a time into ``sink``: by
+    default a new ``SynapseSink``, which materialises them; ``cli.run``
+    passes a ``matrices.TableSink``, which writes them straight into the
+    synapse table."""
     spec.validate()
     sizes = np.array([p.size for p in spec.populations], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
@@ -391,50 +479,66 @@ def build_network(spec: NetworkSpec, seed: int, sample_synapses: bool = True) ->
 
     projections = None
     if sample_synapses:
+        if sink is None:
+            sink = SynapseSink(spec)
         pop_index = {p.name: i for i, p in enumerate(spec.populations)}
         # the draws of every projection's sampling blocks, and their hits
         draws = np.empty(max(SAMPLE_BLOCK, *(p.size for p in spec.populations)))
         hits = np.empty(draws.size, dtype=bool)
-        projections = []
-        for j, proj in enumerate(spec.projections):
-            projections.append(_sample_projection(spec, proj, j, pop_index, seed, draws, hits))
+        projections = [_sample_projection(spec, proj, j, pop_index, seed, draws, hits, sink)
+                       for j, proj in enumerate(spec.projections)]
     return NetworkModel(spec, seed, offsets, v_init, projections)
 
 
 def _sample_projection(spec: NetworkSpec, proj: ProjectionSpec, index: int,
                        pop_index: dict, seed: int, draw_buf: np.ndarray,
-                       hit_buf: np.ndarray) -> SampledProjection:
+                       hit_buf: np.ndarray, sink: SynapseSink) -> SampledProjection:
+    """Sample one projection, appending its targets and delays to ``sink``
+    and drawing its weights into ``sink.weights``; returns what the sink
+    keeps of it."""
     src = spec.population(proj.source)
     tgt = spec.population(proj.target)
     rng = make_rng(seed, f"projection:{index}:{proj.name}")
     n_pre, n_post = src.size, tgt.size
+    start = sink.size
+    post_base = sink.post_base[pop_index[proj.target]]
 
     # rows in blocks of B: rng.random((B, n_post)) draws the stream exactly as
     # B calls of rng.random(n_post) do
     row_ptr = np.zeros(n_pre + 1, dtype=np.int64)
-    posts: list[np.ndarray] = []
     if proj.probability > 0.0:
         block = max(1, SAMPLE_BLOCK // n_post)
         draws = draw_buf[:min(block, n_pre) * n_post].reshape(-1, n_post)
         hits = hit_buf[:draws.size].reshape(draws.shape)
+        row_ends = np.arange(1, draws.shape[0] + 1) * n_post  # flat end of each row
         for lo in range(0, n_pre, block):
             m = min(block, n_pre - lo)
             rng.random(out=draws[:m])
             np.less(draws[:m], proj.probability, out=hits[:m])
-            row_ptr[lo + 1:lo + 1 + m] = np.count_nonzero(hits[:m], axis=1)
-            posts.append((np.flatnonzero(hits[:m]) % n_post).astype(np.int32))
-        np.cumsum(row_ptr, out=row_ptr)
-    post = np.concatenate(posts) if posts else np.zeros(0, dtype=np.int32)
-    total = int(row_ptr[-1])
+            at = np.flatnonzero(hits[:m])
+            # the block's hits before each row's end, after the projection's so far
+            np.add(np.searchsorted(at, row_ends[:m]), sink.size - start,
+                   out=row_ptr[lo + 1:lo + 1 + m])
+            post = sink.room(at.size)
+            np.remainder(at, n_post, out=post)
+            if post_base:
+                post += post_base
+            sink.size += at.size
+    total = sink.size - start
 
-    # in place, so that sampling holds few temporaries the size of the projection
+    # in blocks, in place: normal(mu, sd) is mu + sd * standard_normal, and
+    # the blocks draw the stream of one call
     sign = 1.0 if src.polarity == "exc" else -1.0
-    w = rng.normal(sign * proj.weight_pa, proj.weight_sd_pa, total)
-    (np.maximum if sign > 0 else np.minimum)(w, 0.0, out=w)
+    w = sink.weights(total)
+    for lo in range(0, total, SAMPLE_BLOCK):
+        b = w[lo:lo + SAMPLE_BLOCK]
+        rng.standard_normal(out=b)
+        b *= proj.weight_sd_pa
+        b += sign * proj.weight_pa
+        (np.maximum if sign > 0 else np.minimum)(b, 0.0, out=b)
 
-    # delays block by block in the draw buffer: normal(mu, sd) is mu + sd *
-    # standard_normal, and the blocks draw the stream of one call
-    steps = np.empty(total, dtype=np.int16)
+    # delays block by block in the draw buffer, the same way
+    delays = sink.delays[start:start + total]
     for lo in range(0, total, draw_buf.size):
         d = draw_buf[:min(draw_buf.size, total - lo)]
         rng.standard_normal(out=d)
@@ -442,7 +546,7 @@ def _sample_projection(spec: NetworkSpec, proj: ProjectionSpec, index: int,
         d += proj.delay_ms
         d /= spec.dt_ms
         d += 0.5
-        steps[lo:lo + d.size] = np.clip(np.floor(d, out=d), 1, MAX_DELAY_STEPS, out=d)
+        delays[lo:lo + d.size] = np.clip(np.floor(d, out=d), 1, MAX_DELAY_STEPS, out=d)
 
-    return SampledProjection(proj, pop_index[proj.source], pop_index[proj.target],
-                             row_ptr, post, w, steps)
+    return sink.keep(SampledProjection(proj, pop_index[proj.source], pop_index[proj.target],
+                                       row_ptr, None, w, None))

@@ -45,12 +45,17 @@ def poisson_scale_exp(weight_pa: float) -> int:
     return exp
 
 
-def quantize_magnitudes(weights_pa: np.ndarray, scale_exp: int) -> np.ndarray:
-    """Round |weights| to 16-bit units of 2**-scale_exp pA."""
-    q = np.rint(np.abs(weights_pa) * 2.0 ** scale_exp).astype(np.int64)
-    if q.size and int(q.max()) > WEIGHT_MAX:
+def quantize_magnitudes(weights_pa: np.ndarray, scale_exp: int, out: np.ndarray,
+                        scratch: np.ndarray) -> None:
+    """Round |weights| to 16-bit units of 2**-scale_exp pA into ``out``, an
+    integer array of the same length, through ``scratch``, a float64 array
+    of that length; the weights are left as they are."""
+    q = np.abs(weights_pa, out=scratch)
+    q *= 2.0 ** scale_exp
+    np.rint(q, out=q)
+    if q.size and q.max() > WEIGHT_MAX:
         raise ValueError("quantized weight exceeds 16 bits; scale exponent too fine")
-    return q
+    out[:] = q
 
 
 @dataclass(frozen=True)

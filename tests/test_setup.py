@@ -1,0 +1,211 @@
+"""The run's set-up samples each projection straight into the synapse table
+(``build_network`` into a ``matrices.TableSink``, then ``encode_projections``
+with that sink): the table it makes equals the one encoded from the
+materialised network, field by field and dtype by dtype."""
+
+import json
+import re
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from conftest import SMALL_SPEC
+from spikert import cli, network, runtime
+from spikert.matrices import TableSink, encode_projections
+from spikert.network import build_network, load_network_spec, parse_network_spec, scale_network
+
+# a second E -> E projection of tiny weights: the E -> E accumulator scale
+# gets so fine that the regular projection's shifted units pass 31 bits
+TINY_EE_BLOCK = """
+[projection]
+source = E
+target = E
+probability = 0.1
+weight_pa = 0.0005
+weight_sd_pa = 0.00005
+delay_ms = 1.5
+delay_sd_ms = 0.75
+"""
+
+
+def streamed(spec, seed, keep_weights=False):
+    sink = TableSink(spec, keep_weights)
+    net = build_network(spec, seed, sink=sink)
+    return net, encode_projections(net, sink=sink)
+
+
+def assert_same_table(got, want):
+    for name in ("post", "units", "delays", "bounds", "pre_base"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert len(got.row_ptrs) == len(want.row_ptrs)
+    assert all(np.array_equal(a, b) for a, b in zip(got.row_ptrs, want.row_ptrs))
+    assert got.scales == want.scales
+
+
+def microcircuit(benchmark_path, scale, variant="dc"):
+    return scale_network(load_network_spec(benchmark_path, variant), scale)
+
+
+@pytest.fixture(params=["small", "microcircuit_005", "int64_units", "no_projection",
+                        "every_probability_zero"])
+def spec(request, benchmark_path):
+    if request.param == "microcircuit_005":
+        return microcircuit(benchmark_path, 0.05)
+    if request.param == "no_projection":
+        return parse_network_spec(SMALL_SPEC[:SMALL_SPEC.index("[projection]")], "dc")
+    text = SMALL_SPEC + (TINY_EE_BLOCK if request.param == "int64_units" else "")
+    if request.param == "every_probability_zero":
+        text = re.sub(r"^probability = .*$", "probability = 0.0", text, flags=re.M)
+    return parse_network_spec(text, "dc")
+
+
+def test_streamed_setup_equals_the_encoded_network(spec):
+    """The streamed table equals ``encode_projections(build_network(...))``,
+    also with int64 units and with no synapse at all; the streamed network
+    keeps each projection's row pointers and nothing per synapse."""
+    net, table = streamed(spec, 42)
+    reference = encode_projections(build_network(spec, 42))
+    assert_same_table(table, reference)
+    assert net.synapse_count() == table.post.size
+    assert all(p.post_local is None and p.weight_pa is None and p.delay_steps is None
+               for p in net.projections)
+
+
+def test_streamed_setup_keeps_the_float_weights():
+    """With ``keep_weights`` (the oracle's unquantized path) every projection
+    keeps its own float weights, equal to the materialised network's."""
+    spec = parse_network_spec(SMALL_SPEC, "poisson")
+    net, table = streamed(spec, 42, keep_weights=True)
+    materialised = build_network(spec, 42)
+    weights = [p.weight_pa.copy() for p in materialised.projections]
+    assert_same_table(table, encode_projections(materialised))
+    assert len({id(p.weight_pa) for p in net.projections}) == len(weights) == 3
+    for proj, w in zip(net.projections, weights):
+        assert proj.weight_pa.dtype == np.float64 and np.array_equal(proj.weight_pa, w)
+
+
+def test_projections_past_their_bound_grow_the_fields(benchmark_path, monkeypatch):
+    """A projection that passes its reserved bound grows the table's fields
+    by copying, in the middle of a projection too, and the table is the
+    same: here every bound is half the expected count."""
+    spec = microcircuit(benchmark_path, 0.05)
+    reference = encode_projections(build_network(spec, 3))
+    monkeypatch.setattr(network, "synapse_bound", lambda n_pairs, p: int(n_pairs * p) // 2)
+    sink = TableSink(spec)
+    reserved = sink.capacity
+    net = build_network(spec, 3, sink=sink)
+    assert sink.capacity > reserved
+    assert_same_table(encode_projections(net, sink=sink), reference)
+
+
+HUGE_SPEC = """
+[simulation]
+dt_ms = 0.1
+
+[neuron_defaults]
+tau_m_ms = 10.0
+tau_syn_ms = 0.5
+e_rest_mv = -65.0
+r_mohm = 40.0
+v_theta_mv = -50.0
+v_reset_mv = -65.0
+t_ref_ms = 2.0
+
+[population]
+name = A
+size = 50000
+polarity = exc
+dc_current_pa = 500
+
+[population]
+name = B
+size = 50000
+polarity = exc
+dc_current_pa = 500
+
+[projection]
+source = A
+target = B
+probability = 1.0
+weight_pa = 87.8
+weight_sd_pa = 8.78
+delay_ms = 1.5
+delay_sd_ms = 0.75
+"""
+
+
+def test_too_many_synapses_exit_with_spec_code_before_any_draw(tmp_path, capsys, monkeypatch):
+    """A model of 2.5 billion synapses does not fit the table's int32
+    indices: the run ends in a spec error naming the count before a single
+    connection is drawn."""
+    calls = []
+    monkeypatch.setattr(network, "_sample_projection", lambda *args: calls.append(args))
+    model = tmp_path / "huge.net"
+    model.write_text(HUGE_SPEC)
+    assert cli.main(["--model", str(model), "--out", str(tmp_path / "out"), "--input", "dc",
+                     "--duration-ms", "1"]) == cli.EXIT_SPEC
+    assert ("spec error: the network may hold up to 2,500,000,000 synapses, more than the "
+            "2,147,483,647 synapses the table's int32 indices") in capsys.readouterr().err
+    assert calls == []
+
+
+def test_growing_past_the_table_limit_exits_with_spec_code(tmp_path, capsys, monkeypatch):
+    """The same limit holds when the fields grow past their reserve."""
+    monkeypatch.setattr(network, "synapse_bound", lambda n_pairs, p: 0)
+    monkeypatch.setattr(network.SynapseSink, "MAX_SYNAPSES", 1000)
+    model = tmp_path / "small.net"
+    model.write_text(SMALL_SPEC)
+    assert cli.main(["--model", str(model), "--out", str(tmp_path / "out"),
+                     "--duration-ms", "1"]) == cli.EXIT_SPEC
+    assert "more than the 1,000 synapses the table's int32 indices" in capsys.readouterr().err
+
+
+def test_setup_memory_per_synapse(tmp_path, benchmark_path, monkeypatch):
+    """Everything a run allocates before ``HardwareSimulation`` starts
+    (traced by tracemalloc) peaks within 14.5 B per synapse at microcircuit
+    0.1 with DC input: the table's fields (9 B per synapse), the float
+    weights of one projection at a time (the largest is 15% of the
+    synapses) and the sampling blocks.  Materialising the network before
+    encoding it peaked at 16.5 B per synapse; the streamed set-up measured
+    12.6 (numpy 2.4, Python 3.11), and the bound leaves about 15% for other
+    versions' allocations."""
+    class Stop(Exception):
+        pass
+
+    seen = []
+
+    def stop(sim, net, table, **kwargs):
+        seen.append((tracemalloc.get_traced_memory()[1], table.post.size))
+        raise Stop
+
+    monkeypatch.setattr(runtime.HardwareSimulation, "__init__", stop)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Stop):
+            cli.run(cli.RunConfig(model=benchmark_path, out=str(tmp_path / "out"), scale=0.1,
+                                  input="dc", mode="hardware", duration_ms=1.0,
+                                  profile="none"))
+    finally:
+        tracemalloc.stop()
+    ((peak, synapses),) = seen
+    assert synapses == 2_850_203
+    assert peak <= 14.5 * synapses
+
+
+def test_every_run_writes_its_timings(tmp_path):
+    """``timings.json`` gives every phase of the run in order, with its
+    seconds and the peak RSS at its end."""
+    model = tmp_path / "small.net"
+    model.write_text(SMALL_SPEC)
+    out = tmp_path / "out"
+    assert cli.main(["--model", str(model), "--out", str(out), "--duration-ms", "5"]) == 0
+    doc = json.loads((out / "timings.json").read_text())
+    assert [p["phase"] for p in doc["phases"]] == [
+        "spec", "sample_encode", "hardware_setup", "poisson_bank", "hardware_run", "oracle",
+        "outputs"]
+    assert all(p["seconds"] >= 0 for p in doc["phases"])
+    assert doc["seconds"] == pytest.approx(sum(p["seconds"] for p in doc["phases"]), abs=1e-5)
+    rss = [p["maxrss_mib"] for p in doc["phases"]]
+    assert rss == sorted(rss) and rss[0] > 0
