@@ -243,18 +243,18 @@ def run(cfg: RunConfig) -> None:
     costs = load_cost_model(cfg.costs)
     timings.mark("spec")
 
+    # one encoded synapse table and one Poisson bank, read by both simulators:
+    # each projection is sampled straight into the table's fields
+    sink = None if cfg.map_only else matrices.TableSink(spec, not cfg.oracle_quantize)
+    net = build_network(spec, cfg.seed_network, sample_synapses=not cfg.map_only, sink=sink)
+
+    _write(cfg, "resolved_model.net", serialize_network_spec(spec))
+
     if cfg.map_only:
-        net = build_network(spec, cfg.seed_network, sample_synapses=False)
-        _write(cfg, "resolved_model.net", serialize_network_spec(spec))
         timings.mark("neurons")
         _run_map_only(cfg, net, machine, timings)
         return
 
-    # one encoded synapse table and one Poisson bank, read by both simulators:
-    # each projection is sampled straight into the table's fields
-    sink = matrices.TableSink(spec, keep_weights=not cfg.oracle_quantize)
-    net = build_network(spec, cfg.seed_network, sink=sink)
-    _write(cfg, "resolved_model.net", serialize_network_spec(spec))
     table = matrices.encode_projections(net, sink=sink)
     _libc("malloc_trim", 0)
     timings.mark("sample_encode")
