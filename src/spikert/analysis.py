@@ -25,16 +25,15 @@ KWH_TO_UJ = 3.6e12  # 1 kWh = 3.6e6 J = 3.6e12 uJ
 
 def per_timestep_counts(trace: SpikeTrace):
     """Exact spike counts per timestep: (t_index, total, excitatory, inhibitory)."""
-    pol = trace.pop_polarity
     n_bins = int(round(trace.duration_ms / trace.dt_ms))
     steps = np.rint(trace.times_ms / trace.dt_ms).astype(np.int64)
     if steps.size and (steps.min() < 0 or steps.max() >= max(n_bins, 1)):
         raise ValueError("spike time outside the trace duration")
-    is_exc = np.asarray([pol[p] == "exc" for p in range(len(pol))], dtype=bool)
-    total = np.bincount(steps, minlength=n_bins)
-    exc = np.bincount(steps[is_exc[trace.pops]], minlength=n_bins)
-    inh = total - exc
-    return np.arange(n_bins), total, exc, inh
+    # one count per (step, polarity), at 2 * step + (0 excitatory, 1 otherwise)
+    steps *= 2
+    steps += np.array([p != "exc" for p in trace.pop_polarity], dtype=bool)[trace.pops]
+    exc, inh = np.bincount(steps, minlength=2 * n_bins).reshape(-1, 2).T
+    return np.arange(n_bins), exc + inh, exc, inh
 
 
 def freedman_diaconis_width(values: np.ndarray) -> float:

@@ -301,11 +301,7 @@ def run(cfg: RunConfig) -> None:
             rep = analysis.flush_report(res.profile)
             _write(cfg, "flush_report.txt", _flush_text(rep, res))
         _write(cfg, "sync.tsv", res.sync_diagnostics.serialize())
-        _write(cfg, "placement.txt", sim.placement.serialize())
-        _write(cfg, "routing_tables.txt", sim.tables.serialize())
-        _write(cfg, "placement_summary.txt",
-               _summary_text(sim.placement, sim.tables, sim.ensembles))
-        _write(cfg, "machine.mach", serialize_machine_spec(sim.machine))
+        _write_mapping(cfg, sim.placement, sim.tables)
     if "oracle" in results:
         _write(cfg, "trace_oracle.txt", results["oracle"].serialize)
 
@@ -335,18 +331,14 @@ def _run_map_only(cfg: RunConfig, net, machine: MachineSpec | None,
                   timings: _Timings) -> None:
     ensembles = partition(net)
     if machine is None:
-        sim_machine, placement = runtime._place(ensembles, None)
+        placement = runtime._place(ensembles, None)[1]
     else:
-        sim_machine, placement = machine, place_radial(ensembles, machine)
+        placement = place_radial(ensembles, machine)
     keys = allocate_keys(placement)
     dest_ptr, dest_core = destination_cores(placement, net.spec.projections)
     tables = build_routing_tables(placement, keys, dest_ptr, dest_core)
     timings.mark("mapping")
-    _write(cfg, "placement.txt", placement.serialize())
-    _write(cfg, "routing_tables.txt", tables.serialize())
-    _write(cfg, "machine.mach", serialize_machine_spec(sim_machine))
-    summary = _summary_text(placement, tables, ensembles)
-    _write(cfg, "placement_summary.txt", summary)
+    summary = _write_mapping(cfg, placement, tables)
     _write_manifest(cfg, load_cost_model(cfg.costs), None)
     timings.mark("outputs")
     _write(cfg, "timings.json", timings.document())
@@ -375,7 +367,19 @@ class _Timings:
                            "phases": self.phases}, indent=2) + "\n"
 
 
-def _summary_text(placement, tables, ensembles) -> str:
+def _write_mapping(cfg: RunConfig, placement, tables) -> str:
+    """Write a run's placement, routing tables, machine and placement
+    summary; returns the summary."""
+    summary = _summary_text(placement, tables)
+    _write(cfg, "placement.txt", placement.serialize())
+    _write(cfg, "routing_tables.txt", tables.serialize())
+    _write(cfg, "machine.mach", serialize_machine_spec(placement.machine))
+    _write(cfg, "placement_summary.txt", summary)
+    return summary
+
+
+def _summary_text(placement, tables) -> str:
+    ensembles = placement.ensembles
     counts = np.unique(placement.chip, return_counts=True)[1]
     entry_counts = tables.entry_counts()
     lines = [

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import SpecError, typed_value
+from .network import SpecError, section_entries, typed_value
 
 
 @dataclass(frozen=True)
@@ -96,19 +96,7 @@ _COST_FIELDS = {f.name: f.type for f in dataclasses.fields(CostModel)}
 
 def parse_cost_overrides(text: str) -> dict:
     overrides: dict = {}
-    section = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            if section != "costs":
-                raise SpecError(f"line {lineno}: unknown section [{section}]")
-            continue
-        if section != "costs" or "=" not in line:
-            raise SpecError(f"line {lineno}: expected 'key = value' in [costs]")
-        key, value = (part.strip() for part in line.split("=", 1))
+    for lineno, key, value in section_entries(text, "costs"):
         if key not in _COST_FIELDS:
             raise SpecError(f"line {lineno}: unknown cost '{key}'")
         overrides[key] = typed_value(int if key == "contention_ref_writers" else float, value,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import SpecError, typed_value
+from .network import SpecError, section_entries, typed_value
 
 LINKS = ("E", "NE", "N", "W", "SW", "S")
 LINK_VECTORS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
@@ -164,19 +164,7 @@ _MACHINE_KEYS = {
 def parse_machine_spec(text: str) -> MachineSpec:
     kwargs: dict = {}
     dead: list[tuple[int, int, int]] = []
-    section = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            if section != "machine":
-                raise SpecError(f"line {lineno}: unknown section [{section}]")
-            continue
-        if section != "machine" or "=" not in line:
-            raise SpecError(f"line {lineno}: expected 'key = value' in [machine]")
-        key, value = (part.strip() for part in line.split("=", 1))
+    for lineno, key, value in section_entries(text, "machine"):
         if key == "dead_core":
             parts = [typed_value(int, v, f"line {lineno}: {key}") for v in value.split()]
             if len(parts) not in (2, 3):

@@ -18,12 +18,13 @@ minimal-hop (diagonal-first) paths from one source chip to its destination
 chips, all walked at once as arrays (``_route_trees``).  Straight
 pass-through chips get no entry (default routing), and sibling
 sub-population entries with identical actions merge under a mask.  The
-merged table depends on the merge order, which is fixed: always the
-smallest ``(key, mask)`` that has a partner with the same action, at its
-lowest mergeable sub-population bit (see ``_merge_entries``).  Since a merge
-pairs only entries of one chip with equal route bits and action, and its
-result depends only on their set of sub-populations, each distinct set is
-merged once.  Every chip's table is held as parallel arrays
+merged table depends on the merge order, which is fixed: one level of
+masks at a time, each entry in ascending ``(key, mask)`` order pairs with
+the partner at its lowest mergeable sub-population bit that no smaller
+entry has taken (see ``_merge_subpops``).  Since a merge pairs only entries
+of one chip with equal route bits and action, and its result depends only
+on their set of sub-populations, each distinct set is merged once.  Every
+chip's table is held as parallel arrays
 (``RoutingTables``); ``walk_packet`` walks all packets through them at
 once, and ``delivery_map`` checks that this one walk delivers exactly the
 planned destinations and gives each its router transit time.
@@ -31,7 +32,6 @@ planned destinations and gives each its router transit time.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,9 +280,12 @@ def build_routing_tables(placement: Placement, keys: KeyAllocation, dest_ptr: np
     in ensemble order) share its cores, and those among them on one chip
     share a tree.  The raw entries then merge group by group: a group is the
     entries of one chip that agree in all key bits outside the
-    sub-population field and in their action, and its merged entries
-    depend only on its set of sub-populations (``_merge_entries``), so each
-    distinct set is merged once.
+    sub-population field and in their action.  A merge only joins entries
+    of equal base bits, mask and action, so each group merges alone,
+    whatever else the chip's table holds; and within a group the ``(key,
+    mask)`` order is the order of the sub-population fields, so its merged
+    entries depend only on its set of sub-populations (``_merge_subpops``),
+    and each distinct set is merged once.
     """
     machine = placement.machine
     height, n_chips = machine.height, machine.n_chips()
@@ -339,8 +342,7 @@ def build_routing_tables(placement: Placement, keys: KeyAllocation, dest_ptr: np
     set_id = np.array([subs_id.setdefault(subs[2 * lo:2 * hi], len(subs_id))
                        for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [sub.size])])
     # each set merged alone: key bits outside the sub-population field zero
-    merged = [list(_merge_entries({(sub << NEURON_BITS, CORE_MASK): True for sub in
-                                   np.frombuffer(b, dtype=np.int16).tolist()})) for b in subs_id]
+    merged = [_merge_subpops(np.frombuffer(b, dtype=np.int16).tolist()) for b in subs_id]
     lens = np.array([len(m) for m in merged], dtype=np.int64)
     merged_key, merged_mask, width = np.array(
         [(k, mk, bin(mk).count("1")) for m in merged for k, mk in m], dtype=np.int64).T
@@ -406,52 +408,39 @@ def _route_trees(machine: MachineSpec, src: np.ndarray, path_tree: np.ndarray,
     return at // n_chips, at % n_chips, out[at].astype(np.int64)
 
 
-def _merge_entries(slots: dict[tuple[int, int], tuple[frozenset, frozenset]]
-                   ) -> dict[tuple[int, int], tuple[frozenset, frozenset]]:
-    """Merge sibling entries differing in one masked sub-population bit when
-    their actions, ``(local cores, links)``, are identical, to a fixed point.
+def _merge_subpops(subs: list[int]) -> list[tuple[int, int]]:
+    """The merged ``(key, mask)`` entries of one set of sub-populations, whose
+    entries share one action and have all key bits outside the
+    sub-population field zero.
 
-    The merge order is part of the output: each merge takes the smallest
-    ``(key, mask)`` that has a partner with the same action, at its lowest
-    mergeable sub-population bit, and the merged entry goes to the end of the
-    dict.  A min-heap of candidate ``(key, mask)`` pairs keeps that order
-    without rescanning the table: an entry only gains a partner when a merge
-    creates that partner, so after each merge the new entry and the existing
-    entries that may pair with it are pushed, and a popped entry that is gone
-    or has no partner is dropped.
-
-    ``build_routing_tables`` relies on two properties.  A merge pairs only
-    entries with equal key bits outside the sub-population field, equal mask
-    and equal action, so the entries that agree in these merge as a group of
-    their own, whatever else the table holds.  Within such a group the
-    ``(key, mask)`` order is the order of the sub-population fields, so the
-    group's merged entries depend only on its set of sub-populations.  The
-    merged entries of a table cover disjoint blocks of its keys, each keyed
-    by its block's lowest key, so no two share a key.
+    The entries start as ``(sub << NEURON_BITS, CORE_MASK)`` and merge one
+    level of masks at a time.  At each level the entries go in ascending
+    ``(key, mask)`` order, and each one not yet taken pairs with the partner
+    ``(key | bit, mask)`` at the lowest sub-population bit, masked and clear
+    in its key, whose partner is present and not yet taken; the pair is
+    ``(key, mask & ~bit)`` on the next level, and an entry left unpaired is
+    final.  The entries cover disjoint blocks of keys, each keyed by its
+    lowest, so no two share a key.
     """
-    entries = dict(slots)
-    heap = list(entries)
-    heapq.heapify(heap)
-    while heap:
-        key, mask = heapq.heappop(heap)
-        action = entries.get((key, mask))
-        if action is None:
-            continue
-        for bit in _SUBPOP_FIELD:
-            if not mask & bit or key & bit:
+    level = {sub << NEURON_BITS: CORE_MASK for sub in sorted(subs)}
+    merged = []
+    while level:
+        taken: set[int] = set()
+        pairs = {}
+        for key, mask in level.items():
+            if key in taken:
                 continue
-            partner = (key | bit, mask)
-            if entries.get(partner) == action:
-                del entries[(key, mask)]
-                del entries[partner]
-                mask &= ~bit
-                entries[(key, mask)] = action
-                heapq.heappush(heap, (key, mask))
-                for b in _SUBPOP_FIELD:
-                    if key & b and (key ^ b, mask) in entries:
-                        heapq.heappush(heap, (key ^ b, mask))
-                break
-    return entries
+            for bit in _SUBPOP_FIELD:
+                partner = key | bit
+                if (mask & bit and not key & bit and level.get(partner) == mask
+                        and partner not in taken):
+                    taken.add(partner)
+                    pairs[key] = mask & ~bit
+                    break
+            else:
+                merged.append((key, mask))
+        level = pairs  # in ascending key order, as the level was
+    return merged
 
 
 def walk_packet(tables: RoutingTables, src_chip: np.ndarray, key: np.ndarray

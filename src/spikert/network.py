@@ -212,6 +212,27 @@ def typed_value(cast, value: str, where: str):
         raise SpecError(f"{where}: {exc}") from None
 
 
+def section_entries(text: str, section: str):
+    """Yield ``(lineno, key, value)`` for each ``key = value`` line of a spec
+    file that holds the one section ``[section]``; ``#`` starts a comment.
+    Any other section, or a line outside the section, is a SpecError naming
+    its line."""
+    current = None
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            current = line[1:-1].strip()
+            if current != section:
+                raise SpecError(f"line {lineno}: unknown section [{current}]")
+            continue
+        if current != section or "=" not in line:
+            raise SpecError(f"line {lineno}: expected 'key = value' in [{section}]")
+        key, value = (part.strip() for part in line.split("=", 1))
+        yield lineno, key, value
+
+
 def _typed(section: str, data: dict, schema: dict) -> dict:
     out = {}
     for key, value in data.items():

@@ -23,6 +23,22 @@ def test_subsampled_correlations_are_pinned(small_network):
         "79a70a3228bfc87f4030b7572f84ad14668367ba5ac248ddc4e5cbc933c8f87d")
 
 
+def test_per_timestep_counts_split_by_polarity():
+    """Each step's spikes, counted one by one, by their population's polarity."""
+    rng = np.random.default_rng(5)
+    n = 500
+    tr = trace.SpikeTrace(np.sort(rng.integers(0, 40, n)) * 0.1, rng.integers(0, 3, n),
+                          rng.integers(0, 10, n), 4.0, 0.1, 0.0, ("a", "b", "c"),
+                          (10, 10, 10), ("exc", "inh", "exc"))
+    t, total, exc, inh = analysis.per_timestep_counts(tr)
+    step = np.rint(tr.times_ms / 0.1).astype(int)
+    want_exc = [int(np.sum((step == s) & (tr.pops != 1))) for s in range(40)]
+    want_inh = [int(np.sum((step == s) & (tr.pops == 1))) for s in range(40)]
+    assert t.tolist() == list(range(40))
+    assert exc.tolist() == want_exc and inh.tolist() == want_inh
+    assert total.tolist() == [e + i for e, i in zip(want_exc, want_inh)]
+
+
 def test_row_reductions_equal_each_rows_own():
     """The premise of the grouped CV ISI: on this numpy, the mean and
     standard deviation along the rows of a C-contiguous 2-D array equal

@@ -39,3 +39,27 @@ def test_traced_run_measures_every_span(tmp_path):
     res = json.loads(result.read_text())
     assert res["error"] is None, res["error"]
     assert res["exit_code"] == 0
+
+
+@pytest.mark.parametrize("args,span", [
+    pytest.param(["--map-only"], "mapping.routing_tables", id="map_only"),
+    pytest.param(["--duration-ms", "5", "--mode", "hardware"], "runtime.setup",
+                 id="simulation"),
+])
+def test_timed_run_records_the_setup_span(tmp_path, args, span):
+    """A timing-mode run through the benchmark's child records the span that
+    ``bench.untraced_values`` ends ``setup_s`` at: the routing-table build of
+    a map-only run, ``HardwareSimulation()`` of a simulation.  A call moved
+    out of the module perfbench wraps would leave it unrecorded."""
+    model = tmp_path / "small.net"
+    model.write_text(SMALL_SPEC)
+    result = tmp_path / "result.json"
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "perfbench", "child.py"),
+                           str(result), "timing", "--", "--model", str(model),
+                           "--out", str(tmp_path / "out"), *args],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    res = json.loads(result.read_text())
+    assert res["error"] is None, res["error"]
+    assert res["exit_code"] == 0
+    assert res["spans"][span]["calls"] == 1

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from conftest import DATA_DIR, delta, hex_dist, neighbor, route_path, transit_ns
+from spikert.costs import parse_cost_overrides
 from spikert.machine import (LINK_VECTORS, LINKS, MachineSpec, auto_machine, load_machine_spec,
                              parse_machine_spec, serialize_machine_spec)
 from spikert.network import SpecError
@@ -146,6 +147,27 @@ def test_wrap_vertical_reads_any_case(value, wrap):
     yes/no or 1/0, in any case."""
     spec = parse_machine_spec(f"[machine]\nwidth = 2\nheight = 2\nwrap_vertical = {value}\n")
     assert spec.wrap_vertical is wrap
+
+
+@pytest.mark.parametrize("parse,section", [
+    pytest.param(parse_machine_spec, "machine", id="machine"),
+    pytest.param(parse_cost_overrides, "costs", id="costs"),
+])
+@pytest.mark.parametrize("text,message", [
+    pytest.param("# comment\n[network]\n", "line 2: unknown section [network]",
+                 id="other_section"),
+    pytest.param("\nwidth = 2\n", "line 2: expected 'key = value' in [{section}]",
+                 id="before_section"),
+    pytest.param("[{section}]  # one section\n\nwidth 2\n",
+                 "line 3: expected 'key = value' in [{section}]", id="no_equals"),
+    pytest.param("[{section}]\n[{section}]\nbogus = 1\n", "line 3: unknown ",
+                 id="unknown_key"),
+])
+def test_single_section_files_name_the_bad_line(parse, section, text, message):
+    """Machine and cost files share one line reader and its messages."""
+    with pytest.raises(SpecError) as err:
+        parse(text.format(section=section))
+    assert str(err.value).startswith(message.format(section=section))
 
 
 def test_validation_errors():

@@ -15,11 +15,14 @@ from spikert.mapping import (CORE_MASK, NEURON_BITS, ROLE_SYN_EXC_LOWER, ROLE_SY
                              partition, place_radial)
 from spikert.network import build_network, load_network_spec, scale_network
 
+SUBPOP_FIELD = ((1 << SUBPOP_BITS) - 1) << NEURON_BITS
+
 
 def restarting_merge(slots):
-    """Reference: the restarting merge loop that ``_merge_entries`` replaced.
-    It rescans the sorted table from the start after every single merge."""
-    entries = {km: (frozenset(v[0]), frozenset(v[1])) for km, v in slots.items()}
+    """Reference: the first merge loop of the routing tables.  It rescans the
+    sorted table from the start after every single merge, and merges sibling
+    entries whose actions, any hashable values, are equal."""
+    entries = dict(slots)
     changed = True
     while changed:
         changed = False
@@ -42,6 +45,18 @@ def restarting_merge(slots):
     return entries
 
 
+def merged_by_group(slots):
+    """``slots`` merged the way ``build_routing_tables`` merges them: one
+    ``_merge_subpops`` call per group of entries with equal action and equal
+    key bits outside the sub-population field."""
+    groups = {}
+    for (key, _), action in slots.items():
+        base, sub = key & ~SUBPOP_FIELD, (key & SUBPOP_FIELD) >> NEURON_BITS
+        groups.setdefault((action, base), []).append(sub)
+    return {(base | key, mask): action for (action, base), subs in groups.items()
+            for key, mask in mapping._merge_subpops(subs)}
+
+
 def random_slots(rng):
     """One chip's unmerged entries: a few populations, up to 64 of their
     sub-populations each, 1-4 distinct actions, in shuffled insertion order."""
@@ -58,23 +73,30 @@ def random_slots(rng):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_merge_matches_restarting_reference(seed):
+    """Merged group by group, a chip's entries are those the reference
+    merges from the whole chip at once."""
     rng = random.Random(seed)
     for _ in range(50):
         slots = random_slots(rng)
-        assert list(mapping._merge_entries(slots).items()) == \
-            list(restarting_merge(slots).items())
+        assert sorted(merged_by_group(slots).items()) == \
+            sorted(restarting_merge(slots).items())
+
+
+def test_merge_matches_restarting_reference_on_every_small_set():
+    """Every non-empty set of sub-populations 0-11."""
+    for bits in range(1, 1 << 12):
+        subs = [sub for sub in range(12) if bits >> sub & 1]
+        reference = restarting_merge({(sub << NEURON_BITS, CORE_MASK): 0 for sub in subs})
+        assert sorted(mapping._merge_subpops(subs)) == sorted(reference), subs
 
 
 def test_merge_takes_smallest_entry_at_lowest_bit_first():
     # Sub-populations 0 and 1 merge first; 2 is then left with no partner,
-    # although {1, 2} or {0, 2} would have been mergeable too.
-    action = (frozenset({3}), frozenset())
-    slots = {(pack_key(5, sub, 0), CORE_MASK): action for sub in (2, 0, 1)}
-    merged = mapping._merge_entries(slots)
+    # although {0, 2} would have been mergeable too.
     sub_bit = 1 << NEURON_BITS
-    assert list(merged.items()) == [
-        ((pack_key(5, 2, 0), CORE_MASK), action),
-        ((pack_key(5, 0, 0), CORE_MASK & ~sub_bit), action),
+    assert sorted(mapping._merge_subpops([2, 0, 1])) == [
+        (pack_key(0, 0, 0), CORE_MASK & ~sub_bit),
+        (pack_key(0, 2, 0), CORE_MASK),
     ]
 
 
@@ -176,7 +198,7 @@ def reference_tables(placement, keys, dests):
                 (by_chip.get(chip, 0), links)
     rows = []
     for chip in sorted(raw):
-        merged = sorted(mapping._merge_entries(raw[chip]).items(),
+        merged = sorted(restarting_merge(raw[chip]).items(),
                         key=lambda r: (-bin(r[0][1]).count("1"), r[0][0]))
         rows += [(chip[0] * machine.height + chip[1], key, mask, cores, links)
                  for (key, mask), (cores, links) in merged]
