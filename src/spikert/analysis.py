@@ -24,15 +24,13 @@ KWH_TO_UJ = 3.6e12  # 1 kWh = 3.6e6 J = 3.6e12 uJ
 
 
 def per_timestep_counts(trace: SpikeTrace):
-    """Exact spike counts per timestep: (t_index, total, excitatory, inhibitory)."""
+    """Exact spike counts per timestep: (t_index, total, excitatory, inhibitory),
+    from one ``np.bincount`` over ``2 * step + inhibitory`` in int64."""
     n_bins = int(round(trace.duration_ms / trace.dt_ms))
-    steps = np.rint(trace.times_ms / trace.dt_ms).astype(np.int64)
-    if steps.size and (steps.min() < 0 or steps.max() >= max(n_bins, 1)):
-        raise ValueError("spike time outside the trace duration")
-    # one count per (step, polarity), at 2 * step + (0 excitatory, 1 otherwise)
-    steps *= 2
-    steps += np.array([p != "exc" for p in trace.pop_polarity], dtype=bool)[trace.pops]
-    exc, inh = np.bincount(steps, minlength=2 * n_bins).reshape(-1, 2).T
+    is_inh = np.repeat([p != "exc" for p in trace.pop_polarity], trace.pop_sizes)
+    key = np.multiply(trace.steps, 2, dtype=np.int64)
+    key += is_inh[trace.neurons]
+    exc, inh = np.bincount(key, minlength=2 * n_bins).reshape(-1, 2).T
     return np.arange(n_bins), exc + inh, exc, inh
 
 
@@ -79,35 +77,32 @@ class FiringStats:
     corr_seed: int
     estimator: str = "pearson-on-binned-counts"
 
-    def population(self, name: str) -> PopulationStats:
-        for p in self.populations:
-            if p.name == name:
-                return p
-        raise KeyError(name)
-
 
 def firing_stats(trace: SpikeTrace, corr_bin_ms: float = 2.0, corr_subsample: int = 200,
                  corr_seed: int = 1234) -> FiringStats:
     """Per-population rate, CV-ISI and pairwise-correlation distributions.
 
-    The discard window in the trace metadata is dropped first.  Correlation
-    uses Pearson coefficients on spike trains binned at ``corr_bin_ms``
-    (reported in the output metadata; the histogram displays use the
-    Freedman-Diaconis rule) over a seeded fixed-size neuron subsample.
+    Each population's spikes, found by its global neuron range, get float
+    times (``step * dt_ms``), and those inside the discard window in the
+    trace metadata are dropped.  Correlation uses Pearson coefficients on
+    spike trains binned at ``corr_bin_ms`` (reported in the output metadata;
+    the histogram displays use the Freedman-Diaconis rule) over a seeded
+    fixed-size neuron subsample.
     """
     t0 = trace.discard_ms
     t1 = trace.duration_ms
     if t1 <= t0:
         raise ValueError("empty analysis window after the discard interval")
     window_s = (t1 - t0) * 1e-3
-    keep = trace.times_ms >= t0
+    offsets = trace.offsets
 
     n_corr_bins = max(1, int(math.ceil((t1 - t0) / corr_bin_ms)))
     out = []
     for p, (name, size) in enumerate(zip(trace.pop_names, trace.pop_sizes)):
-        sel = keep & (trace.pops == p)  # copied one population at a time
-        t_p = trace.times_ms[sel]
-        n_p = trace.neurons[sel]
+        sel = (trace.neurons >= offsets[p]) & (trace.neurons < offsets[p + 1])
+        t_p = trace.steps[sel] * trace.dt_ms  # copied one population at a time
+        keep = t_p >= t0
+        t_p, n_p = t_p[keep], trace.neurons[sel][keep] - np.int32(offsets[p])
         counts = np.bincount(n_p, minlength=size)
         rates = counts / window_s
         cvs = _cv_isi(t_p, n_p, counts)

@@ -15,11 +15,13 @@ table (9 B per synapse) plus the float weights of the largest projection.
 Every run writes ``timings.json``, the seconds and peak RSS of each of its
 phases.
 
-A run's memory does not grow with its simulated duration, apart from the
-spike record that the traces and statistics are made from (about 4 B per
-spike): the Poisson bank holds one chunk of steps at a time, the profile
-counters are spilled to a file as the run goes, and the traces and profiles
-are written to their files in pieces, never built as one string.
+A run's memory grows with its simulated duration only by its spikes and
+steps: a simulator's record (about 4 B per spike and per step), its trace
+(8 B per spike: the step and global neuron that the output files and
+statistics derive from) and its spike counts per step (32 B per step).
+The Poisson bank holds one chunk of steps at a time, the profile counters
+are spilled to a file as the run goes, and the traces, profiles and spike
+counts are written to their files in pieces, never built as one string.
 
 The cost moves to disk, into two unnamed scratch files in the output
 directory (``tempfile.TemporaryFile``), which the system frees when the run
@@ -54,7 +56,7 @@ except ImportError:  # not on Windows
 
 import numpy as np
 
-from . import analysis, matrices, oracle, runtime
+from . import analysis, matrices, oracle, runtime, trace
 from .clocks import BEACON_INTERVAL_S, WARMUP_ROUNDS, ClockConfig
 from .costs import CostModel, load_cost_model
 from .machine import MachineSpec, load_machine_spec, serialize_machine_spec
@@ -118,30 +120,28 @@ class RunConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command line; an option left out takes ``RunConfig``'s default."""
     p = argparse.ArgumentParser(
-        prog="spikert",
+        prog="spikert", argument_default=argparse.SUPPRESS,
         description="Simulate spiking networks on a modeled multicast many-core machine.")
     p.add_argument("--model", help="network model spec file")
     p.add_argument("--machine", help="machine spec file (default: smallest fitting)")
-    p.add_argument("--scale", type=float, default=1.0, help="population down-scale factor")
-    p.add_argument("--input", choices=("dc", "poisson"), default="poisson",
-                   help="background input variant")
-    p.add_argument("--mode", choices=("hardware", "oracle", "both"), default="both")
-    p.add_argument("--duration-ms", type=float, default=1000.0)
-    p.add_argument("--slowdown", type=float, default=1.0,
-                   help="timer-period multiplier; 1 = real time")
-    p.add_argument("--discard-ms", type=float, default=0.0,
-                   help="initial transient dropped from statistics")
-    p.add_argument("--seed-network", type=int, default=1)
-    p.add_argument("--seed-poisson", type=int, default=2)
-    p.add_argument("--seed-drift", type=int, default=3)
-    p.add_argument("--drift-bound-ppm", type=float, default=0.0,
+    p.add_argument("--scale", type=float, help="population down-scale factor")
+    p.add_argument("--input", choices=("dc", "poisson"), help="background input variant")
+    p.add_argument("--mode", choices=("hardware", "oracle", "both"))
+    p.add_argument("--duration-ms", type=float)
+    p.add_argument("--slowdown", type=float, help="timer-period multiplier; 1 = real time")
+    p.add_argument("--discard-ms", type=float, help="initial transient dropped from statistics")
+    p.add_argument("--seed-network", type=int)
+    p.add_argument("--seed-poisson", type=int)
+    p.add_argument("--seed-drift", type=int)
+    p.add_argument("--drift-bound-ppm", type=float,
                    help="uniform board clock drift bound (0 disables drift)")
     p.add_argument("--costs", help="cost model override file")
     p.add_argument("--out", help="output directory")
     p.add_argument("--map-only", action="store_true",
                    help="partition, place and route without simulating")
-    p.add_argument("--profile", choices=("full", "none"), default="full")
+    p.add_argument("--profile", choices=("full", "none"))
     p.add_argument("--manifest", help="re-run from a previously written manifest")
     return p
 
@@ -155,20 +155,15 @@ def main(argv=None) -> int:
     # peak RSS of one run by 7 MB from start to start.
     _libc("mallopt", -3, 1 << 20)  # M_MMAP_THRESHOLD
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = vars(parser.parse_args(argv))
     try:
-        if args.manifest:
-            cfg = _config_from_manifest(args.manifest, args.out)
+        if "manifest" in args:
+            cfg = _config_from_manifest(args["manifest"], args.get("out"))
         else:
-            if not args.model or not args.out:
+            if not args.get("model") or not args.get("out"):
                 parser.error("--model and --out are required (or use --manifest)")
-            cfg = RunConfig(model=args.model, out=args.out, machine=args.machine,
-                            scale=args.scale, input=args.input, mode=args.mode,
-                            duration_ms=args.duration_ms, slowdown=args.slowdown,
-                            discard_ms=args.discard_ms, seed_network=args.seed_network,
-                            seed_poisson=args.seed_poisson, seed_drift=args.seed_drift,
-                            drift_bound_ppm=args.drift_bound_ppm, costs=args.costs,
-                            map_only=args.map_only, profile=args.profile)
+            cfg = RunConfig(**{f.name: args[f.name] for f in dataclasses.fields(RunConfig)
+                               if f.name in args})
         run(cfg)
         return EXIT_OK
     except SpecError as exc:
@@ -237,6 +232,9 @@ def run(cfg: RunConfig) -> None:
     if round(steps) < 1 or abs(steps - round(steps)) > 1e-9:
         raise SpecError(f"duration {cfg.duration_ms} ms is not a positive multiple of "
                         f"dt={spec.dt_ms} ms")
+    if round(steps) > runtime.MAX_STEPS:
+        raise SpecError(f"duration {cfg.duration_ms} ms is {round(steps)} steps of dt="
+                        f"{spec.dt_ms} ms; a run has at most {runtime.MAX_STEPS} (2**32)")
     if cfg.scale != 1.0:
         spec = scale_network(spec, cfg.scale)
     machine = load_machine_spec(cfg.machine) if cfg.machine else None
@@ -309,9 +307,8 @@ def run(cfg: RunConfig) -> None:
         if len(tr):
             stats = analysis.firing_stats(tr)
             _write(cfg, f"stats_{name}.txt", analysis.stats_document(stats))
-        counts = np.stack(analysis.per_timestep_counts(tr), axis=1)
-        _write(cfg, f"counts_{name}.tsv", "# timestep total excitatory inhibitory\n"
-               + "%d %d %d %d\n" * len(counts) % tuple(counts.ravel().tolist()))
+        _write(cfg, f"counts_{name}.tsv",
+               _counts_writer(np.stack(analysis.per_timestep_counts(tr), axis=1)))
 
     if cfg.mode == "both":
         same = results["hardware"] == results["oracle"]
@@ -401,6 +398,16 @@ def _flush_text(rep: analysis.FlushReport, res: runtime.RunResult) -> str:
         rep.processed_events, rep.flushed_events, rep.loss_fraction,
         rep.processed_packets, rep.flushed_packets, rep.max_flushed_in_timestep,
         res.late_packets, res.poisson_saturations)
+
+
+def _counts_writer(counts: np.ndarray):
+    """Writes ``counts_{name}.tsv`` from (steps, 4) ``counts``, ``trace.LINES`` steps at a time."""
+    def write(fh) -> None:
+        fh.write("# timestep total excitatory inhibitory\n")
+        for a in range(0, len(counts), trace.LINES):
+            block = counts[a:a + trace.LINES]
+            fh.write("%d %d %d %d\n" * len(block) % tuple(block.ravel().tolist()))
+    return write
 
 
 def _write_manifest(cfg: RunConfig, costs: CostModel, sim) -> None:

@@ -186,21 +186,34 @@ _PROJ_KEYS = {"source": str, "target": str, "probability": float, "weight_pa": f
               "weight_sd_pa": float, "delay_ms": float, "delay_sd_ms": float}
 
 
-def _parse_sections(text: str) -> list[tuple[str, dict]]:
-    sections: list[tuple[str, dict]] = []
-    current: dict | None = None
+def _spec_lines(text: str, expected: str):
+    """Yield ``(lineno, section, key, value)`` for each line of a spec file
+    that is not blank once its ``#`` comment is cut: a ``[section]`` header
+    has None for key and value, and a ``key = value`` line their stripped
+    text under the last header.  Any other line, or one before the first
+    header, is a SpecError: ``line N: expected 'key = value' {expected}``."""
+    section = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            current = {}
-            sections.append((line[1:-1].strip(), current))
-            continue
-        if "=" not in line or current is None:
-            raise SpecError(f"line {lineno}: expected 'key = value' inside a section")
-        key, value = (part.strip() for part in line.split("=", 1))
-        current[key] = value
+            section = line[1:-1].strip()
+            yield lineno, section, None, None
+        elif "=" not in line or section is None:
+            raise SpecError(f"line {lineno}: expected 'key = value' {expected}")
+        else:
+            key, value = (part.strip() for part in line.split("=", 1))
+            yield lineno, section, key, value
+
+
+def _parse_sections(text: str) -> list[tuple[str, dict]]:
+    sections: list[tuple[str, dict]] = []
+    for _, section, key, value in _spec_lines(text, "inside a section"):
+        if key is None:
+            sections.append((section, {}))
+        else:
+            sections[-1][1][key] = value
     return sections
 
 
@@ -217,20 +230,11 @@ def section_entries(text: str, section: str):
     file that holds the one section ``[section]``; ``#`` starts a comment.
     Any other section, or a line outside the section, is a SpecError naming
     its line."""
-    current = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            if current != section:
-                raise SpecError(f"line {lineno}: unknown section [{current}]")
-            continue
-        if current != section or "=" not in line:
-            raise SpecError(f"line {lineno}: expected 'key = value' in [{section}]")
-        key, value = (part.strip() for part in line.split("=", 1))
-        yield lineno, key, value
+    for lineno, name, key, value in _spec_lines(text, f"in [{section}]"):
+        if name != section:
+            raise SpecError(f"line {lineno}: unknown section [{name}]")
+        if key is not None:
+            yield lineno, key, value
 
 
 def _typed(section: str, data: dict, schema: dict) -> dict:

@@ -38,6 +38,7 @@ def oracle_simulate(network: NetworkModel, table: matrices.SynapseTable,
                     bank: matrices.PoissonBank, duration_ms: float, quantize: bool = True,
                     discard_ms: float = 0.0) -> trace.SpikeTrace:
     n_steps = int(round(duration_ms / network.dt_ms))
+    spikes = trace.SpikeRecord(n_steps)
     if bank.n_steps != n_steps:
         raise ValueError(f"Poisson bank holds {bank.n_steps} steps, the run {n_steps}")
     n = network.total_neurons
@@ -66,7 +67,6 @@ def oracle_simulate(network: NetworkModel, table: matrices.SynapseTable,
     ref = np.zeros(n, dtype=np.int64)
 
     zero_units = np.zeros(n, dtype=np.int64)
-    spikes = trace.SpikeRecord(n_steps)
 
     for t in range(n_steps):
         slot = t & (n_slots - 1)

@@ -79,10 +79,10 @@ from .machine import MachineSpec, auto_machine
 from .mapping import (NEURON_BITS, Ensemble, PlacementError, allocate_keys,
                       build_routing_tables, delivery_map, destination_cores, neuron_slots,
                       partition, place_radial)
-from .network import NetworkModel, SpecError
+from .network import NetworkModel
 
 
-MAX_STEPS = 1 << 32  # the queue orders a packet's emit step in 32 bits
+MAX_STEPS = trace.MAX_STEPS  # the queue orders a packet's emit step in 32 bits
 
 
 class SchedulingError(RuntimeError):
@@ -678,14 +678,14 @@ class HardwareSimulation:
         ``ProfileStore`` reads them back from it; memory then holds one
         chunk of counters and of background input whatever the duration.
         Only the spike record grows with it, by about 4 B per spike
-        (``trace.SpikeRecord``).
+        (``trace.SpikeRecord``, which refuses more than ``MAX_STEPS``
+        steps), and the trace made from it holds 8 B per spike: each
+        spike's step and global neuron index.
         """
         network = self.network
         cm = self.costs
         n_steps = int(round(duration_ms / network.dt_ms))
-        if n_steps > MAX_STEPS:
-            raise SpecError(f"{n_steps} steps: the machine model runs at most {MAX_STEPS} "
-                            "(2**32) steps")
+        spikes = trace.SpikeRecord(n_steps)
         if bank.n_steps != n_steps:
             raise ValueError(f"Poisson bank holds {bank.n_steps} steps, the run {n_steps}")
 
@@ -709,7 +709,6 @@ class HardwareSimulation:
 
         beacon_steps = max(1, round(BEACON_INTERVAL_S * 1e6 / period_local_us))
 
-        spikes = trace.SpikeRecord(n_steps)
         late_packets = 0
         poisson_sat = 0
 
@@ -787,6 +786,4 @@ def _place(ensembles, machine: MachineSpec | None):
         try:
             return candidate, place_radial(ensembles, candidate)
         except PlacementError:
-            need = candidate.n_chips() + 1
-            if need > 4096:
-                raise
+            need = candidate.n_chips() + 1  # auto_machine refuses past 3,072 chips

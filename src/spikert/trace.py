@@ -1,15 +1,19 @@
 """Spike trace container and its text format.
 
-One line per spike, ``time_ms population neuron_index``, sorted by time then
-population order then neuron; header comments carry run metadata and the
-population roster.  Both simulation paths write through the same code, so
-equal spike sets produce byte-identical files.  A trace is written straight
-to its file, ``LINES`` spikes at a time, never built as one string: in each
-block every distinct time and every distinct neuron id is formatted once
-(``distinct_strings``, which the profile writer shares), and a line is the
-join of its time, its pre-spaced population name and its neuron id.  A
-trace already in that order, as ``from_step_records`` and ``load_trace``
-make it, is written without a sort.
+A trace holds what a run records, 8 B per spike: each spike's step (uint32
+``steps``; a run has at most ``MAX_STEPS`` steps) and its neuron's global
+index (int32 ``neurons``), in step then neuron order.  Global order is
+population then neuron order, so this is the order of the text format too.
+
+The text format has one line per spike, ``time_ms population neuron_index``,
+where ``time_ms`` is ``step * dt_ms``; header comments carry run metadata and
+the population roster.  Both simulation paths write through the same code,
+so equal spike sets produce byte-identical files.  A trace is written
+straight to its file, ``LINES`` spikes at a time, never built as one string:
+in each block every distinct step's time and every distinct neuron's
+``population index`` text is formatted once, and a line is the join of the
+two.  ``load_trace`` reads a file back into that order, whatever the order
+of its lines.
 """
 
 from __future__ import annotations
@@ -19,14 +23,16 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .network import SpecError
+
 LINES = 1 << 14  # spikes formatted per write
+MAX_STEPS = 1 << 32  # steps are uint32, and the machine's queue orders emit steps in 32 bits
 
 
 @dataclass
 class SpikeTrace:
-    times_ms: np.ndarray    # float64
-    pops: np.ndarray        # int32 population index
-    neurons: np.ndarray     # int32 population-local neuron index
+    steps: np.ndarray       # uint32, each spike's step
+    neurons: np.ndarray     # int32 global neuron index, in step then neuron order
     duration_ms: float
     dt_ms: float
     discard_ms: float
@@ -35,20 +41,12 @@ class SpikeTrace:
     pop_polarity: tuple[str, ...]
 
     def __len__(self) -> int:
-        return int(self.times_ms.size)
+        return int(self.steps.size)
 
-    def _in_order(self) -> bool:
-        """Whether the spikes are in trace order: by time, then population,
-        then neuron."""
-        t, p, n = self.times_ms, self.pops, self.neurons
-        later_p = (p[1:] > p[:-1]) | ((p[1:] == p[:-1]) & (n[1:] >= n[:-1]))
-        return bool(((t[1:] > t[:-1]) | ((t[1:] == t[:-1]) & later_p)).all())
-
-    def sorted(self) -> "SpikeTrace":
-        order = np.lexsort((self.neurons, self.pops, self.times_ms))
-        return SpikeTrace(self.times_ms[order], self.pops[order], self.neurons[order],
-                          self.duration_ms, self.dt_ms, self.discard_ms,
-                          self.pop_names, self.pop_sizes, self.pop_polarity)
+    @property
+    def offsets(self) -> np.ndarray:
+        """Each population's first global neuron index, then the total."""
+        return np.concatenate([[0], np.cumsum(self.pop_sizes, dtype=np.int64)])
 
     def __eq__(self, other) -> bool:
         """Equal traces serialize to the same bytes."""
@@ -57,24 +55,20 @@ class SpikeTrace:
 
     def serialize(self, fh) -> None:
         """Write the trace's text to the text file ``fh``."""
-        t = self if self._in_order() else self.sorted()
-        lines = [
-            "# spike trace",
-            f"# duration_ms {self.duration_ms!r}",
-            f"# dt_ms {self.dt_ms!r}",
-            f"# discard_ms {self.discard_ms!r}",
-        ]
-        for name, size, pol in zip(self.pop_names, self.pop_sizes, self.pop_polarity):
-            lines.append(f"# population {name} {size} {pol}")
-        fh.write("\n".join(lines) + "\n")
-        names = np.array([name + " " for name in self.pop_names], dtype=object)
-        for a in range(0, len(t), LINES):
-            times, time_of = distinct_strings(t.times_ms[a:a + LINES], "%.4f ")
-            ids, id_of = distinct_strings(t.neurons[a:a + LINES], "%s\n")
-            rows = np.empty((time_of.size, 3), dtype=object)
-            rows[:, 0] = times[time_of]
-            rows[:, 1] = names[t.pops[a:a + LINES]]
-            rows[:, 2] = ids[id_of]
+        fh.write(f"# spike trace\n# duration_ms {self.duration_ms!r}\n# dt_ms {self.dt_ms!r}\n"
+                 f"# discard_ms {self.discard_ms!r}\n" + "".join(
+                     f"# population {name} {size} {pol}\n"
+                     for name, size, pol in zip(self.pop_names, self.pop_sizes, self.pop_polarity)))
+        offsets = self.offsets
+        names = [name + " " for name in self.pop_names]
+        for a in range(0, len(self), LINES):
+            steps, step_of = np.unique(self.steps[a:a + LINES], return_inverse=True)
+            ids, id_of = np.unique(self.neurons[a:a + LINES], return_inverse=True)
+            pops = np.searchsorted(offsets, ids, side="right") - 1
+            rows = np.empty((id_of.size, 2), dtype=object)
+            rows[:, 0] = _formatted("%.4f ", (steps * self.dt_ms).tolist())[step_of]
+            rows[:, 1] = np.array([names[p] + "%d\n" % i for p, i in zip(
+                pops.tolist(), (ids - offsets[pops]).tolist())], dtype=object)[id_of]
             fh.write("".join(rows.ravel().tolist()))
 
 
@@ -124,11 +118,14 @@ class SpikeRecord:
     at each step (int32 ``counts``) and the global indices of the neurons
     that fired, step after step, as int32 in pieces of ``PIECE`` entries,
     so that the record costs about 4 B per spike and grows a piece at a
-    time."""
+    time.  It refuses more than ``MAX_STEPS`` steps."""
 
     PIECE = 1 << 16
 
     def __init__(self, n_steps: int):
+        if n_steps > MAX_STEPS:
+            raise SpecError(f"{n_steps} steps: the machine model runs at most {MAX_STEPS} "
+                            "(2**32) steps")
         self.counts = np.zeros(n_steps, dtype=np.int32)
         self._pieces = [np.empty(self.PIECE, dtype=np.int32)]
         self._used = 0  # entries filled in the last piece
@@ -152,49 +149,47 @@ class SpikeRecord:
 
 
 def from_step_records(network, record: SpikeRecord, discard_ms: float = 0.0) -> SpikeTrace:
-    """The sorted trace of a run of ``network`` from its spike record.  Its
-    steps are ascending and each step's neurons ascending global indices,
-    and global order is population then neuron order, so the spikes come
-    out sorted without a sort."""
-    g = record.neurons()
-    pops = np.searchsorted(network.offsets, g, side="right").astype(np.int32)
-    pops -= 1
-    g -= network.offsets[pops]  # population-local
+    """The trace of a run of ``network`` from its spike record, which is in
+    trace order as recorded: its steps ascend, and each step's neurons are
+    ascending global indices."""
     n_steps = record.counts.size
-    times = np.repeat(np.arange(n_steps, dtype=np.int64) * network.dt_ms, record.counts)
+    steps = np.repeat(np.arange(n_steps, dtype=np.uint32), record.counts)
     populations = network.populations
-    return SpikeTrace(times, pops, g, n_steps * network.dt_ms, network.dt_ms, discard_ms,
-                      tuple(p.name for p in populations), tuple(p.size for p in populations),
-                      tuple(p.polarity for p in populations))
+    return SpikeTrace(steps, record.neurons(), n_steps * network.dt_ms, network.dt_ms,
+                      discard_ms, tuple(p.name for p in populations),
+                      tuple(p.size for p in populations), tuple(p.polarity for p in populations))
 
 
 def load_trace(path) -> SpikeTrace:
-    meta: dict = {}
-    pop_names: list[str] = []
-    pop_sizes: list[int] = []
-    pop_polarity: list[str] = []
-    times: list[float] = []
-    pops: list[int] = []
-    neurons: list[int] = []
+    """Read a trace file, its lines in any order.  Each time must be a step
+    of ``dt_ms`` inside the duration, and each neuron index inside its
+    population; the spikes are put in trace order."""
+    meta = {"duration_ms": 0.0, "dt_ms": 0.1, "discard_ms": 0.0}
+    roster: list[list[str]] = []
+    spikes: list[list[str]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) >= 2 and parts[0] in ("duration_ms", "dt_ms", "discard_ms"):
-                    meta[parts[0]] = float(parts[1])
-                elif parts and parts[0] == "population":
-                    pop_names.append(parts[1])
-                    pop_sizes.append(int(parts[2]))
-                    pop_polarity.append(parts[3])
-                continue
-            t_str, pop_name, idx_str = line.split()
-            times.append(float(t_str))
-            pops.append(pop_names.index(pop_name))
-            neurons.append(int(idx_str))
-    return SpikeTrace(np.asarray(times, dtype=np.float64), np.asarray(pops, dtype=np.int32),
-                      np.asarray(neurons, dtype=np.int32), meta.get("duration_ms", 0.0),
-                      meta.get("dt_ms", 0.1), meta.get("discard_ms", 0.0),
-                      tuple(pop_names), tuple(pop_sizes), tuple(pop_polarity))
+            parts = line[1:].split() if line.startswith("#") else None
+            if parts is None and line:
+                spikes.append(line.split())
+            elif parts and len(parts) >= 2 and parts[0] in meta:
+                meta[parts[0]] = float(parts[1])
+            elif parts and parts[0] == "population":
+                roster.append(parts[1:4])
+    names = tuple(name for name, _, _ in roster)
+    tr = SpikeTrace(np.zeros(0, dtype=np.uint32), np.zeros(0, dtype=np.int32),
+                    meta["duration_ms"], meta["dt_ms"], meta["discard_ms"], names,
+                    tuple(int(size) for _, size, _ in roster), tuple(pol for _, _, pol in roster))
+    times = np.array([float(t) for t, _, _ in spikes], dtype=np.float64)
+    pop = np.array([names.index(p) for _, p, _ in spikes], dtype=np.int64)
+    local = np.array([int(n) for _, _, n in spikes], dtype=np.int64)
+    steps = np.rint(times / tr.dt_ms)
+    if ((steps < 0) | (steps >= min(round(tr.duration_ms / tr.dt_ms), MAX_STEPS))
+            | (np.abs(steps * tr.dt_ms - times) > 1e-4)
+            | (local < 0) | (local >= np.diff(tr.offsets)[pop])).any():
+        raise ValueError(f"{path}: a spike off the trace's steps or outside its population")
+    g = tr.offsets[pop] + local
+    order = np.lexsort((g, steps))
+    tr.steps, tr.neurons = steps[order].astype(np.uint32), g[order].astype(np.int32)
+    return tr

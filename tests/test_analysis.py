@@ -23,17 +23,22 @@ def test_subsampled_correlations_are_pinned(small_network):
         "79a70a3228bfc87f4030b7572f84ad14668367ba5ac248ddc4e5cbc933c8f87d")
 
 
+def in_trace_order(steps, neurons):
+    """Steps (uint32) and global neurons (int32) in step then neuron order."""
+    order = np.lexsort((neurons, steps))
+    return np.asarray(steps)[order].astype(np.uint32), np.asarray(neurons)[order].astype(np.int32)
+
+
 def test_per_timestep_counts_split_by_polarity():
     """Each step's spikes, counted one by one, by their population's polarity."""
     rng = np.random.default_rng(5)
     n = 500
-    tr = trace.SpikeTrace(np.sort(rng.integers(0, 40, n)) * 0.1, rng.integers(0, 3, n),
-                          rng.integers(0, 10, n), 4.0, 0.1, 0.0, ("a", "b", "c"),
-                          (10, 10, 10), ("exc", "inh", "exc"))
+    tr = trace.SpikeTrace(*in_trace_order(rng.integers(0, 40, n), rng.integers(0, 30, n)),
+                          4.0, 0.1, 0.0, ("a", "b", "c"), (10, 10, 10), ("exc", "inh", "exc"))
     t, total, exc, inh = analysis.per_timestep_counts(tr)
-    step = np.rint(tr.times_ms / 0.1).astype(int)
-    want_exc = [int(np.sum((step == s) & (tr.pops != 1))) for s in range(40)]
-    want_inh = [int(np.sum((step == s) & (tr.pops == 1))) for s in range(40)]
+    pops = tr.neurons // 10
+    want_exc = [int(np.sum((tr.steps == s) & (pops != 1))) for s in range(40)]
+    want_inh = [int(np.sum((tr.steps == s) & (pops == 1))) for s in range(40)]
     assert t.tolist() == list(range(40))
     assert exc.tolist() == want_exc and inh.tolist() == want_inh
     assert total.tolist() == [e + i for e, i in zip(want_exc, want_inh)]
@@ -54,10 +59,12 @@ def test_row_reductions_equal_each_rows_own():
 def per_neuron_cv(tr) -> list[np.ndarray]:
     """Each population's CV ISI, one neuron at a time in neuron order, over
     the spikes after the discard window."""
-    keep = tr.times_ms >= tr.discard_ms
+    times = tr.steps * tr.dt_ms
+    pops = np.searchsorted(tr.offsets, tr.neurons, side="right") - 1
+    keep = times >= tr.discard_ms
     out = []
     for p in range(len(tr.pop_names)):
-        t, n = tr.times_ms[keep & (tr.pops == p)], tr.neurons[keep & (tr.pops == p)]
+        t, n = times[keep & (pops == p)], tr.neurons[keep & (pops == p)]
         cvs = []
         for i in np.unique(n).tolist():
             isi = np.diff(np.sort(t[n == i]))
@@ -81,9 +88,8 @@ def synthetic_trace() -> trace.SpikeTrace:
             spikes += [(s, p, neuron) for s in steps.tolist()]
             spikes += [(s, p, neuron) for s in rng.choice(50, size=neuron % 3).tolist()]
     spikes += [(700, 1, 5)] * 3
-    spikes.sort()
     steps, pops, neurons = map(np.array, zip(*spikes))
-    return trace.SpikeTrace(steps * 0.1, pops.astype(np.int32), neurons.astype(np.int32),
+    return trace.SpikeTrace(*in_trace_order(steps, np.array([0, 8])[pops] + neurons),
                             1000.0, 0.1, 5.0, ("A", "B"), (8, 7), ("exc", "inh"))
 
 
@@ -115,10 +121,9 @@ def test_correlation_transients_per_neuron_and_bin():
     trains are int32, and flat ones are found without a float copy (int64
     trains and a float ``std`` took about 25 B)."""
     rng = np.random.default_rng(5)
-    steps = np.sort(rng.integers(0, 100_000, 20_000))
-    tr = trace.SpikeTrace(steps * 0.1, np.zeros(steps.size, dtype=np.int32),
-                          rng.integers(0, 200, steps.size).astype(np.int32), 10_000.0, 0.1, 0.0,
-                          ("A",), (200,), ("exc",))
+    steps = rng.integers(0, 100_000, 20_000)
+    tr = trace.SpikeTrace(*in_trace_order(steps, rng.integers(0, 200, steps.size)),
+                          10_000.0, 0.1, 0.0, ("A",), (200,), ("exc",))
     analysis.firing_stats(tr)  # first-call allocations out of the way
     tracemalloc.start()
     try:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -405,3 +406,59 @@ def test_beacon_rounds_are_pinned(tmp_path, benchmark_path, machine_path):
         "sync.tsv": "c36e984ad289fa432fbd2818899073622175c3c223e7f76e0e3853bd30c087d7",
         "trace_hardware.txt": "359f0882849b0456c7caf055869779ebcc72aa34e19e8821197f9488eb97f1cd",
     }
+
+
+@pytest.mark.parametrize("mode", ["hardware", "oracle", "both"])
+def test_runs_past_max_steps_exit_with_spec_code(tmp_path, model, capsys, mode):
+    """A run of more than 2**32 steps is refused before any set-up in every
+    mode, where the oracle's per-step spike counts once asked for 36 TiB."""
+    assert run_cli(tmp_path, model, "--mode", mode, "--duration-ms", "1e12") == cli.EXIT_SPEC
+    err = capsys.readouterr().err
+    assert err == ("spec error: duration 1000000000000.0 ms is 10000000000000 steps of "
+                   "dt=0.1 ms; a run has at most 4294967296 (2**32)\n")
+    assert not (tmp_path / "out" / "resolved_model.net").exists()
+
+
+def test_counts_file_is_written_in_blocks():
+    """``counts_{name}.tsv`` is written ``trace.LINES`` steps at a time: its
+    bytes are those of one formatting of every step, across block
+    boundaries, and its working set does not grow with the step count
+    (one formatting took about 214 B per step)."""
+    rng = np.random.default_rng(4)
+
+    def counts(n_steps):
+        return np.stack([np.arange(n_steps), *rng.integers(0, 10**6, (3, n_steps))], axis=1)
+
+    c = counts(2 * trace.LINES + 5)
+    assert written(cli._counts_writer(c)) == ("# timestep total excitatory inhibitory\n"
+                                              + "%d %d %d %d\n" * len(c)
+                                              % tuple(c.ravel().tolist()))
+    peaks = []
+    for n_steps in (100_000, 400_000):
+        c = counts(n_steps)
+        with open(os.devnull, "w", encoding="utf-8") as fh:
+            tracemalloc.start()
+            try:
+                cli._counts_writer(c)(fh)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[0] < 300 * trace.LINES
+    assert peaks[1] < 1.1 * peaks[0]
+
+
+def test_default_run_takes_the_run_config_defaults(tmp_path, model):
+    """A run given only ``--model`` and ``--out`` runs with ``RunConfig``'s
+    defaults: its manifest's run_config equals them, apart from the files
+    it points at its own resolved copies."""
+    out = str(tmp_path / "out")
+    assert cli.main(["--model", model, "--out", out]) == cli.EXIT_OK
+    with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+        got = json.load(fh)["run_config"]
+    want = dataclasses.asdict(cli.RunConfig(model=model, out=out))
+    for copied in ("model", "machine", "costs"):
+        assert got.pop(copied) == os.path.join(out, {"model": "resolved_model.net",
+                                                     "machine": "machine.mach",
+                                                     "costs": "costs_resolved.cfg"}[copied])
+        want.pop(copied)
+    assert got == want

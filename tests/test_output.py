@@ -150,17 +150,21 @@ def test_distinct_strings_format_each_value(values, fmt):
     assert len(strings) == len({v.hex() if isinstance(v, float) else v for v in each})
 
 
-def hand_trace(times, pops, neurons) -> trace.SpikeTrace:
-    return trace.SpikeTrace(np.asarray(times, dtype=np.float64), np.asarray(pops, dtype=np.int32),
-                            np.asarray(neurons, dtype=np.int32), 1e5 + 0.1, 0.1, 0.0,
+def hand_trace(spikes, dt_ms=0.1) -> trace.SpikeTrace:
+    """The trace of ``spikes``, (step, population, population-local neuron)
+    triples, over 10**6 + 1 steps of ``dt_ms``."""
+    steps, pops, local = (np.asarray(col, dtype=np.int64) for col in zip(*spikes))
+    return trace.SpikeTrace(steps.astype(np.uint32), (np.array([0, 1000])[pops] + local)
+                            .astype(np.int32), (10**6 + 1) * dt_ms, dt_ms, 0.0,
                             ("L23E", "L4I"), (1000, 7), ("exc", "inh"))
 
 
-# in trace order: time, then population, then neuron
-SPIKES = [(0.0, 0, 0), (0.0, 0, 999), (0.0, 1, 6), (0.1, 1, 0), (0.2, 0, 3),
-          (0.30000000000000004, 0, 1), (0.30000000000000004, 1, 6), (0.5000499999999999, 0, 2),
-          (0.6000000000000001, 0, 998), (2.5e-5 + 7.0, 0, 999), (12.34565, 1, 6),
-          (1e5, 0, 999), (1e5, 1, 0), (1e5, 1, 6)]
+# in trace order: step, then population, then neuron; at dt 0.1 ms, steps 3
+# and 6 are 0.30000000000000004 and 0.6000000000000001 ms, and at 2.5e-5 ms,
+# 20002 and 493826 are next to a tie of the 4th decimal (0.50005, 12.34565)
+SPIKES = [(0, 0, 0), (0, 0, 999), (0, 1, 6), (1, 1, 0), (2, 0, 3), (3, 0, 1), (3, 1, 6),
+          (6, 0, 998), (20002, 0, 2), (280001, 0, 999), (493826, 1, 6), (10**6, 0, 999),
+          (10**6, 1, 0), (10**6, 1, 6)]
 
 
 def spike_lines(text: str) -> list[str]:
@@ -169,30 +173,49 @@ def spike_lines(text: str) -> list[str]:
 
 @pytest.mark.parametrize("lines", [trace.LINES, 4])
 def test_trace_equals_python_formatting(monkeypatch, lines):
-    """A trace's spike lines equal ``%.4f %s %s`` of each spike, for times
-    such as 0.30000000000000004 and 1e5 ms, neuron ids up to the population
-    size minus 1, and blocks of LINES spikes that split a time; a trace
-    already in order is written without a sort."""
+    """A trace's spike lines equal ``%.4f %s %s`` of each spike's time
+    (step times dt), population and local id, for times such as
+    0.30000000000000004 and 1e5 ms, neuron ids up to the population size
+    minus 1, and blocks of LINES spikes that split a step."""
     monkeypatch.setattr(trace, "LINES", lines)
-    sorts = []
-    sort = trace.SpikeTrace.sorted
-    monkeypatch.setattr(trace.SpikeTrace, "sorted", lambda self: sorts.append(1) or sort(self))
-    tr = hand_trace(*zip(*SPIKES))
-    names = tr.pop_names
-    assert spike_lines(written(tr.serialize)) == [f"{t:.4f} {names[p]} {n}\n"
-                                                  for t, p, n in SPIKES]
-    assert sorts == []
+    for dt_ms in (0.1, 2.5e-5):
+        tr = hand_trace(SPIKES, dt_ms)
+        names = tr.pop_names
+        assert spike_lines(written(tr.serialize)) == [f"{s * dt_ms:.4f} {names[p]} {n}\n"
+                                                      for s, p, n in SPIKES]
 
 
 @pytest.mark.parametrize("order", [
     np.random.default_rng(3).permutation(len(SPIKES)).tolist(),
-    [0, 2, 1] + list(range(3, len(SPIKES))),  # populations out of order at one time
-    [1, 0] + list(range(2, len(SPIKES))),  # neurons out of order at one time
+    [0, 2, 1] + list(range(3, len(SPIKES))),  # populations out of order at one step
+    [1, 0] + list(range(2, len(SPIKES))),  # neurons out of order at one step
 ], ids=["shuffled", "populations", "neurons"])
-def test_unordered_trace_serializes_in_sorted_order(order):
-    """A trace whose spikes are out of order, also only among the spikes
-    of one time, is sorted before it is written, so it writes the bytes of
-    the same spikes in order."""
-    unordered = hand_trace(*zip(*[SPIKES[i] for i in order]))
-    assert written(unordered.serialize) == written(hand_trace(*zip(*SPIKES)).serialize)
-    assert written(unordered.sorted().serialize) == written(unordered.serialize)
+def test_load_trace_sorts_shuffled_lines(tmp_path, order):
+    """A trace file whose spike lines are out of order, also only among
+    the spikes of one step, loads as the trace of the same spikes in
+    order, and so writes the bytes of the file in order."""
+    text = written(hand_trace(SPIKES).serialize)
+    head = [line for line in text.splitlines(keepends=True) if line.startswith("#")]
+    lines = spike_lines(text)
+    path = tmp_path / "trace.txt"
+    path.write_text("".join(head + [lines[i] for i in order]))
+    loaded = trace.load_trace(path)
+    assert loaded == hand_trace(SPIKES)
+    assert loaded.steps.dtype == np.uint32 and loaded.neurons.dtype == np.int32
+    assert written(loaded.serialize) == text
+
+
+@pytest.mark.parametrize("line", ["100000.1000 L23E 0", "0.0500 L23E 0", "-0.1000 L23E 0",
+                                  "0.1000 L4I 7", "0.1000 L4I -1", "429496729.6000 L23E 0"],
+                         ids=["past_duration", "between_steps", "negative", "past_size",
+                              "negative_id", "past_max_steps"])
+def test_load_trace_refuses_spikes_off_its_steps_or_populations(tmp_path, line):
+    """A loaded spike must fall on a step of the trace, under 2**32, and
+    inside its population's neuron ids."""
+    text = written(hand_trace(SPIKES).serialize)
+    if line.startswith("429496729.6"):  # a duration of 10**13 steps, a spike at step 2**32
+        text = text.replace(f"# duration_ms {(10**6 + 1) * 0.1!r}", "# duration_ms 1e12")
+    path = tmp_path / "trace.txt"
+    path.write_text(text + line + "\n")
+    with pytest.raises(ValueError, match="off the trace's steps or outside its population"):
+        trace.load_trace(path)

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from conftest import SMALL_SPEC, row_senders, store_rows, written
-from spikert import matrices
+from spikert import matrices, runtime, trace
 from spikert.clocks import ClockConfig
-from spikert.mapping import ROLE_NEURON, ROLE_POISSON
+from spikert.mapping import ROLE_NEURON, ROLE_POISSON, partition
 from spikert.matrices import (CHUNK_STEPS, PoissonBank, encode_projections, ranges,
                               ring_slots, source_delivery_index)
 from spikert.network import (SpecError, build_network, load_network_spec, parse_network_spec,
@@ -347,6 +347,53 @@ def test_spike_record_costs_four_bytes_per_spike():
     assert held < 4 * (spikes + n_steps + SpikeRecord.PIECE) + 4096
     assert np.array_equal(record.neurons(), np.concatenate(fired))
     assert record.counts.tolist() == [g.size for g in fired]
+
+
+def test_trace_costs_eight_bytes_per_spike(small_network):
+    """The trace keeps each spike's step (uint32) and global neuron (int32):
+    made from a record of 130,000 spikes, it holds at most 8.5 B per spike,
+    and takes no more while it is made, where float times, populations and
+    local ids took 16."""
+    rng = np.random.default_rng(2)
+    n_steps = 2000
+    record = SpikeRecord(n_steps)
+    fired = [np.flatnonzero(rng.random(small_network.total_neurons) < 0.5)
+             for _ in range(n_steps)]
+    for t, g in enumerate(fired):
+        record.add(t, g)
+    spikes = int(record.counts.sum())
+    tracemalloc.start()
+    try:
+        tr = trace.from_step_records(small_network, record)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert spikes >= 100_000
+    assert held <= 8.5 * spikes and peak <= 8.5 * spikes
+    assert tr.steps.dtype == np.uint32 and tr.neurons.dtype == np.int32
+    assert np.array_equal(tr.steps, np.repeat(np.arange(n_steps), [g.size for g in fired]))
+    assert np.array_equal(tr.neurons, np.concatenate(fired))
+
+
+def test_oracle_runs_past_the_step_limit_are_refused(small_network):
+    """The oracle's spike record refuses more than 2**32 steps as the
+    machine's does, before it allocates a count per step."""
+    with pytest.raises(SpecError, match=r"4294967297 steps: the machine model runs at most "
+                                        r"4294967296 \(2\*\*32\) steps"):
+        oracle_simulate(small_network, encode_projections(small_network),
+                        PoissonBank(small_network, 2, 10), (MAX_STEPS + 1) * small_network.dt_ms)
+
+
+def test_placement_past_the_largest_machine_is_a_spec_error():
+    """25 populations of 32,768 neurons take 51,200 cores, 3,200 chips: more
+    than the 3,072 chips of the largest machine ``auto_machine`` builds, so
+    ``_place`` raises its SpecError."""
+    head = SMALL_SPEC[:SMALL_SPEC.index("[population]")]
+    pops = "".join(f"[population]\nname = P{i}\nsize = 32768\npolarity = exc\n"
+                   "dc_current_pa = 500\n\n" for i in range(25))
+    net = build_network(parse_network_spec(head + pops), 1, sample_synapses=False)
+    with pytest.raises(SpecError, match="no machine configuration covers 3200 chips"):
+        runtime._place(partition(net), None)
 
 
 def test_runs_past_the_emit_step_key_are_refused(small_network):
