@@ -18,20 +18,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trace import SpikeTrace
+from .trace import LINES, SpikeTrace
 
 KWH_TO_UJ = 3.6e12  # 1 kWh = 3.6e6 J = 3.6e12 uJ
+CORR_BIN_MS = 2.0  # with the next two, ``firing_stats``' defaults, in the manifest too
+CORR_SUBSAMPLE = 200
+CORR_ESTIMATOR = "pearson-on-binned-counts"
 
 
 def per_timestep_counts(trace: SpikeTrace):
     """Exact spike counts per timestep: (t_index, total, excitatory, inhibitory),
-    from one ``np.bincount`` over ``2 * step + inhibitory`` in int64."""
+    counted a block of ``LINES`` spikes at a time into the steps it spans."""
     n_bins = int(round(trace.duration_ms / trace.dt_ms))
     is_inh = np.repeat([p != "exc" for p in trace.pop_polarity], trace.pop_sizes)
-    key = np.multiply(trace.steps, 2, dtype=np.int64)
-    key += is_inh[trace.neurons]
-    exc, inh = np.bincount(key, minlength=2 * n_bins).reshape(-1, 2).T
-    return np.arange(n_bins), exc + inh, exc, inh
+    total, inh = np.zeros(n_bins, dtype=np.int64), np.zeros(n_bins, dtype=np.int64)
+    for a in range(0, len(trace), LINES):
+        steps = trace.steps[a:a + LINES]
+        s0, s1 = int(steps.min()), int(steps.max()) + 1
+        steps = steps - np.uint32(s0)
+        total[s0:s1] += np.bincount(steps, minlength=s1 - s0)
+        inh[s0:s1] += np.bincount(steps[is_inh[trace.neurons[a:a + LINES]]], minlength=s1 - s0)
+    return np.arange(n_bins), total, total - inh, inh
 
 
 def freedman_diaconis_width(values: np.ndarray) -> float:
@@ -75,11 +82,11 @@ class FiringStats:
     corr_bin_ms: float
     corr_subsample: int
     corr_seed: int
-    estimator: str = "pearson-on-binned-counts"
+    estimator: str = CORR_ESTIMATOR
 
 
-def firing_stats(trace: SpikeTrace, corr_bin_ms: float = 2.0, corr_subsample: int = 200,
-                 corr_seed: int = 1234) -> FiringStats:
+def firing_stats(trace: SpikeTrace, corr_bin_ms: float = CORR_BIN_MS,
+                 corr_subsample: int = CORR_SUBSAMPLE, corr_seed: int = 1234) -> FiringStats:
     """Per-population rate, CV-ISI and pairwise-correlation distributions.
 
     Each population's spikes, found by its global neuron range, get float
@@ -194,10 +201,11 @@ class FlushReport:
         return self.flushed_events / total if total else 0.0
 
 
-def flush_report(profile) -> FlushReport:
-    """Totals over a runtime ProfileStore; events are per-target synaptic
-    contributions, packets are spike packets."""
-    t = profile.totals()
+def flush_report(result) -> FlushReport:
+    """The flush accounting of a hardware run, from its ``RunResult``'s
+    totals, which every run has, whether or not it kept a profile; events
+    are per-target synaptic contributions, packets are spike packets."""
+    t = result.totals
     return FlushReport(t["processed_events"], t["flushed_events"], t["processed"],
                        t["flushed"], t["max_flushed_in_timestep"])
 

@@ -27,8 +27,10 @@ The cost moves to disk, into two unnamed scratch files in the output
 directory (``tempfile.TemporaryFile``), which the system frees when the run
 closes them or ends, however it ends, so they are never among its outputs:
 
-- the profile counters, when a hardware run writes a profile: 36 B per
-  synapse core and step (about 1.3 GB per simulated second at full scale);
+- the per-step profile, when a hardware run writes one (``--profile
+  full``): 36 B per synapse core and step (about 1.3 GB per simulated
+  second at full scale).  A run without it still writes
+  ``flush_report.txt``, from the totals the run adds up as it goes;
 - in ``--mode both`` only, every chunk of background counts the Poisson
   bank draws, which the oracle reads back instead of drawing them again:
   2 B per Poisson source and step (6.2 MB for 200 ms at scale 0.02, about
@@ -56,7 +58,7 @@ except ImportError:  # not on Windows
 
 import numpy as np
 
-from . import analysis, matrices, oracle, runtime, trace
+from . import analysis, matrices, oracle, runtime, trace, weights
 from .clocks import BEACON_INTERVAL_S, WARMUP_ROUNDS, ClockConfig
 from .costs import CostModel, load_cost_model
 from .machine import MachineSpec, load_machine_spec, serialize_machine_spec
@@ -279,8 +281,7 @@ def run(cfg: RunConfig) -> None:
         bank = matrices.PoissonBank(net, cfg.seed_poisson, round(steps), draws)
         timings.mark("poisson_bank")
         if sim is not None:
-            res = sim.run(cfg.duration_ms, bank, discard_ms=cfg.discard_ms,
-                          with_profile=cfg.profile == "full", spill=spill)
+            res = sim.run(cfg.duration_ms, bank, discard_ms=cfg.discard_ms, spill=spill)
             results["hardware"] = res.trace
             timings.mark("hardware_run")
         if cfg.mode in ("oracle", "both"):
@@ -289,15 +290,13 @@ def run(cfg: RunConfig) -> None:
                 discard_ms=cfg.discard_ms)
             timings.mark("oracle")
         del table, bank  # the outputs need neither
-        if res is not None and cfg.profile == "full":
+        if res is not None and res.profile is not None:
             _write(cfg, "profile.tsv", res.profile.serialize)
             _write(cfg, "profile_events.tsv", res.profile.serialize_events)
 
     if res is not None:
         _write(cfg, "trace_hardware.txt", res.trace.serialize)
-        if cfg.profile == "full":
-            rep = analysis.flush_report(res.profile)
-            _write(cfg, "flush_report.txt", _flush_text(rep, res))
+        _write(cfg, "flush_report.txt", _flush_text(analysis.flush_report(res), res))
         _write(cfg, "sync.tsv", res.sync_diagnostics.serialize())
         _write_mapping(cfg, sim.placement, sim.tables)
     if "oracle" in results:
@@ -307,8 +306,7 @@ def run(cfg: RunConfig) -> None:
         if len(tr):
             stats = analysis.firing_stats(tr)
             _write(cfg, f"stats_{name}.txt", analysis.stats_document(stats))
-        _write(cfg, f"counts_{name}.tsv",
-               _counts_writer(np.stack(analysis.per_timestep_counts(tr), axis=1)))
+        _write(cfg, f"counts_{name}.tsv", _counts_writer(analysis.per_timestep_counts(tr)))
 
     if cfg.mode == "both":
         same = results["hardware"] == results["oracle"]
@@ -397,15 +395,16 @@ def _flush_text(rep: analysis.FlushReport, res: runtime.RunResult) -> str:
             "cross_timestep_packets {6}\npoisson_saturations {7}\n").format(
         rep.processed_events, rep.flushed_events, rep.loss_fraction,
         rep.processed_packets, rep.flushed_packets, rep.max_flushed_in_timestep,
-        res.late_packets, res.poisson_saturations)
+        res.totals["late_packets"], res.poisson_saturations)
 
 
-def _counts_writer(counts: np.ndarray):
-    """Writes ``counts_{name}.tsv`` from (steps, 4) ``counts``, ``trace.LINES`` steps at a time."""
+def _counts_writer(counts):
+    """Writes ``counts_{name}.tsv`` from the four per-step arrays ``counts``
+    (``analysis.per_timestep_counts``), stacking ``trace.LINES`` steps at a time."""
     def write(fh) -> None:
         fh.write("# timestep total excitatory inhibitory\n")
-        for a in range(0, len(counts), trace.LINES):
-            block = counts[a:a + trace.LINES]
+        for a in range(0, len(counts[0]), trace.LINES):
+            block = np.stack([c[a:a + trace.LINES] for c in counts], axis=1)
             fh.write("%d %d %d %d\n" * len(block) % tuple(block.ravel().tolist()))
     return write
 
@@ -428,11 +427,11 @@ def _write_manifest(cfg: RunConfig, costs: CostModel, sim) -> None:
         "cost_model": dataclasses.asdict(costs),
         "defaults": {
             "neurons_per_core": NEURONS_PER_CORE,
-            "correlation_bin_ms": 2.0,
-            "correlation_subsample": 200,
-            "correlation_estimator": "pearson-on-binned-counts",
-            "weight_bits": 16,
-            "min_weight_significant_bits": 14,
+            "correlation_bin_ms": analysis.CORR_BIN_MS,
+            "correlation_subsample": analysis.CORR_SUBSAMPLE,
+            "correlation_estimator": analysis.CORR_ESTIMATOR,
+            "weight_bits": weights.WEIGHT_BITS,
+            "min_weight_significant_bits": weights.MIN_SIG_BITS,
             "beacon_interval_s": BEACON_INTERVAL_S,
             "warmup_rounds": WARMUP_ROUNDS,
         },

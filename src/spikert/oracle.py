@@ -18,11 +18,12 @@ synapses are its source neuron's spans into the table
 population, delivered through ``matrices.ring_insert`` as the machine
 model's are, in the table's narrow dtypes (int32 targets, int32 or int64
 units, uint8 delays) widened to int64 before they are added up.  The
-unquantized path reads the network's
-float weights, aligned with the table, through the same spans, spike by
-spike and in projection then synapse order, since float sums depend on the
-order.  The delay rings hold ``matrices.ring_slots`` slots, the smallest
-power of two above the table's longest delay.
+unquantized path reads the network's float weights, aligned with the
+table, through the same spans, and adds a step's spikes with one
+``np.add.at`` in spike, projection then synapse order, the order in which
+``ufunc.at`` applies its updates, so each float sum is that of a
+spike-by-spike loop.  The delay rings hold ``matrices.ring_slots`` slots,
+the smallest power of two above the table's longest delay.
 """
 
 from __future__ import annotations
@@ -53,8 +54,10 @@ def oracle_simulate(network: NetworkModel, table: matrices.SynapseTable,
                              "encode with keep_weights=True")
         w_pa = np.concatenate([p.weight_pa for p in network.projections] or [np.zeros(0)])
         float_acc = np.zeros((n_slots, n), dtype=np.float64)
-        pois_w = np.repeat([network.populations[p].background.weight_pa for p in bank.counts],
-                           [mat.shape[0] for mat in bank.counts.values()])
+        # each bank row's float weight (DC populations have no rows)
+        pop_of = np.searchsorted(network.offsets, bank.neuron, side="right") - 1
+        pois_w = np.array([getattr(pop.background, "weight_pa", 0.0)
+                           for pop in network.populations])[pop_of]
 
     # integer accumulators: [0] excitatory, [1] inhibitory source input
     acc = np.zeros((2, n_slots, n), dtype=np.int64)
@@ -88,18 +91,15 @@ def oracle_simulate(network: NetworkModel, table: matrices.SynapseTable,
         if not g.size:
             continue
         spikes.add(t, g)
+        # the spans of every spike of the step, delivered at once
+        s = matrices.ranges(spans.span_ptr[g], n_spans[g])
+        lo = spans.lo[s]
         if quantize:
-            # the spans of every spike of the step, delivered at once
-            s = matrices.ranges(spans.span_ptr[g], n_spans[g])
-            lo = spans.lo[s]
             matrices.ring_insert(acc, table, t, span_inh[s], lo, spans.hi[s] - lo)
         else:
-            for gi in g.tolist():  # float sums depend on the order: one spike at a time
-                s = slice(spans.span_ptr[gi], spans.span_ptr[gi + 1])
-                syn = matrices.ranges(spans.lo[s], spans.hi[s] - spans.lo[s])
-                if syn.size:
-                    slots = (t + table.delays[syn].astype(np.int64)) & (n_slots - 1)
-                    np.add.at(float_acc, (slots, table.post[syn]), w_pa[syn])
+            syn = matrices.ranges(lo, spans.hi[s] - lo)
+            slots = (t + table.delays[syn].astype(np.int64)) & (n_slots - 1)
+            np.add.at(float_acc, (slots, table.post[syn]), w_pa[syn])
 
     return trace.from_step_records(network, spikes, discard_ms)
 

@@ -40,7 +40,7 @@ packets:
   falling queue length, so each position's cores are a prefix of them: its
   working set is a few arrays of one entry per packet, never the longest
   queue times the cores.  The per-core counters are counted afterwards and
-  written to the profile with two writes;
+  written to the profile, if the run keeps one, with two writes;
 - ring insert: ``matrices.ring_insert``, which the oracle delivers through
   as well, expands the spans of all processed packets' rows and adds their
   synapses into the ring buffers with a single integer ``np.add.at``.
@@ -56,9 +56,9 @@ need, ``matrices.ring_slots`` of the table's longest delay.
 Only a synapse core's work varies with the spike load.  Set-up computes
 the fixed busy time per step of every modelled core once, over the core
 table (arrays in (chip, core id) order), and checks it against the timer
-period; the profile counts per step for the synapse cores alone
-(``ProfileStore``), one chunk of steps in memory and the rest spilled to a
-file.
+period.  A run adds up the counters each window returns into its totals;
+given a spill file, it also keeps them per step and synapse core
+(``ProfileStore``), one chunk of steps in memory and the rest in the file.
 
 The whole machine advances in a single deterministic virtual timeline:
 identical inputs give identical traces and profiles.
@@ -66,7 +66,6 @@ identical inputs give identical traces and profiles.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,28 +185,27 @@ class ProfileStore:
     its synapse core, or -1.  A neuron or Poisson core's rows are written as
     zero counters and its fixed busy time; a synapse core's ``busy_us``
     starts from its entry, the ring-buffer write, and each step it runs a
-    window replaces it.
+    window replaces it.  The store is a record only: a run's totals are the
+    sums its windows return.
 
     The chunk in hand is the int32 block ``counts`` of the seven integer
     counters (``INTS``), shape ``(7, 3 * ensembles, matrices.CHUNK_STEPS)``,
     and the float64 ``busy_us``, indexed like ``SynapseCoreState``; column
     ``t - t0`` holds step t, and each counter is also an attribute, a view
     of its row of the block.  ``spill`` writes the chunk to ``file``, a
-    binary file object, adds it to the running totals and starts the next
-    chunk.  The file is laid out in the order the profile files are
-    written: one packed 36-byte ``RECORD`` per (synapse core, step), the
-    synapse cores in core-table order and each core's steps contiguous, so
-    cell (r, t) sits at byte ``(r * n_steps + t) * 36``.  A spill writes
-    each core's steps of the chunk at their place, so a file on disk stays
-    sparse until the last chunk is written, and the in-memory
-    ``io.BytesIO`` that library runs default to, which cannot be sparse,
-    grows at the first spill to about its size at the end of the run.  ``serialize`` and ``serialize_events`` read the
-    records back a group of (core, step) cells at a time, one read per
-    group, and write the profile files to a text file object, formatting
-    each step, each distinct tuple of integer counters and each distinct
-    busy time of a group once and joining the pieces of each line, so a
-    file is written at about the speed of joining strings, with a working
-    set that does not grow with the run's length (``_write``).
+    binary file object, and starts the next chunk.  The file is laid out in
+    the order the profile files are written: one packed 36-byte ``RECORD``
+    per (synapse core, step), the synapse cores in core-table order and
+    each core's steps contiguous, so cell (r, t) sits at byte ``(r *
+    n_steps + t) * 36``.  A spill writes each core's steps of the chunk at
+    their place, so the file stays sparse until the last chunk is written.
+    ``serialize`` and ``serialize_events`` read the records back a group of
+    (core, step) cells at a time, one read per group, and write the profile
+    files to a text file object, formatting each step, each distinct tuple
+    of integer counters and each distinct busy time of a group once and
+    joining the pieces of each line, so a file is written at about the
+    speed of joining strings, with a working set that does not grow with
+    the run's length (``_write``).
     """
 
     # the counters, in the order ``SynapseCoreState.run_window`` returns them
@@ -215,8 +213,6 @@ class ProfileStore:
                 "processed_events", "flushed_events")
     INTS = tuple(name for name in COUNTERS if name != "busy_us")  # the rows of ``counts``
     RECORD = np.dtype([(name, np.int32) for name in INTS] + [("busy_us", np.float64)])
-    SUMMED = ("received", "processed", "flushed", "zero_target", "processed_events",
-              "flushed_events")  # the counters ``totals`` adds up
     GROUP_CELLS = 1 << 14  # (core, step) cells read back at once when writing a profile file
     STEP_SPAN = 1 << 16  # steps whose strings are held at once when writing a profile file
 
@@ -226,7 +222,7 @@ class ProfileStore:
         self.syn_core = syn_core
         self.fixed_busy_us = fixed_busy_us
         self.n_steps = n_steps
-        self.file = io.BytesIO() if file is None else file
+        self.file = file
         syn_rows = np.flatnonzero(syn_core >= 0)
         self._order = syn_core[syn_rows]  # the synapse core of each spilled row
         self._fixed = np.empty(syn_rows.size)
@@ -236,9 +232,6 @@ class ProfileStore:
         for name, block in zip(self.INTS, self.counts):
             setattr(self, name, block)
         self.busy_us = np.empty(shape)
-        self._summed = [self.INTS.index(name) for name in self.SUMMED]
-        self._sums = dict.fromkeys(self.SUMMED, 0)
-        self._max_flushed = 0
         self.t0 = 0
         self._clear()
 
@@ -248,7 +241,7 @@ class ProfileStore:
 
     def spill(self) -> None:
         """Write the chunk in hand to the spill file, each core's steps at
-        their place, add it to the running totals and start the next chunk."""
+        their place, and start the next chunk."""
         k = min(self.received.shape[1], self.n_steps - self.t0)
         records = np.empty((self._order.size, k), self.RECORD)
         for name, block in zip(self.INTS, self.counts):
@@ -257,17 +250,8 @@ class ProfileStore:
         for r, row in enumerate(records):
             self.file.seek((r * self.n_steps + self.t0) * self.RECORD.itemsize)
             self.file.write(row)
-        sums = self.counts[self._summed, :, :k].sum(axis=(1, 2)).tolist()
-        for name, value in zip(self.SUMMED, sums):
-            self._sums[name] += value
-        self._max_flushed = max(self._max_flushed, int(self.flushed[:, :k].max(initial=0)))
         self.t0 += k
         self._clear()
-
-    def totals(self) -> dict:
-        """Sums of the counters over the spilled steps, and the most packets
-        one core flushed in one step."""
-        return {**self._sums, "max_flushed_in_timestep": self._max_flushed}
 
     def _read(self, r0: int, r1: int, s0: int, s1: int) -> np.ndarray:
         """The ``(rows, steps)`` records of spilled rows ``r0:r1`` at steps
@@ -420,12 +404,11 @@ class SynapseCoreState:
         local core us, scaled by the chip's crystal rate.  The cores run in
         lockstep, four array operations per queue position, and each keeps
         the float recurrence of a packet-at-a-time core.  Per-core counters go to
-        ``profile``'s column of step ``t``; the return value is their sum over cores:
-        received, processed, flushed, zero_target, kickstarts, busy_us,
-        processed_events, flushed_events, late.
+        ``profile``'s column of step ``t``; the return value is ``TOTALS``, their
+        sum over cores, the late packets and the most packets one core flushed.
         """
         if not self.q_arrival.size:
-            return 0, 0, 0, 0, 0, 0.0, 0, 0, 0
+            return 0, 0, 0, 0, 0, 0.0, 0, 0, 0, 0
         f = self.q_fields
         tie = f[1] << 32  # source order, then emit step (below 2**32 steps)
         tie |= f[2]
@@ -531,15 +514,19 @@ class SynapseCoreState:
                              self.inh[core[done]].repeat(lens.shape[1]),
                              self.store.lo[rows[done]].reshape(-1), lens[done].reshape(-1))
         total = cnt.sum(axis=1).tolist()
-        return (*total[:5], busy_us.sum().item(), *total[5:], late)
+        return (*total[:5], busy_us.sum().item(), *total[5:], late, int(cnt[2].max()))
+
+
+# ``run_window``'s return values; a run adds up all but the last, of which it keeps the most
+TOTALS = (*ProfileStore.COUNTERS, "late_packets", "max_flushed_in_timestep")
 
 
 @dataclass
 class RunResult:
     trace: trace.SpikeTrace
-    profile: ProfileStore
+    profile: ProfileStore | None  # the per-step record, kept when the run had a spill file
     sync_diagnostics: SyncDiagnostics
-    late_packets: int
+    totals: dict  # ``TOTALS`` by name
     poisson_saturations: int
 
 
@@ -668,19 +655,19 @@ class HardwareSimulation:
     # -- execution -----------------------------------------------------------
 
     def run(self, duration_ms: float, bank: matrices.PoissonBank, discard_ms: float = 0.0,
-            with_profile: bool = True, spill=None) -> RunResult:
+            spill=None) -> RunResult:
         """Simulate ``duration_ms`` from the initial state, reading the
         background input from ``bank``, step 0 on.
 
-        With ``with_profile``, the profile counters go to ``spill``, a
-        binary file object (an in-memory one if None), a chunk of
-        ``matrices.CHUNK_STEPS`` steps at a time, and the result's
-        ``ProfileStore`` reads them back from it; memory then holds one
-        chunk of counters and of background input whatever the duration.
-        Only the spike record grows with it, by about 4 B per spike
-        (``trace.SpikeRecord``, which refuses more than ``MAX_STEPS``
-        steps), and the trace made from it holds 8 B per spike: each
-        spike's step and global neuron index.
+        The result's ``totals`` add up what each step's window returns.  Given
+        ``spill``, a binary file object, the run also keeps the per-step
+        profile, a chunk of ``matrices.CHUNK_STEPS`` steps at a time in the
+        file, which the result's ``ProfileStore`` reads back; else ``profile``
+        is None.  Memory holds at most one chunk of counters and of
+        background input whatever the duration.  Only the spike record
+        grows with it, by about 4 B per spike (``trace.SpikeRecord``, which
+        refuses more than ``MAX_STEPS`` steps), and the trace made from it
+        holds 8 B per spike: each spike's step and global neuron index.
         """
         network = self.network
         cm = self.costs
@@ -703,13 +690,13 @@ class HardwareSimulation:
         # slots (excitatory, inhibitory) and the Poisson cores' buffer
         exc_units = inh_units = pois_units = np.zeros(n, dtype=np.int64)
 
-        profile = ProfileStore(*self.profile_rows(), self.fixed_busy_us,
-                               n_steps if with_profile else 0, spill)
+        profile = None if spill is None else ProfileStore(*self.profile_rows(),
+                                                          self.fixed_busy_us, n_steps, spill)
         consts = self.consts
 
         beacon_steps = max(1, round(BEACON_INTERVAL_S * 1e6 / period_local_us))
 
-        late_packets = 0
+        sums, max_flushed = [0] * (len(TOTALS) - 1), 0
         poisson_sat = 0
 
         ens_rate = chip_rates[self.ens_chip_row]
@@ -751,9 +738,10 @@ class HardwareSimulation:
             poisson_sat += clipped
 
             # synapse cores: spike processing window, flush, DMA B accounting
-            late_packets += syn.run_window(t, starts, durations,
-                                           profile if with_profile else None)[8]
-            if with_profile and ((t + 1) % matrices.CHUNK_STEPS == 0 or t + 1 == n_steps):
+            *counts, flushed = syn.run_window(t, starts, durations, profile)
+            sums = [a + b for a, b in zip(sums, counts)]
+            max_flushed = max(max_flushed, flushed)
+            if profile is not None and ((t + 1) % matrices.CHUNK_STEPS == 0 or t + 1 == n_steps):
                 profile.spill()
 
             # ring-buffer handover: slot for t+1 moves to shared memory
@@ -767,7 +755,8 @@ class HardwareSimulation:
         syn.ring = None  # run state: the next run's reset makes fresh rings
 
         spike_trace = trace.from_step_records(network, spikes, discard_ms)
-        return RunResult(spike_trace, profile, clocks.diagnostics, late_packets, poisson_sat)
+        return RunResult(spike_trace, profile, clocks.diagnostics,
+                         dict(zip(TOTALS, [*sums, max_flushed])), poisson_sat)
 
 
 def _advance(v, i_syn, ref, inputs, consts: matrices.NeuronConstants):

@@ -44,6 +44,29 @@ def test_per_timestep_counts_split_by_polarity():
     assert total.tolist() == [e + i for e, i in zip(want_exc, want_inh)]
 
 
+def test_per_timestep_counts_hold_one_block_beside_their_result():
+    """1.36M spikes over 100,000 steps are counted a block of spikes at a
+    time: the tracemalloc peak is at most 1 MiB over the four returned
+    arrays (3.05 MiB), where a key and a flag per spike took 10 MiB more,
+    and the counts equal one ``np.bincount`` of all spikes."""
+    rng = np.random.default_rng(6)
+    n = 1_360_000
+    tr = trace.SpikeTrace(*in_trace_order(rng.integers(0, 100_000, n), rng.integers(0, 3000, n)),
+                          10_000.0, 0.1, 0.0, ("a", "b"), (2000, 1000), ("exc", "inh"))
+    tracemalloc.start()
+    try:
+        counts = analysis.per_timestep_counts(tr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - sum(c.nbytes for c in counts) <= 1 << 20
+    t, total, exc, inh = counts
+    assert t.tolist() == list(range(100_000))
+    assert np.array_equal(total, np.bincount(tr.steps, minlength=100_000))
+    assert np.array_equal(inh, np.bincount(tr.steps[tr.neurons >= 2000], minlength=100_000))
+    assert np.array_equal(exc, total - inh)
+
+
 def test_row_reductions_equal_each_rows_own():
     """The premise of the grouped CV ISI: on this numpy, the mean and
     standard deviation along the rows of a C-contiguous 2-D array equal

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import SMALL_SPEC, line_by_line_profile, written
-from spikert import analysis, cli, matrices, runtime, trace
+from spikert import analysis, cli, matrices, runtime, trace, weights
 from spikert.mapping import NEURONS_PER_CORE
 from spikert.network import build_network
 
@@ -294,6 +295,41 @@ def test_spilled_profile_equals_line_by_line_formatting(tmp_path, model, monkeyp
     assert set(os.listdir(out)) == HARDWARE_OUTPUTS
 
 
+def test_run_without_a_profile_writes_the_same_flush_report(tmp_path, model):
+    """With a margin that flushes packets, a --profile none hardware run
+    writes no profile files but the flush report of the --profile full
+    run, byte for byte."""
+    costs = write(tmp_path, "margin.cfg", "[costs]\nsecond_timer_margin_us = 95.0\n")
+    reports = {}
+    for profile in ("full", "none"):
+        out = tmp_path / profile
+        assert cli.main(["--model", model, "--out", str(out), "--mode", "hardware",
+                         "--duration-ms", "20", "--costs", costs,
+                         "--profile", profile]) == cli.EXIT_OK
+        reports[profile] = (out / "flush_report.txt").read_bytes()
+    assert set(os.listdir(tmp_path / "none")) == HARDWARE_OUTPUTS - {"profile.tsv",
+                                                                      "profile_events.tsv"}
+    assert reports["none"] == reports["full"]
+    assert b"\nflushed_packets 0\n" not in reports["full"]
+
+
+def test_manifest_defaults_are_the_constants_they_report(tmp_path, model):
+    """The manifest's defaults are the constants the run uses: the
+    correlation defaults of ``firing_stats`` and the weight encoding's bit
+    widths."""
+    assert run_cli(tmp_path, model, "--map-only") == cli.EXIT_OK
+    defaults = json.loads((tmp_path / "out" / "manifest.json").read_text())["defaults"]
+    params = inspect.signature(analysis.firing_stats).parameters
+    assert params["corr_bin_ms"].default == defaults["correlation_bin_ms"] == \
+        analysis.CORR_BIN_MS
+    assert params["corr_subsample"].default == defaults["correlation_subsample"] == \
+        analysis.CORR_SUBSAMPLE
+    assert analysis.FiringStats.estimator == defaults["correlation_estimator"] == \
+        analysis.CORR_ESTIMATOR
+    assert (defaults["weight_bits"], defaults["min_weight_significant_bits"]) == (
+        weights.WEIGHT_BITS, weights.MIN_SIG_BITS)
+
+
 def test_float_oracle_leaves_the_shared_table_alone(tmp_path, model, monkeypatch):
     """The oracle's unquantized path reads the float weights, which the
     network keeps while it releases the rest of its synapses, without
@@ -430,16 +466,16 @@ def test_counts_file_is_written_in_blocks():
         return np.stack([np.arange(n_steps), *rng.integers(0, 10**6, (3, n_steps))], axis=1)
 
     c = counts(2 * trace.LINES + 5)
-    assert written(cli._counts_writer(c)) == ("# timestep total excitatory inhibitory\n"
-                                              + "%d %d %d %d\n" * len(c)
-                                              % tuple(c.ravel().tolist()))
+    assert written(cli._counts_writer(c.T)) == ("# timestep total excitatory inhibitory\n"
+                                                + "%d %d %d %d\n" * len(c)
+                                                % tuple(c.ravel().tolist()))
     peaks = []
     for n_steps in (100_000, 400_000):
         c = counts(n_steps)
         with open(os.devnull, "w", encoding="utf-8") as fh:
             tracemalloc.start()
             try:
-                cli._counts_writer(c)(fh)
+                cli._counts_writer(c.T)(fh)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()

@@ -2,6 +2,7 @@
 reference of one synapse core's window."""
 
 import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -41,13 +42,35 @@ def test_flush_and_carry_over_digests(fixture, request):
     sim = HardwareSimulation(net, encode_projections(net),
                              costs=CostModel(second_timer_margin_us=95.0),
                              clock_cfg=ClockConfig(drift_bound_ppm=20.0), drift_seed=3)
-    res = sim.run(50.0, PoissonBank(net, 2, 500))
+    res = sim.run(50.0, PoissonBank(net, 2, 500), spill=io.BytesIO())
     late, flushed, trace_sha, profile_sha, events_sha = LATE_MARGIN_DIGESTS[fixture]
-    assert res.late_packets == late > 0
-    assert res.profile.totals()["flushed"] == flushed > 0
+    assert res.totals["late_packets"] == late > 0
+    assert res.totals["flushed"] == flushed > 0
     assert sha256(written(res.trace.serialize)) == trace_sha
     assert sha256(written(res.profile.serialize)) == profile_sha
     assert sha256(written(res.profile.serialize_events)) == events_sha
+
+
+def test_totals_are_the_windows_sums_with_or_without_a_profile(small_network):
+    """A run that flushes returns the same totals with a spill file as
+    without, where it keeps no profile; they equal the sums of the profile
+    files' counters over cores and steps, and the largest flushed count in
+    them."""
+    sim = HardwareSimulation(small_network, encode_projections(small_network),
+                             costs=CostModel(second_timer_margin_us=95.0), drift_seed=3)
+    bank = PoissonBank(small_network, 2, 300, io.BytesIO())
+    bare, kept = sim.run(30.0, bank), sim.run(30.0, bank, spill=io.BytesIO())
+    assert bare.profile is None and bare.totals == kept.totals
+    assert bare.trace == kept.trace
+    rows = [line.split()[2:] for line in written(kept.profile.serialize).splitlines()[1:]]
+    counts = np.array([row[:5] for row in rows], dtype=np.int64)
+    events = np.array([line.split()[2:] for line in
+                       written(kept.profile.serialize_events).splitlines()[1:]], dtype=np.int64)
+    sums = dict(zip(ProfileStore.COUNTERS[:5], counts.sum(axis=0).tolist()),
+                processed_events=int(events[:, 0].sum()), flushed_events=int(events[:, 1].sum()),
+                max_flushed_in_timestep=int(counts[:, 2].max()))
+    assert {name: kept.totals[name] for name in sums} == sums
+    assert sums["flushed"] > 0 and kept.totals["late_packets"] > 0
 
 
 def test_poisson_saturations_match_per_population_slices():
@@ -172,7 +195,7 @@ def test_lockstep_window_matches_packet_at_a_time_reference(small_network):
             window = sorted(p for p in packets if p[0] < deadline[c])
             ring_additions(sim, table, spans, ring, c, window[:expected[c][0][1]], t)
         totals = syn.run_window(t, starts, durations, profile)
-        assert [type(x) for x in totals] == [int] * 5 + [float] + [int] * 3  # JSON-ready
+        assert [type(x) for x in totals] == [int] * 5 + [float] + [int] * 4  # JSON-ready
         left = queued_packets(sim)
         for c, (counters, _, carry, queue) in expected.items():
             assert (profile.received[c, t], profile.processed[c, t], profile.flushed[c, t],
@@ -182,6 +205,7 @@ def test_lockstep_window_matches_packet_at_a_time_reference(small_network):
             assert sorted(left.get(c, [])) == queue
         assert totals[:5] == tuple(sum(e[0][i] for e in expected.values()) for i in range(5))
         assert totals[8] == sum(e[1] for e in expected.values())
+        assert totals[9] == max(e[0][2] for e in expected.values())
         assert np.array_equal(syn.ring, ring)
         flushed += totals[2]
         late_left += sum(map(len, left.values()))
