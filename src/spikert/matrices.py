@@ -43,6 +43,7 @@ from .kinetics import Propagator, make_rng
 from .network import NetworkModel, NetworkSpec, PoissonInput, SampledProjection, SynapseSink
 
 BLOCK = 1 << 18  # synapses per block of encoding and indexing work: bounds its temporaries
+RING_SYNAPSES = BLOCK >> 2  # synapses a ring insert adds at once: bounds its temporaries
 # steps per chunk of background input and of profile counters held in memory
 CHUNK_STEPS = 256
 
@@ -71,24 +72,24 @@ class SynapseTable:
     pre_base: np.ndarray
     scales: weights.AccumulatorScales
 
-    def max_block(self) -> int:
-        """The most synapses one block of ``blocks`` can hold: its last
-        source neuron starts in its first one's BLOCK-aligned window."""
+    def max_block(self, size: int) -> int:
+        """The most synapses one block of ``blocks(size)`` can hold: its last
+        source neuron starts in its first one's ``size``-aligned window."""
         longest = max((int(np.diff(r).max(initial=0)) for r in self.row_ptrs), default=0)
-        return min(self.post.size, BLOCK + longest)
+        return min(self.post.size, size + longest)
 
-    def blocks(self):
+    def blocks(self, size: int):
         """(projection, lo, hi, pre) of each block of the table, in table
         order: the synapses ``table[lo:hi]`` of whole source neurons of one
-        projection, about ``BLOCK`` of them (more when one neuron has more),
+        projection, about ``size`` of them (more when one neuron has more),
         and the global source neuron (intp) of each, in a buffer that the
         next block overwrites."""
-        buf = np.empty(self.max_block(), dtype=np.intp)
+        buf = np.empty(self.max_block(size), dtype=np.intp)
         for p, (start, row_ptr, base) in enumerate(zip(self.bounds.tolist(), self.row_ptrs,
                                                        self.pre_base.tolist())):
             # a block starts at each neuron whose first synapse opens a new
-            # BLOCK-aligned window of the projection
-            window = row_ptr[:-1] // BLOCK
+            # size-aligned window of the projection
+            window = row_ptr[:-1] // size
             cuts = [0, *(np.flatnonzero(window[1:] != window[:-1]) + 1).tolist(),
                     row_ptr.size - 1]
             for a, b in zip(cuts, cuts[1:]):
@@ -117,24 +118,43 @@ def ranges(lo: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return out
 
 
+def group_cuts(ends: np.ndarray, limit: int) -> list[int]:
+    """Consecutive items cut into groups of at most ``limit`` in all, from
+    ``ends``, the running total of their sizes: group j is items
+    ``cuts[j]:cuts[j + 1]``, as many whole items as fit, or one item larger
+    than ``limit`` alone."""
+    if ends.size and ends[-1] <= limit:
+        return [0, ends.size]
+    cuts = [0]
+    while cuts[-1] < ends.size:
+        base = int(ends[cuts[-1] - 1]) if cuts[-1] else 0
+        cuts.append(max(int(np.searchsorted(ends, base + limit, side="right")), cuts[-1] + 1))
+    return cuts
+
+
 def ring_insert(ring: np.ndarray, table: SynapseTable, t: int, inh: np.ndarray,
                 lo: np.ndarray, lens: np.ndarray) -> None:
     """Add the synapses of the spans ``table[lo[i]:lo[i] + lens[i]]``, sent
     at step t, into the delay rings ``ring``, int64 of shape ``(2, slots,
     neurons)``: span i adds into ``ring[inh[i]]``, each synapse its units at
     its target in the slot of its arrival step.  Both simulators deliver
-    this way, with one ``np.add.at``; integer sums do not depend on the
-    order."""
-    syn = ranges(lo, lens)
-    if not syn.size:
-        return
+    this way.  The spans are added in groups of whole spans of at most
+    ``RING_SYNAPSES`` synapses (a longer span alone), one ``np.add.at``
+    per group, so a call's working set is bounded however many spikes a
+    step sends; integer sums do not depend on the order."""
     _, slots, n = ring.shape
-    flat = np.add(table.delays[syn], t, dtype=np.int64)
-    flat &= slots - 1
-    flat += (inh * slots).repeat(lens)
-    flat *= n
-    flat += table.post[syn]
-    np.add.at(ring.reshape(-1), flat, table.units[syn].astype(np.int64))
+    flat_ring = ring.reshape(-1)
+    cuts = group_cuts(np.add.accumulate(lens, dtype=np.int64), RING_SYNAPSES)
+    for a, b in zip(cuts, cuts[1:]):
+        syn = ranges(lo[a:b], lens[a:b])
+        if not syn.size:
+            continue
+        flat = np.add(table.delays[syn], t, dtype=np.int64)
+        flat &= slots - 1
+        flat += (inh[a:b] * slots).repeat(lens[a:b])
+        flat *= n
+        flat += table.post[syn]
+        np.add.at(flat_ring, flat, table.units[syn].astype(np.int64, copy=False))
 
 
 def accumulator_scales(network: NetworkModel, exps: list[int]) -> weights.AccumulatorScales:
@@ -229,15 +249,15 @@ class TableSink(SynapseSink):
         if bounds[-1] != self.size:
             raise ValueError("the network's projections are not the ones sampled into the sink")
         top = max((word << shift for (_, word), shift in zip(self.words, shifts)), default=0)
-        for name in self.FIELDS:  # hand the reserve never written back, without a copy
-            getattr(self, name).resize(self.size)
-        units = self.units
+        # views of the written part: the reserve's pages never written are
+        # never resident, so nothing is copied to drop them
+        post, units, delays = (getattr(self, name)[:self.size] for name in self.FIELDS)
         if top > np.iinfo(np.int32).max:
             units = units.astype(np.int64)
         for lo, hi, shift in zip(bounds[:-1].tolist(), bounds[1:].tolist(), shifts):
             if shift:
                 units[lo:hi] <<= shift
-        table = SynapseTable(self.post, units, self.delays, bounds,
+        table = SynapseTable(post, units, delays, bounds,
                              [proj.row_ptr for proj in projections],
                              network.offsets[[proj.source_pop for proj in projections]], scales)
         self.post = self.units = self.delays = self._weights = self._scratch = None

@@ -27,23 +27,33 @@ input is the run's one ``matrices.PoissonBank``, passed to
 A timestep is one array pipeline over the whole machine, not a loop over
 packets:
 
-- fan-out: the fired neurons become packet arrays (target core, arrival,
-  source order, emit step, synaptic row), repeated over the per-ensemble
-  CSR of destination cores and their ``mapping.delivery_map`` transits;
+- fan-out: the fired neurons become packet arrays, a float64 arrival and
+  four uint32 fields (target core, source order, emit step, synaptic row),
+  repeated over the per-ensemble CSR of destination cores and their
+  ``mapping.delivery_map`` transits; an empty queue keeps them as they are;
 - window: ``SynapseCoreState.run_window`` orders every queued packet with
   one three-key ``np.lexsort`` on (core, arrival, tie), the tie packing the
-  source order and the emit step into one int64, which is the machine's
-  (core, arrival, sx, sy, score, key, emit step) order.  It then scans all
-  cores with a queued packet in lockstep, four array operations per queue
-  position, keeping each core's float recurrence in packet order.  The scan
-  reads the in-window packets laid out position by position, the cores by
-  falling queue length, so each position's cores are a prefix of them: its
-  working set is a few arrays of one entry per packet, never the longest
-  queue times the cores.  The per-core counters are counted afterwards and
-  written to the profile, if the run keeps one, with two writes;
+  source order and the emit step into one uint64, which is the machine's
+  (core, arrival, sx, sy, score, key, emit step) order.  It then runs the
+  sorted queue a group of whole cores at a time, at most
+  ``WINDOW_PACKETS`` packets per group unless one core has more: cores are
+  independent and integer ring adds commute, so the groups give the
+  outputs of one.  A group's cores are scanned in lockstep, four array
+  operations per queue position, keeping each core's float recurrence in
+  packet order.  The scan reads the in-window packets laid out position by
+  position, the cores by falling queue length, so each position's cores
+  are a prefix of them: its working set is a few arrays of one entry per
+  packet of the group, never the longest queue times the cores.  The
+  per-core counters are counted afterwards and written to the profile, if
+  the run keeps one, with two writes per group;
 - ring insert: ``matrices.ring_insert``, which the oracle delivers through
-  as well, expands the spans of all processed packets' rows and adds their
-  synapses into the ring buffers with a single integer ``np.add.at``.
+  as well, expands the spans of a group's processed packets' rows and adds
+  their synapses into the ring buffers with one integer ``np.add.at`` per
+  ``matrices.RING_SYNAPSES`` synapses.
+
+Whatever a step's spike volley, what its window holds per queued packet
+is the queue (24 B) and the sort (the order and tie key, 16 B, and
+``np.lexsort``'s own buffers while it runs); the rest is one group's.
 
 Neuron state, constants, input images, fired indices and the ring buffers
 are indexed by global neuron, the oracle's layout: as the oracle's
@@ -78,10 +88,14 @@ from .machine import MachineSpec, auto_machine
 from .mapping import (NEURON_BITS, Ensemble, PlacementError, allocate_keys,
                       build_routing_tables, delivery_map, destination_cores, neuron_slots,
                       partition, place_radial)
-from .network import NetworkModel
+from .network import NetworkModel, SpecError
 
 
-MAX_STEPS = trace.MAX_STEPS  # the queue orders a packet's emit step in 32 bits
+# a packet's emit step is a uint32 field of the queue, and the window orders
+# it below the source order in one 64-bit tie key
+MAX_STEPS = trace.MAX_STEPS
+QUEUE_DTYPE = np.uint32  # the packet queue's fields: core, source order, emit step, row
+WINDOW_PACKETS = 1 << 14  # queued packets a window runs at once, unless one core has more
 
 
 class SchedulingError(RuntimeError):
@@ -142,8 +156,11 @@ def build_synaptic_store(table: matrices.SynapseTable, ensembles: list[Ensemble]
     n = np.zeros(lo.shape, dtype=np.uint8)
 
     # the working arrays of a block, allocated once; ``take`` with
-    # mode="clip" writes into them unbuffered (every index is in range)
-    cap = table.max_block()
+    # mode="clip" writes into them unbuffered (every index is in range).  A
+    # block is a quarter of ``matrices.BLOCK`` synapses: its arrays, five
+    # intp with the blocks' own, are the set-up's largest temporaries
+    size = max(matrices.BLOCK >> 2, 1)
+    cap = table.max_block(size)
     post_buf, ens_buf, pair_buf, row_buf = (np.empty(cap, dtype=np.intp) for _ in range(4))
     pos_buf = np.empty(cap, dtype=np.int32)
     new_buf = np.empty(cap, dtype=bool)
@@ -152,7 +169,7 @@ def build_synaptic_store(table: matrices.SynapseTable, ensembles: list[Ensemble]
 
     # a block's synapses of one source neuron onto one row are one run of
     # equal rows, written in place as the row's span of the block's projection
-    for p, start, end, pre in table.blocks():
+    for p, start, end, pre in table.blocks(size):
         m = end - start
         if not m:
             continue
@@ -352,11 +369,15 @@ class SynapseCoreState:
     excitatory roles into the one excitatory ring, the inhibitory role into
     the other) at its ensemble's neurons, ``slots`` deep, the ring depth of
     the table's delays.  The input spike buffers of all cores are one packet
-    queue of parallel arrays: ``q_arrival`` (global us) and ``q_fields``,
-    whose rows are target core, source order, emit step and synaptic row in
-    the shared ``SynapticStore``.  The source order is 64 times the sending
-    ensemble's rank in (source chip x, y, source core, key prefix) order
-    plus the neuron id, so it orders packets as (sx, sy, score, key) does.
+    queue of parallel arrays: ``q_arrival`` (float64 global us) and
+    ``q_fields``, ``QUEUE_DTYPE`` (uint32) of shape ``(4, packets)``, whose
+    rows are target core, source order, emit step and synaptic row in the
+    shared ``SynapticStore``: 24 B per packet.  The set-up refuses a model
+    whose cores, source orders or rows do not fit the fields.  The source
+    order is 64 times the sending ensemble's rank in (source chip x, y,
+    source core, key prefix) order plus the neuron id, so it orders packets
+    as (sx, sy, score, key) does.  A window runs the queue a group of whole
+    cores at a time (``WINDOW_PACKETS``).
     """
 
     def __init__(self, chip_row: np.ndarray, n_syn: np.ndarray, store: SynapticStore,
@@ -384,11 +405,17 @@ class SynapseCoreState:
         self.wcost_g = self.wcost / rate
         self.carry = np.zeros(self.chip_row.size)
         self.q_arrival = np.zeros(0)
-        self.q_fields = np.zeros((4, 0), dtype=np.int64)
+        self.q_fields = np.zeros((4, 0), dtype=QUEUE_DTYPE)
         self.ring = np.zeros(self.ring_shape, dtype=np.int64)
 
     def push(self, arrival: np.ndarray, fields: np.ndarray) -> None:
-        """Queue packets: ``arrival`` (global us) and the four ``q_fields`` rows."""
+        """Queue packets: ``arrival`` (global us) and the four ``q_fields``
+        rows.  An empty queue takes the arrays as they are, ``QUEUE_DTYPE``
+        fields without a copy."""
+        fields = fields.astype(QUEUE_DTYPE, copy=False)
+        if not self.q_arrival.size:
+            self.q_arrival, self.q_fields = arrival, fields
+            return
         self.q_arrival = np.concatenate((self.q_arrival, arrival))
         self.q_fields = np.concatenate((self.q_fields, fields), axis=1)
 
@@ -401,20 +428,62 @@ class SynapseCoreState:
         that arrived before it, then writes the next slot (DMA B).  Packets
         arriving at or after the deadline stay queued.  ``starts`` and
         ``durations`` are each chip's timer period in global us; costs are
-        local core us, scaled by the chip's crystal rate.  The cores run in
-        lockstep, four array operations per queue position, and each keeps
-        the float recurrence of a packet-at-a-time core.  Per-core counters go to
-        ``profile``'s column of step ``t``; the return value is ``TOTALS``, their
-        sum over cores, the late packets and the most packets one core flushed.
+        local core us, scaled by the chip's crystal rate.  The queue is
+        sorted once, then run a group of whole cores at a time, each group
+        at most ``WINDOW_PACKETS`` packets or one core's queue
+        (``_run_group``).  Per-core counters go to ``profile``'s column of
+        step ``t``; the return value is ``TOTALS``, their sum over cores,
+        the late packets and the most packets one core flushed.
         """
         if not self.q_arrival.size:
             return 0, 0, 0, 0, 0, 0.0, 0, 0, 0, 0
         f = self.q_fields
-        tie = f[1] << 32  # source order, then emit step (below 2**32 steps)
+        tie = np.left_shift(f[1], 32, dtype=np.uint64)  # source order, then emit step
         tie |= f[2]
         order = np.lexsort((tie, self.q_arrival, f[0].astype(self.core_key)))
-        arrival, core = self.q_arrival[order], f[0, order]
-        # the active cores, those with a queued packet, and each packet's index a among them
+        del tie
+        # the sorted queue holds each core's packets together, in core order:
+        # the groups' bounds in it are bounds between cores
+        bounds = [0, order.size]
+        if order.size > WINDOW_PACKETS:
+            ends = np.add.accumulate(np.bincount(f[0], minlength=self.chip_row.size))
+            cuts = matrices.group_cuts(ends, WINDOW_PACKETS)
+            bounds = [0, *(int(ends[c - 1]) for c in cuts[1:])]
+        cnts, busy, kept, late = [], [], [], 0
+        for p0, p1 in zip(bounds, bounds[1:]):
+            if p0 == p1:  # cores without a packet, cut off before one that fills a group
+                continue
+            cnt, busy_us, late_g, stay = self._run_group(t, order[p0:p1], starts, durations,
+                                                         profile)
+            cnts.append(cnt)
+            busy.append(busy_us)
+            late += late_g
+            if stay.size:
+                kept.append(stay)
+        stay = np.concatenate(kept) if kept else order[:0]
+        self.q_arrival, self.q_fields = self.q_arrival[stay], f[:, stay]
+        # every active core's counters and busy time, in core order, as if
+        # the window had run as one group
+        cnt = np.concatenate(cnts, axis=1)
+        total = cnt.sum(axis=1).tolist()
+        return (*total[:5], np.concatenate(busy).sum().item(), *total[5:], late,
+                int(cnt[2].max()))
+
+    def _run_group(self, t: int, order: np.ndarray, starts: np.ndarray,
+                   durations: np.ndarray, profile: ProfileStore | None) -> tuple:
+        """Step t's window of one group of whole cores, the queued packets
+        at ``order`` in (core, arrival, tie) order: writes the group's
+        counters to ``profile``, its cores' carry and its processed packets'
+        synapses into the rings.  Returns the counters (rows in
+        ``ProfileStore.INTS`` order, one column per core with a packet), the
+        cores' busy times, the late packets and the queue indices of the
+        packets that stay queued.
+
+        The cores run in lockstep, four array operations per queue position,
+        and each keeps the float recurrence of a packet-at-a-time core."""
+        f = self.q_fields
+        arrival, core = self.q_arrival[order], f[0, order].astype(np.intp)
+        # the group's cores, and each packet's index a among them
         new = np.empty(order.size, dtype=bool)
         new[0] = True
         np.not_equal(core[1:], core[:-1], out=new[1:])
@@ -430,9 +499,9 @@ class SynapseCoreState:
         # core's queue; the rest arrive at or after the deadline and stay queued
         inwin = arrival < deadline[a]
         if inwin.all():
-            self.q_arrival, self.q_fields = arrival[:0], f[:, :0]
+            stay = order[:0]
         else:
-            self.q_arrival, self.q_fields = arrival[~inwin], f[:, order[~inwin]]
+            stay = order[~inwin]
             a, arrival, core, order = a[inwin], arrival[inwin], core[inwin], order[inwin]
         rows, emit = f[3, order], f[2, order]
         n_in = np.bincount(a, minlength=act.size)
@@ -453,7 +522,11 @@ class SynapseCoreState:
         # deadline, so a packet goes (is processed) while its core's busy
         # time is before the deadline, and once one cannot go no later one
         # can; a packet kicks the pipeline when the core is idle at its
-        # arrival, and then ends at arrival + dk, or else at busy + d
+        # arrival, and then ends at arrival + dk, or else at busy + d.  Busy
+        # times only grow, so once no core of a position can go, none of a
+        # later one can: every 16th position the scan checks, and stops at
+        # one where none goes.  The packets past it are flushed, and their
+        # kick and end, never read, are left unset
         by_len = n_in.argsort()[::-1]
         rank = np.empty_like(by_len)
         rank[by_len] = np.arange(by_len.size)
@@ -470,10 +543,13 @@ class SynapseCoreState:
         arrdk_l[at] = arrival + costk / rate
         kick_l, go_l = np.empty(a.size, dtype=bool), np.empty(a.size, dtype=bool)
         dl, b = deadline[by_len], busy[by_len]
-        for lo, k in zip(pos0.tolist(), m.tolist()):
+        for j, (lo, k) in enumerate(zip(pos0.tolist(), m.tolist())):
             hi = lo + k
             b = b[:k]
-            np.less(b, dl[:k], out=go_l[lo:hi])
+            go = np.less(b, dl[:k], out=go_l[lo:hi])
+            if j % 16 == 15 and not go.any():
+                go_l[hi:] = False
+                break
             kick = np.less_equal(b, arr_l[lo:hi], out=kick_l[lo:hi])
             b = np.add(b, d_l[lo:hi], out=end_l[lo:hi])
             np.copyto(b, arrdk_l[lo:hi], where=kick)
@@ -513,8 +589,7 @@ class SynapseCoreState:
         matrices.ring_insert(self.ring, self.store.table, t,
                              self.inh[core[done]].repeat(lens.shape[1]),
                              self.store.lo[rows[done]].reshape(-1), lens[done].reshape(-1))
-        total = cnt.sum(axis=1).tolist()
-        return (*total[:5], busy_us.sum().item(), *total[5:], late, int(cnt[2].max()))
+        return cnt, busy_us, late, stay
 
 
 # ``run_window``'s return values; a run adds up all but the last, of which it keeps the most
@@ -598,9 +673,15 @@ class HardwareSimulation:
         rank = np.empty(len(ens), dtype=np.int64)
         rank[np.lexsort((self.keys.prefix_of, placement.core, placement.chip))] = \
             np.arange(len(ens))
-        self.source_order = rank[self.ens_of] << NEURON_BITS | self.nid_of
+        source_order = rank[self.ens_of] << NEURON_BITS | self.nid_of
 
-        # synapse core 3 * ensemble + k serves SYNAPSE_ROLES[k]
+        # a packet's queue fields, refused at set-up if they do not fit: its
+        # synapse core 3 * ensemble + k, serving SYNAPSE_ROLES[k], its source
+        # order and its synaptic row, one per (neuron, destination core)
+        _check_queue_fields({"synapse cores": 3 * len(ens),
+                             "source orders": int(source_order.max()) + 1,
+                             "synaptic rows": int(np.diff(self.dest_ptr)[self.ens_of].sum())})
+        self.source_order = source_order.astype(QUEUE_DTYPE)
         self.store = build_synaptic_store(table, ens, self.dest_ptr, self.dest_core)
         self.syn = SynapseCoreState(np.repeat(self.ens_chip_row, 3),
                                     np.repeat(3 * ens_per_chip, 3), self.store, self.costs,
@@ -725,7 +806,7 @@ class HardwareSimulation:
                     d = matrices.ranges(self.dest_ptr[e_idx], n_dest)
                     send = (starts[self.ens_chip_row[e_idx]] + read_g[e_idx]
                             + (local + 1) * upd_g[e_idx])
-                    fields = np.empty((4, total), dtype=np.int64)
+                    fields = np.empty((4, total), dtype=QUEUE_DTYPE)
                     fields[0] = self.dest_core[d]
                     fields[1] = self.source_order[g].repeat(n_dest)
                     fields[2] = t
@@ -757,6 +838,18 @@ class HardwareSimulation:
         spike_trace = trace.from_step_records(network, spikes, discard_ms)
         return RunResult(spike_trace, profile, clocks.diagnostics,
                          dict(zip(TOTALS, [*sums, max_flushed])), poisson_sat)
+
+
+def _check_queue_fields(counts: dict[str, int]) -> None:
+    """Refuse a model with more synapse cores, source orders or synaptic
+    rows (``counts``, by name) than a ``QUEUE_DTYPE`` field of the packet
+    queue can number, instead of letting the numbers wrap."""
+    limit = int(np.iinfo(QUEUE_DTYPE).max) + 1
+    for name, count in counts.items():
+        if count > limit:
+            raise SpecError(f"the model has {count:,} {name}, more than the {limit:,} that "
+                            f"the machine model's packet queue numbers in its "
+                            f"{np.dtype(QUEUE_DTYPE).name} fields")
 
 
 def _advance(v, i_syn, ref, inputs, consts: matrices.NeuronConstants):

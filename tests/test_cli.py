@@ -4,6 +4,7 @@ import inspect
 import json
 import os
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -374,16 +375,19 @@ def test_network_without_synapses_runs_on_both_paths(tmp_path, benchmark_path, r
 
 def test_hardware_run_memory_per_synapse(tmp_path, benchmark_path, microcircuit_dc_01):
     """Everything a ``--mode hardware`` run allocates, traced by tracemalloc
-    (numpy reports its buffers to it), peaks within 21.9 B per synapse at
+    (numpy reports its buffers to it), peaks within 20.0 B per synapse at
     microcircuit 0.1 with DC input: each projection is sampled straight
     into the synapse table, the machine store indexes the table in place
     instead of copying it and has one row per packet the fan-out can send,
     and the rings (one excitatory, one inhibitory) hold 64 slots, the
     smallest power of two above the longest delay, not 256.  The peak is
-    set in the run, not in the set-up, which peaks at 12.6 B per synapse
-    (``test_setup.test_setup_memory_per_synapse``): it measured 19.1 B per
-    synapse (numpy 2.4, Python 3.11), and the bound leaves about 15% for
-    other versions' allocations."""
+    set in the run's first step: what the set-up leaves (14.5 B per
+    synapse: the table, the synaptic rows and the machine's state) plus the
+    two rings (2.8 B per synapse).  The step-0 window, 53,862 packets run
+    a group of whole cores at a time, and its ring inserts add little to
+    it.  It measured 17.4 B per synapse (numpy 2.4, Python 3.11; 19.1 when
+    the window ran its queue as one group), and the bound leaves about 15%
+    for other versions' allocations."""
     tracemalloc.start()
     try:
         cli.run(cli.RunConfig(model=benchmark_path, out=str(tmp_path / "out"), scale=0.1,
@@ -391,7 +395,7 @@ def test_hardware_run_memory_per_synapse(tmp_path, benchmark_path, microcircuit_
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 21.9 * microcircuit_dc_01.synapse_count()
+    assert peak <= 20.0 * microcircuit_dc_01.synapse_count()
 
 
 @pytest.mark.parametrize("costs,message", [
@@ -498,3 +502,42 @@ def test_default_run_takes_the_run_config_defaults(tmp_path, model):
                                                      "costs": "costs_resolved.cfg"}[copied])
         want.pop(copied)
     assert got == want
+
+
+def test_run_under_a_profile_hook_writes_the_same_outputs(tmp_path, model):
+    """A run under a ``sys.setprofile`` hook, as under cProfile, writes the
+    outputs of a run without one.  The synapse table views the written part
+    of the sink's fields: resizing them in place, as the table once did,
+    raised a ValueError under any such hook."""
+    outputs, hook = {}, sys.getprofile()
+    for hooked in (False, True):
+        out = tmp_path / f"hooked_{hooked}"
+        sys.setprofile((lambda *args: None) if hooked else hook)
+        try:
+            cli.run(cli.RunConfig(model=model, out=str(out), duration_ms=5.0))
+        finally:
+            sys.setprofile(hook)
+        outputs[hooked] = {name: (out / name).read_bytes() for name in os.listdir(out)
+                           if name not in ("manifest.json", "timings.json")}
+    assert set(outputs[True]) == BOTH_OUTPUTS - {"manifest.json", "timings.json"}
+    assert outputs[True] == outputs[False]
+
+
+@pytest.mark.parametrize("scale,message", [
+    pytest.param(None, "the model has 360 synaptic rows, more than the 256", id="rows"),
+    pytest.param("0.02", "the model has 1,723 source orders, more than the 256",
+                 id="source_orders"),
+    pytest.param("0.1", "the model has 375 synapse cores, more than the 256", id="cores"),
+])
+def test_queue_fields_that_do_not_fit_exit_with_spec_code(tmp_path, model, benchmark_path,
+                                                          monkeypatch, capsys, scale, message):
+    """A model whose synapse cores, source orders or synaptic rows a field
+    of the packet queue cannot number is refused at set-up with a spec
+    error naming the count, where the numbers would otherwise wrap: here
+    the fields are narrowed to uint8, so that small models pass them."""
+    monkeypatch.setattr(runtime, "QUEUE_DTYPE", np.uint8)
+    args = ["--scale", scale, "--model", benchmark_path, "--input", "dc"] if scale else []
+    assert run_cli(tmp_path, model, *args) == cli.EXIT_SPEC
+    assert capsys.readouterr().err == (f"spec error: {message} that the machine model's packet "
+                                       "queue numbers in its uint8 fields\n")
+    assert not os.path.exists(tmp_path / "out" / "trace_hardware.txt")
