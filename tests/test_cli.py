@@ -385,8 +385,8 @@ def test_hardware_run_memory_per_synapse(tmp_path, benchmark_path, microcircuit_
     synapse: the table, the synaptic rows and the machine's state) plus the
     two rings (2.8 B per synapse).  The step-0 window, 53,862 packets run
     a group of whole cores at a time, and its ring inserts add little to
-    it.  It measured 17.4 B per synapse (numpy 2.4, Python 3.11; 19.1 when
-    the window ran its queue as one group), and the bound leaves about 15%
+    it.  It measured 17.4 B per synapse (numpy 2.4, Python 3.11; 19.1 with
+    the window's int64 queue run at once), and the bound leaves about 15%
     for other versions' allocations."""
     tracemalloc.start()
     try:

@@ -382,9 +382,9 @@ def test_window_memory_is_bounded_by_its_groups(benchmark_path):
     """One window over a queue of eight groups' packets, every one of them
     processed, holds the whole queue's sort order and one group of whole
     cores at a time: its tracemalloc peak stays within 24 B per queued
-    packet plus 300 B per packet of a group.  Run as one group, the same
-    window peaked at 234 B per packet; grouped, it measured 35 (numpy 2.4,
-    Python 3.11)."""
+    packet plus 300 B per packet of a group.  It measured 35 B per packet
+    (numpy 2.4, Python 3.11); a window that ran its whole int64 queue at
+    once peaked at 234."""
     net = build_network(scale_network(load_network_spec(benchmark_path, "dc"), 0.02), seed=1)
     sim = HardwareSimulation(net, encode_projections(net))
     syn = sim.syn
