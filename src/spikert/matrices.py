@@ -20,8 +20,9 @@ destination cores), holding a span per projection onto the core's ensemble
 (``runtime.build_synaptic_store``).  Both read the same encoded integers,
 which is what makes their spike-for-spike agreement exact rather than
 approximate.  Both size their delay rings from the table,
-to the smallest power of two above its longest delay (``ring_slots``), and
-deliver into them through ``ring_insert``.
+to the smallest power of two above its longest delay (``ring_slots``), make
+them int32 when the table's ``cell_bound`` shows that wide enough
+(``ring_dtype``), and deliver into them through ``ring_insert``.
 
 Background input comes from one ``PoissonBank`` per run, which both
 simulators read step by step.  It holds one chunk of ``CHUNK_STEPS`` steps
@@ -62,6 +63,10 @@ class SynapseTable:
     of one source neuron, and of one source neuron onto one target core, are
     contiguous runs, which is what ``blocks`` and the machine's spans rely on.
     ``scales`` are the accumulator exponents the units are encoded against.
+    ``cell_bound`` is the most units any neuron receives from one sign of
+    synapse, excitatory or inhibitory, when each of its incoming synapses
+    delivers once: the largest value a delay-ring cell can reach, and what
+    both simulators choose their ring dtype from (``ring_dtype``).
     """
 
     post: np.ndarray
@@ -71,6 +76,7 @@ class SynapseTable:
     row_ptrs: list[np.ndarray]
     pre_base: np.ndarray
     scales: weights.AccumulatorScales
+    cell_bound: int
 
     def max_block(self, size: int) -> int:
         """The most synapses one block of ``blocks(size)`` can hold: its last
@@ -104,6 +110,15 @@ class SynapseTable:
                 yield p, start + lo, start + hi, pre
 
 
+RING_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+def ring_dtype(table: SynapseTable) -> type:
+    """The delay rings' dtype for this table: int32 when one delivery of
+    every synapse onto a neuron fits (``cell_bound``), else int64."""
+    return np.int32 if table.cell_bound <= RING_INT32_MAX else np.int64
+
+
 def ring_slots(delays: np.ndarray) -> int:
     """Delay-ring depth for these delays: the smallest power of two above the
     longest, so that no slot is written again before it has been read."""
@@ -135,10 +150,13 @@ def group_cuts(ends: np.ndarray, limit: int) -> list[int]:
 def ring_insert(ring: np.ndarray, table: SynapseTable, t: int, inh: np.ndarray,
                 lo: np.ndarray, lens: np.ndarray) -> None:
     """Add the synapses of the spans ``table[lo[i]:lo[i] + lens[i]]``, sent
-    at step t, into the delay rings ``ring``, int64 of shape ``(2, slots,
-    neurons)``: span i adds into ``ring[inh[i]]``, each synapse its units at
-    its target in the slot of its arrival step.  Both simulators deliver
-    this way.  The spans are added in groups of whole spans of at most
+    at step t, into the delay rings ``ring``, int32 or int64 of shape ``(2,
+    slots, neurons)``: span i adds into ``ring[inh[i]]`` (``inh`` a 0/1 flag
+    of any integer or bool dtype), each synapse its units at its target in
+    the slot of its arrival step.  Both simulators deliver this way, and
+    each proves its ring wide enough for what it adds (``ring_dtype``).  The
+    units are added in the ring's dtype, without a copy when the table's
+    are the same.  The spans are added in groups of whole spans of at most
     ``RING_SYNAPSES`` synapses (a longer span alone), one ``np.add.at``
     per group, so a call's working set is bounded however many spikes a
     step sends; integer sums do not depend on the order."""
@@ -151,10 +169,10 @@ def ring_insert(ring: np.ndarray, table: SynapseTable, t: int, inh: np.ndarray,
             continue
         flat = np.add(table.delays[syn], t, dtype=np.int64)
         flat &= slots - 1
-        flat += (inh[a:b] * slots).repeat(lens[a:b])
+        flat += np.multiply(inh[a:b], slots, dtype=np.int64).repeat(lens[a:b])
         flat *= n
         flat += table.post[syn]
-        np.add.at(flat_ring, flat, table.units[syn].astype(np.int64, copy=False))
+        np.add.at(flat_ring, flat, table.units[syn].astype(ring.dtype, copy=False))
 
 
 def accumulator_scales(network: NetworkModel, exps: list[int]) -> weights.AccumulatorScales:
@@ -233,14 +251,15 @@ class TableSink(SynapseSink):
         """The network's synapse table, from the fields; the sink lets go
         of them.  Each projection's units are shifted in place from its own
         scale to its target's accumulator scale, widened first to int64
-        when a shifted value needs it."""
+        when a shifted value needs it.  The table's ``cell_bound`` is
+        counted here, once (``_cell_bound``)."""
         projections = network.projections
         exps = [exp for exp, _ in self.words]
         scales = accumulator_scales(network, exps)
-        shifts = []
+        shifts, inh = [], []
         for proj, exp in zip(projections, exps):
-            src_pol = network.populations[proj.source_pop].polarity
-            shift = (scales.exc_exp if src_pol == "exc" else scales.inh_exp)[proj.target_pop] - exp
+            inh.append(network.populations[proj.source_pop].polarity != "exc")
+            shift = (scales.inh_exp if inh[-1] else scales.exc_exp)[proj.target_pop] - exp
             if shift < 0:
                 raise AssertionError("accumulator scale coarser than a feeding projection")
             shifts.append(shift)
@@ -259,9 +278,26 @@ class TableSink(SynapseSink):
                 units[lo:hi] <<= shift
         table = SynapseTable(post, units, delays, bounds,
                              [proj.row_ptr for proj in projections],
-                             network.offsets[[proj.source_pop for proj in projections]], scales)
+                             network.offsets[[proj.source_pop for proj in projections]], scales,
+                             _cell_bound(post, units, bounds, inh, network.total_neurons))
         self.post = self.units = self.delays = self._weights = self._scratch = None
         return table
+
+
+def _cell_bound(post: np.ndarray, units: np.ndarray, bounds: np.ndarray, inh: list[bool],
+                n: int) -> int:
+    """The most units any of the n neurons receives from one sign of
+    synapse (``inh[p]``, projection p's), each synapse counted once.  The
+    units are added up a ``BLOCK`` of synapses at a time with a weighted
+    ``np.bincount``, float64 sums that are exact while they stay below
+    2**53; a sum past that is past 2**31 whatever its rounding, which is all
+    ``ring_dtype`` asks."""
+    received = np.zeros((2, n))
+    for lo, hi, sign in zip(bounds[:-1].tolist(), bounds[1:].tolist(), inh):
+        for b in range(lo, hi, BLOCK):
+            e = min(b + BLOCK, hi)
+            received[int(sign)] += np.bincount(post[b:e], units[b:e], minlength=n)
+    return int(received.max(initial=0.0))
 
 
 def encode_projections(network: NetworkModel, keep_weights: bool = False,
@@ -300,7 +336,8 @@ class SourceSpans:
     synapses are ``table[lo[s]:hi[s]]`` for the spans s in
     ``span_ptr[g]:span_ptr[g + 1]``, one span per projection from g's
     population, in projection order, each the neuron's row of that
-    projection in synapse order."""
+    projection in synapse order.  ``lo`` and ``hi`` are int32, as the
+    table holds at most ``network.SynapseSink.MAX_SYNAPSES`` synapses."""
 
     span_ptr: np.ndarray
     lo: np.ndarray
@@ -314,7 +351,7 @@ def source_delivery_index(network: NetworkModel, table: SynapseTable) -> SourceS
     for base, row_ptr in zip(table.pre_base.tolist(), table.row_ptrs):
         span_ptr[base + 1:base + row_ptr.size] += 1
     np.cumsum(span_ptr, out=span_ptr)
-    lo = np.empty(int(span_ptr[-1]), dtype=np.int64)
+    lo = np.empty(int(span_ptr[-1]), dtype=np.int32)
     hi = np.empty_like(lo)
     free = span_ptr[:-1].copy()  # next free span of each source neuron
     for base, row_ptr, start in zip(table.pre_base.tolist(), table.row_ptrs,

@@ -17,12 +17,20 @@ synapses are its source neuron's spans into the table
 (``matrices.source_delivery_index``), one per projection from its
 population, delivered through ``matrices.ring_insert`` as the machine
 model's are, in the table's narrow dtypes (int32 targets, int32 or int64
-units, uint8 delays) widened to int64 before they are added up.  The
-unquantized path reads the network's float weights, aligned with the
-table, through the same spans, and adds a step's spikes with one
-``np.add.at`` in spike, projection then synapse order, the order in which
-``ufunc.at`` applies its updates, so each float sum is that of a
-spike-by-spike loop.  The delay rings hold ``matrices.ring_slots`` slots,
+units, uint8 delays).  The integer accumulators, one excitatory and one
+inhibitory delay ring, are int32 unless the table's ``cell_bound`` is past
+2**31 - 1 (``matrices.ring_dtype``).  That is wide enough: a slot is read,
+and cleared, every ``slots`` steps, and a synapse sent at step s adds into
+slot ``(s + delay) % slots``, its delay fixed and below ``slots``, so of
+the ``slots`` steps between two reads of a slot exactly one sends into it
+through that synapse, and a neuron fires at most once a step.  Each
+synapse thus adds into a cell at most once before the cell is read, and no
+cell passes the units of one delivery of every synapse of one sign onto
+its neuron, which ``cell_bound`` is the largest of.  The unquantized path
+reads the network's float weights, aligned with the table, through the
+same spans, and adds a step's spikes with one ``np.add.at`` in spike,
+projection then synapse order, the order in which ``ufunc.at`` applies its
+updates, so each float sum is that of a spike-by-spike loop.  The delay rings hold ``matrices.ring_slots`` slots,
 the smallest power of two above the table's longest delay.
 """
 
@@ -60,10 +68,10 @@ def oracle_simulate(network: NetworkModel, table: matrices.SynapseTable,
                            for pop in network.populations])[pop_of]
 
     # integer accumulators: [0] excitatory, [1] inhibitory source input
-    acc = np.zeros((2, n_slots, n), dtype=np.int64)
-    inh_of = np.repeat([p.polarity != "exc" for p in network.populations],
-                       np.diff(network.offsets)).astype(np.int64)
-    span_inh = np.repeat(inh_of, n_spans)
+    acc = np.zeros((2, n_slots, n), dtype=matrices.ring_dtype(table))
+    inh_of = np.repeat(np.array([p.polarity != "exc" for p in network.populations], dtype=bool),
+                       np.diff(network.offsets))
+    span_inh = np.repeat(inh_of, n_spans)  # bool: the ring each span adds into
 
     v = network.v_init_mv.copy()
     i_syn = np.zeros(n, dtype=np.float64)

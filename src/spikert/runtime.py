@@ -61,7 +61,11 @@ accumulators, the rings are one excitatory and one inhibitory array, both
 excitatory synapse roles adding into the first, so a synapse lands at its
 table target and the ring handover hands the next slot on as per-neuron
 excitatory and inhibitory units.  A ring is as deep as the run's delays
-need, ``matrices.ring_slots`` of the table's longest delay.
+need, ``matrices.ring_slots`` of the table's longest delay, and int32 when
+the table's ``cell_bound`` shows that wide enough, as the oracle's are;
+since late packets can deliver one synapse more than once into a cell, a
+window whose packets were emitted too long ago widens the rings to int64
+(``ring_lag_limit``).
 
 Only a synapse core's work varies with the spike load.  Set-up computes
 the fixed busy time per step of every modelled core once, over the core
@@ -96,6 +100,17 @@ from .network import NetworkModel, SpecError
 MAX_STEPS = trace.MAX_STEPS
 QUEUE_DTYPE = np.uint32  # the packet queue's fields: core, source order, emit step, row
 WINDOW_PACKETS = 1 << 14  # queued packets a window runs at once, unless one core has more
+
+
+# the empty packet queue, read-only: ``push`` replaces an empty queue
+_EMPTY_ARRIVAL = np.zeros(0)
+_EMPTY_FIELDS = np.zeros((4, 0), dtype=QUEUE_DTYPE)
+_EMPTY_ARRIVAL.flags.writeable = _EMPTY_FIELDS.flags.writeable = False
+
+
+def _joined(parts: list[np.ndarray], axis: int = 0) -> np.ndarray:
+    """``np.concatenate(parts, axis)``, or the one part itself."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
 
 
 class SchedulingError(RuntimeError):
@@ -368,7 +383,15 @@ class SynapseCoreState:
     accumulators by global neuron: core c adds into ``ring[k >> 1]`` (both
     excitatory roles into the one excitatory ring, the inhibitory role into
     the other) at its ensemble's neurons, ``slots`` deep, the ring depth of
-    the table's delays.  The input spike buffers of all cores are one packet
+    the table's delays.  Each run starts them as ``ring_dtype``, int32 when
+    the table's ``cell_bound`` fits it (``matrices.ring_dtype``).  A window
+    adds a synapse into a cell once per packet of its row, and packets
+    carried over from earlier steps can make that several: a window that
+    processes a packet emitted more than ``lag_limit`` steps before it
+    (``ring_lag_limit``) could take an int32 cell past 2**31 - 1, so it
+    first widens the rings to int64 for the rest of the run, exactly, as
+    every cell is still within int32 then.
+    The input spike buffers of all cores are one packet
     queue of parallel arrays: ``q_arrival`` (float64 global us) and
     ``q_fields``, ``QUEUE_DTYPE`` (uint32) of shape ``(4, packets)``, whose
     rows are target core, source order, emit step and synaptic row in the
@@ -381,7 +404,7 @@ class SynapseCoreState:
     """
 
     def __init__(self, chip_row: np.ndarray, n_syn: np.ndarray, store: SynapticStore,
-                 costs: CostModel, n_neurons: int):
+                 costs: CostModel, n_neurons: int, ref_steps: int):
         self.chip_row = chip_row
         self.n_syn = n_syn
         self.store = store
@@ -395,6 +418,8 @@ class SynapseCoreState:
         self.inh = (np.arange(chip_row.size) % 3) >> 1  # the ring each core adds into
         self.slots = matrices.ring_slots(store.table.delays)
         self.ring_shape = (2, self.slots, n_neurons)
+        self.ring_dtype = matrices.ring_dtype(store.table)
+        self.lag_limit = ring_lag_limit(store.table.cell_bound, ref_steps)
         self.reset(np.ones(chip_row.size))
 
     def reset(self, rate: np.ndarray) -> None:
@@ -404,9 +429,8 @@ class SynapseCoreState:
         self.margin_g = self.costs.second_timer_margin_us / rate  # in global us
         self.wcost_g = self.wcost / rate
         self.carry = np.zeros(self.chip_row.size)
-        self.q_arrival = np.zeros(0)
-        self.q_fields = np.zeros((4, 0), dtype=QUEUE_DTYPE)
-        self.ring = np.zeros(self.ring_shape, dtype=np.int64)
+        self.q_arrival, self.q_fields = _EMPTY_ARRIVAL, _EMPTY_FIELDS
+        self.ring = np.zeros(self.ring_shape, dtype=self.ring_dtype)
 
     def push(self, arrival: np.ndarray, fields: np.ndarray) -> None:
         """Queue packets: ``arrival`` (global us) and the four ``q_fields``
@@ -460,24 +484,26 @@ class SynapseCoreState:
             late += late_g
             if stay.size:
                 kept.append(stay)
-        stay = np.concatenate(kept) if kept else order[:0]
-        self.q_arrival, self.q_fields = self.q_arrival[stay], f[:, stay]
+        if kept:
+            stay = _joined(kept)
+            self.q_arrival, self.q_fields = self.q_arrival[stay], f[:, stay]
+        else:
+            self.q_arrival, self.q_fields = _EMPTY_ARRIVAL, _EMPTY_FIELDS
         # every active core's counters and busy time, in core order, as if
         # the window had run as one group
-        cnt = np.concatenate(cnts, axis=1)
+        cnt = _joined(cnts, axis=1)
         total = cnt.sum(axis=1).tolist()
-        return (*total[:5], np.concatenate(busy).sum().item(), *total[5:], late,
-                int(cnt[2].max()))
+        return (*total[:5], _joined(busy).sum().item(), *total[5:], late, int(cnt[2].max()))
 
     def _run_group(self, t: int, order: np.ndarray, starts: np.ndarray,
                    durations: np.ndarray, profile: ProfileStore | None) -> tuple:
         """Step t's window of one group of whole cores, the queued packets
         at ``order`` in (core, arrival, tie) order: writes the group's
         counters to ``profile``, its cores' carry and its processed packets'
-        synapses into the rings.  Returns the counters (rows in
-        ``ProfileStore.INTS`` order, one column per core with a packet), the
-        cores' busy times, the late packets and the queue indices of the
-        packets that stay queued.
+        synapses into the rings, widened first when a packet's lag needs it.
+        Returns the counters (rows in ``ProfileStore.INTS`` order, one column
+        per core with a packet), the cores' busy times, the late packets and
+        the queue indices of the packets that stay queued.
 
         The cores run in lockstep, four array operations per queue position,
         and each keeps the float recurrence of a packet-at-a-time core."""
@@ -575,7 +601,13 @@ class SynapseCoreState:
         # each core's busy time, added up in packet order, then its ring write
         busy_us = self.wcost[act] + np.bincount(a_done, np.where(kick, costk[done], cost[done]),
                                                 minlength=act.size)
-        late = int(np.count_nonzero(emit[done] != t))
+        emit = emit[done]
+        late = int(np.count_nonzero(emit != t))
+        # packets emitted more than ``lag_limit`` steps ago could take an
+        # int32 ring cell past its range: the rings go int64 for the rest of
+        # the run, exactly, as every cell is still within it
+        if late and self.ring.dtype == np.int32 and t - int(emit.min()) > self.lag_limit:
+            self.ring = self.ring.astype(np.int64)
         if profile is not None:
             col = t - profile.t0
             profile.counts[:, act, col] = cnt
@@ -685,7 +717,8 @@ class HardwareSimulation:
         self.store = build_synaptic_store(table, ens, self.dest_ptr, self.dest_core)
         self.syn = SynapseCoreState(np.repeat(self.ens_chip_row, 3),
                                     np.repeat(3 * ens_per_chip, 3), self.store, self.costs,
-                                    self.network.total_neurons)
+                                    self.network.total_neurons,
+                                    int(self.consts.ref_steps.min(initial=0)))
 
     def _fixed_busy(self, ens_per_chip: np.ndarray) -> np.ndarray:
         """Local busy us per step of every core of the core table when no
@@ -745,7 +778,9 @@ class HardwareSimulation:
         profile, a chunk of ``matrices.CHUNK_STEPS`` steps at a time in the
         file, which the result's ``ProfileStore`` reads back; else ``profile``
         is None.  Memory holds at most one chunk of counters and of
-        background input whatever the duration.  Only the spike record
+        background input whatever the duration.  The rings are int32 or
+        int64 (``SynapseCoreState``); either way the handover images
+        convert to the same floats, so every output is the same.  Only the spike record
         grows with it, by about 4 B per spike (``trace.SpikeRecord``, which
         refuses more than ``MAX_STEPS`` steps), and the trace made from it
         holds 8 B per spike: each spike's step and global neuron index.
@@ -838,6 +873,24 @@ class HardwareSimulation:
         spike_trace = trace.from_step_records(network, spikes, discard_ms)
         return RunResult(spike_trace, profile, clocks.diagnostics,
                          dict(zip(TOTALS, [*sums, max_flushed])), poisson_sat)
+
+
+def ring_lag_limit(cell_bound: int, ref_steps: int) -> int:
+    """The longest lag, in steps from a packet's emit step to the window
+    that processes it, that int32 rings hold, for a table of this
+    ``cell_bound`` and neurons at least ``ref_steps`` refractory; -1 when
+    they hold none.
+
+    Between two reads of a ring slot, one window adds into it through a
+    given synapse (``oracle``'s argument, with the window's step in place
+    of the send step).  A window at step t whose packets were emitted at
+    steps t - L .. t takes at most one packet of each (row, emit step),
+    and a source neuron fires at most once in ``ref_steps + 1`` steps, so
+    it adds each synapse at most ceil((L + 1) / (ref_steps + 1)) times,
+    and a cell takes at most that many times ``cell_bound``."""
+    if not cell_bound:
+        return MAX_STEPS
+    return matrices.RING_INT32_MAX // cell_bound * (ref_steps + 1) - 1
 
 
 def _check_queue_fields(counts: dict[str, int]) -> None:

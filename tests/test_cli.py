@@ -375,19 +375,20 @@ def test_network_without_synapses_runs_on_both_paths(tmp_path, benchmark_path, r
 
 def test_hardware_run_memory_per_synapse(tmp_path, benchmark_path, microcircuit_dc_01):
     """Everything a ``--mode hardware`` run allocates, traced by tracemalloc
-    (numpy reports its buffers to it), peaks within 20.0 B per synapse at
+    (numpy reports its buffers to it), peaks within 17.2 B per synapse at
     microcircuit 0.1 with DC input: each projection is sampled straight
     into the synapse table, the machine store indexes the table in place
     instead of copying it and has one row per packet the fan-out can send,
     and the rings (one excitatory, one inhibitory) hold 64 slots, the
-    smallest power of two above the longest delay, not 256.  The peak is
-    set in the run's first step: what the set-up leaves (14.5 B per
-    synapse: the table, the synaptic rows and the machine's state) plus the
-    two rings (2.8 B per synapse).  The step-0 window, 53,862 packets run
-    a group of whole cores at a time, and its ring inserts add little to
-    it.  It measured 17.4 B per synapse (numpy 2.4, Python 3.11; 19.1 with
-    the window's int64 queue run at once), and the bound leaves about 15%
-    for other versions' allocations."""
+    smallest power of two above the longest delay, not 256, of int32
+    cells, which the table's ``cell_bound`` shows wide enough.  The peak
+    is set in the run's first step: what the set-up leaves (13.1 B per
+    synapse: the table, the synaptic rows and the machine's state, the two
+    rings' 1.4 of it) plus 1.8 B per synapse for the step-0 window, 53,862
+    packets run a group of whole cores at a time, and its ring inserts.
+    It measured 14.9 B per synapse (numpy 2.4, Python 3.11; 17.4 with
+    int64 rings), and the bound leaves about 15% for other versions'
+    allocations."""
     tracemalloc.start()
     try:
         cli.run(cli.RunConfig(model=benchmark_path, out=str(tmp_path / "out"), scale=0.1,
@@ -395,7 +396,7 @@ def test_hardware_run_memory_per_synapse(tmp_path, benchmark_path, microcircuit_
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 20.0 * microcircuit_dc_01.synapse_count()
+    assert peak <= 17.2 * microcircuit_dc_01.synapse_count()
 
 
 @pytest.mark.parametrize("costs,message", [

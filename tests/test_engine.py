@@ -54,6 +54,44 @@ def test_flush_and_carry_over_digests(fixture, request):
     assert sha256(written(res.profile.serialize_events)) == events_sha
 
 
+def test_a_lag_past_the_limit_widens_the_rings_mid_run(small_network, monkeypatch):
+    """The machine's rings are int32, and a window that processes a packet
+    emitted more than ``lag_limit`` steps before it widens them to int64
+    for the rest of the run.  With the 95 us margin that carries packets
+    over and the limit forced to 0, the rings widen at the first such
+    window, after some steps; that run, the run that stays int32, and a run
+    whose rings are int64 from the start give the same totals, trace and
+    profile bytes."""
+    sim = HardwareSimulation(small_network, encode_projections(small_network),
+                             costs=CostModel(second_timer_margin_us=95.0),
+                             clock_cfg=ClockConfig(drift_bound_ppm=20.0), drift_seed=3)
+    assert sim.syn.ring_dtype == np.int32 and sim.syn.lag_limit > 1000
+    window = runtime.SynapseCoreState.run_window
+    dtypes = []
+
+    def record(syn, *args):
+        result = window(syn, *args)
+        dtypes.append(syn.ring.dtype)
+        return result
+
+    monkeypatch.setattr(runtime.SynapseCoreState, "run_window", record)
+    bank = PoissonBank(small_network, 2, 500, io.BytesIO())
+    runs = []
+    for ring_dtype, lag_limit in ((np.int64, sim.syn.lag_limit), (np.int32, sim.syn.lag_limit),
+                                  (np.int32, 0)):
+        monkeypatch.setattr(sim.syn, "ring_dtype", ring_dtype)
+        monkeypatch.setattr(sim.syn, "lag_limit", lag_limit)
+        dtypes.clear()
+        res = sim.run(50.0, bank, spill=io.BytesIO())
+        runs.append((res.totals, written(res.trace.serialize), written(res.profile.serialize),
+                     written(res.profile.serialize_events), list(map(str, dtypes))))
+    assert runs[0][0]["late_packets"] > 0
+    assert set(runs[0][-1]) == {"int64"} and set(runs[1][-1]) == {"int32"}
+    widened = runs[2][-1].index("int64")
+    assert 0 < widened and set(runs[2][-1][widened:]) == {"int64"}
+    assert all(run[:-1] == runs[0][:-1] for run in runs[1:])
+
+
 def test_totals_are_the_windows_sums_with_or_without_a_profile(small_network):
     """A run that flushes returns the same totals with a spill file as
     without, where it keeps no profile; they equal the sums of the profile

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -200,6 +201,29 @@ def test_wide_weight_spread_takes_int64_units():
     assert table.units.dtype == np.int64
     assert int(table.units.max()) > np.iinfo(np.int32).max
     assert_equivalent(*run_both(build_network(spec, seed=42)))
+
+
+def test_cell_bound_past_int32_takes_int64_rings(monkeypatch):
+    """A projection of small weights makes the E -> E accumulator scale so
+    fine that the units still fit int32 but one delivery of every E -> E
+    synapse onto a neuron passes 2**31 - 1: the table's ``cell_bound``
+    says so, both simulators deliver into int64 rings, and the machine
+    still equals the oracle."""
+    small = SECOND_EE_BLOCK.replace("weight_pa = 87.8", "weight_pa = 0.01").replace(
+        "weight_sd_pa = 8.78", "weight_sd_pa = 0.001")
+    insert, seen = matrices.ring_insert, set()
+
+    def record(ring, table, *args):
+        caller = sys._getframe(1).f_globals["__name__"]
+        seen.add((caller, ring.dtype.name, table.units.dtype.name,
+                  table.cell_bound > matrices.RING_INT32_MAX))
+        insert(ring, table, *args)
+
+    monkeypatch.setattr(matrices, "ring_insert", record)
+    assert_equivalent(*run_both(build_network(parse_network_spec(SMALL_SPEC + small, "dc"),
+                                              seed=42)))
+    assert seen == {(caller, "int64", "int32", True)
+                    for caller in ("spikert.runtime", "spikert.oracle")}
 
 
 def test_rerun_is_deterministic(small_network):
