@@ -7,11 +7,13 @@ manifest.  The manifest plus the copied resolved spec files are enough to
 reproduce every output byte for byte.
 
 A run's set-up is one streaming pass: ``build_network`` samples one
-projection at a time straight into the synapse table's fields (a
-``matrices.TableSink``), encoding its weights as soon as it is drawn, and
-``encode_projections`` shifts them to the accumulator scales once the last
-one is in.  The sampled network is never held whole: the set-up peaks at the
-table (9 B per synapse) plus the float weights of the largest projection.
+projection at a time straight into the synapse table's fields (the
+network's ``SynapseSink``), encoding its weights as soon as it is drawn,
+and ``matrices.encode_projections`` shifts them to the accumulator scales
+once the last one is in.  The set-up peaks at the table (9 B per synapse)
+plus the float weights of the largest projection; a run of the oracle's
+unquantized path (``oracle_quantize`` false in a manifest) keeps every
+float weight too, 8 B more per synapse.
 Every run writes ``timings.json``, the seconds and peak RSS of each of its
 phases.
 
@@ -245,8 +247,8 @@ def run(cfg: RunConfig) -> None:
 
     # one encoded synapse table and one Poisson bank, read by both simulators:
     # each projection is sampled straight into the table's fields
-    sink = None if cfg.map_only else matrices.TableSink(spec, not cfg.oracle_quantize)
-    net = build_network(spec, cfg.seed_network, sample_synapses=not cfg.map_only, sink=sink)
+    net = build_network(spec, cfg.seed_network, sample_synapses=not cfg.map_only,
+                        keep_weights=not cfg.oracle_quantize)
 
     _write(cfg, "resolved_model.net", serialize_network_spec(spec))
 
@@ -255,7 +257,7 @@ def run(cfg: RunConfig) -> None:
         _run_map_only(cfg, net, machine, timings)
         return
 
-    table = matrices.encode_projections(net, sink=sink)
+    table = matrices.encode_projections(net)
     _libc("malloc_trim", 0)
     timings.mark("sample_encode")
 

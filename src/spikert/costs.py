@@ -104,12 +104,11 @@ def parse_cost_overrides(text: str) -> dict:
     return overrides
 
 
-def load_cost_model(path=None, **extra) -> CostModel:
+def load_cost_model(path=None) -> CostModel:
     overrides: dict = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            overrides.update(parse_cost_overrides(fh.read()))
-    overrides.update(extra)
+            overrides = parse_cost_overrides(fh.read())
     model = CostModel(**overrides)
     model.validate()
     return model

@@ -1,17 +1,18 @@
 """Synaptic data generation shared by the machine model and the oracle.
 
-Encoding happens once per run, here: every sampled synapse becomes a
-16-bit word magnitude under its projection's fixed-point scale, then the
-integer accumulator contribution both simulation paths add up, in one
+Encoding happens once per run: every sampled synapse becomes a 16-bit
+word magnitude under its projection's fixed-point scale, then the integer
+accumulator contribution both simulation paths add up, in one
 ``SynapseTable`` of narrow global arrays: int32 target neurons, units in
 the narrowest of int32/int64 that holds the largest shifted value, uint8
 delays.  A synapse's source neuron is not stored: each projection's
-``row_ptr`` gives it (``SynapseTable.blocks``).  The fields are a
-``TableSink``: a run (``cli.run``) samples each projection straight into
-them and rounds its weights into words as soon as it is drawn, and
-``encode_projections`` then shifts the words to the accumulator scales,
-which need every projection's largest weight; a materialised network is
-copied into a sink one projection at a time instead.  The run hands the
+``row_ptr`` gives it (``SynapseTable.blocks``).  The fields are the
+network's ``network.SynapseSink``: ``build_network`` samples each
+projection straight into them and rounds its weights into words as soon as
+it is drawn, and ``encode_projections`` then shifts the words to the
+accumulator scales, which need every projection's largest weight.  A
+network built with ``keep_weights`` adds the float weights, aligned with
+the table, for the oracle's unquantized path.  The run hands the
 same table to both simulators, which only read it in place, each through
 its own index of spans into it: the oracle through each source neuron's
 spans (``source_delivery_index``), the machine model through synaptic rows,
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import weights
 from .kinetics import Propagator, make_rng
-from .network import NetworkModel, NetworkSpec, PoissonInput, SampledProjection, SynapseSink
+from .network import NetworkModel, PoissonInput
 
 BLOCK = 1 << 18  # synapses per block of encoding and indexing work: bounds its temporaries
 RING_SYNAPSES = BLOCK >> 2  # synapses a ring insert adds at once: bounds its temporaries
@@ -67,6 +68,8 @@ class SynapseTable:
     synapse, excitatory or inhibitory, when each of its incoming synapses
     delivers once: the largest value a delay-ring cell can reach, and what
     both simulators choose their ring dtype from (``ring_dtype``).
+    ``weight_pa`` are the float64 weights in pA when the network kept them
+    (``build_network(keep_weights=True)``), else None.
     """
 
     post: np.ndarray
@@ -77,6 +80,7 @@ class SynapseTable:
     pre_base: np.ndarray
     scales: weights.AccumulatorScales
     cell_bound: int
+    weight_pa: np.ndarray | None = None
 
     def max_block(self, size: int) -> int:
         """The most synapses one block of ``blocks(size)`` can hold: its last
@@ -199,91 +203,6 @@ def accumulator_scales(network: NetworkModel, exps: list[int]) -> weights.Accumu
     return weights.AccumulatorScales(tuple(exc), tuple(inh), tuple(pois))
 
 
-class TableSink(SynapseSink):
-    """The synapse table's fields, as the sink ``build_network`` samples
-    into: each projection's global target neurons and uint8 delays are
-    written straight into ``post`` and ``delays``, and its weights, drawn
-    into one float64 buffer reused from projection to projection, are
-    rounded into ``units`` as 16-bit words of the projection's own scale as
-    soon as it is sampled.  Only the float weights of the projection being
-    sampled are held, unless ``keep_weights`` (the oracle's unquantized path
-    reads them), when each projection keeps its own.
-
-    ``encode_projections(network, sink=...)`` makes the table from it.
-    """
-
-    FIELDS = ("post", "units", "delays")
-    DELAY_DTYPE = np.uint8
-
-    def __init__(self, spec: NetworkSpec, keep_weights: bool = False):
-        super().__init__(spec)
-        self.units = np.empty(self.capacity, dtype=np.int32)
-        self.post_base = np.cumsum([0] + [p.size for p in spec.populations],
-                                   dtype=np.int32)[:-1]
-        self.keep_weights = keep_weights
-        self.words: list[tuple[int, int]] = []  # (scale exponent, largest word) per projection
-        self._weights = np.empty(0)
-        self._scratch = np.empty(BLOCK)
-
-    def weights(self, n: int) -> np.ndarray:
-        if self.keep_weights:
-            return np.empty(n)
-        if self._weights.size < n:
-            self._weights = None  # freed before the larger one is made
-            self._weights = np.empty(n)
-        return self._weights[:n]
-
-    def keep(self, proj: SampledProjection) -> SampledProjection:
-        w, lo = proj.weight_pa, self.size - proj.count
-        max_abs = float(max(w.max(initial=0.0), -w.min(initial=0.0)))
-        exp = weights.projection_scale_exp(max_abs)
-        for b in range(0, w.size, BLOCK):
-            n = min(BLOCK, w.size - b)
-            weights.quantize_magnitudes(w[b:b + n], exp, self.units[lo + b:lo + b + n],
-                                        self._scratch[:n])
-        self.words.append((exp, round(max_abs * 2.0 ** exp)))
-        proj.post_local = proj.delay_steps = None
-        if not self.keep_weights:
-            proj.weight_pa = None
-        return proj
-
-    def table(self, network: NetworkModel) -> SynapseTable:
-        """The network's synapse table, from the fields; the sink lets go
-        of them.  Each projection's units are shifted in place from its own
-        scale to its target's accumulator scale, widened first to int64
-        when a shifted value needs it.  The table's ``cell_bound`` is
-        counted here, once (``_cell_bound``)."""
-        projections = network.projections
-        exps = [exp for exp, _ in self.words]
-        scales = accumulator_scales(network, exps)
-        shifts, inh = [], []
-        for proj, exp in zip(projections, exps):
-            inh.append(network.populations[proj.source_pop].polarity != "exc")
-            shift = (scales.inh_exp if inh[-1] else scales.exc_exp)[proj.target_pop] - exp
-            if shift < 0:
-                raise AssertionError("accumulator scale coarser than a feeding projection")
-            shifts.append(shift)
-        bounds = np.zeros(len(projections) + 1, dtype=np.int64)
-        np.cumsum([proj.count for proj in projections], out=bounds[1:])
-        if bounds[-1] != self.size:
-            raise ValueError("the network's projections are not the ones sampled into the sink")
-        top = max((word << shift for (_, word), shift in zip(self.words, shifts)), default=0)
-        # views of the written part: the reserve's pages never written are
-        # never resident, so nothing is copied to drop them
-        post, units, delays = (getattr(self, name)[:self.size] for name in self.FIELDS)
-        if top > np.iinfo(np.int32).max:
-            units = units.astype(np.int64)
-        for lo, hi, shift in zip(bounds[:-1].tolist(), bounds[1:].tolist(), shifts):
-            if shift:
-                units[lo:hi] <<= shift
-        table = SynapseTable(post, units, delays, bounds,
-                             [proj.row_ptr for proj in projections],
-                             network.offsets[[proj.source_pop for proj in projections]], scales,
-                             _cell_bound(post, units, bounds, inh, network.total_neurons))
-        self.post = self.units = self.delays = self._weights = self._scratch = None
-        return table
-
-
 def _cell_bound(post: np.ndarray, units: np.ndarray, bounds: np.ndarray, inh: list[bool],
                 n: int) -> int:
     """The most units any of the n neurons receives from one sign of
@@ -300,34 +219,49 @@ def _cell_bound(post: np.ndarray, units: np.ndarray, bounds: np.ndarray, inh: li
     return int(received.max(initial=0.0))
 
 
-def encode_projections(network: NetworkModel, keep_weights: bool = False,
-                       sink: TableSink | None = None) -> SynapseTable:
+def encode_projections(network: NetworkModel) -> SynapseTable:
     """The network's synapses as one ``SynapseTable``; encode once per run.
 
-    With ``sink``, the ``TableSink`` the network was sampled into
-    (``build_network(spec, seed, sink=sink)``, as ``cli.run`` does), the
-    synapses are in the table's fields already, and encoding is what had to
-    wait for the last projection: the accumulator exponents, which need
-    every projection's largest weight, and the shift of each projection's
-    units to them.  ``keep_weights`` is then the sink's.
-
-    Without one, the network's materialised projections are copied into a
-    new ``TableSink`` one at a time, each releasing its post, delay and
-    (unless ``keep_weights``) weight arrays as it goes.  Its ``row_ptr``
-    stays, shared with the table.
+    ``build_network`` sampled them into the table's fields, the network's
+    ``sink``, each projection's weights already words of its own scale.
+    What had to wait for the last projection is done here: the accumulator
+    exponents, which need every projection's largest weight; the shift of
+    each projection's units, in place, from its own scale to its target's
+    accumulator scale, widened first to int64 when a shifted value needs
+    it; and the table's ``cell_bound`` (``_cell_bound``).  The network lets
+    go of the sink; the table holds the written part of its fields, and the
+    float weights when the sink kept them.
     """
+    sink, network.sink = network.sink, None
     if sink is None:
-        if network.projections is None:
-            raise ValueError("encoding needs sampled synapses")
-        if any(proj.post_local is None for proj in network.projections):
-            raise ValueError("the network's synapses were already encoded and released")
-        sink = TableSink(network.spec, keep_weights)
-        for proj in network.projections:
-            np.add(proj.post_local, sink.post_base[proj.target_pop], out=sink.room(proj.count))
-            sink.delays[sink.size:sink.size + proj.count] = proj.delay_steps
-            sink.size += proj.count
-            sink.keep(proj)
-    return sink.table(network)
+        raise ValueError("the network holds no sampled synapses: built without them, "
+                         "or encoded already")
+    projections = network.projections
+    exps = [exp for exp, _ in sink.words]
+    scales = accumulator_scales(network, exps)
+    shifts, inh = [], []
+    for proj, exp in zip(projections, exps):
+        inh.append(network.populations[proj.source_pop].polarity != "exc")
+        shift = (scales.inh_exp if inh[-1] else scales.exc_exp)[proj.target_pop] - exp
+        if shift < 0:
+            raise AssertionError("accumulator scale coarser than a feeding projection")
+        shifts.append(shift)
+    bounds = np.zeros(len(projections) + 1, dtype=np.int64)
+    np.cumsum([proj.count for proj in projections], out=bounds[1:])
+    top = max((word << shift for (_, word), shift in zip(sink.words, shifts)), default=0)
+    # views of the written part: the reserve's pages never written are never
+    # resident, so nothing is copied to drop them
+    n = sink.size
+    post, units, delays = sink.post[:n], sink.units[:n], sink.delays[:n]
+    if top > np.iinfo(np.int32).max:
+        units = units.astype(np.int64)
+    for lo, hi, shift in zip(bounds[:-1].tolist(), bounds[1:].tolist(), shifts):
+        if shift:
+            units[lo:hi] <<= shift
+    return SynapseTable(post, units, delays, bounds, [proj.row_ptr for proj in projections],
+                        network.offsets[[proj.source_pop for proj in projections]], scales,
+                        _cell_bound(post, units, bounds, inh, network.total_neurons),
+                        None if sink.weight_pa is None else sink.weight_pa[:n])
 
 
 @dataclass

@@ -2,17 +2,19 @@
 
 A network spec is structured text with repeated ``[population]`` and
 ``[projection]`` sections plus ``[simulation]`` / ``[neuron_defaults]``.
-Building materializes neurons and samples synapses: each ordered (pre, post)
+Building sets up the neurons and samples the synapses: each ordered (pre, post)
 pair is connected independently with the projection probability, weights are
 normal-distributed then sign-clamped toward the source polarity (Dale's
 law), and delays are normal-distributed, rounded to the nearest timestep
 and clamped to the representable [1, 255] step range.
 
-One sampler (``_sample_projection``) draws one projection at a time and
-writes its synapses into the arrays of a sink.  The default ``SynapseSink``
-materialises the network, for the tests and ``NetworkModel.digest``; a run
-samples into ``matrices.TableSink``, the synapse table's own fields, so the
-draws and both simulators' view of the synapses are the same either way.
+One sampler (``_sample_projection``) draws one projection at a time
+straight into a ``SynapseSink``, the synapse table's fields: global target
+neurons, uint8 delays and each weight rounded into a 16-bit word as soon as
+its projection is drawn, plus the float weights when the network is built
+with ``keep_weights``.  The network holds the sink until
+``matrices.encode_projections`` makes the table both simulators read, so
+there is one view of the synapses, whoever reads them.
 
 Everything is driven by named substreams of one seed, so a (spec, seed)
 pair always produces the same network, byte for byte.
@@ -27,6 +29,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from . import weights
 from .kinetics import NeuronParams, make_rng
 
 MAX_DELAY_STEPS = 255
@@ -341,28 +344,19 @@ def serialize_network_spec(spec: NetworkSpec) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Materialized network
+# Sampled network
 
 @dataclass
 class SampledProjection:
-    """CSR-style synapse store for one projection: row r holds the synapses
-    of source neuron r (local index) onto the target population.
-
-    In a network that ``build_network`` materialises, the per-synapse arrays
-    are views of its sink's shared arrays (targets and delays) and an array
-    of the projection's own (weights).  Sampled into ``matrices.TableSink``,
-    or once encoded, they are None: the synapses live in the synapse table,
-    and only the float weights stay, when the sink was asked to keep them.
-    """
+    """One projection's place in the synapse table: its synapses are a run
+    of the table in synapse order, and ``row_ptr`` (CSR-style) gives source
+    neuron r (local index) the synapses ``row_ptr[r]:row_ptr[r + 1]`` of
+    that run."""
 
     spec: ProjectionSpec
     source_pop: int
     target_pop: int
     row_ptr: np.ndarray    # int64[n_pre + 1]
-    # the per-synapse arrays; None once in the synapse table
-    post_local: np.ndarray | None  # int32, target-local neuron index
-    weight_pa: np.ndarray | None  # float64, signed
-    delay_steps: np.ndarray | None  # int16, [1, 255]
 
     @property
     def count(self) -> int:
@@ -376,6 +370,8 @@ class NetworkModel:
     offsets: np.ndarray  # int64[n_pops + 1], global index ranges per population
     v_init_mv: np.ndarray
     projections: list[SampledProjection] | None  # None when synapses not sampled
+    # the sampled synapses, until ``matrices.encode_projections`` takes them
+    sink: SynapseSink | None = None
 
     @property
     def dt_ms(self) -> float:
@@ -399,16 +395,24 @@ class NetworkModel:
         return pop, idx - int(self.offsets[pop])
 
     def digest(self) -> str:
+        """SHA-256 of the spec, the seed, the initial potentials and each
+        projection's row pointers, int32 target-local neurons, float weights
+        and int16 delays, read from the sink: the network must be built
+        with ``keep_weights`` and not yet encoded."""
         h = hashlib.sha256()
         h.update(serialize_network_spec(self.spec).encode())
         h.update(str(self.seed).encode())
         h.update(np.ascontiguousarray(self.v_init_mv).tobytes())
+        sink, lo = self.sink, 0
+        if self.projections and (sink is None or sink.weight_pa is None):
+            raise ValueError("the digest reads the sampled synapses and their float weights: "
+                             "build with keep_weights=True and take it before encoding")
         for proj in self.projections or ():
-            arrays = (proj.row_ptr, proj.post_local, proj.weight_pa, proj.delay_steps)
-            if any(arr is None for arr in arrays):
-                raise ValueError(f"projection {proj.spec.name}: synapses released")
-            for arr in arrays:
+            hi = lo + proj.count
+            for arr in (proj.row_ptr, sink.post[lo:hi] - sink.post_base[proj.target_pop],
+                        sink.weight_pa[lo:hi], sink.delays[lo:hi].astype(np.int16)):
                 h.update(np.ascontiguousarray(arr).tobytes())
+            lo = hi
         return h.hexdigest()
 
 
@@ -422,33 +426,41 @@ def synapse_bound(n_pairs: int, probability: float) -> int:
 
 
 class SynapseSink:
-    """Where ``build_network`` samples synapses to, projection after
-    projection: an int32 target neuron and a delay per synapse, appended to
-    arrays reserved once, at the sum of every projection's ``synapse_bound``,
-    and grown by copying in the rare case a projection passes its bound.
-    Pages never written never become resident.
+    """The synapse table's fields, which ``build_network`` samples into
+    projection after projection: per synapse an int32 global target neuron
+    (``post``), a uint8 delay in steps and its weight's magnitude as a
+    16-bit word of its projection's own scale (``units``, int32), and, with
+    ``keep_weights``, its float64 weight in pA (``weight_pa``, which the
+    oracle's unquantized path and ``NetworkModel.digest`` read).
 
-    This sink materialises the network: each projection keeps views of the
-    shared arrays, holding target-local neurons and int16 delays, and its
-    float weights in an array of its own.  ``matrices.TableSink`` writes the
-    synapse table's fields instead and encodes each projection's weights as
-    soon as it is sampled.
+    The fields are reserved once, at the sum of every projection's
+    ``synapse_bound``, and grown together by copying in the rare case a
+    projection passes its bound; pages never written never become resident.
+    A projection's weights are drawn into one float64 buffer reused from
+    projection to projection, or straight into ``weight_pa``, and rounded
+    into words as soon as it is sampled (``quantize``).
+    ``matrices.encode_projections`` makes the table from the fields.
     """
 
-    FIELDS = ("post", "delays")  # the per-synapse arrays, grown together
-    DELAY_DTYPE = np.int16
     MAX_SYNAPSES = (1 << 31) - 1  # the synapse table indexes synapses with int32
 
-    def __init__(self, spec: NetworkSpec):
+    def __init__(self, spec: NetworkSpec, keep_weights: bool = False):
         self.capacity = sum(
             synapse_bound(spec.population(p.source).size * spec.population(p.target).size,
                           p.probability) for p in spec.projections)
         self._refuse_past_limit(self.capacity, "may hold up to")
+        self.fields = ("post", "units", "delays") + (("weight_pa",) if keep_weights else ())
         self.post = np.empty(self.capacity, dtype=np.int32)
-        self.delays = np.empty(self.capacity, dtype=self.DELAY_DTYPE)
+        self.delays = np.empty(self.capacity, dtype=np.uint8)
+        self.units = np.empty(self.capacity, dtype=np.int32)
+        self.weight_pa = np.empty(self.capacity) if keep_weights else None
         self.size = 0  # synapses written
-        # added to every target-local neuron, per target population
-        self.post_base = np.zeros(len(spec.populations), dtype=np.int32)
+        # the first global neuron of each population, added to its local ones
+        self.post_base = np.cumsum([0] + [p.size for p in spec.populations],
+                                   dtype=np.int32)[:-1]
+        self.words: list[tuple[int, int]] = []  # (scale exponent, largest word) per projection
+        self._weights = np.empty(0)
+        self._scratch = np.empty(SAMPLE_BLOCK)
 
     def _refuse_past_limit(self, count: int, holds: str) -> None:
         if count > self.MAX_SYNAPSES:
@@ -462,33 +474,43 @@ class SynapseSink:
         if need > self.capacity:
             self._refuse_past_limit(need, "holds at least")
             self.capacity = min(max(need, self.capacity + self.capacity // 4), self.MAX_SYNAPSES)
-            for name in self.FIELDS:
+            for name in self.fields:
                 grown = np.empty(self.capacity, dtype=getattr(self, name).dtype)
                 grown[:self.size] = getattr(self, name)[:self.size]
                 setattr(self, name, grown)
         return self.post[self.size:need]
 
     def weights(self, n: int) -> np.ndarray:
-        """A float64 array for the n weights of the projection being sampled."""
-        return np.empty(n)
+        """A float64 array for the weights of the last n synapses written."""
+        if self.weight_pa is not None:
+            return self.weight_pa[self.size - n:self.size]
+        if self._weights.size < n:
+            self._weights = None  # freed before the larger one is made
+            self._weights = np.empty(n)
+        return self._weights[:n]
 
-    def keep(self, proj: SampledProjection) -> SampledProjection:
-        """What the network keeps of ``proj``, whose synapses are the last
-        ``proj.count`` written and whose weights are ``proj.weight_pa``."""
-        lo = self.size - proj.count
-        proj.post_local = self.post[lo:self.size]
-        proj.delay_steps = self.delays[lo:self.size]
-        return proj
+    def quantize(self, w: np.ndarray) -> None:
+        """Round ``w``, the weights of the last ``w.size`` synapses written
+        (one projection's), into ``units``: words of the projection's own
+        scale, the finest its largest magnitude allows."""
+        lo = self.size - w.size
+        max_abs = float(max(w.max(initial=0.0), -w.min(initial=0.0)))
+        exp = weights.projection_scale_exp(max_abs)
+        for b in range(0, w.size, SAMPLE_BLOCK):
+            n = min(SAMPLE_BLOCK, w.size - b)
+            weights.quantize_magnitudes(w[b:b + n], exp, self.units[lo + b:lo + b + n],
+                                        self._scratch[:n])
+        self.words.append((exp, round(max_abs * 2.0 ** exp)))
 
 
 def build_network(spec: NetworkSpec, seed: int, sample_synapses: bool = True,
-                  sink: SynapseSink | None = None) -> NetworkModel:
-    """Materialize a NetworkSpec into neurons and sampled synapses.
+                  keep_weights: bool = False) -> NetworkModel:
+    """A NetworkSpec's neurons, with their initial potentials, and its sampled synapses.
 
-    The synapses are sampled one projection at a time into ``sink``: by
-    default a new ``SynapseSink``, which materialises them; ``cli.run``
-    passes a ``matrices.TableSink``, which writes them straight into the
-    synapse table."""
+    The synapses are sampled one projection at a time into a
+    ``SynapseSink``, the synapse table's fields, which the network holds
+    until ``matrices.encode_projections``; with ``keep_weights`` it keeps
+    the float weights too."""
     spec.validate()
     sizes = np.array([p.size for p in spec.populations], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
@@ -502,25 +524,23 @@ def build_network(spec: NetworkSpec, seed: int, sample_synapses: bool = True,
         else:
             v_init[lo:hi] = pop.params.e_rest_mv
 
-    projections = None
+    projections = sink = None
     if sample_synapses:
-        if sink is None:
-            sink = SynapseSink(spec)
+        sink = SynapseSink(spec, keep_weights)
         pop_index = {p.name: i for i, p in enumerate(spec.populations)}
         # the draws of every projection's sampling blocks, and their hits
         draws = np.empty(max(SAMPLE_BLOCK, *(p.size for p in spec.populations)))
         hits = np.empty(draws.size, dtype=bool)
         projections = [_sample_projection(spec, proj, j, pop_index, seed, draws, hits, sink)
                        for j, proj in enumerate(spec.projections)]
-    return NetworkModel(spec, seed, offsets, v_init, projections)
+    return NetworkModel(spec, seed, offsets, v_init, projections, sink)
 
 
 def _sample_projection(spec: NetworkSpec, proj: ProjectionSpec, index: int,
                        pop_index: dict, seed: int, draw_buf: np.ndarray,
                        hit_buf: np.ndarray, sink: SynapseSink) -> SampledProjection:
-    """Sample one projection, appending its targets and delays to ``sink``
-    and drawing its weights into ``sink.weights``; returns what the sink
-    keeps of it."""
+    """Sample one projection, appending its targets, words and delays to
+    ``sink``'s fields (its weights too, when the sink keeps them)."""
     src = spec.population(proj.source)
     tgt = spec.population(proj.target)
     rng = make_rng(seed, f"projection:{index}:{proj.name}")
@@ -561,6 +581,7 @@ def _sample_projection(spec: NetworkSpec, proj: ProjectionSpec, index: int,
         b *= proj.weight_sd_pa
         b += sign * proj.weight_pa
         (np.maximum if sign > 0 else np.minimum)(b, 0.0, out=b)
+    sink.quantize(w)
 
     # delays block by block in the draw buffer, the same way
     delays = sink.delays[start:start + total]
@@ -573,5 +594,4 @@ def _sample_projection(spec: NetworkSpec, proj: ProjectionSpec, index: int,
         d += 0.5
         delays[lo:lo + d.size] = np.clip(np.floor(d, out=d), 1, MAX_DELAY_STEPS, out=d)
 
-    return sink.keep(SampledProjection(proj, pop_index[proj.source], pop_index[proj.target],
-                                       row_ptr, None, w, None))
+    return SampledProjection(proj, pop_index[proj.source], pop_index[proj.target], row_ptr)

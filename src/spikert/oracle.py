@@ -27,11 +27,12 @@ through that synapse, and a neuron fires at most once a step.  Each
 synapse thus adds into a cell at most once before the cell is read, and no
 cell passes the units of one delivery of every synapse of one sign onto
 its neuron, which ``cell_bound`` is the largest of.  The unquantized path
-reads the network's float weights, aligned with the table, through the
-same spans, and adds a step's spikes with one ``np.add.at`` in spike,
-projection then synapse order, the order in which ``ufunc.at`` applies its
-updates, so each float sum is that of a spike-by-spike loop.  The delay rings hold ``matrices.ring_slots`` slots,
-the smallest power of two above the table's longest delay.
+reads the table's float weights (``weight_pa``, kept when the network is
+built with ``keep_weights``) through the same spans, and adds a step's
+spikes with one ``np.add.at`` in spike, projection then synapse order, the
+order in which ``ufunc.at`` applies its updates, so each float sum is that
+of a spike-by-spike loop.  The delay rings hold ``matrices.ring_slots``
+slots, the smallest power of two above the table's longest delay.
 """
 
 from __future__ import annotations
@@ -57,10 +58,10 @@ def oracle_simulate(network: NetworkModel, table: matrices.SynapseTable,
     n_slots = matrices.ring_slots(table.delays)
 
     if not quantize:
-        if any(p.weight_pa is None for p in network.projections):
+        w_pa = table.weight_pa
+        if w_pa is None:
             raise ValueError("the unquantized oracle reads the float weights: "
-                             "encode with keep_weights=True")
-        w_pa = np.concatenate([p.weight_pa for p in network.projections] or [np.zeros(0)])
+                             "build the network with keep_weights=True")
         float_acc = np.zeros((n_slots, n), dtype=np.float64)
         # each bank row's float weight (DC populations have no rows)
         pop_of = np.searchsorted(network.offsets, bank.neuron, side="right") - 1

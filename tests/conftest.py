@@ -89,8 +89,11 @@ def machine_path():
     return os.path.join(DATA_DIR, "machine_12board.mach")
 
 
-# The networks are built per test: encoding moves a network's synapses into
-# the table, so each test that encodes needs a network of its own.
+# The networks are built per test: encoding takes a network's sampled
+# synapses, the fields of its sink, into the table, so each test that encodes
+# needs a network of its own.  They keep no float weights; a test that reads
+# them (the digest, the oracle's unquantized path) builds its network with
+# keep_weights=True.
 @pytest.fixture
 def small_network():
     spec = parse_network_spec(SMALL_SPEC, "poisson")

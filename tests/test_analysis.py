@@ -1,11 +1,14 @@
-"""Firing statistics against a fixed-seed oracle trace."""
+"""Firing statistics against a fixed-seed oracle trace, and the energy
+figures of the shipped measurements."""
 
 import hashlib
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import DATA_DIR
 from spikert import analysis, trace
 from spikert.matrices import PoissonBank, encode_projections
 from spikert.oracle import oracle_simulate
@@ -156,3 +159,24 @@ def test_correlation_transients_per_neuron_and_bin():
         tracemalloc.stop()
     assert stats.populations[0].correlations.size == 200 * 199 // 2
     assert peak < 20 * 200 * 5_000
+
+
+def test_energy_figures_of_the_shipped_measurements():
+    """The shipped wall-socket measurements give the paper's figures: 0.634
+    uJ per synaptic event and 593 W for the Poisson 10 s run, 0.601 uJ and
+    549 W for the DC run, 411 W with the boards booted and idle for 12 h;
+    each 10 s figure is its 12 h run's rescaled at constant power, to the
+    meter's rounding."""
+    rows = analysis.load_energy_figures(os.path.join(DATA_DIR, "energy_measurements.tsv"))
+    assert len(rows) == 6
+    by_run = {(r.configuration, r.wall_clock_s): r for r in rows}
+    for name, uj, watts in (("microcircuit_poisson_realtime", 0.634, 593),
+                            ("microcircuit_dc_realtime", 0.601, 549)):
+        report = analysis.energy_report(by_run[name, 10.0])
+        assert report["energy_per_event_uj"] == pytest.approx(uj, abs=5e-4)
+        assert report["mean_power_w"] == pytest.approx(watts, abs=0.5)
+        assert analysis.scale_energy_kwh(by_run[name, 43200.0], 10.0) == pytest.approx(
+            by_run[name, 10.0].total_energy_kwh, rel=1e-3)
+    idle = analysis.energy_report(by_run["boards_booted_idle", 43200.0])
+    assert "energy_per_event_uj" not in idle
+    assert idle["mean_power_w"] == pytest.approx(411, abs=0.5)

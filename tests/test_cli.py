@@ -214,6 +214,35 @@ def test_map_only_run_replays_from_its_manifest(tmp_path, benchmark_path, machin
         assert (replay / name).read_bytes() == (out / name).read_bytes()
 
 
+@pytest.mark.parametrize("quantize", [pytest.param(True, id="quantized"),
+                                      pytest.param(False, id="float_oracle")])
+def test_simulation_run_replays_from_its_manifest(tmp_path, model, quantize):
+    """A --mode both Poisson run with clock drift and a discard window
+    replays from its manifest to every output byte but the manifest's and
+    the timings'.  So does the run of the oracle's unquantized path, which
+    only ``oracle_quantize: false`` in a manifest reaches: its oracle trace
+    differs from the quantized run's."""
+    out, replay = tmp_path / "out", tmp_path / "replay"
+    assert run_cli(tmp_path, model, "--mode", "both", "--input", "poisson", "--duration-ms",
+                   "50", "--drift-bound-ppm", "20", "--discard-ms", "10") == cli.EXIT_OK
+    manifest = out / "manifest.json"
+    if not quantize:
+        doc = json.loads(manifest.read_text())
+        doc["run_config"]["oracle_quantize"] = False
+        manifest = tmp_path / "float_manifest.json"
+        manifest.write_text(json.dumps(doc))
+        quantized, out = out, tmp_path / "float"
+        assert cli.main(["--manifest", str(manifest), "--out", str(out)]) == cli.EXIT_OK
+        assert (out / "trace_oracle.txt").read_bytes() != \
+            (quantized / "trace_oracle.txt").read_bytes()
+    assert cli.main(["--manifest", str(manifest), "--out", str(replay)]) == cli.EXIT_OK
+    assert json.loads((replay / "manifest.json").read_text())["run_config"][
+        "oracle_quantize"] is quantize
+    assert set(os.listdir(out)) == set(os.listdir(replay)) == BOTH_OUTPUTS
+    for name in BOTH_OUTPUTS - {"manifest.json", "timings.json"}:
+        assert (replay / name).read_bytes() == (out / name).read_bytes(), name
+
+
 def record_calls(monkeypatch, owner, attr) -> list:
     """Wrap ``owner.attr``; the returned list gets each call's first
     argument and result."""
@@ -333,16 +362,15 @@ def test_manifest_defaults_are_the_constants_they_report(tmp_path, model):
 
 def test_float_oracle_leaves_the_shared_table_alone(tmp_path, model, monkeypatch):
     """The oracle's unquantized path reads the float weights, which the
-    network keeps while it releases the rest of its synapses, without
-    writing into the table the machine model reads; both traces keep the
-    SHA-256s they had when each simulator encoded its own table."""
+    table keeps alongside the fields the machine model reads, without
+    writing into those; both traces keep the SHA-256s they had when each
+    simulator encoded its own table."""
     encode = matrices.encode_projections
     encodes = record_calls(monkeypatch, matrices, "encode_projections")
     cli.run(cli.RunConfig(model=model, out=str(tmp_path / "out"), duration_ms=20.0,
                           oracle_quantize=False))
     ((net, table),) = encodes
-    assert all(p.post_local is None and p.delay_steps is None and p.weight_pa is not None
-               for p in net.projections)
+    assert net.sink is None and table.weight_pa.dtype == np.float64
     assert table.units.dtype == np.int32
     assert np.array_equal(table.units, encode(build_network(net.spec, net.seed)).units)
     digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()

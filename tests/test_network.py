@@ -117,17 +117,33 @@ delay_sd_ms = 0.75
     assert build_network(spec, seed=7).synapse_count() == count
 
 
+def sampled(net):
+    """(projection, target-local neurons, float weights, delays) of each
+    projection of a network built with ``keep_weights`` and not yet
+    encoded, read from the fields of its sink."""
+    sink, lo = net.sink, 0
+    for proj in net.projections:
+        hi = lo + proj.count
+        yield (proj, sink.post[lo:hi] - sink.post_base[proj.target_pop], sink.weight_pa[lo:hi],
+               sink.delays[lo:hi])
+        lo = hi
+
+
 def test_build_determinism_digest(small_network):
-    from spikert.network import build_network as bN
-    again = bN(small_network.spec, seed=42)
-    assert again.digest() == small_network.digest()
-    other = bN(small_network.spec, seed=43)
-    assert other.digest() != small_network.digest()
+    """The digest reads the float weights: a network built without them,
+    such as the fixture, refuses it."""
+    spec = small_network.spec
+    digest = build_network(spec, seed=42, keep_weights=True).digest()
+    assert build_network(spec, seed=42, keep_weights=True).digest() == digest
+    assert build_network(spec, seed=43, keep_weights=True).digest() != digest
+    with pytest.raises(ValueError, match="build with keep_weights=True"):
+        small_network.digest()
 
 
-# NetworkModel.digest() of fixed-seed builds, recorded when connectivity was
-# drawn with one rng.random(n_post) call per source neuron; a change in how
-# the random stream is consumed changes them
+# NetworkModel.digest() of fixed-seed builds of the conftest fixtures' networks
+# (with keep_weights), recorded when connectivity was drawn with one
+# rng.random(n_post) call per source neuron; a change in how the random stream
+# is consumed changes them
 PINNED_DIGESTS = {
     "small_network": "230392d22f7ccc13e335e9dde08ad676263a3b773cae7917d8b4692038c8b222",
     "small_network_dc": "48cc8f5c76e3805c422e7ee21a14c227f610261cd90b98eb19124f073134f5b6",
@@ -135,26 +151,33 @@ PINNED_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("fixture", sorted(PINNED_DIGESTS))
-def test_network_digest_is_pinned(fixture, request):
-    assert request.getfixturevalue(fixture).digest() == PINNED_DIGESTS[fixture]
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_network_digest_is_pinned(name, benchmark_path):
+    spec, seed = {
+        "small_network": lambda: (parse_network_spec(SMALL_SPEC, "poisson"), 42),
+        "small_network_dc": lambda: (parse_network_spec(SMALL_SPEC, "dc"), 42),
+        "microcircuit_dc_01": lambda: (
+            scale_network(load_network_spec(benchmark_path, "dc"), 0.1), 1),
+    }[name]()
+    assert build_network(spec, seed, keep_weights=True).digest() == PINNED_DIGESTS[name]
 
 
 def test_dales_law_over_materialized_synapses(small_network):
-    for proj in small_network.projections:
-        pol = small_network.populations[proj.source_pop].polarity
+    net = build_network(small_network.spec, seed=42, keep_weights=True)
+    for proj, _, w, _ in sampled(net):
+        pol = net.populations[proj.source_pop].polarity
         if proj.count == 0:
             continue
         if pol == "exc":
-            assert proj.weight_pa.min() >= 0.0
+            assert w.min() >= 0.0
         else:
-            assert proj.weight_pa.max() <= 0.0
+            assert w.max() <= 0.0
 
 
 def test_delays_within_ring_range(small_network):
-    for proj in small_network.projections:
-        if proj.count:
-            assert 1 <= proj.delay_steps.min() and proj.delay_steps.max() <= 255
+    sink = small_network.sink
+    assert sink.size == small_network.synapse_count() > 0
+    assert sink.delays.dtype == np.uint8 and sink.delays[:sink.size].min() >= 1
 
 
 def test_delay_rounding_to_nearest_timestep():
@@ -164,7 +187,7 @@ def test_delay_rounding_to_nearest_timestep():
     net = build_network(parse_network_spec(text, "poisson"), seed=3)
     proj = net.projections[0]
     assert proj.count > 0
-    assert set(np.unique(proj.delay_steps)) == {15}
+    assert set(np.unique(net.sink.delays[:proj.count])) == {15}
 
 
 def test_weight_statistics_match_spec_bands():
@@ -200,8 +223,8 @@ weight_sd_pa = 8.78
 delay_ms = 1.5
 delay_sd_ms = 0.75
 """
-    net = build_network(parse_network_spec(text), seed=11)
-    w = net.projections[0].weight_pa
+    net = build_network(parse_network_spec(text), seed=11, keep_weights=True)
+    ((_, _, w, _),) = sampled(net)
     n = w.size
     assert n >= 1e5 * 0.9
     se_mean = 8.78 / math.sqrt(n)
@@ -214,15 +237,15 @@ def synapses_from(net, global_idx: int):
     """All synapses of one source neuron as (projection, target_global, w_pa,
     delay) rows."""
     pop, local = net.pop_of_global(global_idx)
-    for proj in net.projections:
+    for proj, post_local, w, delays in sampled(net):
         if proj.source_pop == pop:
             lo, hi = proj.row_ptr[local], proj.row_ptr[local + 1]
-            yield (proj, proj.post_local[lo:hi] + int(net.offsets[proj.target_pop]),
-                   proj.weight_pa[lo:hi], proj.delay_steps[lo:hi])
+            yield (proj, post_local[lo:hi] + int(net.offsets[proj.target_pop]), w[lo:hi],
+                   delays[lo:hi])
 
 
 def test_synapses_from_accessor(small_network):
-    rows = list(synapses_from(small_network, 0))
+    rows = list(synapses_from(build_network(small_network.spec, 42, keep_weights=True), 0))
     assert rows
     for proj, targets, w, d in rows:
         assert proj.source_pop == 0

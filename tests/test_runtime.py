@@ -36,8 +36,9 @@ delay_sd_ms = 0.75
 
 def run_both(net, drift_ppm=0.0, quantize=True):
     """Hardware run at slowdown 10 (no flushes) and the oracle, from one
-    synapse table and one Poisson bank."""
-    table = encode_projections(net, keep_weights=not quantize)
+    synapse table and one Poisson bank; the oracle's unquantized path needs
+    a network built with ``keep_weights``."""
+    table = encode_projections(net)
     bank = PoissonBank(net, 2, STEPS, io.BytesIO())
     sim = HardwareSimulation(net, table, clock_cfg=ClockConfig(drift_bound_ppm=drift_ppm),
                              drift_seed=3, slowdown=10.0)
@@ -60,7 +61,10 @@ def assert_equivalent(res, ref):
     pytest.param("small_network_dc", True, id="small_network_dc"),
     pytest.param("small_network_dc", False, id="small_network_dc-float")])
 def test_small_spec_hardware_equals_oracle(fixture, quantize, request):
-    assert_equivalent(*run_both(request.getfixturevalue(fixture), quantize=quantize))
+    net = request.getfixturevalue(fixture)
+    if not quantize:
+        net = build_network(net.spec, net.seed, keep_weights=True)
+    assert_equivalent(*run_both(net, quantize=quantize))
 
 
 @pytest.mark.parametrize("drift_ppm,quantize", [pytest.param(0.0, True, id="0.0"),
@@ -68,7 +72,8 @@ def test_small_spec_hardware_equals_oracle(fixture, quantize, request):
                                                pytest.param(0.0, False, id="0.0-float")])
 def test_microcircuit_dc_hardware_equals_oracle(benchmark_path, drift_ppm, quantize):
     spec = scale_network(load_network_spec(benchmark_path, "dc"), 0.02)
-    res, ref = run_both(build_network(spec, seed=1), drift_ppm, quantize)
+    res, ref = run_both(build_network(spec, seed=1, keep_weights=not quantize), drift_ppm,
+                        quantize)
     assert_equivalent(res, ref)
     assert len(ref) == 6842
 
@@ -121,8 +126,8 @@ def row_digest(core, source, row_ptr, post, units, delays) -> str:
 
 
 def test_narrow_table_and_store_at_microcircuit_scale(microcircuit_dc_01):
-    """Encoding releases the network's per-synapse arrays (its digest and a
-    second encoding then refuse what is gone); the shared table and the
+    """Encoding takes the network's sampled synapses into the table (its
+    digest and a second encoding then refuse what is gone); the shared table and the
     machine store keep narrow dtypes, the store reads the table in place
     and stays within 2 B per synapse.  Every synaptic row holds exactly the
     oracle's synapses of its source neuron onto its core's ensemble, in
@@ -131,11 +136,10 @@ def test_narrow_table_and_store_at_microcircuit_scale(microcircuit_dc_01):
     in source order keep theirs."""
     net = microcircuit_dc_01
     table = encode_projections(net)
-    assert all(p.post_local is None and p.weight_pa is None and p.delay_steps is None
-               for p in net.projections)
-    with pytest.raises(ValueError, match="synapses released"):
+    assert net.sink is None and table.weight_pa is None
+    with pytest.raises(ValueError, match="take it before encoding"):
         net.digest()
-    with pytest.raises(ValueError, match="already encoded and released"):
+    with pytest.raises(ValueError, match="encoded already"):
         encode_projections(net)
     assert [a.dtype for a in (table.post, table.units, table.delays)] == \
         [np.int32, np.int32, np.uint8]
@@ -344,9 +348,15 @@ def test_non_finite_input_names_the_neuron(small_network):
 
 def test_float_oracle_with_poisson_input_is_pinned(small_network):
     """The unquantized path with Poisson input, where no trace equals it: its
-    fixed-seed SHA-256 (363 spikes against the quantized path's 366)."""
-    tr = oracle_simulate(small_network, encode_projections(small_network, keep_weights=True),
-                         PoissonBank(small_network, 2, STEPS), DURATION_MS, quantize=False)
+    fixed-seed SHA-256 (363 spikes against the quantized path's 366).  It
+    reads the float weights, which a network keeps only when built with
+    ``keep_weights``."""
+    with pytest.raises(ValueError, match="build the network with keep_weights=True"):
+        oracle_simulate(small_network, encode_projections(small_network),
+                        PoissonBank(small_network, 2, STEPS), DURATION_MS, quantize=False)
+    net = build_network(small_network.spec, small_network.seed, keep_weights=True)
+    tr = oracle_simulate(net, encode_projections(net), PoissonBank(net, 2, STEPS), DURATION_MS,
+                         quantize=False)
     assert len(tr) == 363
     assert hashlib.sha256(written(tr.serialize).encode()).hexdigest() == (
         "1bd7dd87f2e9bc396c6322376099ec363b698c0fa21e0e9a18e6ad2c1fb25c11")

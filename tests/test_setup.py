@@ -1,8 +1,11 @@
 """The run's set-up samples each projection straight into the synapse table
-(``build_network`` into a ``matrices.TableSink``, then ``encode_projections``
-with that sink): the table it makes equals the one encoded from the
-materialised network, field by field and dtype by dtype."""
+(``build_network`` into the fields of a ``network.SynapseSink``, which the
+network holds until ``encode_projections`` makes the table from them): the
+table has the narrow dtypes both simulators read, a target in the right
+population and a delay for every sampled synapse, and the units of the
+network's float weights under the accumulator scales."""
 
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -11,8 +14,8 @@ import numpy as np
 import pytest
 
 from conftest import SMALL_SPEC
-from spikert import cli, network, runtime
-from spikert.matrices import TableSink, encode_projections
+from spikert import cli, network, runtime, weights
+from spikert.matrices import encode_projections
 from spikert.network import build_network, load_network_spec, parse_network_spec, scale_network
 
 # a second E -> E projection of tiny weights: the E -> E accumulator scale
@@ -29,19 +32,20 @@ delay_sd_ms = 0.75
 """
 
 
-def streamed(spec, seed, keep_weights=False):
-    sink = TableSink(spec, keep_weights)
-    net = build_network(spec, seed, sink=sink)
-    return net, encode_projections(net, sink=sink)
+def encoded(spec, seed, keep_weights=False):
+    net = build_network(spec, seed, keep_weights=keep_weights)
+    return net, encode_projections(net)
 
 
 def assert_same_table(got, want):
-    for name in ("post", "units", "delays", "bounds", "pre_base"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert len(got.row_ptrs) == len(want.row_ptrs)
-    assert all(np.array_equal(a, b) for a, b in zip(got.row_ptrs, want.row_ptrs))
-    assert got.scales == want.scales
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "row_ptrs":
+            assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+        elif isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
 
 
 def microcircuit(benchmark_path, scale, variant="dc"):
@@ -61,43 +65,67 @@ def spec(request, benchmark_path):
     return parse_network_spec(text, "dc")
 
 
-def test_streamed_setup_equals_the_encoded_network(spec):
-    """The streamed table equals ``encode_projections(build_network(...))``,
-    also with int64 units and with no synapse at all; the streamed network
-    keeps each projection's row pointers and nothing per synapse."""
-    net, table = streamed(spec, 42)
-    reference = encode_projections(build_network(spec, 42))
-    assert_same_table(table, reference)
-    assert net.synapse_count() == table.post.size
-    assert all(p.post_local is None and p.weight_pa is None and p.delay_steps is None
-               for p in net.projections)
+def test_streamed_setup_equals_the_encoded_network(spec, request):
+    """The table is the network's synapses encoded, also with int64 units
+    and with no synapse at all: one int32 global target, uint8 delay and
+    unit per sampled synapse, every target in its projection's target
+    population; each projection's units are its float weights' magnitudes
+    rounded to 16-bit words of the finest scale its largest weight allows,
+    shifted to its target's accumulator scale, int32 unless a shifted value
+    passes 31 bits.  Encoding takes the sink from the network, which keeps
+    each projection's row pointers."""
+    net, table = encoded(spec, 42, keep_weights=True)
+    assert net.sink is None
+    assert [a.dtype for a in (table.post, table.delays, table.weight_pa)] == \
+        [np.int32, np.uint8, np.float64]
+    wide = request.node.callspec.params["spec"] == "int64_units"
+    assert table.units.dtype == (np.int64 if wide else np.int32)
+    assert (int(table.units.max(initial=0)) > np.iinfo(np.int32).max) == wide
+    n = net.synapse_count()
+    assert int(table.bounds[-1]) == n == sum(int(r[-1]) for r in table.row_ptrs)
+    assert all(a.size == n for a in (table.post, table.units, table.delays, table.weight_pa))
+    assert int(table.delays.min(initial=1)) >= 1
+    for p, proj in enumerate(net.projections):
+        lo, hi = int(table.bounds[p]), int(table.bounds[p + 1])
+        assert table.row_ptrs[p] is proj.row_ptr
+        assert table.pre_base[p] == net.offsets[proj.source_pop]
+        post = table.post[lo:hi]
+        assert (post >= net.offsets[proj.target_pop]).all()
+        assert (post < net.offsets[proj.target_pop + 1]).all()
+        w = table.weight_pa[lo:hi]
+        exp = weights.projection_scale_exp(float(np.abs(w).max(initial=0.0)))
+        inh = net.populations[proj.source_pop].polarity == "inh"
+        shift = (table.scales.inh_exp if inh else table.scales.exc_exp)[proj.target_pop] - exp
+        assert shift >= 0
+        want = np.rint(np.abs(w) * 2.0 ** exp).astype(np.int64) << shift
+        assert np.array_equal(table.units[lo:hi], want)
 
 
 def test_streamed_setup_keeps_the_float_weights():
-    """With ``keep_weights`` (the oracle's unquantized path) every projection
-    keeps its own float weights, equal to the materialised network's."""
+    """``keep_weights`` (the oracle's unquantized path) adds the float
+    weights to the table, one float64 per synapse, and changes nothing
+    else."""
     spec = parse_network_spec(SMALL_SPEC, "poisson")
-    net, table = streamed(spec, 42, keep_weights=True)
-    materialised = build_network(spec, 42)
-    weights = [p.weight_pa.copy() for p in materialised.projections]
-    assert_same_table(table, encode_projections(materialised))
-    assert len({id(p.weight_pa) for p in net.projections}) == len(weights) == 3
-    for proj, w in zip(net.projections, weights):
-        assert proj.weight_pa.dtype == np.float64 and np.array_equal(proj.weight_pa, w)
+    plain_net, plain = encoded(spec, 42)
+    kept_net, kept = encoded(spec, 42, keep_weights=True)
+    assert plain.weight_pa is None
+    assert kept.weight_pa.dtype == np.float64 and kept.weight_pa.size == kept.post.size > 0
+    assert_same_table(dataclasses.replace(kept, weight_pa=None), plain)
+    assert np.array_equal(kept_net.v_init_mv, plain_net.v_init_mv)
 
 
 def test_projections_past_their_bound_grow_the_fields(benchmark_path, monkeypatch):
-    """A projection that passes its reserved bound grows the table's fields
-    by copying, in the middle of a projection too, and the table is the
-    same: here every bound is half the expected count."""
+    """A projection that passes its reserved bound grows the table's fields,
+    the float weights among them, by copying, in the middle of a projection
+    too, and the table is the same: here every bound is half the expected
+    count."""
     spec = microcircuit(benchmark_path, 0.05)
-    reference = encode_projections(build_network(spec, 3))
+    _, reference = encoded(spec, 3, keep_weights=True)
     monkeypatch.setattr(network, "synapse_bound", lambda n_pairs, p: int(n_pairs * p) // 2)
-    sink = TableSink(spec)
-    reserved = sink.capacity
-    net = build_network(spec, 3, sink=sink)
-    assert sink.capacity > reserved
-    assert_same_table(encode_projections(net, sink=sink), reference)
+    reserved = network.SynapseSink(spec).capacity
+    net = build_network(spec, 3, keep_weights=True)
+    assert net.sink.capacity > reserved
+    assert_same_table(encode_projections(net), reference)
 
 
 HUGE_SPEC = """
@@ -167,10 +195,11 @@ def test_setup_memory_per_synapse(tmp_path, benchmark_path, monkeypatch):
     (traced by tracemalloc) peaks within 14.5 B per synapse at microcircuit
     0.1 with DC input: the table's fields (9 B per synapse), the float
     weights of one projection at a time (the largest is 15% of the
-    synapses) and the sampling blocks.  Materialising the network before
-    encoding it peaked at 16.5 B per synapse; the streamed set-up measured
-    12.6 (numpy 2.4, Python 3.11), and the bound leaves about 15% for other
-    versions' allocations."""
+    synapses) and the sampling blocks.  Holding every projection's targets,
+    delays and float weights before encoding peaked at 16.5 B per synapse;
+    sampling into the table's fields measured 12.6 (numpy 2.4, Python
+    3.11), and the bound leaves about 15% for other versions'
+    allocations."""
     class Stop(Exception):
         pass
 
