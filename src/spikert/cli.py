@@ -9,9 +9,10 @@ reproduce every output byte for byte.
 A run's set-up is one streaming pass: ``build_network`` samples one
 projection at a time straight into the synapse table's fields (the
 network's ``SynapseSink``), encoding its weights as soon as it is drawn,
-and ``matrices.encode_projections`` shifts them to the accumulator scales
-once the last one is in.  The set-up peaks at the table (9 B per synapse)
-plus the float weights of the largest projection; a run of the oracle's
+and ``matrices.encode_projections`` adds the shifts to the accumulator
+scales once the last one is in.  The set-up peaks at the table (6 B per
+synapse: a packed uint32 cell and a 16-bit word) plus the float weights of
+the largest projection; a run of the oracle's
 unquantized path (``oracle_quantize`` false in a manifest) keeps every
 float weight too, 8 B more per synapse.
 Every run writes ``timings.json``, the seconds and peak RSS of each of its

@@ -1,29 +1,37 @@
 """Synaptic data generation shared by the machine model and the oracle.
 
 Encoding happens once per run: every sampled synapse becomes a 16-bit
-word magnitude under its projection's fixed-point scale, then the integer
-accumulator contribution both simulation paths add up, in one
-``SynapseTable`` of narrow global arrays: int32 target neurons, units in
-the narrowest of int32/int64 that holds the largest shifted value, uint8
-delays.  A synapse's source neuron is not stored: each projection's
-``row_ptr`` gives it (``SynapseTable.blocks``).  The fields are the
-network's ``network.SynapseSink``: ``build_network`` samples each
-projection straight into them and rounds its weights into words as soon as
-it is drawn, and ``encode_projections`` then shifts the words to the
-accumulator scales, which need every projection's largest weight.  A
-network built with ``keep_weights`` adds the float weights, aligned with
-the table, for the oracle's unquantized path.  The run hands the
-same table to both simulators, which only read it in place, each through
-its own index of spans into it: the oracle through each source neuron's
-spans (``source_delivery_index``), the machine model through synaptic rows,
-one per packet the fan-out can send (a source neuron and one of its
-destination cores), holding a span per projection onto the core's ensemble
-(``runtime.build_synaptic_store``).  Both read the same encoded integers,
-which is what makes their spike-for-spike agreement exact rather than
-approximate.  Both size their delay rings from the table,
-to the smallest power of two above its longest delay (``ring_slots``), make
-them int32 when the table's ``cell_bound`` shows that wide enough
-(``ring_dtype``), and deliver into them through ``ring_insert``.
+word magnitude under its projection's fixed-point scale, and its
+projection's shift from that scale to its target's accumulator scale, in
+one ``SynapseTable`` of two narrow global arrays, 6 B per synapse: the
+uint16 ``words`` and the uint32 ``cell``, which packs, from bit 0 up, the
+synapse's global target in LP = ``(n - 1).bit_length()`` bits for n
+neurons (P = 2**LP is the stride), its source's sign (1 inhibitory), its
+delay in 8 bits and its projection's shift from bit LP + 9, as the table's
+``network.CellLayout`` places them.  A synapse delivers ``words << shift``
+accumulator units.  A
+synapse's source neuron is not stored: each projection's ``row_ptr`` gives
+it (``SynapseTable.blocks``).  The fields are the network's
+``network.SynapseSink``: ``build_network`` samples each projection
+straight into them, target, sign and delay into the cells and its weights
+rounded into words as soon as it is drawn, and ``encode_projections`` then
+adds each projection's shift into its cells, which needs every
+projection's largest weight.  A network built with ``keep_weights`` adds
+the float weights, aligned with the table, for the oracle's unquantized
+path.  The run hands the same table to both simulators, which only read it
+in place, each through its own index of spans into it: the oracle through
+each source neuron's spans (``source_delivery_index``), the machine model
+through synaptic rows, one per packet the fan-out can send (a source neuron
+and one of its destination cores), holding a span per projection onto the
+core's ensemble (``runtime.build_synaptic_store``).  Both read the same
+encoded integers, which is what makes their spike-for-spike agreement exact
+rather than approximate.  Both keep their delay rings as one array of shape
+``(slots, 2, P)``, one slot's excitatory and inhibitory units contiguous,
+``slots`` the smallest power of two above the table's longest delay
+(``SynapseTable.slots``), int32 when the table's ``cell_bound`` shows that
+wide enough (``ring_dtype``), and deliver into them through
+``ring_insert``, whose flat ring index is the cell plus the step's slot, one
+add and one mask.
 
 Background input comes from one ``PoissonBank`` per run, which both
 simulators read step by step.  It holds one chunk of ``CHUNK_STEPS`` steps
@@ -42,7 +50,7 @@ import numpy as np
 
 from . import weights
 from .kinetics import Propagator, make_rng
-from .network import NetworkModel, PoissonInput
+from .network import CellLayout, NetworkModel, PoissonInput, SpecError
 
 BLOCK = 1 << 18  # synapses per block of encoding and indexing work: bounds its temporaries
 RING_SYNAPSES = BLOCK >> 2  # synapses a ring insert adds at once: bounds its temporaries
@@ -53,40 +61,49 @@ CHUNK_STEPS = 256
 @dataclass
 class SynapseTable:
     """Every encoded synapse of the network, in projection order, then in
-    synapse order (ascending source neuron within a projection).
+    synapse order (ascending source neuron within a projection), 6 B each.
 
-    ``post`` are int32 global target neurons, ``units`` the magnitude in the
-    target's accumulator units (int32, or int64 when a shifted value needs
-    it) and ``delays`` the uint8 delay in timesteps.  Projection p spans
-    ``bounds[p]:bounds[p + 1]``; its source neuron i (global neuron
-    ``pre_base[p] + i``) owns ``row_ptrs[p][i]:row_ptrs[p][i + 1]`` of that
-    span, the projection's own ``row_ptr``.  Within a projection the synapses
-    of one source neuron, and of one source neuron onto one target core, are
-    contiguous runs, which is what ``blocks`` and the machine's spans rely on.
-    ``scales`` are the accumulator exponents the units are encoded against.
-    ``cell_bound`` is the most units any neuron receives from one sign of
-    synapse, excitatory or inhibitory, when each of its incoming synapses
-    delivers once: the largest value a delay-ring cell can reach, and what
-    both simulators choose their ring dtype from (``ring_dtype``).
-    ``weight_pa`` are the float64 weights in pA when the network kept them
+    ``words`` are the uint16 magnitudes under each projection's own scale,
+    and ``cell`` the uint32 cells, which hold from bit 0 up the global
+    target neuron in LP bits (P = 2**LP is the stride of the delay rings'
+    neuron axis), the source's sign (1 inhibitory) at bit LP, the delay in
+    timesteps in the 8 bits from LP + 1 and the projection's accumulator
+    shift from LP + 9, as ``layout`` places them (``layout.targets`` and
+    ``layout.delays`` read the first and third).  A synapse delivers
+    ``words << shift`` units into ring ``(slot, sign, target)`` of the slot
+    of its arrival step.  Projection p spans ``bounds[p]:bounds[p + 1]``;
+    its source neuron i (global neuron ``pre_base[p] + i``) owns
+    ``row_ptrs[p][i]:row_ptrs[p][i + 1]`` of that span, the projection's own
+    ``row_ptr``.  Within a projection the synapses of one source neuron,
+    and of one source neuron onto one target core, are contiguous runs,
+    which is what ``blocks`` and the machine's spans rely on.  ``scales``
+    are the accumulator exponents the shifts lead to.  ``cell_bound`` is
+    the most units any neuron receives from one sign of synapse, excitatory
+    or inhibitory, when each of its incoming synapses delivers once: the
+    largest value a delay-ring cell can reach, and what both simulators
+    choose their ring dtype from (``ring_dtype``).  ``slots`` is the delay
+    rings' depth, the smallest power of two above the longest delay, so no
+    slot is written again before it has been read.  ``weight_pa`` are the
+    float64 weights in pA when the network kept them
     (``build_network(keep_weights=True)``), else None.
     """
 
-    post: np.ndarray
-    units: np.ndarray
-    delays: np.ndarray
+    cell: np.ndarray
+    words: np.ndarray
     bounds: np.ndarray
     row_ptrs: list[np.ndarray]
     pre_base: np.ndarray
     scales: weights.AccumulatorScales
     cell_bound: int
+    layout: CellLayout
+    slots: int
     weight_pa: np.ndarray | None = None
 
     def max_block(self, size: int) -> int:
         """The most synapses one block of ``blocks(size)`` can hold: its last
         source neuron starts in its first one's ``size``-aligned window."""
         longest = max((int(np.diff(r).max(initial=0)) for r in self.row_ptrs), default=0)
-        return min(self.post.size, size + longest)
+        return min(self.cell.size, size + longest)
 
     def blocks(self, size: int):
         """(projection, lo, hi, pre) of each block of the table, in table
@@ -115,18 +132,14 @@ class SynapseTable:
 
 
 RING_INT32_MAX = int(np.iinfo(np.int32).max)
+RING_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def ring_dtype(table: SynapseTable) -> type:
     """The delay rings' dtype for this table: int32 when one delivery of
-    every synapse onto a neuron fits (``cell_bound``), else int64."""
+    every synapse onto a neuron fits (``cell_bound``), else int64, which
+    encoding has proven wide enough."""
     return np.int32 if table.cell_bound <= RING_INT32_MAX else np.int64
-
-
-def ring_slots(delays: np.ndarray) -> int:
-    """Delay-ring depth for these delays: the smallest power of two above the
-    longest, so that no slot is written again before it has been read."""
-    return 1 << int(delays.max(initial=0)).bit_length()
 
 
 def ranges(lo: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -151,32 +164,36 @@ def group_cuts(ends: np.ndarray, limit: int) -> list[int]:
     return cuts
 
 
-def ring_insert(ring: np.ndarray, table: SynapseTable, t: int, inh: np.ndarray,
-                lo: np.ndarray, lens: np.ndarray) -> None:
+def ring_insert(ring: np.ndarray, table: SynapseTable, t: int, lo: np.ndarray,
+                lens: np.ndarray) -> None:
     """Add the synapses of the spans ``table[lo[i]:lo[i] + lens[i]]``, sent
-    at step t, into the delay rings ``ring``, int32 or int64 of shape ``(2,
-    slots, neurons)``: span i adds into ``ring[inh[i]]`` (``inh`` a 0/1 flag
-    of any integer or bool dtype), each synapse its units at its target in
-    the slot of its arrival step.  Both simulators deliver this way, and
-    each proves its ring wide enough for what it adds (``ring_dtype``).  The
-    units are added in the ring's dtype, without a copy when the table's
-    are the same.  The spans are added in groups of whole spans of at most
-    ``RING_SYNAPSES`` synapses (a longer span alone), one ``np.add.at``
-    per group, so a call's working set is bounded however many spikes a
-    step sends; integer sums do not depend on the order."""
-    _, slots, n = ring.shape
+    at step t, into the delay rings ``ring``, int32 or int64 of shape
+    ``(slots, 2, P)``, ``table.slots`` deep with the table's stride P: each
+    synapse adds ``words << shift`` at ``(arrival slot, sign, target)``.
+    Laid out so, a synapse's flat ring index is its cell's low LP + 1 + 8
+    bits (target, sign and delay) plus the step's slot at the delay field,
+    masked to the ring's size, which wraps the arrival slot and drops the
+    shift: ``(cell + ((t & (slots - 1)) << (LP + 1))) & ((2 * slots << LP)
+    - 1)``.  Both simulators deliver this way, and each proves its ring wide
+    enough for what it adds (``ring_dtype``).  The spans are added in groups
+    of whole spans of at most ``RING_SYNAPSES`` synapses (a longer span
+    alone), one ``np.add.at`` per group, so a call's working set is bounded
+    however many spikes a step sends; integer sums do not depend on the
+    order."""
+    slots, layout = ring.shape[0], table.layout
+    step = (t & (slots - 1)) << layout.delay_at
+    mask = (2 * slots << layout.target_bits) - 1
     flat_ring = ring.reshape(-1)
     cuts = group_cuts(np.add.accumulate(lens, dtype=np.int64), RING_SYNAPSES)
     for a, b in zip(cuts, cuts[1:]):
         syn = ranges(lo[a:b], lens[a:b])
         if not syn.size:
             continue
-        flat = np.add(table.delays[syn], t, dtype=np.int64)
-        flat &= slots - 1
-        flat += np.multiply(inh[a:b], slots, dtype=np.int64).repeat(lens[a:b])
-        flat *= n
-        flat += table.post[syn]
-        np.add.at(flat_ring, flat, table.units[syn].astype(ring.dtype, copy=False))
+        cell = table.cell[syn]
+        units = np.left_shift(table.words[syn], cell >> layout.shift_at, dtype=ring.dtype)
+        flat = np.add(cell, step, dtype=np.intp)
+        flat &= mask
+        np.add.at(flat_ring, flat, units)
 
 
 def accumulator_scales(network: NetworkModel, exps: list[int]) -> weights.AccumulatorScales:
@@ -203,19 +220,32 @@ def accumulator_scales(network: NetworkModel, exps: list[int]) -> weights.Accumu
     return weights.AccumulatorScales(tuple(exc), tuple(inh), tuple(pois))
 
 
-def _cell_bound(post: np.ndarray, units: np.ndarray, bounds: np.ndarray, inh: list[bool],
-                n: int) -> int:
+def _cell_bound(cell: np.ndarray, words: np.ndarray, bounds: np.ndarray, layout: CellLayout,
+                inh: list[bool], shifts: list[int], names: list[str], n: int) -> int:
     """The most units any of the n neurons receives from one sign of
-    synapse (``inh[p]``, projection p's), each synapse counted once.  The
-    units are added up a ``BLOCK`` of synapses at a time with a weighted
-    ``np.bincount``, float64 sums that are exact while they stay below
+    synapse (``inh[p]``, projection p's), each synapse counted once.  Each
+    projection's words are added up a ``BLOCK`` of synapses at a time with a
+    weighted ``np.bincount`` of the cells' targets, and scaled by its shift
+    (``shifts[p]``): float64 sums that are exact while they stay below
     2**53; a sum past that is past 2**31 whatever its rounding, which is all
-    ``ring_dtype`` asks."""
+    ``ring_dtype`` asks.  A sum past 2**63 - 1, which no int64 ring holds,
+    is a SpecError naming the projection (``names[p]``) that takes it
+    there."""
     received = np.zeros((2, n))
-    for lo, hi, sign in zip(bounds[:-1].tolist(), bounds[1:].tolist(), inh):
+    for lo, hi, sign, shift, name in zip(bounds[:-1].tolist(), bounds[1:].tolist(), inh, shifts,
+                                         names):
         for b in range(lo, hi, BLOCK):
             e = min(b + BLOCK, hi)
-            received[int(sign)] += np.bincount(post[b:e], units[b:e], minlength=n)
+            got = np.bincount(layout.targets(cell[b:e]), words[b:e], minlength=n)
+            if shift:
+                got *= 2.0 ** shift
+            received[int(sign)] += got
+        if received[int(sign)].max(initial=0.0) > RING_INT64_MAX:
+            raise SpecError(f"projection {name}: one delivery of every "
+                            f"{'inhibitory' if sign else 'excitatory'} synapse onto a neuron of "
+                            "its target passes 2**63 - 1 accumulator units, which no int64 "
+                            "delay ring holds; its weights lie too far from those of the "
+                            "finest projection onto the same target")
     return int(received.max(initial=0.0))
 
 
@@ -223,44 +253,57 @@ def encode_projections(network: NetworkModel) -> SynapseTable:
     """The network's synapses as one ``SynapseTable``; encode once per run.
 
     ``build_network`` sampled them into the table's fields, the network's
-    ``sink``, each projection's weights already words of its own scale.
-    What had to wait for the last projection is done here: the accumulator
-    exponents, which need every projection's largest weight; the shift of
-    each projection's units, in place, from its own scale to its target's
-    accumulator scale, widened first to int64 when a shifted value needs
-    it; and the table's ``cell_bound`` (``_cell_bound``).  The network lets
-    go of the sink; the table holds the written part of its fields, and the
-    float weights when the sink kept them.
+    ``sink``, each projection's weights already words of its own scale and
+    its targets, sign and delays already in the cells.  What had to wait
+    for the last projection is done here: the accumulator exponents, which
+    need every projection's largest weight; each projection's shift from
+    its own scale to its target's accumulator scale, added into its cells
+    in place; and the table's ``cell_bound`` (``_cell_bound``).  A shift
+    that does not fit the cell's bits above the delay, or takes a
+    projection's largest word past 2**63 - 1, is a SpecError naming the
+    projection, as is a ``cell_bound`` past it: the units would not fit the
+    int64 rings.  The network lets go of the sink; the table holds the
+    written part of its fields, and the float weights when the sink kept
+    them.
     """
     sink, network.sink = network.sink, None
     if sink is None:
         raise ValueError("the network holds no sampled synapses: built without them, "
                          "or encoded already")
     projections = network.projections
-    exps = [exp for exp, _ in sink.words]
-    scales = accumulator_scales(network, exps)
+    scales = accumulator_scales(network, [exp for exp, _ in sink.maxima])
+    bounds = np.zeros(len(projections) + 1, dtype=np.int64)
+    np.cumsum([proj.count for proj in projections], out=bounds[1:])
+    # views of the written part: the reserve's pages never written are never
+    # resident, so nothing is copied to drop them
+    n = sink.size
+    cell, words = sink.cell[:n], sink.words[:n]
+    layout = sink.layout
     shifts, inh = [], []
-    for proj, exp in zip(projections, exps):
+    for proj, (exp, top), lo, hi in zip(projections, sink.maxima, bounds[:-1].tolist(),
+                                        bounds[1:].tolist()):
         inh.append(network.populations[proj.source_pop].polarity != "exc")
         shift = (scales.inh_exp if inh[-1] else scales.exc_exp)[proj.target_pop] - exp
         if shift < 0:
             raise AssertionError("accumulator scale coarser than a feeding projection")
+        if shift >> layout.shift_bits:
+            raise SpecError(f"projection {proj.spec.name}: its accumulator shift of {shift} bits "
+                            f"does not fit the {layout.shift_bits} bits its synapses' cells "
+                            "hold for it")
+        if top << shift > RING_INT64_MAX:
+            raise SpecError(f"projection {proj.spec.name}: its largest weight, {top} units of "
+                            f"its own scale, passes 2**63 - 1 shifted by {shift} bits to its "
+                            "target's accumulator scale; its weights lie too far from those "
+                            "of the finest projection onto the same target")
         shifts.append(shift)
-    bounds = np.zeros(len(projections) + 1, dtype=np.int64)
-    np.cumsum([proj.count for proj in projections], out=bounds[1:])
-    top = max((word << shift for (_, word), shift in zip(sink.words, shifts)), default=0)
-    # views of the written part: the reserve's pages never written are never
-    # resident, so nothing is copied to drop them
-    n = sink.size
-    post, units, delays = sink.post[:n], sink.units[:n], sink.delays[:n]
-    if top > np.iinfo(np.int32).max:
-        units = units.astype(np.int64)
-    for lo, hi, shift in zip(bounds[:-1].tolist(), bounds[1:].tolist(), shifts):
         if shift:
-            units[lo:hi] <<= shift
-    return SynapseTable(post, units, delays, bounds, [proj.row_ptr for proj in projections],
+            cell[lo:hi] |= shift << layout.shift_at
+    names = [proj.spec.name for proj in projections]
+    return SynapseTable(cell, words, bounds, [proj.row_ptr for proj in projections],
                         network.offsets[[proj.source_pop for proj in projections]], scales,
-                        _cell_bound(post, units, bounds, inh, network.total_neurons),
+                        _cell_bound(cell, words, bounds, layout, inh, shifts, names,
+                                    network.total_neurons),
+                        layout, 1 << sink.longest_delay.bit_length(),
                         None if sink.weight_pa is None else sink.weight_pa[:n])
 
 

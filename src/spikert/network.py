@@ -9,12 +9,14 @@ law), and delays are normal-distributed, rounded to the nearest timestep
 and clamped to the representable [1, 255] step range.
 
 One sampler (``_sample_projection``) draws one projection at a time
-straight into a ``SynapseSink``, the synapse table's fields: global target
-neurons, uint8 delays and each weight rounded into a 16-bit word as soon as
-its projection is drawn, plus the float weights when the network is built
-with ``keep_weights``.  The network holds the sink until
-``matrices.encode_projections`` makes the table both simulators read, so
-there is one view of the synapses, whoever reads them.
+straight into a ``SynapseSink``, the synapse table's fields, 6 B per
+synapse: a uint32 cell packing the synapse's global target neuron, its
+source's sign and its delay (laid out by ``CellLayout``), and its weight
+rounded into a 16-bit word as soon as its projection is drawn; plus the
+float weights when the network is built with ``keep_weights``.  The
+network holds the sink until ``matrices.encode_projections`` makes the
+table both simulators read, so there is one view of the synapses, whoever
+reads them.
 
 Everything is driven by named substreams of one seed, so a (spec, seed)
 pair always produces the same network, byte for byte.
@@ -38,6 +40,8 @@ MAX_DELAY_STEPS = 255
 # 32,767 (the mean plus ten standard deviations is 17,664)
 MAX_POISSON_MEAN = 1 << 14
 SAMPLE_BLOCK = 1 << 18  # connectivity draws per sampling block (2 MB of floats)
+CELL_BITS = 32  # a synapse's cell, one uint32 (``CellLayout``)
+DELAY_BITS = MAX_DELAY_STEPS.bit_length()
 
 
 class SpecError(ValueError):
@@ -397,8 +401,9 @@ class NetworkModel:
     def digest(self) -> str:
         """SHA-256 of the spec, the seed, the initial potentials and each
         projection's row pointers, int32 target-local neurons, float weights
-        and int16 delays, read from the sink: the network must be built
-        with ``keep_weights`` and not yet encoded."""
+        and int16 delays, read from the sink (the targets and delays out of
+        its cells): the network must be built with ``keep_weights`` and not
+        yet encoded."""
         h = hashlib.sha256()
         h.update(serialize_network_spec(self.spec).encode())
         h.update(str(self.seed).encode())
@@ -409,11 +414,64 @@ class NetworkModel:
                              "build with keep_weights=True and take it before encoding")
         for proj in self.projections or ():
             hi = lo + proj.count
-            for arr in (proj.row_ptr, sink.post[lo:hi] - sink.post_base[proj.target_pop],
-                        sink.weight_pa[lo:hi], sink.delays[lo:hi].astype(np.int16)):
+            cells = sink.cell[lo:hi]
+            local = sink.layout.targets(cells).astype(np.int32) - sink.post_base[proj.target_pop]
+            for arr in (proj.row_ptr, local, sink.weight_pa[lo:hi],
+                        sink.layout.delays(cells).astype(np.int16)):
                 h.update(np.ascontiguousarray(arr).tobytes())
             lo = hi
         return h.hexdigest()
+
+
+@dataclass(frozen=True)
+class CellLayout:
+    """Where a synapse's uint32 cell keeps its fields, from bit 0 up: the
+    global target neuron in ``target_bits`` bits (LP), so every target lies
+    below the stride P = 2**LP; the source's sign (1 inhibitory) at bit LP;
+    the delay in steps in the ``DELAY_BITS`` from ``delay_at``; and the
+    projection's accumulator shift in the ``shift_bits`` left from
+    ``shift_at``.  The delay rings are laid out to match, ``(slots, 2, P)``,
+    so a cell's low ``shift_at`` bits plus its arrival slot at ``delay_at``
+    are its flat ring index (``matrices.ring_insert``)."""
+
+    target_bits: int
+
+    @property
+    def stride(self) -> int:
+        return 1 << self.target_bits
+
+    @property
+    def delay_at(self) -> int:
+        return self.target_bits + 1
+
+    @property
+    def shift_at(self) -> int:
+        return self.delay_at + DELAY_BITS
+
+    @property
+    def shift_bits(self) -> int:
+        return CELL_BITS - self.shift_at
+
+    def targets(self, cells: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The cells' global target neurons."""
+        return np.bitwise_and(cells, self.stride - 1, out=out)
+
+    def delays(self, cells: np.ndarray) -> np.ndarray:
+        """The cells' delays in steps."""
+        return (cells >> self.delay_at) & MAX_DELAY_STEPS
+
+
+def cell_layout(n_neurons: int) -> CellLayout:
+    """The cell layout of a network of ``n_neurons``: ``(n_neurons -
+    1).bit_length()`` target bits.  A network whose target, sign and delay
+    pass the cell's 32 bits, one of more than 2**23 neurons, is a
+    SpecError."""
+    layout = CellLayout(max(n_neurons - 1, 0).bit_length())
+    if layout.shift_bits < 0:
+        raise SpecError(f"the network has {n_neurons:,} neurons, more than the "
+                        f"{1 << CELL_BITS - 1 - DELAY_BITS:,} a synapse's {CELL_BITS}-bit cell "
+                        f"can address beside its sign and {DELAY_BITS}-bit delay")
+    return layout
 
 
 def synapse_bound(n_pairs: int, probability: float) -> int:
@@ -427,11 +485,16 @@ def synapse_bound(n_pairs: int, probability: float) -> int:
 
 class SynapseSink:
     """The synapse table's fields, which ``build_network`` samples into
-    projection after projection: per synapse an int32 global target neuron
-    (``post``), a uint8 delay in steps and its weight's magnitude as a
-    16-bit word of its projection's own scale (``units``, int32), and, with
-    ``keep_weights``, its float64 weight in pA (``weight_pa``, which the
-    oracle's unquantized path and ``NetworkModel.digest`` read).
+    projection after projection, 6 B per synapse: its ``cell``, a uint32
+    of its global target neuron, its source's sign (1 inhibitory) and its
+    delay in steps, placed by the network's ``layout`` (``cell_layout``;
+    ``matrices.encode_projections`` adds its projection's accumulator shift
+    in the bits above), and its
+    weight's magnitude as a 16-bit word of its projection's own scale
+    (``words``, uint16); with ``keep_weights``, its float64 weight in pA
+    too (``weight_pa``, which the oracle's unquantized path and
+    ``NetworkModel.digest`` read).  A network whose cells cannot address
+    its neurons is refused here, before any draw.
 
     The fields are reserved once, at the sum of every projection's
     ``synapse_bound``, and grown together by copying in the rare case a
@@ -445,20 +508,21 @@ class SynapseSink:
     MAX_SYNAPSES = (1 << 31) - 1  # the synapse table indexes synapses with int32
 
     def __init__(self, spec: NetworkSpec, keep_weights: bool = False):
+        self.layout = cell_layout(spec.total_neurons())
         self.capacity = sum(
             synapse_bound(spec.population(p.source).size * spec.population(p.target).size,
                           p.probability) for p in spec.projections)
         self._refuse_past_limit(self.capacity, "may hold up to")
-        self.fields = ("post", "units", "delays") + (("weight_pa",) if keep_weights else ())
-        self.post = np.empty(self.capacity, dtype=np.int32)
-        self.delays = np.empty(self.capacity, dtype=np.uint8)
-        self.units = np.empty(self.capacity, dtype=np.int32)
+        self.fields = ("cell", "words") + (("weight_pa",) if keep_weights else ())
+        self.cell = np.empty(self.capacity, dtype=np.uint32)
+        self.words = np.empty(self.capacity, dtype=np.uint16)
         self.weight_pa = np.empty(self.capacity) if keep_weights else None
         self.size = 0  # synapses written
+        self.longest_delay = 0  # in steps, of every synapse written
         # the first global neuron of each population, added to its local ones
         self.post_base = np.cumsum([0] + [p.size for p in spec.populations],
                                    dtype=np.int32)[:-1]
-        self.words: list[tuple[int, int]] = []  # (scale exponent, largest word) per projection
+        self.maxima: list[tuple[int, int]] = []  # (scale exponent, largest word) per projection
         self._weights = np.empty(0)
         self._scratch = np.empty(SAMPLE_BLOCK)
 
@@ -468,7 +532,7 @@ class SynapseSink:
                             f"{self.MAX_SYNAPSES:,} synapses the table's int32 indices can hold")
 
     def room(self, k: int) -> np.ndarray:
-        """``post[size:size + k]``, the targets of the next k synapses,
+        """``cell[size:size + k]``, the cells of the next k synapses,
         growing every field by copying when the arrays hold fewer."""
         need = self.size + k
         if need > self.capacity:
@@ -478,7 +542,7 @@ class SynapseSink:
                 grown = np.empty(self.capacity, dtype=getattr(self, name).dtype)
                 grown[:self.size] = getattr(self, name)[:self.size]
                 setattr(self, name, grown)
-        return self.post[self.size:need]
+        return self.cell[self.size:need]
 
     def weights(self, n: int) -> np.ndarray:
         """A float64 array for the weights of the last n synapses written."""
@@ -491,16 +555,16 @@ class SynapseSink:
 
     def quantize(self, w: np.ndarray) -> None:
         """Round ``w``, the weights of the last ``w.size`` synapses written
-        (one projection's), into ``units``: words of the projection's own
+        (one projection's), into ``words``: words of the projection's own
         scale, the finest its largest magnitude allows."""
         lo = self.size - w.size
         max_abs = float(max(w.max(initial=0.0), -w.min(initial=0.0)))
         exp = weights.projection_scale_exp(max_abs)
         for b in range(0, w.size, SAMPLE_BLOCK):
             n = min(SAMPLE_BLOCK, w.size - b)
-            weights.quantize_magnitudes(w[b:b + n], exp, self.units[lo + b:lo + b + n],
+            weights.quantize_magnitudes(w[b:b + n], exp, self.words[lo + b:lo + b + n],
                                         self._scratch[:n])
-        self.words.append((exp, round(max_abs * 2.0 ** exp)))
+        self.maxima.append((exp, round(max_abs * 2.0 ** exp)))
 
 
 def build_network(spec: NetworkSpec, seed: int, sample_synapses: bool = True,
@@ -539,14 +603,18 @@ def build_network(spec: NetworkSpec, seed: int, sample_synapses: bool = True,
 def _sample_projection(spec: NetworkSpec, proj: ProjectionSpec, index: int,
                        pop_index: dict, seed: int, draw_buf: np.ndarray,
                        hit_buf: np.ndarray, sink: SynapseSink) -> SampledProjection:
-    """Sample one projection, appending its targets, words and delays to
-    ``sink``'s fields (its weights too, when the sink keeps them)."""
+    """Sample one projection, appending its cells (targets, sign and
+    delays) and words to ``sink``'s fields (its weights too, when the sink
+    keeps them)."""
     src = spec.population(proj.source)
     tgt = spec.population(proj.target)
     rng = make_rng(seed, f"projection:{index}:{proj.name}")
     n_pre, n_post = src.size, tgt.size
     start = sink.size
-    post_base = sink.post_base[pop_index[proj.target]]
+    layout = sink.layout
+    # added to each target-local neuron: the population's first neuron and the sign bit
+    cell_base = (int(sink.post_base[pop_index[proj.target]])
+                 | (src.polarity != "exc") << layout.target_bits)
 
     # rows in blocks of B: rng.random((B, n_post)) draws the stream exactly as
     # B calls of rng.random(n_post) do
@@ -564,10 +632,10 @@ def _sample_projection(spec: NetworkSpec, proj: ProjectionSpec, index: int,
             # the block's hits before each row's end, after the projection's so far
             np.add(np.searchsorted(at, row_ends[:m]), sink.size - start,
                    out=row_ptr[lo + 1:lo + 1 + m])
-            post = sink.room(at.size)
-            np.remainder(at, n_post, out=post)
-            if post_base:
-                post += post_base
+            cells = sink.room(at.size)
+            np.remainder(at, n_post, out=cells, casting="unsafe")
+            if cell_base:
+                cells += cell_base
             sink.size += at.size
     total = sink.size - start
 
@@ -583,8 +651,9 @@ def _sample_projection(spec: NetworkSpec, proj: ProjectionSpec, index: int,
         (np.maximum if sign > 0 else np.minimum)(b, 0.0, out=b)
     sink.quantize(w)
 
-    # delays block by block in the draw buffer, the same way
-    delays = sink.delays[start:start + total]
+    # delays block by block in the draw buffer, the same way, added into the
+    # cells' delay field as floats, which hold the cells' 32 bits exactly
+    cells = sink.cell[start:start + total]
     for lo in range(0, total, draw_buf.size):
         d = draw_buf[:min(draw_buf.size, total - lo)]
         rng.standard_normal(out=d)
@@ -592,6 +661,10 @@ def _sample_projection(spec: NetworkSpec, proj: ProjectionSpec, index: int,
         d += proj.delay_ms
         d /= spec.dt_ms
         d += 0.5
-        delays[lo:lo + d.size] = np.clip(np.floor(d, out=d), 1, MAX_DELAY_STEPS, out=d)
+        np.clip(np.floor(d, out=d), 1, MAX_DELAY_STEPS, out=d)
+        sink.longest_delay = max(sink.longest_delay, int(d.max()))
+        d *= 1 << layout.delay_at
+        block = cells[lo:lo + d.size]
+        np.add(block, d, out=block, casting="unsafe")
 
     return SampledProjection(proj, pop_index[proj.source], pop_index[proj.target], row_ptr)

@@ -16,23 +16,26 @@ unquantized path included.  It reads the table in place: a spike's
 synapses are its source neuron's spans into the table
 (``matrices.source_delivery_index``), one per projection from its
 population, delivered through ``matrices.ring_insert`` as the machine
-model's are, in the table's narrow dtypes (int32 targets, int32 or int64
-units, uint8 delays).  The integer accumulators, one excitatory and one
-inhibitory delay ring, are int32 unless the table's ``cell_bound`` is past
-2**31 - 1 (``matrices.ring_dtype``).  That is wide enough: a slot is read,
-and cleared, every ``slots`` steps, and a synapse sent at step s adds into
-slot ``(s + delay) % slots``, its delay fixed and below ``slots``, so of
-the ``slots`` steps between two reads of a slot exactly one sends into it
-through that synapse, and a neuron fires at most once a step.  Each
+model's are, from the table's packed cells and 16-bit words.  The integer
+accumulators are one array of shape ``(slots, 2, P)``: per slot the
+excitatory and the inhibitory units of every neuron, the neuron axis
+padded to the table's stride P (``network.CellLayout``), and a step reads
+``acc[slot, :, :n]``.  They are int32 unless the table's ``cell_bound`` is
+past 2**31 - 1 (``matrices.ring_dtype``).  That is wide enough: a slot is
+read, and cleared, every ``slots`` steps, and a synapse sent at step s adds
+into slot ``(s + delay) % slots``, its delay fixed and below ``slots``, so
+of the ``slots`` steps between two reads of a slot exactly one sends into
+it through that synapse, and a neuron fires at most once a step.  Each
 synapse thus adds into a cell at most once before the cell is read, and no
 cell passes the units of one delivery of every synapse of one sign onto
 its neuron, which ``cell_bound`` is the largest of.  The unquantized path
 reads the table's float weights (``weight_pa``, kept when the network is
-built with ``keep_weights``) through the same spans, and adds a step's
-spikes with one ``np.add.at`` in spike, projection then synapse order, the
-order in which ``ufunc.at`` applies its updates, so each float sum is that
-of a spike-by-spike loop.  The delay rings hold ``matrices.ring_slots``
-slots, the smallest power of two above the table's longest delay.
+built with ``keep_weights``) through the same spans, each synapse's target
+and delay out of its cell, into one ``(slots, n)`` float accumulator, and
+adds a step's spikes with one ``np.add.at`` in spike, projection then
+synapse order, the order in which ``ufunc.at`` applies its updates, so each
+float sum is that of a spike-by-spike loop.  The rings hold the table's
+``slots``, the smallest power of two above its longest delay.
 """
 
 from __future__ import annotations
@@ -55,7 +58,8 @@ def oracle_simulate(network: NetworkModel, table: matrices.SynapseTable,
     consts = matrices.expand_constants(network, table.scales)
     spans = matrices.source_delivery_index(network, table)
     n_spans = np.diff(spans.span_ptr)
-    n_slots = matrices.ring_slots(table.delays)
+    n_slots = table.slots
+    layout = table.layout
 
     if not quantize:
         w_pa = table.weight_pa
@@ -68,11 +72,8 @@ def oracle_simulate(network: NetworkModel, table: matrices.SynapseTable,
         pois_w = np.array([getattr(pop.background, "weight_pa", 0.0)
                            for pop in network.populations])[pop_of]
 
-    # integer accumulators: [0] excitatory, [1] inhibitory source input
-    acc = np.zeros((2, n_slots, n), dtype=matrices.ring_dtype(table))
-    inh_of = np.repeat(np.array([p.polarity != "exc" for p in network.populations], dtype=bool),
-                       np.diff(network.offsets))
-    span_inh = np.repeat(inh_of, n_spans)  # bool: the ring each span adds into
+    # integer accumulators: [slot, 0] excitatory, [slot, 1] inhibitory source input
+    acc = np.zeros((n_slots, 2, layout.stride), dtype=matrices.ring_dtype(table))
 
     v = network.v_init_mv.copy()
     i_syn = np.zeros(n, dtype=np.float64)
@@ -84,10 +85,10 @@ def oracle_simulate(network: NetworkModel, table: matrices.SynapseTable,
         slot = t & (n_slots - 1)
         pois_units = bank.units_at(t - 1)[0] if t > 0 else zero_units
         if quantize:
-            inputs = weights.combine_input_pa(acc[0, slot], acc[1, slot], pois_units,
+            inputs = weights.combine_input_pa(acc[slot, 0, :n], acc[slot, 1, :n], pois_units,
                                               consts.exc_factor, consts.inh_factor,
                                               consts.poisson_factor)
-            acc[:, slot] = 0
+            acc[slot] = 0
         else:
             inputs = float_acc[slot] + _float_poisson(bank, pois_w, t - 1, n)
             float_acc[slot] = 0.0
@@ -104,11 +105,13 @@ def oracle_simulate(network: NetworkModel, table: matrices.SynapseTable,
         s = matrices.ranges(spans.span_ptr[g], n_spans[g])
         lo = spans.lo[s]
         if quantize:
-            matrices.ring_insert(acc, table, t, span_inh[s], lo, spans.hi[s] - lo)
+            matrices.ring_insert(acc, table, t, lo, spans.hi[s] - lo)
         else:
             syn = matrices.ranges(lo, spans.hi[s] - lo)
-            slots = (t + table.delays[syn].astype(np.int64)) & (n_slots - 1)
-            np.add.at(float_acc, (slots, table.post[syn]), w_pa[syn])
+            cell = table.cell[syn]
+            slots = np.add(layout.delays(cell), t & (n_slots - 1), dtype=np.intp)
+            slots &= n_slots - 1
+            np.add.at(float_acc, (slots, layout.targets(cell)), w_pa[syn])
 
     return trace.from_step_records(network, spikes, discard_ms)
 

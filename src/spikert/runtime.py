@@ -49,7 +49,8 @@ packets:
 - ring insert: ``matrices.ring_insert``, which the oracle delivers through
   as well, expands the spans of a group's processed packets' rows and adds
   their synapses into the ring buffers with one integer ``np.add.at`` per
-  ``matrices.RING_SYNAPSES`` synapses.
+  ``matrices.RING_SYNAPSES`` synapses, each synapse's flat ring index its
+  packed cell plus the step's slot, masked.
 
 Whatever a step's spike volley, what its window holds per queued packet
 is the queue (24 B) and the sort (the order and tie key, 16 B, and
@@ -57,12 +58,14 @@ is the queue (24 B) and the sort (the order and tie key, 16 B, and
 
 Neuron state, constants, input images, fired indices and the ring buffers
 are indexed by global neuron, the oracle's layout: as the oracle's
-accumulators, the rings are one excitatory and one inhibitory array, both
-excitatory synapse roles adding into the first, so a synapse lands at its
-table target and the ring handover hands the next slot on as per-neuron
-excitatory and inhibitory units.  A ring is as deep as the run's delays
-need, ``matrices.ring_slots`` of the table's longest delay, and int32 when
-the table's ``cell_bound`` shows that wide enough, as the oracle's are;
+accumulators, the rings are one array of shape ``(slots, 2, P)``, per slot
+an excitatory and an inhibitory row over the neurons padded to the table's
+stride P (``network.CellLayout``), both excitatory synapse roles adding into
+the first, as a synapse's cell carries its source's sign, so a synapse
+lands at its table target and the ring handover hands the next slot on,
+``ring[slot, :, :n]``, as per-neuron excitatory and inhibitory units.  A
+ring is as deep as the run's delays need, the table's ``slots``, and int32
+when the table's ``cell_bound`` shows that wide enough, as the oracle's are;
 since late packets can deliver one synapse more than once into a cell, a
 window whose packets were emitted too long ago widens the rings to int64
 (``ring_lag_limit``).
@@ -150,7 +153,8 @@ def build_synaptic_store(table: matrices.SynapseTable, ensembles: list[Ensemble]
     ``row_base[pre] + pos_of[ens_of[pre], ens_of[post]]``, ``pos_of`` being
     the position of that core among the source's destinations (-1 where no
     packet goes).  ``pre`` is derived from the projections' ``row_ptr``s
-    block by block (``SynapseTable.blocks``), and a projection's column is
+    block by block (``SynapseTable.blocks``), ``post`` is the target field
+    of the synapse's cell, and a projection's column is
     the number of earlier projections between the same two populations.
     """
     n_ens = len(ensembles)
@@ -164,7 +168,7 @@ def build_synaptic_store(table: matrices.SynapseTable, ensembles: list[Ensemble]
     # a projection's column: how many earlier projections join its populations
     pop_of = np.array([e.pop for e in ensembles])[ens_of]
     ends = table.bounds.tolist()
-    pairs = [(pop_of[base], pop_of[table.post[lo]]) if lo < hi else None
+    pairs = [(pop_of[base], pop_of[table.layout.targets(table.cell[lo])]) if lo < hi else None
              for base, lo, hi in zip(table.pre_base.tolist(), ends, ends[1:])]
     col = [pairs[:p].count(pair) if pair else 0 for p, pair in enumerate(pairs)]
     lo = np.zeros((int(n_dest.sum()), max(col, default=-1) + 1), dtype=np.int32)
@@ -190,7 +194,7 @@ def build_synaptic_store(table: matrices.SynapseTable, ensembles: list[Ensemble]
             continue
         post, ens, pair, pos, row, new = (b[:m] for b in (post_buf, ens_buf, pair_buf, pos_buf,
                                                           row_buf, new_buf))
-        post[:] = table.post[start:end]
+        table.layout.targets(table.cell[start:end], out=post)
         np.take(src_key, pre, out=pair, mode="clip")
         pair += np.take(ens_of, post, out=ens, mode="clip")
         np.take(pos_flat, pair, out=pos, mode="clip")
@@ -379,11 +383,12 @@ class SynapseCoreState:
     sets its ring-buffer write cost and row-fetch contention), and per run
     its crystal rate and the busy time carried into the next timestep; row c
     of the profile counters is its own.  The ring buffers of all cores are one array
-    ``ring`` of shape ``(2, slots, neurons)``, indexed like the oracle's
-    accumulators by global neuron: core c adds into ``ring[k >> 1]`` (both
-    excitatory roles into the one excitatory ring, the inhibitory role into
-    the other) at its ensemble's neurons, ``slots`` deep, the ring depth of
-    the table's delays.  Each run starts them as ``ring_dtype``, int32 when
+    ``ring`` of shape ``(slots, 2, P)``, indexed like the oracle's
+    accumulators by global neuron, padded to the table's stride P: core c
+    adds into ``ring[:, k >> 1]`` (both excitatory roles into the one
+    excitatory ring, the inhibitory role into the other, as its synapses'
+    cells say) at its ensemble's neurons, ``slots`` deep, the table's ring
+    depth.  Each run starts them as ``ring_dtype``, int32 when
     the table's ``cell_bound`` fits it (``matrices.ring_dtype``).  A window
     adds a synapse into a cell once per packet of its row, and packets
     carried over from earlier steps can make that several: a window that
@@ -404,7 +409,7 @@ class SynapseCoreState:
     """
 
     def __init__(self, chip_row: np.ndarray, n_syn: np.ndarray, store: SynapticStore,
-                 costs: CostModel, n_neurons: int, ref_steps: int):
+                 costs: CostModel, ref_steps: int):
         self.chip_row = chip_row
         self.n_syn = n_syn
         self.store = store
@@ -415,9 +420,8 @@ class SynapseCoreState:
         self.base_us = costs.packet_base_us(np.arange(np.iinfo(store.n.dtype).max
                                                       * store.n.shape[1] + 1))
         self.core_key = np.min_scalar_type(chip_row.size)  # the queue's sort key for cores
-        self.inh = (np.arange(chip_row.size) % 3) >> 1  # the ring each core adds into
-        self.slots = matrices.ring_slots(store.table.delays)
-        self.ring_shape = (2, self.slots, n_neurons)
+        self.slots = store.table.slots
+        self.ring_shape = (self.slots, 2, store.table.layout.stride)
         self.ring_dtype = matrices.ring_dtype(store.table)
         self.lag_limit = ring_lag_limit(store.table.cell_bound, ref_steps)
         self.reset(np.ones(chip_row.size))
@@ -618,9 +622,8 @@ class SynapseCoreState:
         busy[ran] = end_l[at[first[ran] + cnt[1, ran] - 1]]
         self.carry[act] = np.maximum(busy, deadline + self.wcost_g[act])
 
-        matrices.ring_insert(self.ring, self.store.table, t,
-                             self.inh[core[done]].repeat(lens.shape[1]),
-                             self.store.lo[rows[done]].reshape(-1), lens[done].reshape(-1))
+        matrices.ring_insert(self.ring, self.store.table, t, self.store.lo[rows[done]].reshape(-1),
+                             lens[done].reshape(-1))
         return cnt, busy_us, late, stay
 
 
@@ -717,7 +720,6 @@ class HardwareSimulation:
         self.store = build_synaptic_store(table, ens, self.dest_ptr, self.dest_core)
         self.syn = SynapseCoreState(np.repeat(self.ens_chip_row, 3),
                                     np.repeat(3 * ens_per_chip, 3), self.store, self.costs,
-                                    self.network.total_neurons,
                                     int(self.consts.ref_steps.min(initial=0)))
 
     def _fixed_busy(self, ens_per_chip: np.ndarray) -> np.ndarray:
@@ -862,8 +864,8 @@ class HardwareSimulation:
 
             # ring-buffer handover: slot for t+1 moves to shared memory
             slot = (t + 1) & (syn.slots - 1)
-            exc_units, inh_units = syn.ring[:, slot].copy()
-            syn.ring[:, slot] = 0
+            exc_units, inh_units = syn.ring[slot, :, :n].copy()
+            syn.ring[slot] = 0
 
             if self.clock_cfg.protocol_enabled and (t + 1) % beacon_steps == 0:
                 clocks.run_round(record=True)

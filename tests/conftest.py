@@ -112,15 +112,25 @@ def microcircuit_dc_01(benchmark_path):
     return build_network(scale_network(load_network_spec(benchmark_path, "dc"), 0.1), seed=1)
 
 
+def decoded(table, syn=slice(None)):
+    """``(targets, units, delays)`` of the table's synapses ``syn``, unpacked
+    from their cells and words: int64 global targets, int64 accumulator
+    units (``words << shift``) and int64 delays in steps."""
+    cell = table.cell[syn].astype(np.int64)
+    lp = table.layout.target_bits
+    return (cell & ((1 << lp) - 1), table.words[syn].astype(np.int64) << (cell >> (lp + 9)),
+            (cell >> (lp + 1)) & 255)
+
+
 def store_rows(sim):
     """The machine's synaptic rows expanded in row order, each row's columns
     in projection order, into one CSR of the row's words: ``(row_ptr,
     targets, units, delays)``, with int64 row pointers and the table's
-    global targets, units and delays."""
+    global targets, units and delays (``decoded``)."""
     store = sim.store
     syn = ranges(store.lo.reshape(-1), store.n.reshape(-1).astype(np.int64))
     row_ptr = np.concatenate(([0], np.cumsum(store.n.sum(axis=1, dtype=np.int64))))
-    return row_ptr, store.table.post[syn], store.table.units[syn], store.table.delays[syn]
+    return (row_ptr, *decoded(store.table, syn))
 
 
 def row_senders(sim):

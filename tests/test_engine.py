@@ -8,12 +8,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import SMALL_SPEC, row_senders, store_rows, written
+from conftest import SMALL_SPEC, decoded, row_senders, store_rows, written
 from spikert import matrices, runtime
 from spikert.clocks import ClockConfig
 from spikert.costs import CostModel
 from spikert.matrices import PoissonBank, encode_projections, source_delivery_index
-from spikert.network import build_network, load_network_spec, parse_network_spec, scale_network
+from spikert.network import (CellLayout, build_network, load_network_spec, parse_network_spec,
+                             scale_network)
 from spikert.oracle import oracle_simulate
 from spikert.runtime import HardwareSimulation, ProfileStore
 
@@ -190,16 +191,15 @@ def ring_additions(sim, table, spans, ring, c, packets, t):
     """Add into ``ring`` what core c's processed ``packets`` deliver, read
     from ``spans``, the oracle's index of each source neuron's synapses:
     those of the packet's source neuron onto core c's ensemble, each adding
-    its units at (excitatory or inhibitory ring, arrival slot, target)."""
+    its units at (arrival slot, excitatory or inhibitory ring, target)."""
     neuron = row_senders(sim)[0]
     for *_, row in packets:
         g = neuron[row]
         for s in range(spans.span_ptr[g], spans.span_ptr[g + 1]):
-            syn = np.arange(spans.lo[s], spans.hi[s])
-            syn = syn[sim.ens_of[table.post[syn]] == c // 3]
-            slot = (t + table.delays[syn].astype(np.int64)) & (sim.syn.slots - 1)
-            np.add.at(ring, (c % 3 >> 1, slot, table.post[syn]),
-                      table.units[syn].astype(np.int64))
+            post, units, delays = decoded(table, np.arange(spans.lo[s], spans.hi[s]))
+            on_core = sim.ens_of[post] == c // 3
+            slot = (t + delays[on_core]) & (sim.syn.slots - 1)
+            np.add.at(ring, (slot, c % 3 >> 1, post[on_core]), units[on_core])
 
 
 def test_lockstep_window_matches_packet_at_a_time_reference(small_network):
@@ -414,6 +414,40 @@ def test_window_and_ring_groups_change_nothing(case, benchmark_path, monkeypatch
     assert totals["flushed"] > 0 and totals["processed"] > 0
     assert longest > 5 * middle[0]
     assert all(run == runs[0] for run in runs[1:])
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_ring_insert_matches_a_per_synapse_reference(dtype, monkeypatch):
+    """``ring_insert`` finds a synapse's ring cell from its packed cell
+    plus the step's slot, one add and one mask.  On a hand-made table of
+    n = 13 neurons, whose ring stride is padded to 16, with delays 1 to
+    slots - 1, both signs and shifts 0-3, at steps that wrap the ring, and
+    with spans cut into groups of a few synapses, one span larger than a
+    group, it adds what a loop over the synapses adds, ``word << shift`` at
+    ``[sign, (t + delay) % slots, target]`` of a ``(2, slots, n)`` ring,
+    and leaves the padding zero."""
+    n, lp, slots, m = 13, 4, 8, 400
+    rng = np.random.default_rng(11)
+    target, sign = rng.integers(0, n, m), rng.integers(0, 2, m)
+    delay, shift = rng.integers(1, slots, m), rng.integers(0, 4, m)
+    words = rng.integers(0, 1 << 16, m).astype(np.uint16)
+    cell = (target | sign << lp | delay << (lp + 1) | shift << (lp + 9)).astype(np.uint32)
+    assert set(delay.tolist()) == set(range(1, slots)) and set(shift.tolist()) == {0, 1, 2, 3}
+    table = matrices.SynapseTable(cell, words, np.array([0, m]), [np.array([0, m])],
+                                  np.array([0]), None, 0, CellLayout(lp), slots)
+    lo = rng.integers(0, m - 60, 40).astype(np.int32)
+    lens = rng.integers(0, 30, 40)
+    lens[7] = 60
+    monkeypatch.setattr(matrices, "RING_SYNAPSES", 25)
+    ring = np.zeros((slots, 2, 1 << lp), dtype=dtype)
+    ref = np.zeros((2, slots, n), dtype=np.int64)
+    for t in (slots - 1, slots, 2 * slots + 3):
+        matrices.ring_insert(ring, table, t, lo, lens)
+        for i in matrices.ranges(lo, lens).tolist():
+            ref[sign[i], (t + delay[i]) % slots, target[i]] += int(words[i]) << int(shift[i])
+    assert ring.dtype == dtype and ref.any()
+    assert np.array_equal(ring[:, :, :n].transpose(1, 0, 2), ref)
+    assert not ring[:, :, n:].any()
 
 
 def test_window_memory_is_bounded_by_its_groups(benchmark_path):

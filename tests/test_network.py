@@ -124,9 +124,17 @@ def sampled(net):
     sink, lo = net.sink, 0
     for proj in net.projections:
         hi = lo + proj.count
-        yield (proj, sink.post[lo:hi] - sink.post_base[proj.target_pop], sink.weight_pa[lo:hi],
-               sink.delays[lo:hi])
+        post, delays = sink_targets_and_delays(sink, lo, hi)
+        yield proj, post - sink.post_base[proj.target_pop], sink.weight_pa[lo:hi], delays
         lo = hi
+
+
+def sink_targets_and_delays(sink, lo, hi):
+    """The global targets and the delays of the sink's synapses ``lo:hi``,
+    unpacked from their cells, which hold no shift before encoding."""
+    cell = sink.cell[lo:hi]
+    lp = sink.layout.target_bits
+    return cell & ((1 << lp) - 1), cell >> (lp + 1)
 
 
 def test_build_determinism_digest(small_network):
@@ -177,7 +185,8 @@ def test_dales_law_over_materialized_synapses(small_network):
 def test_delays_within_ring_range(small_network):
     sink = small_network.sink
     assert sink.size == small_network.synapse_count() > 0
-    assert sink.delays.dtype == np.uint8 and sink.delays[:sink.size].min() >= 1
+    delays = sink_targets_and_delays(sink, 0, sink.size)[1]
+    assert sink.cell.dtype == np.uint32 and 1 <= delays.min() <= delays.max() <= 255
 
 
 def test_delay_rounding_to_nearest_timestep():
@@ -187,7 +196,7 @@ def test_delay_rounding_to_nearest_timestep():
     net = build_network(parse_network_spec(text, "poisson"), seed=3)
     proj = net.projections[0]
     assert proj.count > 0
-    assert set(np.unique(net.sink.delays[:proj.count])) == {15}
+    assert set(np.unique(sink_targets_and_delays(net.sink, 0, proj.count)[1])) == {15}
 
 
 def test_weight_statistics_match_spec_bands():

@@ -7,12 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import SMALL_SPEC, row_senders, store_rows, written
+from conftest import SMALL_SPEC, decoded, row_senders, store_rows, written
 from spikert import matrices, runtime, trace
 from spikert.clocks import ClockConfig
 from spikert.mapping import ROLE_NEURON, ROLE_POISSON, partition
 from spikert.matrices import (CHUNK_STEPS, PoissonBank, encode_projections, ranges,
-                              ring_slots, source_delivery_index)
+                              source_delivery_index)
 from spikert.network import (SpecError, build_network, load_network_spec, parse_network_spec,
                              scale_network)
 from spikert.oracle import oracle_simulate
@@ -101,9 +101,9 @@ def test_ring_depth_follows_the_longest_delay(delay_ms, delay_sd_ms, slots):
     spec = parse_network_spec(text, "dc")
     net = build_network(spec, seed=42)
     table = encode_projections(net)
-    assert int(table.delays.max()) == slots - 1
-    assert ring_slots(table.delays) == slots
-    assert HardwareSimulation(net, table).syn.ring_shape[1] == slots
+    assert int(decoded(table)[2].max()) == slots - 1
+    assert table.slots == slots
+    assert HardwareSimulation(net, table).syn.ring_shape[0] == slots
     assert_equivalent(*run_both(build_network(spec, seed=42)))
 
 
@@ -141,9 +141,9 @@ def test_narrow_table_and_store_at_microcircuit_scale(microcircuit_dc_01):
         net.digest()
     with pytest.raises(ValueError, match="encoded already"):
         encode_projections(net)
-    assert [a.dtype for a in (table.post, table.units, table.delays)] == \
-        [np.int32, np.int32, np.uint8]
-    assert int(table.units.max()) == 113120  # 17 bits: int32 units
+    assert [a.dtype for a in (table.cell, table.words)] == [np.uint32, np.uint16]
+    table_post, table_units, table_delays = decoded(table)
+    assert int(table_units.max()) == 113120  # 17 bits: int32 units
     sim = HardwareSimulation(net, table)
     store = sim.store
     assert store.table is table
@@ -157,7 +157,7 @@ def test_narrow_table_and_store_at_microcircuit_scale(microcircuit_dc_01):
     lens = spans.hi - spans.lo
     syn = ranges(spans.lo, lens)
     source = np.repeat(np.repeat(np.arange(net.total_neurons), np.diff(spans.span_ptr)), lens)
-    key = source * len(sim.ensembles) + sim.ens_of[table.post[syn]]
+    key = source * len(sim.ensembles) + sim.ens_of[table_post[syn]]
     neuron, core = row_senders(sim)
     row_key = neuron * len(sim.ensembles) + core // 3
     assert np.unique(row_key).size == row_key.size
@@ -167,15 +167,15 @@ def test_narrow_table_and_store_at_microcircuit_scale(microcircuit_dc_01):
     order = np.argsort(at, kind="stable")
     row_ptr, post, units, delays = store_rows(sim)
     assert np.array_equal(np.repeat(np.arange(neuron.size), np.diff(row_ptr)), at[order])
-    assert np.array_equal(post, table.post[syn[order]])
-    assert np.array_equal(units, table.units[syn[order]])
-    assert np.array_equal(delays, table.delays[syn[order]])
+    assert np.array_equal(post, table_post[syn[order]])
+    assert np.array_equal(units, table_units[syn[order]])
+    assert np.array_equal(delays, table_delays[syn[order]])
     assert row_digest(core, neuron, row_ptr, post, units, delays) == (
         "296c4869aea203f44bdeb89c7c2157d25f96cf7263e582ae71bc090be3bb802a")
 
     row_ptr = np.concatenate(([0], np.cumsum(lens)))[spans.span_ptr]
-    assert np.array_equal(np.sort(syn), np.arange(table.post.size))
-    assert int64_digest(row_ptr, table.post[syn], table.units[syn], table.delays[syn]) == (
+    assert np.array_equal(np.sort(syn), np.arange(table.cell.size))
+    assert int64_digest(row_ptr, table_post[syn], table_units[syn], table_delays[syn]) == (
         "b0855ad4bfb9d6696a974bc47f53d09d1f7a21441b72cbbab70fc362bede7e4f")
 
 
@@ -189,21 +189,22 @@ def test_small_blocks_encode_and_sort_alike(monkeypatch):
         monkeypatch.setattr(matrices, "BLOCK", block)
         net = build_network(spec, seed=42)
         table = encode_projections(net)
-        views.append(int64_digest(table.post, table.units, table.delays,
-                                  *store_rows(HardwareSimulation(net, table))))
+        views.append(int64_digest(*decoded(table), *store_rows(HardwareSimulation(net, table))))
     assert views[1] == views[0] and views[2] == views[0]
 
 
 def test_wide_weight_spread_takes_int64_units():
     """A projection of tiny weights makes the E -> E accumulator scale so
-    fine that the regular projection's shifted units pass 31 bits: the table
-    takes int64 units and the machine still equals the oracle."""
+    fine that the regular projection's shifted units pass 31 bits: both
+    simulators take int64 rings and the machine still equals the oracle."""
     tiny = SECOND_EE_BLOCK.replace("weight_pa = 87.8", "weight_pa = 0.0005").replace(
         "weight_sd_pa = 8.78", "weight_sd_pa = 0.00005")
     spec = parse_network_spec(SMALL_SPEC + tiny, "dc")
-    table = encode_projections(build_network(spec, seed=42))
-    assert table.units.dtype == np.int64
-    assert int(table.units.max()) > np.iinfo(np.int32).max
+    net = build_network(spec, seed=42)
+    table = encode_projections(net)
+    assert int(decoded(table)[1].max()) > np.iinfo(np.int32).max
+    assert matrices.ring_dtype(table) is np.int64
+    assert HardwareSimulation(net, table).syn.ring_dtype is np.int64
     assert_equivalent(*run_both(build_network(spec, seed=42)))
 
 
@@ -215,18 +216,19 @@ def test_cell_bound_past_int32_takes_int64_rings(monkeypatch):
     still equals the oracle."""
     small = SECOND_EE_BLOCK.replace("weight_pa = 87.8", "weight_pa = 0.01").replace(
         "weight_sd_pa = 8.78", "weight_sd_pa = 0.001")
+    spec = parse_network_spec(SMALL_SPEC + small, "dc")
+    assert int(decoded(encode_projections(build_network(spec, seed=42)))[1].max()) <= \
+        matrices.RING_INT32_MAX
     insert, seen = matrices.ring_insert, set()
 
     def record(ring, table, *args):
         caller = sys._getframe(1).f_globals["__name__"]
-        seen.add((caller, ring.dtype.name, table.units.dtype.name,
-                  table.cell_bound > matrices.RING_INT32_MAX))
+        seen.add((caller, ring.dtype.name, table.cell_bound > matrices.RING_INT32_MAX))
         insert(ring, table, *args)
 
     monkeypatch.setattr(matrices, "ring_insert", record)
-    assert_equivalent(*run_both(build_network(parse_network_spec(SMALL_SPEC + small, "dc"),
-                                              seed=42)))
-    assert seen == {(caller, "int64", "int32", True)
+    assert_equivalent(*run_both(build_network(spec, seed=42)))
+    assert seen == {(caller, "int64", True)
                     for caller in ("spikert.runtime", "spikert.oracle")}
 
 
