@@ -232,11 +232,14 @@ def _cell_bound(cell: np.ndarray, words: np.ndarray, bounds: np.ndarray, layout:
     is a SpecError naming the projection (``names[p]``) that takes it
     there."""
     received = np.zeros((2, n))
+    # the block's targets as intp, which bincount counts without a copy
+    targets = np.empty(min(BLOCK, cell.size), dtype=np.intp)
     for lo, hi, sign, shift, name in zip(bounds[:-1].tolist(), bounds[1:].tolist(), inh, shifts,
                                          names):
         for b in range(lo, hi, BLOCK):
             e = min(b + BLOCK, hi)
-            got = np.bincount(layout.targets(cell[b:e]), words[b:e], minlength=n)
+            got = np.bincount(layout.targets(cell[b:e], out=targets[:e - b]), words[b:e],
+                              minlength=n)
             if shift:
                 got *= 2.0 ** shift
             received[int(sign)] += got

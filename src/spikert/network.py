@@ -651,9 +651,11 @@ def _sample_projection(spec: NetworkSpec, proj: ProjectionSpec, index: int,
         (np.maximum if sign > 0 else np.minimum)(b, 0.0, out=b)
     sink.quantize(w)
 
-    # delays block by block in the draw buffer, the same way, added into the
-    # cells' delay field as floats, which hold the cells' 32 bits exactly
+    # delays block by block in the draw buffer, the same way, rounded into the
+    # hit buffer's bytes; the spent draws' bytes then hold them shifted to the
+    # cells' delay field, which is or-ed in
     cells = sink.cell[start:start + total]
+    delay_buf = hit_buf.view(np.uint8)
     for lo in range(0, total, draw_buf.size):
         d = draw_buf[:min(draw_buf.size, total - lo)]
         rng.standard_normal(out=d)
@@ -661,10 +663,10 @@ def _sample_projection(spec: NetworkSpec, proj: ProjectionSpec, index: int,
         d += proj.delay_ms
         d /= spec.dt_ms
         d += 0.5
-        np.clip(np.floor(d, out=d), 1, MAX_DELAY_STEPS, out=d)
-        sink.longest_delay = max(sink.longest_delay, int(d.max()))
-        d *= 1 << layout.delay_at
-        block = cells[lo:lo + d.size]
-        np.add(block, d, out=block, casting="unsafe")
+        delays = delay_buf[:d.size]
+        delays[:] = np.clip(np.floor(d, out=d), 1, MAX_DELAY_STEPS, out=d)
+        sink.longest_delay = max(sink.longest_delay, int(delays.max()))
+        cells[lo:lo + d.size] |= np.left_shift(delays, layout.delay_at, dtype=np.uint32,
+                                               out=d.view(np.uint32)[:d.size])
 
     return SampledProjection(proj, pop_index[proj.source], pop_index[proj.target], row_ptr)

@@ -113,9 +113,10 @@ def microcircuit_dc_01(benchmark_path):
 
 
 def decoded(table, syn=slice(None)):
-    """``(targets, units, delays)`` of the table's synapses ``syn``, unpacked
-    from their cells and words: int64 global targets, int64 accumulator
-    units (``words << shift``) and int64 delays in steps."""
+    """``(targets, units, delays)`` of the synapses ``syn`` of a table, or
+    of a sink before encoding, unpacked from their cells and words: int64
+    global targets, int64 accumulator units (``words << shift``) and int64
+    delays in steps."""
     cell = table.cell[syn].astype(np.int64)
     lp = table.layout.target_bits
     return (cell & ((1 << lp) - 1), table.words[syn].astype(np.int64) << (cell >> (lp + 9)),

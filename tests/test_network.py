@@ -5,7 +5,7 @@ import pytest
 
 from spikert.network import (PoissonInput, SpecError, build_network, load_network_spec,
                              parse_network_spec, scale_network, serialize_network_spec)
-from tests.conftest import SMALL_SPEC
+from tests.conftest import SMALL_SPEC, decoded
 
 
 def test_benchmark_total_neuron_count(benchmark_path):
@@ -124,17 +124,9 @@ def sampled(net):
     sink, lo = net.sink, 0
     for proj in net.projections:
         hi = lo + proj.count
-        post, delays = sink_targets_and_delays(sink, lo, hi)
+        post, _, delays = decoded(sink, slice(lo, hi))
         yield proj, post - sink.post_base[proj.target_pop], sink.weight_pa[lo:hi], delays
         lo = hi
-
-
-def sink_targets_and_delays(sink, lo, hi):
-    """The global targets and the delays of the sink's synapses ``lo:hi``,
-    unpacked from their cells, which hold no shift before encoding."""
-    cell = sink.cell[lo:hi]
-    lp = sink.layout.target_bits
-    return cell & ((1 << lp) - 1), cell >> (lp + 1)
 
 
 def test_build_determinism_digest(small_network):
@@ -185,7 +177,7 @@ def test_dales_law_over_materialized_synapses(small_network):
 def test_delays_within_ring_range(small_network):
     sink = small_network.sink
     assert sink.size == small_network.synapse_count() > 0
-    delays = sink_targets_and_delays(sink, 0, sink.size)[1]
+    delays = decoded(sink, slice(0, sink.size))[2]
     assert sink.cell.dtype == np.uint32 and 1 <= delays.min() <= delays.max() <= 255
 
 
@@ -196,7 +188,7 @@ def test_delay_rounding_to_nearest_timestep():
     net = build_network(parse_network_spec(text, "poisson"), seed=3)
     proj = net.projections[0]
     assert proj.count > 0
-    assert set(np.unique(sink_targets_and_delays(net.sink, 0, proj.count)[1])) == {15}
+    assert set(np.unique(decoded(net.sink, slice(0, proj.count))[2])) == {15}
 
 
 def test_weight_statistics_match_spec_bands():

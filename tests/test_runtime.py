@@ -143,7 +143,7 @@ def test_narrow_table_and_store_at_microcircuit_scale(microcircuit_dc_01):
         encode_projections(net)
     assert [a.dtype for a in (table.cell, table.words)] == [np.uint32, np.uint16]
     table_post, table_units, table_delays = decoded(table)
-    assert int(table_units.max()) == 113120  # 17 bits: int32 units
+    assert int(table_units.max()) == 113120  # 17 bits
     sim = HardwareSimulation(net, table)
     store = sim.store
     assert store.table is table

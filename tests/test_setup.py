@@ -273,8 +273,8 @@ def test_setup_memory_per_synapse(tmp_path, benchmark_path, monkeypatch):
     weights of one projection at a time (the largest is 15% of the
     synapses) and the sampling blocks.  Holding every projection's targets,
     delays and float weights before encoding peaked at 16.5 B per synapse,
-    and 9-byte fields at 13.1; the 6-byte cell and word measured 10.4
-    (numpy 2.4, Python 3.11), and the bound leaves about 15% for other
+    and 9-byte fields at 13.1; the 6-byte cell and word measured 10.1
+    (numpy 2.4, Python 3.11), and the bound leaves about a fifth for other
     versions' allocations."""
     class Stop(Exception):
         pass
