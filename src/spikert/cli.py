@@ -382,7 +382,7 @@ def _summary_text(placement, tables) -> str:
     entry_counts = tables.entry_counts()
     lines = [
         f"ensembles {len(ensembles)}",
-        f"cores_used {sum(e.n_cores for e in ensembles)}",
+        f"cores_used {ensembles.n_cores.sum()}",
         f"chips_used {counts.size}",
         f"ensembles_per_chip_min {counts.min() if counts.size else 0}",
         f"ensembles_per_chip_max {counts.max(initial=0)}",

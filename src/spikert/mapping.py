@@ -1,12 +1,13 @@
 """Partitioning, placement, key allocation and multicast routing tables.
 
-A population splits into 64-neuron sub-populations; each becomes an
-*ensemble* of cooperating cores on one chip: a neuron core, two excitatory
-synapse cores (lower/upper source halves), one inhibitory synapse core, and
-a Poisson core when the population has Poisson background.  Spike packets
-carry a 32-bit source key (6-bit neuron id | 9-bit sub-population | 17
-routing bits); routers deliver each key to exactly the synapse cores its
-population-level projections prescribe.
+A population splits into 64-neuron sub-populations, each run by an
+*ensemble* of cores on one chip: a neuron core, a Poisson core when the
+population has Poisson background, two excitatory synapse cores
+(lower/upper source halves) and one inhibitory synapse core.  The
+partition is one table of arrays (``Ensembles``), and the ensembles' key
+prefixes one int64 array (``allocate_keys``) of 32-bit keys (6-bit neuron
+id | 9-bit sub-population | 17 routing bits); routers deliver each key to
+exactly the synapse cores its population-level projections prescribe.
 
 A placement is two arrays, each ensemble's chip and neuron core, and every
 other core id is arithmetic on them.  Synapse core ``3 * e + k`` serves
@@ -57,6 +58,7 @@ ROLE_SYN_EXC_LOWER = "syn_exc_lower"
 ROLE_SYN_EXC_UPPER = "syn_exc_upper"
 ROLE_SYN_INH = "syn_inh"
 SYNAPSE_ROLES = (ROLE_SYN_EXC_LOWER, ROLE_SYN_EXC_UPPER, ROLE_SYN_INH)
+ROLES = (ROLE_NEURON, ROLE_POISSON) + SYNAPSE_ROLES
 
 
 class PlacementError(RuntimeError):
@@ -75,123 +77,124 @@ class RoutingTableOverflowError(RoutingError):
     pass
 
 
-def pack_key(route_bits: int, subpop: int, neuron_id: int) -> int:
-    if not 0 <= neuron_id < NEURONS_PER_CORE:
-        raise KeyOverflowError(f"neuron id {neuron_id} exceeds {NEURON_BITS} bits")
-    if not 0 <= subpop < MAX_SUBPOPS:
-        raise KeyOverflowError(f"sub-population {subpop} exceeds {SUBPOP_BITS} bits")
-    if not 0 <= route_bits < (1 << ROUTE_FIELD_BITS):
-        raise KeyOverflowError(f"route bits {route_bits} exceed {ROUTE_FIELD_BITS} bits")
+def pack_key(route_bits, subpop, neuron_id):
+    """The key of neuron ``neuron_id`` of sub-population ``subpop`` of the
+    population ``route_bits`` names: ints, or int64 arrays of one key each."""
+    for value, bits, what in ((neuron_id, NEURON_BITS, "neuron id {} exceeds"),
+                              (subpop, SUBPOP_BITS, "sub-population {} exceeds"),
+                              (route_bits, ROUTE_FIELD_BITS, "route bits {} exceed")):
+        bad = np.flatnonzero(np.right_shift(value, bits))  # negative values too
+        if bad.size:
+            raise KeyOverflowError(f"{what.format(np.ravel(value)[bad[0]])} {bits} bits")
     return (route_bits << (NEURON_BITS + SUBPOP_BITS)) | (subpop << NEURON_BITS) | neuron_id
 
 
 @dataclass(frozen=True)
-class Ensemble:
-    index: int
-    pop: int             # population index in network order
-    pop_name: str
-    polarity: str
-    subpop: int
-    neuron_lo: int       # population-local index of first neuron
-    count: int           # neurons on this ensemble's neuron core
-    has_poisson: bool
+class Ensembles:
+    """The partition, one entry per ensemble in ensemble order (populations
+    in network order, each by sub-population): int64 arrays ``pop``,
+    ``subpop`` (its first neuron is the population's ``subpop *
+    NEURONS_PER_CORE``), ``count`` (neurons on its neuron core) and ``n_cores``
+    (5 with a Poisson core, else 4); ``pop_names`` and ``polarities`` per population."""
 
-    @property
-    def roles(self) -> tuple[str, ...]:
-        base = (ROLE_NEURON,) + ((ROLE_POISSON,) if self.has_poisson else ())
-        return base + SYNAPSE_ROLES
+    pop: np.ndarray
+    subpop: np.ndarray
+    count: np.ndarray
+    n_cores: np.ndarray
+    pop_names: tuple[str, ...]
+    polarities: tuple[str, ...]
 
-    @property
-    def n_cores(self) -> int:
-        return 5 if self.has_poisson else 4
+    def __len__(self) -> int:
+        return self.pop.size
+
+    def cores(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(ensemble, offset, role)`` of every core in ensemble order: its
+        offset from its neuron core and its index into ``ROLES``, which a
+        4-core ensemble's cores skip ``ROLE_POISSON`` of."""
+        ens = np.repeat(np.arange(len(self)), self.n_cores)
+        offset = ranges(np.zeros_like(self.n_cores), self.n_cores)
+        return ens, offset, offset + ((offset > 0) & (self.n_cores[ens] == 4))
 
 
-def partition(network) -> list[Ensemble]:
-    """Split populations into ``NEURONS_PER_CORE``-neuron sub-populations and
-    build ensembles; the key layout fixes the core size."""
+def partition(network) -> Ensembles:
+    """Split populations into ``NEURONS_PER_CORE``-neuron sub-populations, one
+    ensemble each; the key layout fixes the core size."""
     from .network import PoissonInput  # local import avoids cycle at module load
-    ensembles = []
-    for pop_idx, pop in enumerate(network.populations):
-        n_sub = -(-pop.size // NEURONS_PER_CORE)
-        if n_sub > MAX_SUBPOPS:
-            raise KeyOverflowError(
-                f"population {pop.name} needs {n_sub} sub-populations; "
-                f"key layout allows {MAX_SUBPOPS}")
-        has_poisson = isinstance(pop.background, PoissonInput)
-        for sub in range(n_sub):
-            lo = sub * NEURONS_PER_CORE
-            count = min(NEURONS_PER_CORE, pop.size - lo)
-            ensembles.append(Ensemble(len(ensembles), pop_idx, pop.name, pop.polarity,
-                                      sub, lo, count, has_poisson))
-    return ensembles
+    pops = network.populations
+    sizes = np.diff(network.offsets)
+    n_sub = -(-sizes // NEURONS_PER_CORE)
+    over = np.flatnonzero(n_sub > MAX_SUBPOPS)
+    if over.size:
+        raise KeyOverflowError(f"population {pops[over[0]].name} needs {n_sub[over[0]]} "
+                               f"sub-populations; key layout allows {MAX_SUBPOPS}")
+    pop = np.repeat(np.arange(sizes.size), n_sub)
+    subpop = ranges(np.zeros_like(n_sub), n_sub)
+    count = np.minimum(sizes[pop] - subpop * NEURONS_PER_CORE, NEURONS_PER_CORE)
+    n_cores = np.array([5 if isinstance(p.background, PoissonInput) else 4 for p in pops])
+    return Ensembles(pop, subpop, count, n_cores[pop], tuple(p.name for p in pops),
+                     tuple(p.polarity for p in pops))
 
 
-def neuron_slots(ensembles: list[Ensemble]) -> tuple[np.ndarray, np.ndarray]:
+def neuron_slots(ensembles: Ensembles) -> tuple[np.ndarray, np.ndarray]:
     """``(ens_of, nid_of)`` per global neuron: its ensemble and its index on
     the ensemble's neuron core (the key's neuron id).  The ensembles cover the
     neurons in global order."""
-    counts = [e.count for e in ensembles]
-    ens_of = np.repeat(np.arange(len(ensembles), dtype=np.int64), counts)
-    nid_of = np.arange(ens_of.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    return ens_of, nid_of
+    count = ensembles.count
+    return np.repeat(np.arange(count.size), count), ranges(np.zeros_like(count), count)
 
 
 @dataclass
 class Placement:
     """Ensemble e sits on chip ``chip[e]`` (``x * height + y``) at cores
-    ``core[e]``, ``core[e] + 1``, ... in ``Ensemble.roles`` order."""
+    ``core[e]``, ``core[e] + 1``, ... in role order (``Ensembles.cores``)."""
 
     machine: MachineSpec
-    ensembles: list[Ensemble]
+    ensembles: Ensembles
     chip: np.ndarray
     core: np.ndarray
 
     def synapse_core_ids(self) -> np.ndarray:
         """The core id of synapse core ``3 * e + k``: ensemble e's last three cores."""
-        first = self.core + np.array([e.n_cores - 3 for e in self.ensembles], dtype=np.int64)
+        first = self.core + self.ensembles.n_cores - 3
         return (first[:, None] + np.arange(3)).reshape(-1)
 
     def serialize(self) -> str:
+        ens = self.ensembles
+        e, offset, role = ens.cores()
+        x, y = np.divmod(self.chip[e], self.machine.height)
         lines = ["# ensemble pop subpop chip_x chip_y core role"]
-        for e, chip, core in zip(self.ensembles, self.chip.tolist(), self.core.tolist()):
-            x, y = divmod(chip, self.machine.height)
-            lines += [f"{e.index} {e.pop_name} {e.subpop} {x} {y} {core + i} {role}"
-                      for i, role in enumerate(e.roles)]
+        lines += [f"{i} {ens.pop_names[p]} {s} {x} {y} {c} {ROLES[r]}"
+                  for i, p, s, x, y, c, r in zip(*(a.tolist() for a in (
+                      e, ens.pop[e], ens.subpop[e], x, y, self.core[e] + offset, role)))]
         return "\n".join(lines) + "\n"
 
 
-def place_radial(ensembles: list[Ensemble], machine: MachineSpec) -> Placement:
+def place_radial(ensembles: Ensembles, machine: MachineSpec) -> Placement:
     """Fill chips with whole ensembles along the outward spiral from (0, 0)."""
     machine.validate()
     chip_iter = iter(machine.radial_order())
     chip, core = (np.empty(len(ensembles), dtype=np.int64) for _ in range(2))
     free = here = 0
     next_core = 2  # 0 = monitor, 1 = system
-    for e in ensembles:
-        while free < e.n_cores:
+    for e, n in enumerate(ensembles.n_cores.tolist()):
+        while free < n:
             xy = next(chip_iter, None)
             if xy is None:
                 raise PlacementError(
                     f"machine capacity exhausted before placing ensemble "
-                    f"{e.pop_name}/{e.subpop}")
+                    f"{ensembles.pop_names[ensembles.pop[e]]}/{ensembles.subpop[e]}")
             free = machine.usable_cores(xy)
             here, next_core = xy[0] * machine.height + xy[1], 2
-        chip[e.index], core[e.index] = here, next_core
-        next_core += e.n_cores
-        free -= e.n_cores
+        chip[e], core[e] = here, next_core
+        next_core += n
+        free -= n
     return Placement(machine, ensembles, chip, core)
 
 
-@dataclass(frozen=True)
-class KeyAllocation:
-    """Per-ensemble key prefixes: route bits identify the population, the
-    sub-population field the core, the low bits the firing neuron."""
-
-    prefix_of: tuple[int, ...]  # per ensemble
-
-
-def allocate_keys(placement: Placement) -> KeyAllocation:
-    return KeyAllocation(tuple(pack_key(e.pop, e.subpop, 0) for e in placement.ensembles))
+def allocate_keys(placement: Placement) -> np.ndarray:
+    """Each ensemble's int64 key prefix: route bits identify the population,
+    the sub-population field the core; the neuron id bits are zero."""
+    return pack_key(placement.ensembles.pop, placement.ensembles.subpop, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -209,22 +212,19 @@ def destination_cores(placement: Placement, projections) -> tuple[np.ndarray, np
     its source's role: inhibitory, or lower or upper excitatory for the
     lower or upper half of the source population's sub-populations.
     """
-    ensembles = placement.ensembles
-    pops = {e.pop_name: e.pop for e in ensembles}
-    pop = np.array([e.pop for e in ensembles], dtype=np.int64)
-    n_subs = np.bincount(pop)
-    subpop = np.array([e.subpop for e in ensembles], dtype=np.int64)
-    role = np.where([e.polarity == "inh" for e in ensembles], 2, subpop >= (n_subs[pop] + 1) // 2)
-    targets = np.zeros((n_subs.size, n_subs.size), dtype=bool)
+    ens, pop = placement.ensembles, placement.ensembles.pop
+    pops = {name: p for p, name in enumerate(ens.pop_names)}
+    inh = np.array(ens.polarities) == "inh"
+    role = np.where(inh[pop], 2, ens.subpop >= (np.bincount(pop)[pop] + 1) // 2)
+    targets = np.zeros((len(pops), len(pops)), dtype=bool)
     for proj in projections:
         targets[pops[proj.source], pops[proj.target]] = True
-    # every ensemble of one (population, role) shares one row
     by_chip = np.lexsort((placement.core, placement.chip))
-    groups = list(zip(pop.tolist(), role.tolist()))
-    shared = {(p, k): 3 * by_chip[targets[p, pop[by_chip]]] + k for p, k in set(groups)}
-    rows = [shared[group] for group in groups]
-    dest_ptr = np.concatenate(([0], np.cumsum([r.size for r in rows], dtype=np.int64)))
-    return dest_ptr, np.concatenate(rows or [np.zeros(0, dtype=np.int64)])
+    hit = targets[pop][:, pop[by_chip]]  # [source, destination in (chip, core) order]
+    n_dest = np.count_nonzero(hit, axis=1)
+    dest_core = np.broadcast_to(3 * by_chip, hit.shape)[hit]
+    dest_core += np.repeat(role.astype(np.int8), n_dest)
+    return np.concatenate(([0], np.cumsum(n_dest))), dest_core
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +269,7 @@ def _targets(cores: int, links: int) -> str:
     return ",".join(names) or "-"
 
 
-def build_routing_tables(placement: Placement, keys: KeyAllocation, dest_ptr: np.ndarray,
+def build_routing_tables(placement: Placement, keys: np.ndarray, dest_ptr: np.ndarray,
                          dest_core: np.ndarray) -> RoutingTables:
     """Every chip's merged routing table for the fan-out ``destination_cores`` plans.
 
@@ -290,34 +290,33 @@ def build_routing_tables(placement: Placement, keys: KeyAllocation, dest_ptr: np
     machine = placement.machine
     height, n_chips = machine.height, machine.n_chips()
 
-    # per destination set: the core bits it reaches on each chip; a
-    # population with no outgoing projections sends nothing
+    # a population with no outgoing projections sends nothing
     sends = np.flatnonzero(np.diff(dest_ptr))
+    if not sends.size:
+        return RoutingTables(machine, *np.zeros((5, 0), dtype=np.int64))
+    # per destination set, a run of sending ensembles with equal rows: the
+    # core bits it reaches on each chip
     core_id = placement.synapse_core_ids()
-    set_of: list[int] = []
-    set_cores: list[np.ndarray] = []
-    prev = None
-    for lo, hi in zip(dest_ptr[sends].tolist(), dest_ptr[sends + 1].tolist()):
+    set_of = np.empty(sends.size, dtype=np.int64)
+    set_cores, prev = [], None
+    for i, (lo, hi) in enumerate(zip(dest_ptr[sends].tolist(), dest_ptr[sends + 1].tolist())):
         row = dest_core[lo:hi]
         if prev is None or not np.array_equal(row, prev):
             set_cores.append(np.zeros(n_chips, dtype=np.int64))
             np.bitwise_or.at(set_cores[-1], placement.chip[row // 3], 1 << core_id[row])
-        prev = row
-        set_of.append(len(set_cores) - 1)
-    if not sends.size:
-        return RoutingTables(machine, *np.zeros((5, 0), dtype=np.int64))
+        set_of[i], prev = len(set_cores) - 1, row
+    set_cores = np.stack(set_cores)
 
     # one route tree per distinct (destination chips, source chip)
     chips_id: dict[bytes, int] = {}
-    chips_of = [chips_id.setdefault(np.flatnonzero(c).tobytes(), len(chips_id))
-                for c in set_cores]
-    tree_id: dict[tuple[int, int], int] = {}
-    tree_of = np.array([tree_id.setdefault((chips_of[d], src), len(tree_id))
-                        for d, src in zip(set_of, placement.chip[sends].tolist())])
+    chips_of = np.array([chips_id.setdefault(np.flatnonzero(c).tobytes(), len(chips_id))
+                         for c in set_cores])
+    trees, tree_of = np.unique(chips_of[set_of] * n_chips + placement.chip[sends],
+                               return_inverse=True)
     dest_chips = [np.frombuffer(b, dtype=np.intp) for b in chips_id]
-    paths = [dest_chips[c] for c, _ in tree_id]
+    paths = [dest_chips[c] for c in (trees // n_chips).tolist()]
     tree, chip, links = _route_trees(
-        machine, np.array([src for _, src in tree_id], dtype=np.int64),
+        machine, trees % n_chips,
         np.repeat(np.arange(len(paths)), [p.size for p in paths]), np.concatenate(paths))
 
     # raw entries: each sending ensemble's tree, with its destination cores
@@ -326,8 +325,8 @@ def build_routing_tables(placement: Placement, keys: KeyAllocation, dest_ptr: np
     rows = ranges(first[tree_of], n_rows)
     sender = np.repeat(np.arange(len(sends)), n_rows)
     chip, links = chip[rows], links[rows]
-    cores = np.stack(set_cores)[np.array(set_of)[sender], chip]
-    prefix = np.array(keys.prefix_of, dtype=np.int64)[sends][sender]
+    cores = set_cores[set_of[sender], chip]
+    prefix = keys[sends][sender]
     base, sub = prefix & ~_SUBPOP_MASK, prefix >> NEURON_BITS & (MAX_SUBPOPS - 1)
 
     # the groups, each with its sorted sub-populations, merged once per set
@@ -502,7 +501,7 @@ def walk_packet(tables: RoutingTables, src_chip: np.ndarray, key: np.ndarray
     check(packet >= 0, "routing loop at chip {chip} for key 0x{key:08x}")
 
 
-def delivery_map(placement: Placement, keys: KeyAllocation, tables: RoutingTables,
+def delivery_map(placement: Placement, keys: np.ndarray, tables: RoutingTables,
                  dest_ptr: np.ndarray, dest_core: np.ndarray) -> np.ndarray:
     """The router transit ``dest_transit_us[i]`` to each planned synapse
     core ``dest_core[i]`` (``destination_cores``), from one walk of all the
@@ -513,8 +512,7 @@ def delivery_map(placement: Placement, keys: KeyAllocation, tables: RoutingTable
     """
     stride = placement.machine.cores_per_chip
     sends = np.flatnonzero(np.diff(dest_ptr))
-    prefix = np.array(keys.prefix_of, dtype=np.int64)
-    packet, chip, core, transit_ns = walk_packet(tables, placement.chip[sends], prefix[sends])
+    packet, chip, core, transit_ns = walk_packet(tables, placement.chip[sends], keys[sends])
     src = sends[packet]
     order = np.lexsort((core, chip, src))
     got_ptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=dest_ptr.size - 1))))
@@ -523,6 +521,6 @@ def delivery_map(placement: Placement, keys: KeyAllocation, tables: RoutingTable
     if not (np.array_equal(got_ptr, dest_ptr) and np.array_equal(got, plan)):
         e = next(e for e in range(dest_ptr.size - 1) if not np.array_equal(
             got[got_ptr[e]:got_ptr[e + 1]], plan[dest_ptr[e]:dest_ptr[e + 1]]))
-        raise RoutingError(f"key 0x{prefix[e]:08x}: the routers do not deliver exactly its "
+        raise RoutingError(f"key 0x{keys[e]:08x}: the routers do not deliver exactly its "
                            f"{dest_ptr[e + 1] - dest_ptr[e]} planned synapse cores")
     return transit_ns[order] * 1e-3

@@ -216,7 +216,11 @@ def accumulator_scales(network: NetworkModel, exps: list[int]) -> weights.Accumu
     pois = []
     for pop in network.populations:
         w = pop.background.weight_pa if isinstance(pop.background, PoissonInput) else 0.0
-        pois.append(weights.poisson_scale_exp(w))
+        try:
+            pois.append(weights.poisson_scale_exp(w))
+        except OverflowError:  # the scale of a subnormal weight passes float64
+            raise SpecError(f"population {pop.name}: its Poisson weight of {w:g} pA is too "
+                            "small for a power-of-two scale of float64") from None
     return weights.AccumulatorScales(tuple(exc), tuple(inh), tuple(pois))
 
 
@@ -350,7 +354,8 @@ class PoissonBank:
     equal one-shot draws).
 
     Source r, population by population in network order, feeds global
-    neuron ``neuron[r]`` with weight ``w_row[r]``, its population's ``w_q``.
+    neuron ``neuron[r]`` with weight ``w_row[r]``, its population's ``w_q``,
+    which is ``w_pa[r]`` pA (float64) before quantization.
     The chunk in hand is one step-major ``(CHUNK_STEPS, sources)`` int16
     array, so a step's counts are one contiguous row (``counts_at``);
     ``counts[p]`` views population p's sources in it, one row per source and
@@ -373,6 +378,7 @@ class PoissonBank:
         n_rows = sum(network.populations[p].size for p in pois)
         self.chunk = np.zeros((min(CHUNK_STEPS, n_steps), n_rows), dtype=np.int16)
         self.w_row = np.zeros(n_rows, dtype=np.int64)  # w_q of each source
+        self.w_pa = np.zeros(n_rows)
         self.neuron = np.zeros(n_rows, dtype=np.int64)
         self.counts: dict[int, np.ndarray] = {}
         self.w_q: dict[int, int] = {}
@@ -387,6 +393,7 @@ class PoissonBank:
             self._lam += [pop.background.rate_hz * network.dt_ms * 1e-3] * pop.size
             self.counts[p] = self.chunk[:, row:row + pop.size].T
             self.w_row[row:row + pop.size] = self.w_q[p]
+            self.w_pa[row:row + pop.size] = pop.background.weight_pa
             self.neuron[row:row + pop.size] = network.offsets[p] + np.arange(pop.size)
             row += pop.size
         self._drawn = 0  # chunks drawn so far

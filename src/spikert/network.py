@@ -553,13 +553,17 @@ class SynapseSink:
             self._weights = np.empty(n)
         return self._weights[:n]
 
-    def quantize(self, w: np.ndarray) -> None:
+    def quantize(self, w: np.ndarray, name: str) -> None:
         """Round ``w``, the weights of the last ``w.size`` synapses written
-        (one projection's), into ``words``: words of the projection's own
-        scale, the finest its largest magnitude allows."""
+        (projection ``name``'s), into ``words``: words of the projection's
+        own scale, the finest its largest magnitude allows."""
         lo = self.size - w.size
         max_abs = float(max(w.max(initial=0.0), -w.min(initial=0.0)))
-        exp = weights.projection_scale_exp(max_abs)
+        try:
+            exp = weights.projection_scale_exp(max_abs)
+        except OverflowError:  # the scale of a subnormal magnitude passes float64
+            raise SpecError(f"projection {name}: its largest weight magnitude of {max_abs:g} "
+                            "pA is too small for a power-of-two scale of float64") from None
         for b in range(0, w.size, SAMPLE_BLOCK):
             n = min(SAMPLE_BLOCK, w.size - b)
             weights.quantize_magnitudes(w[b:b + n], exp, self.words[lo + b:lo + b + n],
@@ -649,7 +653,7 @@ def _sample_projection(spec: NetworkSpec, proj: ProjectionSpec, index: int,
         b *= proj.weight_sd_pa
         b += sign * proj.weight_pa
         (np.maximum if sign > 0 else np.minimum)(b, 0.0, out=b)
-    sink.quantize(w)
+    sink.quantize(w, proj.name)
 
     # delays block by block in the draw buffer, the same way, rounded into the
     # hit buffer's bytes; the spent draws' bytes then hold them shifted to the

@@ -8,7 +8,8 @@ and never misses a window must reproduce this trace byte for byte.
 
 The caller encodes the table (``matrices.encode_projections``) and builds the
 bank (``matrices.PoissonBank``) once per run and passes both in; the oracle
-only reads them.  It reads the bank step by step from step 0, one chunk of
+only reads them.  It reads the bank as the machine does: step t's units
+after step t's neuron update, as the input of step t + 1, one chunk of
 steps in memory at a time.  Each chunk is drawn once per run: when the
 machine model has read the bank first, the oracle reads the chunks back
 from the file the bank wrote them to, so both see the same counts, the
@@ -67,10 +68,6 @@ def oracle_simulate(network: NetworkModel, table: matrices.SynapseTable,
             raise ValueError("the unquantized oracle reads the float weights: "
                              "build the network with keep_weights=True")
         float_acc = np.zeros((n_slots, n), dtype=np.float64)
-        # each bank row's float weight (DC populations have no rows)
-        pop_of = np.searchsorted(network.offsets, bank.neuron, side="right") - 1
-        pois_w = np.array([getattr(pop.background, "weight_pa", 0.0)
-                           for pop in network.populations])[pop_of]
 
     # integer accumulators: [slot, 0] excitatory, [slot, 1] inhibitory source input
     acc = np.zeros((n_slots, 2, layout.stride), dtype=matrices.ring_dtype(table))
@@ -78,25 +75,30 @@ def oracle_simulate(network: NetworkModel, table: matrices.SynapseTable,
     v = network.v_init_mv.copy()
     i_syn = np.zeros(n, dtype=np.float64)
     ref = np.zeros(n, dtype=np.int64)
-
-    zero_units = np.zeros(n, dtype=np.int64)
+    # the Poisson cores' buffer, empty at step 0; in pA on the unquantized path
+    pois_units = np.zeros(n, dtype=np.int64)
+    pois_pa = np.zeros(n, dtype=np.float64)
 
     for t in range(n_steps):
         slot = t & (n_slots - 1)
-        pois_units = bank.units_at(t - 1)[0] if t > 0 else zero_units
         if quantize:
             inputs = weights.combine_input_pa(acc[slot, 0, :n], acc[slot, 1, :n], pois_units,
                                               consts.exc_factor, consts.inh_factor,
                                               consts.poisson_factor)
             acc[slot] = 0
         else:
-            inputs = float_acc[slot] + _float_poisson(bank, pois_w, t - 1, n)
+            inputs = float_acc[slot] + pois_pa
             float_acc[slot] = 0.0
         matrices.check_finite_input(network, inputs)
         v, i_syn, ref, fired = advance_state(v, i_syn, ref, inputs, consts.decay_v,
                                              consts.decay_i, consts.kernel, consts.e_eff,
                                              consts.v_reset, consts.v_theta,
                                              consts.ref_steps)
+        # the Poisson cores write step t's buffer, which step t + 1 reads
+        if quantize:
+            pois_units = bank.units_at(t)[0]
+        else:
+            pois_pa[bank.neuron] = bank.counts_at(t) * bank.w_pa
         g = fired.nonzero()[0]
         if not g.size:
             continue
@@ -115,10 +117,3 @@ def oracle_simulate(network: NetworkModel, table: matrices.SynapseTable,
 
     return trace.from_step_records(network, spikes, discard_ms)
 
-
-def _float_poisson(bank: matrices.PoissonBank, w_pa: np.ndarray, t: int, n: int):
-    """Background input in pA at step t; ``w_pa`` is each bank row's weight."""
-    out = np.zeros(n, dtype=np.float64)
-    if t >= 0:
-        out[bank.neuron] = bank.counts_at(t) * w_pa
-    return out

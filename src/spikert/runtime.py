@@ -92,7 +92,7 @@ from .kinetics import advance_state
 from .clocks import BEACON_INTERVAL_S, ClockConfig, MachineClocks, SyncDiagnostics
 from .costs import CostModel
 from .machine import MachineSpec, auto_machine
-from .mapping import (NEURON_BITS, Ensemble, PlacementError, allocate_keys,
+from .mapping import (NEURON_BITS, Ensembles, PlacementError, allocate_keys,
                       build_routing_tables, delivery_map, destination_cores, neuron_slots,
                       partition, place_radial)
 from .network import NetworkModel, SpecError
@@ -143,7 +143,7 @@ class SynapticStore:
     row_base: np.ndarray
 
 
-def build_synaptic_store(table: matrices.SynapseTable, ensembles: list[Ensemble],
+def build_synaptic_store(table: matrices.SynapseTable, ensembles: Ensembles,
                          dest_ptr: np.ndarray, dest_core: np.ndarray) -> SynapticStore:
     """The synaptic rows over the synapse table: each run of a source
     neuron's synapses onto one row is written into its row's column.
@@ -166,7 +166,7 @@ def build_synaptic_store(table: matrices.SynapseTable, ensembles: list[Ensemble]
     pos_of[src, dest_core // 3] = np.arange(dest_core.size) - dest_ptr[src]
 
     # a projection's column: how many earlier projections join its populations
-    pop_of = np.array([e.pop for e in ensembles])[ens_of]
+    pop_of = ensembles.pop[ens_of]
     ends = table.bounds.tolist()
     pairs = [(pop_of[base], pop_of[table.layout.targets(table.cell[lo])]) if lo < hi else None
              for base, lo, hi in zip(table.pre_base.tolist(), ends, ends[1:])]
@@ -200,9 +200,9 @@ def build_synaptic_store(table: matrices.SynapseTable, ensembles: list[Ensemble]
         np.take(pos_flat, pair, out=pos, mode="clip")
         if pos.min() < 0:
             i = int(np.argmax(pos < 0))
-            raise RuntimeError(f"{ensembles[ens_of[pre[i]]].pop_name}->"
-                               f"{ensembles[ens[i]].pop_name}: synapses on a "
-                               "core that no packet of their source reaches")
+            names = ensembles.pop_names
+            raise RuntimeError(f"{names[pop_of[pre[i]]]}->{names[pop_of[post[i]]]}: synapses "
+                               "on a core that no packet of their source reaches")
         np.take(row_base, pre, out=row, mode="clip")
         row += pos
         new[0] = True
@@ -684,17 +684,13 @@ class HardwareSimulation:
         self.consts = matrices.expand_constants(self.network, table.scales)
 
         # the core table, every modelled core in (chip, core id) order: its
-        # row of ``chips``, core id, role (0 neuron, 1 Poisson, 2 + k synapse
-        # role k; the cores follow the neuron core in role order) and ensemble
-        n_cores = np.array([e.n_cores for e in ens], dtype=np.int64)
-        core_ens = np.repeat(np.arange(len(ens)), n_cores)
-        offset = matrices.ranges(np.zeros_like(n_cores), n_cores)
-        core_role = offset + ((offset > 0) & (n_cores[core_ens] == 4))  # no Poisson core
-        core_id = placement.core[core_ens] + offset
-        order = np.lexsort((core_id, placement.chip[core_ens]))
-        codes, self.core_chip = np.unique(placement.chip[core_ens[order]], return_inverse=True)
-        self.core_id, self.core_role, self.core_ens = (a[order] for a in (core_id, core_role,
-                                                                          core_ens))
+        # row of ``chips``, core id, role (its index into ``mapping.ROLES``: 0
+        # neuron, 1 Poisson, 2 + k synapse role k) and ensemble
+        e, offset, role = ens.cores()
+        core_id = placement.core[e] + offset
+        order = np.lexsort((core_id, placement.chip[e]))
+        codes, self.core_chip = np.unique(placement.chip[e[order]], return_inverse=True)
+        self.core_id, self.core_role, self.core_ens = (a[order] for a in (core_id, role, e))
         self.chips = [divmod(c, self.machine.height) for c in codes.tolist()]
         self.ens_chip_row = np.searchsorted(codes, placement.chip)
         # each ensemble adds a neuron core and three synapse cores to its
@@ -705,9 +701,7 @@ class HardwareSimulation:
         # each neuron's source order: 64 times its ensemble's rank in (source
         # chip x, source chip y, source (neuron) core, key prefix) order, the
         # order packets that arrive together take, plus its neuron id
-        rank = np.empty(len(ens), dtype=np.int64)
-        rank[np.lexsort((self.keys.prefix_of, placement.core, placement.chip))] = \
-            np.arange(len(ens))
+        rank = np.argsort(np.lexsort((self.keys, placement.core, placement.chip)))
         source_order = rank[self.ens_of] << NEURON_BITS | self.nid_of
 
         # a packet's queue fields, refused at set-up if they do not fit: its
@@ -729,8 +723,7 @@ class HardwareSimulation:
         ring-buffer write; ``ens_per_chip``, per ensemble, sets the write
         contention."""
         cm = self.costs
-        count = np.array([e.count for e in self.ensembles], dtype=np.int64)
-        neuron = (cm.neuron_input_read_us + count * cm.neuron_update_us
+        neuron = (cm.neuron_input_read_us + self.ensembles.count * cm.neuron_update_us
                   + cm.sdram_write_us(ens_per_chip))
         ring = cm.sdram_write_us(3 * ens_per_chip)
         e, role = self.core_ens, self.core_role
@@ -913,10 +906,10 @@ def _advance(v, i_syn, ref, inputs, consts: matrices.NeuronConstants):
                          consts.ref_steps)
 
 
-def _place(ensembles, machine: MachineSpec | None):
+def _place(ensembles: Ensembles, machine: MachineSpec | None):
     if machine is not None:
         return machine, place_radial(ensembles, machine)
-    total_cores = sum(e.n_cores for e in ensembles)
+    total_cores = int(ensembles.n_cores.sum())
     need = -(-total_cores // 16)
     while True:
         candidate = auto_machine(need)

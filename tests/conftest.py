@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from spikert.kinetics import NeuronParams
+from spikert.mapping import ROLE_NEURON, ROLE_POISSON, SYNAPSE_ROLES
 from spikert.machine import LINK_VECTORS
 from spikert.matrices import ranges
 from spikert.network import build_network, load_network_spec, parse_network_spec, scale_network
@@ -148,6 +149,13 @@ def row_senders(sim):
 # ``spikert.machine`` (``canonical_deltas``, ``hop_offsets``,
 # ``transits_from_origin_ns``, ``radial_order``) and ``spikert.mapping``
 # compute over arrays.
+
+def ensemble_roles(ensembles, e) -> tuple[str, ...]:
+    """Ensemble e's core roles in core order: its neuron core, its Poisson
+    core if it has one, then its three synapse cores."""
+    poisson = (ROLE_POISSON,) if ensembles.n_cores[e] == 5 else ()
+    return (ROLE_NEURON, *poisson, *SYNAPSE_ROLES)
+
 
 def hex_dist(dx: int, dy: int) -> int:
     """Hops between chips (dx, dy) apart: a diagonal hop covers one step of

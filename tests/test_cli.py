@@ -158,6 +158,9 @@ def bad_input_args(tmp_path, model, case):
     pytest.param("model poisson_rate_hz=inf",
                  "population E: poisson_rate_hz must be a finite number, got inf",
                  id="model_poisson_rate_inf"),
+    pytest.param("model poisson_weight_pa=1e-310",
+                 "population E: its Poisson weight of 1e-310 pA is too small for a "
+                 "power-of-two scale", id="model_poisson_weight_subnormal"),
     pytest.param("model poisson_rate_hz=4e8",
                  "population E: poisson rate 400000000.0 Hz gives 40000 events per step of "
                  "0.1 ms, above the 16384", id="model_poisson_rate_past_int16"),
@@ -212,6 +215,26 @@ def test_map_only_run_replays_from_its_manifest(tmp_path, benchmark_path, machin
                      "--out", str(replay)]) == cli.EXIT_OK
     for name in ("routing_tables.txt", "placement.txt", "placement_summary.txt"):
         assert (replay / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_map_s04_equals_the_benchmark_golden(tmp_path, benchmark_path, machine_path):
+    """The benchmark's map_s04 run (microcircuit 0.4, map-only on the
+    12-board machine) at its seed 1: ``placement.txt`` and
+    ``routing_tables.txt`` hash to ``perfbench/golden.json``'s SHA-256s and
+    ``placement_summary.txt`` holds its counts.  The golden file is only
+    read."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "golden.json"), encoding="utf-8") as fh:
+        golden = json.load(fh)["map_s04"]["1"]
+    out = tmp_path / "out"
+    assert cli.main(["--model", benchmark_path, "--out", str(out), "--scale", "0.4",
+                     "--map-only", "--machine", machine_path, "--seed-network", "1",
+                     "--seed-poisson", "2", "--seed-drift", "3"]) == cli.EXIT_OK
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in golden["files"]} == golden["files"]
+    assert set(golden["files"]) == {"placement.txt", "routing_tables.txt"}
+    summary = (out / "placement_summary.txt").read_text().splitlines()
+    assert dict(line.split(" ", 1) for line in summary) == golden["counts"]
 
 
 @pytest.mark.parametrize("quantize", [pytest.param(True, id="quantized"),

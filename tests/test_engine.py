@@ -183,7 +183,7 @@ def queued_packets(sim):
         out.setdefault(core, []).append((a, *divmod(int(placement.chip[e]),
                                                     placement.machine.height),
                                          int(placement.core[e]),
-                                         sim.keys.prefix_of[e] | int(sim.nid_of[g]), emit, row))
+                                         int(sim.keys[e]) | int(sim.nid_of[g]), emit, row))
     return out
 
 

@@ -5,15 +5,16 @@ import random
 import numpy as np
 import pytest
 
-from conftest import hop_latency_ns, neighbor, route_links
+from conftest import SMALL_SPEC, ensemble_roles, hop_latency_ns, neighbor, route_links
 from spikert import mapping, runtime
 from spikert.machine import LINKS, MachineSpec, load_machine_spec
 from spikert.mapping import (CORE_MASK, NEURON_BITS, ROLE_SYN_EXC_LOWER, ROLE_SYN_EXC_UPPER,
-                             ROLE_SYN_INH, SUBPOP_BITS, SYNAPSE_ROLES, RoutingError,
-                             RoutingTableOverflowError, RoutingTables, allocate_keys,
-                             build_routing_tables, delivery_map, destination_cores, pack_key,
-                             partition, place_radial)
-from spikert.network import build_network, load_network_spec, scale_network
+                             ROLE_SYN_INH, SUBPOP_BITS, SYNAPSE_ROLES, KeyOverflowError,
+                             RoutingError, RoutingTableOverflowError, RoutingTables,
+                             allocate_keys, build_routing_tables, delivery_map,
+                             destination_cores, pack_key, partition, place_radial)
+from spikert.network import (PoissonInput, build_network, load_network_spec, parse_network_spec,
+                             scale_network)
 
 SUBPOP_FIELD = ((1 << SUBPOP_BITS) - 1) << NEURON_BITS
 
@@ -124,8 +125,9 @@ def chip_xy(placement, e):
 
 def core_ref(placement, e, role):
     """(chip, core id) of ensemble e's core of ``role``: its cores follow its
-    neuron core in ``Ensemble.roles`` order."""
-    return chip_xy(placement, e), int(placement.core[e]) + placement.ensembles[e].roles.index(role)
+    neuron core in ``ensemble_roles`` order."""
+    return (chip_xy(placement, e),
+            int(placement.core[e]) + ensemble_roles(placement.ensembles, e).index(role))
 
 
 def reference_destinations(placement, projections):
@@ -135,21 +137,22 @@ def reference_destinations(placement, projections):
     source's synapse role: the inhibitory core for an inhibitory source,
     else the lower excitatory core for the lower half of the source
     population's sub-populations and the upper one for the rest."""
+    ens = placement.ensembles
+    pops, subpops = ens.pop.tolist(), ens.subpop.tolist()
     n_subs: dict[int, int] = {}
-    for e in placement.ensembles:
-        n_subs[e.pop] = max(n_subs.get(e.pop, 0), e.subpop + 1)
+    for pop, sub in zip(pops, subpops):
+        n_subs[pop] = max(n_subs.get(pop, 0), sub + 1)
     targets_of: dict[str, set[str]] = {}
     for proj in projections:
         targets_of.setdefault(proj.source, set()).add(proj.target)
     dests = {}
-    for e in placement.ensembles:
-        if e.polarity == "inh":
+    for e, (pop, sub) in enumerate(zip(pops, subpops)):
+        if ens.polarities[pop] == "inh":
             role = ROLE_SYN_INH
         else:
-            role = ROLE_SYN_EXC_LOWER if e.subpop < (n_subs[e.pop] + 1) // 2 else \
-                ROLE_SYN_EXC_UPPER
-        dests[e.index] = {core_ref(placement, f.index, role) for f in placement.ensembles
-                          if f.pop_name in targets_of.get(e.pop_name, ())}
+            role = ROLE_SYN_EXC_LOWER if sub < (n_subs[pop] + 1) // 2 else ROLE_SYN_EXC_UPPER
+        dests[e] = {core_ref(placement, f, role) for f, target in enumerate(pops)
+                    if ens.pop_names[target] in targets_of.get(ens.pop_names[pop], ())}
     return dests
 
 
@@ -186,16 +189,15 @@ def reference_tables(placement, keys, dests):
     mask, cores, links) in table order."""
     machine = placement.machine
     raw = {}  # chip -> {(key, mask) -> (core bits, link bits)}
-    for e in placement.ensembles:
-        if not dests.get(e.index):
+    for e in range(len(placement.ensembles)):
+        if not dests.get(e):
             continue
         by_chip = {}
-        for chip, core in dests[e.index]:
+        for chip, core in dests[e]:
             by_chip[chip] = by_chip.get(chip, 0) | 1 << core
-        for chip, links in reference_route_tree(machine, chip_xy(placement, e.index),
+        for chip, links in reference_route_tree(machine, chip_xy(placement, e),
                                                 frozenset(by_chip)):
-            raw.setdefault(chip, {})[(keys.prefix_of[e.index], CORE_MASK)] = \
-                (by_chip.get(chip, 0), links)
+            raw.setdefault(chip, {})[(int(keys[e]), CORE_MASK)] = (by_chip.get(chip, 0), links)
     rows = []
     for chip in sorted(raw):
         merged = sorted(restarting_merge(raw[chip]).items(),
@@ -334,8 +336,8 @@ def csr_row(csr, e):
 
 def synapse_cores(placement):
     """{(chip, core id): synapse core} of every synapse core ``3 * e + k``."""
-    return {core_ref(placement, e.index, role): 3 * e.index + k
-            for e in placement.ensembles for k, role in enumerate(SYNAPSE_ROLES)}
+    return {core_ref(placement, e, role): 3 * e + k
+            for e in range(len(placement.ensembles)) for k, role in enumerate(SYNAPSE_ROLES)}
 
 
 @pytest.mark.parametrize("on_12_boards", [False, True], ids=["default", "12board"])
@@ -348,9 +350,9 @@ def test_delivery_map_reaches_exactly_the_destination_cores(
     expected = reference_destinations(placement, projections)
     assert any(expected.values())
     syn_core = synapse_cores(placement)
-    for e in placement.ensembles:
-        assert dest_core[dest_ptr[e.index]:dest_ptr[e.index + 1]].tolist() == \
-            [syn_core[ref] for ref in sorted(expected[e.index])]
+    for e in range(len(placement.ensembles)):
+        assert dest_core[dest_ptr[e]:dest_ptr[e + 1]].tolist() == \
+            [syn_core[ref] for ref in sorted(expected[e])]
     tables = build_routing_tables(placement, keys, dest_ptr, dest_core)
     assert delivery_map(placement, keys, tables, dest_ptr, dest_core).size == dest_core.size
 
@@ -378,11 +380,10 @@ def test_delivery_map_matches_the_reference_walk(benchmark_path, machine_path, o
     tables = build_routing_tables(placement, keys, *plan)
     csr = (*plan, delivery_map(placement, keys, tables, *plan))
     syn_core = synapse_cores(placement)
-    for e in placement.ensembles:
-        walked = reference_walk(tables, chip_xy(placement, e.index), keys.prefix_of[e.index]) \
-            if plan[0][e.index + 1] > plan[0][e.index] else {}
-        assert csr_row(csr, e.index) == [(syn_core[ref], t * 1e-3)
-                                         for ref, t in sorted(walked.items())]
+    for e in range(len(placement.ensembles)):
+        walked = reference_walk(tables, chip_xy(placement, e), int(keys[e])) \
+            if plan[0][e + 1] > plan[0][e] else {}
+        assert csr_row(csr, e) == [(syn_core[ref], t * 1e-3) for ref, t in sorted(walked.items())]
 
 
 def test_delivery_map_is_pinned(benchmark_path, machine_path):
@@ -434,9 +435,83 @@ def test_neuron_slots_follow_the_ensembles(scale, small_network, benchmark_path)
     ensembles = partition(net)
     ens_of, nid_of = mapping.neuron_slots(ensembles)
     assert ens_of.size == nid_of.size == net.total_neurons
-    for e in ensembles:
-        first = int(net.offsets[e.pop]) + e.neuron_lo
-        assert (ens_of[first:first + e.count] == e.index).all()
-        assert (nid_of[first:first + e.count] == range(e.count)).all()
+    for e, (pop, sub, count) in enumerate(zip(*(a.tolist() for a in (
+            ensembles.pop, ensembles.subpop, ensembles.count)))):
+        first = int(net.offsets[pop]) + sub * mapping.NEURONS_PER_CORE
+        assert (ens_of[first:first + count] == e).all()
+        assert (nid_of[first:first + count] == range(count)).all()
     slot = ens_of * mapping.NEURONS_PER_CORE + nid_of
     assert (slot[1:] > slot[:-1]).all()
+
+
+def reference_partition(net):
+    """Reference: the per-population loop that ``partition`` replaced, one
+    (population, sub-population, neuron count, core count) per ensemble."""
+    rows = []
+    for p, pop in enumerate(net.populations):
+        n_cores = 5 if isinstance(pop.background, PoissonInput) else 4
+        rows += [(p, sub, min(64, pop.size - 64 * sub), n_cores)
+                 for sub in range(-(-pop.size // 64))]
+    return rows
+
+
+def populations_spec(*pops):
+    """SMALL_SPEC's simulation and neuron sections with populations of
+    ``(size, polarity, background)``, background "poisson" or "dc"."""
+    head = SMALL_SPEC[:SMALL_SPEC.index("[population]")]
+    inputs = {"poisson": "poisson_rate_hz = 12000\npoisson_weight_pa = 87.8\n",
+              "dc": "dc_current_pa = 500\n"}
+    return parse_network_spec(head + "".join(
+        f"[population]\nname = P{i}\nsize = {size}\npolarity = {polarity}\n{inputs[bg]}\n"
+        for i, (size, polarity, bg) in enumerate(pops)))
+
+
+@pytest.mark.parametrize("case", ["small_spec", "microcircuit_0.02", "microcircuit_0.4",
+                                  "microcircuit_dc_0.02", "sizes_1_64_65_mixed",
+                                  "sizes_1_64_65_dc"])
+def test_partition_matches_a_per_population_reference(case, small_network, benchmark_path):
+    """The table's arrays are the reference's ensembles, field by field, as
+    int64, and it keeps the populations' names and polarities."""
+    if case == "small_spec":
+        net = small_network
+    elif case.startswith("microcircuit"):
+        variant = "dc" if "dc" in case else "poisson"
+        spec = scale_network(load_network_spec(benchmark_path, variant),
+                             float(case.rsplit("_", 1)[1]))
+        net = build_network(spec, 1, sample_synapses=False)
+    else:
+        bgs = ("poisson", "dc", "poisson") if case.endswith("mixed") else ("dc",) * 3
+        net = build_network(populations_spec(*zip((1, 64, 65), ("exc", "inh", "exc"), bgs)), 1,
+                            sample_synapses=False)
+    ens = partition(net)
+    fields = (ens.pop, ens.subpop, ens.count, ens.n_cores)
+    assert [a.dtype for a in fields] == [np.int64] * 4
+    assert list(zip(*(a.tolist() for a in fields))) == reference_partition(net)
+    assert len(ens) == len(reference_partition(net))
+    assert ens.pop_names == tuple(p.name for p in net.populations)
+    assert ens.polarities == tuple(p.polarity for p in net.populations)
+
+
+def test_partition_refuses_more_sub_populations_than_the_key_holds():
+    """A population of 512 * 64 + 1 neurons needs 513 sub-populations; the
+    key's 9-bit field numbers 512."""
+    net = build_network(populations_spec((64, "exc", "dc"), (512 * 64 + 1, "inh", "dc")), 1,
+                        sample_synapses=False)
+    with pytest.raises(KeyOverflowError, match="^population P1 needs 513 sub-populations; "
+                                               "key layout allows 512$"):
+        partition(net)
+
+
+def test_keys_are_the_ensembles_prefixes(benchmark_path):
+    """``allocate_keys`` gives each ensemble ``pack_key(pop, subpop, 0)``
+    as one int64 array; ``pack_key`` refuses a field past its bits in an
+    array as it does in an int."""
+    placement, keys, _, _ = microcircuit_mapping(benchmark_path, 0.05)
+    ens = placement.ensembles
+    assert keys.dtype == np.int64 and keys.size == len(ens)
+    assert keys.tolist() == [pack_key(p, sub, 0) for p, sub in zip(ens.pop.tolist(),
+                                                                   ens.subpop.tolist())]
+    with pytest.raises(KeyOverflowError, match="^sub-population 512 exceeds 9 bits$"):
+        pack_key(ens.pop, np.where(ens.subpop == 1, 512, ens.subpop), 0)
+    with pytest.raises(KeyOverflowError, match="^route bits -1 exceed 17 bits$"):
+        pack_key(ens.pop - 1, ens.subpop, 0)

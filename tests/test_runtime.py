@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import SMALL_SPEC, decoded, row_senders, store_rows, written
+from conftest import SMALL_SPEC, decoded, ensemble_roles, row_senders, store_rows, written
 from spikert import matrices, runtime, trace
 from spikert.clocks import ClockConfig
 from spikert.mapping import ROLE_NEURON, ROLE_POISSON, partition
@@ -306,19 +306,19 @@ def test_profile_counts_synapse_cores_only(benchmark_path):
     assert list(rows) == sorted(rows, key=lambda label: tuple(map(int, label.split(","))))
     cm, placement = sim.costs, sim.placement
     fixed = 0
-    for e in sim.ensembles:
-        x, y = divmod(int(placement.chip[e.index]), placement.machine.height)
+    for e in range(len(sim.ensembles)):
+        x, y = divmod(int(placement.chip[e]), placement.machine.height)
         # every ensemble on the chip has one neuron core writing its buffer
-        n_neuron = np.count_nonzero(placement.chip == placement.chip[e.index])
-        for i, role in enumerate(e.roles):
+        n_neuron = np.count_nonzero(placement.chip == placement.chip[e])
+        for i, role in enumerate(ensemble_roles(sim.ensembles, e)):
             if role == ROLE_NEURON:
-                busy = (cm.neuron_input_read_us + e.count * cm.neuron_update_us
+                busy = (cm.neuron_input_read_us + sim.ensembles.count[e] * cm.neuron_update_us
                         + cm.sdram_write_us(n_neuron))
             elif role == ROLE_POISSON:
                 busy = cm.poisson_update_and_transfer_us
             else:
                 continue
-            label = f"{x},{y},{placement.core[e.index] + i}"
+            label = f"{x},{y},{placement.core[e] + i}"
             assert rows[label] == [f"{label} {t} 0 0 0 0 0 {busy:.4f}" for t in range(10)]
             fixed += 1
     assert fixed == 135 - 81
@@ -329,7 +329,7 @@ def test_synapses_no_packet_reaches_are_rejected(small_network):
     without a row; the error names the projection's populations."""
     table = encode_projections(small_network)
     sim = HardwareSimulation(small_network, table)
-    i0 = next(e.index for e in sim.ensembles if e.pop == 1)
+    i0 = int(np.flatnonzero(sim.ensembles.pop == 1)[0])
     lo, hi = sim.dest_ptr[i0], sim.dest_ptr[i0 + 1]
     assert hi > lo
     dest_ptr = np.where(np.arange(sim.dest_ptr.size) > i0, sim.dest_ptr - (hi - lo), sim.dest_ptr)

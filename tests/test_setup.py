@@ -239,7 +239,8 @@ delay_sd_ms = 0.75
 @pytest.mark.parametrize("weight_pa,why", [
     pytest.param("1e-11", None, id="1e-11"),
     pytest.param("1e-12", "one delivery of every excitatory synapse", id="1e-12"),
-    pytest.param("1e-25", "shifted by 90 bits", id="1e-25")])
+    pytest.param("1e-25", "shifted by 90 bits", id="1e-25"),
+    pytest.param("1e-310", "1e-310 pA is too small for a power-of-two scale", id="1e-310")])
 def test_weights_too_far_apart_exit_with_spec_code(tmp_path, capsys, weight_pa, why):
     """A second E -> E projection of tiny weights makes the E -> E
     accumulator scale finer the tinier they are.  At 1e-11 pA the units
@@ -247,7 +248,10 @@ def test_weights_too_far_apart_exit_with_spec_code(tmp_path, capsys, weight_pa, 
     for byte; at 1e-12 one delivery of every E -> E synapse onto a neuron
     passes 2**63 - 1, and at 1e-25 the regular projection's words shifted
     by 90 bits do: encoding ends the run in a spec error naming the
-    projection, where the shifted units wrapped or fell to 0 unchecked."""
+    projection, where the shifted units wrapped or fell to 0 unchecked.  At
+    1e-310 pA (subnormal) no float64 scale reaches the weight, and sampling
+    ends the run in a spec error naming the projection, where it ended in
+    an OverflowError traceback."""
     traces = []
     for name, text in (("alone", SMALL_SPEC),
                        ("spread", SMALL_SPEC + SPREAD_EE_BLOCK.format(weight_pa=weight_pa))):
